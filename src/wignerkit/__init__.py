@@ -49,6 +49,7 @@ from .wigner import (
     character,
     dmatrix_euler,
     oracle_matrix,
+    oracle_stack,
     tmn_hyp,
     tmn_hyp_symmetric,
     tmn_jacobi,

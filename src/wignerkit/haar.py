@@ -8,6 +8,12 @@ uniform (trapezoidal) rules on the periodic phases are exact for every
 trigonometric monomial below the node count.  Products of two matrix
 elements of spin <= L are trigonometric polynomials of phase degree <= 4L
 and x-degree <= 2L, which gives a concrete node budget for exactness.
+
+The representation matrices at all nodes of a grid are built as one stack
+per spin by a single batched polynomial expansion (wigner.oracle_stack).
+Reductions over nodes use a fixed pairwise tree; the Schur check first
+contracts each theta slice of the grid with one matrix product and then
+sums the per-theta slices pairwise.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from .exactcomb import HalfInt, factorial, is_valid_spin_pair, spin_range
 from .group import EulerAngles, Mat2C, diag_element, from_euler, multiply
 from .specfun import JacobiParams, jacobi_eval, legendre
-from .wigner import oracle_matrix
+from .wigner import oracle_matrix, oracle_stack
 
 __all__ = [
     "ExactnessBudget",
@@ -93,12 +99,16 @@ class HaarGrid:
         )
 
     def matrices(self, l: HalfInt) -> np.ndarray:
-        """Representation matrices at every node, shape (nodes, 2l+1, 2l+1)."""
+        """Representation matrices at every node, shape (nodes, 2l+1, 2l+1).
+
+        The stack is built once per spin by one oracle_stack call on the
+        node elements, which come straight from the angle arrays by the
+        from_euler formulas, and is cached on the grid.
+        """
         if l.twice not in self._matrices:
-            stack = np.empty((self.node_count, l.twice + 1, l.twice + 1), dtype=complex)
-            for i in range(self.node_count):
-                stack[i] = oracle_matrix(l, self.element(i)).entries
-            self._matrices[l.twice] = stack
+            st, ct = np.sin(self.thetas), np.cos(self.thetas)
+            ephi, epsi = np.exp(1j * self.phis), np.exp(1j * self.psis)
+            self._matrices[l.twice] = oracle_stack(l, st * ephi, -ct / epsi, ct * epsi, st / ephi)
         return self._matrices[l.twice]
 
 
@@ -173,33 +183,35 @@ def schur_check(grid: HaarGrid, l: HalfInt, l_prime: HalfInt) -> DeviationReport
     """Integrals of t^l_{m,n} conj(t^l'_{m',n'}) against their exact values.
 
     The exact value is 1/(2l+1) when (l, m, n) = (l', m', n') and 0 otherwise;
-    the report carries the worst deviation over all index combinations.
+    the report carries the worst deviation over all index combinations, at
+    the first (m, n, m', n') in row-major order that attains it.
+
+    All integrals are computed at once.  The grid is theta-major, so its
+    nodes split into n_theta blocks of n_phi * n_psi nodes; one batched
+    matrix product of the weighted T stack with the conjugated T' stack
+    contracts each block, and the per-theta results are summed pairwise.
+    The order of the sums inside a block is BLAS's, so the last bits of the
+    deviation can depend on its thread count.
     """
     _check_budget(grid, l)
     _check_budget(grid, l_prime)
-    T = grid.matrices(l)
-    U = grid.matrices(l_prime)
-    dim_u = l_prime.twice + 1
-    u_flat = np.conj(U.reshape(grid.node_count, dim_u * dim_u))
-    w = grid.weights[:, None]
-    worst = None
-    max_dev = -1.0
-    checked = 0
-    same_l = l.twice == l_prime.twice
-    for i1, m in enumerate(spin_range(l)):
-        for j1, n in enumerate(spin_range(l)):
-            integrals = pairwise_sum(w * T[:, i1, j1][:, None] * u_flat)
-            for i2, mp in enumerate(spin_range(l_prime)):
-                for j2, np_ in enumerate(spin_range(l_prime)):
-                    expected = 0.0
-                    if same_l and i1 == i2 and j1 == j2:
-                        expected = 1.0 / (l.twice + 1)
-                    dev = abs(integrals[i2 * dim_u + j2] - expected)
-                    checked += 1
-                    if dev > max_dev:
-                        max_dev = dev
-                        worst = (m.twice, n.twice, mp.twice, np_.twice)
-    return DeviationReport(float(max_dev), worst, checked)
+    if grid.node_count != grid.n_theta * grid.n_phi * grid.n_psi:
+        raise ValueError(
+            f"grid has {grid.node_count} nodes, not n_theta * n_phi * n_psi = "
+            f"{grid.n_theta * grid.n_phi * grid.n_psi}"
+        )
+    dim, dim_u = l.twice + 1, l_prime.twice + 1
+    blocks = (grid.n_theta, grid.n_phi * grid.n_psi)
+    weighted = (grid.weights[:, None, None] * grid.matrices(l)).reshape(*blocks, dim * dim)
+    conj_u = np.conj(grid.matrices(l_prime).reshape(*blocks, dim_u * dim_u))
+    integrals = pairwise_sum(np.matmul(weighted.transpose(0, 2, 1), conj_u))
+    if l.twice == l_prime.twice:
+        integrals -= np.eye(dim * dim) / dim
+    deviations = np.abs(integrals)
+    row, col = divmod(int(np.argmax(deviations)), dim_u * dim_u)
+    (i1, j1), (i2, j2) = divmod(row, dim), divmod(col, dim_u)
+    worst = (2 * i1 - l.twice, 2 * j1 - l.twice, 2 * i2 - l_prime.twice, 2 * j2 - l_prime.twice)
+    return DeviationReport(float(deviations[row, col]), worst, dim * dim * dim_u * dim_u)
 
 
 def character_norm(grid: HaarGrid, l: HalfInt) -> float:

@@ -16,6 +16,7 @@ from numpy.polynomial.legendre import leggauss
 from .exactcomb import HalfInt, pochhammer, spin_range, spins_up_to
 from .group import EulerAngles, Mat2C, from_euler, sample_haar
 from .haar import (
+    HaarGrid,
     addition_formula_check,
     build_grid,
     character_norm,
@@ -193,8 +194,8 @@ def suite_homomorphism(max_l: HalfInt, seed: int) -> dict:
     return {"suite": "homomorphism", "checks": [_check("t(AB) = t(A) t(B)", dev, 1e-9, count)]}
 
 
-def suite_schur(max_l: HalfInt, grid_overrides: dict | None = None) -> dict:
-    grid = build_grid(max_l, **(grid_overrides or {}))
+def suite_schur(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
+    grid = build_grid(max_l) if grid is None else grid
     checks = [
         _check(
             "normalization integral of 1",
@@ -218,8 +219,8 @@ def suite_schur(max_l: HalfInt, grid_overrides: dict | None = None) -> dict:
     return {"suite": "schur", "checks": checks}
 
 
-def suite_character(max_l: HalfInt, grid_overrides: dict | None = None) -> dict:
-    grid = build_grid(max_l, **(grid_overrides or {}))
+def suite_character(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
+    grid = build_grid(max_l) if grid is None else grid
     checks = [
         _check(f"character norm l={l}", abs(character_norm(grid, l) - 1.0), 1e-10, 1)
         for l in spins_up_to(max_l)
@@ -402,7 +403,12 @@ def identity_checks(seed: int) -> dict:
 
 
 def run_suite(name: str, max_l: HalfInt, seed: int, grid_overrides: dict | None = None) -> dict:
-    """Run one named suite (or all of them) and report pinned-tolerance checks."""
+    """Run one named suite (or all of them) and report pinned-tolerance checks.
+
+    The schur and character suites share one grid, so under "all" each
+    matrix stack is built once.
+    """
+    grid = build_grid(max_l, **(grid_overrides or {})) if name in ("schur", "character", "all") else None
     if name == "routes":
         report = suite_routes(max_l, seed)
     elif name == "unitarity":
@@ -410,9 +416,9 @@ def run_suite(name: str, max_l: HalfInt, seed: int, grid_overrides: dict | None 
     elif name == "homomorphism":
         report = suite_homomorphism(max_l, seed)
     elif name == "schur":
-        report = suite_schur(max_l, grid_overrides)
+        report = suite_schur(max_l, grid)
     elif name == "character":
-        report = suite_character(max_l, grid_overrides)
+        report = suite_character(max_l, grid)
     elif name == "jacobi-orth":
         report = suite_jacobi_orth(max_l)
     elif name == "legendre":
@@ -424,8 +430,8 @@ def run_suite(name: str, max_l: HalfInt, seed: int, grid_overrides: dict | None 
             suite_routes(max_l, seed),
             suite_unitarity(max_l, seed),
             suite_homomorphism(max_l, seed),
-            suite_schur(max_l, grid_overrides),
-            suite_character(max_l, grid_overrides),
+            suite_schur(max_l, grid),
+            suite_character(max_l, grid),
             suite_jacobi_orth(max_l),
             suite_legendre(seed),
             suite_krawtchouk_sym(),

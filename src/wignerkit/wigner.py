@@ -40,6 +40,7 @@ __all__ = [
     "WignerMatrix",
     "transformed_basis_vector",
     "oracle_matrix",
+    "oracle_stack",
     "tmn_sum",
     "tmn_hyp",
     "tmn_hyp_symmetric",
@@ -124,6 +125,47 @@ def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     for j, n in enumerate(spin_range(l)):
         entries[:, j] = transformed_basis_vector(l, n, A).coeffs / row_norm
     return WignerMatrix(l, entries)
+
+
+def _binomial_row(n: int) -> np.ndarray:
+    return np.array([binomial(n, k) for k in range(n + 1)], dtype=float)
+
+
+def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
+    """oracle_matrix at N elements at once, shape (N, 2l+1, 2l+1).
+
+    a, b, c, d are (N,) arrays holding the entries of the N elements.  Each
+    column is the same exact-binomial expansion as in oracle_matrix, done on
+    tables of the entries' powers, with the convolution written as shifted
+    adds.  The loops run over the spin's indices, never over the elements.
+    """
+    if l.twice < 0:
+        raise ValueError(f"negative spin l={l}")
+    entries = [np.asarray(x, dtype=complex) for x in (a, b, c, d)]
+    if any(x.ndim != 1 or x.shape != entries[0].shape for x in entries):
+        raise ValueError("expected four (N,) arrays of one length N")
+    dim = l.twice + 1
+    # power tables x_pow[:, e] = x^e for e <= 2l, with 0^0 = 1
+    a_pow, b_pow, c_pow, d_pow = (
+        np.cumprod(np.column_stack([np.ones_like(x)] + [x] * l.twice), axis=1) for x in entries
+    )
+    row_norm = np.array([math.sqrt(binomial(l.twice, l.twice - i)) for i in range(dim)])
+    stack = np.zeros((len(entries[0]), dim, dim), dtype=complex)
+    for j in range(dim):
+        # column n = -l + j: (a z1 + c z2)^p (b z1 + d z2)^q with p = l - n, q = l + n
+        p, q = l.twice - j, j
+        left = _binomial_row(p) * a_pow[:, p::-1] * c_pow[:, : p + 1]
+        right = _binomial_row(q) * b_pow[:, q::-1] * d_pow[:, : q + 1]
+        if p > q:  # shift the shorter factor
+            left, right = right, left
+        column = stack[:, :, j]
+        for k in range(left.shape[1]):
+            column[:, k : k + right.shape[1]] += left[:, k : k + 1] * right
+        column *= math.sqrt(binomial(l.twice, p))
+        column /= row_norm
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix contains non-finite entries")
+    return stack
 
 
 def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:

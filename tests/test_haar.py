@@ -8,6 +8,7 @@ from wignerkit.exactcomb import HalfInt, spin_range, spins_up_to
 from wignerkit.group import sample_haar
 from wignerkit.haar import (
     ExactnessBudget,
+    HaarGrid,
     addition_formula_check,
     build_grid,
     character_norm,
@@ -118,6 +119,30 @@ class TestSchur:
         grid = build_grid(HALF)
         with pytest.raises(ValueError):
             schur_check(grid, HalfInt(2), HALF)
+
+    @pytest.mark.parametrize(
+        "l_x2, lp_x2, i, j, i2, j2", [(2, 3, 0, 2, 1, 3), (0, 3, 0, 0, 3, 1), (1, 2, 1, 0, 2, 2)]
+    )
+    def test_perturbed_entry_is_located(self, l_x2, lp_x2, i, j, i2, j2):
+        # Adding eps * t^l'_{i2,j2} to t^l_{i,j} on one theta slice moves only
+        # the (i, j; i2, j2) integral: the slice's phase sums are exact, so the
+        # other l' entries stay orthogonal to the added term.
+        grid = build_grid(HalfInt(3))
+        l, lp = HalfInt(l_x2), HalfInt(lp_x2)
+        assert schur_check(grid, l, lp).max_deviation <= 1e-10
+        block = slice(grid.n_phi * grid.n_psi, 2 * grid.n_phi * grid.n_psi)
+        grid.matrices(l)[block, i, j] += 1e-6 * grid.matrices(lp)[block, i2, j2]
+        report = schur_check(grid, l, lp)
+        assert report.max_deviation > 1e-8
+        assert report.worst == (2 * i - l_x2, 2 * j - l_x2, 2 * i2 - lp_x2, 2 * j2 - lp_x2)
+        assert all(type(v) is int for v in report.worst)
+        assert report.checked == (l_x2 + 1) ** 2 * (lp_x2 + 1) ** 2
+
+    def test_grid_with_wrong_node_count_rejected(self):
+        good = build_grid(HalfInt(2))
+        bad = HaarGrid(good.n_theta, good.n_phi, good.n_psi + 1, good.thetas, good.phis, good.psis, good.weights)
+        with pytest.raises(ValueError, match="nodes"):
+            schur_check(bad, HALF, HALF)
 
     def test_exactness_not_mere_convergence(self):
         # growing the grid beyond the budget must not move the result

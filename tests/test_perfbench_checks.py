@@ -1,0 +1,41 @@
+"""Smoke test of the benchmark's output checks (perfbench/checks.py) on real
+CLI output: they must pass correct output and fail a corrupted copy."""
+import json
+from pathlib import Path
+
+import pytest
+
+from wignerkit.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    return checks
+
+
+def test_check_verify_passes_real_output_and_fails_one_failed_check(checks):
+    code, out = checks.call_cli(main, ["verify", "--suite", "schur", "--max-l-x2", "2"])
+    ok, reason, deviation = checks.check_verify(code, out)
+    assert ok, reason
+    assert 0 <= deviation <= 1e-10
+    assert out.count('"passed": true') > 1
+    ok, reason, _ = checks.check_verify(code, out.replace('"passed": true', '"passed": false', 1))
+    assert not ok
+    assert "checks failed" in reason
+
+
+def test_check_dmat_passes_real_output_and_fails_its_negation(checks):
+    argv = ["dmat", "--l-x2", "8", "--theta", "0.7", "--phi", "1.2", "--psi", "0.3", "--route", "auto"]
+    code, out = checks.call_cli(main, argv)
+    record = checks.check_dmat(argv, code, out)
+    assert record["ok"] and record["expected"], record["reason"]
+    negated = json.loads(out)
+    negated["result"]["matrix"] = [[[-re, -im] for re, im in row] for row in negated["result"]["matrix"]]
+    record = checks.check_dmat(argv, code, json.dumps(negated))
+    assert not record["ok"]
+    assert not record["expected"]

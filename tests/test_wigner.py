@@ -12,6 +12,7 @@ import pytest
 
 from wignerkit.exactcomb import HalfInt, binomial, spin_range
 from wignerkit.group import EulerAngles, Mat2C, diag_element, from_euler, sample_haar
+from wignerkit.haar import build_grid
 from wignerkit.verify import max_norm, sample_gl2
 from wignerkit.wigner import (
     HomogPoly2,
@@ -21,6 +22,7 @@ from wignerkit.wigner import (
     character,
     dmatrix_euler,
     oracle_matrix,
+    oracle_stack,
     tmn_hyp,
     tmn_hyp_symmetric,
     tmn_jacobi,
@@ -133,6 +135,51 @@ class TestOracleMatrix:
                 T = oracle_matrix(l, from_euler(EulerAngles(theta, 0.0, 0.0))).entries
                 # no conjugation: the matrix is real
                 assert max_norm(T @ T.T - np.eye(l.twice + 1)) <= 1e-10
+
+
+class TestOracleStack:
+    """The batched expansion against the single-element oracle it vectorizes."""
+
+    @staticmethod
+    def assert_matches(stack, elements, l):
+        for i, A in enumerate(elements):
+            reference = oracle_matrix(l, A).entries
+            assert max_norm(stack[i] - reference) <= 1e-14 * max_norm(reference)
+
+    @staticmethod
+    def stack_of(l, elements):
+        return oracle_stack(l, *(np.array([getattr(A, k) for A in elements]) for k in "abcd"))
+
+    def test_every_haar_grid_node(self):
+        # the grid builds its node entries from the angle arrays, not from
+        # from_euler, so this also ties those formulas to the chart
+        grid = build_grid(HalfInt(6))
+        elements = [grid.element(i) for i in range(grid.node_count)]
+        for l in SPINS:
+            stack = grid.matrices(l)
+            assert stack.shape == (grid.node_count, l.twice + 1, l.twice + 1)
+            self.assert_matches(stack, elements, l)
+
+    def test_gl2_elements(self):
+        elements = sample_gl2(31, 40)
+        for l in SPINS:
+            self.assert_matches(self.stack_of(l, elements), elements, l)
+
+    def test_diagonal_elements(self):
+        # b = c = 0: every power table but 0^0 vanishes off the diagonal
+        elements = [diag_element(phi) for phi in np.linspace(0.0, 2 * math.pi, 9)]
+        for l in SPINS:
+            stack = self.stack_of(l, elements)
+            self.assert_matches(stack, elements, l)
+            assert np.all(stack[:, ~np.eye(l.twice + 1, dtype=bool)] == 0)
+
+    def test_negative_spin_rejected(self):
+        with pytest.raises(ValueError):
+            oracle_stack(HalfInt(-1), [1.0], [0.0], [0.0], [1.0])
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle_stack(HalfInt(2), [1.0, np.nan], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0])
 
 
 class TestTmnSum:
