@@ -5,6 +5,11 @@ Every series term is generated as an exact rational (Pochhammer ratios over
 exact factorials) and converted to floating point as late as possible.  The
 terminating sums alternate in sign, and naive floating-point term generation
 loses digits to cancellation long before the degrees used here get large.
+
+The exact evaluations share one integer Horner scheme (_exact_series): the
+coefficients are written over one common denominator and the argument as a
+ratio of integers, so the whole sum is a single integer quotient that is
+rounded once, with no gcd taken along the way.
 """
 from __future__ import annotations
 
@@ -22,8 +27,10 @@ __all__ = [
     "hyp2f1_series_coeffs",
     "hyp2f1_terminating",
     "hyp2f1",
+    "hyp2f1_complex",
     "jacobi_series_coeffs",
     "jacobi_eval",
+    "jacobi_complex",
     "jacobi_via_2f1",
     "jacobi_rodrigues",
     "krawtchouk",
@@ -100,6 +107,49 @@ def _nonpositive_int(value):
     return None
 
 
+def _as_ratio(x) -> tuple[int, int]:
+    # Exact numerator and positive denominator of a real input.
+    if isinstance(x, (float, int, Fraction)):
+        return x.as_integer_ratio()
+    return Fraction(x).as_integer_ratio()
+
+
+def _integer_form(coeffs) -> tuple[list[int], int]:
+    # Rational coefficients as (numerators, common positive denominator).
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _exact_series(nums, den: int, z: tuple[int, int]) -> float:
+    """sum_k nums[k] / den * z^k for the rational z = p/q, rounded once.
+
+    With n = len(nums) - 1 the sum is sum_k nums[k] p^k q^(n-k) / (den q^n);
+    its numerator is accumulated by Horner's rule in integers, and the one
+    true division at the end is correctly rounded, exactly like
+    float(Fraction).  den must be positive.
+    """
+    p, q = z
+    if q < 0:
+        p, q = -p, -q
+    terms = reversed(nums)
+    acc = next(terms)
+    scale = 1
+    for c in terms:
+        scale *= q
+        acc = acc * p + c * scale
+    return acc / (den * scale)
+
+
+def _float_series(coeffs, z: complex) -> complex:
+    # sum_k coeffs[k] z^k accumulated in floating point, lowest term first.
+    acc = 0j
+    power = 1 + 0j
+    for ck in coeffs:
+        acc += ck * power
+        power *= z
+    return acc
+
+
 @lru_cache(maxsize=4096)
 def hyp2f1_series_coeffs(a, b, c, nterms: int) -> tuple[Fraction, ...]:
     """Exact rational coefficients (a)_k (b)_k / ((c)_k k!) for k = 0 .. nterms."""
@@ -133,31 +183,73 @@ def hyp2f1(a, b, c, z) -> float:
     return hyp2f1_terminating(Hyp21Spec.terminating(a, b, c, z))
 
 
+def hyp2f1_complex(a, b, c, nterms: int, z: complex) -> complex:
+    """Terminating 2F1 summed for k = 0 .. nterms at a complex argument.
+
+    The coefficients are exact; each is rounded once and the sum is
+    accumulated in floating point.
+    """
+    return _float_series([float(ck) for ck in hyp2f1_series_coeffs(a, b, c, nterms)], z)
+
+
 @lru_cache(maxsize=4096)
-def _jacobi_coeffs_cached(alpha, beta, n: int) -> tuple[Fraction, ...]:
-    al, be = Fraction(alpha), Fraction(beta)
-    return tuple(
-        pochhammer(n + al + be + 1, k)
-        * pochhammer(al + k + 1, n - k)
-        / (factorial(k) * factorial(n - k))
-        for k in range(n + 1)
-    )
+def _jacobi_coeffs_cached(alpha, beta, n: int) -> tuple[tuple[int, ...], int]:
+    # Integer form (nums, den) of the series coefficients c_k = nums[k] / den,
+    # with den > 0 and no factor common to den and every numerator.
+    a, da = _as_ratio(alpha)
+    b, db = _as_ratio(beta)
+    if da == 1 and -n <= a <= -1:
+        # (alpha+1)_n = 0: the leading coefficients vanish and the term ratio
+        # below is 0/0, so each coefficient comes from its Pochhammer form.
+        al, be = Fraction(alpha), Fraction(beta)
+        nums, den = _integer_form([
+            pochhammer(n + al + be + 1, k)
+            * pochhammer(al + k + 1, n - k)
+            / (factorial(k) * factorial(n - k))
+            for k in range(n + 1)
+        ])
+        return tuple(nums), den
+    # c_0 = (alpha+1)_n / n! and c_{k+1} = c_k (s+k)(n-k) / ((alpha+k+1)(k+1))
+    # with s = n+alpha+beta+1 = s_num/ds.  With alpha = a/da, step k
+    # multiplies the numerator by (s_num + k ds)(n-k) da and the denominator
+    # by (a + (k+1) da)(k+1) ds; the numerators are then carried onto the
+    # last term's denominator.
+    s_num, ds = (n + 1) * da * db + a * db + b * da, da * db
+    nums = [math.prod(a + j * da for j in range(1, n + 1))]
+    steps = []
+    for k in range(n):
+        nums.append(nums[-1] * (s_num + k * ds) * (n - k) * da)
+        steps.append((a + (k + 1) * da) * (k + 1) * ds)
+    tail = 1
+    for k in range(n - 1, -1, -1):
+        tail *= steps[k]
+        nums[k] *= tail
+    den = da**n * factorial(n) * tail
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    return tuple(c // g for c in nums), den // g
 
 
 def jacobi_series_coeffs(p: JacobiParams) -> tuple[Fraction, ...]:
     """Exact coefficients c_k of P_n^(a,b)(x) = sum_k c_k ((x-1)/2)^k."""
-    return _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
+    nums, den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
+    return tuple(Fraction(c, den) for c in nums)
 
 
 def jacobi_eval(p: JacobiParams, x: float) -> float:
     """P_n^(alpha, beta)(x) by its terminating series, evaluated exactly."""
-    h = (Fraction(x) - 1) / 2
-    total = Fraction(0)
-    power = Fraction(1)
-    for ck in jacobi_series_coeffs(p):
-        total += ck * power
-        power *= h
-    return float(total)
+    nums, den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
+    num, q = _as_ratio(x)
+    return _exact_series(nums, den, (num - q, 2 * q))
+
+
+def jacobi_complex(p: JacobiParams, w: complex) -> complex:
+    """P_n^(alpha, beta)(w) at a complex argument.
+
+    The series coefficients are exact; each is rounded once and the sum in
+    powers of (w-1)/2 is accumulated in floating point.
+    """
+    nums, den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
+    return _float_series([c / den for c in nums], (w - 1) / 2)
 
 
 def jacobi_via_2f1(p: JacobiParams, x: float) -> float:
@@ -168,15 +260,11 @@ def jacobi_via_2f1(p: JacobiParams, x: float) -> float:
     terms; jacobi_eval covers those parameters.
     """
     spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
-    coeffs = hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms)
-    zf = Fraction(spec.z)
-    total = Fraction(0)
-    power = Fraction(1)
-    for ck in coeffs:
-        total += ck * power
-        power *= zf
+    nums, den = _integer_form(hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms))
     prefactor = pochhammer(Fraction(p.alpha) + 1, p.n) / factorial(p.n)
-    return float(prefactor * total)
+    return _exact_series(
+        [c * prefactor.numerator for c in nums], den * prefactor.denominator, _as_ratio(spec.z)
+    )
 
 
 def _binom_power_coeffs(sign: int, power: int) -> list[int]:
@@ -231,12 +319,8 @@ def jacobi_rodrigues(p: JacobiParams, x: float) -> float:
         deriv = _poly_divide_linear(deriv, -1)
     for _ in range(be):
         deriv = _poly_divide_linear(deriv, +1)
-    xf = Fraction(x)
-    value = Fraction(0)
-    for ck in reversed(deriv):
-        value = value * xf + ck
-    prefactor = Fraction((-1) ** n, 2**n * factorial(n))
-    return float(prefactor * value)
+    # prefactor (-1)^n / (2^n n!)
+    return _exact_series([(-1) ** n * c for c in deriv], 2**n * factorial(n), _as_ratio(x))
 
 
 def _as_nonneg_int(value, name: str) -> int:
@@ -264,14 +348,9 @@ def krawtchouk(n: int, x: float, p: float, N: int) -> float:
         raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
     if p == 0:
         raise ValueError("p = 0 makes the 2F1 argument infinite")
-    coeffs = hyp2f1_series_coeffs(-n, -x, -N, n)
-    zf = 1 / Fraction(p)
-    total = Fraction(0)
-    power = Fraction(1)
-    for ck in coeffs:
-        total += ck * power
-        power *= zf
-    return float(total)
+    nums, den = _integer_form(hyp2f1_series_coeffs(-n, -x, -N, n))
+    p_num, p_den = _as_ratio(p)
+    return _exact_series(nums, den, (p_den, p_num))
 
 
 def legendre(l: int, x: float) -> float:

@@ -32,7 +32,17 @@ from .exactcomb import (
     sqrt_binom_ratio,
 )
 from .group import EulerAngles, Mat2C
-from .specfun import JacobiParams, hyp2f1_series_coeffs, jacobi_eval, jacobi_series_coeffs, krawtchouk
+from .specfun import (
+    JacobiParams,
+    _binom_power_coeffs,
+    _exact_series,
+    _poly_derivative,
+    _poly_mul,
+    hyp2f1_complex,
+    jacobi_complex,
+    jacobi_eval,
+    krawtchouk,
+)
 
 __all__ = [
     "RouteUnavailableError",
@@ -193,28 +203,6 @@ def _factorial_ratio_sqrt(p: int, q: int, r: int, s: int) -> float:
     return math.sqrt(Fraction(factorial(p) * factorial(q), factorial(r) * factorial(s)))
 
 
-def _hyp2f1_complex(a: int, b: int, c: int, nterms: int, z: complex) -> complex:
-    coeffs = hyp2f1_series_coeffs(a, b, c, nterms)
-    acc = 0j
-    power = 1 + 0j
-    for ck in coeffs:
-        acc += float(ck) * power
-        power *= z
-    return acc
-
-
-def _jacobi_complex(n: int, alpha: int, beta: int, w: complex) -> complex:
-    # Terminating Jacobi series at a complex argument; exact coefficients.
-    coeffs = jacobi_series_coeffs(JacobiParams(alpha, beta, n))
-    h = (w - 1) / 2
-    acc = 0j
-    power = 1 + 0j
-    for ck in coeffs:
-        acc += float(ck) * power
-        power *= h
-    return acc
-
-
 def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Matrix element as a prefactor times a terminating 2F1 in ad/(bc).
 
@@ -231,7 +219,7 @@ def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     ln = (l - n).as_int()
     mn = (m + n).as_int()
     pref = _factorial_ratio_sqrt((l + m).as_int(), (l + n).as_int(), lm, ln)
-    series = _hyp2f1_complex(-lm, -ln, mn + 1, min(lm, ln), A.a * A.d / (A.b * A.c))
+    series = hyp2f1_complex(-lm, -ln, mn + 1, min(lm, ln), A.a * A.d / (A.b * A.c))
     return pref * A.b**lm * A.c**ln * A.d**mn / factorial(mn) * series
 
 
@@ -249,7 +237,7 @@ def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     mn = (m + n).as_int()
     bc = A.b * A.c
     pref = math.sqrt(binomial(l.twice, lm) * binomial(l.twice, ln))
-    series = _hyp2f1_complex(-lm, -ln, -l.twice, min(lm, ln), (bc - A.a * A.d) / bc)
+    series = hyp2f1_complex(-lm, -ln, -l.twice, min(lm, ln), (bc - A.a * A.d) / bc)
     return pref * A.b**lm * A.c**ln * A.d**mn * series
 
 
@@ -271,7 +259,7 @@ def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     mn = (m + n).as_int()
     mmn = (m - n).as_int()
     pref = _factorial_ratio_sqrt((l + m).as_int(), lm, (l + n).as_int(), (l - n).as_int())
-    poly = _jacobi_complex(lm, mn, mmn, (bc + ad) / (bc - ad))
+    poly = jacobi_complex(JacobiParams(mn, mmn, lm), (bc + ad) / (bc - ad))
     return pref * A.c**mmn * A.d**mn * (bc - ad) ** lm * poly
 
 
@@ -340,29 +328,18 @@ def tmn_rodrigues(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
     lpm = (l + m).as_int()
     ln = (l - n).as_int()
     lpn = (l + n).as_int()
-    coeffs = [0] * (l.twice + 1)
-    for k1 in range(lpn + 1):
-        left = binomial(lpn, k1) * (-1) ** k1
-        for k2 in range(ln + 1):
-            coeffs[k1 + k2] += left * binomial(ln, k2)
-    if lm >= len(coeffs):
-        deriv = [0]
-    else:
-        deriv = [coeffs[k + lm] * math.perm(k + lm, lm) for k in range(len(coeffs) - lm)]
+    deriv = _poly_derivative(_poly_mul(_binom_power_coeffs(-1, lpn), _binom_power_coeffs(+1, ln)), lm)
     sin_t = math.sin(theta)
     cos_t = math.cos(theta)
     # Exact Horner: the expanded derivative cancels almost completely near
     # the interval ends (its value carries the surviving power of 1 -+ s),
     # and a floating-point evaluation there would be wiped out by the
     # negative sin/cos powers of the prefactor.
-    s = _cos2_exact(theta, sin_t, cos_t)
-    value = Fraction(0)
-    for ck in reversed(deriv):
-        value = value * s + ck
+    value = _exact_series(deriv, 1, _cos2_exact(theta, sin_t, cos_t).as_integer_ratio())
     pref = math.sqrt(Fraction(factorial(lpm), factorial(lm) * factorial(lpn) * factorial(ln)))
     mn = (m + n).as_int()
     mmn = (m - n).as_int()
-    return pref * 2.0 ** (-lpm) * sin_t ** (-mn) * cos_t ** (-mmn) * float(value)
+    return pref * 2.0 ** (-lpm) * sin_t ** (-mn) * cos_t ** (-mmn) * value
 
 
 def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
