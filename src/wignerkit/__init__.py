@@ -16,7 +16,6 @@ from .exactcomb import (
 from .group import EulerAngles, Mat2C, diag_element, from_euler, inverse, multiply, sample_haar
 from .haar import (
     DeviationReport,
-    ExactnessBudget,
     HaarGrid,
     addition_formula_check,
     build_grid,
@@ -44,12 +43,12 @@ from .specfun import (
     legendre,
 )
 from .wigner import (
-    HomogPoly2,
     RouteUnavailableError,
     WignerMatrix,
     apply_symmetry,
     character,
     dmatrix_euler,
+    fold_to_quadrant,
     oracle_matrix,
     oracle_stack,
     tmn_hyp,

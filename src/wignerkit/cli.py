@@ -26,7 +26,7 @@ from .verify import SUITE_NAMES, run_suite
 from .wigner import (
     RouteUnavailableError,
     WignerMatrix,
-    apply_symmetry,
+    fold_to_quadrant,
     oracle_matrix,
     tmn_jacobi,
     tmn_krawtchouk,
@@ -60,35 +60,17 @@ def _render(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2)
 
 
-def _jacobi_entry_any_quadrant(l, m, n, A):
-    # Fold the three remaining index triangles onto the Jacobi quadrant.
-    if (m + n).twice >= 0 and (m - n).twice >= 0:
-        return tmn_jacobi(l, m, n, A)
-    if (m + n).twice >= 0:
-        m2, n2, A2 = apply_symmetry("transpose-bc", l, m, n, A)
-    elif (m - n).twice >= 0:
-        m2, n2, A2 = apply_symmetry("anti-transpose", l, m, n, A)
-    else:
-        m2, n2, A2 = apply_symmetry("flip-signs", l, m, n, A)
-    return tmn_jacobi(l, m2, n2, A2)
-
-
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> WignerMatrix:
     if route in ("oracle", "auto"):
         return oracle_matrix(l, A)
-    dim = l.twice + 1
-    entries = np.empty((dim, dim), dtype=complex)
-    for i, m in enumerate(spin_range(l)):
-        for j, n in enumerate(spin_range(l)):
-            if route == "sum":
-                entries[i, j] = tmn_sum(l, m, n, A)
-            elif route == "jacobi":
-                entries[i, j] = _jacobi_entry_any_quadrant(l, m, n, A)
-            elif route == "rodrigues":
-                entries[i, j] = tmn_rodrigues(l, m, n, angles.theta)
-            elif route == "krawtchouk":
-                entries[i, j] = tmn_krawtchouk(l, m, n, angles.theta)
-    return WignerMatrix(l, entries)
+    entry = {
+        "sum": lambda m, n: tmn_sum(l, m, n, A),
+        "jacobi": lambda m, n: tmn_jacobi(l, *fold_to_quadrant(l, m, n, A)),
+        "rodrigues": lambda m, n: tmn_rodrigues(l, m, n, angles.theta),
+        "krawtchouk": lambda m, n: tmn_krawtchouk(l, m, n, angles.theta),
+    }[route]
+    spins = spin_range(l)
+    return WignerMatrix(l, np.array([[entry(m, n) for n in spins] for m in spins], dtype=complex))
 
 
 def cmd_dmat(args, parser) -> tuple[str, int]:
@@ -101,7 +83,10 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
             parser.error("--matrix and --theta are mutually exclusive")
         if args.route in ("rodrigues", "krawtchouk"):
             parser.error(f"route {args.route} needs an Euler-angle source with phi = psi = 0")
-        values = [float(v) for v in args.matrix.split(",")]
+        try:
+            values = [float(v) for v in args.matrix.split(",")]
+        except ValueError:
+            values = []
         if len(values) != 8:
             parser.error("--matrix needs 8 comma-separated reals: a_re,a_im,b_re,...,d_im")
         A = Mat2C(
@@ -194,13 +179,11 @@ def cmd_poly(args, parser) -> tuple[str, int]:
 def cmd_verify(args, parser) -> tuple[str, int]:
     if args.max_l_x2 < 0 or args.max_l_x2 > MAX_VERIFY_L_X2:
         parser.error(f"--max-l-x2 must lie in [0, {MAX_VERIFY_L_X2}]")
-    overrides = {}
-    if args.grid_ntheta is not None:
-        overrides["n_theta"] = args.grid_ntheta
-    if args.grid_nphi is not None:
-        overrides["n_phi"] = args.grid_nphi
-    if args.grid_npsi is not None:
-        overrides["n_psi"] = args.grid_npsi
+    overrides = {
+        axis: count
+        for axis, count in (("n_theta", args.grid_ntheta), ("n_phi", args.grid_nphi), ("n_psi", args.grid_npsi))
+        if count is not None
+    }
     report = run_suite(args.suite, HalfInt(args.max_l_x2), args.seed, overrides or None)
     record = {
         "schema_version": SCHEMA_VERSION,

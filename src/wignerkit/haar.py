@@ -30,7 +30,6 @@ from .specfun import JacobiParams, jacobi_eval, legendre
 from .wigner import oracle_matrix, oracle_stack
 
 __all__ = [
-    "ExactnessBudget",
     "HaarGrid",
     "pairwise_sum",
     "build_grid",
@@ -42,25 +41,6 @@ __all__ = [
     "legendre_product_check",
     "addition_formula_check",
 ]
-
-
-@dataclass(frozen=True)
-class ExactnessBudget:
-    """Largest spin whose matrix-element products a grid integrates exactly."""
-
-    max_l: HalfInt
-
-    @property
-    def min_n_theta(self) -> int:
-        return self.max_l.twice + 1
-
-    @property
-    def min_n_phi(self) -> int:
-        return 2 * self.max_l.twice + 1
-
-    @property
-    def min_n_psi(self) -> int:
-        return 2 * self.max_l.twice + 1
 
 
 @dataclass
@@ -88,11 +68,6 @@ class HaarGrid:
         """Iterate (theta, phi, psi, weight) quadruples in node order."""
         return zip(self.thetas, self.phis, self.psis, self.weights)
 
-    def max_exact_l(self) -> HalfInt:
-        """Largest spin within this grid's exactness budget."""
-        twice = min(self.n_theta - 1, (self.n_phi - 1) // 2, (self.n_psi - 1) // 2)
-        return HalfInt(max(twice, 0))
-
     def element(self, index: int) -> Mat2C:
         return from_euler(
             EulerAngles(float(self.thetas[index]), float(self.phis[index]), float(self.psis[index]))
@@ -111,6 +86,39 @@ class HaarGrid:
             self._matrices[l.twice] = oracle_stack(l, st * ephi, -ct / epsi, ct * epsi, st / ephi)
         return self._matrices[l.twice]
 
+    def max_exact_l(self) -> HalfInt:
+        """Largest spin within this grid's exactness budget."""
+        twice = min(self.n_theta - 1, (self.n_phi - 1) // 2, (self.n_psi - 1) // 2)
+        return HalfInt(max(twice, 0))
+
+
+def build_grid(
+    max_l: HalfInt,
+    n_theta: int | None = None,
+    n_phi: int | None = None,
+    n_psi: int | None = None,
+) -> HaarGrid:
+    """Smallest grid exact for spin max_l, with optional node-count overrides.
+
+    The default counts are 2 max_l + 1 theta nodes and 4 max_l + 1 nodes per
+    phase (the phase degree of a product of two spin-max_l elements is 4 max_l);
+    HaarGrid.max_exact_l above inverts them.
+    """
+    n_theta = max_l.twice + 1 if n_theta is None else n_theta
+    n_phi = 2 * max_l.twice + 1 if n_phi is None else n_phi
+    n_psi = 2 * max_l.twice + 1 if n_psi is None else n_psi
+    if min(n_theta, n_phi, n_psi) < 1:
+        raise ValueError("grid needs at least one node per axis")
+    x, wx = leggauss(n_theta)
+    thetas_1d = 0.5 * np.arccos(x)
+    phis_1d = 2 * math.pi * np.arange(n_phi) / n_phi
+    psis_1d = 2 * math.pi * np.arange(n_psi) / n_psi
+    thetas = np.repeat(thetas_1d, n_phi * n_psi)
+    phis = np.tile(np.repeat(phis_1d, n_psi), n_theta)
+    psis = np.tile(psis_1d, n_theta * n_phi)
+    weights = np.repeat(wx / 2, n_phi * n_psi) / (n_phi * n_psi)
+    return HaarGrid(n_theta, n_phi, n_psi, thetas, phis, psis, weights)
+
 
 def pairwise_sum(values):
     """Deterministic pairwise-tree reduction along the leading axis."""
@@ -124,30 +132,6 @@ def pairwise_sum(values):
         else:
             arr = half
     return arr[0]
-
-
-def build_grid(
-    max_l: HalfInt,
-    n_theta: int | None = None,
-    n_phi: int | None = None,
-    n_psi: int | None = None,
-) -> HaarGrid:
-    """Smallest grid exact for spin max_l, with optional node-count overrides."""
-    budget = ExactnessBudget(max_l)
-    n_theta = budget.min_n_theta if n_theta is None else n_theta
-    n_phi = budget.min_n_phi if n_phi is None else n_phi
-    n_psi = budget.min_n_psi if n_psi is None else n_psi
-    if min(n_theta, n_phi, n_psi) < 1:
-        raise ValueError("grid needs at least one node per axis")
-    x, wx = leggauss(n_theta)
-    thetas_1d = 0.5 * np.arccos(x)
-    phis_1d = 2 * math.pi * np.arange(n_phi) / n_phi
-    psis_1d = 2 * math.pi * np.arange(n_psi) / n_psi
-    thetas = np.repeat(thetas_1d, n_phi * n_psi)
-    phis = np.tile(np.repeat(phis_1d, n_psi), n_theta)
-    psis = np.tile(psis_1d, n_theta * n_phi)
-    weights = np.repeat(wx / 2, n_phi * n_psi) / (n_phi * n_psi)
-    return HaarGrid(n_theta, n_phi, n_psi, thetas, phis, psis, weights)
 
 
 def integrate(grid: HaarGrid, f) -> complex:

@@ -37,18 +37,6 @@ from .wigner import (
     tmn_sum,
 )
 
-SUITE_NAMES = (
-    "routes",
-    "unitarity",
-    "homomorphism",
-    "schur",
-    "character",
-    "jacobi-orth",
-    "legendre",
-    "krawtchouk-sym",
-    "all",
-)
-
 __all__ = ["SUITE_NAMES", "run_suite", "sample_gl2", "sample_unimodular", "max_norm"]
 
 
@@ -400,49 +388,40 @@ def identity_checks(seed: int) -> dict:
     return {"suite": "identities", "checks": checks}
 
 
+# Every suite in the order "all" runs them, called as run(max_l, seed, grid).
+# The lambdas look the suite functions up by name at call time, so a
+# replaced suite_* attribute (a test double, a timing wrapper) is what runs.
+SUITES = {
+    "routes": lambda max_l, seed, grid: suite_routes(max_l, seed),
+    "unitarity": lambda max_l, seed, grid: suite_unitarity(max_l, seed),
+    "homomorphism": lambda max_l, seed, grid: suite_homomorphism(max_l, seed),
+    "schur": lambda max_l, seed, grid: suite_schur(max_l, grid),
+    "character": lambda max_l, seed, grid: suite_character(max_l, grid),
+    "jacobi-orth": lambda max_l, seed, grid: suite_jacobi_orth(max_l),
+    "legendre": lambda max_l, seed, grid: suite_legendre(seed),
+    "krawtchouk-sym": lambda max_l, seed, grid: suite_krawtchouk_sym(),
+}
+SUITE_NAMES = (*SUITES, "all")
+# The runs that need a Haar grid; under "all", schur and character share one.
+_GRID_SUITES = ("schur", "character", "all")
+
+
 def run_suite(name: str, max_l: HalfInt, seed: int, grid_overrides: dict | None = None) -> dict:
     """Run one named suite (or all of them) and report pinned-tolerance checks.
 
     The schur and character suites share one grid, so under "all" each
     matrix stack is built once.
     """
-    grid = build_grid(max_l, **(grid_overrides or {})) if name in ("schur", "character", "all") else None
-    if name == "routes":
-        report = suite_routes(max_l, seed)
-    elif name == "unitarity":
-        report = suite_unitarity(max_l, seed)
-    elif name == "homomorphism":
-        report = suite_homomorphism(max_l, seed)
-    elif name == "schur":
-        report = suite_schur(max_l, grid)
-    elif name == "character":
-        report = suite_character(max_l, grid)
-    elif name == "jacobi-orth":
-        report = suite_jacobi_orth(max_l)
-    elif name == "legendre":
-        report = suite_legendre(seed)
-    elif name == "krawtchouk-sym":
-        report = suite_krawtchouk_sym()
-    elif name == "all":
-        parts = [
-            suite_routes(max_l, seed),
-            suite_unitarity(max_l, seed),
-            suite_homomorphism(max_l, seed),
-            suite_schur(max_l, grid),
-            suite_character(max_l, grid),
-            suite_jacobi_orth(max_l),
-            suite_legendre(seed),
-            suite_krawtchouk_sym(),
-            identity_checks(seed),
-        ]
-        checks = []
-        for part in parts:
-            for chk in part["checks"]:
-                labelled = dict(chk)
-                labelled["check"] = f"{part['suite']}: {chk['check']}"
-                checks.append(labelled)
-        report = {"suite": "all", "checks": checks}
-    else:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    grid = build_grid(max_l, **(grid_overrides or {})) if name in _GRID_SUITES else None
+    if name != "all":
+        report = SUITES[name](max_l, seed, grid)
+    else:
+        parts = [run(max_l, seed, grid) for run in SUITES.values()] + [identity_checks(seed)]
+        checks = [
+            {**chk, "check": f"{part['suite']}: {chk['check']}"} for part in parts for chk in part["checks"]
+        ]
+        report = {"suite": "all", "checks": checks}
     report["passed"] = all(chk["passed"] for chk in report["checks"])
     return report

@@ -46,7 +46,6 @@ from .specfun import (
 
 __all__ = [
     "RouteUnavailableError",
-    "HomogPoly2",
     "WignerMatrix",
     "transformed_basis_vector",
     "oracle_matrix",
@@ -59,26 +58,13 @@ __all__ = [
     "tmn_rodrigues",
     "tmn_krawtchouk",
     "apply_symmetry",
+    "fold_to_quadrant",
     "character",
 ]
 
 
 class RouteUnavailableError(ValueError):
     """A closed-form route was asked to evaluate on its singular locus."""
-
-
-@dataclass(frozen=True)
-class HomogPoly2:
-    """Homogeneous polynomial in (z1, z2); coeffs[k] multiplies z1^(deg-k) z2^k."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -108,18 +94,19 @@ class WignerMatrix:
         return complex(self.entries[self.index_of(m), self.index_of(n)])
 
 
-def transformed_basis_vector(l: HalfInt, n: HalfInt, A: Mat2C) -> HomogPoly2:
+def transformed_basis_vector(l: HalfInt, n: HalfInt, A: Mat2C) -> np.ndarray:
     """Image of the n-th normalized basis monomial under t(A), expanded.
 
     Expands sqrt(C(2l, l-n)) (a z1 + c z2)^(l-n) (b z1 + d z2)^(l+n) via an
-    exact binomial convolution of the two factor coefficient arrays.
+    exact binomial convolution of the two factor coefficient arrays.  Returns
+    the 2l+1 complex coefficients; entry k multiplies z1^(2l-k) z2^k.
     """
     check_spin_pair(l, n)
     p = (l - n).as_int()
     q = (l + n).as_int()
     left = np.array([binomial(p, k) * A.a ** (p - k) * A.c**k for k in range(p + 1)], dtype=complex)
     right = np.array([binomial(q, k) * A.b ** (q - k) * A.d**k for k in range(q + 1)], dtype=complex)
-    return HomogPoly2(math.sqrt(binomial(l.twice, p)) * np.convolve(left, right))
+    return math.sqrt(binomial(l.twice, p)) * np.convolve(left, right)
 
 
 def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
@@ -133,7 +120,7 @@ def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     row_norm = np.array([math.sqrt(binomial(l.twice, l.twice - i)) for i in range(dim)])
     entries = np.empty((dim, dim), dtype=complex)
     for j, n in enumerate(spin_range(l)):
-        entries[:, j] = transformed_basis_vector(l, n, A).coeffs / row_norm
+        entries[:, j] = transformed_basis_vector(l, n, A) / row_norm
     return WignerMatrix(l, entries)
 
 
@@ -203,18 +190,22 @@ def _factorial_ratio_sqrt(p: int, q: int, r: int, s: int) -> float:
     return math.sqrt(Fraction(factorial(p) * factorial(q), factorial(r) * factorial(s)))
 
 
-def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
-    """Matrix element as a prefactor times a terminating 2F1 in ad/(bc).
-
-    Needs m+n >= 0 and b, c nonzero; outside that the finite-sum or oracle
-    routes apply.
-    """
+def _check_hyp_domain(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> None:
     check_spin_pair(l, m)
     check_spin_pair(l, n)
     if (m + n).twice < 0:
         raise RouteUnavailableError("2F1 route needs m + n >= 0")
     if A.b == 0 or A.c == 0:
         raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
+
+
+def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
+    """Matrix element as a prefactor times a terminating 2F1 in ad/(bc).
+
+    Needs m+n >= 0 and b, c nonzero; outside that the finite-sum or oracle
+    routes apply.
+    """
+    _check_hyp_domain(l, m, n, A)
     lm = (l - m).as_int()
     ln = (l - n).as_int()
     mn = (m + n).as_int()
@@ -226,12 +217,7 @@ def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
 def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Variant 2F1 form with the symmetric binomial prefactor and argument
     (bc - ad)/(bc); same domain as tmn_hyp."""
-    check_spin_pair(l, m)
-    check_spin_pair(l, n)
-    if (m + n).twice < 0:
-        raise RouteUnavailableError("2F1 route needs m + n >= 0")
-    if A.b == 0 or A.c == 0:
-        raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
+    _check_hyp_domain(l, m, n, A)
     lm = (l - m).as_int()
     ln = (l - n).as_int()
     mn = (m + n).as_int()
@@ -245,7 +231,7 @@ def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Matrix element as a Jacobi polynomial in (bc+ad)/(bc-ad).
 
     Needs m+n >= 0 and m-n >= 0 (the other three index triangles are reached
-    through apply_symmetry) and bc != ad.
+    through fold_to_quadrant) and bc != ad.
     """
     check_spin_pair(l, m)
     check_spin_pair(l, n)
@@ -290,16 +276,28 @@ def _quadrant_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, phi: float
     return sign * pref * phase * math.sin(theta) ** mn * math.cos(theta) ** mmn * jac
 
 
-def _euler_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, phi: float, psi: float) -> complex:
-    # The three remaining index triangles fold onto the closed-form quadrant;
-    # each symmetry maps an angle chart element to another angle chart element.
-    if (m + n).twice >= 0 and (m - n).twice >= 0:
-        return _quadrant_entry(l, m, n, theta, phi, psi)
+def _quadrant_symmetry(m: HalfInt, n: HalfInt) -> str | None:
+    # The symmetry that folds (m, n) onto the closed-form quadrant
+    # m + n >= 0, m - n >= 0; None inside it.
     if (m + n).twice >= 0:
-        return _quadrant_entry(l, n, m, theta, phi, _wrap_angle(math.pi - psi))
-    if (m - n).twice >= 0:
-        return _quadrant_entry(l, -n, -m, theta, _wrap_angle(-phi), psi)
-    return _quadrant_entry(l, -m, -n, theta, _wrap_angle(-phi), _wrap_angle(math.pi - psi))
+        return None if (m - n).twice >= 0 else "transpose-bc"
+    return "anti-transpose" if (m - n).twice >= 0 else "flip-signs"
+
+
+# Each index symmetry as it acts on the angle chart: it maps a chart element
+# to another chart element, (m, n, phi, psi) -> (m', n', phi', psi').
+_CHART_SYMMETRIES = {
+    "transpose-bc": lambda m, n, phi, psi: (n, m, phi, _wrap_angle(math.pi - psi)),
+    "anti-transpose": lambda m, n, phi, psi: (-n, -m, _wrap_angle(-phi), psi),
+    "flip-signs": lambda m, n, phi, psi: (-m, -n, _wrap_angle(-phi), _wrap_angle(math.pi - psi)),
+}
+
+
+def _euler_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, phi: float, psi: float) -> complex:
+    which = _quadrant_symmetry(m, n)
+    if which is not None:
+        m, n, phi, psi = _CHART_SYMMETRIES[which](m, n, phi, psi)
+    return _quadrant_entry(l, m, n, theta, phi, psi)
 
 
 def dmatrix_euler(l: HalfInt, angles: EulerAngles) -> WignerMatrix:
@@ -392,6 +390,15 @@ def apply_symmetry(which: str, l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
     if which == "anti-transpose":
         return -n, -m, Mat2C(A.d, A.b, A.c, A.a)
     raise ValueError(f"unknown symmetry {which!r}; expected one of {_SYMMETRY_NAMES}")
+
+
+def fold_to_quadrant(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
+    """Return (m', n', A') with t^l_{m,n}(A) = t^l_{m',n'}(A') and
+    m' + n' >= 0, m' - n' >= 0; inside that quadrant, (m, n, A) itself."""
+    check_spin_pair(l, m)
+    check_spin_pair(l, n)
+    which = _quadrant_symmetry(m, n)
+    return (m, n, A) if which is None else apply_symmetry(which, l, m, n, A)
 
 
 def character(l: HalfInt, A: Mat2C) -> complex:

@@ -105,6 +105,11 @@ class TestDmat:
             main(["dmat", "--l-x2", "2", "--matrix", "1,2,3"])
         assert err.value.code == 2
 
+    def test_malformed_matrix_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["dmat", "--l-x2", "2", "--matrix", "x,0,0,0,0,0,1,0"])
+        assert err.value.code == 2
+
     def test_domain_error_exit_code(self, capsys):
         code, out = run_main(capsys, "dmat", "--l-x2", "2", "--theta", "3.0")
         assert code == 3

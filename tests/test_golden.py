@@ -3,8 +3,9 @@
 Each file under tests/golden/ holds the stdout of one command.  A change to
 how any number is computed must leave these bytes alone; a deliberate output
 change replaces the files and bumps the schema version.  The Schur check's
-last digits depend on the BLAS thread count, so the pinned verify command
-stays at spin 0, where every product is 1 x 1.
+last digits can depend on the BLAS thread count; the pinned verify commands
+stay at spins small enough that their output was the same with one BLAS
+thread and with the default thread count.
 """
 from pathlib import Path
 
@@ -23,6 +24,13 @@ COMMANDS = {
     "dmat_rodrigues": ["dmat", "--l-x2", "6", "--theta", "0.7", "--route", "rodrigues"],
     "dmat_krawtchouk": ["dmat", "--l-x2", "5", "--theta", "1.1", "--route", "krawtchouk"],
     "dmat_jacobi": ["dmat", "--l-x2", "4", "--matrix", "0.9,0.1,-0.2,0.3,0.5,-0.1,0.8,0.2", "--route", "jacobi"],
+    "dmat_oracle_euler": ["dmat", "--l-x2", "5", "--theta", "0.7", "--phi", "1.2", "--psi", "0.3", "--route", "oracle"],
+    "dmat_jacobi_halfint": ["dmat", "--l-x2", "3", "--matrix", "0.9,0.1,-0.2,0.3,0.5,-0.1,0.8,0.2", "--route", "jacobi"],
+    "dmat_sum_csv": [
+        "dmat", "--l-x2", "3", "--matrix", "0.9,0.1,-0.2,0.3,0.5,-0.1,0.8,0.2", "--route", "sum", "--format", "csv",
+    ],
+    "verify_routes_3": ["verify", "--suite", "routes", "--max-l-x2", "3", "--seed", "1"],
+    "verify_all_2": ["verify", "--suite", "all", "--max-l-x2", "2", "--seed", "3"],
 }
 
 

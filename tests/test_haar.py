@@ -7,7 +7,6 @@ import pytest
 from wignerkit.exactcomb import HalfInt, spin_range, spins_up_to
 from wignerkit.group import sample_haar
 from wignerkit.haar import (
-    ExactnessBudget,
     HaarGrid,
     addition_formula_check,
     build_grid,
@@ -25,10 +24,8 @@ HALF = HalfInt(1)
 
 class TestGridConstruction:
     def test_budget_thresholds(self):
-        budget = ExactnessBudget(HalfInt(1))
-        assert budget.min_n_theta == 2
-        assert budget.min_n_phi == 3
-        assert budget.min_n_psi == 3
+        grid = build_grid(HalfInt(1))
+        assert (grid.n_theta, grid.n_phi, grid.n_psi) == (2, 3, 3)
 
     def test_weights_sum_to_one(self):
         for twice in range(0, 7):

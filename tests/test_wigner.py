@@ -15,12 +15,12 @@ from wignerkit.group import EulerAngles, Mat2C, diag_element, from_euler, sample
 from wignerkit.haar import build_grid
 from wignerkit.verify import max_norm, sample_gl2
 from wignerkit.wigner import (
-    HomogPoly2,
     RouteUnavailableError,
     WignerMatrix,
     apply_symmetry,
     character,
     dmatrix_euler,
+    fold_to_quadrant,
     oracle_matrix,
     oracle_stack,
     tmn_hyp,
@@ -63,9 +63,8 @@ class TestOracleMatrix:
         assert M.entry(HalfInt(2), HalfInt(2)) == pytest.approx(16.0)  # d^2
 
     def test_basis_vector_expansion_shape(self):
-        poly = transformed_basis_vector(HalfInt(4), HalfInt(0), A_TEST)
-        assert poly.degree == 4
-        assert len(poly.coeffs) == 5
+        coeffs = transformed_basis_vector(HalfInt(4), HalfInt(0), A_TEST)
+        assert coeffs.shape == (5,)
 
     def test_double_generating_function(self):
         # the elementary power (a z1 w1 + b z1 w2 + c z2 w1 + d z2 w2)^2l
@@ -501,6 +500,16 @@ class TestApplySymmetry:
                             dev = abs(tmn_sum(l, m, n, A) - tmn_sum(l, m2, n2, A2))
                             assert dev <= 1e-10 * scale
 
+    def test_fold_to_quadrant_lands_in_quadrant(self):
+        for twice in range(8):
+            l = HalfInt(twice)
+            for m in spin_range(l):
+                for n in spin_range(l):
+                    m2, n2, A2 = fold_to_quadrant(l, m, n, A_TEST)
+                    assert (m2 + n2).twice >= 0 and (m2 - n2).twice >= 0
+                    if (m + n).twice >= 0 and (m - n).twice >= 0:
+                        assert (m2, n2, A2) == (m, n, A_TEST)
+
 
 class TestCharacter:
     def test_identity(self):
@@ -532,7 +541,3 @@ class TestWignerMatrixType:
         M = oracle_matrix(HalfInt(3), A_TEST)
         assert M.index_of(HalfInt(-3)) == 0
         assert M.index_of(HalfInt(3)) == 3
-
-    def test_homogpoly_degree(self):
-        poly = HomogPoly2(np.array([1, 2, 3]))
-        assert poly.degree == 2
