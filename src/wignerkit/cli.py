@@ -7,7 +7,7 @@ spins as twice-values under keys suffixed "_x2".  For fixed inputs and seed
 the output is byte-identical across runs.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-error, 3 numeric domain error.
+error, 3 numeric domain error (a ValueError or an ArithmeticError).
 """
 from __future__ import annotations
 
@@ -41,12 +41,28 @@ ROUTES = ("oracle", "sum", "jacobi", "rodrigues", "krawtchouk", "auto")
 MAX_VERIFY_L_X2 = 12
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _render_dmat(record: dict, M: WignerMatrix) -> str:
+    """_render(record) with M added as record["result"]["matrix"], complex
+    entries as [re, im] pairs.
 
-
-def _matrix_payload(M: WignerMatrix) -> list:
-    return [[_complex_pair(z) for z in row] for row in M.entries.tolist()]
+    json.dumps with an indent runs its pure-Python encoder, which is slow for
+    (2l+1)^2 pairs.  So the matrix is written by one %-template, in the text
+    json.dumps(indent=2) gives a list at its depth (record -> "result" ->
+    "matrix"), and spliced into the rendered record in place of a
+    placeholder.  %r is float.__repr__, which is what json writes for a
+    finite float, and WignerMatrix holds only finite entries: no NaN or
+    Infinity reaches the template.
+    """
+    i0, i1, i2, i3 = ("\n" + " " * k for k in (4, 6, 8, 10))
+    dim = M.entries.shape[0]
+    pair = "[" + i3 + "%r," + i3 + "%r" + i2 + "]"
+    row = "[" + i2 + ("," + i2).join([pair] * dim) + i1 + "]"
+    template = "[" + i1 + ("," + i1).join([row] * dim) + i0 + "]"
+    matrix = template % tuple(np.ascontiguousarray(M.entries).view(float).ravel().tolist())
+    # "inputs" sorts before "result" and holds no string equal to the slot.
+    slot = "<matrix>"
+    text = _render({**record, "result": {**record["result"], "matrix": slot}})
+    return text.replace(json.dumps(slot), matrix, 1)
 
 
 def _matrix_csv(M: WignerMatrix) -> str:
@@ -74,9 +90,9 @@ def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str)
 
 
 def cmd_dmat(args, parser) -> tuple[str, int]:
+    if args.l_x2 < 0:
+        parser.error(f"--l-x2 must be >= 0, got {args.l_x2}")
     l = HalfInt(args.l_x2)
-    if l.twice < 0:
-        raise ValueError(f"negative spin l_x2={args.l_x2}")
     angles = None
     if args.matrix is not None:
         if args.theta is not None:
@@ -128,7 +144,6 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
             "l_x2": l.twice,
             "dim": l.twice + 1,
             "route_used": route_used,
-            "matrix": _matrix_payload(M),
         },
     }
     if warnings:
@@ -137,7 +152,7 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
         for w in warnings:
             print(w, file=sys.stderr)
         return _matrix_csv(M), 0
-    return _render(record), 0
+    return _render_dmat(record, M), 0
 
 
 def cmd_poly(args, parser) -> tuple[str, int]:
@@ -245,7 +260,7 @@ def main(argv=None) -> int:
     handlers = {"dmat": cmd_dmat, "poly": cmd_poly, "verify": cmd_verify}
     try:
         text, code = handlers[args.command](args, parser)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         record = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

@@ -94,6 +94,27 @@ class WignerMatrix:
         return complex(self.entries[self.index_of(m), self.index_of(n)])
 
 
+def _expansion_tables(A: Mat2C, p: int, q: int) -> tuple:
+    """What the column expansions of one matrix read: the powers x^e of a and
+    c for e <= p and of b and d for e <= q, and the binomial rows C(r, k) for
+    r <= max(p, q)."""
+    powers = tuple([x**e for e in range(top + 1)] for x, top in ((A.a, p), (A.b, q), (A.c, p), (A.d, q)))
+    rows = [[1]]
+    for _ in range(max(p, q)):
+        prev = rows[-1]
+        rows.append([1, *[x + y for x, y in zip(prev, prev[1:])], 1])
+    return powers, rows
+
+
+def _column_expansion(p: int, q: int, tables: tuple) -> np.ndarray:
+    """sqrt(C(p+q, p)) (a z1 + c z2)^p (b z1 + d z2)^q, expanded: entry k
+    multiplies z1^(p+q-k) z2^k."""
+    (a_pow, b_pow, c_pow, d_pow), rows = tables
+    left = np.array([rows[p][k] * a_pow[p - k] * c_pow[k] for k in range(p + 1)], dtype=complex)
+    right = np.array([rows[q][k] * b_pow[q - k] * d_pow[k] for k in range(q + 1)], dtype=complex)
+    return math.sqrt(binomial(p + q, p)) * np.convolve(left, right)
+
+
 def transformed_basis_vector(l: HalfInt, n: HalfInt, A: Mat2C) -> np.ndarray:
     """Image of the n-th normalized basis monomial under t(A), expanded.
 
@@ -104,9 +125,7 @@ def transformed_basis_vector(l: HalfInt, n: HalfInt, A: Mat2C) -> np.ndarray:
     check_spin_pair(l, n)
     p = (l - n).as_int()
     q = (l + n).as_int()
-    left = np.array([binomial(p, k) * A.a ** (p - k) * A.c**k for k in range(p + 1)], dtype=complex)
-    right = np.array([binomial(q, k) * A.b ** (q - k) * A.d**k for k in range(q + 1)], dtype=complex)
-    return math.sqrt(binomial(l.twice, p)) * np.convolve(left, right)
+    return _column_expansion(p, q, _expansion_tables(A, p, q))
 
 
 def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
@@ -115,12 +134,15 @@ def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     This is the reference implementation every closed-form route is tested
     against; it has no singular parameter set.
     """
+    if l.twice < 0:
+        raise ValueError(f"negative spin l={l}")
     dim = l.twice + 1
+    tables = _expansion_tables(A, l.twice, l.twice)
     # row m sits at z2-degree i = l + m; its basis normalization is C(2l, l-m).
     row_norm = np.array([math.sqrt(binomial(l.twice, l.twice - i)) for i in range(dim)])
     entries = np.empty((dim, dim), dtype=complex)
-    for j, n in enumerate(spin_range(l)):
-        entries[:, j] = transformed_basis_vector(l, n, A) / row_norm
+    for j in range(dim):  # column n = -l + j: p = l - n, q = l + n
+        entries[:, j] = _column_expansion(l.twice - j, j, tables) / row_norm
     return WignerMatrix(l, entries)
 
 

@@ -8,8 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wignerkit.cli import main
+from wignerkit.cli import _render_dmat, main
+from wignerkit.exactcomb import HalfInt
+from wignerkit.wigner import WignerMatrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -110,6 +114,16 @@ class TestDmat:
             main(["dmat", "--l-x2", "2", "--matrix", "x,0,0,0,0,0,1,0"])
         assert err.value.code == 2
 
+    def test_negative_spin_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["dmat", "--l-x2", "-1", "--theta", "0.3"])
+        assert err.value.code == 2
+
+    def test_overflowing_matrix_is_domain_error(self, capsys):
+        code, rec = run_json(capsys, "dmat", "--l-x2", "3", "--matrix", "1e300,0,1e300,0,1e300,0,1e300,0")
+        assert code == 3
+        assert rec["error"]["type"] == "OverflowError"
+
     def test_domain_error_exit_code(self, capsys):
         code, out = run_main(capsys, "dmat", "--l-x2", "2", "--theta", "3.0")
         assert code == 3
@@ -129,6 +143,60 @@ class TestDmat:
         _, out = run_main(capsys, "dmat", "--l-x2", "3", "--theta", "0.7", "--phi", "1.1")
         rec = json.loads(out)
         assert json.loads(json.dumps(rec)) == rec
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, 1e16, -1e16, 1e-5, 0.1]),
+)
+DMAT_RECORDS = [
+    {
+        "schema_version": "1",
+        "command": "dmat",
+        "inputs": {"l_x2": 0, "source": "euler", "theta": 0.7, "phi": 1.2, "psi": 0.3, "route": "auto"},
+        "result": {"l_x2": 0, "dim": 1, "route_used": "oracle"},
+    },
+    {
+        "schema_version": "1",
+        "command": "dmat",
+        "inputs": {"l_x2": 0, "source": "matrix", "matrix": [0.9, 0.1, -0.2, 0.3, 0.5, -0.1, 0.8, 0.2], "route": "sum"},
+        "result": {"l_x2": 0, "dim": 1, "route_used": "oracle"},
+        "warnings": ["route sum unavailable (b = 0); fell back to oracle"],
+    },
+]
+
+
+def assert_renders_as_json_dumps(record, M):
+    payload = [[[z.real, z.imag] for z in row] for row in M.entries.tolist()]
+    want = json.dumps({**record, "result": {**record["result"], "matrix": payload}}, sort_keys=True, indent=2)
+    got = _render_dmat(record, M)
+    if got != want:
+        # Report the first difference only: pytest's full diff of two long
+        # texts is slow enough to stall hypothesis's shrinking.
+        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {at}: {got[max(at - 40, 0):at + 40]!r} != {want[max(at - 40, 0):at + 40]!r}")
+
+
+class TestMatrixJson:
+    """The dmat matrix writer against the json.dumps payload it replaced."""
+
+    @given(
+        st.integers(1, 30),
+        st.lists(FINITE, min_size=1, max_size=24),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(DMAT_RECORDS),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_same_text_as_json_dumps(self, dim, pool, seed, record):
+        # Every real and imaginary part is drawn from the pool, so large
+        # matrices cost no more to generate than small ones.
+        values = np.random.default_rng(seed).choice(np.array(pool), size=(dim, dim, 2))
+        M = WignerMatrix(HalfInt(dim - 1), values.view(complex)[..., 0])
+        assert_renders_as_json_dumps(record, M)
+
+    def test_non_contiguous_entries(self):
+        entries = (np.arange(9.0) + 1j * np.arange(9.0)[::-1]).reshape(3, 3).T
+        assert_renders_as_json_dumps(DMAT_RECORDS[0], WignerMatrix(HalfInt(2), entries))
 
 
 class TestPoly:
