@@ -49,8 +49,12 @@ from .wigner import (
     character,
     dmatrix_euler,
     fold_to_quadrant,
+    jacobi_matrix,
+    krawtchouk_stack,
     oracle_matrix,
     oracle_stack,
+    rodrigues_stack,
+    sum_matrix,
     tmn_hyp,
     tmn_hyp_symmetric,
     tmn_jacobi,

@@ -19,19 +19,18 @@ import sys
 
 import numpy as np
 
-from .exactcomb import HalfInt, spin_range
+from .exactcomb import HalfInt
 from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
 from .wigner import (
     RouteUnavailableError,
     WignerMatrix,
-    fold_to_quadrant,
+    jacobi_matrix,
+    krawtchouk_stack,
     oracle_matrix,
-    tmn_jacobi,
-    tmn_krawtchouk,
-    tmn_rodrigues,
-    tmn_sum,
+    rodrigues_stack,
+    sum_matrix,
 )
 
 log = logging.getLogger("wignerkit")
@@ -39,6 +38,8 @@ log = logging.getLogger("wignerkit")
 SCHEMA_VERSION = "1"
 ROUTES = ("oracle", "sum", "jacobi", "rodrigues", "krawtchouk", "auto")
 MAX_VERIFY_L_X2 = 12
+# dmat prints about 84 bytes per entry: 13.6 MB at this spin, 55 MB at 800.
+MAX_DMAT_L_X2 = 400
 
 
 def _render_dmat(record: dict, M: WignerMatrix) -> str:
@@ -79,19 +80,17 @@ def _render(record: dict) -> str:
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> WignerMatrix:
     if route in ("oracle", "auto"):
         return oracle_matrix(l, A)
-    entry = {
-        "sum": lambda m, n: tmn_sum(l, m, n, A),
-        "jacobi": lambda m, n: tmn_jacobi(l, *fold_to_quadrant(l, m, n, A)),
-        "rodrigues": lambda m, n: tmn_rodrigues(l, m, n, angles.theta),
-        "krawtchouk": lambda m, n: tmn_krawtchouk(l, m, n, angles.theta),
-    }[route]
-    spins = spin_range(l)
-    return WignerMatrix(l, np.array([[entry(m, n) for n in spins] for m in spins], dtype=complex))
+    if route == "sum":
+        return sum_matrix(l, A)
+    if route == "jacobi":
+        return jacobi_matrix(l, A)
+    stack = {"rodrigues": rodrigues_stack, "krawtchouk": krawtchouk_stack}[route]
+    return WignerMatrix(l, stack(l, [angles.theta])[0])
 
 
 def cmd_dmat(args, parser) -> tuple[str, int]:
-    if args.l_x2 < 0:
-        parser.error(f"--l-x2 must be >= 0, got {args.l_x2}")
+    if not 0 <= args.l_x2 <= MAX_DMAT_L_X2:
+        parser.error(f"--l-x2 must lie in [0, {MAX_DMAT_L_X2}], got {args.l_x2}")
     l = HalfInt(args.l_x2)
     angles = None
     if args.matrix is not None:

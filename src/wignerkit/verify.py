@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,14 +28,16 @@ from .haar import (
 )
 from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_norm, krawtchouk
 from .wigner import (
-    apply_symmetry,
+    _SYMMETRIES,
+    _hyp_entry,
+    _hyp_tables,
+    _jacobi_entry,
+    _jacobi_tables,
     dmatrix_euler,
+    krawtchouk_stack,
     oracle_matrix,
-    tmn_hyp,
-    tmn_jacobi,
-    tmn_krawtchouk,
-    tmn_rodrigues,
-    tmn_sum,
+    rodrigues_stack,
+    sum_matrix,
 )
 
 __all__ = ["SUITE_NAMES", "run_suite", "sample_gl2", "sample_unimodular", "max_norm"]
@@ -89,6 +92,14 @@ def _theta_of(A: Mat2C) -> float:
     return math.asin(min(1.0, abs(A.a)))
 
 
+def _worst(dev: float, pairs, scale: float) -> float:
+    # max(dev, |value - target| / scale) over (value, target) pairs of
+    # Python scalars.
+    for value, target in pairs:
+        dev = max(dev, abs(value - target) / scale)
+    return dev
+
+
 def suite_routes(max_l: HalfInt, seed: int) -> dict:
     """Closed-form routes against the polynomial-expansion oracle."""
     su2 = sample_haar(seed, 20)
@@ -103,23 +114,32 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
             rng.uniform(0, 2 * math.pi, 10),
         )
     ]
+    thetas = [theta for theta in map(_theta_of, su2) if 0 < theta < math.pi / 2]
     dev_sum = dev_hyp = dev_jac = dev_euler = dev_rod = dev_kraw = 0.0
     n_sum = n_hyp = n_jac = n_euler = n_rod = n_kraw = 0
     for l in spins_up_to(max_l):
+        l2 = l.twice
+        dim = l2 + 1
+        # the 2F1 domain m + n >= 0, and the Jacobi quadrant inside it, m - n >= 0
+        hyp_pairs = [(i, j) for i in range(dim) for j in range(max(0, l2 - i), dim)]
+        jac_pairs = [(i, j) for i, j in hyp_pairs if i >= j]
         for A in samples:
             reference = oracle_matrix(l, A)
             scale = max_norm(reference.entries)
-            for m in spin_range(l):
-                for n in spin_range(l):
-                    target = reference.entry(m, n)
-                    dev_sum = max(dev_sum, abs(tmn_sum(l, m, n, A) - target) / scale)
-                    n_sum += 1
-                    if (m + n).twice >= 0 and A.b != 0 and A.c != 0:
-                        dev_hyp = max(dev_hyp, abs(tmn_hyp(l, m, n, A) - target) / scale)
-                        n_hyp += 1
-                    if (m + n).twice >= 0 and (m - n).twice >= 0 and A.b * A.c != A.a * A.d:
-                        dev_jac = max(dev_jac, abs(tmn_jacobi(l, m, n, A) - target) / scale)
-                        n_jac += 1
+            target = reference.entries.tolist()
+            values = sum_matrix(l, A).entries.tolist()
+            dev_sum = _worst(dev_sum, zip(chain(*values), chain(*target)), scale)
+            n_sum += dim * dim
+            if A.b != 0 and A.c != 0:
+                tables = _hyp_tables(A, l2)
+                pairs = ((_hyp_entry(l2, i, j, tables), target[i][j]) for i, j in hyp_pairs)
+                dev_hyp = _worst(dev_hyp, pairs, scale)
+                n_hyp += len(hyp_pairs)
+            if A.b * A.c != A.a * A.d:
+                tables = _jacobi_tables(A, l2)
+                pairs = ((_jacobi_entry(l2, i, j, tables), target[i][j]) for i, j in jac_pairs)
+                dev_jac = _worst(dev_jac, pairs, scale)
+                n_jac += len(jac_pairs)
         for angles in triples:
             reference = oracle_matrix(l, from_euler(angles))
             scale = max_norm(reference.entries)
@@ -127,19 +147,14 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
                 dev_euler, max_norm(dmatrix_euler(l, angles).entries - reference.entries) / scale
             )
             n_euler += 1
-        for A in su2:
-            theta = _theta_of(A)
-            if not 0 < theta < math.pi / 2:
-                continue
-            reference = oracle_matrix(l, from_euler(EulerAngles(theta, 0.0, 0.0)))
+        zero_phase = [oracle_matrix(l, from_euler(EulerAngles(theta, 0.0, 0.0))) for theta in thetas]
+        for reference, rod, kraw in zip(zero_phase, rodrigues_stack(l, thetas), krawtchouk_stack(l, thetas)):
             scale = max_norm(reference.entries)
-            for m in spin_range(l):
-                for n in spin_range(l):
-                    target = reference.entry(m, n).real
-                    dev_rod = max(dev_rod, abs(tmn_rodrigues(l, m, n, theta) - target) / scale)
-                    n_rod += 1
-                    dev_kraw = max(dev_kraw, abs(tmn_krawtchouk(l, m, n, theta) - target) / scale)
-                    n_kraw += 1
+            target = reference.entries.real.ravel().tolist()
+            dev_rod = _worst(dev_rod, zip(rod.ravel().tolist(), target), scale)
+            dev_kraw = _worst(dev_kraw, zip(kraw.ravel().tolist(), target), scale)
+            n_rod += dim * dim
+            n_kraw += dim * dim
     return {
         "suite": "routes",
         "checks": [
@@ -310,17 +325,18 @@ def identity_checks(seed: int) -> dict:
     samples = sample_haar(seed, 5) + sample_gl2(seed + 1, 5)
     dev = 0.0
     count = 0
-    for name in ("transpose-bc", "flip-signs", "anti-transpose"):
-        for l in (HalfInt(1), HalfInt(2), HalfInt(3), HalfInt(4)):
-            for A in samples:
-                scale = max_norm(oracle_matrix(l, A).entries)
-                for m in spin_range(l):
-                    for n in spin_range(l):
-                        m2, n2, A2 = apply_symmetry(name, l, m, n, A)
-                        dev = max(
-                            dev, abs(tmn_sum(l, m, n, A) - tmn_sum(l, m2, n2, A2)) / scale
-                        )
-                        count += 1
+    for l in (HalfInt(1), HalfInt(2), HalfInt(3), HalfInt(4)):
+        l2 = l.twice
+        for A in samples:
+            scale = max_norm(oracle_matrix(l, A).entries)
+            values = sum_matrix(l, A).entries.tolist()
+            for index_map, element_map in _SYMMETRIES.values():
+                images = sum_matrix(l, element_map(A)).entries.tolist()
+                for i in range(l2 + 1):
+                    for j in range(l2 + 1):
+                        i2, j2 = index_map(l2, i, j)
+                        dev = max(dev, abs(values[i][j] - images[i2][j2]) / scale)
+                count += (l2 + 1) ** 2
     checks.append(_check("index symmetries", dev, 1e-10, count))
 
     dev = 0.0

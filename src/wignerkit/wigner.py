@@ -20,28 +20,22 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 
-from .exactcomb import (
-    HalfInt,
-    binomial,
-    check_spin_pair,
-    factorial,
-    spin_range,
-    sqrt_binom_ratio,
-)
+from .exactcomb import HalfInt, binomial, check_spin_pair, spin_range
 from .group import EulerAngles, Mat2C
 from .specfun import (
-    JacobiParams,
     _binom_power_coeffs,
     _exact_series,
+    _float_series,
+    _integer_form,
+    _jacobi_coeffs_cached,
     _poly_derivative,
     _poly_mul,
     hyp2f1_complex,
-    jacobi_complex,
-    jacobi_eval,
-    krawtchouk,
+    hyp2f1_series_coeffs,
 )
 
 __all__ = [
@@ -51,12 +45,16 @@ __all__ = [
     "oracle_matrix",
     "oracle_stack",
     "tmn_sum",
+    "sum_matrix",
     "tmn_hyp",
     "tmn_hyp_symmetric",
     "tmn_jacobi",
+    "jacobi_matrix",
     "dmatrix_euler",
     "tmn_rodrigues",
+    "rodrigues_stack",
     "tmn_krawtchouk",
+    "krawtchouk_stack",
     "apply_symmetry",
     "fold_to_quadrant",
     "character",
@@ -94,11 +92,38 @@ class WignerMatrix:
         return complex(self.entries[self.index_of(m), self.index_of(n)])
 
 
+def _dim(l: HalfInt) -> int:
+    if l.twice < 0:
+        raise ValueError(f"negative spin l={l}")
+    return l.twice + 1
+
+
+def _powers(x, top: int) -> list:
+    # x**e for e = 0 .. top, each by its own power operation.
+    return [x**e for e in range(top + 1)]
+
+
+class _PowerOf:
+    """Stands in for _powers(x, top) where a single entry is computed: x**e
+    is taken when the kernel reads index e, so the entry computes only its
+    own powers, in the order its formula reads them.  (Whether a complex
+    power overflows is not monotone in e: x**2 can raise where x**4 comes
+    out as nan.)"""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x, top: int | None = None):
+        self.x = x
+
+    def __getitem__(self, e: int):
+        return self.x**e
+
+
 def _expansion_tables(A: Mat2C, p: int, q: int) -> tuple:
     """What the column expansions of one matrix read: the powers x^e of a and
     c for e <= p and of b and d for e <= q, and the binomial rows C(r, k) for
     r <= max(p, q)."""
-    powers = tuple([x**e for e in range(top + 1)] for x, top in ((A.a, p), (A.b, q), (A.c, p), (A.d, q)))
+    powers = (_powers(A.a, p), _powers(A.b, q), _powers(A.c, p), _powers(A.d, q))
     rows = [[1]]
     for _ in range(max(p, q)):
         prev = rows[-1]
@@ -134,9 +159,7 @@ def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     This is the reference implementation every closed-form route is tested
     against; it has no singular parameter set.
     """
-    if l.twice < 0:
-        raise ValueError(f"negative spin l={l}")
-    dim = l.twice + 1
+    dim = _dim(l)
     tables = _expansion_tables(A, l.twice, l.twice)
     # row m sits at z2-degree i = l + m; its basis normalization is C(2l, l-m).
     row_norm = np.array([math.sqrt(binomial(l.twice, l.twice - i)) for i in range(dim)])
@@ -158,12 +181,10 @@ def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
     tables of the entries' powers, with the convolution written as shifted
     adds.  The loops run over the spin's indices, never over the elements.
     """
-    if l.twice < 0:
-        raise ValueError(f"negative spin l={l}")
+    dim = _dim(l)
     entries = [np.asarray(x, dtype=complex) for x in (a, b, c, d)]
     if any(x.ndim != 1 or x.shape != entries[0].shape for x in entries):
         raise ValueError("expected four (N,) arrays of one length N")
-    dim = l.twice + 1
     # power tables x_pow[:, e] = x^e for e <= 2l, with 0^0 = 1
     a_pow, b_pow, c_pow, d_pow = (
         np.cumprod(np.column_stack([np.ones_like(x)] + [x] * l.twice), axis=1) for x in entries
@@ -187,6 +208,35 @@ def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
     return stack
 
 
+# Every closed-form route below is written as one entry kernel on plain
+# integers, called over the entries of a whole matrix.  With l2 = 2l, row
+# i = l + m and column j = l + n, so l - m = l2 - i, l - n = l2 - j,
+# m + n = i + j - l2 and m - n = i - j.  A kernel reads its powers and its
+# trigonometric values from tables that a matrix builds once; the public
+# per-entry functions check their HalfInt arguments, build the tables for
+# their one entry and call the same kernel.
+
+
+def _index(l: HalfInt, m: HalfInt) -> int:
+    # Row or column index l + m of the weight m, after checking it is one.
+    check_spin_pair(l, m)
+    return (l.twice + m.twice) // 2
+
+
+def _sqrt_fraction(num: int, den: int) -> float:
+    # sqrt(num / den) with the ratio taken exactly before the root.
+    return math.sqrt(Fraction(num, den))
+
+
+def _sum_entry(l2: int, i: int, j: int, powers: tuple) -> complex:
+    a_pow, b_pow, c_pow, d_pow = powers
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    acc = 0j
+    for k in range(max(0, -mn), min(lm, ln) + 1):
+        acc += comb(ln, k) * comb(j, lm - k) * a_pow[k] * b_pow[lm - k] * c_pow[ln - k] * d_pow[mn + k]
+    return _sqrt_fraction(comb(l2, ln), comb(l2, lm)) * acc
+
+
 def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Single matrix element by the explicit finite sum over monomials.
 
@@ -194,31 +244,47 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     evaluated in floating point with the 0^0 = 1 convention, which is what
     makes the corner cases with vanishing entries come out right.
     """
-    check_spin_pair(l, m)
-    check_spin_pair(l, n)
-    lm = (l - m).as_int()
-    ln = (l - n).as_int()
-    lpn = (l + n).as_int()
-    mn = (m + n).as_int()
-    acc = 0j
-    for j in range(max(0, -mn), min(lm, ln) + 1):
-        coef = binomial(ln, j) * binomial(lpn, lm - j)
-        acc += coef * A.a**j * A.b ** (lm - j) * A.c ** (ln - j) * A.d ** (mn + j)
-    return sqrt_binom_ratio(l, m, n) * acc
+    i, j = _index(l, m), _index(l, n)
+    return _sum_entry(l.twice, i, j, tuple(_PowerOf(x) for x in (A.a, A.b, A.c, A.d)))
+
+
+def sum_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
+    """The whole matrix by the finite sum, from one table of the powers of
+    a, b, c and d."""
+    dim = _dim(l)
+    powers = tuple(_powers(x, l.twice) for x in (A.a, A.b, A.c, A.d))
+    return WignerMatrix(l, [[_sum_entry(l.twice, i, j, powers) for j in range(dim)] for i in range(dim)])
 
 
 def _factorial_ratio_sqrt(p: int, q: int, r: int, s: int) -> float:
     # sqrt(p! q! / (r! s!)) with the ratio taken exactly before the root.
-    return math.sqrt(Fraction(factorial(p) * factorial(q), factorial(r) * factorial(s)))
+    return _sqrt_fraction(factorial(p) * factorial(q), factorial(r) * factorial(s))
 
 
-def _check_hyp_domain(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> None:
-    check_spin_pair(l, m)
-    check_spin_pair(l, n)
-    if (m + n).twice < 0:
+def _hyp_tables(A: Mat2C, l2: int, powers=_powers) -> tuple:
+    # The 2F1 arguments ad/(bc) and (bc - ad)/(bc), then the powers.
+    bc = A.b * A.c
+    ad = A.a * A.d
+    return ad / bc, (bc - ad) / bc, powers(A.b, l2), powers(A.c, l2), powers(A.d, l2)
+
+
+def _hyp_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
+    # Needs m + n >= 0 (i + j >= l2).
+    z, _, b_pow, c_pow, d_pow = tables
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    pref = _factorial_ratio_sqrt(i, j, lm, ln)
+    series = hyp2f1_complex(-lm, -ln, mn + 1, min(lm, ln), z)
+    return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] / factorial(mn) * series
+
+
+def _hyp_args(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> tuple:
+    i, j = _index(l, m), _index(l, n)
+    l2 = l.twice
+    if i + j < l2:
         raise RouteUnavailableError("2F1 route needs m + n >= 0")
     if A.b == 0 or A.c == 0:
         raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
+    return l2, i, j, _hyp_tables(A, l2, _PowerOf)
 
 
 def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
@@ -227,26 +293,41 @@ def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     Needs m+n >= 0 and b, c nonzero; outside that the finite-sum or oracle
     routes apply.
     """
-    _check_hyp_domain(l, m, n, A)
-    lm = (l - m).as_int()
-    ln = (l - n).as_int()
-    mn = (m + n).as_int()
-    pref = _factorial_ratio_sqrt((l + m).as_int(), (l + n).as_int(), lm, ln)
-    series = hyp2f1_complex(-lm, -ln, mn + 1, min(lm, ln), A.a * A.d / (A.b * A.c))
-    return pref * A.b**lm * A.c**ln * A.d**mn / factorial(mn) * series
+    return _hyp_entry(*_hyp_args(l, m, n, A))
 
 
 def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Variant 2F1 form with the symmetric binomial prefactor and argument
     (bc - ad)/(bc); same domain as tmn_hyp."""
-    _check_hyp_domain(l, m, n, A)
-    lm = (l - m).as_int()
-    ln = (l - n).as_int()
-    mn = (m + n).as_int()
+    l2, i, j, (_, w, b_pow, c_pow, d_pow) = _hyp_args(l, m, n, A)
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    pref = math.sqrt(comb(l2, lm) * comb(l2, ln))
+    series = hyp2f1_complex(-lm, -ln, -l2, min(lm, ln), w)
+    return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
+
+
+def _jacobi_tables(A: Mat2C, l2: int, powers=_powers) -> tuple | None:
+    # None on the singular set bc = ad; else (x, powers of c, d and bc - ad)
+    # with the Jacobi argument (bc + ad)/(bc - ad) = 1 + 2x.  In the
+    # quadrant, l - m <= l.
     bc = A.b * A.c
-    pref = math.sqrt(binomial(l.twice, lm) * binomial(l.twice, ln))
-    series = hyp2f1_complex(-lm, -ln, -l.twice, min(lm, ln), (bc - A.a * A.d) / bc)
-    return pref * A.b**lm * A.c**ln * A.d**mn * series
+    ad = A.a * A.d
+    if bc == ad:
+        return None
+    x = ((bc + ad) / (bc - ad) - 1) / 2
+    return x, powers(A.c, l2), powers(A.d, l2), powers(bc - ad, l2 // 2)
+
+
+def _jacobi_entry(l2: int, i: int, j: int, tables: tuple | None) -> complex:
+    # Needs the quadrant m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).
+    if tables is None:
+        raise RouteUnavailableError("Jacobi route needs bc != ad")
+    x, c_pow, d_pow, diff_pow = tables
+    lm, mn, mmn = l2 - i, i + j - l2, i - j
+    pref = _factorial_ratio_sqrt(i, lm, j, l2 - j)
+    nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
+    poly = _float_series([c / den for c in nums], x)
+    return pref * c_pow[mmn] * d_pow[mn] * diff_pow[lm] * poly
 
 
 def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
@@ -255,20 +336,25 @@ def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     Needs m+n >= 0 and m-n >= 0 (the other three index triangles are reached
     through fold_to_quadrant) and bc != ad.
     """
-    check_spin_pair(l, m)
-    check_spin_pair(l, n)
-    if (m + n).twice < 0 or (m - n).twice < 0:
+    i, j = _index(l, m), _index(l, n)
+    l2 = l.twice
+    if i + j < l2 or i < j:
         raise RouteUnavailableError("Jacobi route needs m + n >= 0 and m - n >= 0")
-    bc = A.b * A.c
-    ad = A.a * A.d
-    if bc == ad:
-        raise RouteUnavailableError("Jacobi route needs bc != ad")
-    lm = (l - m).as_int()
-    mn = (m + n).as_int()
-    mmn = (m - n).as_int()
-    pref = _factorial_ratio_sqrt((l + m).as_int(), lm, (l + n).as_int(), (l - n).as_int())
-    poly = jacobi_complex(JacobiParams(mn, mmn, lm), (bc + ad) / (bc - ad))
-    return pref * A.c**mmn * A.d**mn * (bc - ad) ** lm * poly
+    return _jacobi_entry(l2, i, j, _jacobi_tables(A, l2, _PowerOf))
+
+
+def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
+    """The whole matrix by the Jacobi form, each entry folded onto the
+    quadrant m + n >= 0, m - n >= 0 by the index symmetry that reaches it.
+
+    Raises RouteUnavailableError when bc = ad.
+    """
+    dim = _dim(l)
+    l2 = l.twice
+    elements = {None: A, **{which: element_map(A) for which, (_, element_map) in _SYMMETRIES.items()}}
+    tables = {which: _jacobi_tables(B, l2) for which, B in elements.items()}
+    values = [_jacobi_entry(l2, i, j, tables[which]) for which, i, j in _quadrant_fold(l2)]
+    return WignerMatrix(l, np.reshape(values, (dim, dim)))
 
 
 def _wrap_angle(x: float) -> float:
@@ -286,50 +372,90 @@ def _cos2_exact(theta: float, sin_t: float, cos_t: float) -> Fraction:
     return 2 * Fraction(cos_t) ** 2 - 1
 
 
-def _quadrant_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, phi: float, psi: float) -> complex:
-    # Closed form for m+n >= 0, m-n >= 0 on the angle chart.
-    mn = (m + n).as_int()
-    mmn = (m - n).as_int()
-    lm = (l - m).as_int()
-    pref = _factorial_ratio_sqrt((l + m).as_int(), lm, (l + n).as_int(), (l - n).as_int())
-    sign = -1.0 if lm % 2 else 1.0
-    jac = jacobi_eval(JacobiParams(mn, mmn, lm), math.cos(2 * theta))
-    phase = cmath.exp(1j * (mmn * psi - mn * phi))
-    return sign * pref * phase * math.sin(theta) ** mn * math.cos(theta) ** mmn * jac
+# The index symmetries t^l_{m,n}(A) = t^l_{m',n'}(A'), each as its map on the
+# indices (i, j) of spin l2 and its map on A: transpose-bc swaps the indices
+# and the off-diagonal entries; flip-signs negates both indices and reverses
+# the matrix across its anti-diagonal; anti-transpose is their composition.
+_SYMMETRIES = {
+    "transpose-bc": (lambda l2, i, j: (j, i), lambda A: Mat2C(A.a, A.c, A.b, A.d)),
+    "flip-signs": (lambda l2, i, j: (l2 - i, l2 - j), lambda A: Mat2C(A.d, A.c, A.b, A.a)),
+    "anti-transpose": (lambda l2, i, j: (l2 - j, l2 - i), lambda A: Mat2C(A.d, A.b, A.c, A.a)),
+}
+_SYMMETRY_NAMES = tuple(_SYMMETRIES)
 
-
-def _quadrant_symmetry(m: HalfInt, n: HalfInt) -> str | None:
-    # The symmetry that folds (m, n) onto the closed-form quadrant
-    # m + n >= 0, m - n >= 0; None inside it.
-    if (m + n).twice >= 0:
-        return None if (m - n).twice >= 0 else "transpose-bc"
-    return "anti-transpose" if (m - n).twice >= 0 else "flip-signs"
-
-
-# Each index symmetry as it acts on the angle chart: it maps a chart element
-# to another chart element, (m, n, phi, psi) -> (m', n', phi', psi').
-_CHART_SYMMETRIES = {
-    "transpose-bc": lambda m, n, phi, psi: (n, m, phi, _wrap_angle(math.pi - psi)),
-    "anti-transpose": lambda m, n, phi, psi: (-n, -m, _wrap_angle(-phi), psi),
-    "flip-signs": lambda m, n, phi, psi: (-m, -n, _wrap_angle(-phi), _wrap_angle(math.pi - psi)),
+# Each index symmetry as it acts on the phases of the angle chart: it maps a
+# chart element to another chart element, (phi, psi) -> (phi', psi').
+_CHART_PHASES = {
+    "transpose-bc": lambda phi, psi: (phi, _wrap_angle(math.pi - psi)),
+    "flip-signs": lambda phi, psi: (_wrap_angle(-phi), _wrap_angle(math.pi - psi)),
+    "anti-transpose": lambda phi, psi: (_wrap_angle(-phi), psi),
 }
 
 
-def _euler_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, phi: float, psi: float) -> complex:
-    which = _quadrant_symmetry(m, n)
-    if which is not None:
-        m, n, phi, psi = _CHART_SYMMETRIES[which](m, n, phi, psi)
-    return _quadrant_entry(l, m, n, theta, phi, psi)
+def _quadrant_symmetry(l2: int, i: int, j: int) -> str | None:
+    # The symmetry that folds (i, j) onto the closed-form quadrant
+    # m + n >= 0, m - n >= 0; None inside it.
+    if i + j >= l2:
+        return None if i >= j else "transpose-bc"
+    return "anti-transpose" if i >= j else "flip-signs"
+
+
+def _quadrant_fold(l2: int):
+    # (symmetry, i', j') for each entry of spin l2 in row-major order: the
+    # symmetry that folds it onto the quadrant and the indices it lands on.
+    for i in range(l2 + 1):
+        for j in range(l2 + 1):
+            which = _quadrant_symmetry(l2, i, j)
+            yield (which, i, j) if which is None else (which, *_SYMMETRIES[which][0](l2, i, j))
+
+
+def _chart_entry(l2: int, i: int, j: int, chart: tuple, phi: float, psi: float) -> complex:
+    # Closed form on the angle chart for the quadrant i + j >= l2, i >= j;
+    # chart = (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
+    sin_t, cos_t, h = chart
+    lm, mn, mmn = l2 - i, i + j - l2, i - j
+    pref = _factorial_ratio_sqrt(i, lm, j, l2 - j)
+    sign = -1.0 if lm % 2 else 1.0
+    nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
+    jac = _exact_series(nums, den, h)
+    phase = cmath.exp(1j * (mmn * psi - mn * phi))
+    return sign * pref * phase * sin_t**mn * cos_t**mmn * jac
 
 
 def dmatrix_euler(l: HalfInt, angles: EulerAngles) -> WignerMatrix:
     """Full matrix on the angle chart from the closed form plus symmetries."""
-    dim = l.twice + 1
-    entries = np.empty((dim, dim), dtype=complex)
-    for i, m in enumerate(spin_range(l)):
-        for j, n in enumerate(spin_range(l)):
-            entries[i, j] = _euler_entry(l, m, n, angles.theta, angles.phi, angles.psi)
-    return WignerMatrix(l, entries)
+    dim = _dim(l)
+    theta, phi, psi = angles.theta, angles.phi, angles.psi
+    num, q = math.cos(2 * theta).as_integer_ratio()
+    chart = (math.sin(theta), math.cos(theta), (num - q, 2 * q))
+    phases = {None: (phi, psi), **{which: fn(phi, psi) for which, fn in _CHART_PHASES.items()}}
+    values = [_chart_entry(l.twice, i, j, chart, *phases[which]) for which, i, j in _quadrant_fold(l.twice)]
+    return WignerMatrix(l, np.reshape(values, (dim, dim)))
+
+
+def _rodrigues_chart(theta: float) -> tuple:
+    if not 0 < theta < math.pi / 2:
+        raise RouteUnavailableError("derivative route needs theta strictly inside (0, pi/2)")
+    sin_t = math.sin(theta)
+    cos_t = math.cos(theta)
+    return sin_t, cos_t, _cos2_exact(theta, sin_t, cos_t).as_integer_ratio()
+
+
+def _rodrigues_entries(l2: int, i: int, j: int, charts: list) -> list[float]:
+    # The entry at each chart (sin theta, cos theta, cos 2 theta as an
+    # integer ratio); the derivative is expanded once for all of them.
+    lm, ln, mn, mmn = l2 - i, l2 - j, i + j - l2, i - j
+    deriv = _poly_derivative(_poly_mul(_binom_power_coeffs(-1, j), _binom_power_coeffs(+1, ln)), lm)
+    pref = _sqrt_fraction(factorial(i), factorial(lm) * factorial(j) * factorial(ln)) * 2.0 ** (-i)
+    out = []
+    for sin_t, cos_t, cos2 in charts:
+        # Exact Horner: the expanded derivative cancels almost completely near
+        # the interval ends (its value carries the surviving power of 1 -+ s),
+        # and a floating-point evaluation there would be wiped out by the
+        # negative sin/cos powers of the prefactor.
+        value = _exact_series(deriv, 1, cos2)
+        out.append(pref * sin_t ** (-mn) * cos_t ** (-mmn) * value)
+    return out
 
 
 def tmn_rodrigues(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
@@ -340,39 +466,28 @@ def tmn_rodrigues(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
     for every (m, n), but the prefactor holds negative powers of sin and cos,
     so theta must lie strictly inside (0, pi/2).
     """
-    check_spin_pair(l, m)
-    check_spin_pair(l, n)
-    if not 0 < theta < math.pi / 2:
-        raise RouteUnavailableError("derivative route needs theta strictly inside (0, pi/2)")
-    lm = (l - m).as_int()
-    lpm = (l + m).as_int()
-    ln = (l - n).as_int()
-    lpn = (l + n).as_int()
-    deriv = _poly_derivative(_poly_mul(_binom_power_coeffs(-1, lpn), _binom_power_coeffs(+1, ln)), lm)
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    # Exact Horner: the expanded derivative cancels almost completely near
-    # the interval ends (its value carries the surviving power of 1 -+ s),
-    # and a floating-point evaluation there would be wiped out by the
-    # negative sin/cos powers of the prefactor.
-    value = _exact_series(deriv, 1, _cos2_exact(theta, sin_t, cos_t).as_integer_ratio())
-    pref = math.sqrt(Fraction(factorial(lpm), factorial(lm) * factorial(lpn) * factorial(ln)))
-    mn = (m + n).as_int()
-    mmn = (m - n).as_int()
-    return pref * 2.0 ** (-lpm) * sin_t ** (-mn) * cos_t ** (-mmn) * value
+    i, j = _index(l, m), _index(l, n)
+    return _rodrigues_entries(l.twice, i, j, [_rodrigues_chart(theta)])[0]
 
 
-def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
-    """Matrix element at zero phases via a Krawtchouk polynomial.
+def _entry_stack(dim: int, count: int, entries) -> np.ndarray:
+    # entries: row-major over (i, j), each the list of its values per theta.
+    return np.ascontiguousarray(np.array(entries, dtype=float).reshape(dim, dim, count).transpose(2, 0, 1))
 
-    Valid for every (m, n); for m+n < 0 the sin power is genuinely negative,
-    so theta = 0 is refused there, and cos(theta) = 0 is always refused
-    because it puts p = 0 inside the Krawtchouk argument.
-    """
-    check_spin_pair(l, m)
-    check_spin_pair(l, n)
-    if l.twice == 0:
-        return 1.0  # spin-0 representation is trivial; K needs a positive lattice size
+
+def rodrigues_stack(l: HalfInt, thetas) -> np.ndarray:
+    """tmn_rodrigues for every (m, n) at each of the thetas, shape
+    (len(thetas), 2l+1, 2l+1); each derivative is expanded once."""
+    dim = _dim(l)
+    charts = [_rodrigues_chart(theta) for theta in thetas]
+    entries = [_rodrigues_entries(l.twice, i, j, charts) for i in range(dim) for j in range(dim)]
+    return _entry_stack(dim, len(charts), entries)
+
+
+_NEGATIVE_SIN = "negative sin power: Krawtchouk route needs theta > 0 when m + n < 0"
+
+
+def _krawtchouk_chart(theta: float) -> tuple:
     sin_t = math.sin(theta)
     cos_t = math.cos(theta)
     # Success parameter cos^2(theta) as an exact rational with the side
@@ -382,17 +497,55 @@ def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
     p = (1 + _cos2_exact(theta, sin_t, cos_t)) / 2
     if p == 0 or theta >= math.pi / 2:
         raise RouteUnavailableError("Krawtchouk route needs cos(theta) != 0")
-    mn = (m + n).as_int()
-    if mn < 0 and (sin_t == 0.0 or theta <= 0.0):
-        raise RouteUnavailableError("negative sin power: Krawtchouk route needs theta > 0 when m + n < 0")
-    lm = (l - m).as_int()
-    ln = (l - n).as_int()
-    pref = math.sqrt(binomial(l.twice, lm) * binomial(l.twice, ln))
-    sign = -1.0 if lm % 2 else 1.0
-    return sign * pref * cos_t ** (lm + ln) * sin_t**mn * krawtchouk(lm, float(ln), p, l.twice)
+    p_num, p_den = p.as_integer_ratio()
+    return sin_t, cos_t, (p_den, p_num)
 
 
-_SYMMETRY_NAMES = ("transpose-bc", "flip-signs", "anti-transpose")
+def _krawtchouk_entries(l2: int, i: int, j: int, charts: list) -> list[float]:
+    # The entry at each chart (sin theta, cos theta, 1/p as an integer
+    # ratio); K_{l-m}(l-n; p, 2l) = 2F1(-(l-m), -(l-n); -2l; 1/p) is written
+    # over one denominator once for all of them.
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    nums, den = _integer_form(hyp2f1_series_coeffs(-lm, -float(ln), -l2, lm))
+    pref = (-1.0 if lm % 2 else 1.0) * math.sqrt(comb(l2, lm) * comb(l2, ln))
+    return [
+        pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p)
+        for sin_t, cos_t, inv_p in charts
+    ]
+
+
+def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
+    """Matrix element at zero phases via a Krawtchouk polynomial.
+
+    Valid for every (m, n); for m+n < 0 the sin power is genuinely negative,
+    so theta = 0 is refused there, and cos(theta) = 0 is always refused
+    because it puts p = 0 inside the Krawtchouk argument.
+    """
+    i, j = _index(l, m), _index(l, n)
+    l2 = l.twice
+    if l2 == 0:
+        return 1.0  # spin-0 representation is trivial; K needs a positive lattice size
+    chart = _krawtchouk_chart(theta)
+    if i + j < l2 and (chart[0] == 0.0 or theta <= 0.0):
+        raise RouteUnavailableError(_NEGATIVE_SIN)
+    return _krawtchouk_entries(l2, i, j, [chart])[0]
+
+
+def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:
+    """tmn_krawtchouk for every (m, n) at each of the thetas, shape
+    (len(thetas), 2l+1, 2l+1); each polynomial's coefficients are put over
+    one denominator once."""
+    dim = _dim(l)
+    if l.twice == 0:
+        return np.ones((len(thetas), 1, 1))
+    charts = []
+    for theta in thetas:
+        chart = _krawtchouk_chart(theta)
+        if chart[0] == 0.0 or theta <= 0.0:  # entry (0, 0) has m + n = -2l < 0
+            raise RouteUnavailableError(_NEGATIVE_SIN)
+        charts.append(chart)
+    entries = [_krawtchouk_entries(l.twice, i, j, charts) for i in range(dim) for j in range(dim)]
+    return _entry_stack(dim, len(charts), entries)
 
 
 def apply_symmetry(which: str, l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
@@ -403,23 +556,18 @@ def apply_symmetry(which: str, l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
     [[a,b],[c,d]] -> [[d,c],[b,a]]; anti-transpose is their composition,
     (m,n) -> (-n,-m) with [[a,b],[c,d]] -> [[d,b],[c,a]].
     """
-    check_spin_pair(l, m)
-    check_spin_pair(l, n)
-    if which == "transpose-bc":
-        return n, m, Mat2C(A.a, A.c, A.b, A.d)
-    if which == "flip-signs":
-        return -m, -n, Mat2C(A.d, A.c, A.b, A.a)
-    if which == "anti-transpose":
-        return -n, -m, Mat2C(A.d, A.b, A.c, A.a)
-    raise ValueError(f"unknown symmetry {which!r}; expected one of {_SYMMETRY_NAMES}")
+    i, j = _index(l, m), _index(l, n)
+    if which not in _SYMMETRIES:
+        raise ValueError(f"unknown symmetry {which!r}; expected one of {_SYMMETRY_NAMES}")
+    index_map, element_map = _SYMMETRIES[which]
+    i2, j2 = index_map(l.twice, i, j)
+    return HalfInt(2 * i2 - l.twice), HalfInt(2 * j2 - l.twice), element_map(A)
 
 
 def fold_to_quadrant(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
     """Return (m', n', A') with t^l_{m,n}(A) = t^l_{m',n'}(A') and
     m' + n' >= 0, m' - n' >= 0; inside that quadrant, (m, n, A) itself."""
-    check_spin_pair(l, m)
-    check_spin_pair(l, n)
-    which = _quadrant_symmetry(m, n)
+    which = _quadrant_symmetry(l.twice, _index(l, m), _index(l, n))
     return (m, n, A) if which is None else apply_symmetry(which, l, m, n, A)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerkit.cli import _render_dmat, main
+from wignerkit.cli import MAX_DMAT_L_X2, _render_dmat, main
 from wignerkit.exactcomb import HalfInt
 from wignerkit.wigner import WignerMatrix
 
@@ -118,6 +118,40 @@ class TestDmat:
         with pytest.raises(SystemExit) as err:
             main(["dmat", "--l-x2", "-1", "--theta", "0.3"])
         assert err.value.code == 2
+
+    def test_spin_above_cap_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["dmat", "--l-x2", str(MAX_DMAT_L_X2 + 1), "--theta", "0.3"])
+        assert err.value.code == 2
+        assert f"[0, {MAX_DMAT_L_X2}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (
+                ["--l-x2", "3", "--theta", "0", "--route", "krawtchouk"],
+                "negative sin power: Krawtchouk route needs theta > 0 when m + n < 0",
+            ),
+            (
+                ["--l-x2", "3", "--theta", repr(math.pi / 2), "--route", "krawtchouk"],
+                "Krawtchouk route needs cos(theta) != 0",
+            ),
+            (
+                ["--l-x2", "2", "--theta", "0", "--route", "rodrigues"],
+                "derivative route needs theta strictly inside (0, pi/2)",
+            ),
+            (
+                ["--l-x2", "2", "--matrix", "1,0,1,0,1,0,1,0", "--route", "jacobi"],
+                "Jacobi route needs bc != ad",
+            ),
+        ],
+    )
+    def test_fallback_warning_names_the_first_failing_entry(self, capsys, argv, reason):
+        code, rec = run_json(capsys, "dmat", *argv)
+        route = argv[-1]
+        assert code == 0
+        assert rec["result"]["route_used"] == "oracle"
+        assert rec["warnings"] == [f"route {route} unavailable ({reason}); fell back to oracle"]
 
     def test_overflowing_matrix_is_domain_error(self, capsys):
         code, rec = run_json(capsys, "dmat", "--l-x2", "3", "--matrix", "1e300,0,1e300,0,1e300,0,1e300,0")
