@@ -11,9 +11,8 @@ from .exactcomb import (
     pochhammer,
     spin_range,
     spins_up_to,
-    sqrt_binom_ratio,
 )
-from .group import EulerAngles, Mat2C, diag_element, from_euler, inverse, multiply, sample_haar
+from .group import EulerAngles, Mat2C, diag_element, from_euler, multiply, sample_haar
 from .haar import (
     DeviationReport,
     HaarGrid,
@@ -49,6 +48,8 @@ from .wigner import (
     character,
     dmatrix_euler,
     fold_to_quadrant,
+    hyp_entries,
+    jacobi_entries,
     jacobi_matrix,
     krawtchouk_stack,
     oracle_matrix,

@@ -23,20 +23,27 @@ from .exactcomb import HalfInt
 from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
-from .wigner import (
-    RouteUnavailableError,
-    WignerMatrix,
-    jacobi_matrix,
-    krawtchouk_stack,
-    oracle_matrix,
-    rodrigues_stack,
-    sum_matrix,
-)
+from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
 
 log = logging.getLogger("wignerkit")
 
 SCHEMA_VERSION = "1"
-ROUTES = ("oracle", "sum", "jacobi", "rodrigues", "krawtchouk", "auto")
+# dmat's routes are wigner's two route tables plus "auto", which takes the
+# oracle; an unavailable route falls back to the oracle too.
+ROUTES = (*ELEMENT_ROUTES, *ROTATION_ROUTES, "auto")
+_FALLBACK = "oracle"
+# poly's families: the flags each needs, in the order they are checked, its
+# evaluator on those flags and its route_used.  The lambdas look each
+# function up at call time.
+_FAMILIES = {
+    "jacobi": (
+        ("n", "alpha", "beta", "x"),
+        lambda n, alpha, beta, x: jacobi_eval(JacobiParams(alpha, beta, n), x),
+        "terminating-series",
+    ),
+    "krawtchouk": (("n", "x", "p", "N"), lambda n, x, p, N: krawtchouk(n, x, p, N), "terminating-2f1"),
+    "legendre": (("n", "x"), lambda n, x: legendre(n, x), "jacobi-terminating-series"),
+}
 MAX_VERIFY_L_X2 = 12
 # dmat prints about 84 bytes per entry: 13.6 MB at this spin, 55 MB at 800.
 MAX_DMAT_L_X2 = 400
@@ -78,14 +85,9 @@ def _render(record: dict) -> str:
 
 
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> WignerMatrix:
-    if route in ("oracle", "auto"):
-        return oracle_matrix(l, A)
-    if route == "sum":
-        return sum_matrix(l, A)
-    if route == "jacobi":
-        return jacobi_matrix(l, A)
-    stack = {"rodrigues": rodrigues_stack, "krawtchouk": krawtchouk_stack}[route]
-    return WignerMatrix(l, stack(l, [angles.theta])[0])
+    if route in ROTATION_ROUTES:
+        return WignerMatrix(l, ROTATION_ROUTES[route](l, [angles.theta])[0])
+    return ELEMENT_ROUTES[_FALLBACK if route == "auto" else route](l, A)
 
 
 def cmd_dmat(args, parser) -> tuple[str, int]:
@@ -96,7 +98,7 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
     if args.matrix is not None:
         if args.theta is not None:
             parser.error("--matrix and --theta are mutually exclusive")
-        if args.route in ("rodrigues", "krawtchouk"):
+        if args.route in ROTATION_ROUTES:
             parser.error(f"route {args.route} needs an Euler-angle source with phi = psi = 0")
         try:
             values = [float(v) for v in args.matrix.split(",")]
@@ -115,7 +117,7 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
         if args.theta is None:
             parser.error("need either --theta (with optional --phi/--psi) or --matrix")
         angles = EulerAngles(args.theta, args.phi, args.psi)
-        if args.route in ("rodrigues", "krawtchouk") and (angles.phi != 0 or angles.psi != 0):
+        if args.route in ROTATION_ROUTES and (angles.phi != 0 or angles.psi != 0):
             parser.error(f"route {args.route} needs phi = psi = 0")
         A = from_euler(angles)
         inputs = {
@@ -127,14 +129,14 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
             "route": args.route,
         }
     warnings = []
-    route_used = "oracle" if args.route == "auto" else args.route
+    route_used = _FALLBACK if args.route == "auto" else args.route
     try:
         M = _dmat_by_route(l, A, angles, args.route)
     except RouteUnavailableError as exc:
-        warnings.append(f"route {args.route} unavailable ({exc}); fell back to oracle")
+        warnings.append(f"route {args.route} unavailable ({exc}); fell back to {_FALLBACK}")
         log.info("route fallback: %s", exc)
-        route_used = "oracle"
-        M = oracle_matrix(l, A)
+        route_used = _FALLBACK
+        M = ELEMENT_ROUTES[_FALLBACK](l, A)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "dmat",
@@ -157,35 +159,16 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
 def cmd_poly(args, parser) -> tuple[str, int]:
     if args.format == "csv":
         parser.error("CSV output is matrices-only; poly supports json")
-    family = args.family
-    if family == "jacobi":
-        for flag in ("n", "alpha", "beta", "x"):
-            if getattr(args, flag) is None:
-                parser.error(f"jacobi needs --{flag}")
-        value = jacobi_eval(JacobiParams(args.alpha, args.beta, args.n), args.x)
-        inputs = {"family": family, "n": args.n, "alpha": args.alpha, "beta": args.beta, "x": args.x}
-        route = "terminating-series"
-    elif family == "legendre":
-        for flag in ("n", "x"):
-            if getattr(args, flag) is None:
-                parser.error(f"legendre needs --{flag}")
-        value = legendre(args.n, args.x)
-        inputs = {"family": family, "n": args.n, "x": args.x}
-        route = "jacobi-terminating-series"
-    elif family == "krawtchouk":
-        for flag in ("n", "x", "p", "N"):
-            if getattr(args, flag) is None:
-                parser.error(f"krawtchouk needs --{flag}")
-        value = krawtchouk(args.n, args.x, args.p, args.N)
-        inputs = {"family": family, "n": args.n, "x": args.x, "p": args.p, "N": args.N}
-        route = "terminating-2f1"
-    else:  # pragma: no cover - argparse restricts choices
-        parser.error(f"unknown family {family}")
+    flags, evaluate, route = _FAMILIES[args.family]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            parser.error(f"{args.family} needs --{flag}")
+    values = {flag: getattr(args, flag) for flag in flags}
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "poly",
-        "inputs": inputs,
-        "result": {"value": value, "route_used": route},
+        "inputs": {"family": args.family, **values},
+        "result": {"value": evaluate(**values), "route_used": route},
     }
     return _render(record), 0
 
@@ -231,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     dmat.add_argument("--format", choices=("json", "csv"), default="json")
 
     poly = sub.add_parser("poly", help="evaluate a polynomial family member")
-    poly.add_argument("--family", choices=("jacobi", "krawtchouk", "legendre"), required=True)
+    poly.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     poly.add_argument("--n", type=int, help="degree")
     poly.add_argument("--alpha", type=float, help="jacobi alpha")
     poly.add_argument("--beta", type=float, help="jacobi beta")

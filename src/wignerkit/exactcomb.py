@@ -21,7 +21,6 @@ __all__ = [
     "factorial",
     "binomial",
     "pochhammer",
-    "sqrt_binom_ratio",
 ]
 
 
@@ -111,12 +110,3 @@ def pochhammer(a, k: int) -> Fraction:
     for i in range(k):
         out *= base + i
     return out
-
-
-def sqrt_binom_ratio(l: HalfInt, m: HalfInt, n: HalfInt) -> float:
-    """sqrt(C(2l, l-n) / C(2l, l-m)), exact integer ratio first, root last."""
-    check_spin_pair(l, m)
-    check_spin_pair(l, n)
-    num = binomial(l.twice, (l - n).twice // 2)
-    den = binomial(l.twice, (l - m).twice // 2)
-    return math.sqrt(Fraction(num, den))

@@ -18,7 +18,6 @@ __all__ = [
     "EulerAngles",
     "from_euler",
     "multiply",
-    "inverse",
     "diag_element",
     "sample_haar",
 ]
@@ -98,13 +97,6 @@ def multiply(A: Mat2C, B: Mat2C) -> Mat2C:
         A.c * B.a + A.d * B.c,
         A.c * B.b + A.d * B.d,
     )
-
-
-def inverse(A: Mat2C) -> Mat2C:
-    det = A.det()
-    if det == 0:
-        raise ValueError("matrix is singular")
-    return Mat2C(A.d / det, -A.b / det, -A.c / det, A.a / det)
 
 
 def diag_element(phi: float) -> Mat2C:

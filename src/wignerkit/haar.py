@@ -64,10 +64,6 @@ class HaarGrid:
     def node_count(self) -> int:
         return len(self.weights)
 
-    def nodes(self):
-        """Iterate (theta, phi, psi, weight) quadruples in node order."""
-        return zip(self.thetas, self.phis, self.psis, self.weights)
-
     def element(self, index: int) -> Mat2C:
         return from_euler(
             EulerAngles(float(self.thetas[index]), float(self.phis[index]), float(self.psis[index]))

@@ -28,15 +28,13 @@ from .haar import (
 )
 from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_norm, krawtchouk
 from .wigner import (
-    _SYMMETRIES,
-    _hyp_entry,
-    _hyp_tables,
-    _jacobi_entry,
-    _jacobi_tables,
+    ROTATION_ROUTES,
+    SYMMETRIES,
+    RouteUnavailableError,
     dmatrix_euler,
-    krawtchouk_stack,
+    hyp_entries,
+    jacobi_entries,
     oracle_matrix,
-    rodrigues_stack,
     sum_matrix,
 )
 
@@ -101,7 +99,8 @@ def _worst(dev: float, pairs, scale: float) -> float:
 
 
 def suite_routes(max_l: HalfInt, seed: int) -> dict:
-    """Closed-form routes against the polynomial-expansion oracle."""
+    """Closed-form routes against the polynomial-expansion oracle, each at
+    the samples inside its domain."""
     su2 = sample_haar(seed, 20)
     gl2 = sample_gl2(seed + 1, 10)
     samples = su2 + gl2
@@ -115,57 +114,44 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
         )
     ]
     thetas = [theta for theta in map(_theta_of, su2) if 0 < theta < math.pi / 2]
-    dev_sum = dev_hyp = dev_jac = dev_euler = dev_rod = dev_kraw = 0.0
-    n_sum = n_hyp = n_jac = n_euler = n_rod = n_kraw = 0
+    # worst deviation and count per check, in report order
+    dev = dict.fromkeys(("finite-sum", "terminating-2f1", "jacobi", "angle-chart", *ROTATION_ROUTES), 0.0)
+    count = dict.fromkeys(dev, 0)
     for l in spins_up_to(max_l):
-        l2 = l.twice
-        dim = l2 + 1
-        # the 2F1 domain m + n >= 0, and the Jacobi quadrant inside it, m - n >= 0
-        hyp_pairs = [(i, j) for i in range(dim) for j in range(max(0, l2 - i), dim)]
-        jac_pairs = [(i, j) for i, j in hyp_pairs if i >= j]
+        dim = l.twice + 1
         for A in samples:
             reference = oracle_matrix(l, A)
             scale = max_norm(reference.entries)
             target = reference.entries.tolist()
             values = sum_matrix(l, A).entries.tolist()
-            dev_sum = _worst(dev_sum, zip(chain(*values), chain(*target)), scale)
-            n_sum += dim * dim
-            if A.b != 0 and A.c != 0:
-                tables = _hyp_tables(A, l2)
-                pairs = ((_hyp_entry(l2, i, j, tables), target[i][j]) for i, j in hyp_pairs)
-                dev_hyp = _worst(dev_hyp, pairs, scale)
-                n_hyp += len(hyp_pairs)
-            if A.b * A.c != A.a * A.d:
-                tables = _jacobi_tables(A, l2)
-                pairs = ((_jacobi_entry(l2, i, j, tables), target[i][j]) for i, j in jac_pairs)
-                dev_jac = _worst(dev_jac, pairs, scale)
-                n_jac += len(jac_pairs)
+            dev["finite-sum"] = _worst(dev["finite-sum"], zip(chain(*values), chain(*target)), scale)
+            count["finite-sum"] += dim * dim
+            for name, route in (("terminating-2f1", hyp_entries), ("jacobi", jacobi_entries)):
+                try:
+                    entries = route(l, A)
+                except RouteUnavailableError:
+                    continue
+                dev[name] = _worst(dev[name], ((v, target[i][j]) for (i, j), v in entries.items()), scale)
+                count[name] += len(entries)
         for angles in triples:
             reference = oracle_matrix(l, from_euler(angles))
             scale = max_norm(reference.entries)
-            dev_euler = max(
-                dev_euler, max_norm(dmatrix_euler(l, angles).entries - reference.entries) / scale
-            )
-            n_euler += 1
+            deviation = max_norm(dmatrix_euler(l, angles).entries - reference.entries) / scale
+            dev["angle-chart"] = max(dev["angle-chart"], deviation)
+            count["angle-chart"] += 1
         zero_phase = [oracle_matrix(l, from_euler(EulerAngles(theta, 0.0, 0.0))) for theta in thetas]
-        for reference, rod, kraw in zip(zero_phase, rodrigues_stack(l, thetas), krawtchouk_stack(l, thetas)):
+        stacks = [(name, route(l, thetas)) for name, route in ROTATION_ROUTES.items()]
+        for k, reference in enumerate(zero_phase):
             scale = max_norm(reference.entries)
             target = reference.entries.real.ravel().tolist()
-            dev_rod = _worst(dev_rod, zip(rod.ravel().tolist(), target), scale)
-            dev_kraw = _worst(dev_kraw, zip(kraw.ravel().tolist(), target), scale)
-            n_rod += dim * dim
-            n_kraw += dim * dim
-    return {
-        "suite": "routes",
-        "checks": [
-            _check("finite-sum-vs-oracle", dev_sum, 1e-10, n_sum),
-            _check("terminating-2f1-vs-oracle", dev_hyp, 1e-9, n_hyp),
-            _check("jacobi-vs-oracle", dev_jac, 1e-9, n_jac),
-            _check("angle-chart-vs-oracle", dev_euler, 1e-9, n_euler),
-            _check("rodrigues-vs-oracle", dev_rod, 1e-9, n_rod),
-            _check("krawtchouk-vs-oracle", dev_kraw, 1e-9, n_kraw),
-        ],
-    }
+            for name, stack in stacks:
+                dev[name] = _worst(dev[name], zip(stack[k].ravel().tolist(), target), scale)
+                count[name] += dim * dim
+    checks = [
+        _check(f"{name}-vs-oracle", dev[name], 1e-10 if name == "finite-sum" else 1e-9, count[name])
+        for name in dev
+    ]
+    return {"suite": "routes", "checks": checks}
 
 
 def suite_unitarity(max_l: HalfInt, seed: int) -> dict:
@@ -318,9 +304,10 @@ def suite_krawtchouk_sym() -> dict:
     }
 
 
-def identity_checks(seed: int) -> dict:
+def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
     """Transformation identities: index symmetries, polynomial reflections,
-    the 2F1 argument flips and real-rotation row orthogonality."""
+    the 2F1 argument flips and real-rotation row orthogonality; the
+    Krawtchouk index reflection is the check of the krawtchouk_sym report."""
     checks = []
     samples = sample_haar(seed, 5) + sample_gl2(seed + 1, 5)
     dev = 0.0
@@ -330,7 +317,7 @@ def identity_checks(seed: int) -> dict:
         for A in samples:
             scale = max_norm(oracle_matrix(l, A).entries)
             values = sum_matrix(l, A).entries.tolist()
-            for index_map, element_map in _SYMMETRIES.values():
+            for index_map, element_map in SYMMETRIES.values():
                 images = sum_matrix(l, element_map(A)).entries.tolist()
                 for i in range(l2 + 1):
                     for j in range(l2 + 1):
@@ -389,9 +376,7 @@ def identity_checks(seed: int) -> dict:
                     count += 1
     checks.append(_check("terminating argument flip (two integer parameters)", dev, 1e-10, count))
 
-    kraw = suite_krawtchouk_sym()["checks"][0]
-    kraw["check"] = "krawtchouk index reflection"
-    checks.append(kraw)
+    checks.append({**krawtchouk_sym["checks"][0], "check": "krawtchouk index reflection"})
 
     dev = 0.0
     count = 0
@@ -434,9 +419,10 @@ def run_suite(name: str, max_l: HalfInt, seed: int, grid_overrides: dict | None 
     if name != "all":
         report = SUITES[name](max_l, seed, grid)
     else:
-        parts = [run(max_l, seed, grid) for run in SUITES.values()] + [identity_checks(seed)]
+        parts = {suite: run(max_l, seed, grid) for suite, run in SUITES.items()}
+        parts["identities"] = identity_checks(seed, parts["krawtchouk-sym"])
         checks = [
-            {**chk, "check": f"{part['suite']}: {chk['check']}"} for part in parts for chk in part["checks"]
+            {**chk, "check": f"{part['suite']}: {chk['check']}"} for part in parts.values() for chk in part["checks"]
         ]
         report = {"suite": "all", "checks": checks}
     report["passed"] = all(chk["passed"] for chk in report["checks"])

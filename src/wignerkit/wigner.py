@@ -24,7 +24,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .exactcomb import HalfInt, binomial, check_spin_pair, spin_range
+from .exactcomb import HalfInt, binomial, check_spin_pair
 from .group import EulerAngles, Mat2C
 from .specfun import (
     _binom_power_coeffs,
@@ -47,14 +47,19 @@ __all__ = [
     "tmn_sum",
     "sum_matrix",
     "tmn_hyp",
+    "hyp_entries",
     "tmn_hyp_symmetric",
     "tmn_jacobi",
+    "jacobi_entries",
     "jacobi_matrix",
     "dmatrix_euler",
     "tmn_rodrigues",
     "rodrigues_stack",
     "tmn_krawtchouk",
     "krawtchouk_stack",
+    "ELEMENT_ROUTES",
+    "ROTATION_ROUTES",
+    "SYMMETRIES",
     "apply_symmetry",
     "fold_to_quadrant",
     "character",
@@ -84,9 +89,6 @@ class WignerMatrix:
     def index_of(self, m: HalfInt) -> int:
         check_spin_pair(self.l, m)
         return (m.twice + self.l.twice) // 2
-
-    def spins(self) -> list[HalfInt]:
-        return spin_range(self.l)
 
     def entry(self, m: HalfInt, n: HalfInt) -> complex:
         return complex(self.entries[self.index_of(m), self.index_of(n)])
@@ -263,6 +265,8 @@ def _factorial_ratio_sqrt(p: int, q: int, r: int, s: int) -> float:
 
 def _hyp_tables(A: Mat2C, l2: int, powers=_powers) -> tuple:
     # The 2F1 arguments ad/(bc) and (bc - ad)/(bc), then the powers.
+    if A.b == 0 or A.c == 0:
+        raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
     bc = A.b * A.c
     ad = A.a * A.d
     return ad / bc, (bc - ad) / bc, powers(A.b, l2), powers(A.c, l2), powers(A.d, l2)
@@ -282,8 +286,6 @@ def _hyp_args(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> tuple:
     l2 = l.twice
     if i + j < l2:
         raise RouteUnavailableError("2F1 route needs m + n >= 0")
-    if A.b == 0 or A.c == 0:
-        raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
     return l2, i, j, _hyp_tables(A, l2, _PowerOf)
 
 
@@ -296,6 +298,14 @@ def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     return _hyp_entry(*_hyp_args(l, m, n, A))
 
 
+def hyp_entries(l: HalfInt, A: Mat2C) -> dict:
+    """tmn_hyp on its whole index domain m + n >= 0, keyed by (row, column)
+    in row-major order."""
+    l2 = _dim(l) - 1
+    tables = _hyp_tables(A, l2)
+    return {(i, j): _hyp_entry(l2, i, j, tables) for i in range(l2 + 1) for j in range(max(0, l2 - i), l2 + 1)}
+
+
 def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Variant 2F1 form with the symmetric binomial prefactor and argument
     (bc - ad)/(bc); same domain as tmn_hyp."""
@@ -306,22 +316,19 @@ def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
 
 
-def _jacobi_tables(A: Mat2C, l2: int, powers=_powers) -> tuple | None:
-    # None on the singular set bc = ad; else (x, powers of c, d and bc - ad)
-    # with the Jacobi argument (bc + ad)/(bc - ad) = 1 + 2x.  In the
-    # quadrant, l - m <= l.
+def _jacobi_tables(A: Mat2C, l2: int, powers=_powers) -> tuple:
+    # (x, powers of c, d and bc - ad) with the Jacobi argument
+    # (bc + ad)/(bc - ad) = 1 + 2x.  In the quadrant, l - m <= l.
     bc = A.b * A.c
     ad = A.a * A.d
     if bc == ad:
-        return None
+        raise RouteUnavailableError("Jacobi route needs bc != ad")
     x = ((bc + ad) / (bc - ad) - 1) / 2
     return x, powers(A.c, l2), powers(A.d, l2), powers(bc - ad, l2 // 2)
 
 
-def _jacobi_entry(l2: int, i: int, j: int, tables: tuple | None) -> complex:
+def _jacobi_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
     # Needs the quadrant m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).
-    if tables is None:
-        raise RouteUnavailableError("Jacobi route needs bc != ad")
     x, c_pow, d_pow, diff_pow = tables
     lm, mn, mmn = l2 - i, i + j - l2, i - j
     pref = _factorial_ratio_sqrt(i, lm, j, l2 - j)
@@ -343,6 +350,14 @@ def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     return _jacobi_entry(l2, i, j, _jacobi_tables(A, l2, _PowerOf))
 
 
+def jacobi_entries(l: HalfInt, A: Mat2C) -> dict:
+    """tmn_jacobi on its whole quadrant m + n >= 0, m - n >= 0, keyed by
+    (row, column) in row-major order."""
+    l2 = _dim(l) - 1
+    tables = _jacobi_tables(A, l2)
+    return {(i, j): _jacobi_entry(l2, i, j, tables) for i in range(l2 + 1) for j in range(max(0, l2 - i), i + 1)}
+
+
 def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     """The whole matrix by the Jacobi form, each entry folded onto the
     quadrant m + n >= 0, m - n >= 0 by the index symmetry that reaches it.
@@ -351,7 +366,7 @@ def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     """
     dim = _dim(l)
     l2 = l.twice
-    elements = {None: A, **{which: element_map(A) for which, (_, element_map) in _SYMMETRIES.items()}}
+    elements = {None: A, **{which: element_map(A) for which, (_, element_map) in SYMMETRIES.items()}}
     tables = {which: _jacobi_tables(B, l2) for which, B in elements.items()}
     values = [_jacobi_entry(l2, i, j, tables[which]) for which, i, j in _quadrant_fold(l2)]
     return WignerMatrix(l, np.reshape(values, (dim, dim)))
@@ -376,12 +391,11 @@ def _cos2_exact(theta: float, sin_t: float, cos_t: float) -> Fraction:
 # indices (i, j) of spin l2 and its map on A: transpose-bc swaps the indices
 # and the off-diagonal entries; flip-signs negates both indices and reverses
 # the matrix across its anti-diagonal; anti-transpose is their composition.
-_SYMMETRIES = {
+SYMMETRIES = {
     "transpose-bc": (lambda l2, i, j: (j, i), lambda A: Mat2C(A.a, A.c, A.b, A.d)),
     "flip-signs": (lambda l2, i, j: (l2 - i, l2 - j), lambda A: Mat2C(A.d, A.c, A.b, A.a)),
     "anti-transpose": (lambda l2, i, j: (l2 - j, l2 - i), lambda A: Mat2C(A.d, A.b, A.c, A.a)),
 }
-_SYMMETRY_NAMES = tuple(_SYMMETRIES)
 
 # Each index symmetry as it acts on the phases of the angle chart: it maps a
 # chart element to another chart element, (phi, psi) -> (phi', psi').
@@ -406,7 +420,7 @@ def _quadrant_fold(l2: int):
     for i in range(l2 + 1):
         for j in range(l2 + 1):
             which = _quadrant_symmetry(l2, i, j)
-            yield (which, i, j) if which is None else (which, *_SYMMETRIES[which][0](l2, i, j))
+            yield (which, i, j) if which is None else (which, *SYMMETRIES[which][0](l2, i, j))
 
 
 def _chart_entry(l2: int, i: int, j: int, chart: tuple, phi: float, psi: float) -> complex:
@@ -548,6 +562,22 @@ def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:
     return _entry_stack(dim, len(charts), entries)
 
 
+# The routes that build a whole matrix of any element, called as (l, A); the
+# oracle, first, has no singular set.  The lambdas look each function up at
+# call time, so a replaced module attribute (a tracing wrapper) is what runs.
+ELEMENT_ROUTES = {
+    "oracle": lambda l, A: oracle_matrix(l, A),
+    "sum": lambda l, A: sum_matrix(l, A),
+    "jacobi": lambda l, A: jacobi_matrix(l, A),
+}
+# The routes on real rotations only: each takes (l, thetas) and returns the
+# zero-phase matrices at those colatitudes, shape (len(thetas), 2l+1, 2l+1).
+ROTATION_ROUTES = {
+    "rodrigues": lambda l, thetas: rodrigues_stack(l, thetas),
+    "krawtchouk": lambda l, thetas: krawtchouk_stack(l, thetas),
+}
+
+
 def apply_symmetry(which: str, l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
     """Return (m', n', A') with t^l_{m,n}(A) = t^l_{m',n'}(A').
 
@@ -557,9 +587,9 @@ def apply_symmetry(which: str, l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
     (m,n) -> (-n,-m) with [[a,b],[c,d]] -> [[d,b],[c,a]].
     """
     i, j = _index(l, m), _index(l, n)
-    if which not in _SYMMETRIES:
-        raise ValueError(f"unknown symmetry {which!r}; expected one of {_SYMMETRY_NAMES}")
-    index_map, element_map = _SYMMETRIES[which]
+    if which not in SYMMETRIES:
+        raise ValueError(f"unknown symmetry {which!r}; expected one of {tuple(SYMMETRIES)}")
+    index_map, element_map = SYMMETRIES[which]
     i2, j2 = index_map(l.twice, i, j)
     return HalfInt(2 * i2 - l.twice), HalfInt(2 * j2 - l.twice), element_map(A)
 

@@ -19,6 +19,7 @@ from wignerkit.verify import (
     identity_checks,
     suite_homomorphism,
     suite_jacobi_orth,
+    suite_krawtchouk_sym,
     suite_legendre,
     suite_routes,
     suite_schur,
@@ -104,7 +105,7 @@ def test_criterion_5_jacobi_orthogonality():
 
 def test_criterion_6_identity_suite():
     t0 = time.monotonic()
-    result = identity_checks(SEED)
+    result = identity_checks(SEED, suite_krawtchouk_sym())
     elapsed = time.monotonic() - t0
     ok = all(c["passed"] for c in result["checks"]) and elapsed <= 10.0
     worst = max(c["max_deviation"] for c in result["checks"])

@@ -256,6 +256,23 @@ class TestPoly:
             main(["poly", "--family", "jacobi", "--n", "2"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "family, flags",
+        [
+            ("jacobi", ["n", "alpha", "beta", "x"]),
+            ("krawtchouk", ["n", "x", "p", "N"]),
+            ("legendre", ["n", "x"]),
+        ],
+    )
+    def test_missing_flags_are_named_in_order(self, capsys, family, flags):
+        # Given the first k flags, the usage error names flag k.
+        for k, missing in enumerate(flags):
+            given = [arg for flag in flags[:k] for arg in (f"--{flag}", "1")]
+            with pytest.raises(SystemExit) as err:
+                main(["poly", "--family", family, *given])
+            assert err.value.code == 2
+            assert capsys.readouterr().err.endswith(f"error: {family} needs --{missing}\n")
+
     def test_csv_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["poly", "--family", "legendre", "--n", "1", "--x", "0.5", "--format", "csv"])

@@ -1,5 +1,4 @@
 """Exact combinatorics: frozen values, independent oracles, invariants."""
-import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ from wignerkit.exactcomb import (
     is_valid_spin_pair,
     pochhammer,
     spin_range,
-    sqrt_binom_ratio,
 )
 
 
@@ -143,27 +141,3 @@ class TestHalfInt:
         assert [m.twice for m in spin_range(HalfInt(3))] == [-3, -1, 1, 3]
         assert [m.twice for m in spin_range(HalfInt(0))] == [0]
 
-
-class TestSqrtBinomRatio:
-    def test_equal_binomials(self):
-        assert sqrt_binom_ratio(HalfInt(2), HalfInt(2), HalfInt(2)) == 1.0
-
-    def test_l1_m0_n1(self):
-        # C(2,0)/C(2,1) = 1/2
-        assert sqrt_binom_ratio(HalfInt(2), HalfInt(0), HalfInt(2)) == pytest.approx(
-            1 / math.sqrt(2), rel=1e-15
-        )
-
-    def test_half_spin(self):
-        assert sqrt_binom_ratio(HalfInt(1), HalfInt(1), HalfInt(-1)) == 1.0
-
-    def test_invalid_pair_rejected(self):
-        with pytest.raises(ValueError):
-            sqrt_binom_ratio(HalfInt(2), HalfInt(1), HalfInt(0))
-
-    def test_two_ulp_on_large_spins(self):
-        l, m, n = HalfInt(40), HalfInt(0), HalfInt(38)
-        exact = math.sqrt(
-            Fraction(binomial(40, 1), binomial(40, 20))
-        )
-        assert sqrt_binom_ratio(l, m, n) == pytest.approx(exact, rel=5e-16)

@@ -1,5 +1,4 @@
 """Group elements, the angle chart, and the uniform sampler."""
-import cmath
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from wignerkit.group import (
     Mat2C,
     diag_element,
     from_euler,
-    inverse,
     multiply,
     sample_haar,
 )
@@ -68,29 +66,6 @@ class TestMultiplyInverse:
     def test_rotation_composition(self):
         M = from_euler(EulerAngles(math.pi / 4, 0.0, 0.0))
         assert np.allclose(multiply(M, M).as_array(), [[0, -1], [1, 0]], atol=1e-15)
-
-    def test_inverse_identity(self):
-        assert inverse(I2) == I2
-
-    def test_inverse_of_su2_is_conjugate_transpose(self):
-        a, c = 0.6 + 0.3j, complex(math.sqrt(1 - abs(0.6 + 0.3j) ** 2), 0) * cmath.exp(0.4j)
-        g = Mat2C(a, -c.conjugate(), c, a.conjugate())
-        assert g.is_su2(1e-12)
-        inv = inverse(g)
-        assert np.allclose(inv.as_array(), g.as_array().conj().T, atol=1e-12)
-
-    def test_inverse_diagonal(self):
-        assert inverse(Mat2C(2, 0, 0, 1)) == Mat2C(0.5, -0.0, -0.0, 1.0)
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            inverse(Mat2C(1, 2, 2, 4))
-
-    def test_inverse_reverses_products(self):
-        for A, B in zip(sample_haar(3, 10), sample_haar(4, 10)):
-            lhs = inverse(multiply(A, B)).as_array()
-            rhs = multiply(inverse(B), inverse(A)).as_array()
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestDiagElement:

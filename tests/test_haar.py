@@ -47,7 +47,7 @@ class TestGridConstruction:
 
     def test_node_iteration_matches_count(self):
         grid = build_grid(HalfInt(2))
-        assert len(list(grid.nodes())) == grid.node_count == grid.n_theta * grid.n_phi * grid.n_psi
+        assert len(grid.weights) == grid.node_count == grid.n_theta * grid.n_phi * grid.n_psi
 
 
 class TestPairwiseSum:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from wignerkit import cli
-from wignerkit.exactcomb import HalfInt, binomial, check_spin_pair, factorial, spin_range, sqrt_binom_ratio
+from wignerkit.exactcomb import HalfInt, binomial, check_spin_pair, factorial, spin_range
 from wignerkit.group import EulerAngles, Mat2C, from_euler
 from wignerkit.specfun import (
     JacobiParams,
@@ -66,7 +66,7 @@ def old_tmn_sum(l, m, n, A):
     for j in range(max(0, -mn), min(lm, ln) + 1):
         coef = binomial(ln, j) * binomial(lpn, lm - j)
         acc += coef * A.a**j * A.b ** (lm - j) * A.c ** (ln - j) * A.d ** (mn + j)
-    return sqrt_binom_ratio(l, m, n) * acc
+    return math.sqrt(Fraction(binomial(l.twice, ln), binomial(l.twice, lm))) * acc
 
 
 def old_factorial_ratio_sqrt(p, q, r, s):

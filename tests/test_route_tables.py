@@ -1,0 +1,169 @@
+"""The route tables in wignerkit.wigner and everything that dispatches from
+them: `dmat --route`, the routes suite, and the whole-domain entry functions
+`hyp_entries` and `jacobi_entries`, held to the per-entry `tmn_*` functions."""
+import argparse
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+from wignerkit import cli, verify
+from wignerkit.exactcomb import HalfInt
+from wignerkit.group import EulerAngles, Mat2C, from_euler
+from wignerkit.verify import sample_gl2, suite_routes
+from wignerkit.wigner import (
+    ELEMENT_ROUTES,
+    ROTATION_ROUTES,
+    RouteUnavailableError,
+    WignerMatrix,
+    hyp_entries,
+    jacobi_entries,
+    jacobi_matrix,
+    krawtchouk_stack,
+    oracle_matrix,
+    rodrigues_stack,
+    sum_matrix,
+    tmn_hyp,
+    tmn_jacobi,
+)
+
+EULER = [(0.7, 1.2, 0.3), (0.0, 0.5, 2.0), (math.pi / 4, 3.0, 5.5), (math.pi / 2, 0.0, 0.0)]
+ELEMENTS = {
+    **{f"gl2_{k}": A for k, A in enumerate(sample_gl2(7, 4))},
+    **{f"euler_{k}": from_euler(EulerAngles(*angles)) for k, angles in enumerate(EULER)},
+    "b_zero": Mat2C(0.5 + 0.1j, 0j, 0.3 - 0.2j, 0.8 + 0j),
+    "c_zero": Mat2C(0.5 + 0.1j, 0.4 + 0.4j, 0j, 0.8 + 0j),
+    "bc_eq_ad": Mat2C(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j),
+    "bc_eq_ad_complex": Mat2C(1j, 2 + 0j, 0.5j, 1 + 0j),
+}
+SPINS = range(9)
+
+
+def outcome(fn, *args):
+    """What a call returns, as bytes, or the exception it raises."""
+    try:
+        value = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, WignerMatrix):
+        value = value.entries
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+# -- dmat --route ----------------------------------------------------------------
+
+# Each --route value and the function it must come down to.
+DIRECT = {
+    "oracle": lambda l, A, theta: oracle_matrix(l, A),
+    "sum": lambda l, A, theta: sum_matrix(l, A),
+    "jacobi": lambda l, A, theta: jacobi_matrix(l, A),
+    "rodrigues": lambda l, A, theta: WignerMatrix(l, rodrigues_stack(l, [theta])[0]),
+    "krawtchouk": lambda l, A, theta: WignerMatrix(l, krawtchouk_stack(l, [theta])[0]),
+    "auto": lambda l, A, theta: oracle_matrix(l, A),
+}
+
+
+def choices(command: str, option: str) -> tuple:
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a for a in commands.choices[command]._actions if option in a.option_strings).choices)
+
+
+def test_choices_are_the_table_keys_in_order():
+    assert choices("dmat", "--route") == cli.ROUTES == (*ELEMENT_ROUTES, *ROTATION_ROUTES, "auto")
+    assert cli.ROUTES == ("oracle", "sum", "jacobi", "rodrigues", "krawtchouk", "auto")
+    assert choices("poly", "--family") == tuple(cli._FAMILIES) == ("jacobi", "krawtchouk", "legendre")
+
+
+@pytest.mark.parametrize("route", cli.ROUTES)
+def test_dmat_by_route_is_the_route_function(route):
+    cases = [(EulerAngles(theta, 0.0, 0.0), None) for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2)]
+    if route not in ROTATION_ROUTES:
+        cases += [(EulerAngles(*angles), None) for angles in EULER]
+        cases += [(None, A) for A in ELEMENTS.values()]
+    for l_x2 in range(7):
+        l = HalfInt(l_x2)
+        for angles, A in cases:
+            A = from_euler(angles) if A is None else A
+            theta = None if angles is None else angles.theta
+            assert outcome(cli._dmat_by_route, l, A, angles, route) == outcome(DIRECT[route], l, A, theta), (
+                route, l_x2, A)
+
+
+@pytest.mark.parametrize("route", [r for r in cli.ROUTES if r not in ("oracle", "auto")])
+def test_every_closed_route_has_a_check_in_the_routes_report(route):
+    checks = [chk for chk in suite_routes(HalfInt(1), 0)["checks"] if route in chk["check"]]
+    assert len(checks) == 1
+    assert checks[0]["check"].endswith("-vs-oracle") and checks[0]["count"] > 0
+
+
+def test_verify_imports_no_private_name():
+    tree = ast.parse(Path(verify.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "hyp_entries" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+
+
+# -- hyp_entries and jacobi_entries --------------------------------------------------
+
+# Each entry function, its per-entry function and its index domain at spin l2.
+ENTRY_ROUTES = {
+    "hyp": (hyp_entries, tmn_hyp, lambda l2: [(i, j) for i in range(l2 + 1) for j in range(l2 + 1) if i + j >= l2]),
+    "jacobi": (
+        jacobi_entries,
+        tmn_jacobi,
+        lambda l2: [(i, j) for i in range(l2 + 1) for j in range(l2 + 1) if i + j >= l2 and i >= j],
+    ),
+}
+
+
+def entries_outcome(fn, l, A):
+    try:
+        return list(fn(l, A).items())
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def per_entry_outcome(fn, l, A, domain):
+    try:
+        return [((i, j), fn(l, HalfInt(2 * i - l.twice), HalfInt(2 * j - l.twice), A)) for i, j in domain]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("route", sorted(ENTRY_ROUTES))
+@pytest.mark.parametrize("name", sorted(ELEMENTS))
+def test_entries_equal_the_per_entry_route(route, name):
+    entries, per_entry, domain = ENTRY_ROUTES[route]
+    A = ELEMENTS[name]
+    for l_x2 in SPINS:
+        l = HalfInt(l_x2)
+        got = entries_outcome(entries, l, A)
+        want = per_entry_outcome(per_entry, l, A, domain(l_x2))
+        # by repr, so that the sign of a zero counts and NaN equals NaN
+        assert repr(got) == repr(want), (route, name, l_x2)
+
+
+@pytest.mark.parametrize(
+    "route, name, message",
+    [
+        ("hyp", "b_zero", "2F1 route needs b != 0 and c != 0"),
+        ("hyp", "c_zero", "2F1 route needs b != 0 and c != 0"),
+        ("jacobi", "bc_eq_ad", "Jacobi route needs bc != ad"),
+        ("jacobi", "bc_eq_ad_complex", "Jacobi route needs bc != ad"),
+    ],
+)
+def test_entries_refuse_the_singular_set(route, name, message):
+    entries, per_entry, domain = ENTRY_ROUTES[route]
+    A = ELEMENTS[name]
+    for l_x2 in SPINS:
+        l = HalfInt(l_x2)
+        assert entries_outcome(entries, l, A) == (RouteUnavailableError, message)
+        assert per_entry_outcome(per_entry, l, A, domain(l_x2)) == (RouteUnavailableError, message)
+
+
+def test_entries_refuse_a_negative_spin():
+    for fn in (hyp_entries, jacobi_entries):
+        with pytest.raises(ValueError, match="negative spin"):
+            fn(HalfInt(-1), ELEMENTS["gl2_0"])

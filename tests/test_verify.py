@@ -1,4 +1,6 @@
 """Suite composition in run_suite."""
+import copy
+
 from wignerkit import verify
 from wignerkit.exactcomb import HalfInt
 
@@ -34,3 +36,27 @@ def test_all_builds_one_grid_for_schur_and_character(monkeypatch):
     ]
     assert report["checks"] == expected
     assert report["passed"]
+
+
+def test_all_runs_krawtchouk_sym_once(monkeypatch):
+    suite = verify.suite_krawtchouk_sym
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return suite()
+
+    monkeypatch.setattr(verify, "suite_krawtchouk_sym", counting)
+    checks = {chk["check"]: chk for chk in verify.run_suite("all", HalfInt(0), 0)["checks"]}
+    assert len(calls) == 1
+    own = checks["krawtchouk-sym: index-reflection identity"]
+    again = checks["identities: krawtchouk index reflection"]
+    assert {**own, "check": None} == {**again, "check": None}
+
+
+def test_identity_checks_leave_the_krawtchouk_report_as_it_was():
+    report = verify.suite_krawtchouk_sym()
+    before = copy.deepcopy(report)
+    checks = verify.identity_checks(0, report)["checks"]
+    assert report == before
+    assert [chk["check"] for chk in checks].count("krawtchouk index reflection") == 1
