@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -31,6 +32,7 @@ from .wigner import oracle_matrix, oracle_stack
 
 __all__ = [
     "HaarGrid",
+    "gauss_legendre",
     "pairwise_sum",
     "build_grid",
     "integrate",
@@ -86,6 +88,16 @@ class HaarGrid:
         """Largest spin within this grid's exactness budget."""
         twice = min(self.n_theta - 1, (self.n_phi - 1) // 2, (self.n_psi - 1) // 2)
         return HalfInt(max(twice, 0))
+
+
+@lru_cache(maxsize=256)
+def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] (numpy's leggauss), computed
+    once per node count; the arrays are read-only because they are shared."""
+    x, w = leggauss(npts)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def build_grid(
@@ -218,10 +230,9 @@ def jacobi_orthogonality_check(l: HalfInt, l_prime: HalfInt, m: HalfInt, n: Half
     deg2 = (l_prime - m).as_int()
     al = (m + n).as_int()
     be = (m - n).as_int()
-    npts = (deg1 + deg2 + al + be) // 2 + 1
-    x, w = leggauss(npts)
-    p1 = np.array([jacobi_eval(JacobiParams(al, be, deg1), xi) for xi in x])
-    p2 = p1 if (deg2 == deg1) else np.array([jacobi_eval(JacobiParams(al, be, deg2), xi) for xi in x])
+    x, w = gauss_legendre((deg1 + deg2 + al + be) // 2 + 1)
+    p1 = jacobi_eval(JacobiParams(al, be, deg1), x)
+    p2 = p1 if (deg2 == deg1) else jacobi_eval(JacobiParams(al, be, deg2), x)
     integral = float(pairwise_sum(w * p1 * p2 * (1 - x) ** al * (1 + x) ** be))
     pref = Fraction(
         factorial((l + m).as_int()) * factorial((l - m).as_int()),
@@ -242,7 +253,7 @@ def legendre_product_check(l: int, theta1: float, theta2: float, n_phi: int) -> 
         raise ValueError(f"need n_phi >= 2l+1 = {2 * l + 1}, got {n_phi}")
     phis = 2 * math.pi * np.arange(n_phi) / n_phi
     args = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(theta2) * np.cos(phis)
-    values = np.array([legendre(l, a) for a in args])
+    values = legendre(l, args)
     average = float(pairwise_sum(values)) / n_phi
     return average - legendre(l, math.cos(theta1)) * legendre(l, math.cos(theta2))
 

@@ -9,7 +9,11 @@ loses digits to cancellation long before the degrees used here get large.
 The exact evaluations share one integer Horner scheme (_exact_series): the
 coefficients are written over one common denominator and the argument as a
 ratio of integers, so the whole sum is a single integer quotient that is
-rounded once, with no gcd taken along the way.
+rounded once, with no gcd taken along the way.  The coefficient rows of both
+series (_hyp2f1_coeffs_cached, _jacobi_coeffs_cached) are built in that
+integer form by their term-ratio recurrences.  Every rounding is one int / int
+true division, which is correctly rounded, so it gives the float that
+float(Fraction) gives for the same rational.
 """
 from __future__ import annotations
 
@@ -18,6 +22,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .exactcomb import binomial, factorial, pochhammer
 
@@ -101,10 +107,8 @@ class Hyp21Spec:
 
 def _nonpositive_int(value):
     # Returns N >= 0 such that value == -N, or None.
-    f = Fraction(value)
-    if f.denominator == 1 and f <= 0:
-        return int(-f)
-    return None
+    num, den = _as_ratio(value)
+    return -num if den == 1 and num <= 0 else None
 
 
 def _as_ratio(x) -> tuple[int, int]:
@@ -151,30 +155,52 @@ def _float_series(coeffs, z: complex) -> complex:
 
 
 @lru_cache(maxsize=4096)
-def hyp2f1_series_coeffs(a, b, c, nterms: int) -> tuple[Fraction, ...]:
-    """Exact rational coefficients (a)_k (b)_k / ((c)_k k!) for k = 0 .. nterms."""
-    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-    coeffs = [Fraction(1)]
+def _hyp2f1_coeffs_cached(a, b, c, nterms: int) -> tuple[tuple[int, ...], int]:
+    # Integer form (nums, den) of the coefficients (a)_k (b)_k / ((c)_k k!),
+    # k = 0 .. nterms, with den > 0.  With a = pa/qa and so on, step k
+    # multiplies the numerator by (pa + k qa)(pb + k qb) qc and the
+    # denominator by (pc + k qc)(k + 1) qa qb; the numerators are then
+    # carried onto the last term's denominator.
+    pa, qa = _as_ratio(a)
+    pb, qb = _as_ratio(b)
+    pc, qc = _as_ratio(c)
+    nums = [1]
+    steps = []
     for k in range(nterms):
-        den = fc + k
-        if den == 0:
+        if pc + k * qc == 0:
             raise ValueError(
                 f"lower parameter c={c} hits a nonpositive integer inside the "
                 f"retained terms (term {k + 1})"
             )
-        coeffs.append(coeffs[-1] * (fa + k) * (fb + k) / (den * (k + 1)))
-    return tuple(coeffs)
+        nums.append(nums[-1] * (pa + k * qa) * (pb + k * qb) * qc)
+        steps.append((pc + k * qc) * (k + 1) * qa * qb)
+    den = 1
+    for k in range(nterms - 1, -1, -1):
+        den *= steps[k]
+        nums[k] *= den
+    if den < 0:
+        den = -den
+        nums = [-v for v in nums]
+    return tuple(nums), den
+
+
+@lru_cache(maxsize=4096)
+def hyp2f1_series_coeffs(a, b, c, nterms: int) -> tuple[Fraction, ...]:
+    """Exact rational coefficients (a)_k (b)_k / ((c)_k k!) for k = 0 .. nterms."""
+    nums, den = _hyp2f1_coeffs_cached(a, b, c, nterms)
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def hyp2f1_terminating(spec: Hyp21Spec) -> float:
     """Sum the terminating series; terms exact, accumulation in floating point."""
-    coeffs = hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms)
-    zf = Fraction(spec.z)
+    nums, den = _hyp2f1_coeffs_cached(spec.a, spec.b, spec.c, spec.terms)
+    p, q = _as_ratio(spec.z)
     total = 0.0
-    power = Fraction(1)
-    for ck in coeffs:
-        total += float(ck * power)
-        power *= zf
+    p_k, q_k = 1, den
+    for v in nums:
+        total += (v * p_k) / q_k
+        p_k *= p
+        q_k *= q
     return total
 
 
@@ -189,7 +215,8 @@ def hyp2f1_complex(a, b, c, nterms: int, z: complex) -> complex:
     The coefficients are exact; each is rounded once and the sum is
     accumulated in floating point.
     """
-    return _float_series([float(ck) for ck in hyp2f1_series_coeffs(a, b, c, nterms)], z)
+    nums, den = _hyp2f1_coeffs_cached(a, b, c, nterms)
+    return _float_series([v / den for v in nums], z)
 
 
 @lru_cache(maxsize=4096)
@@ -235,9 +262,16 @@ def jacobi_series_coeffs(p: JacobiParams) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den) for c in nums)
 
 
-def jacobi_eval(p: JacobiParams, x: float) -> float:
-    """P_n^(alpha, beta)(x) by its terminating series, evaluated exactly."""
+def jacobi_eval(p: JacobiParams, x):
+    """P_n^(alpha, beta)(x) by its terminating series, evaluated exactly.
+
+    x is a real number or an ndarray of them; an array gives the array of
+    the values at its elements, each the float a scalar call returns.
+    """
     nums, den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
+    if isinstance(x, np.ndarray):
+        values = [_exact_series(nums, den, (num - q, 2 * q)) for num, q in map(_as_ratio, x.ravel().tolist())]
+        return np.array(values, dtype=float).reshape(x.shape)
     num, q = _as_ratio(x)
     return _exact_series(nums, den, (num - q, 2 * q))
 
@@ -260,7 +294,7 @@ def jacobi_via_2f1(p: JacobiParams, x: float) -> float:
     terms; jacobi_eval covers those parameters.
     """
     spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
-    nums, den = _integer_form(hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms))
+    nums, den = _hyp2f1_coeffs_cached(spec.a, spec.b, spec.c, spec.terms)
     prefactor = pochhammer(Fraction(p.alpha) + 1, p.n) / factorial(p.n)
     return _exact_series(
         [c * prefactor.numerator for c in nums], den * prefactor.denominator, _as_ratio(spec.z)
@@ -348,13 +382,13 @@ def krawtchouk(n: int, x: float, p: float, N: int) -> float:
         raise ValueError(f"need 0 <= n <= N, got n={n}, N={N}")
     if p == 0:
         raise ValueError("p = 0 makes the 2F1 argument infinite")
-    nums, den = _integer_form(hyp2f1_series_coeffs(-n, -x, -N, n))
+    nums, den = _hyp2f1_coeffs_cached(-n, -x, -N, n)
     p_num, p_den = _as_ratio(p)
     return _exact_series(nums, den, (p_den, p_num))
 
 
-def legendre(l: int, x: float) -> float:
-    """Legendre polynomial P_l(x) = P_l^(0,0)(x)."""
+def legendre(l: int, x):
+    """Legendre polynomial P_l(x) = P_l^(0,0)(x), at a real x or an ndarray."""
     return jacobi_eval(JacobiParams(0, 0, l), x)
 
 
@@ -366,16 +400,13 @@ def jacobi_norm(p: JacobiParams) -> float:
     """
     if p.alpha <= -1 or p.beta <= -1:
         raise ValueError(f"norm needs alpha, beta > -1, got ({p.alpha}, {p.beta})")
-    al, be, n = Fraction(p.alpha), Fraction(p.beta), p.n
-    if al.denominator == 1 and be.denominator == 1:
-        ia, ib = int(al), int(be)
-        h = (
-            Fraction(2) ** (ia + ib + 1)
-            * pochhammer(n + ia + ib + 1, n)
-            * Fraction(factorial(n + ia) * factorial(n + ib))
-            / Fraction(factorial(n) * factorial(2 * n + ia + ib + 1))
-        )
-        return float(h)
+    (ia, da), (ib, db), n = _as_ratio(p.alpha), _as_ratio(p.beta), p.n
+    if da == db == 1:
+        # (n+a+b+1)_n = (2n+a+b)! / (n+a+b)!
+        return (
+            2 ** (ia + ib + 1) * math.perm(2 * n + ia + ib, n) * factorial(n + ia) * factorial(n + ib)
+        ) / (factorial(n) * factorial(2 * n + ia + ib + 1))
+    al, be = Fraction(ia, da), Fraction(ib, db)
     poch = 1.0
     for i in range(n):
         poch *= float(al + be) + n + 1 + i

@@ -30,12 +30,11 @@ from .specfun import (
     _binom_power_coeffs,
     _exact_series,
     _float_series,
-    _integer_form,
+    _hyp2f1_coeffs_cached,
     _jacobi_coeffs_cached,
     _poly_derivative,
     _poly_mul,
     hyp2f1_complex,
-    hyp2f1_series_coeffs,
 )
 
 __all__ = [
@@ -226,8 +225,8 @@ def _index(l: HalfInt, m: HalfInt) -> int:
 
 
 def _sqrt_fraction(num: int, den: int) -> float:
-    # sqrt(num / den) with the ratio taken exactly before the root.
-    return math.sqrt(Fraction(num, den))
+    # sqrt(num / den) with the ratio rounded once (int / int) before the root.
+    return math.sqrt(num / den)
 
 
 def _sum_entry(l2: int, i: int, j: int, powers: tuple) -> complex:
@@ -268,6 +267,8 @@ def _hyp_tables(A: Mat2C, l2: int, powers=_powers) -> tuple:
     if A.b == 0 or A.c == 0:
         raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
     bc = A.b * A.c
+    if bc == 0:
+        raise RouteUnavailableError("2F1 route needs b * c != 0; it underflows to 0")
     ad = A.a * A.d
     return ad / bc, (bc - ad) / bc, powers(A.b, l2), powers(A.c, l2), powers(A.d, l2)
 
@@ -520,7 +521,7 @@ def _krawtchouk_entries(l2: int, i: int, j: int, charts: list) -> list[float]:
     # ratio); K_{l-m}(l-n; p, 2l) = 2F1(-(l-m), -(l-n); -2l; 1/p) is written
     # over one denominator once for all of them.
     lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    nums, den = _integer_form(hyp2f1_series_coeffs(-lm, -float(ln), -l2, lm))
+    nums, den = _hyp2f1_coeffs_cached(-lm, -ln, -l2, lm)
     pref = (-1.0 if lm % 2 else 1.0) * math.sqrt(comb(l2, lm) * comb(l2, ln))
     return [
         pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p)

@@ -1,0 +1,340 @@
+"""The integer 2F1 rows, the array form of jacobi_eval and the cached
+Gauss-Legendre rules, held bit for bit to the code they replaced.
+
+The reference functions below are copies of the earlier implementations: the
+Fraction recurrence of hyp2f1_series_coeffs, the per-term float(ck * power)
+loop of hyp2f1_terminating, the Fraction branch of jacobi_norm and the
+square root of a Fraction.  Each new path must give the same float (compared
+by float.hex, so the sign of a zero counts) or raise the same exception type
+with the same message.
+"""
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
+
+from wignerkit.exactcomb import factorial, pochhammer
+from wignerkit.haar import gauss_legendre
+from wignerkit.specfun import (
+    Hyp21Spec,
+    JacobiParams,
+    _exact_series,
+    _float_series,
+    _hyp2f1_coeffs_cached,
+    _integer_form,
+    _nonpositive_int,
+    hyp2f1_complex,
+    hyp2f1_series_coeffs,
+    hyp2f1_terminating,
+    jacobi_eval,
+    jacobi_norm,
+    jacobi_via_2f1,
+    krawtchouk,
+    legendre,
+)
+from wignerkit.wigner import _krawtchouk_chart, _krawtchouk_entries, _sqrt_fraction
+
+# -- reference copies of the old code ------------------------------------------
+
+
+def old_hyp2f1_series_coeffs(a, b, c, nterms):
+    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+    coeffs = [Fraction(1)]
+    for k in range(nterms):
+        den = fc + k
+        if den == 0:
+            raise ValueError(
+                f"lower parameter c={c} hits a nonpositive integer inside the "
+                f"retained terms (term {k + 1})"
+            )
+        coeffs.append(coeffs[-1] * (fa + k) * (fb + k) / (den * (k + 1)))
+    return tuple(coeffs)
+
+
+def old_hyp2f1_terminating(spec):
+    coeffs = old_hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms)
+    zf = Fraction(spec.z)
+    total = 0.0
+    power = Fraction(1)
+    for ck in coeffs:
+        total += float(ck * power)
+        power *= zf
+    return total
+
+
+def old_hyp2f1_complex(a, b, c, nterms, z):
+    return _float_series([float(ck) for ck in old_hyp2f1_series_coeffs(a, b, c, nterms)], z)
+
+
+def old_nonpositive_int(value):
+    f = Fraction(value)
+    if f.denominator == 1 and f <= 0:
+        return int(-f)
+    return None
+
+
+def old_krawtchouk(n, x, p, N):
+    nums, den = _integer_form(old_hyp2f1_series_coeffs(-n, -x, -N, n))
+    p_num, p_den = Fraction(p).as_integer_ratio()
+    return _exact_series(nums, den, (p_den, p_num))
+
+
+def old_jacobi_via_2f1(p, x):
+    spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
+    nums, den = _integer_form(old_hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms))
+    prefactor = pochhammer(Fraction(p.alpha) + 1, p.n) / factorial(p.n)
+    return _exact_series(
+        [c * prefactor.numerator for c in nums], den * prefactor.denominator, Fraction(spec.z).as_integer_ratio()
+    )
+
+
+def old_jacobi_norm(p):
+    if p.alpha <= -1 or p.beta <= -1:
+        raise ValueError(f"norm needs alpha, beta > -1, got ({p.alpha}, {p.beta})")
+    al, be, n = Fraction(p.alpha), Fraction(p.beta), p.n
+    if al.denominator == 1 and be.denominator == 1:
+        ia, ib = int(al), int(be)
+        h = (
+            Fraction(2) ** (ia + ib + 1)
+            * pochhammer(n + ia + ib + 1, n)
+            * Fraction(factorial(n + ia) * factorial(n + ib))
+            / Fraction(factorial(n) * factorial(2 * n + ia + ib + 1))
+        )
+        return float(h)
+    poch = 1.0
+    for i in range(n):
+        poch *= float(al + be) + n + 1 + i
+    log_gammas = (
+        math.lgamma(n + float(al) + 1)
+        + math.lgamma(n + float(be) + 1)
+        - math.lgamma(n + 1)
+        - math.lgamma(2 * n + float(al + be) + 2)
+    )
+    return 2.0 ** float(al + be + 1) * poch * math.exp(log_gammas)
+
+
+def old_krawtchouk_entries(l2, i, j, charts):
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    nums, den = _integer_form(old_hyp2f1_series_coeffs(-lm, -float(ln), -l2, lm))
+    pref = (-1.0 if lm % 2 else 1.0) * math.sqrt(math.comb(l2, lm) * math.comb(l2, ln))
+    return [
+        pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p)
+        for sin_t, cos_t, inv_p in charts
+    ]
+
+
+def outcome(fn, *args):
+    # The value as an exact bit pattern (a complex by repr, a row as is), or
+    # the type and message of what was raised.
+    try:
+        value = fn(*args)
+    except (ValueError, ArithmeticError, TypeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return repr(value)
+    return value
+
+
+# -- strategies -----------------------------------------------------------------
+
+integer = st.integers(-12, 12)
+half_integer = st.integers(-25, 25).map(lambda k: Fraction(2 * k + 1, 2))
+parameter = st.one_of(
+    integer,
+    half_integer,
+    half_integer.map(float),
+    integer.map(float),
+    st.floats(-20.0, 20.0, allow_nan=False),
+    st.fractions(min_value=-20, max_value=20, max_denominator=50),
+)
+argument = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, -0.7, -3.5, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e200]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.floats(-1e-300, 1e-300, allow_nan=False),
+    st.fractions(min_value=-4, max_value=4, max_denominator=1000),
+)
+
+
+class TestHyp2f1Rows:
+    @given(parameter, parameter, parameter, st.integers(0, 14))
+    @settings(deadline=None, max_examples=300)
+    def test_rows_equal_the_fraction_recurrence(self, a, b, c, nterms):
+        want = outcome(old_hyp2f1_series_coeffs, a, b, c, nterms)
+        assert outcome(hyp2f1_series_coeffs, a, b, c, nterms) == want
+        rows = outcome(_hyp2f1_coeffs_cached, a, b, c, nterms)
+        if isinstance(want, tuple) and want and isinstance(want[0], Fraction):
+            nums, den = rows
+            assert den > 0 and len(nums) == nterms + 1
+            assert tuple(Fraction(v, den) for v in nums) == want
+        else:
+            assert rows == want
+
+    def test_lower_parameter_error_names_the_term(self):
+        for c in (-3, -3.0, Fraction(-3)):
+            message = f"lower parameter c={c} hits a nonpositive integer inside the retained terms (term 4)"
+            with pytest.raises(ValueError) as info:
+                _hyp2f1_coeffs_cached(-5, 0.5, c, 5)
+            assert str(info.value) == message
+            assert outcome(hyp2f1_series_coeffs, -5, 0.5, c, 5) == (ValueError, message)
+
+    @given(st.integers(0, 14), parameter, parameter, argument)
+    @settings(deadline=None, max_examples=400)
+    def test_terminating_sum_equals_the_per_term_float_loop(self, n, b, c, z):
+        try:
+            spec = Hyp21Spec.terminating(-n, b, c, z)
+        except ValueError:
+            return
+        assert outcome(hyp2f1_terminating, spec) == outcome(old_hyp2f1_terminating, spec), spec
+
+    def test_terminating_sum_edges(self):
+        # zero and signed-zero arguments, subnormal terms and an overflowing term
+        for z in (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e200, -2.0):
+            for n in range(6):
+                for b, c in ((0.5, 1.5), (-3, -7), (Fraction(1, 3), 2.5), (2, 1)):
+                    spec = Hyp21Spec.terminating(-n, b, c, z)
+                    assert outcome(hyp2f1_terminating, spec) == outcome(old_hyp2f1_terminating, spec)
+        assert outcome(hyp2f1_terminating, Hyp21Spec.terminating(-3, 1, 1, 1e300))[0] is OverflowError
+
+    @given(st.integers(0, 10), parameter, parameter, st.complex_numbers(max_magnitude=5.0, allow_nan=False))
+    @settings(deadline=None, max_examples=200)
+    def test_complex_sum_rounds_each_coefficient_as_before(self, n, b, c, z):
+        assert outcome(hyp2f1_complex, -n, b, c, n, z) == outcome(old_hyp2f1_complex, -n, b, c, n, z)
+
+    @given(st.one_of(parameter, argument))
+    def test_nonpositive_int(self, value):
+        assert outcome(_nonpositive_int, value) == outcome(old_nonpositive_int, value)
+
+
+class TestSeriesOnTheRows:
+    @given(
+        st.integers(1, 12).flatmap(lambda N: st.tuples(st.integers(0, N), st.just(N))),
+        st.one_of(st.integers(-3, 15), half_integer, st.floats(-5.0, 15.0, allow_nan=False), st.just(1e300)),
+        st.one_of(
+            st.sampled_from([0.3, 0.5, 0.9, 1.0, -0.4, 3.0, 1e-300, 5e-324, 1e300, -1e-300]),
+            st.floats(-3.0, 3.0, allow_nan=False).filter(lambda p: p != 0),
+            st.fractions(min_value=Fraction(1, 100), max_value=2, max_denominator=100),
+        ),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_krawtchouk(self, nN, x, p):
+        n, N = nN
+        assert outcome(krawtchouk, n, x, p, N) == outcome(old_krawtchouk, n, x, p, N)
+
+    @given(st.integers(0, 10), parameter, parameter, argument)
+    @settings(deadline=None, max_examples=300)
+    def test_jacobi_via_2f1(self, n, alpha, beta, x):
+        p = JacobiParams(alpha, beta, n)
+        assert outcome(jacobi_via_2f1, p, x) == outcome(old_jacobi_via_2f1, p, x)
+
+    def test_krawtchouk_entries(self):
+        charts = [_krawtchouk_chart(theta) for theta in (1e-9, 0.3, 0.7, 1.1, math.pi / 2 - 1e-6)]
+        for l2 in range(1, 13):
+            for i in range(l2 + 1):
+                for j in range(l2 + 1):
+                    got = _krawtchouk_entries(l2, i, j, charts)
+                    want = old_krawtchouk_entries(l2, i, j, charts)
+                    assert [v.hex() for v in got] == [v.hex() for v in want], (l2, i, j)
+
+
+class TestJacobiNorm:
+    @given(
+        st.integers(0, 30),
+        st.one_of(st.integers(0, 12), st.integers(0, 12).map(float), half_integer, st.floats(-0.99, 12.0)),
+        st.one_of(st.integers(0, 12), st.integers(0, 12).map(float), half_integer, st.floats(-0.99, 12.0)),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_equals_the_fraction_branch(self, n, alpha, beta):
+        p = JacobiParams(alpha, beta, n)
+        assert outcome(jacobi_norm, p) == outcome(old_jacobi_norm, p)
+
+    def test_large_degrees_and_refusals(self):
+        for n in (0, 1, 50, 200, 400):
+            for a, b in ((0, 0), (3, 7), (20, 0), (Fraction(4), 2.0)):
+                p = JacobiParams(a, b, n)
+                assert outcome(jacobi_norm, p) == outcome(old_jacobi_norm, p)
+        for a, b in ((-1, 0), (0, -1.5)):
+            assert outcome(jacobi_norm, JacobiParams(a, b, 2)) == outcome(old_jacobi_norm, JacobiParams(a, b, 2))
+
+
+class TestSqrtFraction:
+    @given(st.integers(0, 10**400), st.integers(1, 10**400))
+    @settings(max_examples=300)
+    def test_equals_the_root_of_the_fraction(self, num, den):
+        assert outcome(_sqrt_fraction, num, den) == outcome(lambda: math.sqrt(Fraction(num, den)))
+
+    def test_edges(self):
+        for num, den in ((0, 1), (1, 10**400), (10**400, 1), (10**308, 3), (2, 1), (factorial(60), factorial(30))):
+            assert outcome(_sqrt_fraction, num, den) == outcome(lambda: math.sqrt(Fraction(num, den)))
+
+
+class TestArrayJacobiEval:
+    @staticmethod
+    def scalar_outcomes(p, xs):
+        return [outcome(jacobi_eval, p, x) for x in xs]
+
+    @given(
+        st.integers(0, 12),
+        parameter,
+        parameter,
+        st.lists(st.floats(-3.0, 3.0, allow_nan=False), max_size=25),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_each_element_equals_the_scalar_call(self, n, alpha, beta, xs):
+        p = JacobiParams(alpha, beta, n)
+        arr = np.array(xs, dtype=float)
+        try:
+            got = jacobi_eval(p, arr)
+        except (ValueError, ArithmeticError) as exc:
+            first = next(o for o in self.scalar_outcomes(p, arr) if isinstance(o, tuple))
+            assert (type(exc), str(exc)) == first
+            return
+        assert isinstance(got, np.ndarray) and got.shape == arr.shape and got.dtype == float
+        assert [float(v).hex() for v in got] == self.scalar_outcomes(p, arr)
+
+    def test_edges_at_degree_30(self):
+        p = JacobiParams(0, 0, 30)
+        empty = jacobi_eval(p, np.array([]))
+        assert empty.shape == (0,) and empty.dtype == float
+        xs = np.array([1.0, -1.0, -0.0, 0.0, 0.3, 1 - 2**-52])
+        assert [v.hex() for v in jacobi_eval(p, xs).tolist()] == self.scalar_outcomes(p, xs)
+        assert [v.hex() for v in legendre(30, xs).tolist()] == [legendre(30, x).hex() for x in xs]
+
+    def test_overflow_raises_what_the_first_failing_element_raises(self):
+        p = JacobiParams(0, 0, 30)
+        xs = np.array([0.5, 1e300, -1e300])
+        want = next(o for o in self.scalar_outcomes(p, xs) if isinstance(o, tuple))
+        assert want[0] is OverflowError
+        with pytest.raises(OverflowError) as info:
+            jacobi_eval(p, xs)
+        assert (type(info.value), str(info.value)) == want
+
+    def test_shape_is_kept(self):
+        p = JacobiParams(1, 2, 4)
+        xs = np.linspace(-1, 1, 12).reshape(3, 4)
+        got = jacobi_eval(p, xs)
+        assert got.shape == (3, 4)
+        assert [v.hex() for v in got.ravel().tolist()] == [jacobi_eval(p, x).hex() for x in xs.ravel()]
+
+
+class TestGaussLegendre:
+    def test_matches_leggauss_byte_for_byte(self):
+        for npts in range(1, 41):
+            x, w = gauss_legendre(npts)
+            x0, w0 = leggauss(npts)
+            assert x.dtype == x0.dtype and x.tobytes() == x0.tobytes()
+            assert w.dtype == w0.dtype and w.tobytes() == w0.tobytes()
+
+    def test_rule_is_shared_and_read_only(self):
+        x, w = gauss_legendre(9)
+        assert gauss_legendre(9)[0] is x
+        for arr in (x, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert gauss_legendre(9)[0].tobytes() == leggauss(9)[0].tobytes()

@@ -6,6 +6,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wignerkit import cli, verify
@@ -25,6 +26,7 @@ from wignerkit.wigner import (
     rodrigues_stack,
     sum_matrix,
     tmn_hyp,
+    tmn_hyp_symmetric,
     tmn_jacobi,
 )
 
@@ -36,6 +38,8 @@ ELEMENTS = {
     "c_zero": Mat2C(0.5 + 0.1j, 0.4 + 0.4j, 0j, 0.8 + 0j),
     "bc_eq_ad": Mat2C(1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j),
     "bc_eq_ad_complex": Mat2C(1j, 2 + 0j, 0.5j, 1 + 0j),
+    # b and c are nonzero, but b * c rounds to 0
+    "bc_underflows": Mat2C(1 + 0j, 1e-200 + 0j, 1e-200 + 0j, 1 + 0j),
 }
 SPINS = range(9)
 
@@ -145,11 +149,15 @@ def test_entries_equal_the_per_entry_route(route, name):
         assert repr(got) == repr(want), (route, name, l_x2)
 
 
+BC_UNDERFLOWS = "2F1 route needs b * c != 0; it underflows to 0"
+
+
 @pytest.mark.parametrize(
     "route, name, message",
     [
         ("hyp", "b_zero", "2F1 route needs b != 0 and c != 0"),
         ("hyp", "c_zero", "2F1 route needs b != 0 and c != 0"),
+        ("hyp", "bc_underflows", BC_UNDERFLOWS),
         ("jacobi", "bc_eq_ad", "Jacobi route needs bc != ad"),
         ("jacobi", "bc_eq_ad_complex", "Jacobi route needs bc != ad"),
     ],
@@ -161,6 +169,21 @@ def test_entries_refuse_the_singular_set(route, name, message):
         l = HalfInt(l_x2)
         assert entries_outcome(entries, l, A) == (RouteUnavailableError, message)
         assert per_entry_outcome(per_entry, l, A, domain(l_x2)) == (RouteUnavailableError, message)
+
+
+def test_2f1_forms_refuse_an_underflowing_bc():
+    # The oracle is finite there; the 2F1 forms used to divide by b * c = 0.
+    A = ELEMENTS["bc_underflows"]
+    for l_x2 in range(1, 5):
+        l = HalfInt(l_x2)
+        assert np.all(np.isfinite(oracle_matrix(l, A).entries))
+        for fn in (tmn_hyp, tmn_hyp_symmetric):
+            with pytest.raises(RouteUnavailableError) as info:
+                fn(l, HalfInt(l_x2), HalfInt(0 if l_x2 % 2 == 0 else 1), A)
+            assert str(info.value) == BC_UNDERFLOWS
+    # b * c that is subnormal but not zero is still accepted
+    entries = hyp_entries(HalfInt(2), Mat2C(1 + 0j, 1e-160 + 0j, 1e-160 + 0j, 1e-300 + 0j))
+    assert all(np.isfinite(v) for v in entries.values())
 
 
 def test_entries_refuse_a_negative_spin():
