@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .exactcomb import HalfInt
+from .floatrepr import write_reprs
 from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
@@ -47,6 +48,10 @@ _FAMILIES = {
 MAX_VERIFY_L_X2 = 12
 # dmat prints about 84 bytes per entry: 13.6 MB at this spin, 55 MB at 800.
 MAX_DMAT_L_X2 = 400
+# dmat's matrix writer (_render_dmat): the kernel from this many float parts
+# on (a 12 x 12 matrix has 288), and this many at a time, in whole rows.
+_KERNEL_MIN_VALUES = 256
+_CHUNK_VALUES = 4096
 
 
 def _render_dmat(record: dict, M: WignerMatrix) -> str:
@@ -54,23 +59,53 @@ def _render_dmat(record: dict, M: WignerMatrix) -> str:
     entries as [re, im] pairs.
 
     json.dumps with an indent runs its pure-Python encoder, which is slow for
-    (2l+1)^2 pairs.  So the matrix is written by one %-template, in the text
+    (2l+1)^2 pairs.  So the matrix text is written here, in the text
     json.dumps(indent=2) gives a list at its depth (record -> "result" ->
     "matrix"), and spliced into the rendered record in place of a
-    placeholder.  %r is float.__repr__, which is what json writes for a
-    finite float, and WignerMatrix holds only finite entries: no NaN or
-    Infinity reaches the template.
+    placeholder.  json writes a finite float as float.__repr__ does, and
+    WignerMatrix holds only finite entries.
+
+    A %-template spends most of a large matrix in float.__repr__, one call
+    per part.  From _KERNEL_MIN_VALUES parts on, floatrepr.write_reprs
+    writes them instead, without a Python call per value and with the same
+    digits; it leaves the few values it cannot decide with a wide margin to
+    float.__repr__.  It takes a few thousand parts at a time, in whole rows,
+    and ends each part with a separator byte: after a real part, after an
+    imaginary part, or after a row.  bytes.replace turns the separators of a
+    chunk into the list punctuation and indentation, and the chunk is
+    decoded at once, so only the final join holds a copy of the whole text.
+    Below _KERNEL_MIN_VALUES the kernel's fixed cost exceeds the template's.
     """
     i0, i1, i2, i3 = ("\n" + " " * k for k in (4, 6, 8, 10))
     dim = M.entries.shape[0]
-    pair = "[" + i3 + "%r," + i3 + "%r" + i2 + "]"
-    row = "[" + i2 + ("," + i2).join([pair] * dim) + i1 + "]"
-    template = "[" + i1 + ("," + i1).join([row] * dim) + i0 + "]"
-    matrix = template % tuple(np.ascontiguousarray(M.entries).view(float).ravel().tolist())
+    values = np.ascontiguousarray(M.entries).view(float).reshape(dim, 2 * dim)
     # "inputs" sorts before "result" and holds no string equal to the slot.
     slot = "<matrix>"
-    text = _render({**record, "result": {**record["result"], "matrix": slot}})
-    return text.replace(json.dumps(slot), matrix, 1)
+    head, _, tail = _render({**record, "result": {**record["result"], "matrix": slot}}).partition(json.dumps(slot))
+    if values.size < _KERNEL_MIN_VALUES:
+        pair = "[" + i3 + "%r," + i3 + "%r" + i2 + "]"
+        row = "[" + i2 + ("," + i2).join([pair] * dim) + i1 + "]"
+        template = "[" + i1 + ("," + i1).join([row] * dim) + i0 + "]"
+        return head + template % tuple(values.ravel().tolist()) + tail
+    punctuation = (
+        (b"\0", "," + i3),
+        (b"\1", i2 + "]," + i2 + "[" + i3),
+        (b"\2", i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3),
+    )
+    row_seps = np.tile(np.array([0, 1], dtype=np.uint8), dim)
+    row_seps[-1] = 2
+    rows = max(1, _CHUNK_VALUES // (2 * dim))
+    parts = [head, "[" + i1 + "[" + i2 + "[" + i3]
+    for start in range(0, dim, rows):
+        block = values[start : start + rows]
+        chunk = write_reprs(block.ravel(), np.tile(row_seps, len(block)))
+        if start + rows >= dim:
+            chunk = chunk[:-1]  # the last row closes the matrix instead
+        for sep, text in punctuation:
+            chunk = chunk.replace(sep, text.encode())
+        parts.append(chunk.decode())
+    parts += [i2 + "]" + i1 + "]" + i0 + "]", tail]
+    return "".join(parts)
 
 
 def _matrix_csv(M: WignerMatrix) -> str:

@@ -214,8 +214,10 @@ def assert_renders_as_json_dumps(record, M):
 class TestMatrixJson:
     """The dmat matrix writer against the json.dumps payload it replaced."""
 
+    # Up to 70 x 70: past the size at which the writer leaves its template
+    # (cli._KERNEL_MIN_VALUES parts) and past one chunk (cli._CHUNK_VALUES).
     @given(
-        st.integers(1, 30),
+        st.integers(1, 70),
         st.lists(FINITE, min_size=1, max_size=24),
         st.integers(0, 2**32 - 1),
         st.sampled_from(DMAT_RECORDS),

@@ -1,0 +1,89 @@
+"""floatrepr.write_reprs, the dmat matrix writer's kernel, against
+float.__repr__ value by value.
+
+The draws force in every class the kernel leaves to float.__repr__ or
+decides next to a format boundary: raw bit patterns, subnormals, powers of
+two, exact integers, decimal midpoints, neighbours of the powers of ten, and
+the neighbours of 1e-5, 1e-4 and 1e16, where repr switches between fixed
+and scientific notation.
+"""
+import math
+import struct
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wignerkit import floatrepr
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def neighbour(base: float, steps: int) -> float:
+    return from_bits(struct.unpack("<Q", struct.pack("<d", base))[0] + steps)
+
+
+SIGN = st.sampled_from([1.0, -1.0])
+RAW = st.integers(0, 2**64 - 1).map(from_bits).filter(math.isfinite)
+SUBNORMAL = st.integers(1, 2**52 - 1).map(from_bits)
+POWER_OF_TWO = st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e))
+# A double from 1e16 to 1e17 is an integer and its own value on the kernel's
+# scale, so its interval ends sit on integers.
+INTEGER = st.one_of(st.integers(-(2**70), 2**70), st.integers(10**16, 10**17)).map(float)
+# Decimals ending in 5: midpoints of the decimals one digit shorter.
+MIDPOINT = st.builds(lambda m, e: float(f"{m}5e{e}"), st.integers(0, 10**6), st.integers(-30, 30))
+CUTOVER = st.builds(neighbour, st.sampled_from([1e-5, 1e-4, 1e16, 1e15, 1.0]), st.integers(-3, 3))
+# A power of ten whose double lies below it (1e-6 is one) rounds up into the
+# next decade.
+POWER_OF_TEN = st.builds(neighbour, st.integers(-300, 300).map(lambda k: float(f"1e{k}")), st.integers(-1, 1))
+# Beyond the kernel's power-of-ten table.
+OUT_OF_TABLE = st.one_of(
+    st.floats(min_value=1e281, allow_infinity=False), st.floats(min_value=1e-307, max_value=1e-281)
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VALUE = st.one_of(FINITE, RAW, SUBNORMAL, POWER_OF_TWO, INTEGER, MIDPOINT, CUTOVER, POWER_OF_TEN, OUT_OF_TABLE)
+
+
+def kernel_reprs(values) -> list[str]:
+    x = np.array(values, dtype=float)
+    text = floatrepr.write_reprs(x, np.full(len(x), ord("\n"), dtype=np.uint8))
+    return text.decode().split("\n")[:-1]
+
+
+@given(st.lists(st.builds(lambda sign, v: sign * v, SIGN, VALUE), max_size=40))
+@settings(deadline=None, max_examples=400)
+def test_same_text_as_float_repr(values):
+    assert kernel_reprs(values) == [repr(v) for v in values]
+
+
+# The doubles from 1e16 up to the last one below 1e17 are integers at the
+# kernel's scale.
+FALLBACK = st.one_of(SUBNORMAL, POWER_OF_TWO, OUT_OF_TABLE, st.integers(10**16, 10**17 - 16).map(float))
+
+
+@given(st.builds(lambda sign, v: sign * v, SIGN, FALLBACK))
+@settings(deadline=None)
+def test_fallback_classes_reach_float_repr(v):
+    # A lopsided or out-of-table interval, or an interval end on an integer
+    # (a 17-digit integer is its own scaled value), is left undecided.
+    *_, undecided = floatrepr._shortest(np.array([v]))
+    assert undecided[0]
+    assert kernel_reprs([v]) == [repr(v)]
+
+
+def test_ordinary_values_stay_in_the_kernel():
+    # dmat entries are ordinary doubles; the fallback should be rare.
+    x = np.random.default_rng(0).standard_normal(10_000) * 10.0 ** np.arange(-8, 8).repeat(625)
+    *_, undecided = floatrepr._shortest(x)
+    assert np.count_nonzero(undecided) <= 10
+    assert kernel_reprs(x) == [repr(v) for v in x.tolist()]
+
+
+def test_zeros_separators_and_strides():
+    x = np.array([0.0, -0.0, 1e16, 1e-5, 0.0001, 1e-6, 123.0, -2.5e-300, 5e-324])
+    seps = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2], dtype=np.uint8)
+    for values, marks in ((x, seps), (x[::3], seps[::3]), (x[:0], seps[:0])):
+        want = b"".join(repr(v).encode() + bytes([s]) for v, s in zip(values.tolist(), marks.tolist()))
+        assert floatrepr.write_reprs(values, marks) == want

@@ -7,6 +7,7 @@ last digits can depend on the BLAS thread count; the pinned verify commands
 stay at spins small enough that their output was the same with one BLAS
 thread and with the default thread count.
 """
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,30 @@ COMMANDS = {
 }
 
 
+# Outputs of 0.2 to 13.6 MB are pinned by the sha256 of their stdout instead
+# of a file.  They were recorded with the %-template matrix writer that
+# floatrepr's kernel replaced.  The matrix source prints in exponent form.
+EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
+HASHED = {
+    "dmat_oracle_euler_45": (
+        ["dmat", "--l-x2", "45", *EULER_ANGLES],
+        "61aaf68b95efc714c97b726324c397e956b5952ddba42e4bb0a1a523db92de18",
+    ),
+    "dmat_oracle_euler_200": (
+        ["dmat", "--l-x2", "200", *EULER_ANGLES],
+        "5900ee963b64b1117527cfc52efbac4da3e50046f241ba439d3b0c2b37414836",
+    ),
+    "dmat_oracle_euler_400": (
+        ["dmat", "--l-x2", "400", *EULER_ANGLES],
+        "17101899459eeca907a813f669f80a2006a526f09d16395341a84f4257f68316",
+    ),
+    "dmat_oracle_matrix_60": (
+        ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
+        "3c44fe79b7235012fbb29a4077ab63b58e1d878a7916d64785a0760cf3e8c992",
+    ),
+}
+
+
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(COMMANDS)
 
@@ -47,3 +72,10 @@ def test_every_golden_file_has_a_command():
 def test_stdout_is_byte_identical(name, capsys):
     assert main(COMMANDS[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(HASHED))
+def test_large_stdout_is_byte_identical(name, capsys):
+    argv, digest = HASHED[name]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -40,6 +40,8 @@ ELEMENTS = {
     "bc_eq_ad_complex": Mat2C(1j, 2 + 0j, 0.5j, 1 + 0j),
     # b and c are nonzero, but b * c rounds to 0
     "bc_underflows": Mat2C(1 + 0j, 1e-200 + 0j, 1e-200 + 0j, 1 + 0j),
+    # b * c is subnormal but not 0, and ad/(bc) overflows
+    "ad_over_bc_overflows": Mat2C(1 + 0j, 1e-160 + 0j, 1e-160 + 0j, 1 + 0j),
 }
 SPINS = range(9)
 
@@ -150,6 +152,7 @@ def test_entries_equal_the_per_entry_route(route, name):
 
 
 BC_UNDERFLOWS = "2F1 route needs b * c != 0; it underflows to 0"
+Z_OVERFLOWS = "2F1 route needs ad/(bc) finite; it overflows"
 
 
 @pytest.mark.parametrize(
@@ -158,6 +161,7 @@ BC_UNDERFLOWS = "2F1 route needs b * c != 0; it underflows to 0"
         ("hyp", "b_zero", "2F1 route needs b != 0 and c != 0"),
         ("hyp", "c_zero", "2F1 route needs b != 0 and c != 0"),
         ("hyp", "bc_underflows", BC_UNDERFLOWS),
+        ("hyp", "ad_over_bc_overflows", Z_OVERFLOWS),
         ("jacobi", "bc_eq_ad", "Jacobi route needs bc != ad"),
         ("jacobi", "bc_eq_ad_complex", "Jacobi route needs bc != ad"),
     ],
@@ -171,16 +175,18 @@ def test_entries_refuse_the_singular_set(route, name, message):
         assert per_entry_outcome(per_entry, l, A, domain(l_x2)) == (RouteUnavailableError, message)
 
 
-def test_2f1_forms_refuse_an_underflowing_bc():
-    # The oracle is finite there; the 2F1 forms used to divide by b * c = 0.
-    A = ELEMENTS["bc_underflows"]
+@pytest.mark.parametrize("name, message", [("bc_underflows", BC_UNDERFLOWS), ("ad_over_bc_overflows", Z_OVERFLOWS)])
+def test_2f1_forms_refuse_a_tiny_bc(name, message):
+    # The oracle is finite there; the 2F1 forms used to divide by b * c = 0,
+    # or to sum a series in an infinite ad/(bc) into NaN.
+    A = ELEMENTS[name]
     for l_x2 in range(1, 5):
         l = HalfInt(l_x2)
         assert np.all(np.isfinite(oracle_matrix(l, A).entries))
         for fn in (tmn_hyp, tmn_hyp_symmetric):
             with pytest.raises(RouteUnavailableError) as info:
                 fn(l, HalfInt(l_x2), HalfInt(0 if l_x2 % 2 == 0 else 1), A)
-            assert str(info.value) == BC_UNDERFLOWS
+            assert str(info.value) == message
     # b * c that is subnormal but not zero is still accepted
     entries = hyp_entries(HalfInt(2), Mat2C(1 + 0j, 1e-160 + 0j, 1e-160 + 0j, 1e-300 + 0j))
     assert all(np.isfinite(v) for v in entries.values())
