@@ -175,10 +175,7 @@ def test_entries_refuse_the_singular_set(route, name, message):
         assert per_entry_outcome(per_entry, l, A, domain(l_x2)) == (RouteUnavailableError, message)
 
 
-@pytest.mark.parametrize("name, message", [("bc_underflows", BC_UNDERFLOWS), ("ad_over_bc_overflows", Z_OVERFLOWS)])
-def test_2f1_forms_refuse_a_tiny_bc(name, message):
-    # The oracle is finite there; the 2F1 forms used to divide by b * c = 0,
-    # or to sum a series in an infinite ad/(bc) into NaN.
+def assert_2f1_forms_refuse(name, message):
     A = ELEMENTS[name]
     for l_x2 in range(1, 5):
         l = HalfInt(l_x2)
@@ -187,9 +184,20 @@ def test_2f1_forms_refuse_a_tiny_bc(name, message):
             with pytest.raises(RouteUnavailableError) as info:
                 fn(l, HalfInt(l_x2), HalfInt(0 if l_x2 % 2 == 0 else 1), A)
             assert str(info.value) == message
+
+
+def test_2f1_forms_refuse_an_underflowing_bc():
+    # The oracle is finite there; the 2F1 forms used to divide by b * c = 0.
+    assert_2f1_forms_refuse("bc_underflows", BC_UNDERFLOWS)
     # b * c that is subnormal but not zero is still accepted
     entries = hyp_entries(HalfInt(2), Mat2C(1 + 0j, 1e-160 + 0j, 1e-160 + 0j, 1e-300 + 0j))
     assert all(np.isfinite(v) for v in entries.values())
+
+
+def test_2f1_forms_refuse_an_overflowing_ad_over_bc():
+    # The oracle is finite there; the 2F1 forms used to sum a series in an
+    # infinite ad/(bc) into NaN.
+    assert_2f1_forms_refuse("ad_over_bc_overflows", Z_OVERFLOWS)
 
 
 def test_entries_refuse_a_negative_spin():
