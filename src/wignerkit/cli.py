@@ -48,9 +48,8 @@ _FAMILIES = {
 MAX_VERIFY_L_X2 = 12
 # dmat prints about 84 bytes per entry: 13.6 MB at this spin, 55 MB at 800.
 MAX_DMAT_L_X2 = 400
-# dmat's matrix writer (_render_dmat): the kernel from this many float parts
-# on (a 12 x 12 matrix has 288), and this many at a time, in whole rows.
-_KERNEL_MIN_VALUES = 256
+# dmat's matrix writer (_render_dmat) takes this many float parts at a time,
+# in whole rows, which bounds the memory of a large matrix's text.
 _CHUNK_VALUES = 4096
 
 
@@ -65,16 +64,14 @@ def _render_dmat(record: dict, M: WignerMatrix) -> str:
     placeholder.  json writes a finite float as float.__repr__ does, and
     WignerMatrix holds only finite entries.
 
-    A %-template spends most of a large matrix in float.__repr__, one call
-    per part.  From _KERNEL_MIN_VALUES parts on, floatrepr.write_reprs
-    writes them instead, without a Python call per value and with the same
-    digits; it leaves the few values it cannot decide with a wide margin to
-    float.__repr__.  It takes a few thousand parts at a time, in whole rows,
-    and ends each part with a separator byte: after a real part, after an
-    imaginary part, or after a row.  bytes.replace turns the separators of a
-    chunk into the list punctuation and indentation, and the chunk is
-    decoded at once, so only the final join holds a copy of the whole text.
-    Below _KERNEL_MIN_VALUES the kernel's fixed cost exceeds the template's.
+    floatrepr.write_reprs writes the parts with the digits of
+    float.__repr__, without a Python call per value; it leaves the few
+    values it cannot decide with a wide margin to float.__repr__.  It takes
+    _CHUNK_VALUES parts at a time, in whole rows, and ends each part with a
+    separator byte: after a real part, after an imaginary part, or after a
+    row.  bytes.replace turns the separators of a chunk into the list
+    punctuation and indentation, and the chunk is decoded at once, so only
+    the final join holds a copy of the whole text.
     """
     i0, i1, i2, i3 = ("\n" + " " * k for k in (4, 6, 8, 10))
     dim = M.entries.shape[0]
@@ -82,11 +79,6 @@ def _render_dmat(record: dict, M: WignerMatrix) -> str:
     # "inputs" sorts before "result" and holds no string equal to the slot.
     slot = "<matrix>"
     head, _, tail = _render({**record, "result": {**record["result"], "matrix": slot}}).partition(json.dumps(slot))
-    if values.size < _KERNEL_MIN_VALUES:
-        pair = "[" + i3 + "%r," + i3 + "%r" + i2 + "]"
-        row = "[" + i2 + ("," + i2).join([pair] * dim) + i1 + "]"
-        template = "[" + i1 + ("," + i1).join([row] * dim) + i0 + "]"
-        return head + template % tuple(values.ravel().tolist()) + tail
     punctuation = (
         (b"\0", "," + i3),
         (b"\1", i2 + "]," + i2 + "[" + i3),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -75,14 +75,27 @@ def sample_unimodular(seed: int, count: int) -> list[Mat2C]:
     return out
 
 
-def _check(name: str, max_deviation: float, tolerance: float, count: int) -> dict:
+def _check(name: str, deviations, tolerance: float, count: int | None = None) -> dict:
+    """The report of one check: its worst deviation against the tolerance.
+
+    The worst of no deviations is 0.0, and a NaN deviation makes the worst
+    NaN, which fails.  The count is the number of deviations unless one is
+    given.
+    """
+    deviations = list(deviations)
+    worst = math.nan if math.isnan(sum(deviations)) else max(deviations, default=0.0)
     return {
         "check": name,
-        "max_deviation": float(max_deviation),
+        "max_deviation": float(worst),
         "tolerance": tolerance,
-        "count": count,
-        "passed": bool(max_deviation <= tolerance),
+        "count": len(deviations) if count is None else count,
+        "passed": bool(worst <= tolerance),
     }
+
+
+def _relative(lhs, rhs) -> float:
+    # |lhs - rhs| relative to |lhs|, and absolute where |lhs| < 1.
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
 def _theta_of(A: Mat2C) -> float:
@@ -90,20 +103,11 @@ def _theta_of(A: Mat2C) -> float:
     return math.asin(min(1.0, abs(A.a)))
 
 
-def _worst(dev: float, pairs, scale: float) -> float:
-    # max(dev, |value - target| / scale) over (value, target) pairs of
-    # Python scalars.
-    for value, target in pairs:
-        dev = max(dev, abs(value - target) / scale)
-    return dev
-
-
 def suite_routes(max_l: HalfInt, seed: int) -> dict:
     """Closed-form routes against the polynomial-expansion oracle, each at
     the samples inside its domain."""
     su2 = sample_haar(seed, 20)
-    gl2 = sample_gl2(seed + 1, 10)
-    samples = su2 + gl2
+    samples = su2 + sample_gl2(seed + 1, 10)
     rng = np.random.default_rng(seed + 2)
     triples = [
         EulerAngles(t, p, q)
@@ -114,94 +118,90 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
         )
     ]
     thetas = [theta for theta in map(_theta_of, su2) if 0 < theta < math.pi / 2]
-    # worst deviation and count per check, in report order
-    dev = dict.fromkeys(("finite-sum", "terminating-2f1", "jacobi", "angle-chart", *ROTATION_ROUTES), 0.0)
-    count = dict.fromkeys(dev, 0)
-    for l in spins_up_to(max_l):
-        dim = l.twice + 1
-        for A in samples:
-            reference = oracle_matrix(l, A)
-            scale = max_norm(reference.entries)
-            target = reference.entries.tolist()
-            values = sum_matrix(l, A).entries.tolist()
-            dev["finite-sum"] = _worst(dev["finite-sum"], zip(chain(*values), chain(*target)), scale)
-            count["finite-sum"] += dim * dim
-            for name, route in (("terminating-2f1", hyp_entries), ("jacobi", jacobi_entries)):
+    spins = spins_up_to(max_l)
+
+    def references(elements, form):
+        # Per spin, (form(entries), max-norm) of the oracle at each element:
+        # each reference is built once and shared by every route against it.
+        return [[(form(T), max_norm(T)) for T in (oracle_matrix(l, A).entries for A in elements)] for l in spins]
+
+    at_samples = references(samples, lambda T: T.tolist())
+    at_triples = references([from_euler(angles) for angles in triples], lambda T: T)
+    zero_phase = [from_euler(EulerAngles(theta, 0.0, 0.0)) for theta in thetas]
+    at_thetas = references(zero_phase, lambda T: T.real.ravel().tolist())
+
+    def entrywise(pairs, scale):
+        return (abs(value - target) / scale for value, target in pairs)
+
+    def finite_sum():
+        for l, refs in zip(spins, at_samples):
+            for A, (target, scale) in zip(samples, refs):
+                yield from entrywise(zip(chain(*sum_matrix(l, A).entries.tolist()), chain(*target)), scale)
+
+    def element_route(route):
+        for l, refs in zip(spins, at_samples):
+            for A, (target, scale) in zip(samples, refs):
                 try:
                     entries = route(l, A)
                 except RouteUnavailableError:
                     continue
-                dev[name] = _worst(dev[name], ((v, target[i][j]) for (i, j), v in entries.items()), scale)
-                count[name] += len(entries)
-        for angles in triples:
-            reference = oracle_matrix(l, from_euler(angles))
-            scale = max_norm(reference.entries)
-            deviation = max_norm(dmatrix_euler(l, angles).entries - reference.entries) / scale
-            dev["angle-chart"] = max(dev["angle-chart"], deviation)
-            count["angle-chart"] += 1
-        zero_phase = [oracle_matrix(l, from_euler(EulerAngles(theta, 0.0, 0.0))) for theta in thetas]
-        stacks = [(name, route(l, thetas)) for name, route in ROTATION_ROUTES.items()]
-        for k, reference in enumerate(zero_phase):
-            scale = max_norm(reference.entries)
-            target = reference.entries.real.ravel().tolist()
-            for name, stack in stacks:
-                dev[name] = _worst(dev[name], zip(stack[k].ravel().tolist(), target), scale)
-                count[name] += dim * dim
+                yield from entrywise(((value, target[i][j]) for (i, j), value in entries.items()), scale)
+
+    def angle_chart():
+        for l, refs in zip(spins, at_triples):
+            for angles, (T, scale) in zip(triples, refs):
+                yield max_norm(dmatrix_euler(l, angles).entries - T) / scale
+
+    def rotation_route(route):
+        for l, refs in zip(spins, at_thetas):
+            for matrix, (target, scale) in zip(route(l, thetas), refs):
+                yield from entrywise(zip(matrix.ravel().tolist(), target), scale)
+
     checks = [
-        _check(f"{name}-vs-oracle", dev[name], 1e-10 if name == "finite-sum" else 1e-9, count[name])
-        for name in dev
+        _check("finite-sum-vs-oracle", finite_sum(), 1e-10),
+        _check("terminating-2f1-vs-oracle", element_route(hyp_entries), 1e-9),
+        _check("jacobi-vs-oracle", element_route(jacobi_entries), 1e-9),
+        _check("angle-chart-vs-oracle", angle_chart(), 1e-9),
+        *(_check(f"{name}-vs-oracle", rotation_route(route), 1e-9) for name, route in ROTATION_ROUTES.items()),
     ]
     return {"suite": "routes", "checks": checks}
 
 
 def suite_unitarity(max_l: HalfInt, seed: int) -> dict:
     samples = sample_haar(seed, 50)
-    dev = 0.0
-    count = 0
-    for l in spins_up_to(max_l):
-        eye = np.eye(l.twice + 1)
-        for g in samples:
-            T = oracle_matrix(l, g).entries
-            dev = max(dev, max_norm(T @ T.conj().T - eye))
-            count += 1
-    return {"suite": "unitarity", "checks": [_check("t(g) t(g)* = I on SU(2)", dev, 1e-10, count)]}
+
+    def deviations():
+        for l in spins_up_to(max_l):
+            eye = np.eye(l.twice + 1)
+            for g in samples:
+                T = oracle_matrix(l, g).entries
+                yield max_norm(T @ T.conj().T - eye)
+
+    return {"suite": "unitarity", "checks": [_check("t(g) t(g)* = I on SU(2)", deviations(), 1e-10)]}
 
 
 def suite_homomorphism(max_l: HalfInt, seed: int) -> dict:
     samples = sample_haar(seed, 100)
-    pairs = list(zip(samples[:50], samples[50:]))
-    dev = 0.0
-    count = 0
-    for l in spins_up_to(max_l):
-        for A, B in pairs:
-            AB = Mat2C.from_array(A.as_array() @ B.as_array())
-            product = oracle_matrix(l, A).entries @ oracle_matrix(l, B).entries
-            dev = max(dev, max_norm(oracle_matrix(l, AB).entries - product) / max_norm(product))
-            count += 1
-    return {"suite": "homomorphism", "checks": [_check("t(AB) = t(A) t(B)", dev, 1e-9, count)]}
+    products = [(A, B, Mat2C.from_array(A.as_array() @ B.as_array())) for A, B in zip(samples[:50], samples[50:])]
+
+    def deviations():
+        for l in spins_up_to(max_l):
+            for A, B, AB in products:
+                expected = oracle_matrix(l, A).entries @ oracle_matrix(l, B).entries
+                yield max_norm(oracle_matrix(l, AB).entries - expected) / max_norm(expected)
+
+    return {"suite": "homomorphism", "checks": [_check("t(AB) = t(A) t(B)", deviations(), 1e-9)]}
 
 
 def suite_schur(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
     grid = build_grid(max_l) if grid is None else grid
-    checks = [
-        _check(
-            "normalization integral of 1",
-            abs(pairwise_sum(grid.weights) - 1.0),
-            1e-13,
-            1,
-        )
-    ]
+    checks = [_check("normalization integral of 1", [abs(pairwise_sum(grid.weights) - 1.0)], 1e-13)]
     spins = spins_up_to(max_l)
     for i, l in enumerate(spins):
         for l_prime in spins[i:]:
             report = schur_check(grid, l, l_prime)
             checks.append(
-                _check(
-                    f"orthogonality l={l} vs l'={l_prime}",
-                    report.max_deviation,
-                    1e-10,
-                    report.checked,
-                )
+                _check(f"orthogonality l={l} vs l'={l_prime}", [report.max_deviation], 1e-10, report.checked)
             )
     return {"suite": "schur", "checks": checks}
 
@@ -209,180 +209,141 @@ def suite_schur(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
 def suite_character(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
     grid = build_grid(max_l) if grid is None else grid
     checks = [
-        _check(f"character norm l={l}", abs(character_norm(grid, l) - 1.0), 1e-10, 1)
-        for l in spins_up_to(max_l)
+        _check(f"character norm l={l}", [abs(character_norm(grid, l) - 1.0)], 1e-10) for l in spins_up_to(max_l)
     ]
     return {"suite": "character", "checks": checks}
 
 
 def suite_jacobi_orth(max_l: HalfInt) -> dict:
     spins = spins_up_to(max_l)
-    dev_sub = 0.0
-    n_sub = 0
-    for l in spins:
-        for l_prime in spins:
+
+    def same_column():
+        for l, l_prime in product(spins, spins):
             if (l - l_prime).twice % 2:
                 continue  # no common weight pairs between integer and half-integer spins
-            smaller = min(l, l_prime)
-            for m in spin_range(smaller):
-                for n in spin_range(smaller):
-                    if (m + n).twice < 0 or (m - n).twice < 0:
-                        continue
-                    dev_sub = max(dev_sub, abs(jacobi_orthogonality_check(l, l_prime, m, n)))
-                    n_sub += 1
-    dev_direct = 0.0
-    n_direct = 0
-    for al in range(5):
-        for be in range(5):
+            for m, n in product(spin_range(min(l, l_prime)), repeat=2):
+                if (m + n).twice >= 0 and (m - n).twice >= 0:
+                    yield abs(jacobi_orthogonality_check(l, l_prime, m, n))
+
+    def weighted():
+        for al, be in product(range(5), repeat=2):
             x, w = gauss_legendre((2 * 8 + al + be) // 2 + 1)
             weight = (1 - x) ** al * (1 + x) ** be
             values = [jacobi_eval(JacobiParams(al, be, n), x) for n in range(9)]
             for n1 in range(9):
                 for n2 in range(n1, 9):
                     integral = float(pairwise_sum(w * values[n1] * values[n2] * weight))
-                    expected = jacobi_norm(JacobiParams(al, be, n1)) if n1 == n2 else 0.0
-                    dev_direct = max(dev_direct, abs(integral - expected))
-                    n_direct += 1
+                    yield abs(integral - (jacobi_norm(JacobiParams(al, be, n1)) if n1 == n2 else 0.0))
+
     return {
         "suite": "jacobi-orth",
         "checks": [
-            _check("same-column integrals vs 1/(2l+1)", dev_sub, 1e-10, n_sub),
-            _check("weighted jacobi integrals vs closed-form norm", dev_direct, 1e-10, n_direct),
+            _check("same-column integrals vs 1/(2l+1)", same_column(), 1e-10),
+            _check("weighted jacobi integrals vs closed-form norm", weighted(), 1e-10),
         ],
     }
 
 
 def suite_legendre(seed: int) -> dict:
     matrices = sample_unimodular(seed, 20)
-    dev_central = 0.0
-    n_central = 0
-    for l in range(7):
-        for A in matrices:
-            expected = jacobi_complex(JacobiParams(0, 0, l), 2 * A.a * A.d - 1)
-            got = oracle_matrix(HalfInt(2 * l), A).entry(HalfInt(0), HalfInt(0))
-            dev_central = max(dev_central, abs(got - expected) / max(1.0, abs(expected)))
-            n_central += 1
+    central = (
+        _relative(
+            jacobi_complex(JacobiParams(0, 0, l), 2 * A.a * A.d - 1),
+            oracle_matrix(HalfInt(2 * l), A).entry(HalfInt(0), HalfInt(0)),
+        )
+        for l in range(7)
+        for A in matrices
+    )
     rng = np.random.default_rng(seed + 1)
-    dev_add = dev_prod = 0.0
-    n_add = n_prod = 0
-    for _ in range(10):
-        t1, t2 = rng.uniform(0.05, math.pi - 0.05, 2)
-        phi = rng.uniform(0, 2 * math.pi)
-        for l in range(7):
-            dev_add = max(dev_add, addition_formula_check(l, t1, t2, phi))
-            n_add += 1
-            dev_prod = max(dev_prod, abs(legendre_product_check(l, t1, t2, 2 * l + 1)))
-            n_prod += 1
+    angles = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
     return {
         "suite": "legendre",
         "checks": [
-            _check("central element vs legendre of 2ad-1", dev_central, 1e-9, n_central),
-            _check("addition formula", dev_add, 1e-9, n_add),
-            _check("product formula", dev_prod, 1e-10, n_prod),
+            _check("central element vs legendre of 2ad-1", central, 1e-9),
+            _check(
+                "addition formula",
+                (addition_formula_check(l, t1, t2, phi) for t1, t2, phi in angles for l in range(7)),
+                1e-9,
+            ),
+            _check(
+                "product formula",
+                (abs(legendre_product_check(l, t1, t2, 2 * l + 1)) for t1, t2, _ in angles for l in range(7)),
+                1e-10,
+            ),
         ],
     }
 
 
 def suite_krawtchouk_sym() -> dict:
-    dev = 0.0
-    count = 0
-    for N in range(1, 9):
-        for n in range(N + 1):
-            for x in range(N + 1):
-                for p in (0.3, 0.5, 0.9):
-                    lhs = krawtchouk(n, x, p, N)
-                    rhs = (1 - 1 / p) ** (x + n - N) * krawtchouk(N - n, N - x, p, N)
-                    dev = max(dev, abs(lhs - rhs) / max(1.0, abs(lhs)))
-                    count += 1
-    return {
-        "suite": "krawtchouk-sym",
-        "checks": [_check("index-reflection identity", dev, 1e-9, count)],
-    }
+    deviations = (
+        _relative(krawtchouk(n, x, p, N), (1 - 1 / p) ** (x + n - N) * krawtchouk(N - n, N - x, p, N))
+        for N in range(1, 9)
+        for n in range(N + 1)
+        for x in range(N + 1)
+        for p in (0.3, 0.5, 0.9)
+    )
+    return {"suite": "krawtchouk-sym", "checks": [_check("index-reflection identity", deviations, 1e-9)]}
 
 
 def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
     """Transformation identities: index symmetries, polynomial reflections,
     the 2F1 argument flips and real-rotation row orthogonality; the
     Krawtchouk index reflection is the check of the krawtchouk_sym report."""
-    checks = []
     samples = sample_haar(seed, 5) + sample_gl2(seed + 1, 5)
-    dev = 0.0
-    count = 0
-    for l in (HalfInt(1), HalfInt(2), HalfInt(3), HalfInt(4)):
-        l2 = l.twice
-        for A in samples:
+
+    def index_symmetries():
+        # one deviation per entry of each symmetry image
+        for l2, A in product(range(1, 5), samples):
+            l = HalfInt(l2)
             scale = max_norm(oracle_matrix(l, A).entries)
             values = sum_matrix(l, A).entries.tolist()
             for index_map, element_map in SYMMETRIES.values():
                 images = sum_matrix(l, element_map(A)).entries.tolist()
-                for i in range(l2 + 1):
-                    for j in range(l2 + 1):
-                        i2, j2 = index_map(l2, i, j)
-                        dev = max(dev, abs(values[i][j] - images[i2][j2]) / scale)
-                count += (l2 + 1) ** 2
-    checks.append(_check("index symmetries", dev, 1e-10, count))
+                for i, j in product(range(l2 + 1), repeat=2):
+                    i2, j2 = index_map(l2, i, j)
+                    yield abs(values[i][j] - images[i2][j2]) / scale
 
-    dev = 0.0
-    count = 0
-    xs = np.linspace(-1, 1, 21)
-    for al in range(7):
-        for be in range(7):
-            for n in range(11):
-                lhs = jacobi_eval(JacobiParams(al, be, n), -xs).tolist()
-                rhs = ((-1) ** n * jacobi_eval(JacobiParams(be, al, n), xs)).tolist()
-                for a, b in zip(lhs, rhs):
-                    dev = max(dev, abs(a - b) / max(1.0, abs(a)))
-                count += len(lhs)
-    checks.append(_check("jacobi reflection", dev, 1e-10, count))
+    def jacobi_reflection():
+        xs = np.linspace(-1, 1, 21)
+        for al, be, n in product(range(7), range(7), range(11)):
+            lhs = jacobi_eval(JacobiParams(al, be, n), -xs).tolist()
+            rhs = ((-1) ** n * jacobi_eval(JacobiParams(be, al, n), xs)).tolist()
+            yield from map(_relative, lhs, rhs)
 
-    dev = 0.0
-    count = 0
-    for n in range(9):
-        for b in (0.5, 2.0):
-            for c in (1.5, 3.0):
-                for z in (-0.7, -0.2, 0.3):
-                    lhs = hyp2f1(-n, b, c, z)
-                    rhs = (1 - z) ** n * hyp2f1(-n, c - b, c, z / (z - 1))
-                    dev = max(dev, abs(lhs - rhs) / max(1.0, abs(lhs)))
-                    count += 1
-    checks.append(_check("pfaff transformation", dev, 1e-10, count))
+    pfaff = (
+        _relative(hyp2f1(-n, b, c, z), (1 - z) ** n * hyp2f1(-n, c - b, c, z / (z - 1)))
+        for n, b, c, z in product(range(9), (0.5, 2.0), (1.5, 3.0), (-0.7, -0.2, 0.3))
+    )
+    flip_one = (
+        _relative(
+            hyp2f1(-n, b, c, x),
+            float(pochhammer(c - b, n) / pochhammer(c, n)) * hyp2f1(-n, b, b - c - n + 1, 1 - x),
+        )
+        for n, b, c, x in product(range(7), (0.5, 2.0), (1.5, 4.0), (0.2, 0.8))
+    )
+    flip_two = (
+        _relative(
+            hyp2f1(-n, -m, c, x),
+            float(pochhammer(c, m + n) / (pochhammer(c, n) * pochhammer(c, m)))
+            * hyp2f1(-n, -m, -c - n - m + 1, 1 - x),
+        )
+        for n, m, c, x in product(range(7), range(7), (1.5, 4.0), (0.2, 0.8))
+    )
 
-    dev = 0.0
-    count = 0
-    for n in range(7):
-        for b in (0.5, 2.0):
-            for c in (1.5, 4.0):
-                for x in (0.2, 0.8):
-                    lhs = hyp2f1(-n, b, c, x)
-                    ratio = float(pochhammer(c - b, n) / pochhammer(c, n))
-                    rhs = ratio * hyp2f1(-n, b, b - c - n + 1, 1 - x)
-                    dev = max(dev, abs(lhs - rhs) / max(1.0, abs(lhs)))
-                    count += 1
-    checks.append(_check("terminating argument flip (one integer parameter)", dev, 1e-10, count))
-
-    dev = 0.0
-    count = 0
-    for n in range(7):
-        for m in range(7):
-            for c in (1.5, 4.0):
-                for x in (0.2, 0.8):
-                    lhs = hyp2f1(-n, -m, c, x)
-                    ratio = float(pochhammer(c, m + n) / (pochhammer(c, n) * pochhammer(c, m)))
-                    rhs = ratio * hyp2f1(-n, -m, -c - n - m + 1, 1 - x)
-                    dev = max(dev, abs(lhs - rhs) / max(1.0, abs(lhs)))
-                    count += 1
-    checks.append(_check("terminating argument flip (two integer parameters)", dev, 1e-10, count))
-
-    checks.append({**krawtchouk_sym["checks"][0], "check": "krawtchouk index reflection"})
-
-    dev = 0.0
-    count = 0
-    for l in spins_up_to(HalfInt(6)):
-        for theta in (math.pi / 6, math.pi / 3):
+    def rotations():
+        for l, theta in product(spins_up_to(HalfInt(6)), (math.pi / 6, math.pi / 3)):
             T = oracle_matrix(l, from_euler(EulerAngles(theta, 0.0, 0.0))).entries
-            dev = max(dev, max_norm(T @ T.T - np.eye(l.twice + 1)))
-            count += 1
-    checks.append(_check("real-rotation row orthogonality", dev, 1e-10, count))
+            yield max_norm(T @ T.T - np.eye(l.twice + 1))
+
+    checks = [
+        _check("index symmetries", index_symmetries(), 1e-10),
+        _check("jacobi reflection", jacobi_reflection(), 1e-10),
+        _check("pfaff transformation", pfaff, 1e-10),
+        _check("terminating argument flip (one integer parameter)", flip_one, 1e-10),
+        _check("terminating argument flip (two integer parameters)", flip_two, 1e-10),
+        {**krawtchouk_sym["checks"][0], "check": "krawtchouk index reflection"},
+        _check("real-rotation row orthogonality", rotations(), 1e-10),
+    ]
     return {"suite": "identities", "checks": checks}
 
 

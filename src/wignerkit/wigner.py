@@ -271,11 +271,7 @@ def _hyp_tables(A: Mat2C, l2: int, powers=_powers) -> tuple:
         raise RouteUnavailableError("2F1 route needs b * c != 0; it underflows to 0")
     ad = A.a * A.d
     z, w = ad / bc, (bc - ad) / bc
-    # A tiny b * c can pass the test above and still overflow the quotients.
-    # An infinite b * c is not refused here: the powers of b and c overflow
-    # with it, and the per-entry reference in tests/test_route_matrices.py
-    # pins what the route returns there.
-    if cmath.isfinite(bc) and not (cmath.isfinite(z) and cmath.isfinite(w)):
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise RouteUnavailableError("2F1 route needs ad/(bc) finite; it overflows")
     return z, w, powers(A.b, l2), powers(A.c, l2), powers(A.d, l2)
 

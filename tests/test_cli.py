@@ -214,8 +214,7 @@ def assert_renders_as_json_dumps(record, M):
 class TestMatrixJson:
     """The dmat matrix writer against the json.dumps payload it replaced."""
 
-    # Up to 70 x 70: past the size at which the writer leaves its template
-    # (cli._KERNEL_MIN_VALUES parts) and past one chunk (cli._CHUNK_VALUES).
+    # From 1 x 1 up to 70 x 70: past one chunk (cli._CHUNK_VALUES parts).
     @given(
         st.integers(1, 70),
         st.lists(FINITE, min_size=1, max_size=24),

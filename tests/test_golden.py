@@ -79,3 +79,22 @@ def test_large_stdout_is_byte_identical(name, capsys):
     argv, digest = HASHED[name]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# Every verify suite that runs no Haar grid, at --max-l-x2 6 with seed 0,
+# pinned by the sha256 of its stdout.  Each gave the same bytes with one BLAS
+# thread and with the default thread count; schur, character and all do not.
+VERIFY_HASHED = {
+    "routes": "1b8f29856f7962155944fd842b4e3f59f2e6471c660ffdc48dc4f97b1861a6ce",
+    "unitarity": "c6a7957a5dfb1b4b7fb17d7c19ed7c5bd1aa20161709479dd9f9c65b25607b76",
+    "homomorphism": "df9c24ed690e0f3736e72426ff8a36725c38edff8ab56df716ce2c6396a191e4",
+    "jacobi-orth": "ba798099a44bdbfc5c9d5904f3403add6a59f772ce90122cbbd01db94f7b337b",
+    "legendre": "be8006139f5d1b6892c9425e0bce98c38af0073ef9584f18c222b45c26e5b9fd",
+    "krawtchouk-sym": "a61b60859a2ab671781a4026dfad5b96e4175c3f64e6e282481c2acd87895bdf",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))
+def test_verify_suite_stdout_is_byte_identical(suite, capsys):
+    assert main(["verify", "--suite", suite, "--max-l-x2", "6", "--seed", "0"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_HASHED[suite]

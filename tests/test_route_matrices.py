@@ -80,6 +80,10 @@ def old_check_hyp_domain(l, m, n, A):
         raise RouteUnavailableError("2F1 route needs m + n >= 0")
     if A.b == 0 or A.c == 0:
         raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
+    # Like the route, refuse a non-finite 2F1 argument; b * c may overflow.
+    bc = A.b * A.c
+    if not (cmath.isfinite(A.a * A.d / bc) and cmath.isfinite((bc - A.a * A.d) / bc)):
+        raise RouteUnavailableError("2F1 route needs ad/(bc) finite; it overflows")
 
 
 def old_tmn_hyp(l, m, n, A):

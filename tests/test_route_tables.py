@@ -42,6 +42,8 @@ ELEMENTS = {
     "bc_underflows": Mat2C(1 + 0j, 1e-200 + 0j, 1e-200 + 0j, 1 + 0j),
     # b * c is subnormal but not 0, and ad/(bc) overflows
     "ad_over_bc_overflows": Mat2C(1 + 0j, 1e-160 + 0j, 1e-160 + 0j, 1 + 0j),
+    # b * c overflows, so ad/(bc) is inf/inf
+    "power_overflow": Mat2C(1e300 + 0j, 1e300 + 0j, 1e300 + 0j, 1e300 + 0j),
 }
 SPINS = range(9)
 
@@ -162,6 +164,7 @@ Z_OVERFLOWS = "2F1 route needs ad/(bc) finite; it overflows"
         ("hyp", "c_zero", "2F1 route needs b != 0 and c != 0"),
         ("hyp", "bc_underflows", BC_UNDERFLOWS),
         ("hyp", "ad_over_bc_overflows", Z_OVERFLOWS),
+        ("hyp", "power_overflow", Z_OVERFLOWS),
         ("jacobi", "bc_eq_ad", "Jacobi route needs bc != ad"),
         ("jacobi", "bc_eq_ad_complex", "Jacobi route needs bc != ad"),
     ],

@@ -1,8 +1,17 @@
-"""Suite composition in run_suite."""
+"""Suite composition in run_suite, and the one reducer every check goes
+through."""
 import copy
+import json
+import math
+from collections import Counter
+from types import SimpleNamespace
+
+import numpy as np
 
 from wignerkit import verify
-from wignerkit.exactcomb import HalfInt
+from wignerkit.cli import main
+from wignerkit.exactcomb import HalfInt, spins_up_to
+from wignerkit.group import EulerAngles, from_euler, sample_haar
 
 GRID_FREE_SUITES = (
     "suite_routes",
@@ -60,3 +69,74 @@ def test_identity_checks_leave_the_krawtchouk_report_as_it_was():
     checks = verify.identity_checks(0, report)["checks"]
     assert report == before
     assert [chk["check"] for chk in checks].count("krawtchouk index reflection") == 1
+
+
+def test_check_counts_its_deviations_and_keeps_the_worst():
+    assert verify._check("c", iter([0.1, 0.3, 0.2]), 0.5) == {
+        "check": "c",
+        "max_deviation": 0.3,
+        "tolerance": 0.5,
+        "count": 3,
+        "passed": True,
+    }
+    assert verify._check("c", [], 0.5) == {**verify._check("c", [0.0], 0.5), "count": 0}
+    assert verify._check("c", [0.7], 0.5, count=12)["count"] == 12
+    assert not verify._check("c", [0.1, 0.7], 0.5)["passed"]
+
+
+def test_a_nan_deviation_fails_its_check():
+    report = verify._check("c", [0.1, math.nan, 0.2], 1.0)
+    assert math.isnan(report["max_deviation"]) and report["count"] == 3
+    assert report["passed"] is False
+
+
+def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
+    hyp_entries = verify.hyp_entries
+    monkeypatch.setattr(
+        verify, "hyp_entries", lambda l, A: {key: complex(math.nan, math.nan) for key in hyp_entries(l, A)}
+    )
+    report = verify.run_suite("routes", HalfInt(2), 0)
+    checks = {chk["check"]: chk for chk in report["checks"]}
+    assert math.isnan(checks["terminating-2f1-vs-oracle"]["max_deviation"])
+    assert not checks["terminating-2f1-vs-oracle"]["passed"]
+    assert checks["finite-sum-vs-oracle"]["passed"] and not report["passed"]
+    # The CLI prints the NaN and exits 1.
+    assert main(["verify", "--suite", "routes", "--max-l-x2", "2"]) == 1
+    printed = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert math.isnan(next(c for c in printed if c["check"] == "terminating-2f1-vs-oracle")["max_deviation"])
+
+
+def test_a_nan_oracle_fails_unitarity(monkeypatch):
+    monkeypatch.setattr(
+        verify, "oracle_matrix", lambda l, g: SimpleNamespace(entries=np.full((l.twice + 1,) * 2, math.nan + 0j))
+    )
+    (check,) = verify.suite_unitarity(HalfInt(1), 0)["checks"]
+    assert math.isnan(check["max_deviation"]) and not check["passed"]
+    assert check["count"] == 2 * 50
+
+
+def test_routes_suite_builds_each_oracle_reference_once(monkeypatch):
+    # One oracle_matrix call per (spin, element): the samples, the
+    # zero-phase rotations of the SU(2) samples and the Euler triples.
+    seed, max_l = 0, HalfInt(2)
+    oracle_matrix = verify.oracle_matrix
+    calls = Counter()
+
+    def counting(l, A):
+        calls[l.twice, A] += 1
+        return oracle_matrix(l, A)
+
+    monkeypatch.setattr(verify, "oracle_matrix", counting)
+    verify.suite_routes(max_l, seed)
+    su2 = sample_haar(seed, 20)
+    thetas = [t for t in map(verify._theta_of, su2) if 0 < t < math.pi / 2]
+    rng = np.random.default_rng(seed + 2)
+    triples = zip(rng.uniform(0, math.pi / 2, 10), rng.uniform(0, 2 * math.pi, 10), rng.uniform(0, 2 * math.pi, 10))
+    elements = [
+        *su2,
+        *verify.sample_gl2(seed + 1, 10),
+        *(from_euler(EulerAngles(theta, 0.0, 0.0)) for theta in thetas),
+        *(from_euler(EulerAngles(*angles)) for angles in triples),
+    ]
+    assert thetas
+    assert calls == Counter((l.twice, A) for l in spins_up_to(max_l) for A in elements)
