@@ -36,7 +36,6 @@ from .specfun import (
     jacobi_eval,
     jacobi_norm,
     jacobi_rodrigues,
-    jacobi_series_coeffs,
     jacobi_via_2f1,
     krawtchouk,
     legendre,
@@ -62,7 +61,6 @@ from .wigner import (
     tmn_krawtchouk,
     tmn_rodrigues,
     tmn_sum,
-    transformed_basis_vector,
 )
 
 __version__ = "0.1.0"

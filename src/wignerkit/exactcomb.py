@@ -45,9 +45,6 @@ class HalfInt:
     def __float__(self) -> float:
         return self.twice / 2.0
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_int(self) -> int:
         """Convert to a plain integer; only legal when the value is integral."""
         if self.twice % 2:

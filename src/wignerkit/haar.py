@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -234,12 +233,11 @@ def jacobi_orthogonality_check(l: HalfInt, l_prime: HalfInt, m: HalfInt, n: Half
     p1 = jacobi_eval(JacobiParams(al, be, deg1), x)
     p2 = p1 if (deg2 == deg1) else jacobi_eval(JacobiParams(al, be, deg2), x)
     integral = float(pairwise_sum(w * p1 * p2 * (1 - x) ** al * (1 + x) ** be))
-    pref = Fraction(
-        factorial((l + m).as_int()) * factorial((l - m).as_int()),
-        factorial((l + n).as_int()) * factorial((l - n).as_int()) * 2 ** (m.twice + 1),
+    pref = (factorial((l + m).as_int()) * factorial((l - m).as_int())) / (
+        factorial((l + n).as_int()) * factorial((l - n).as_int()) * 2 ** (m.twice + 1)
     )
     expected = 1.0 / (l.twice + 1) if l.twice == l_prime.twice else 0.0
-    return float(pref) * integral - expected
+    return pref * integral - expected
 
 
 def legendre_product_check(l: int, theta1: float, theta2: float, n_phi: int) -> float:

@@ -34,7 +34,6 @@ __all__ = [
     "hyp2f1_terminating",
     "hyp2f1",
     "hyp2f1_complex",
-    "jacobi_series_coeffs",
     "jacobi_eval",
     "jacobi_complex",
     "jacobi_via_2f1",
@@ -95,14 +94,10 @@ class Hyp21Spec:
 
     @classmethod
     def terminating(cls, a, b, c, z) -> "Hyp21Spec":
-        """Build the spec, deriving the termination length from a and b."""
+        """Build the spec, deriving the termination length from a and b;
+        __post_init__ refuses it when neither is a nonpositive integer."""
         candidates = [v for v in (_nonpositive_int(a), _nonpositive_int(b)) if v is not None]
-        if not candidates:
-            raise ValueError(
-                f"2F1({a}, {b}; {c}; z) does not terminate: "
-                "neither upper parameter is a nonpositive integer"
-            )
-        return cls(a, b, c, z, min(candidates))
+        return cls(a, b, c, z, min(candidates, default=0))
 
 
 def _nonpositive_int(value):
@@ -254,12 +249,6 @@ def _jacobi_coeffs_cached(alpha, beta, n: int) -> tuple[tuple[int, ...], int]:
     den = da**n * factorial(n) * tail
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
     return tuple(c // g for c in nums), den // g
-
-
-def jacobi_series_coeffs(p: JacobiParams) -> tuple[Fraction, ...]:
-    """Exact coefficients c_k of P_n^(a,b)(x) = sum_k c_k ((x-1)/2)^k."""
-    nums, den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
-    return tuple(Fraction(c, den) for c in nums)
 
 
 def jacobi_eval(p: JacobiParams, x):

@@ -40,7 +40,6 @@ from .specfun import (
 __all__ = [
     "RouteUnavailableError",
     "WignerMatrix",
-    "transformed_basis_vector",
     "oracle_matrix",
     "oracle_stack",
     "tmn_sum",
@@ -86,8 +85,7 @@ class WignerMatrix:
         object.__setattr__(self, "entries", entries)
 
     def index_of(self, m: HalfInt) -> int:
-        check_spin_pair(self.l, m)
-        return (m.twice + self.l.twice) // 2
+        return _index(self.l, m)
 
     def entry(self, m: HalfInt, n: HalfInt) -> complex:
         return complex(self.entries[self.index_of(m), self.index_of(n)])
@@ -120,13 +118,12 @@ class _PowerOf:
         return self.x**e
 
 
-def _expansion_tables(A: Mat2C, p: int, q: int) -> tuple:
-    """What the column expansions of one matrix read: the powers x^e of a and
-    c for e <= p and of b and d for e <= q, and the binomial rows C(r, k) for
-    r <= max(p, q)."""
-    powers = (_powers(A.a, p), _powers(A.b, q), _powers(A.c, p), _powers(A.d, q))
+def _expansion_tables(A: Mat2C, l2: int) -> tuple:
+    """What the column expansions of one matrix of spin l2/2 read: the powers
+    x^e of a, b, c and d for e <= l2 and the binomial rows C(r, k), r <= l2."""
+    powers = tuple(_powers(x, l2) for x in (A.a, A.b, A.c, A.d))
     rows = [[1]]
-    for _ in range(max(p, q)):
+    for _ in range(l2):
         prev = rows[-1]
         rows.append([1, *[x + y for x, y in zip(prev, prev[1:])], 1])
     return powers, rows
@@ -141,29 +138,19 @@ def _column_expansion(p: int, q: int, tables: tuple) -> np.ndarray:
     return math.sqrt(binomial(p + q, p)) * np.convolve(left, right)
 
 
-def transformed_basis_vector(l: HalfInt, n: HalfInt, A: Mat2C) -> np.ndarray:
-    """Image of the n-th normalized basis monomial under t(A), expanded.
-
-    Expands sqrt(C(2l, l-n)) (a z1 + c z2)^(l-n) (b z1 + d z2)^(l+n) via an
-    exact binomial convolution of the two factor coefficient arrays.  Returns
-    the 2l+1 complex coefficients; entry k multiplies z1^(2l-k) z2^k.
-    """
-    check_spin_pair(l, n)
-    p = (l - n).as_int()
-    q = (l + n).as_int()
-    return _column_expansion(p, q, _expansion_tables(A, p, q))
+def _row_norm(l2: int) -> np.ndarray:
+    # Row m sits at z2-degree i = l + m; its basis normalization is C(2l, l-m).
+    return np.array([math.sqrt(binomial(l2, l2 - i)) for i in range(l2 + 1)])
 
 
 def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
-    """Brute-force matrix of t(A): read each column off a polynomial expansion.
-
-    This is the reference implementation every closed-form route is tested
-    against; it has no singular parameter set.
-    """
+    """Brute-force matrix of t(A): column n is read off the expanded image
+    sqrt(C(2l, l-n)) (a z1 + c z2)^(l-n) (b z1 + d z2)^(l+n) of basis monomial
+    n.  This is the reference implementation every closed-form route is tested
+    against; it has no singular parameter set."""
     dim = _dim(l)
-    tables = _expansion_tables(A, l.twice, l.twice)
-    # row m sits at z2-degree i = l + m; its basis normalization is C(2l, l-m).
-    row_norm = np.array([math.sqrt(binomial(l.twice, l.twice - i)) for i in range(dim)])
+    tables = _expansion_tables(A, l.twice)
+    row_norm = _row_norm(l.twice)
     entries = np.empty((dim, dim), dtype=complex)
     for j in range(dim):  # column n = -l + j: p = l - n, q = l + n
         entries[:, j] = _column_expansion(l.twice - j, j, tables) / row_norm
@@ -190,7 +177,7 @@ def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
     a_pow, b_pow, c_pow, d_pow = (
         np.cumprod(np.column_stack([np.ones_like(x)] + [x] * l.twice), axis=1) for x in entries
     )
-    row_norm = np.array([math.sqrt(binomial(l.twice, l.twice - i)) for i in range(dim)])
+    row_norm = _row_norm(l.twice)
     stack = np.zeros((len(entries[0]), dim, dim), dtype=complex)
     for j in range(dim):
         # column n = -l + j: (a z1 + c z2)^p (b z1 + d z2)^q with p = l - n, q = l + n
@@ -488,18 +475,19 @@ def tmn_rodrigues(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
     return _rodrigues_entries(l.twice, i, j, [_rodrigues_chart(theta)])[0]
 
 
-def _entry_stack(dim: int, count: int, entries) -> np.ndarray:
-    # entries: row-major over (i, j), each the list of its values per theta.
-    return np.ascontiguousarray(np.array(entries, dtype=float).reshape(dim, dim, count).transpose(2, 0, 1))
+def _entry_stack(l: HalfInt, charts: list, entries) -> np.ndarray:
+    # The stack of every entry at each chart, shape (len(charts), 2l+1, 2l+1);
+    # entries(l2, i, j, charts) lists the values of entry (i, j) per chart.
+    dim = l.twice + 1
+    values = [entries(l.twice, i, j, charts) for i in range(dim) for j in range(dim)]
+    return np.ascontiguousarray(np.array(values, dtype=float).reshape(dim, dim, len(charts)).transpose(2, 0, 1))
 
 
 def rodrigues_stack(l: HalfInt, thetas) -> np.ndarray:
     """tmn_rodrigues for every (m, n) at each of the thetas, shape
     (len(thetas), 2l+1, 2l+1); each derivative is expanded once."""
-    dim = _dim(l)
-    charts = [_rodrigues_chart(theta) for theta in thetas]
-    entries = [_rodrigues_entries(l.twice, i, j, charts) for i in range(dim) for j in range(dim)]
-    return _entry_stack(dim, len(charts), entries)
+    _dim(l)
+    return _entry_stack(l, [_rodrigues_chart(theta) for theta in thetas], _rodrigues_entries)
 
 
 _NEGATIVE_SIN = "negative sin power: Krawtchouk route needs theta > 0 when m + n < 0"
@@ -553,8 +541,7 @@ def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:
     """tmn_krawtchouk for every (m, n) at each of the thetas, shape
     (len(thetas), 2l+1, 2l+1); each polynomial's coefficients are put over
     one denominator once."""
-    dim = _dim(l)
-    if l.twice == 0:
+    if _dim(l) == 1:
         return np.ones((len(thetas), 1, 1))
     charts = []
     for theta in thetas:
@@ -562,8 +549,7 @@ def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:
         if chart[0] == 0.0 or theta <= 0.0:  # entry (0, 0) has m + n = -2l < 0
             raise RouteUnavailableError(_NEGATIVE_SIN)
         charts.append(chart)
-    entries = [_krawtchouk_entries(l.twice, i, j, charts) for i in range(dim) for j in range(dim)]
-    return _entry_stack(dim, len(charts), entries)
+    return _entry_stack(l, charts, _krawtchouk_entries)
 
 
 # The routes that build a whole matrix of any element, called as (l, A); the

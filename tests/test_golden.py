@@ -40,9 +40,12 @@ COMMANDS = {
 }
 
 
-# Outputs of 0.2 to 13.6 MB are pinned by the sha256 of their stdout instead
-# of a file.  They were recorded with the %-template matrix writer that
-# floatrepr's kernel replaced.  The matrix source prints in exponent form.
+# Larger outputs are pinned by the sha256 of their stdout instead of a file.
+# The JSON ones (0.2 to 13.6 MB) were recorded with the %-template matrix
+# writer that floatrepr's kernel replaced; the matrix source prints in
+# exponent form.  The CSV ones pin the str(complex) writer: exponent forms
+# at l_x2 40, "+0j" parts of a real matrix, and bare "0j" and "-1+0j" at
+# theta = 0.
 EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
     "dmat_oracle_euler_45": (
@@ -60,6 +63,18 @@ HASHED = {
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
         "3c44fe79b7235012fbb29a4077ab63b58e1d878a7916d64785a0760cf3e8c992",
+    ),
+    "dmat_oracle_euler_40_csv": (
+        ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
+        "67cd3393356e9435d4b7d135ca3b8fc04c85a71724e74ba2574bbe4fcda41f1b",
+    ),
+    "dmat_krawtchouk_40_csv": (
+        ["dmat", "--l-x2", "40", "--theta", "0.7", "--route", "krawtchouk", "--format", "csv"],
+        "c370d9ec51c4d35b2d3b6c0405643b4f48eb65cf8f7f59248eac9f262f237781",
+    ),
+    "dmat_oracle_theta0_12_csv": (
+        ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
+        "8dc9b3f0c3a2936a0ef290646581803076a5fc0e822e207f45ec7280725be1a9",
     ),
 }
 

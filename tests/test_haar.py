@@ -233,6 +233,25 @@ class TestLegendreFormulas:
             for l in range(7):
                 assert addition_formula_check(l, t1, t2, phi) <= 1e-9
 
+    def test_addition_refuses_non_finite_angles(self):
+        # The phase series sums finite WignerMatrix entries times unit phases,
+        # so it cannot be NaN while the check returns: a non-finite angle is
+        # refused before any deviation is formed.
+        nan, inf = math.nan, math.inf
+        for l in range(1, 6):
+            for angles in ((nan, 0.4, 1.0), (0.3, nan, 1.0), (0.3, 0.4, nan), (0.3, 0.4, inf), (0.3, 0.4, -inf)):
+                with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+                    addition_formula_check(l, *angles)
+        for l in range(6):
+            for angles in ((inf, 0.4, 1.0), (-inf, 0.4, 1.0), (0.3, inf, 1.0)):
+                with pytest.raises(ValueError, match="^math domain error$"):
+                    addition_formula_check(l, *angles)
+        # At l = 0 the matrices are [[1]] at any angle; the Legendre argument
+        # refuses a NaN or infinite phase instead.
+        for angles in ((nan, 0.4, 1.0), (0.3, 0.4, nan), (0.3, 0.4, inf)):
+            with pytest.raises(ValueError):
+                addition_formula_check(0, *angles)
+
 
 class TestMonteCarloConsistency:
     def test_squared_element_mean(self):

@@ -16,7 +16,7 @@ import pytest
 from wignerkit.exactcomb import HalfInt, binomial, check_spin_pair, spin_range
 from wignerkit.group import EulerAngles, Mat2C, from_euler
 from wignerkit.verify import sample_gl2
-from wignerkit.wigner import WignerMatrix, oracle_matrix, transformed_basis_vector
+from wignerkit.wigner import WignerMatrix, oracle_matrix
 
 # The overflowing elements make numpy warn on both sides; that is expected.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -82,11 +82,3 @@ def test_overflow_elements_raise():
     assert outcome(oracle_matrix, HalfInt(3), ELEMENTS["power_overflow"]) is OverflowError
     assert outcome(oracle_matrix, HalfInt(2), ELEMENTS["product_overflow"]) is ValueError
 
-
-@pytest.mark.parametrize("name", sorted(ELEMENTS))
-def test_transformed_basis_vector_bit_identical(name):
-    A = ELEMENTS[name]
-    for l_x2 in range(13):
-        l = HalfInt(l_x2)
-        for n in spin_range(l):
-            assert outcome(transformed_basis_vector, l, n, A) == outcome(old_transformed_basis_vector, l, n, A)

@@ -15,13 +15,13 @@ from wignerkit.exactcomb import pochhammer
 from wignerkit.specfun import (
     Hyp21Spec,
     JacobiParams,
+    _jacobi_coeffs_cached,
     hyp2f1,
     hyp2f1_series_coeffs,
     hyp2f1_terminating,
     jacobi_eval,
     jacobi_norm,
     jacobi_rodrigues,
-    jacobi_series_coeffs,
     jacobi_via_2f1,
     krawtchouk,
     legendre,
@@ -64,9 +64,10 @@ class TestHyp2F1:
         assert spec.terms == 1
 
     def test_non_terminating_rejected(self):
-        with pytest.raises(ValueError):
+        message = r"2F1\(0.5, 2.0; 3.0; z\) does not terminate: neither upper parameter is a nonpositive integer"
+        with pytest.raises(ValueError, match=message):
             Hyp21Spec.terminating(0.5, 2.0, 3.0, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             Hyp21Spec(0.5, 2.0, 3.0, 0.1, 4)
 
     def test_vanishing_lower_parameter_rejected_at_construction(self):
@@ -128,7 +129,11 @@ class TestJacobi:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_series_coeff_count(self):
-        assert len(jacobi_series_coeffs(JacobiParams(1.5, 2.5, 6))) == 7
+        nums, den = _jacobi_coeffs_cached(1.5, 2.5, 6)
+        assert len(nums) == 7
+        # P_1^(a,b)(x) = (a+1) + (a+b+2) (x-1)/2
+        nums, den = _jacobi_coeffs_cached(1.5, 2.5, 1)
+        assert tuple(Fraction(c, den) for c in nums) == (Fraction(5, 2), Fraction(6))
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from wignerkit.wigner import (
     tmn_krawtchouk,
     tmn_rodrigues,
     tmn_sum,
-    transformed_basis_vector,
 )
 
 A_TEST = Mat2C(1, 2, 3, 4)
@@ -61,10 +60,6 @@ class TestOracleMatrix:
         M = oracle_matrix(HalfInt(2), A_TEST)
         assert M.entry(HalfInt(-2), HalfInt(2)) == pytest.approx(4.0)  # b^2
         assert M.entry(HalfInt(2), HalfInt(2)) == pytest.approx(16.0)  # d^2
-
-    def test_basis_vector_expansion_shape(self):
-        coeffs = transformed_basis_vector(HalfInt(4), HalfInt(0), A_TEST)
-        assert coeffs.shape == (5,)
 
     def test_double_generating_function(self):
         # the elementary power (a z1 w1 + b z1 w2 + c z2 w1 + d z2 w2)^2l
