@@ -80,9 +80,7 @@ class WignerMatrix:
         dim = self.l.twice + 1
         if entries.shape != (dim, dim):
             raise ValueError(f"expected shape ({dim}, {dim}), got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("matrix contains non-finite entries")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _finite(entries))
 
     def index_of(self, m: HalfInt) -> int:
         return _index(self.l, m)
@@ -97,36 +95,30 @@ def _dim(l: HalfInt) -> int:
     return l.twice + 1
 
 
+def _finite(values):
+    # The check every route makes: one value, a list or an array, all finite.
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix contains non-finite entries")
+    return values
+
+
 def _powers(x, top: int) -> list:
-    # x**e for e = 0 .. top, each by its own power operation.
+    # x**e for e = 0 .. top, each by its own power operation (OverflowError where one overflows).
     return [x**e for e in range(top + 1)]
 
 
-class _PowerOf:
-    """Stands in for _powers(x, top) where a single entry is computed: x**e
-    is taken when the kernel reads index e, so the entry computes only its
-    own powers, in the order its formula reads them.  (Whether a complex
-    power overflows is not monotone in e: x**2 can raise where x**4 comes
-    out as nan.)"""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x, top: int | None = None):
-        self.x = x
-
-    def __getitem__(self, e: int):
-        return self.x**e
+def _entry_powers(A: Mat2C, l2: int) -> tuple:
+    return tuple(_powers(x, l2) for x in (A.a, A.b, A.c, A.d))
 
 
 def _expansion_tables(A: Mat2C, l2: int) -> tuple:
     """What the column expansions of one matrix of spin l2/2 read: the powers
     x^e of a, b, c and d for e <= l2 and the binomial rows C(r, k), r <= l2."""
-    powers = tuple(_powers(x, l2) for x in (A.a, A.b, A.c, A.d))
     rows = [[1]]
     for _ in range(l2):
         prev = rows[-1]
         rows.append([1, *[x + y for x, y in zip(prev, prev[1:])], 1])
-    return powers, rows
+    return _entry_powers(A, l2), rows
 
 
 def _column_expansion(p: int, q: int, tables: tuple) -> np.ndarray:
@@ -191,18 +183,18 @@ def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
             column[:, k : k + right.shape[1]] += left[:, k : k + 1] * right
         column *= math.sqrt(binomial(l.twice, p))
         column /= row_norm
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("matrix contains non-finite entries")
-    return stack
+    return _finite(stack)
 
 
 # Every closed-form route below is written as one entry kernel on plain
 # integers, called over the entries of a whole matrix.  With l2 = 2l, row
 # i = l + m and column j = l + n, so l - m = l2 - i, l - n = l2 - j,
 # m + n = i + j - l2 and m - n = i - j.  A kernel reads its powers and its
-# trigonometric values from tables that a matrix builds once; the public
-# per-entry functions check their HalfInt arguments, build the tables for
-# their one entry and call the same kernel.
+# trigonometric values from tables that a matrix builds once.  The public
+# per-entry functions check their HalfInt arguments, build the same tables
+# as their matrix builder and call the same kernel: an entry is its
+# builder's entry bit for bit, it raises where those tables overflow, and
+# it is never a non-finite value.
 
 
 def _index(l: HalfInt, m: HalfInt) -> int:
@@ -230,17 +222,18 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
 
     All binomials are exact integers; the monomials a^j b^.. c^.. d^.. are
     evaluated in floating point with the 0^0 = 1 convention, which is what
-    makes the corner cases with vanishing entries come out right.
+    makes the corner cases with vanishing entries come out right.  Reads
+    sum_matrix's tables: raises where they overflow, never returns inf or NaN.
     """
     i, j = _index(l, m), _index(l, n)
-    return _sum_entry(l.twice, i, j, tuple(_PowerOf(x) for x in (A.a, A.b, A.c, A.d)))
+    return _finite(_sum_entry(l.twice, i, j, _entry_powers(A, l.twice)))
 
 
 def sum_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     """The whole matrix by the finite sum, from one table of the powers of
     a, b, c and d."""
     dim = _dim(l)
-    powers = tuple(_powers(x, l.twice) for x in (A.a, A.b, A.c, A.d))
+    powers = _entry_powers(A, l.twice)
     return WignerMatrix(l, [[_sum_entry(l.twice, i, j, powers) for j in range(dim)] for i in range(dim)])
 
 
@@ -249,7 +242,7 @@ def _factorial_ratio_sqrt(p: int, q: int, r: int, s: int) -> float:
     return _sqrt_fraction(factorial(p) * factorial(q), factorial(r) * factorial(s))
 
 
-def _hyp_tables(A: Mat2C, l2: int, powers=_powers) -> tuple:
+def _hyp_tables(A: Mat2C, l2: int) -> tuple:
     # The 2F1 arguments ad/(bc) and (bc - ad)/(bc), then the powers.
     if A.b == 0 or A.c == 0:
         raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
@@ -260,7 +253,7 @@ def _hyp_tables(A: Mat2C, l2: int, powers=_powers) -> tuple:
     z, w = ad / bc, (bc - ad) / bc
     if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise RouteUnavailableError("2F1 route needs ad/(bc) finite; it overflows")
-    return z, w, powers(A.b, l2), powers(A.c, l2), powers(A.d, l2)
+    return z, w, _powers(A.b, l2), _powers(A.c, l2), _powers(A.d, l2)
 
 
 def _hyp_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
@@ -277,37 +270,39 @@ def _hyp_args(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> tuple:
     l2 = l.twice
     if i + j < l2:
         raise RouteUnavailableError("2F1 route needs m + n >= 0")
-    return l2, i, j, _hyp_tables(A, l2, _PowerOf)
+    return l2, i, j, _hyp_tables(A, l2)
 
 
 def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Matrix element as a prefactor times a terminating 2F1 in ad/(bc).
 
     Needs m+n >= 0 and b, c nonzero; outside that the finite-sum or oracle
-    routes apply.
+    routes apply.  Reads hyp_entries' tables: raises where they overflow,
+    never returns inf or NaN.
     """
-    return _hyp_entry(*_hyp_args(l, m, n, A))
+    return _finite(_hyp_entry(*_hyp_args(l, m, n, A)))
 
 
 def hyp_entries(l: HalfInt, A: Mat2C) -> dict:
     """tmn_hyp on its whole index domain m + n >= 0, keyed by (row, column)
-    in row-major order."""
+    in row-major order; raises ValueError if an entry is not finite."""
     l2 = _dim(l) - 1
     tables = _hyp_tables(A, l2)
-    return {(i, j): _hyp_entry(l2, i, j, tables) for i in range(l2 + 1) for j in range(max(0, l2 - i), l2 + 1)}
+    cells = [(i, j) for i in range(l2 + 1) for j in range(max(0, l2 - i), l2 + 1)]
+    return dict(zip(cells, _finite([_hyp_entry(l2, i, j, tables) for i, j in cells])))
 
 
 def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Variant 2F1 form with the symmetric binomial prefactor and argument
-    (bc - ad)/(bc); same domain as tmn_hyp."""
+    (bc - ad)/(bc); same domain, tables and failures as tmn_hyp."""
     l2, i, j, (_, w, b_pow, c_pow, d_pow) = _hyp_args(l, m, n, A)
     lm, ln, mn = l2 - i, l2 - j, i + j - l2
     pref = math.sqrt(comb(l2, lm) * comb(l2, ln))
     series = hyp2f1_complex(-lm, -ln, -l2, min(lm, ln), w)
-    return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
+    return _finite(pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series)
 
 
-def _jacobi_tables(A: Mat2C, l2: int, powers=_powers) -> tuple:
+def _jacobi_tables(A: Mat2C, l2: int) -> tuple:
     # (x, powers of c, d and bc - ad) with the Jacobi argument
     # (bc + ad)/(bc - ad) = 1 + 2x.  In the quadrant, l - m <= l.
     bc = A.b * A.c
@@ -315,7 +310,7 @@ def _jacobi_tables(A: Mat2C, l2: int, powers=_powers) -> tuple:
     if bc == ad:
         raise RouteUnavailableError("Jacobi route needs bc != ad")
     x = ((bc + ad) / (bc - ad) - 1) / 2
-    return x, powers(A.c, l2), powers(A.d, l2), powers(bc - ad, l2 // 2)
+    return x, _powers(A.c, l2), _powers(A.d, l2), _powers(bc - ad, l2 // 2)
 
 
 def _jacobi_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
@@ -332,21 +327,24 @@ def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Matrix element as a Jacobi polynomial in (bc+ad)/(bc-ad).
 
     Needs m+n >= 0 and m-n >= 0 (the other three index triangles are reached
-    through fold_to_quadrant) and bc != ad.
+    through fold_to_quadrant) and bc != ad.  Reads jacobi_entries' tables:
+    raises where they overflow, never returns inf or NaN.
     """
     i, j = _index(l, m), _index(l, n)
     l2 = l.twice
     if i + j < l2 or i < j:
         raise RouteUnavailableError("Jacobi route needs m + n >= 0 and m - n >= 0")
-    return _jacobi_entry(l2, i, j, _jacobi_tables(A, l2, _PowerOf))
+    return _finite(_jacobi_entry(l2, i, j, _jacobi_tables(A, l2)))
 
 
 def jacobi_entries(l: HalfInt, A: Mat2C) -> dict:
     """tmn_jacobi on its whole quadrant m + n >= 0, m - n >= 0, keyed by
-    (row, column) in row-major order."""
+    (row, column) in row-major order; raises ValueError if an entry is not
+    finite."""
     l2 = _dim(l) - 1
     tables = _jacobi_tables(A, l2)
-    return {(i, j): _jacobi_entry(l2, i, j, tables) for i in range(l2 + 1) for j in range(max(0, l2 - i), i + 1)}
+    cells = [(i, j) for i in range(l2 + 1) for j in range(max(0, l2 - i), i + 1)]
+    return dict(zip(cells, _finite([_jacobi_entry(l2, i, j, tables) for i, j in cells])))
 
 
 def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:

@@ -7,7 +7,9 @@ values and half-integer index arithmetic.  The whole-matrix functions, the
 per-entry functions and the `dmat` route path must return the same bytes
 (the same exception type and message where the old code raised) at every
 spin up to l = 6, on group elements from every source the package uses and
-on the edges of each route's domain.
+on the edges of each route's domain.  The one exception: the per-entry forms
+of GL(2, C) elements read the tables of their whole-matrix builders, so they
+raise where the old code returned inf or NaN, and where their builder raises.
 """
 import cmath
 import math
@@ -37,6 +39,8 @@ from wignerkit.wigner import (
     apply_symmetry,
     dmatrix_euler,
     fold_to_quadrant,
+    hyp_entries,
+    jacobi_entries,
     jacobi_matrix,
     krawtchouk_stack,
     rodrigues_stack,
@@ -282,6 +286,8 @@ ELEMENTS = {
     "power_overflow": Mat2C(1e300 + 0j, 1e300 + 0j, 1e300 + 0j, 1e300 + 0j),
     "a_overflow": Mat2C(1e200 + 0j, 0.5 + 0j, 0.3j, 0.5 + 0j),
     "d_overflow": Mat2C(0.5 + 0j, 0.3j, 0.5 + 0j, 1e200 + 0j),
+    # no power up to the square overflows, but ad + bc at l_x2 = 2 does
+    "sum_overflow": Mat2C(1.2e154 + 0j, 1.2e154 + 0j, 1.2e154 + 0j, 1.2e154 + 0j),
     # (bc - ad)**12 overflows; the Jacobi form takes (bc - ad)**(l - m) only
     # up to l - m = l, so below l_x2 = 24 it never computes that power.
     "large_entries": Mat2C(1e14 + 0j, 2e13j, 3e13 + 0j, 1e14 - 1e13j),
@@ -306,10 +312,25 @@ ELEMENT_ROUTES = {
     "tmn_hyp_symmetric": (tmn_hyp_symmetric, old_tmn_hyp_symmetric),
     "tmn_jacobi": (tmn_jacobi, old_tmn_jacobi),
 }
+# The whole-matrix builder of each per-entry form, whose tables it reads.
+BUILDERS = {
+    "tmn_sum": lambda l, A: {ij: complex(v) for ij, v in np.ndenumerate(sum_matrix(l, A).entries)},
+    "tmn_hyp": hyp_entries,
+    "tmn_hyp_symmetric": hyp_entries,
+    "tmn_jacobi": jacobi_entries,
+}
 THETA_ROUTES = {
     "tmn_rodrigues": (tmn_rodrigues, old_tmn_rodrigues),
     "tmn_krawtchouk": (tmn_krawtchouk, old_tmn_krawtchouk),
 }
+
+
+def value_or_none(fn, *args):
+    """What a call returns, or None where it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError):
+        return None
 
 
 @pytest.mark.parametrize("route", sorted(ELEMENT_ROUTES))
@@ -319,9 +340,43 @@ def test_element_route_entries_bit_identical(route, name):
     A = ELEMENTS[name]
     for l_x2 in SPINS:
         l = HalfInt(l_x2)
+        builder_raises = value_or_none(BUILDERS[route], l, A) is None
         for m in spin_range(l):
             for n in spin_range(l):
-                assert outcome(new, l, m, n, A) == outcome(old, l, m, n, A), (l_x2, m, n)
+                got, want = outcome(new, l, m, n, A), outcome(old, l, m, n, A)
+                if got != want:
+                    # Only a refusal may differ: where the old code returned
+                    # inf or NaN, or where the builder raises.
+                    old_value = value_or_none(old, l, m, n, A)
+                    assert issubclass(got[0], Exception), (l_x2, m, n)
+                    old_non_finite = old_value is not None and not cmath.isfinite(old_value)
+                    assert builder_raises or old_non_finite, (l_x2, m, n)
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTS))
+def test_per_entry_forms_are_their_builders_entries(name):
+    # Wherever a builder returns, its per-entry form returns that entry bit for
+    # bit; wherever the builder's tables overflow, the per-entry form raises;
+    # no per-entry form ever returns inf or NaN.
+    A = ELEMENTS[name]
+    for l_x2 in SPINS:
+        l = HalfInt(l_x2)
+        for route, (per_entry, _) in ELEMENT_ROUTES.items():
+            got = {
+                (i, j): value_or_none(per_entry, l, m, n, A)
+                for i, m in enumerate(spin_range(l))
+                for j, n in enumerate(spin_range(l))
+            }
+            assert all(v is None or cmath.isfinite(v) for v in got.values()), (route, l_x2)
+            try:
+                built = BUILDERS[route](l, A)
+            except OverflowError:
+                assert all(v is None for v in got.values()), (route, l_x2)
+                continue
+            except ValueError:
+                continue
+            if route != "tmn_hyp_symmetric":  # hyp_entries holds the other 2F1 form
+                assert {ij: repr(got[ij]) for ij in built} == {ij: repr(v) for ij, v in built.items()}, (route, l_x2)
 
 
 @pytest.mark.parametrize("route", sorted(THETA_ROUTES))

@@ -44,6 +44,10 @@ ELEMENTS = {
     "ad_over_bc_overflows": Mat2C(1 + 0j, 1e-160 + 0j, 1e-160 + 0j, 1 + 0j),
     # b * c overflows, so ad/(bc) is inf/inf
     "power_overflow": Mat2C(1e300 + 0j, 1e300 + 0j, 1e300 + 0j, 1e300 + 0j),
+    # from l_x2 = 4 the 2F1 series in ad/(bc) overflows to NaN, and a^2 overflows
+    "a_overflow": Mat2C(1e200 + 0j, 0.5 + 0j, 0.3j, 0.5 + 0j),
+    # from l_x2 = 2 a power of d overflows
+    "d_overflow": Mat2C(0.5 + 0j, 0.3j, 0.5 + 0j, 1e200 + 0j),
 }
 SPINS = range(9)
 
@@ -201,6 +205,28 @@ def test_2f1_forms_refuse_an_overflowing_ad_over_bc():
     # The oracle is finite there; the 2F1 forms used to sum a series in an
     # infinite ad/(bc) into NaN.
     assert_2f1_forms_refuse("ad_over_bc_overflows", Z_OVERFLOWS)
+
+
+NON_FINITE = "matrix contains non-finite entries"
+
+
+@pytest.mark.parametrize(
+    "route, l_x2, A",
+    [
+        ("hyp", 4, ELEMENTS["a_overflow"]),
+        ("hyp", 12, ELEMENTS["a_overflow"]),
+        # entry (2, 1) is c (bc - ad) = 1e350 times a polynomial, though no power overflows
+        ("jacobi", 3, Mat2C(0.5 + 0j, 1e150 + 0j, 1e100 + 0j, 0.5 + 0j)),
+    ],
+    ids=["hyp-a_overflow-4", "hyp-a_overflow-12", "jacobi-c_times_bc_overflows-3"],
+)
+def test_entries_refuse_a_non_finite_entry(route, l_x2, A):
+    # hyp_entries used to return nan+nanj at (2, 2) of l_x2 = 4 without an
+    # error.  The per-entry form refuses at the first such entry, alike.
+    entries, per_entry, domain = ENTRY_ROUTES[route]
+    l = HalfInt(l_x2)
+    assert entries_outcome(entries, l, A) == (ValueError, NON_FINITE)
+    assert per_entry_outcome(per_entry, l, A, domain(l_x2)) == (ValueError, NON_FINITE)
 
 
 def test_entries_refuse_a_negative_spin():
