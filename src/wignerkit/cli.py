@@ -1,10 +1,12 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "1"; complex numbers as [re, im] pairs;
+Output contract: schema_version "2"; complex numbers as [re, im] pairs;
 matrices row-major in the fixed index convention (row i is m = -l + i);
 spins as twice-values under keys suffixed "_x2".  For fixed inputs and seed
-the output is byte-identical across runs.
+the output is byte-identical across runs; only the Schur reduction (schur,
+all) makes a BLAS product, so only its bytes depend on the BLAS kernel and
+thread count.  Version 2: the oracle's values changed in their last bits.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 numeric domain error (a ValueError or an ArithmeticError).
@@ -28,7 +30,7 @@ from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, Wign
 
 log = logging.getLogger("wignerkit")
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 # dmat's routes are wigner's two route tables plus "auto", which takes the
 # oracle; an unavailable route falls back to the oracle too.
 ROUTES = (*ELEMENT_ROUTES, *ROTATION_ROUTES, "auto")

@@ -2,8 +2,9 @@
 SU(2), computed by several independent routes.
 
 The canonical route expands the image of each basis monomial as an explicit
-homogeneous polynomial (exact binomial convolutions); it works for every
-group element and every spin and serves as the oracle for everything else.
+homogeneous polynomial (exact binomials, products summed by shifted adds);
+it works for every group element and every spin and serves as the oracle
+for everything else.
 The closed-form routes (finite sum, terminating 2F1, Jacobi, Rodrigues-type
 derivative, Krawtchouk) are faster on their domains but each has a singular
 parameter set, on which they raise RouteUnavailableError instead of guessing
@@ -20,11 +21,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 
-from .exactcomb import HalfInt, binomial, check_spin_pair
+from .exactcomb import HalfInt, check_spin_pair
 from .group import EulerAngles, Mat2C
 from .specfun import (
     _binom_power_coeffs,
@@ -97,7 +99,7 @@ def _dim(l: HalfInt) -> int:
 
 def _finite(values):
     # The check every route makes: one value, a list or an array, all finite.
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("matrix contains non-finite entries")
     return values
 
@@ -111,79 +113,66 @@ def _entry_powers(A: Mat2C, l2: int) -> tuple:
     return tuple(_powers(x, l2) for x in (A.a, A.b, A.c, A.d))
 
 
-def _expansion_tables(A: Mat2C, l2: int) -> tuple:
-    """What the column expansions of one matrix of spin l2/2 read: the powers
-    x^e of a, b, c and d for e <= l2 and the binomial rows C(r, k), r <= l2."""
-    rows = [[1]]
-    for _ in range(l2):
-        prev = rows[-1]
-        rows.append([1, *[x + y for x, y in zip(prev, prev[1:])], 1])
-    return _entry_powers(A, l2), rows
+@lru_cache(maxsize=32)  # a plan holds 48 (l2 + 1)^2 bytes, 7.7 MB at l2 = 400
+def _expansion_plan(l2: int) -> tuple:
+    """The tables the expansion of spin l2/2 reads, by (term k, column j).
 
-
-def _column_expansion(p: int, q: int, tables: tuple) -> np.ndarray:
-    """sqrt(C(p+q, p)) (a z1 + c z2)^p (b z1 + d z2)^q, expanded: entry k
-    multiplies z1^(p+q-k) z2^k."""
-    (a_pow, b_pow, c_pow, d_pow), rows = tables
-    left = np.array([rows[p][k] * a_pow[p - k] * c_pow[k] for k in range(p + 1)], dtype=complex)
-    right = np.array([rows[q][k] * b_pow[q - k] * d_pow[k] for k in range(q + 1)], dtype=complex)
-    return math.sqrt(binomial(p + q, p)) * np.convolve(left, right)
-
-
-def _row_norm(l2: int) -> np.ndarray:
-    # Row m sits at z2-degree i = l + m; its basis normalization is C(2l, l-m).
-    return np.array([math.sqrt(binomial(l2, l2 - i)) for i in range(l2 + 1)])
-
-
-def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
-    """Brute-force matrix of t(A): column n is read off the expanded image
-    sqrt(C(2l, l-n)) (a z1 + c z2)^(l-n) (b z1 + d z2)^(l+n) of basis monomial
-    n.  This is the reference implementation every closed-form route is tested
-    against; it has no singular parameter set."""
-    dim = _dim(l)
-    tables = _expansion_tables(A, l.twice)
-    row_norm = _row_norm(l.twice)
-    entries = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):  # column n = -l + j: p = l - n, q = l + n
-        entries[:, j] = _column_expansion(l.twice - j, j, tables) / row_norm
-    return WignerMatrix(l, entries)
-
-
-def _binomial_row(n: int) -> np.ndarray:
-    return np.array([binomial(n, k) for k in range(n + 1)], dtype=float)
+    Column j expands (a z1 + c z2)^(l2-j) (b z1 + d z2)^j.  For its shorter
+    and its longer factor (x z1 + y z2)^e: the binomials C(e, k), floats of
+    exact Pascal rows and 0 past the degree, and where x^(e-k) and y^k sit in
+    the flat power table [a^0..a^l2, b^0.., c^0.., d^0..] (x^0 y^0 past the
+    degree).  Then the norms sqrt(C(l2, k)) that scale column k and divide row k.
+    """
+    dim = l2 + 1
+    binom, row = np.zeros((dim, dim)), [1]
+    for r in range(dim):
+        binom[r, : r + 1] = row
+        row = [1, *[x + y for x, y in zip(row, row[1:])], 1]
+    k, j = np.ogrid[:dim, :dim]
+    ac_short = 2 * j >= l2  # the (a, c) factor is the shorter one when l2 - j <= j
+    e = np.array([np.minimum(l2 - j, j), np.maximum(l2 - j, j)])  # degrees, shorter factor first
+    x = np.array([np.where(ac_short, 0, dim), np.where(ac_short, dim, 0)])  # x: a at 0, b at dim; y: 2 dim on
+    tables = binom[e, k], x + np.maximum(e - k, 0), x + 2 * dim + k * (k <= e)
+    # the shorter factor has at most l2 // 2 + 1 terms
+    return [t[0, : l2 // 2 + 1] for t in tables], [t[1] for t in tables], np.sqrt(binom[l2])
 
 
 def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
-    """oracle_matrix at N elements at once, shape (N, 2l+1, 2l+1).
+    """The matrices of t at N elements, shape (N, 2l+1, 2l+1).
 
-    a, b, c, d are (N,) arrays holding the entries of the N elements.  Each
-    column is the same exact-binomial expansion as in oracle_matrix, done on
-    tables of the entries' powers, with the convolution written as shifted
-    adds.  The loops run over the spin's indices, never over the elements.
+    a, b, c, d are (N,) arrays of the elements' entries.  Column n of t(A) is
+    read off the expanded image sqrt(C(2l, l-n)) (a z1 + c z2)^(l-n)
+    (b z1 + d z2)^(l+n) of basis monomial n, the products of the two factors
+    summed by shifted adds, one step per term of the shorter factor.  This is
+    the reference every closed-form route is tested against; it has no
+    singular parameter set.  Raises OverflowError where a power of a finite
+    entry overflows.
     """
     dim = _dim(l)
-    entries = [np.asarray(x, dtype=complex) for x in (a, b, c, d)]
-    if any(x.ndim != 1 or x.shape != entries[0].shape for x in entries):
+    entries = np.array([a, b, c, d], dtype=complex)  # ValueError if they differ in shape
+    if entries.ndim != 2:
         raise ValueError("expected four (N,) arrays of one length N")
-    # power tables x_pow[:, e] = x^e for e <= 2l, with 0^0 = 1
-    a_pow, b_pow, c_pow, d_pow = (
-        np.cumprod(np.column_stack([np.ones_like(x)] + [x] * l.twice), axis=1) for x in entries
-    )
-    row_norm = _row_norm(l.twice)
-    stack = np.zeros((len(entries[0]), dim, dim), dtype=complex)
-    for j in range(dim):
-        # column n = -l + j: (a z1 + c z2)^p (b z1 + d z2)^q with p = l - n, q = l + n
-        p, q = l.twice - j, j
-        left = _binomial_row(p) * a_pow[:, p::-1] * c_pow[:, : p + 1]
-        right = _binomial_row(q) * b_pow[:, q::-1] * d_pow[:, : q + 1]
-        if p > q:  # shift the shorter factor
-            left, right = right, left
-        column = stack[:, :, j]
-        for k in range(left.shape[1]):
-            column[:, k : k + right.shape[1]] += left[:, k : k + 1] * right
-        column *= math.sqrt(binomial(l.twice, p))
-        column /= row_norm
-    return _finite(stack)
+    powers = np.ones((entries.shape[1], 4, dim), dtype=complex)  # x^e by a running product, 0^0 = 1
+    powers[:, :, 1:] = entries.T[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.cumprod(powers, axis=2)
+    if not np.isfinite(powers).all() and np.isfinite(entries).all():
+        raise OverflowError("a power of a matrix entry overflows")
+    flat = powers.reshape(-1, 4 * dim)
+    (s_coef, s_x, s_y), (l_coef, l_x, l_y), norm = _expansion_plan(l.twice)
+    short = s_coef * flat[:, s_x] * flat[:, s_y]  # (N, term k, column j)
+    long = l_coef * flat[:, l_x] * flat[:, l_y]
+    out = np.zeros((len(flat), dim, dim), dtype=complex)
+    for k in range(l.twice // 2 + 1):  # term k of the shorter factor lands on rows k and up
+        out[:, k:, k : dim - k] += short[:, k, None, k : dim - k] * long[:, : dim - k, k : dim - k]
+    out *= norm
+    out /= norm[:, None]
+    return _finite(out)
+
+
+def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
+    """The matrix of t(A): oracle_stack at the one element A."""
+    return WignerMatrix(l, oracle_stack(l, [A.a], [A.b], [A.c], [A.d])[0])
 
 
 # Every closed-form route below is written as one entry kernel on plain
@@ -260,7 +249,10 @@ def _hyp_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
     # Needs m + n >= 0 (i + j >= l2).
     z, _, b_pow, c_pow, d_pow = tables
     lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    pref = _factorial_ratio_sqrt(i, j, lm, ln)
+    try:
+        pref = _factorial_ratio_sqrt(i, j, lm, ln)
+    except OverflowError:
+        raise RouteUnavailableError("2F1 route's prefactor sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!)) overflows") from None
     series = hyp2f1_complex(-lm, -ln, mn + 1, min(lm, ln), z)
     return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] / factorial(mn) * series
 

@@ -35,7 +35,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "1"
+        assert rec["schema_version"] == "2"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -185,13 +185,13 @@ FINITE = st.one_of(
 )
 DMAT_RECORDS = [
     {
-        "schema_version": "1",
+        "schema_version": "2",
         "command": "dmat",
         "inputs": {"l_x2": 0, "source": "euler", "theta": 0.7, "phi": 1.2, "psi": 0.3, "route": "auto"},
         "result": {"l_x2": 0, "dim": 1, "route_used": "oracle"},
     },
     {
-        "schema_version": "1",
+        "schema_version": "2",
         "command": "dmat",
         "inputs": {"l_x2": 0, "source": "matrix", "matrix": [0.9, 0.1, -0.2, 0.3, 0.5, -0.1, 0.8, 0.2], "route": "sum"},
         "result": {"l_x2": 0, "dim": 1, "route_used": "oracle"},

@@ -2,12 +2,17 @@
 
 Each file under tests/golden/ holds the stdout of one command.  A change to
 how any number is computed must leave these bytes alone; a deliberate output
-change replaces the files and bumps the schema version.  The Schur check's
-last digits can depend on the BLAS thread count; the pinned verify commands
-stay at spins small enough that their output was the same with one BLAS
-thread and with the default thread count.
+change replaces the files and bumps the schema version.  Only the Schur
+reduction makes a BLAS product, so only its last digits can depend on the BLAS kernel
+and thread count; the pinned verify commands that run it stay at spins small
+enough that their output was the same with one BLAS thread and with the
+default thread count.
 """
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ import pytest
 from wignerkit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 COMMANDS = {
     "verify_all_0": ["verify", "--suite", "all", "--max-l-x2", "0", "--seed", "0"],
@@ -50,23 +56,23 @@ EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
     "dmat_oracle_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "61aaf68b95efc714c97b726324c397e956b5952ddba42e4bb0a1a523db92de18",
+        "ee66be0540bd9641487fc63448f956bb5eb1e03423367839d76dbd247a5749f6",
     ),
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "5900ee963b64b1117527cfc52efbac4da3e50046f241ba439d3b0c2b37414836",
+        "1d5680eb5c7b2e80e3b4a632859e2a18427a8705313f5e60aa11af3f71285e83",
     ),
     "dmat_oracle_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "17101899459eeca907a813f669f80a2006a526f09d16395341a84f4257f68316",
+        "43eb02a51a2ad73b919244945d6d16e29badcf9c94c9da12b815553c5517b87b",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "3c44fe79b7235012fbb29a4077ab63b58e1d878a7916d64785a0760cf3e8c992",
+        "c5b732ba989be455b16dd4575f041f318bd5a3c1fe57c3a280da01a075f6ae6d",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
-        "67cd3393356e9435d4b7d135ca3b8fc04c85a71724e74ba2574bbe4fcda41f1b",
+        "008886f750934bc2d0c608395bdf1262b0c87e001eacc9876c519a0246ddb26c",
     ),
     "dmat_krawtchouk_40_csv": (
         ["dmat", "--l-x2", "40", "--theta", "0.7", "--route", "krawtchouk", "--format", "csv"],
@@ -97,15 +103,16 @@ def test_large_stdout_is_byte_identical(name, capsys):
 
 
 # Every verify suite that runs no Haar grid, at --max-l-x2 6 with seed 0,
-# pinned by the sha256 of its stdout.  Each gave the same bytes with one BLAS
-# thread and with the default thread count; schur, character and all do not.
+# pinned by the sha256 of its stdout.  None makes a BLAS product, so the bytes
+# do not depend on the BLAS kernel or thread count; schur and all, which run
+# the Schur reduction, do.
 VERIFY_HASHED = {
-    "routes": "1b8f29856f7962155944fd842b4e3f59f2e6471c660ffdc48dc4f97b1861a6ce",
-    "unitarity": "c6a7957a5dfb1b4b7fb17d7c19ed7c5bd1aa20161709479dd9f9c65b25607b76",
-    "homomorphism": "df9c24ed690e0f3736e72426ff8a36725c38edff8ab56df716ce2c6396a191e4",
-    "jacobi-orth": "ba798099a44bdbfc5c9d5904f3403add6a59f772ce90122cbbd01db94f7b337b",
-    "legendre": "be8006139f5d1b6892c9425e0bce98c38af0073ef9584f18c222b45c26e5b9fd",
-    "krawtchouk-sym": "a61b60859a2ab671781a4026dfad5b96e4175c3f64e6e282481c2acd87895bdf",
+    "routes": "0749aab73c89e724aa30efca7f707873b768f1d887d1c30cf0319a0e53835711",
+    "unitarity": "187a3075cb2ed7b9bbd6907ff35875ee323e994afa1477e3900004c99e70b68c",
+    "homomorphism": "1df2826b50232f0ffe7ff4e7215d0d22300ab758f7dcc1511ceb89b66d776d33",
+    "jacobi-orth": "351562471724d33673e3d70db9f2cfeec53a0e623672bed3648ba9e61db663cd",
+    "legendre": "55d793ab19dd29f10193e12809c9949011ee13538c2d5f466172c28b90fa2544",
+    "krawtchouk-sym": "dfddbca9d60a7fa8f1d4b7ba4c8af97c37b22a94908e861fbb5546b511b6773f",
 }
 
 
@@ -113,3 +120,38 @@ VERIFY_HASHED = {
 def test_verify_suite_stdout_is_byte_identical(suite, capsys):
     assert main(["verify", "--suite", suite, "--max-l-x2", "6", "--seed", "0"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_HASHED[suite]
+
+
+# Commands that call no BLAS, run under other OpenBLAS kernels, must print
+# the bytes pinned above.  OPENBLAS_CORETYPE names the kernel; OpenBLAS reads
+# it when numpy loads, so each kernel gets a fresh interpreter.  An OpenBLAS
+# built without DYNAMIC_ARCH ignores the variable and runs its one kernel.
+OTHER_KERNELS = ("Haswell", "Zen")
+KERNEL_PINS = [
+    (COMMANDS["dmat_oracle_euler_20"], hashlib.sha256((GOLDEN / "dmat_oracle_euler_20.out").read_bytes()).hexdigest()),
+    HASHED["dmat_oracle_euler_200"],
+    *(
+        (["verify", "--suite", suite, "--max-l-x2", "6", "--seed", "0"], VERIFY_HASHED[suite])
+        for suite in ("routes", "unitarity", "homomorphism", "legendre")
+    ),
+]
+# Runs each argv list of argv[1] (JSON) and prints its exit code and the
+# sha256 of its stdout, one line each.
+RUN_AND_HASH = """
+import contextlib, hashlib, io, json, sys
+from wignerkit.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("kernel", OTHER_KERNELS)
+def test_stdout_is_the_same_on_other_blas_kernels(kernel):
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": str(SRC)}
+    argvs = json.dumps([argv for argv, _ in KERNEL_PINS])
+    run = subprocess.run([sys.executable, "-c", RUN_AND_HASH, argvs], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:-1] == [f"0 {digest}" for _, digest in KERNEL_PINS]

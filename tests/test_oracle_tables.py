@@ -1,11 +1,15 @@
-"""The oracle built from per-matrix power and binomial tables, held bit for
-bit to the per-column expansion it replaced.
+"""The oracle's one builder, held to the two builders it replaced.
 
-The reference functions below are copies of the earlier implementation, which
-recomputed every power x**e and every binomial for each column.  The new code
-must return the same bytes (the same exception type where the old code
-raised) on group elements from every source the package uses, on elements
-with a zero off-diagonal entry and on elements whose expansion overflows.
+The reference functions below are copies of earlier implementations.
+old_oracle_matrix expanded one column at a time with np.convolve and took
+every power as x**e; the builder that replaced it takes the powers as a
+running product, so its values differ from the copy's in their last bits.
+They are held to the copy's outcome type (the same exception type where it
+raised) and, entrywise, to the rounding bound of the expansion.
+old_oracle_stack is the batched builder as it was, one shifted add per term
+and column; the builder must return its bytes, at one element and on a Haar
+grid.  The elements come from every source the package uses, plus elements
+with a zero off-diagonal entry and elements whose expansion overflows.
 """
 import cmath
 import math
@@ -15,11 +19,14 @@ import pytest
 
 from wignerkit.exactcomb import HalfInt, binomial, check_spin_pair, spin_range
 from wignerkit.group import EulerAngles, Mat2C, from_euler
+from wignerkit.haar import build_grid
 from wignerkit.verify import sample_gl2
-from wignerkit.wigner import WignerMatrix, oracle_matrix
+from wignerkit.wigner import WignerMatrix, oracle_matrix, oracle_stack
 
 # The overflowing elements make numpy warn on both sides; that is expected.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+EPS = float(np.finfo(float).eps)
 
 
 def old_transformed_basis_vector(l, n, A):
@@ -40,12 +47,43 @@ def old_oracle_matrix(l, A):
     return WignerMatrix(l, entries)
 
 
+def old_oracle_stack(l, a, b, c, d):
+    if l.twice < 0:
+        raise ValueError(f"negative spin l={l}")
+    dim = l.twice + 1
+    entries = [np.asarray(x, dtype=complex) for x in (a, b, c, d)]
+    a_pow, b_pow, c_pow, d_pow = (
+        np.cumprod(np.column_stack([np.ones_like(x)] + [x] * l.twice), axis=1) for x in entries
+    )
+    row_norm = np.array([math.sqrt(binomial(l.twice, l.twice - i)) for i in range(dim)])
+    stack = np.zeros((len(entries[0]), dim, dim), dtype=complex)
+    for j in range(dim):
+        p, q = l.twice - j, j
+        left = np.array([binomial(p, k) for k in range(p + 1)], dtype=float) * a_pow[:, p::-1] * c_pow[:, : p + 1]
+        right = np.array([binomial(q, k) for k in range(q + 1)], dtype=float) * b_pow[:, q::-1] * d_pow[:, : q + 1]
+        if p > q:  # shift the shorter factor
+            left, right = right, left
+        column = stack[:, :, j]
+        for k in range(left.shape[1]):
+            column[:, k : k + right.shape[1]] += left[:, k : k + 1] * right
+        column *= math.sqrt(binomial(l.twice, p))
+        column /= row_norm
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix contains non-finite entries")
+    return stack
+
+
 def outcome(fn, *args):
+    # The value of a call, or the type of the exception it raised.
     try:
         value = fn(*args)
     except (ValueError, ArithmeticError) as exc:
         return type(exc)
-    return (value.entries if isinstance(value, WignerMatrix) else value).tobytes()
+    return value.entries if isinstance(value, WignerMatrix) else value
+
+
+def at_one_element(builder, l, A):
+    return builder(l, [A.a], [A.b], [A.c], [A.d])
 
 
 EULER = [
@@ -72,13 +110,49 @@ SPINS = [-2, -1, *range(41), 120]
 
 @pytest.mark.parametrize("name", sorted(ELEMENTS))
 def test_oracle_matrix_bit_identical(name):
+    # Same outcome type as the per-column expansion; values within its
+    # rounding bound, 8 (2l + 1) eps times the sum of the moduli of the terms.
+    A = ELEMENTS[name]
+    moduli = Mat2C(*(abs(x) + 0j for x in (A.a, A.b, A.c, A.d)))
+    for l_x2 in SPINS:
+        l = HalfInt(l_x2)
+        new, old = outcome(oracle_matrix, l, A), outcome(old_oracle_matrix, l, A)
+        assert isinstance(new, type) == isinstance(old, type), l_x2
+        if isinstance(old, type):
+            assert new is old, l_x2
+            continue
+        scale = old_oracle_matrix(l, moduli).entries.real
+        assert np.all(np.abs(new - old) <= 8 * (l_x2 + 1) * EPS * scale), l_x2
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTS))
+def test_oracle_stack_bit_identical_at_one_element(name):
+    # The copy gives a non-finite stack where a power overflows; the builder
+    # raises there too, as an OverflowError.
     A = ELEMENTS[name]
     for l_x2 in SPINS:
         l = HalfInt(l_x2)
-        assert outcome(oracle_matrix, l, A) == outcome(old_oracle_matrix, l, A), l_x2
+        new, old = outcome(at_one_element, oracle_stack, l, A), outcome(at_one_element, old_oracle_stack, l, A)
+        if isinstance(old, type):
+            assert new in (old, OverflowError), l_x2
+        else:
+            assert not isinstance(new, type), l_x2
+            assert new.tobytes() == old.tobytes(), l_x2
+            assert oracle_matrix(l, A).entries.tobytes() == new[0].tobytes(), l_x2
+
+
+def test_oracle_stack_bit_identical_on_a_haar_grid():
+    grid = build_grid(HalfInt(6))
+    st, ct = np.sin(grid.thetas), np.cos(grid.thetas)
+    ephi, epsi = np.exp(1j * grid.phis), np.exp(1j * grid.psis)
+    nodes = (st * ephi, -ct / epsi, ct * epsi, st / ephi)
+    for l_x2 in range(7):
+        l = HalfInt(l_x2)
+        stack = grid.matrices(l)
+        assert stack.flags.c_contiguous
+        assert stack.tobytes() == old_oracle_stack(l, *nodes).tobytes(), l_x2
 
 
 def test_overflow_elements_raise():
     assert outcome(oracle_matrix, HalfInt(3), ELEMENTS["power_overflow"]) is OverflowError
     assert outcome(oracle_matrix, HalfInt(2), ELEMENTS["product_overflow"]) is ValueError
-

@@ -207,6 +207,22 @@ def test_2f1_forms_refuse_an_overflowing_ad_over_bc():
     assert_2f1_forms_refuse("ad_over_bc_overflows", Z_OVERFLOWS)
 
 
+PREFACTOR_OVERFLOWS = "2F1 route's prefactor sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!)) overflows"
+
+
+def test_2f1_route_refuses_an_overflowing_prefactor():
+    # At m = n = l the prefactor is (2l)!, a float up to l_x2 = 98 and past
+    # the largest float at 99; it used to raise a bare OverflowError.
+    A = from_euler(EulerAngles(0.7, 1.2, 0.3))
+    corner = HalfInt(98), HalfInt(98), HalfInt(98)
+    assert len(hyp_entries(HalfInt(98), A)) == 99 * 100 // 2
+    assert np.isfinite(tmn_hyp(*corner, A))
+    for call in (lambda: hyp_entries(HalfInt(99), A), lambda: tmn_hyp(HalfInt(99), HalfInt(99), HalfInt(99), A)):
+        with pytest.raises(RouteUnavailableError) as info:
+            call()
+        assert str(info.value) == PREFACTOR_OVERFLOWS
+
+
 NON_FINITE = "matrix contains non-finite entries"
 
 

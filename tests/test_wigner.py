@@ -132,7 +132,8 @@ class TestOracleMatrix:
 
 
 class TestOracleStack:
-    """The batched expansion against the single-element oracle it vectorizes."""
+    """The expansion of a batch of elements against the same expansion at
+    each element alone."""
 
     @staticmethod
     def assert_matches(stack, elements, l):
