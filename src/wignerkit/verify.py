@@ -4,6 +4,7 @@ Each suite runs a family of seeded numerical checks and reports the worst
 deviation per check against a pinned tolerance.  Reports are plain dicts so
 the CLI can serialize them as-is; nothing time- or environment-dependent goes
 into a report, which keeps the output byte-reproducible for a fixed seed.
+Each set of oracle references is one oracle_stack call per spin.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .wigner import (
     dmatrix_euler,
     hyp_entries,
     jacobi_entries,
-    oracle_matrix,
+    oracle_stack,
     sum_matrix,
 )
 
@@ -45,9 +46,19 @@ def max_norm(entries) -> float:
     return float(np.max(np.abs(entries)))
 
 
-def _product(X, Y) -> np.ndarray:
-    # X @ Y with no BLAS call, each entry summed in one fixed order on contiguous copies.
-    return (np.ascontiguousarray(X)[:, :, None] * np.ascontiguousarray(Y)[None, :, :]).sum(axis=1)
+def _norms(S) -> np.ndarray:
+    # max_norm of each matrix of a stack
+    return np.max(np.abs(S), axis=(1, 2))
+
+
+def _products(X, Y) -> np.ndarray:
+    # The product X[s] Y[s] of each pair, no BLAS call, each entry summed in one fixed order on contiguous copies.
+    return (np.ascontiguousarray(X)[:, :, :, None] * np.ascontiguousarray(Y)[:, None, :, :]).sum(axis=2)
+
+
+def _stack(l: HalfInt, elements) -> np.ndarray:
+    # The oracle matrices of t^l at the elements, shape (len(elements), 2l+1, 2l+1).
+    return oracle_stack(l, *([getattr(A, x) for A in elements] for x in "abcd"))
 
 
 def sample_gl2(seed: int, count: int, min_det: float = 1e-2) -> list[Mat2C]:
@@ -128,7 +139,8 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
     def references(elements, form):
         # Per spin, (form(entries), max-norm) of the oracle at each element:
         # each reference is built once and shared by every route against it.
-        return [[(form(T), max_norm(T)) for T in (oracle_matrix(l, A).entries for A in elements)] for l in spins]
+        stacks = (_stack(l, elements) for l in spins)
+        return [[(form(T), scale) for T, scale in zip(S, _norms(S).tolist())] for S in stacks]
 
     at_samples = references(samples, lambda T: T.tolist())
     at_triples = references([from_euler(angles) for angles in triples], lambda T: T)
@@ -177,23 +189,20 @@ def suite_unitarity(max_l: HalfInt, seed: int) -> dict:
 
     def deviations():
         for l in spins_up_to(max_l):
-            eye = np.eye(l.twice + 1)
-            for g in samples:
-                T = oracle_matrix(l, g).entries
-                yield max_norm(_product(T, T.conj().T) - eye)
+            S = _stack(l, samples)
+            yield from _norms(_products(S, S.conj().transpose(0, 2, 1)) - np.eye(l.twice + 1)).tolist()
 
     return {"suite": "unitarity", "checks": [_check("t(g) t(g)* = I on SU(2)", deviations(), 1e-10)]}
 
 
 def suite_homomorphism(max_l: HalfInt, seed: int) -> dict:
     samples = sample_haar(seed, 100)
-    products = [(A, B, multiply(A, B)) for A, B in zip(samples[:50], samples[50:])]
+    products = [multiply(A, B) for A, B in zip(samples[:50], samples[50:])]
 
     def deviations():
         for l in spins_up_to(max_l):
-            for A, B, AB in products:
-                expected = _product(oracle_matrix(l, A).entries, oracle_matrix(l, B).entries)
-                yield max_norm(oracle_matrix(l, AB).entries - expected) / max_norm(expected)
+            expected = _products(_stack(l, samples[:50]), _stack(l, samples[50:]))
+            yield from (_norms(_stack(l, products) - expected) / _norms(expected)).tolist()
 
     return {"suite": "homomorphism", "checks": [_check("t(AB) = t(A) t(B)", deviations(), 1e-9)]}
 
@@ -252,12 +261,9 @@ def suite_jacobi_orth(max_l: HalfInt) -> dict:
 def suite_legendre(seed: int) -> dict:
     matrices = sample_unimodular(seed, 20)
     central = (
-        _relative(
-            jacobi_complex(JacobiParams(0, 0, l), 2 * A.a * A.d - 1),
-            oracle_matrix(HalfInt(2 * l), A).entry(HalfInt(0), HalfInt(0)),
-        )
+        _relative(jacobi_complex(JacobiParams(0, 0, l), 2 * A.a * A.d - 1), center)
         for l in range(7)
-        for A in matrices
+        for A, center in zip(matrices, _stack(HalfInt(2 * l), matrices)[:, l, l].tolist())
     )
     rng = np.random.default_rng(seed + 1)
     angles = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
@@ -298,15 +304,15 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
 
     def index_symmetries():
         # one deviation per entry of each symmetry image
-        for l2, A in product(range(1, 5), samples):
+        for l2 in range(1, 5):
             l = HalfInt(l2)
-            scale = max_norm(oracle_matrix(l, A).entries)
-            values = sum_matrix(l, A).entries.tolist()
-            for index_map, element_map in SYMMETRIES.values():
-                images = sum_matrix(l, element_map(A)).entries.tolist()
-                for i, j in product(range(l2 + 1), repeat=2):
-                    i2, j2 = index_map(l2, i, j)
-                    yield abs(values[i][j] - images[i2][j2]) / scale
+            for A, scale in zip(samples, _norms(_stack(l, samples)).tolist()):
+                values = sum_matrix(l, A).entries.tolist()
+                for index_map, element_map in SYMMETRIES.values():
+                    images = sum_matrix(l, element_map(A)).entries.tolist()
+                    for i, j in product(range(l2 + 1), repeat=2):
+                        i2, j2 = index_map(l2, i, j)
+                        yield abs(values[i][j] - images[i2][j2]) / scale
 
     def jacobi_reflection():
         xs = np.linspace(-1, 1, 21)
@@ -319,26 +325,25 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
         _relative(hyp2f1(-n, b, c, z), (1 - z) ** n * hyp2f1(-n, c - b, c, z / (z - 1)))
         for n, b, c, z in product(range(9), (0.5, 2.0), (1.5, 3.0), (-0.7, -0.2, 0.3))
     )
+    # each Pochhammer prefactor is computed once and used at both x
     flip_one = (
-        _relative(
-            hyp2f1(-n, b, c, x),
-            float(pochhammer(c - b, n) / pochhammer(c, n)) * hyp2f1(-n, b, b - c - n + 1, 1 - x),
-        )
-        for n, b, c, x in product(range(7), (0.5, 2.0), (1.5, 4.0), (0.2, 0.8))
+        _relative(hyp2f1(-n, b, c, x), pref * hyp2f1(-n, b, b - c - n + 1, 1 - x))
+        for n, b, c in product(range(7), (0.5, 2.0), (1.5, 4.0))
+        for pref in [float(pochhammer(c - b, n) / pochhammer(c, n))]
+        for x in (0.2, 0.8)
     )
     flip_two = (
-        _relative(
-            hyp2f1(-n, -m, c, x),
-            float(pochhammer(c, m + n) / (pochhammer(c, n) * pochhammer(c, m)))
-            * hyp2f1(-n, -m, -c - n - m + 1, 1 - x),
-        )
-        for n, m, c, x in product(range(7), range(7), (1.5, 4.0), (0.2, 0.8))
+        _relative(hyp2f1(-n, -m, c, x), pref * hyp2f1(-n, -m, -c - n - m + 1, 1 - x))
+        for n, m, c in product(range(7), range(7), (1.5, 4.0))
+        for pref in [float(pochhammer(c, m + n) / (pochhammer(c, n) * pochhammer(c, m)))]
+        for x in (0.2, 0.8)
     )
 
     def rotations():
-        for l, theta in product(spins_up_to(HalfInt(6)), (math.pi / 6, math.pi / 3)):
-            T = oracle_matrix(l, from_euler(EulerAngles(theta, 0.0, 0.0))).entries
-            yield max_norm(_product(T, T.T) - np.eye(l.twice + 1))
+        elements = [from_euler(EulerAngles(theta, 0.0, 0.0)) for theta in (math.pi / 6, math.pi / 3)]
+        for l in spins_up_to(HalfInt(6)):
+            S = _stack(l, elements)
+            yield from _norms(_products(S, S.transpose(0, 2, 1)) - np.eye(l.twice + 1)).tolist()
 
     checks = [
         _check("index symmetries", index_symmetries(), 1e-10),

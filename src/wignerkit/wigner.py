@@ -436,20 +436,24 @@ def _rodrigues_chart(theta: float) -> tuple:
     return sin_t, cos_t, _cos2_exact(theta, sin_t, cos_t).as_integer_ratio()
 
 
-def _rodrigues_entries(l2: int, i: int, j: int, charts: list) -> list[float]:
-    # The entry at each chart (sin theta, cos theta, cos 2 theta as an
-    # integer ratio); the derivative is expanded once for all of them.
-    lm, ln, mn, mmn = l2 - i, l2 - j, i + j - l2, i - j
-    deriv = _poly_derivative(_poly_mul(_binom_power_coeffs(-1, j), _binom_power_coeffs(+1, ln)), lm)
-    pref = _sqrt_fraction(factorial(i), factorial(lm) * factorial(j) * factorial(ln)) * 2.0 ** (-i)
+def _rodrigues_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
+    # Entry (i, j) for each i of rows at each chart (sin theta, cos theta,
+    # cos 2 theta as an integer ratio); the column's product is expanded
+    # once, and each row's derivative of it once for all the charts.
+    ln = l2 - j
+    column = _poly_mul(_binom_power_coeffs(-1, j), _binom_power_coeffs(+1, ln))
     out = []
-    for sin_t, cos_t, cos2 in charts:
+    for i in rows:
+        lm, mn, mmn = l2 - i, i + j - l2, i - j
+        deriv = _poly_derivative(column, lm)
+        pref = _sqrt_fraction(factorial(i), factorial(lm) * factorial(j) * factorial(ln)) * 2.0 ** (-i)
         # Exact Horner: the expanded derivative cancels almost completely near
         # the interval ends (its value carries the surviving power of 1 -+ s),
         # and a floating-point evaluation there would be wiped out by the
         # negative sin/cos powers of the prefactor.
-        value = _exact_series(deriv, 1, cos2)
-        out.append(pref * sin_t ** (-mn) * cos_t ** (-mmn) * value)
+        out.append(
+            [pref * sin_t ** (-mn) * cos_t ** (-mmn) * _exact_series(deriv, 1, cos2) for sin_t, cos_t, cos2 in charts]
+        )
     return out
 
 
@@ -462,20 +466,20 @@ def tmn_rodrigues(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
     so theta must lie strictly inside (0, pi/2).
     """
     i, j = _index(l, m), _index(l, n)
-    return _rodrigues_entries(l.twice, i, j, [_rodrigues_chart(theta)])[0]
+    return _rodrigues_entries(l.twice, j, [i], [_rodrigues_chart(theta)])[0][0]
 
 
 def _entry_stack(l: HalfInt, charts: list, entries) -> np.ndarray:
     # The stack of every entry at each chart, shape (len(charts), 2l+1, 2l+1);
-    # entries(l2, i, j, charts) lists the values of entry (i, j) per chart.
+    # entries(l2, j, rows, charts) lists, for each row i, entry (i, j) per chart.
     dim = l.twice + 1
-    values = [entries(l.twice, i, j, charts) for i in range(dim) for j in range(dim)]
-    return np.ascontiguousarray(np.array(values, dtype=float).reshape(dim, dim, len(charts)).transpose(2, 0, 1))
+    values = [entries(l.twice, j, range(dim), charts) for j in range(dim)]
+    return np.ascontiguousarray(np.array(values, dtype=float).reshape(dim, dim, len(charts)).transpose(2, 1, 0))
 
 
 def rodrigues_stack(l: HalfInt, thetas) -> np.ndarray:
     """tmn_rodrigues for every (m, n) at each of the thetas, shape
-    (len(thetas), 2l+1, 2l+1); each derivative is expanded once."""
+    (len(thetas), 2l+1, 2l+1); each column's product is expanded once."""
     _dim(l)
     return _entry_stack(l, [_rodrigues_chart(theta) for theta in thetas], _rodrigues_entries)
 
@@ -539,7 +543,7 @@ def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:
         if chart[0] == 0.0 or theta <= 0.0:  # entry (0, 0) has m + n = -2l < 0
             raise RouteUnavailableError(_NEGATIVE_SIN)
         charts.append(chart)
-    return _entry_stack(l, charts, _krawtchouk_entries)
+    return _entry_stack(l, charts, lambda l2, j, rows, charts: [_krawtchouk_entries(l2, i, j, charts) for i in rows])
 
 
 # The routes that build a whole matrix of any element, called as (l, A); the

@@ -82,6 +82,20 @@ HASHED = {
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
         "8dc9b3f0c3a2936a0ef290646581803076a5fc0e822e207f45ec7280725be1a9",
     ),
+    # The suites that build oracle stacks, at the CLI cap, where the stacks
+    # are largest (VERIFY_HASHED below pins them at 6).
+    "verify_unitarity_12": (
+        ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
+        "ba3444b91cfd4e2d1eb992c5a3a3b833392bc695a404cca9b58e7522f3afd8b7",
+    ),
+    "verify_homomorphism_12": (
+        ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
+        "2664ec2ce6fe1665fa6c904515ee3dbf9905ce7a347054cab00a6e9eaef8eeef",
+    ),
+    "verify_routes_12_seed_0": (
+        ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
+        "b9458599ce76da78c15bb5bea03dccc31f98cba07658eecd163022daf8ff509f",
+    ),
 }
 
 

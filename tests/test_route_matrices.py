@@ -7,9 +7,10 @@ values and half-integer index arithmetic.  The whole-matrix functions, the
 per-entry functions and the `dmat` route path must return the same bytes
 (the same exception type and message where the old code raised) at every
 spin up to l = 6, on group elements from every source the package uses and
-on the edges of each route's domain.  The one exception: the per-entry forms
-of GL(2, C) elements read the tables of their whole-matrix builders, so they
-raise where the old code returned inf or NaN, and where their builder raises.
+on the edges of each route's domain; rodrigues_stack also at spins up to
+l = 20.  The one exception: the per-entry forms of GL(2, C) elements read
+the tables of their whole-matrix builders, so they raise where the old code
+returned inf or NaN, and where their builder raises.
 """
 import cmath
 import math
@@ -425,6 +426,15 @@ def test_theta_stacks_bit_identical():
             together = stack(l, inside)
             for theta, layer in zip(inside, together):
                 assert layer.tobytes() == stack(l, [theta])[0].tobytes()
+
+
+def test_rodrigues_stack_bit_identical_up_to_l_x2_40():
+    # Each column's product is expanded once; the copy expands it per entry.
+    thetas = [0.05, math.pi / 4, 1.2]
+    for l_x2 in (17, 28, 40):
+        l = HalfInt(l_x2)
+        old = [[old_tmn_rodrigues(l, m, n, theta) for n in spin_range(l)] for theta in thetas for m in spin_range(l)]
+        assert rodrigues_stack(l, thetas).tobytes() == np.array(old).tobytes(), l_x2
 
 
 def test_theta_stacks_of_no_angle_are_empty():

@@ -4,14 +4,13 @@ import copy
 import json
 import math
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 
 from wignerkit import verify
 from wignerkit.cli import main
 from wignerkit.exactcomb import HalfInt, spins_up_to
-from wignerkit.group import EulerAngles, from_euler, sample_haar
+from wignerkit.group import EulerAngles, Mat2C, from_euler, sample_haar
 
 GRID_FREE_SUITES = (
     "suite_routes",
@@ -107,26 +106,29 @@ def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
 
 
 def test_a_nan_oracle_fails_unitarity(monkeypatch):
-    monkeypatch.setattr(
-        verify, "oracle_matrix", lambda l, g: SimpleNamespace(entries=np.full((l.twice + 1,) * 2, math.nan + 0j))
-    )
+    def nan_stack(l, a, b, c, d):
+        return np.full((len(a), l.twice + 1, l.twice + 1), math.nan + 0j)
+
+    monkeypatch.setattr(verify, "oracle_stack", nan_stack)
     (check,) = verify.suite_unitarity(HalfInt(1), 0)["checks"]
     assert math.isnan(check["max_deviation"]) and not check["passed"]
     assert check["count"] == 2 * 50
 
 
 def test_routes_suite_builds_each_oracle_reference_once(monkeypatch):
-    # One oracle_matrix call per (spin, element): the samples, the
-    # zero-phase rotations of the SU(2) samples and the Euler triples.
+    # Each (spin, element) in one oracle_stack call, three calls per spin:
+    # the samples, the Euler triples and the zero-phase rotations of the
+    # SU(2) samples.
     seed, max_l = 0, HalfInt(2)
-    oracle_matrix = verify.oracle_matrix
-    calls = Counter()
+    oracle_stack = verify.oracle_stack
+    calls, stacks = Counter(), Counter()
 
-    def counting(l, A):
-        calls[l.twice, A] += 1
-        return oracle_matrix(l, A)
+    def counting(l, a, b, c, d):
+        calls.update((l.twice, Mat2C(*entries)) for entries in zip(a, b, c, d))
+        stacks[l.twice] += 1
+        return oracle_stack(l, a, b, c, d)
 
-    monkeypatch.setattr(verify, "oracle_matrix", counting)
+    monkeypatch.setattr(verify, "oracle_stack", counting)
     verify.suite_routes(max_l, seed)
     su2 = sample_haar(seed, 20)
     thetas = [t for t in map(verify._theta_of, su2) if 0 < t < math.pi / 2]
@@ -140,3 +142,4 @@ def test_routes_suite_builds_each_oracle_reference_once(monkeypatch):
     ]
     assert thetas
     assert calls == Counter((l.twice, A) for l in spins_up_to(max_l) for A in elements)
+    assert stacks == Counter({l.twice: 3 for l in spins_up_to(max_l)})
