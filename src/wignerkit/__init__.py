@@ -45,6 +45,7 @@ from .wigner import (
     WignerMatrix,
     apply_symmetry,
     character,
+    chart_phases,
     dmatrix_euler,
     fold_to_quadrant,
     hyp_entries,

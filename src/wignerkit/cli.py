@@ -1,12 +1,14 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "2"; complex numbers as [re, im] pairs;
-matrices row-major in the fixed index convention (row i is m = -l + i);
-spins as twice-values under keys suffixed "_x2".  For fixed inputs and seed
-the output is byte-identical across runs; only the Schur reduction (schur,
-all) makes a BLAS product, so only its bytes depend on the BLAS kernel and
-thread count.  Version 2: the oracle's values changed in their last bits.
+Output contract: schema_version "3"; strict JSON (a non-finite deviation is
+null); complex numbers as [re, im] pairs; matrices row-major in the fixed
+index convention (row i is m = -l + i); spins as twice-values under keys
+suffixed "_x2".  For fixed inputs and seed the output is byte-identical
+across runs; only the Schur reduction (schur, all) makes a BLAS product, so
+only its bytes depend on the BLAS kernel and thread count.  Version 2: the
+oracle's last bits changed.  Version 3: the angle chart's phases multiply
+d(theta), so angle-chart-vs-oracle changed in its last digits.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 numeric domain error (a ValueError or an ArithmeticError).
@@ -26,11 +28,11 @@ from .floatrepr import write_reprs
 from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
-from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
+from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix, chart_phases
 
 log = logging.getLogger("wignerkit")
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 # dmat's routes are wigner's two route tables plus "auto", which takes the
 # oracle; an unavailable route falls back to the oracle too.
 ROUTES = (*ELEMENT_ROUTES, *ROTATION_ROUTES, "auto")
@@ -110,12 +112,12 @@ def _matrix_csv(M: WignerMatrix) -> str:
 
 
 def _render(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=2)
+    return json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> WignerMatrix:
     if route in ROTATION_ROUTES:
-        return WignerMatrix(l, ROTATION_ROUTES[route](l, [angles.theta])[0])
+        return WignerMatrix(l, chart_phases(l, angles) * ROTATION_ROUTES[route](l, [angles.theta])[0])
     return ELEMENT_ROUTES[_FALLBACK if route == "auto" else route](l, A)
 
 
@@ -128,7 +130,7 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
         if args.theta is not None:
             parser.error("--matrix and --theta are mutually exclusive")
         if args.route in ROTATION_ROUTES:
-            parser.error(f"route {args.route} needs an Euler-angle source with phi = psi = 0")
+            parser.error(f"route {args.route} needs an Euler-angle source")
         try:
             values = [float(v) for v in args.matrix.split(",")]
         except ValueError:
@@ -146,8 +148,6 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
         if args.theta is None:
             parser.error("need either --theta (with optional --phi/--psi) or --matrix")
         angles = EulerAngles(args.theta, args.phi, args.psi)
-        if args.route in ROTATION_ROUTES and (angles.phi != 0 or angles.psi != 0):
-            parser.error(f"route {args.route} needs phi = psi = 0")
         A = from_euler(angles)
         inputs = {
             "l_x2": l.twice,

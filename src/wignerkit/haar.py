@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from .exactcomb import HalfInt, factorial, is_valid_spin_pair, spin_range
 from .group import EulerAngles, Mat2C, diag_element, from_euler, multiply
 from .specfun import JacobiParams, jacobi_eval, legendre
-from .wigner import oracle_matrix, oracle_stack
+from .wigner import oracle_stack
 
 __all__ = [
     "HaarGrid",
@@ -272,13 +272,11 @@ def addition_formula_check(l: int, theta1: float, theta2: float, phi: float) -> 
     right = Mat2C(math.sin(h2), math.cos(h2), -math.cos(h2), math.sin(h2))
     T = multiply(multiply(left, diag_element(phi / 2)), right)
     spin = HalfInt(2 * l)
-    zero = HalfInt(0)
-    center = oracle_matrix(spin, T).entry(zero, zero)
+    S = oracle_stack(spin, *zip(*((X.a, X.b, X.c, X.d) for X in (T, left, right))))
+    center = complex(S[0, l, l])  # row and column l hold the weight 0
     composite = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(theta2) * math.cos(phi)
     closed_form = legendre(l, composite)
-    row = oracle_matrix(spin, left)
-    col = oracle_matrix(spin, right)
     series = 0j
-    for k in spin_range(spin):
-        series += row.entry(zero, k) * col.entry(k, zero) * np.exp(-1j * float(k) * phi)
+    for k, r, c in zip(spin_range(spin), S[1, l].tolist(), S[2, :, l].tolist()):
+        series += r * c * np.exp(-1j * float(k) * phi)
     return max(abs(center - closed_form), abs(center - series))

@@ -10,10 +10,11 @@ The exact evaluations share one integer Horner scheme (_exact_series): the
 coefficients are written over one common denominator and the argument as a
 ratio of integers, so the whole sum is a single integer quotient that is
 rounded once, with no gcd taken along the way.  The coefficient rows of both
-series (_hyp2f1_coeffs_cached, _jacobi_coeffs_cached) are built in that
-integer form by their term-ratio recurrences.  Every rounding is one int / int
-true division, which is correctly rounded, so it gives the float that
-float(Fraction) gives for the same rational.
+series are built in that integer form: the 2F1 row by its term-ratio
+recurrence (_hyp2f1_coeffs_cached), the Jacobi row from its explicit sum
+(_jacobi_coeffs_cached).  Every rounding is one int / int true division,
+which is correctly rounded, so it gives the float that float(Fraction) gives
+for the same rational.
 """
 from __future__ import annotations
 
@@ -113,12 +114,6 @@ def _as_ratio(x) -> tuple[int, int]:
     return Fraction(x).as_integer_ratio()
 
 
-def _integer_form(coeffs) -> tuple[list[int], int]:
-    # Rational coefficients as (numerators, common positive denominator).
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _exact_series(nums, den: int, z: tuple[int, int]) -> float:
     """sum_k nums[k] / den * z^k for the rational z = p/q, rounded once.
 
@@ -216,38 +211,23 @@ def hyp2f1_complex(a, b, c, nterms: int, z: complex) -> complex:
 
 @lru_cache(maxsize=4096)
 def _jacobi_coeffs_cached(alpha, beta, n: int) -> tuple[tuple[int, ...], int]:
-    # Integer form (nums, den) of the series coefficients c_k = nums[k] / den,
-    # with den > 0 and no factor common to den and every numerator.
+    # Integer form (nums, den) of the series coefficients
+    # c_k = C(n, k) (s)_k (alpha+k+1)_{n-k} / n! with s = n+alpha+beta+1,
+    # den > 0 and no factor common to den and every numerator.  With
+    # alpha = a/da and s = s_num/ds, over the denominator n! (ds da)^n the
+    # numerator of c_k is C(n, k) times the prefix product of
+    # da (s_num + i ds), i < k, and the suffix product of ds (a + i da),
+    # k < i <= n.  Nothing is divided, so (alpha+1)_n = 0 needs no case of its own.
     a, da = _as_ratio(alpha)
     b, db = _as_ratio(beta)
-    if da == 1 and -n <= a <= -1:
-        # (alpha+1)_n = 0: the leading coefficients vanish and the term ratio
-        # below is 0/0, so each coefficient comes from its Pochhammer form.
-        al, be = Fraction(alpha), Fraction(beta)
-        nums, den = _integer_form([
-            pochhammer(n + al + be + 1, k)
-            * pochhammer(al + k + 1, n - k)
-            / (factorial(k) * factorial(n - k))
-            for k in range(n + 1)
-        ])
-        return tuple(nums), den
-    # c_0 = (alpha+1)_n / n! and c_{k+1} = c_k (s+k)(n-k) / ((alpha+k+1)(k+1))
-    # with s = n+alpha+beta+1 = s_num/ds.  With alpha = a/da, step k
-    # multiplies the numerator by (s_num + k ds)(n-k) da and the denominator
-    # by (a + (k+1) da)(k+1) ds; the numerators are then carried onto the
-    # last term's denominator.
     s_num, ds = (n + 1) * da * db + a * db + b * da, da * db
-    nums = [math.prod(a + j * da for j in range(1, n + 1))]
-    steps = []
-    for k in range(n):
-        nums.append(nums[-1] * (s_num + k * ds) * (n - k) * da)
-        steps.append((a + (k + 1) * da) * (k + 1) * ds)
-    tail = 1
-    for k in range(n - 1, -1, -1):
-        tail *= steps[k]
-        nums[k] *= tail
-    den = da**n * factorial(n) * tail
-    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    prefix, suffix = [1], [1]
+    for i in range(n):
+        prefix.append(prefix[-1] * da * (s_num + i * ds))
+        suffix.append(suffix[-1] * ds * (a + (n - i) * da))
+    nums = [math.comb(n, k) * prefix[k] * suffix[n - k] for k in range(n + 1)]
+    den = factorial(n) * (ds * da) ** n
+    g = math.gcd(den, *nums)
     return tuple(c // g for c in nums), den // g
 
 

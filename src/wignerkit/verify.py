@@ -94,18 +94,18 @@ def sample_unimodular(seed: int, count: int) -> list[Mat2C]:
 def _check(name: str, deviations, tolerance: float, count: int | None = None) -> dict:
     """The report of one check: its worst deviation against the tolerance.
 
-    The worst of no deviations is 0.0, and a NaN deviation makes the worst
-    NaN, which fails.  The count is the number of deviations unless one is
-    given.
+    The worst of no deviations is 0.0.  A NaN or infinite deviation makes
+    the worst None (null in JSON), which fails.  The count is the number of
+    deviations unless one is given.
     """
     deviations = list(deviations)
-    worst = math.nan if math.isnan(sum(deviations)) else max(deviations, default=0.0)
+    worst = float(max(deviations, default=0.0)) if np.isfinite(deviations).all() else None
     return {
         "check": name,
-        "max_deviation": float(worst),
+        "max_deviation": worst,
         "tolerance": tolerance,
         "count": len(deviations) if count is None else count,
-        "passed": bool(worst <= tolerance),
+        "passed": worst is not None and worst <= tolerance,
     }
 
 

@@ -52,6 +52,7 @@ __all__ = [
     "tmn_jacobi",
     "jacobi_entries",
     "jacobi_matrix",
+    "chart_phases",
     "dmatrix_euler",
     "tmn_rodrigues",
     "rodrigues_stack",
@@ -353,11 +354,6 @@ def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     return WignerMatrix(l, np.reshape(values, (dim, dim)))
 
 
-def _wrap_angle(x: float) -> float:
-    out = math.fmod(x, 2 * math.pi)
-    return out + 2 * math.pi if out < 0 else out
-
-
 def _cos2_exact(theta: float, sin_t: float, cos_t: float) -> Fraction:
     # Rational representation of cos(2 theta) for the closed forms whose
     # value collapses to a power of 1 -+ cos(2 theta) near an interval end:
@@ -378,14 +374,6 @@ SYMMETRIES = {
     "anti-transpose": (lambda l2, i, j: (l2 - j, l2 - i), lambda A: Mat2C(A.d, A.b, A.c, A.a)),
 }
 
-# Each index symmetry as it acts on the phases of the angle chart: it maps a
-# chart element to another chart element, (phi, psi) -> (phi', psi').
-_CHART_PHASES = {
-    "transpose-bc": lambda phi, psi: (phi, _wrap_angle(math.pi - psi)),
-    "flip-signs": lambda phi, psi: (_wrap_angle(-phi), _wrap_angle(math.pi - psi)),
-    "anti-transpose": lambda phi, psi: (_wrap_angle(-phi), psi),
-}
-
 
 def _quadrant_symmetry(l2: int, i: int, j: int) -> str | None:
     # The symmetry that folds (i, j) onto the closed-form quadrant
@@ -404,28 +392,40 @@ def _quadrant_fold(l2: int):
             yield (which, i, j) if which is None else (which, *SYMMETRIES[which][0](l2, i, j))
 
 
-def _chart_entry(l2: int, i: int, j: int, chart: tuple, phi: float, psi: float) -> complex:
-    # Closed form on the angle chart for the quadrant i + j >= l2, i >= j;
+def _chart_entry(l2: int, i: int, j: int, chart: tuple) -> float:
+    # Closed form at zero phases for the quadrant i + j >= l2, i >= j;
     # chart = (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
     sin_t, cos_t, h = chart
     lm, mn, mmn = l2 - i, i + j - l2, i - j
     pref = _factorial_ratio_sqrt(i, lm, j, l2 - j)
     sign = -1.0 if lm % 2 else 1.0
     nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
-    jac = _exact_series(nums, den, h)
-    phase = cmath.exp(1j * (mmn * psi - mn * phi))
-    return sign * pref * phase * sin_t**mn * cos_t**mmn * jac
+    return sign * pref * sin_t**mn * cos_t**mmn * _exact_series(nums, den, h)
+
+
+def chart_phases(l: HalfInt, angles: EulerAngles) -> np.ndarray:
+    """e^{-i(m(phi - psi) + n(phi + psi))} at each entry (m, n), shape (2l+1, 2l+1).
+
+    A chart element is P1 R(theta) P2 with P1, P2 diagonal, so its matrix is
+    this array times the real d(theta) = t(R(theta)).  Each phase is one
+    exponential, not a product, so its bits do not depend on numpy's SIMD level.
+    """
+    i, j = np.indices((_dim(l), _dim(l)))
+    return np.exp(1j * ((i - j) * angles.psi - (i + j - l.twice) * angles.phi))
 
 
 def dmatrix_euler(l: HalfInt, angles: EulerAngles) -> WignerMatrix:
-    """Full matrix on the angle chart from the closed form plus symmetries."""
-    dim = _dim(l)
-    theta, phi, psi = angles.theta, angles.phi, angles.psi
-    num, q = math.cos(2 * theta).as_integer_ratio()
-    chart = (math.sin(theta), math.cos(theta), (num - q, 2 * q))
-    phases = {None: (phi, psi), **{which: fn(phi, psi) for which, fn in _CHART_PHASES.items()}}
-    values = [_chart_entry(l.twice, i, j, chart, *phases[which]) for which, i, j in _quadrant_fold(l.twice)]
-    return WignerMatrix(l, np.reshape(values, (dim, dim)))
+    """chart_phases times d(theta), whose quadrant m + n >= 0, m - n >= 0 is
+    the closed form, each entry computed once and folded onto the others."""
+    dim, l2 = _dim(l), l.twice
+    num, q = math.cos(2 * angles.theta).as_integer_ratio()
+    chart = (math.sin(angles.theta), math.cos(angles.theta), (num - q, 2 * q))
+    quadrant = {(i, j): _chart_entry(l2, i, j, chart) for i in range(l2 + 1) for j in range(max(0, l2 - i), i + 1)}
+    # transpose-bc and flip-signs map R(theta) to its image at psi = pi, whose
+    # entry (i', j') has the sign (-1)^(i' - j'); anti-transpose fixes R(theta).
+    flips = ("transpose-bc", "flip-signs")
+    values = [-quadrant[i, j] if which in flips and (i - j) % 2 else quadrant[i, j] for which, i, j in _quadrant_fold(l2)]
+    return WignerMatrix(l, chart_phases(l, angles) * np.reshape(values, (dim, dim)))
 
 
 def _rodrigues_chart(theta: float) -> tuple:
@@ -554,8 +554,8 @@ ELEMENT_ROUTES = {
     "sum": lambda l, A: sum_matrix(l, A),
     "jacobi": lambda l, A: jacobi_matrix(l, A),
 }
-# The routes on real rotations only: each takes (l, thetas) and returns the
-# zero-phase matrices at those colatitudes, shape (len(thetas), 2l+1, 2l+1).
+# The routes on real rotations: each takes (l, thetas) and returns d(theta) at
+# each, shape (len(thetas), 2l+1, 2l+1); chart_phases times one is the matrix of a chart element.
 ROTATION_ROUTES = {
     "rodrigues": lambda l, thetas: rodrigues_stack(l, thetas),
     "krawtchouk": lambda l, thetas: krawtchouk_stack(l, thetas),

@@ -35,7 +35,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "2"
+        assert rec["schema_version"] == "3"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -94,10 +94,17 @@ class TestDmat:
             main(["dmat", "--l-x2", "2", "--matrix", "1,0,2,0,3,0,4,0", "--route", "rodrigues"])
         assert err.value.code == 2
 
-    def test_rodrigues_needs_zero_phases(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["dmat", "--l-x2", "2", "--theta", "0.4", "--phi", "0.3", "--route", "rodrigues"])
-        assert err.value.code == 2
+    @pytest.mark.parametrize("route", ["rodrigues", "krawtchouk"])
+    def test_rotation_routes_take_any_phases(self, capsys, route):
+        # t(P1 R(theta) P2) = t(P1) d(theta) t(P2) with P1, P2 diagonal.
+        angles = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
+        for l_x2 in range(1, 17):
+            code, rec = run_json(capsys, "dmat", "--l-x2", str(l_x2), *angles, "--route", route)
+            assert code == 0 and rec["result"]["route_used"] == route and "warnings" not in rec
+            _, rec_orc = run_json(capsys, "dmat", "--l-x2", str(l_x2), *angles, "--route", "oracle")
+            a = np.array(rec["result"]["matrix"])
+            b = np.array(rec_orc["result"]["matrix"])
+            assert np.max(np.abs(a - b)) <= 1e-12, l_x2
 
     def test_missing_source_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -25,7 +25,6 @@ from wignerkit.specfun import (
     _exact_series,
     _float_series,
     _hyp2f1_coeffs_cached,
-    _integer_form,
     _nonpositive_int,
     hyp2f1_complex,
     hyp2f1_series_coeffs,
@@ -55,6 +54,12 @@ def old_hyp2f1_series_coeffs(a, b, c, nterms):
     return tuple(coeffs)
 
 
+def integer_form(coeffs):
+    # Rational coefficients as (numerators, common positive denominator).
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def old_hyp2f1_terminating(spec):
     coeffs = old_hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms)
     zf = Fraction(spec.z)
@@ -78,14 +83,14 @@ def old_nonpositive_int(value):
 
 
 def old_krawtchouk(n, x, p, N):
-    nums, den = _integer_form(old_hyp2f1_series_coeffs(-n, -x, -N, n))
+    nums, den = integer_form(old_hyp2f1_series_coeffs(-n, -x, -N, n))
     p_num, p_den = Fraction(p).as_integer_ratio()
     return _exact_series(nums, den, (p_den, p_num))
 
 
 def old_jacobi_via_2f1(p, x):
     spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
-    nums, den = _integer_form(old_hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms))
+    nums, den = integer_form(old_hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms))
     prefactor = pochhammer(Fraction(p.alpha) + 1, p.n) / factorial(p.n)
     return _exact_series(
         [c * prefactor.numerator for c in nums], den * prefactor.denominator, Fraction(spec.z).as_integer_ratio()
@@ -119,7 +124,7 @@ def old_jacobi_norm(p):
 
 def old_krawtchouk_entries(l2, i, j, charts):
     lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    nums, den = _integer_form(old_hyp2f1_series_coeffs(-lm, -float(ln), -l2, lm))
+    nums, den = integer_form(old_hyp2f1_series_coeffs(-lm, -float(ln), -l2, lm))
     pref = (-1.0 if lm % 2 else 1.0) * math.sqrt(math.comb(l2, lm) * math.comb(l2, ln))
     return [
         pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p)

@@ -18,9 +18,9 @@ from wignerkit.exactcomb import HalfInt, binomial, factorial, pochhammer, spin_r
 from wignerkit.specfun import (
     Hyp21Spec,
     JacobiParams,
+    _as_ratio,
     _binom_power_coeffs,
     _exact_series,
-    _integer_form,
     _jacobi_coeffs_cached,
     _poly_derivative,
     _poly_divide_linear,
@@ -46,6 +46,35 @@ def old_jacobi_coeffs(alpha, beta, n):
         pochhammer(n + al + be + 1, k) * pochhammer(al + k + 1, n - k) / (factorial(k) * factorial(n - k))
         for k in range(n + 1)
     )
+
+
+def integer_form(coeffs):
+    # Rational coefficients as (numerators, common positive denominator).
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def old_jacobi_coeffs_cached(alpha, beta, n):
+    # The integer Jacobi rows by the term-ratio recurrence, with a Fraction
+    # branch where (alpha+1)_n = 0.
+    a, da = _as_ratio(alpha)
+    b, db = _as_ratio(beta)
+    if da == 1 and -n <= a <= -1:
+        nums, den = integer_form(old_jacobi_coeffs(alpha, beta, n))
+        return tuple(nums), den
+    s_num, ds = (n + 1) * da * db + a * db + b * da, da * db
+    nums = [math.prod(a + j * da for j in range(1, n + 1))]
+    steps = []
+    for k in range(n):
+        nums.append(nums[-1] * (s_num + k * ds) * (n - k) * da)
+        steps.append((a + (k + 1) * da) * (k + 1) * ds)
+    tail = 1
+    for k in range(n - 1, -1, -1):
+        tail *= steps[k]
+        nums[k] *= tail
+    den = da**n * factorial(n) * tail
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    return tuple(c // g for c in nums), den // g
 
 
 def old_jacobi_eval(p, x):
@@ -167,15 +196,11 @@ class TestExactSeries:
     @settings(deadline=None, max_examples=200)
     def test_bit_identical_to_fraction_sum(self, coeffs, z):
         want = fraction_sum(coeffs, z).hex()
-        nums, den = _integer_form(coeffs)
+        nums, den = integer_form(coeffs)
         p, q = z.as_integer_ratio()
         assert _exact_series(nums, den, (p, q)).hex() == want
         # the argument's sign may sit on either side of the ratio
         assert _exact_series(nums, den, (-p, -q)).hex() == want
-
-    def test_integer_form(self):
-        nums, den = _integer_form([Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5)])
-        assert (nums, den) == ([2, -9, 0, 60], 12)
 
     def test_zero_is_positive(self):
         assert math.copysign(1.0, _exact_series([0, 0], 1, (-3, 7))) == 1.0
@@ -213,6 +238,17 @@ class TestRoutesMatchFractionLoops:
                 nums, den = _jacobi_coeffs_cached(a, b, n)
                 assert tuple(Fraction(c, den) for c in nums) == old_jacobi_coeffs(a, b, n)
                 assert den > 0 and math.gcd(den, *nums) == 1
+
+    def test_jacobi_rows_equal_the_recurrence(self):
+        # Every (alpha, beta) of a half-integer grid on [-7, 7] plus three
+        # non-dyadic values at n <= 12 (the Fraction branch included), and a
+        # sparser grid up to n = 40.
+        grid = [k / 2 for k in range(-14, 15)] + [0.3, -0.7, 0.001]
+        cases = [(a, b, n) for a in grid for b in grid for n in range(13)]
+        sparse = [-7, -6.5, -2, -1, 0, 0.5, 3, 7, 0.3, -0.7, 0.001]
+        cases += [(a, b, n) for a in sparse for b in sparse for n in (*range(13, 40, 3), 40)]
+        for a, b, n in cases:
+            assert _jacobi_coeffs_cached.__wrapped__(a, b, n) == old_jacobi_coeffs_cached(a, b, n), (a, b, n)
 
     def test_jacobi_eval(self):
         for a, b in PARAMS:

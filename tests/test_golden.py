@@ -3,10 +3,11 @@
 Each file under tests/golden/ holds the stdout of one command.  A change to
 how any number is computed must leave these bytes alone; a deliberate output
 change replaces the files and bumps the schema version.  Only the Schur
-reduction makes a BLAS product, so only its last digits can depend on the BLAS kernel
-and thread count; the pinned verify commands that run it stay at spins small
-enough that their output was the same with one BLAS thread and with the
-default thread count.
+reduction makes a BLAS product, so only its last digits can depend on the
+BLAS kernel and thread count; the pinned verify commands that run it stay at
+spins small enough that their output was the same with one BLAS thread and
+with the default thread count.  numpy's CPU feature level is another source:
+the oracle's dmat bytes hold down to numpy's AVX2 level, not below it.
 """
 import hashlib
 import json
@@ -56,19 +57,19 @@ EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
     "dmat_oracle_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "ee66be0540bd9641487fc63448f956bb5eb1e03423367839d76dbd247a5749f6",
+        "eab7ef5c3a0f25de4b80edb16b722699d7e316522e09b2a4717f6db78e9aa36f",
     ),
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "1d5680eb5c7b2e80e3b4a632859e2a18427a8705313f5e60aa11af3f71285e83",
+        "5cb0b89552a10c58ab08aca0b775e514c42d964fc512f2104b96bed975536a32",
     ),
     "dmat_oracle_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "43eb02a51a2ad73b919244945d6d16e29badcf9c94c9da12b815553c5517b87b",
+        "302f4eb86e8ccb32d2bc0c73f34fb825ec14d9c83d8ef9273faee0f2d0422854",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "c5b732ba989be455b16dd4575f041f318bd5a3c1fe57c3a280da01a075f6ae6d",
+        "369ab53e7ba9c3a11c8e764b31c52c86300c64d5b0fae8e2da6b299eeedac8fd",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -86,15 +87,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "ba3444b91cfd4e2d1eb992c5a3a3b833392bc695a404cca9b58e7522f3afd8b7",
+        "3585d000c0d21cff4cbb3f05c57245c3c1b8c55105829ae49fbc36a7aeea6fe3",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "2664ec2ce6fe1665fa6c904515ee3dbf9905ce7a347054cab00a6e9eaef8eeef",
+        "7abd5ea8279e57f37dfff8c92d01d3ac0677e6914eb8522e23660cbf156236c0",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "b9458599ce76da78c15bb5bea03dccc31f98cba07658eecd163022daf8ff509f",
+        "f8138ddef2ab94d62f47dd90d701b5aa5b7a96cbcd681bb1be1d745aa668cb8d",
     ),
 }
 
@@ -121,12 +122,12 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # do not depend on the BLAS kernel or thread count; schur and all, which run
 # the Schur reduction, do.
 VERIFY_HASHED = {
-    "routes": "0749aab73c89e724aa30efca7f707873b768f1d887d1c30cf0319a0e53835711",
-    "unitarity": "187a3075cb2ed7b9bbd6907ff35875ee323e994afa1477e3900004c99e70b68c",
-    "homomorphism": "1df2826b50232f0ffe7ff4e7215d0d22300ab758f7dcc1511ceb89b66d776d33",
-    "jacobi-orth": "351562471724d33673e3d70db9f2cfeec53a0e623672bed3648ba9e61db663cd",
-    "legendre": "55d793ab19dd29f10193e12809c9949011ee13538c2d5f466172c28b90fa2544",
-    "krawtchouk-sym": "dfddbca9d60a7fa8f1d4b7ba4c8af97c37b22a94908e861fbb5546b511b6773f",
+    "routes": "8bd154e8d0e42bd74676dd036afa4c3ac09c69a016d83c121bb32d1b293dd350",
+    "unitarity": "aa315e513c08409193eeda5318e5b9ec20c1a4a475d6d4f44fda105b1633ad19",
+    "homomorphism": "1285989b924726fc462abfda86b9eaaa2c0fa3738169ac13cb00d2b3d610dabf",
+    "jacobi-orth": "be0572bff28965abae04aef97201900ca1effcebfa7924a3b8812e106cff1589",
+    "legendre": "e3a35feeb9627f5d395b70f6098cc1632610b5e1920b16971b9d1dd1c10064f5",
+    "krawtchouk-sym": "99b9a5a8c688e4c1f64ea2972fe8298a093309a0a95228f9655c847195ac1bb1",
 }
 
 
@@ -169,3 +170,36 @@ def test_stdout_is_the_same_on_other_blas_kernels(kernel):
     run = subprocess.run([sys.executable, "-c", RUN_AND_HASH, argvs], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n")[:-1] == [f"0 {digest}" for _, digest in KERNEL_PINS]
+
+
+# numpy picks its loops by CPU feature level.  With its AVX-512 levels turned
+# off, the AVX2 level (X86_V3) is the highest left, and every dmat command
+# must print the bytes pinned above.  Below X86_V3 numpy does not fuse complex
+# products with FMA, so the oracle's last bits change there (ROADMAP item 8).
+# numpy reads NPY_DISABLE_CPU_FEATURES when it loads, so the run gets a fresh
+# interpreter.  A feature that this CPU or this numpy build lacks is left out
+# of the variable, because numpy warns about it; with none left, the run is
+# at the default level.
+AVX512_LEVELS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+DMAT_PINS = [
+    *(
+        (argv, hashlib.sha256((GOLDEN / f"{name}.out").read_bytes()).hexdigest())
+        for name, argv in COMMANDS.items()
+        if argv[0] == "dmat"
+    ),
+    *(pin for pin in HASHED.values() if pin[0][0] == "dmat"),
+]
+
+
+def test_dmat_stdout_is_the_same_without_avx512():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    disabled = [f for f in AVX512_LEVELS if f in __cpu_dispatch__ and __cpu_features__.get(f)]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled), "PYTHONPATH": str(SRC)}
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)  # numpy refuses both variables at once
+    argvs = json.dumps([argv for argv, _ in DMAT_PINS])
+    run = subprocess.run([sys.executable, "-c", RUN_AND_HASH, argvs], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:-1] == [f"0 {digest}" for _, digest in DMAT_PINS]

@@ -85,8 +85,10 @@ def test_check_counts_its_deviations_and_keeps_the_worst():
 
 def test_a_nan_deviation_fails_its_check():
     report = verify._check("c", [0.1, math.nan, 0.2], 1.0)
-    assert math.isnan(report["max_deviation"]) and report["count"] == 3
+    assert report["max_deviation"] is None and report["count"] == 3
     assert report["passed"] is False
+    for bad in (math.inf, -math.inf):
+        assert verify._check("c", [0.1, bad], 1.0) == {**report, "count": 2}
 
 
 def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
@@ -96,13 +98,25 @@ def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
     )
     report = verify.run_suite("routes", HalfInt(2), 0)
     checks = {chk["check"]: chk for chk in report["checks"]}
-    assert math.isnan(checks["terminating-2f1-vs-oracle"]["max_deviation"])
+    assert checks["terminating-2f1-vs-oracle"]["max_deviation"] is None
     assert not checks["terminating-2f1-vs-oracle"]["passed"]
     assert checks["finite-sum-vs-oracle"]["passed"] and not report["passed"]
-    # The CLI prints the NaN and exits 1.
+    # The CLI prints null and exits 1.
     assert main(["verify", "--suite", "routes", "--max-l-x2", "2"]) == 1
     printed = json.loads(capsys.readouterr().out)["result"]["checks"]
-    assert math.isnan(next(c for c in printed if c["check"] == "terminating-2f1-vs-oracle")["max_deviation"])
+    assert next(c for c in printed if c["check"] == "terminating-2f1-vs-oracle")["max_deviation"] is None
+
+
+def test_a_failing_run_prints_strict_json(monkeypatch, capsys):
+    # NaN, Infinity and -Infinity are not JSON; a strict parser refuses them.
+    monkeypatch.setattr(verify, "hyp_entries", lambda l, A: {(0, 0): complex(math.inf, 0.0)})
+    assert main(["verify", "--suite", "routes", "--max-l-x2", "1"]) == 1
+
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    printed = json.loads(capsys.readouterr().out, parse_constant=refuse)["result"]["checks"]
+    assert next(c for c in printed if c["check"] == "terminating-2f1-vs-oracle")["max_deviation"] is None
 
 
 def test_a_nan_oracle_fails_unitarity(monkeypatch):
@@ -111,7 +125,7 @@ def test_a_nan_oracle_fails_unitarity(monkeypatch):
 
     monkeypatch.setattr(verify, "oracle_stack", nan_stack)
     (check,) = verify.suite_unitarity(HalfInt(1), 0)["checks"]
-    assert math.isnan(check["max_deviation"]) and not check["passed"]
+    assert check["max_deviation"] is None and not check["passed"]
     assert check["count"] == 2 * 50
 
 

@@ -349,6 +349,24 @@ class TestDmatrixEuler:
                 want = oracle_matrix(l, from_euler(angles)).entries
                 assert np.max(np.abs(got - want)) <= 1e-12
 
+    def test_zero_phases_are_exactly_real(self):
+        # phi = psi = 0: the phases are all 1, and d(theta) is real.
+        for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
+            for l_x2 in range(41):
+                M = dmatrix_euler(HalfInt(l_x2), EulerAngles(theta, 0.0, 0.0))
+                assert not M.entries.imag.any(), (theta, l_x2)
+
+    def test_folded_signs_match_the_oracle(self):
+        # At zero phases, transpose-bc and flip-signs carry (-1)^(i' - j') and
+        # anti-transpose none; a wrong sign is off by twice the entry.
+        for theta in (0.2, 0.7, 1.3):
+            for phi, psi in ((0.0, 0.0), (1.2, 0.3), (5.9, 4.4)):
+                angles = EulerAngles(theta, phi, psi)
+                for l in SPINS:
+                    got = dmatrix_euler(l, angles).entries
+                    want = oracle_matrix(l, from_euler(angles)).entries
+                    assert np.max(np.abs(got - want)) <= 1e-13 * max_norm(want), (angles, l)
+
     def test_diagonal_subgroup_action(self):
         # theta = pi/2 with a phase lands on diag(e^{i phi}, e^{-i phi}):
         # the matrix is diagonal with entries e^{-2 i n phi}
