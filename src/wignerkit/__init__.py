@@ -51,6 +51,7 @@ from .wigner import (
     hyp_entries,
     jacobi_entries,
     jacobi_matrix,
+    jacobi_stack,
     krawtchouk_stack,
     oracle_matrix,
     oracle_stack,

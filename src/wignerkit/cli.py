@@ -1,14 +1,15 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "3"; strict JSON (a non-finite deviation is
+Output contract: schema_version "4"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
 across runs; only the Schur reduction (schur, all) makes a BLAS product, so
 only its bytes depend on the BLAS kernel and thread count.  Version 2: the
 oracle's last bits changed.  Version 3: the angle chart's phases multiply
-d(theta), so angle-chart-vs-oracle changed in its last digits.
+d(theta), so angle-chart-vs-oracle changed in its last digits.  Version 4:
+the routes suite checks every chart form alike, as <route>-chart-vs-oracle.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 numeric domain error (a ValueError or an ArithmeticError).
@@ -28,14 +29,15 @@ from .floatrepr import write_reprs
 from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
-from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix, chart_phases
+from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
 
 log = logging.getLogger("wignerkit")
 
-SCHEMA_VERSION = "3"
-# dmat's routes are wigner's two route tables plus "auto", which takes the
-# oracle; an unavailable route falls back to the oracle too.
-ROUTES = (*ELEMENT_ROUTES, *ROTATION_ROUTES, "auto")
+SCHEMA_VERSION = "4"
+# dmat's routes are the names of wigner's two route tables plus "auto", which
+# takes the oracle; an unavailable route falls back to the oracle too.  An
+# Euler source takes a route's chart form where it has one.
+ROUTES = (*{**ELEMENT_ROUTES, **ROTATION_ROUTES}, "auto")
 _FALLBACK = "oracle"
 # poly's families: the flags each needs, in the order they are checked, its
 # evaluator on those flags and its route_used.  The lambdas look each
@@ -116,8 +118,8 @@ def _render(record: dict) -> str:
 
 
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> WignerMatrix:
-    if route in ROTATION_ROUTES:
-        return WignerMatrix(l, chart_phases(l, angles) * ROTATION_ROUTES[route](l, [angles.theta])[0])
+    if angles is not None and route in ROTATION_ROUTES:
+        return WignerMatrix(l, ROTATION_ROUTES[route](l, [angles])[0])
     return ELEMENT_ROUTES[_FALLBACK if route == "auto" else route](l, A)
 
 
@@ -129,7 +131,7 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
     if args.matrix is not None:
         if args.theta is not None:
             parser.error("--matrix and --theta are mutually exclusive")
-        if args.route in ROTATION_ROUTES:
+        if args.route not in (*ELEMENT_ROUTES, "auto"):
             parser.error(f"route {args.route} needs an Euler-angle source")
         try:
             values = [float(v) for v in args.matrix.split(",")]

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactcomb import binomial, factorial, pochhammer
+from .exactcomb import binomial, factorial
 
 __all__ = [
     "JacobiParams",
@@ -260,14 +260,13 @@ def jacobi_via_2f1(p: JacobiParams, x: float) -> float:
 
     Evaluates (alpha+1)_n / n! * 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2).
     Fails when alpha+1 is a nonpositive integer reached inside the retained
-    terms; jacobi_eval covers those parameters.
+    terms; jacobi_eval covers those parameters.  The prefactor is
+    P_n^(alpha, beta)(1), the first coefficient of the Jacobi row.
     """
     spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
     nums, den = _hyp2f1_coeffs_cached(spec.a, spec.b, spec.c, spec.terms)
-    prefactor = pochhammer(Fraction(p.alpha) + 1, p.n) / factorial(p.n)
-    return _exact_series(
-        [c * prefactor.numerator for c in nums], den * prefactor.denominator, _as_ratio(spec.z)
-    )
+    row, row_den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
+    return _exact_series([c * row[0] for c in nums], den * row_den, _as_ratio(spec.z))
 
 
 def _binom_power_coeffs(sign: int, power: int) -> list[int]:
@@ -327,10 +326,10 @@ def jacobi_rodrigues(p: JacobiParams, x: float) -> float:
 
 
 def _as_nonneg_int(value, name: str) -> int:
-    f = Fraction(value)
-    if f.denominator != 1 or f < 0:
+    num, den = _as_ratio(value)
+    if den != 1 or num < 0:
         raise ValueError(f"Rodrigues route needs nonnegative integer {name}, got {value}")
-    return int(f)
+    return num
 
 
 def krawtchouk(n: int, x: float, p: float, N: int) -> float:

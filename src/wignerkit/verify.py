@@ -32,7 +32,6 @@ from .wigner import (
     ROTATION_ROUTES,
     SYMMETRIES,
     RouteUnavailableError,
-    dmatrix_euler,
     hyp_entries,
     jacobi_entries,
     oracle_stack,
@@ -114,26 +113,20 @@ def _relative(lhs, rhs) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
-def _theta_of(A: Mat2C) -> float:
-    # Recover the chart colatitude of an SU(2) element: |a| = sin(theta).
-    return math.asin(min(1.0, abs(A.a)))
-
-
 def suite_routes(max_l: HalfInt, seed: int) -> dict:
-    """Closed-form routes against the polynomial-expansion oracle, each at
-    the samples inside its domain."""
-    su2 = sample_haar(seed, 20)
-    samples = su2 + sample_gl2(seed + 1, 10)
+    """Closed-form routes against the polynomial-expansion oracle: the element
+    routes at the samples inside their domain, and each chart form at Euler
+    triples."""
+    samples = sample_haar(seed, 20) + sample_gl2(seed + 1, 10)
     rng = np.random.default_rng(seed + 2)
     triples = [
         EulerAngles(t, p, q)
         for t, p, q in zip(
-            rng.uniform(0, math.pi / 2, 10),
-            rng.uniform(0, 2 * math.pi, 10),
-            rng.uniform(0, 2 * math.pi, 10),
+            rng.uniform(0, math.pi / 2, 20),
+            rng.uniform(0, 2 * math.pi, 20),
+            rng.uniform(0, 2 * math.pi, 20),
         )
     ]
-    thetas = [theta for theta in map(_theta_of, su2) if 0 < theta < math.pi / 2]
     spins = spins_up_to(max_l)
 
     def references(elements, form):
@@ -143,9 +136,7 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
         return [[(form(T), scale) for T, scale in zip(S, _norms(S).tolist())] for S in stacks]
 
     at_samples = references(samples, lambda T: T.tolist())
-    at_triples = references([from_euler(angles) for angles in triples], lambda T: T)
-    zero_phase = [from_euler(EulerAngles(theta, 0.0, 0.0)) for theta in thetas]
-    at_thetas = references(zero_phase, lambda T: T.real.ravel().tolist())
+    at_triples = references([from_euler(angles) for angles in triples], lambda T: T.ravel().tolist())
 
     def entrywise(pairs, scale):
         return (abs(value - target) / scale for value, target in pairs)
@@ -164,22 +155,16 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
                     continue
                 yield from entrywise(((value, target[i][j]) for (i, j), value in entries.items()), scale)
 
-    def angle_chart():
+    def chart_form(route):
         for l, refs in zip(spins, at_triples):
-            for angles, (T, scale) in zip(triples, refs):
-                yield max_norm(dmatrix_euler(l, angles).entries - T) / scale
-
-    def rotation_route(route):
-        for l, refs in zip(spins, at_thetas):
-            for matrix, (target, scale) in zip(route(l, thetas), refs):
+            for matrix, (target, scale) in zip(route(l, triples), refs):
                 yield from entrywise(zip(matrix.ravel().tolist(), target), scale)
 
     checks = [
         _check("finite-sum-vs-oracle", finite_sum(), 1e-10),
         _check("terminating-2f1-vs-oracle", element_route(hyp_entries), 1e-9),
         _check("jacobi-vs-oracle", element_route(jacobi_entries), 1e-9),
-        _check("angle-chart-vs-oracle", angle_chart(), 1e-9),
-        *(_check(f"{name}-vs-oracle", rotation_route(route), 1e-9) for name, route in ROTATION_ROUTES.items()),
+        *(_check(f"{name}-chart-vs-oracle", chart_form(route), 1e-9) for name, route in ROTATION_ROUTES.items()),
     ]
     return {"suite": "routes", "checks": checks}
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -54,6 +53,7 @@ __all__ = [
     "jacobi_matrix",
     "chart_phases",
     "dmatrix_euler",
+    "jacobi_stack",
     "tmn_rodrigues",
     "rodrigues_stack",
     "tmn_krawtchouk",
@@ -354,16 +354,6 @@ def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     return WignerMatrix(l, np.reshape(values, (dim, dim)))
 
 
-def _cos2_exact(theta: float, sin_t: float, cos_t: float) -> Fraction:
-    # Rational representation of cos(2 theta) for the closed forms whose
-    # value collapses to a power of 1 -+ cos(2 theta) near an interval end:
-    # keep the collapsing factor exact on whichever side collapses, so the
-    # negative trig powers in the prefactors cannot amplify its rounding.
-    if theta <= math.pi / 4:
-        return 1 - 2 * Fraction(sin_t) ** 2
-    return 2 * Fraction(cos_t) ** 2 - 1
-
-
 # The index symmetries t^l_{m,n}(A) = t^l_{m',n'}(A'), each as its map on the
 # indices (i, j) of spin l2 and its map on A: transpose-bc swaps the indices
 # and the off-diagonal entries; flip-signs negates both indices and reverses
@@ -392,48 +382,72 @@ def _quadrant_fold(l2: int):
             yield (which, i, j) if which is None else (which, *SYMMETRIES[which][0](l2, i, j))
 
 
-def _chart_entry(l2: int, i: int, j: int, chart: tuple) -> float:
-    # Closed form at zero phases for the quadrant i + j >= l2, i >= j;
-    # chart = (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
-    sin_t, cos_t, h = chart
+def _chart(theta: float) -> tuple:
+    # (sin theta, cos theta, cos 2 theta as an integer ratio), read by every
+    # zero-phase form.  Each collapses to a power of 1 -+ cos 2 theta near an end
+    # of [0, pi/2], so that factor is exact: 1 - 2 sin^2 of the rounded sine up
+    # to pi/4 and 2 cos^2 - 1 of the rounded cosine above.
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    side = 1 if theta <= math.pi / 4 else -1
+    num, den = (sin_t if side == 1 else cos_t).as_integer_ratio()
+    return sin_t, cos_t, (side * (den * den - 2 * num * num), den * den)
+
+
+def _chart_entries(l2: int, i: int, j: int, charts: list) -> list[float]:
+    # The Jacobi form of entry (i, j) of the quadrant i + j >= l2, i >= j at each
+    # chart (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
     lm, mn, mmn = l2 - i, i + j - l2, i - j
-    pref = _factorial_ratio_sqrt(i, lm, j, l2 - j)
-    sign = -1.0 if lm % 2 else 1.0
+    pref = (-1.0 if lm % 2 else 1.0) * _factorial_ratio_sqrt(i, lm, j, l2 - j)
     nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
-    return sign * pref * sin_t**mn * cos_t**mmn * _exact_series(nums, den, h)
+    return [pref * sin_t**mn * cos_t**mmn * _exact_series(nums, den, h) for sin_t, cos_t, h in charts]
 
 
-def chart_phases(l: HalfInt, angles: EulerAngles) -> np.ndarray:
-    """e^{-i(m(phi - psi) + n(phi + psi))} at each entry (m, n), shape (2l+1, 2l+1).
+def chart_phases(l: HalfInt, angles) -> np.ndarray:
+    """e^{-i(m(phi - psi) + n(phi + psi))} at each entry (m, n) for each of the
+    EulerAngles, shape (len(angles), 2l+1, 2l+1).
 
     A chart element is P1 R(theta) P2 with P1, P2 diagonal, so its matrix is
     this array times the real d(theta) = t(R(theta)).  Each phase is one
     exponential, not a product, so its bits do not depend on numpy's SIMD level.
     """
     i, j = np.indices((_dim(l), _dim(l)))
-    return np.exp(1j * ((i - j) * angles.psi - (i + j - l.twice) * angles.phi))
+    psi, phi = (np.reshape([getattr(a, name) for a in angles], (-1, 1, 1)) for name in ("psi", "phi"))
+    return np.exp(1j * ((i - j) * psi - (i + j - l.twice) * phi))
 
 
-def dmatrix_euler(l: HalfInt, angles: EulerAngles) -> WignerMatrix:
-    """chart_phases times d(theta), whose quadrant m + n >= 0, m - n >= 0 is
-    the closed form, each entry computed once and folded onto the others."""
+def _chart_form(stack, l: HalfInt, angles) -> np.ndarray:
+    # The matrices of the chart elements at the angles: chart_phases times the
+    # d(theta) of a zero-phase stack builder, shape (len(angles), 2l+1, 2l+1).
+    return chart_phases(l, angles) * stack(l, [a.theta for a in angles])
+
+
+def jacobi_stack(l: HalfInt, thetas) -> np.ndarray:
+    """d(theta) at each of the thetas, shape (len(thetas), 2l+1, 2l+1): an entry
+    of the quadrant m + n >= 0, m - n >= 0 is a Jacobi polynomial in cos 2 theta
+    times powers of sin and cos theta, computed once and folded onto the others."""
     dim, l2 = _dim(l), l.twice
-    num, q = math.cos(2 * angles.theta).as_integer_ratio()
-    chart = (math.sin(angles.theta), math.cos(angles.theta), (num - q, 2 * q))
-    quadrant = {(i, j): _chart_entry(l2, i, j, chart) for i in range(l2 + 1) for j in range(max(0, l2 - i), i + 1)}
+    charts = [(sin_t, cos_t, (num - den, 2 * den)) for sin_t, cos_t, (num, den) in map(_chart, thetas)]
+    quadrant = {(i, j): _chart_entries(l2, i, j, charts) for i in range(l2 + 1) for j in range(max(0, l2 - i), i + 1)}
     # transpose-bc and flip-signs map R(theta) to its image at psi = pi, whose
     # entry (i', j') has the sign (-1)^(i' - j'); anti-transpose fixes R(theta).
     flips = ("transpose-bc", "flip-signs")
-    values = [-quadrant[i, j] if which in flips and (i - j) % 2 else quadrant[i, j] for which, i, j in _quadrant_fold(l2)]
-    return WignerMatrix(l, chart_phases(l, angles) * np.reshape(values, (dim, dim)))
+    values = [
+        [-v for v in quadrant[i, j]] if which in flips and (i - j) % 2 else quadrant[i, j]
+        for which, i, j in _quadrant_fold(l2)
+    ]
+    return np.ascontiguousarray(np.array(values, dtype=float).reshape(dim, dim, len(charts)).transpose(2, 0, 1))
+
+
+def dmatrix_euler(l: HalfInt, angles: EulerAngles) -> WignerMatrix:
+    """The matrix of a chart element by the Jacobi form: the jacobi entry of
+    ROTATION_ROUTES, chart_phases times jacobi_stack, at one element."""
+    return WignerMatrix(l, _chart_form(jacobi_stack, l, [angles])[0])
 
 
 def _rodrigues_chart(theta: float) -> tuple:
     if not 0 < theta < math.pi / 2:
         raise RouteUnavailableError("derivative route needs theta strictly inside (0, pi/2)")
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    return sin_t, cos_t, _cos2_exact(theta, sin_t, cos_t).as_integer_ratio()
+    return _chart(theta)
 
 
 def _rodrigues_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
@@ -484,34 +498,32 @@ def rodrigues_stack(l: HalfInt, thetas) -> np.ndarray:
     return _entry_stack(l, [_rodrigues_chart(theta) for theta in thetas], _rodrigues_entries)
 
 
-_NEGATIVE_SIN = "negative sin power: Krawtchouk route needs theta > 0 when m + n < 0"
-
-
-def _krawtchouk_chart(theta: float) -> tuple:
-    sin_t = math.sin(theta)
-    cos_t = math.cos(theta)
-    # Success parameter cos^2(theta) as an exact rational with the side
-    # nearest collapse kept exact (the polynomial value degenerates to a
-    # power of 1 - p near theta = 0 and of p near theta = pi/2, both of
-    # which meet negative trig powers in the prefactor).
-    p = (1 + _cos2_exact(theta, sin_t, cos_t)) / 2
-    if p == 0 or theta >= math.pi / 2:
+def _krawtchouk_chart(theta: float, negative_sin_power: bool) -> tuple:
+    # (sin theta, cos theta, 1/p as an integer ratio), p = cos^2 theta =
+    # (1 + cos 2 theta)/2 from the chart; theta = 0 is refused too where an
+    # entry has a negative sin power.
+    sin_t, cos_t, (num, den) = _chart(theta)
+    if den + num == 0 or theta >= math.pi / 2:
         raise RouteUnavailableError("Krawtchouk route needs cos(theta) != 0")
-    p_num, p_den = p.as_integer_ratio()
-    return sin_t, cos_t, (p_den, p_num)
+    if negative_sin_power and (sin_t == 0.0 or theta <= 0.0):
+        raise RouteUnavailableError("negative sin power: Krawtchouk route needs theta > 0 when m + n < 0")
+    return sin_t, cos_t, (2 * den, den + num)
 
 
-def _krawtchouk_entries(l2: int, i: int, j: int, charts: list) -> list[float]:
-    # The entry at each chart (sin theta, cos theta, 1/p as an integer
-    # ratio); K_{l-m}(l-n; p, 2l) = 2F1(-(l-m), -(l-n); -2l; 1/p) is written
-    # over one denominator once for all of them.
-    lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    nums, den = _hyp2f1_coeffs_cached(-lm, -ln, -l2, lm)
-    pref = (-1.0 if lm % 2 else 1.0) * math.sqrt(comb(l2, lm) * comb(l2, ln))
-    return [
-        pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p)
-        for sin_t, cos_t, inv_p in charts
-    ]
+def _krawtchouk_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
+    # Entry (i, j) for each i of rows at each chart (sin theta, cos theta,
+    # 1/p as an integer ratio); K_{l-m}(l-n; p, 2l) = 2F1(-(l-m), -(l-n);
+    # -2l; 1/p) is written over one denominator once for all the charts.
+    ln = l2 - j
+    out = []
+    for i in rows:
+        lm, mn = l2 - i, i + j - l2
+        nums, den = _hyp2f1_coeffs_cached(-lm, -ln, -l2, lm)
+        pref = (-1.0 if lm % 2 else 1.0) * math.sqrt(comb(l2, lm) * comb(l2, ln))
+        out.append(
+            [pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p) for sin_t, cos_t, inv_p in charts]
+        )
+    return out
 
 
 def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
@@ -525,10 +537,7 @@ def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
     l2 = l.twice
     if l2 == 0:
         return 1.0  # spin-0 representation is trivial; K needs a positive lattice size
-    chart = _krawtchouk_chart(theta)
-    if i + j < l2 and (chart[0] == 0.0 or theta <= 0.0):
-        raise RouteUnavailableError(_NEGATIVE_SIN)
-    return _krawtchouk_entries(l2, i, j, [chart])[0]
+    return _krawtchouk_entries(l2, j, [i], [_krawtchouk_chart(theta, i + j < l2)])[0][0]
 
 
 def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:
@@ -537,13 +546,8 @@ def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:
     one denominator once."""
     if _dim(l) == 1:
         return np.ones((len(thetas), 1, 1))
-    charts = []
-    for theta in thetas:
-        chart = _krawtchouk_chart(theta)
-        if chart[0] == 0.0 or theta <= 0.0:  # entry (0, 0) has m + n = -2l < 0
-            raise RouteUnavailableError(_NEGATIVE_SIN)
-        charts.append(chart)
-    return _entry_stack(l, charts, lambda l2, j, rows, charts: [_krawtchouk_entries(l2, i, j, charts) for i in rows])
+    # entry (0, 0) has m + n = -2l < 0
+    return _entry_stack(l, [_krawtchouk_chart(theta, True) for theta in thetas], _krawtchouk_entries)
 
 
 # The routes that build a whole matrix of any element, called as (l, A); the
@@ -554,11 +558,12 @@ ELEMENT_ROUTES = {
     "sum": lambda l, A: sum_matrix(l, A),
     "jacobi": lambda l, A: jacobi_matrix(l, A),
 }
-# The routes on real rotations: each takes (l, thetas) and returns d(theta) at
-# each, shape (len(thetas), 2l+1, 2l+1); chart_phases times one is the matrix of a chart element.
+# The chart forms, called as (l, angles) with a list of EulerAngles: each
+# returns the matrices of those chart elements, shape (len(angles), 2l+1, 2l+1).
 ROTATION_ROUTES = {
-    "rodrigues": lambda l, thetas: rodrigues_stack(l, thetas),
-    "krawtchouk": lambda l, thetas: krawtchouk_stack(l, thetas),
+    "jacobi": lambda l, angles: _chart_form(jacobi_stack, l, angles),
+    "rodrigues": lambda l, angles: _chart_form(rodrigues_stack, l, angles),
+    "krawtchouk": lambda l, angles: _chart_form(krawtchouk_stack, l, angles),
 }
 
 

@@ -45,9 +45,9 @@ def test_criterion_1_route_cross_equality():
         "finite-sum-vs-oracle": 1e-10,
         "terminating-2f1-vs-oracle": 1e-9,
         "jacobi-vs-oracle": 1e-9,
-        "angle-chart-vs-oracle": 1e-9,
-        "rodrigues-vs-oracle": 1e-9,
-        "krawtchouk-vs-oracle": 1e-9,
+        "jacobi-chart-vs-oracle": 1e-9,
+        "rodrigues-chart-vs-oracle": 1e-9,
+        "krawtchouk-chart-vs-oracle": 1e-9,
     }
     ok = True
     worst = 0.0

@@ -22,6 +22,7 @@ from wignerkit.haar import gauss_legendre
 from wignerkit.specfun import (
     Hyp21Spec,
     JacobiParams,
+    _as_ratio,
     _exact_series,
     _float_series,
     _hyp2f1_coeffs_cached,
@@ -95,6 +96,14 @@ def old_jacobi_via_2f1(p, x):
     return _exact_series(
         [c * prefactor.numerator for c in nums], den * prefactor.denominator, Fraction(spec.z).as_integer_ratio()
     )
+
+
+def parent_jacobi_via_2f1(p, x):
+    # The prefactor by a Pochhammer symbol, on the integer 2F1 row.
+    spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
+    nums, den = _hyp2f1_coeffs_cached(spec.a, spec.b, spec.c, spec.terms)
+    prefactor = pochhammer(Fraction(p.alpha) + 1, p.n) / factorial(p.n)
+    return _exact_series([c * prefactor.numerator for c in nums], den * prefactor.denominator, _as_ratio(spec.z))
 
 
 def old_jacobi_norm(p):
@@ -237,14 +246,27 @@ class TestSeriesOnTheRows:
         p = JacobiParams(alpha, beta, n)
         assert outcome(jacobi_via_2f1, p, x) == outcome(old_jacobi_via_2f1, p, x)
 
+    def test_jacobi_via_2f1_reads_the_jacobi_row(self):
+        # Its prefactor (alpha+1)_n / n! is the Jacobi row's first coefficient,
+        # where the parent took a Pochhammer symbol: every case of a grid of
+        # 73,728 returns the same float or raises the same error.
+        grid = [k / 2 for k in range(-14, 15)] + [0.3, -0.7, 0.001]
+        xs = (-1.0, -0.5, -0.0, 0.3, 1.0, 2.5, -7.25, 1e300)
+        for alpha in grid:
+            for beta in grid:
+                for n in range(9):
+                    p = JacobiParams(alpha, beta, n)
+                    for x in xs:
+                        assert outcome(jacobi_via_2f1, p, x) == outcome(parent_jacobi_via_2f1, p, x), (p, x)
+
     def test_krawtchouk_entries(self):
-        charts = [_krawtchouk_chart(theta) for theta in (1e-9, 0.3, 0.7, 1.1, math.pi / 2 - 1e-6)]
+        charts = [_krawtchouk_chart(theta, True) for theta in (1e-9, 0.3, 0.7, 1.1, math.pi / 2 - 1e-6)]
         for l2 in range(1, 13):
-            for i in range(l2 + 1):
-                for j in range(l2 + 1):
-                    got = _krawtchouk_entries(l2, i, j, charts)
+            for j in range(l2 + 1):
+                got = _krawtchouk_entries(l2, j, range(l2 + 1), charts)
+                for i in range(l2 + 1):
                     want = old_krawtchouk_entries(l2, i, j, charts)
-                    assert [v.hex() for v in got] == [v.hex() for v in want], (l2, i, j)
+                    assert [v.hex() for v in got[i]] == [v.hex() for v in want], (l2, i, j)
 
 
 class TestJacobiNorm:

@@ -34,7 +34,7 @@ from wignerkit.specfun import (
     krawtchouk,
     legendre,
 )
-from wignerkit.wigner import _cos2_exact, tmn_rodrigues
+from wignerkit.wigner import tmn_rodrigues
 
 # -- reference copies of the Fraction loops ---------------------------------
 
@@ -126,6 +126,13 @@ def old_krawtchouk(n, x, p, N):
     return float(total)
 
 
+def old_cos2_exact(theta, sin_t, cos_t):
+    # cos 2 theta as a Fraction, exact on the side nearest its collapse.
+    if theta <= math.pi / 4:
+        return 1 - 2 * Fraction(sin_t) ** 2
+    return 2 * Fraction(cos_t) ** 2 - 1
+
+
 def old_rodrigues_value(l, m, n, theta):
     # The exact Horner value inside tmn_rodrigues, before the float prefactor.
     lm, lpn, ln = (l - m).as_int(), (l + n).as_int(), (l - n).as_int()
@@ -137,7 +144,7 @@ def old_rodrigues_value(l, m, n, theta):
         deriv = [0]
     else:
         deriv = [coeffs[k + lm] * math.perm(k + lm, lm) for k in range(len(coeffs) - lm)]
-    s = _cos2_exact(theta, math.sin(theta), math.cos(theta))
+    s = old_cos2_exact(theta, math.sin(theta), math.cos(theta))
     value = Fraction(0)
     for ck in reversed(deriv):
         value = value * s + ck

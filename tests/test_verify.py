@@ -11,6 +11,7 @@ from wignerkit import verify
 from wignerkit.cli import main
 from wignerkit.exactcomb import HalfInt, spins_up_to
 from wignerkit.group import EulerAngles, Mat2C, from_euler, sample_haar
+from wignerkit.wigner import ROTATION_ROUTES
 
 GRID_FREE_SUITES = (
     "suite_routes",
@@ -130,9 +131,8 @@ def test_a_nan_oracle_fails_unitarity(monkeypatch):
 
 
 def test_routes_suite_builds_each_oracle_reference_once(monkeypatch):
-    # Each (spin, element) in one oracle_stack call, three calls per spin:
-    # the samples, the Euler triples and the zero-phase rotations of the
-    # SU(2) samples.
+    # Each (spin, element) in one oracle_stack call, two calls per spin: the
+    # samples and the Euler triples of the chart forms.
     seed, max_l = 0, HalfInt(2)
     oracle_stack = verify.oracle_stack
     calls, stacks = Counter(), Counter()
@@ -144,16 +144,22 @@ def test_routes_suite_builds_each_oracle_reference_once(monkeypatch):
 
     monkeypatch.setattr(verify, "oracle_stack", counting)
     verify.suite_routes(max_l, seed)
-    su2 = sample_haar(seed, 20)
-    thetas = [t for t in map(verify._theta_of, su2) if 0 < t < math.pi / 2]
     rng = np.random.default_rng(seed + 2)
-    triples = zip(rng.uniform(0, math.pi / 2, 10), rng.uniform(0, 2 * math.pi, 10), rng.uniform(0, 2 * math.pi, 10))
+    triples = zip(rng.uniform(0, math.pi / 2, 20), rng.uniform(0, 2 * math.pi, 20), rng.uniform(0, 2 * math.pi, 20))
     elements = [
-        *su2,
+        *sample_haar(seed, 20),
         *verify.sample_gl2(seed + 1, 10),
-        *(from_euler(EulerAngles(theta, 0.0, 0.0)) for theta in thetas),
         *(from_euler(EulerAngles(*angles)) for angles in triples),
     ]
-    assert thetas
     assert calls == Counter((l.twice, A) for l in spins_up_to(max_l) for A in elements)
-    assert stacks == Counter({l.twice: 3 for l in spins_up_to(max_l)})
+    assert stacks == Counter({l.twice: 2 for l in spins_up_to(max_l)})
+
+
+def test_routes_suite_checks_each_chart_form_at_20_triples():
+    max_l = HalfInt(3)
+    checks = {chk["check"]: chk for chk in verify.suite_routes(max_l, 1)["checks"]}
+    charts = [name for name in checks if name.endswith("-chart-vs-oracle")]
+    assert charts == [f"{route}-chart-vs-oracle" for route in ROTATION_ROUTES]
+    for name in charts:
+        assert checks[name]["count"] == 20 * sum((l2 + 1) ** 2 for l2 in range(max_l.twice + 1))
+        assert checks[name]["tolerance"] == 1e-9 and checks[name]["passed"]

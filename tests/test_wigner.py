@@ -20,6 +20,7 @@ from wignerkit.wigner import (
     apply_symmetry,
     character,
     dmatrix_euler,
+    jacobi_stack,
     fold_to_quadrant,
     oracle_matrix,
     oracle_stack,
@@ -375,6 +376,25 @@ class TestDmatrixEuler:
                 got = dmatrix_euler(l, EulerAngles(math.pi / 2, phi, 0.0)).entries
                 expected = np.diag([cmath.exp(-2j * float(n) * phi) for n in spin_range(l)])
                 assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+class TestJacobiStack:
+    def test_unitary_near_the_ends_of_the_chart(self):
+        # cos 2 theta from the rounded sine (cosine) keeps 1 - cos 2 theta
+        # (1 + cos 2 theta) exact; from a rounded cos(2 theta) the residual
+        # here was 1.3e-13.
+        d = jacobi_stack(HalfInt(120), [1e-3, math.pi / 2 - 1e-3])
+        for layer in d:
+            assert np.max(np.abs(layer @ layer.T - np.eye(121))) <= 1e-14
+
+    def test_a_stack_is_its_angles_one_at_a_time(self):
+        thetas = [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2]
+        for l_x2 in range(7):
+            l = HalfInt(l_x2)
+            d = jacobi_stack(l, thetas)
+            assert d.shape == (5, l_x2 + 1, l_x2 + 1) and d.flags.c_contiguous
+            for theta, layer in zip(thetas, d):
+                assert layer.tobytes() == jacobi_stack(l, [theta])[0].tobytes()
 
 
 class TestTmnRodrigues:
