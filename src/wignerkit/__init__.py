@@ -36,6 +36,7 @@ from .specfun import (
     jacobi_eval,
     jacobi_norm,
     jacobi_rodrigues,
+    jacobi_values,
     jacobi_via_2f1,
     krawtchouk,
     legendre,
@@ -49,6 +50,7 @@ from .wigner import (
     dmatrix_euler,
     fold_to_quadrant,
     hyp_entries,
+    hyp_symmetric_entries,
     jacobi_entries,
     jacobi_matrix,
     jacobi_stack,

@@ -1,15 +1,17 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "4"; strict JSON (a non-finite deviation is
+Output contract: schema_version "5"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
 across runs; only the Schur reduction (schur, all) makes a BLAS product, so
-only its bytes depend on the BLAS kernel and thread count.  Version 2: the
-oracle's last bits changed.  Version 3: the angle chart's phases multiply
-d(theta), so angle-chart-vs-oracle changed in its last digits.  Version 4:
-the routes suite checks every chart form alike, as <route>-chart-vs-oracle.
+only its bytes depend on the BLAS kernel and thread count.  Version 5 drops
+verify's grid_overrides input (the grid options are gone) and adds the
+routes check terminating-2f1-symmetric-vs-oracle; CHANGES.md lists each
+version.  Each command takes only the flags it reads: dmat exactly one
+source, --theta (with --phi and --psi, 0 when absent) or --matrix; poly
+the flags of its family.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 numeric domain error (a ValueError or an ArithmeticError).
@@ -33,15 +35,15 @@ from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, Wign
 
 log = logging.getLogger("wignerkit")
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
 # takes the oracle; an unavailable route falls back to the oracle too.  An
 # Euler source takes a route's chart form where it has one.
 ROUTES = (*{**ELEMENT_ROUTES, **ROTATION_ROUTES}, "auto")
 _FALLBACK = "oracle"
-# poly's families: the flags each needs, in the order they are checked, its
-# evaluator on those flags and its route_used.  The lambdas look each
-# function up at call time.
+# poly's families: the flags each needs and the only ones it takes, in the
+# order they are checked, its evaluator on those flags and its route_used.
+# The lambdas look each function up at call time.
 _FAMILIES = {
     "jacobi": (
         ("n", "alpha", "beta", "x"),
@@ -117,6 +119,17 @@ def _render(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
 
 
+def _eight_reals(text: str) -> list[float]:
+    # --matrix's type: the 8 reals a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im.
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 8:
+        raise argparse.ArgumentTypeError("needs 8 comma-separated reals: a_re,a_im,b_re,...,d_im")
+    return values
+
+
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> WignerMatrix:
     if angles is not None and route in ROTATION_ROUTES:
         return WignerMatrix(l, ROTATION_ROUTES[route](l, [angles])[0])
@@ -129,36 +142,17 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
     l = HalfInt(args.l_x2)
     angles = None
     if args.matrix is not None:
-        if args.theta is not None:
-            parser.error("--matrix and --theta are mutually exclusive")
+        if args.phi is not None or args.psi is not None:
+            parser.error("--phi and --psi need --theta")
         if args.route not in (*ELEMENT_ROUTES, "auto"):
             parser.error(f"route {args.route} needs an Euler-angle source")
-        try:
-            values = [float(v) for v in args.matrix.split(",")]
-        except ValueError:
-            values = []
-        if len(values) != 8:
-            parser.error("--matrix needs 8 comma-separated reals: a_re,a_im,b_re,...,d_im")
-        A = Mat2C(
-            complex(values[0], values[1]),
-            complex(values[2], values[3]),
-            complex(values[4], values[5]),
-            complex(values[6], values[7]),
-        )
-        inputs = {"l_x2": l.twice, "source": "matrix", "matrix": values, "route": args.route}
+        A = Mat2C(*map(complex, args.matrix[::2], args.matrix[1::2]))
+        source = {"source": "matrix", "matrix": args.matrix}
     else:
-        if args.theta is None:
-            parser.error("need either --theta (with optional --phi/--psi) or --matrix")
-        angles = EulerAngles(args.theta, args.phi, args.psi)
+        phi, psi = (0.0 if phase is None else phase for phase in (args.phi, args.psi))
+        angles = EulerAngles(args.theta, phi, psi)
         A = from_euler(angles)
-        inputs = {
-            "l_x2": l.twice,
-            "source": "euler",
-            "theta": angles.theta,
-            "phi": angles.phi,
-            "psi": angles.psi,
-            "route": args.route,
-        }
+        source = {"source": "euler", "theta": angles.theta, "phi": angles.phi, "psi": angles.psi}
     warnings = []
     route_used = _FALLBACK if args.route == "auto" else args.route
     try:
@@ -171,12 +165,8 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "dmat",
-        "inputs": inputs,
-        "result": {
-            "l_x2": l.twice,
-            "dim": l.twice + 1,
-            "route_used": route_used,
-        },
+        "inputs": {"l_x2": l.twice, **source, "route": args.route},
+        "result": {"l_x2": l.twice, "dim": l.twice + 1, "route_used": route_used},
     }
     if warnings:
         record["warnings"] = warnings
@@ -188,12 +178,13 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
 
 
 def cmd_poly(args, parser) -> tuple[str, int]:
-    if args.format == "csv":
-        parser.error("CSV output is matrices-only; poly supports json")
     flags, evaluate, route = _FAMILIES[args.family]
     for flag in flags:
         if getattr(args, flag) is None:
             parser.error(f"{args.family} needs --{flag}")
+    for flag, value in vars(args).items():
+        if value is not None and flag not in ("command", "family", *flags):
+            parser.error(f"{args.family} takes no --{flag}")
     values = {flag: getattr(args, flag) for flag in flags}
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -207,21 +198,11 @@ def cmd_poly(args, parser) -> tuple[str, int]:
 def cmd_verify(args, parser) -> tuple[str, int]:
     if args.max_l_x2 < 0 or args.max_l_x2 > MAX_VERIFY_L_X2:
         parser.error(f"--max-l-x2 must lie in [0, {MAX_VERIFY_L_X2}]")
-    overrides = {
-        axis: count
-        for axis, count in (("n_theta", args.grid_ntheta), ("n_phi", args.grid_nphi), ("n_psi", args.grid_npsi))
-        if count is not None
-    }
-    report = run_suite(args.suite, HalfInt(args.max_l_x2), args.seed, overrides or None)
+    report = run_suite(args.suite, HalfInt(args.max_l_x2), args.seed)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
-        "inputs": {
-            "suite": args.suite,
-            "max_l_x2": args.max_l_x2,
-            "seed": args.seed,
-            "grid_overrides": overrides,
-        },
+        "inputs": {"suite": args.suite, "max_l_x2": args.max_l_x2, "seed": args.seed},
         "result": report,
     }
     return _render(record), 0 if report["passed"] else 1
@@ -237,10 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     dmat = sub.add_parser("dmat", help="compute a (2l+1) x (2l+1) representation matrix")
     dmat.add_argument("--l-x2", type=int, required=True, help="spin as a twice-value (3/2 -> 3)")
-    dmat.add_argument("--theta", type=float, help="colatitude in [0, pi/2] (radians)")
-    dmat.add_argument("--phi", type=float, default=0.0, help="first phase in [0, 2*pi)")
-    dmat.add_argument("--psi", type=float, default=0.0, help="second phase in [0, 2*pi)")
-    dmat.add_argument("--matrix", help="8 comma-separated reals: a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im")
+    source = dmat.add_mutually_exclusive_group(required=True)
+    source.add_argument("--theta", type=float, help="colatitude in [0, pi/2] (radians)")
+    source.add_argument(
+        "--matrix", type=_eight_reals, help="8 comma-separated reals: a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im"
+    )
+    dmat.add_argument("--phi", type=float, help="first phase in [0, 2*pi), with --theta; default 0")
+    dmat.add_argument("--psi", type=float, help="second phase in [0, 2*pi), with --theta; default 0")
     dmat.add_argument("--route", choices=ROUTES, default="auto")
     dmat.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -252,15 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--x", type=float, help="evaluation point")
     poly.add_argument("--p", type=float, help="krawtchouk success parameter")
     poly.add_argument("--N", type=int, help="krawtchouk lattice size")
-    poly.add_argument("--format", choices=("json", "csv"), default="json")
 
     verify = sub.add_parser("verify", help="run a property-verification suite")
     verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
     verify.add_argument("--max-l-x2", type=int, default=6)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--grid-ntheta", type=int, help="override Gauss-Legendre node count")
-    verify.add_argument("--grid-nphi", type=int, help="override phi node count")
-    verify.add_argument("--grid-npsi", type=int, help="override psi node count")
     return parser
 
 

@@ -99,23 +99,13 @@ def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def build_grid(
-    max_l: HalfInt,
-    n_theta: int | None = None,
-    n_phi: int | None = None,
-    n_psi: int | None = None,
-) -> HaarGrid:
-    """Smallest grid exact for spin max_l, with optional node-count overrides.
-
-    The default counts are 2 max_l + 1 theta nodes and 4 max_l + 1 nodes per
-    phase (the phase degree of a product of two spin-max_l elements is 4 max_l);
-    HaarGrid.max_exact_l above inverts them.
-    """
-    n_theta = max_l.twice + 1 if n_theta is None else n_theta
-    n_phi = 2 * max_l.twice + 1 if n_phi is None else n_phi
-    n_psi = 2 * max_l.twice + 1 if n_psi is None else n_psi
-    if min(n_theta, n_phi, n_psi) < 1:
-        raise ValueError("grid needs at least one node per axis")
+def build_grid(max_l: HalfInt) -> HaarGrid:
+    """Smallest grid exact for spin max_l: 2 max_l + 1 theta nodes and 4 max_l + 1
+    nodes per phase, the phase degree of a product of two spin-max_l elements
+    being 4 max_l; HaarGrid.max_exact_l above inverts the counts."""
+    if max_l.twice < 0:
+        raise ValueError(f"negative spin l={max_l}")
+    n_theta, n_phi, n_psi = max_l.twice + 1, 2 * max_l.twice + 1, 2 * max_l.twice + 1
     x, wx = leggauss(n_theta)
     thetas_1d = 0.5 * np.arccos(x)
     phis_1d = 2 * math.pi * np.arange(n_phi) / n_phi

@@ -36,6 +36,7 @@ __all__ = [
     "hyp2f1",
     "hyp2f1_complex",
     "jacobi_eval",
+    "jacobi_values",
     "jacobi_complex",
     "jacobi_via_2f1",
     "jacobi_rodrigues",
@@ -237,12 +238,20 @@ def jacobi_eval(p: JacobiParams, x):
     x is a real number or an ndarray of them; an array gives the array of
     the values at its elements, each the float a scalar call returns.
     """
-    nums, den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
     if isinstance(x, np.ndarray):
-        values = [_exact_series(nums, den, (num - q, 2 * q)) for num, q in map(_as_ratio, x.ravel().tolist())]
-        return np.array(values, dtype=float).reshape(x.shape)
+        return jacobi_values([p], x).reshape(x.shape)
+    nums, den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
     num, q = _as_ratio(x)
     return _exact_series(nums, den, (num - q, 2 * q))
+
+
+def jacobi_values(params, x) -> np.ndarray:
+    """jacobi_eval(p, x) for each p of params, shape (len(params), *x.shape);
+    the elements of the ndarray x are turned into exact ratios once for all."""
+    rows = [_jacobi_coeffs_cached(p.alpha, p.beta, p.n) for p in params]
+    points = [(num - q, 2 * q) for num, q in map(_as_ratio, x.ravel().tolist())]
+    values = [[_exact_series(*row, z) for z in points] for row in rows]
+    return np.array(values, dtype=float).reshape(len(rows), *x.shape)
 
 
 def jacobi_complex(p: JacobiParams, w: complex) -> complex:

@@ -27,12 +27,13 @@ from .haar import (
     pairwise_sum,
     schur_check,
 )
-from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_norm, krawtchouk
+from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_norm, jacobi_values, krawtchouk
 from .wigner import (
     ROTATION_ROUTES,
     SYMMETRIES,
     RouteUnavailableError,
     hyp_entries,
+    hyp_symmetric_entries,
     jacobi_entries,
     oracle_stack,
     sum_matrix,
@@ -163,6 +164,7 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
     checks = [
         _check("finite-sum-vs-oracle", finite_sum(), 1e-10),
         _check("terminating-2f1-vs-oracle", element_route(hyp_entries), 1e-9),
+        _check("terminating-2f1-symmetric-vs-oracle", element_route(hyp_symmetric_entries), 1e-9),
         _check("jacobi-vs-oracle", element_route(jacobi_entries), 1e-9),
         *(_check(f"{name}-chart-vs-oracle", chart_form(route), 1e-9) for name, route in ROTATION_ROUTES.items()),
     ]
@@ -300,11 +302,12 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
                         yield abs(values[i][j] - images[i2][j2]) / scale
 
     def jacobi_reflection():
-        xs = np.linspace(-1, 1, 21)
-        for al, be, n in product(range(7), range(7), range(11)):
-            lhs = jacobi_eval(JacobiParams(al, be, n), -xs).tolist()
-            rhs = ((-1) ** n * jacobi_eval(JacobiParams(be, al, n), xs)).tolist()
-            yield from map(_relative, lhs, rhs)
+        # P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x); each side's 539 polynomials in one jacobi_values call
+        xs, triples = np.linspace(-1, 1, 21), list(product(range(7), range(7), range(11)))
+        lhs = jacobi_values([JacobiParams(al, be, n) for al, be, n in triples], -xs)
+        rhs = jacobi_values([JacobiParams(be, al, n) for al, be, n in triples], xs) * [[(-1) ** n] for *_, n in triples]
+        for left, right in zip(lhs.tolist(), rhs.tolist()):
+            yield from map(_relative, left, right)
 
     pfaff = (
         _relative(hyp2f1(-n, b, c, z), (1 - z) ** n * hyp2f1(-n, c - b, c, z / (z - 1)))
@@ -360,7 +363,7 @@ SUITE_NAMES = (*SUITES, "all")
 _GRID_SUITES = ("schur", "character", "all")
 
 
-def run_suite(name: str, max_l: HalfInt, seed: int, grid_overrides: dict | None = None) -> dict:
+def run_suite(name: str, max_l: HalfInt, seed: int) -> dict:
     """Run one named suite (or all of them) and report pinned-tolerance checks.
 
     The schur and character suites share one grid, so under "all" each
@@ -368,7 +371,7 @@ def run_suite(name: str, max_l: HalfInt, seed: int, grid_overrides: dict | None 
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    grid = build_grid(max_l, **(grid_overrides or {})) if name in _GRID_SUITES else None
+    grid = build_grid(max_l) if name in _GRID_SUITES else None
     if name != "all":
         report = SUITES[name](max_l, seed, grid)
     else:

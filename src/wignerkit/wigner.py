@@ -48,6 +48,7 @@ __all__ = [
     "tmn_hyp",
     "hyp_entries",
     "tmn_hyp_symmetric",
+    "hyp_symmetric_entries",
     "tmn_jacobi",
     "jacobi_entries",
     "jacobi_matrix",
@@ -276,23 +277,37 @@ def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     return _finite(_hyp_entry(*_hyp_args(l, m, n, A)))
 
 
-def hyp_entries(l: HalfInt, A: Mat2C) -> dict:
-    """tmn_hyp on its whole index domain m + n >= 0, keyed by (row, column)
-    in row-major order; raises ValueError if an entry is not finite."""
+def _hyp_symmetric_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
+    # Needs m + n >= 0 (i + j >= l2).
+    _, w, b_pow, c_pow, d_pow = tables
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    series = hyp2f1_complex(-lm, -ln, -l2, min(lm, ln), w)
+    return math.sqrt(comb(l2, lm) * comb(l2, ln)) * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
+
+
+def _hyp_entries(l: HalfInt, A: Mat2C, entry) -> dict:
+    # entry on the whole index domain m + n >= 0, from one set of tables.
     l2 = _dim(l) - 1
     tables = _hyp_tables(A, l2)
     cells = [(i, j) for i in range(l2 + 1) for j in range(max(0, l2 - i), l2 + 1)]
-    return dict(zip(cells, _finite([_hyp_entry(l2, i, j, tables) for i, j in cells])))
+    return dict(zip(cells, _finite([entry(l2, i, j, tables) for i, j in cells])))
+
+
+def hyp_entries(l: HalfInt, A: Mat2C) -> dict:
+    """tmn_hyp on its whole index domain m + n >= 0, keyed by (row, column)
+    in row-major order; raises ValueError if an entry is not finite."""
+    return _hyp_entries(l, A, _hyp_entry)
 
 
 def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """Variant 2F1 form with the symmetric binomial prefactor and argument
     (bc - ad)/(bc); same domain, tables and failures as tmn_hyp."""
-    l2, i, j, (_, w, b_pow, c_pow, d_pow) = _hyp_args(l, m, n, A)
-    lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    pref = math.sqrt(comb(l2, lm) * comb(l2, ln))
-    series = hyp2f1_complex(-lm, -ln, -l2, min(lm, ln), w)
-    return _finite(pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series)
+    return _finite(_hyp_symmetric_entry(*_hyp_args(l, m, n, A)))
+
+
+def hyp_symmetric_entries(l: HalfInt, A: Mat2C) -> dict:
+    """tmn_hyp_symmetric on the domain of hyp_entries, keyed as it is."""
+    return _hyp_entries(l, A, _hyp_symmetric_entry)
 
 
 def _jacobi_tables(A: Mat2C, l2: int) -> tuple:

@@ -44,6 +44,7 @@ def test_criterion_1_route_cross_equality():
     tolerances = {
         "finite-sum-vs-oracle": 1e-10,
         "terminating-2f1-vs-oracle": 1e-9,
+        "terminating-2f1-symmetric-vs-oracle": 1e-9,
         "jacobi-vs-oracle": 1e-9,
         "jacobi-chart-vs-oracle": 1e-9,
         "rodrigues-chart-vs-oracle": 1e-9,

@@ -35,7 +35,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "4"
+        assert rec["schema_version"] == "5"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -110,6 +110,24 @@ class TestDmat:
         with pytest.raises(SystemExit) as err:
             main(["dmat", "--l-x2", "2"])
         assert err.value.code == 2
+
+    def test_both_sources_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["dmat", "--l-x2", "2", "--theta", "0.3", "--matrix", "1,0,2,0,3,0,4,0"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("phases", [["--phi", "2.0"], ["--psi", "1.0"], ["--phi", "0", "--psi", "0"]])
+    def test_phases_with_a_matrix_source_are_a_usage_error(self, capsys, phases):
+        # A --matrix source has no phases to apply them to.
+        with pytest.raises(SystemExit) as err:
+            main(["dmat", "--l-x2", "1", "--matrix", "1,0,0,0,0,0,1,0", *phases])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --phi and --psi need --theta\n")
+
+    def test_absent_phases_print_as_zero_and_given_ones_as_given(self, capsys):
+        _, rec = run_json(capsys, "dmat", "--l-x2", "1", "--theta", "0.7", "--psi", "-0.0")
+        assert rec["inputs"]["phi"] == 0.0 and math.copysign(1.0, rec["inputs"]["phi"]) == 1.0
+        assert rec["inputs"]["psi"] == 0.0 and math.copysign(1.0, rec["inputs"]["psi"]) == -1.0
 
     def test_bad_matrix_length_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -281,6 +299,26 @@ class TestPoly:
             assert err.value.code == 2
             assert capsys.readouterr().err.endswith(f"error: {family} needs --{missing}\n")
 
+    @pytest.mark.parametrize(
+        "family, argv",
+        [
+            ("legendre", ["--n", "2", "--x", "0.5", "--alpha", "7"]),
+            ("legendre", ["--n", "2", "--x", "0.5", "--N", "3"]),
+            ("krawtchouk", ["--n", "1", "--x", "2", "--p", "0.5", "--N", "4", "--beta", "1"]),
+            ("jacobi", ["--n", "2", "--alpha", "0", "--beta", "0", "--x", "0", "--p", "0.5"]),
+        ],
+    )
+    def test_a_flag_outside_the_family_is_a_usage_error(self, capsys, family, argv):
+        with pytest.raises(SystemExit) as err:
+            main(["poly", "--family", family, *argv])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {family} takes no {argv[-2]}\n")
+
+    def test_format_is_not_a_poly_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["poly", "--family", "legendre", "--n", "1", "--x", "0.5", "--format", "json"])
+        assert err.value.code == 2
+
     def test_csv_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["poly", "--family", "legendre", "--n", "1", "--x", "0.5", "--format", "csv"])
@@ -317,14 +355,16 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
 
-    def test_grid_override_still_exact(self, capsys):
-        code, rec = run_json(
-            capsys,
-            "verify", "--suite", "schur", "--max-l-x2", "2",
-            "--grid-ntheta", "6", "--grid-nphi", "9", "--grid-npsi", "9",
-        )
-        assert code == 0
-        assert rec["result"]["passed"] is True
+    @pytest.mark.parametrize("flag", ["--grid-ntheta", "--grid-nphi", "--grid-npsi"])
+    def test_grid_node_counts_are_not_options(self, capsys, flag):
+        # The suites run on the grid build_grid sizes for the spin, and on no other.
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "schur", "--max-l-x2", "2", flag, "9"])
+        assert err.value.code == 2
+
+    def test_verify_inputs_are_the_flags_it_takes(self, capsys):
+        _, rec = run_json(capsys, "verify", "--suite", "krawtchouk-sym", "--max-l-x2", "0", "--seed", "4")
+        assert rec["inputs"] == {"suite": "krawtchouk-sym", "max_l_x2": 0, "seed": 4}
 
     def test_all_suite_smallest_run_under_five_seconds(self, capsys):
         import time

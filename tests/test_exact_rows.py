@@ -32,6 +32,7 @@ from wignerkit.specfun import (
     hyp2f1_terminating,
     jacobi_eval,
     jacobi_norm,
+    jacobi_values,
     jacobi_via_2f1,
     krawtchouk,
     legendre,
@@ -347,6 +348,15 @@ class TestArrayJacobiEval:
         got = jacobi_eval(p, xs)
         assert got.shape == (3, 4)
         assert [v.hex() for v in got.ravel().tolist()] == [jacobi_eval(p, x).hex() for x in xs.ravel()]
+
+    def test_values_of_many_polynomials_are_their_jacobi_evals(self):
+        params = [JacobiParams(al, be, n) for al, be, n in ((0, 0, 5), (6, 1, 10), (0.5, -1.5, 7), (3, 3, 0))]
+        for xs in (np.linspace(-1, 1, 21), np.linspace(-2, 2, 12).reshape(3, 4), np.array([])):
+            got = jacobi_values(params, xs)
+            assert got.shape == (len(params), *xs.shape) and got.dtype == float
+            for p, row in zip(params, got):
+                assert [v.hex() for v in row.ravel().tolist()] == [v.hex() for v in jacobi_eval(p, xs).ravel().tolist()]
+        assert jacobi_values([], np.linspace(-1, 1, 3)).shape == (0, 3)
 
 
 class TestGaussLegendre:

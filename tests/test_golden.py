@@ -59,19 +59,19 @@ EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
     "dmat_oracle_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "b8ed2ae1cb2370ea27d96e4eee805694f91f21d0408b2b0a5778005ac1b91d94",
+        "5e55fb5e7ddb78d9429833cdce7e83bd04531c04af906aee71d62b8d50a0a38b",
     ),
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "9b1c38dffd8b04b7332284f43437ee8c0353a11aed59cc7738be51c8c0a85c39",
+        "066751716e9ef525cf1cf958a197565f8c52a1f76248fd32f5d116a1abb5c2d6",
     ),
     "dmat_oracle_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "c20ea888b135458271dcc136e33a2580d2590d1c73c301b8e78bef828bfe2bc0",
+        "f0e16debeb53597cea3b702af4d2196b242c7a4c3cc34a7477a70bcbe3b1be2e",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "83eee74b21dae3be1f13188faedbbaa90b13c8897be900e4e5c37b0c569b480d",
+        "3f54f691cb15bcff842f42351417ef38112007ca18312350749a287fb5bee578",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -84,7 +84,7 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "3f27e20d016691a605e09ffb05eb775708c1f08b9203df3a9bb7ae439925a618",
+        "6f3c95d1b757158f546a1a71d853c15764788bc04f1a81bc5c698c2cf986b854",
     ),
     "dmat_oracle_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
@@ -94,15 +94,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "52b84ebb15e1de5aae27556981ad48c543c38e9a5cc0919edb544a40de21c227",
+        "0cd366055bbdc4e6775404854dbb7f167c048abe17cfa90a85ae075cbf8b4e1c",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "2e7d86c1bc1162b0fe6536b66d4b76fd603cb76bf6e181f37fe3b1c83ea0e018",
+        "bce80a6feff5d70ed3c266e44d1d56a7f531455d85b9714813d86ddd69facef4",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "b1150331467e92bb5431277dd1791185770b96752d29a11bfedd7d48c45673b5",
+        "488f0a7ad61f777d645ae11903b1edbea31d4a556c3601d21356777e6f006c2a",
     ),
 }
 
@@ -129,12 +129,12 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # do not depend on the BLAS kernel or thread count; schur and all, which run
 # the Schur reduction, do.
 VERIFY_HASHED = {
-    "routes": "df9014cb40979ddffad95c3252c05674e1f97118daaf9e5875e6883e2131045f",
-    "unitarity": "ba61760e203da468571700beba3729e468462f763fb3cfceda455d32755fe0ed",
-    "homomorphism": "a51b74a8353a3d12afa165ab86e526293fac45e5c1631350c799f3c9923d580c",
-    "jacobi-orth": "ef355a5a52f6ff2cc549208f0028349184375a876cc1191d5d6b39ca46386028",
-    "legendre": "bde2268643c3a2dfd9b1c7967d7d54e2110188db81c832122504938a28707d7a",
-    "krawtchouk-sym": "6119545fa6be1e3f65fcfbffbbaefb026853f9e7a90dbe4fd456b22ee478c494",
+    "routes": "0800ecf777dc44775a0c8fe1cac8ad9fca6cf525fa74bbfd41e17a3eeea76c23",
+    "unitarity": "309220631eb8ff59ae3d3c17afced44acb03de5f91299da2c13e68876f67d42e",
+    "homomorphism": "f41bba165797d86358984d4f4e68e8b58571cdce458089a913e4116d6bb9e137",
+    "jacobi-orth": "ccc3c00d442cd5ae1b74e153f44434cd633660be323a2122494746781708d074",
+    "legendre": "030591b90661f4d2b95eacb227b7df28bcd800735161da1d735aaab09d7f3d5c",
+    "krawtchouk-sym": "fbdee9fd9d50bae221be686e5c4d855d0547ca4a275abbac852c67a9169737cb",
 }
 
 

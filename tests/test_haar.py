@@ -40,10 +40,9 @@ class TestGridConstruction:
         for twice in range(0, 7):
             assert build_grid(HalfInt(twice)).max_exact_l().twice == twice
 
-    def test_overrides(self):
-        grid = build_grid(HalfInt(1), n_theta=5, n_phi=9, n_psi=11)
-        assert (grid.n_theta, grid.n_phi, grid.n_psi) == (5, 9, 11)
-        assert abs(grid.weights.sum() - 1.0) <= 1e-13
+    def test_negative_spin_rejected(self):
+        with pytest.raises(ValueError, match="negative spin"):
+            build_grid(HalfInt(-1))
 
     def test_node_iteration_matches_count(self):
         grid = build_grid(HalfInt(2))
@@ -144,7 +143,7 @@ class TestSchur:
     def test_exactness_not_mere_convergence(self):
         # growing the grid beyond the budget must not move the result
         small = build_grid(HalfInt(3))
-        big = build_grid(HalfInt(3), n_theta=7, n_phi=11, n_psi=11)
+        big = build_grid(HalfInt(5))
         for l, lp in ((HALF, HALF), (HALF, HalfInt(2)), (HalfInt(3), HalfInt(3))):
             a = schur_check(small, l, lp).max_deviation
             b = schur_check(big, l, lp).max_deviation

@@ -44,6 +44,7 @@ from wignerkit.wigner import (
     jacobi_stack,
     fold_to_quadrant,
     hyp_entries,
+    hyp_symmetric_entries,
     jacobi_entries,
     jacobi_matrix,
     krawtchouk_stack,
@@ -324,7 +325,7 @@ ELEMENT_ROUTES = {
 BUILDERS = {
     "tmn_sum": lambda l, A: {ij: complex(v) for ij, v in np.ndenumerate(sum_matrix(l, A).entries)},
     "tmn_hyp": hyp_entries,
-    "tmn_hyp_symmetric": hyp_entries,
+    "tmn_hyp_symmetric": hyp_symmetric_entries,
     "tmn_jacobi": jacobi_entries,
 }
 THETA_ROUTES = {
@@ -383,8 +384,7 @@ def test_per_entry_forms_are_their_builders_entries(name):
                 continue
             except ValueError:
                 continue
-            if route != "tmn_hyp_symmetric":  # hyp_entries holds the other 2F1 form
-                assert {ij: repr(got[ij]) for ij in built} == {ij: repr(v) for ij, v in built.items()}, (route, l_x2)
+            assert {ij: repr(got[ij]) for ij in built} == {ij: repr(v) for ij, v in built.items()}, (route, l_x2)
 
 
 @pytest.mark.parametrize("route", sorted(THETA_ROUTES))

@@ -1,6 +1,7 @@
 """The route tables in wignerkit.wigner and everything that dispatches from
 them: `dmat --route`, the routes suite, and the whole-domain entry functions
-`hyp_entries` and `jacobi_entries`, held to the per-entry `tmn_*` functions."""
+`hyp_entries`, `hyp_symmetric_entries` and `jacobi_entries`, held to the
+per-entry `tmn_*` functions."""
 import argparse
 import ast
 import json
@@ -22,6 +23,7 @@ from wignerkit.wigner import (
     chart_phases,
     dmatrix_euler,
     hyp_entries,
+    hyp_symmetric_entries,
     jacobi_entries,
     jacobi_matrix,
     krawtchouk_stack,
@@ -151,6 +153,11 @@ def test_verify_imports_no_private_name():
 # Each entry function, its per-entry function and its index domain at spin l2.
 ENTRY_ROUTES = {
     "hyp": (hyp_entries, tmn_hyp, lambda l2: [(i, j) for i in range(l2 + 1) for j in range(l2 + 1) if i + j >= l2]),
+    "hyp-symmetric": (
+        hyp_symmetric_entries,
+        tmn_hyp_symmetric,
+        lambda l2: [(i, j) for i in range(l2 + 1) for j in range(l2 + 1) if i + j >= l2],
+    ),
     "jacobi": (
         jacobi_entries,
         tmn_jacobi,
@@ -198,6 +205,9 @@ Z_OVERFLOWS = "2F1 route needs ad/(bc) finite; it overflows"
         ("hyp", "bc_underflows", BC_UNDERFLOWS),
         ("hyp", "ad_over_bc_overflows", Z_OVERFLOWS),
         ("hyp", "power_overflow", Z_OVERFLOWS),
+        ("hyp-symmetric", "b_zero", "2F1 route needs b != 0 and c != 0"),
+        ("hyp-symmetric", "bc_underflows", BC_UNDERFLOWS),
+        ("hyp-symmetric", "ad_over_bc_overflows", Z_OVERFLOWS),
         ("jacobi", "bc_eq_ad", "Jacobi route needs bc != ad"),
         ("jacobi", "bc_eq_ad_complex", "Jacobi route needs bc != ad"),
     ],
@@ -275,6 +285,6 @@ def test_entries_refuse_a_non_finite_entry(route, l_x2, A):
 
 
 def test_entries_refuse_a_negative_spin():
-    for fn in (hyp_entries, jacobi_entries):
+    for fn in (hyp_entries, hyp_symmetric_entries, jacobi_entries):
         with pytest.raises(ValueError, match="negative spin"):
             fn(HalfInt(-1), ELEMENTS["gl2_0"])

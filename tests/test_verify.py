@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 
-from wignerkit import verify
+from wignerkit import verify, wigner
 from wignerkit.cli import main
 from wignerkit.exactcomb import HalfInt, spins_up_to
 from wignerkit.group import EulerAngles, Mat2C, from_euler, sample_haar
@@ -153,6 +153,23 @@ def test_routes_suite_builds_each_oracle_reference_once(monkeypatch):
     ]
     assert calls == Counter((l.twice, A) for l in spins_up_to(max_l) for A in elements)
     assert stacks == Counter({l.twice: 2 for l in spins_up_to(max_l)})
+
+
+def test_routes_suite_checks_the_symmetric_2f1_form_on_the_2f1_domain(monkeypatch):
+    # One set of 2F1 tables per (spin, element) for each 2F1 form, not one per entry.
+    hyp_tables = wigner._hyp_tables
+    calls = Counter()
+
+    def counting(A, l2):
+        calls[l2] += 1
+        return hyp_tables(A, l2)
+
+    monkeypatch.setattr(wigner, "_hyp_tables", counting)
+    checks = {chk["check"]: chk for chk in verify.suite_routes(HalfInt(4), 2)["checks"]}
+    symmetric = checks["terminating-2f1-symmetric-vs-oracle"]
+    assert symmetric["count"] == checks["terminating-2f1-vs-oracle"]["count"] > 0
+    assert symmetric["tolerance"] == 1e-9 and symmetric["passed"]
+    assert calls == Counter({l2: 2 * 30 for l2 in range(5)})
 
 
 def test_routes_suite_checks_each_chart_form_at_20_triples():
