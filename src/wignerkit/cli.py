@@ -1,17 +1,16 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "5"; strict JSON (a non-finite deviation is
+Output contract: schema_version "6"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
 across runs; only the Schur reduction (schur, all) makes a BLAS product, so
-only its bytes depend on the BLAS kernel and thread count.  Version 5 drops
-verify's grid_overrides input (the grid options are gone) and adds the
-routes check terminating-2f1-symmetric-vs-oracle; CHANGES.md lists each
-version.  Each command takes only the flags it reads: dmat exactly one
-source, --theta (with --phi and --psi, 0 when absent) or --matrix; poly
-the flags of its family.
+only its bytes depend on the BLAS kernel and thread count.  In version 6 the
+rodrigues and krawtchouk chart forms fold the quadrant, and the Haar angles
+are drawn per sample; CHANGES.md lists each version.  Each command takes
+only the flags it reads: dmat exactly one source, --theta (with --phi and
+--psi, 0 when absent) or --matrix; poly the flags of its family.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 numeric domain error (a ValueError or an ArithmeticError).
@@ -35,7 +34,7 @@ from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, Wign
 
 log = logging.getLogger("wignerkit")
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
 # takes the oracle; an unavailable route falls back to the oracle too.  An
 # Euler source takes a route's chart form where it has one.

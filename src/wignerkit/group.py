@@ -118,8 +118,8 @@ def sample_haar(rng_seed: int, count: int) -> list[Mat2C]:
     x = rng.uniform(-1.0, 1.0, count)
     phi = rng.uniform(0.0, 2 * math.pi, count)
     psi = rng.uniform(0.0, 2 * math.pi, count)
-    thetas = 0.5 * np.arccos(x)
+    thetas = [0.5 * math.acos(v) for v in x]  # per sample: np.arccos's bits depend on the SIMD level
     return [
-        from_euler(EulerAngles(float(t), float(p), float(q)))
+        from_euler(EulerAngles(t, float(p), float(q)))
         for t, p, q in zip(thetas, phi, psi)
     ]

@@ -107,7 +107,7 @@ def build_grid(max_l: HalfInt) -> HaarGrid:
         raise ValueError(f"negative spin l={max_l}")
     n_theta, n_phi, n_psi = max_l.twice + 1, 2 * max_l.twice + 1, 2 * max_l.twice + 1
     x, wx = leggauss(n_theta)
-    thetas_1d = 0.5 * np.arccos(x)
+    thetas_1d = np.array([0.5 * math.acos(v) for v in x])  # np.arccos's bits depend on the SIMD level
     phis_1d = 2 * math.pi * np.arange(n_phi) / n_phi
     psis_1d = 2 * math.pi * np.arange(n_psi) / n_psi
     thetas = np.repeat(thetas_1d, n_phi * n_psi)

@@ -177,15 +177,14 @@ def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     return WignerMatrix(l, oracle_stack(l, [A.a], [A.b], [A.c], [A.d])[0])
 
 
-# Every closed-form route below is written as one entry kernel on plain
-# integers, called over the entries of a whole matrix.  With l2 = 2l, row
-# i = l + m and column j = l + n, so l - m = l2 - i, l - n = l2 - j,
-# m + n = i + j - l2 and m - n = i - j.  A kernel reads its powers and its
-# trigonometric values from tables that a matrix builds once.  The public
-# per-entry functions check their HalfInt arguments, build the same tables
-# as their matrix builder and call the same kernel: an entry is its
-# builder's entry bit for bit, it raises where those tables overflow, and
-# it is never a non-finite value.
+# Every closed-form route below is written as one kernel on plain integers.
+# With l2 = 2l, row i = l + m and column j = l + n, so l - m = l2 - i,
+# l - n = l2 - j, m + n = i + j - l2 and m - n = i - j.  A kernel reads its
+# powers and its trigonometric values from tables that a matrix builds once.
+# The public per-entry functions check their HalfInt arguments, build the
+# same tables as their matrix builder and call the same kernel: an entry is
+# its builder's entry bit for bit, it raises where those tables overflow,
+# and it is never a non-finite value.
 
 
 def _index(l: HalfInt, m: HalfInt) -> int:
@@ -231,6 +230,14 @@ def sum_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
 def _factorial_ratio_sqrt(p: int, q: int, r: int, s: int) -> float:
     # sqrt(p! q! / (r! s!)) with the ratio taken exactly before the root.
     return _sqrt_fraction(factorial(p) * factorial(q), factorial(r) * factorial(s))
+
+
+def _binomial_sqrt(route: str, l2: int, lm: int, ln: int) -> float:
+    # sqrt(C(2l, l-m) C(2l, l-n)), refused where the product overflows a float.
+    try:
+        return math.sqrt(comb(l2, lm) * comb(l2, ln))
+    except OverflowError:
+        raise RouteUnavailableError(f"{route} route's prefactor sqrt(C(2l, l-m) C(2l, l-n)) overflows") from None
 
 
 def _hyp_tables(A: Mat2C, l2: int) -> tuple:
@@ -282,7 +289,7 @@ def _hyp_symmetric_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
     _, w, b_pow, c_pow, d_pow = tables
     lm, ln, mn = l2 - i, l2 - j, i + j - l2
     series = hyp2f1_complex(-lm, -ln, -l2, min(lm, ln), w)
-    return math.sqrt(comb(l2, lm) * comb(l2, ln)) * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
+    return _binomial_sqrt("symmetric 2F1", l2, lm, ln) * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
 
 
 def _hyp_entries(l: HalfInt, A: Mat2C, entry) -> dict:
@@ -365,7 +372,8 @@ def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     l2 = l.twice
     elements = {None: A, **{which: element_map(A) for which, (_, element_map) in SYMMETRIES.items()}}
     tables = {which: _jacobi_tables(B, l2) for which, B in elements.items()}
-    values = [_jacobi_entry(l2, i, j, tables[which]) for which, i, j in _quadrant_fold(l2)]
+    folds = (_fold(l2, i, j) for i in range(dim) for j in range(dim))
+    values = [_jacobi_entry(l2, i, j, tables[which]) for which, i, j in folds]
     return WignerMatrix(l, np.reshape(values, (dim, dim)))
 
 
@@ -380,21 +388,19 @@ SYMMETRIES = {
 }
 
 
-def _quadrant_symmetry(l2: int, i: int, j: int) -> str | None:
-    # The symmetry that folds (i, j) onto the closed-form quadrant
-    # m + n >= 0, m - n >= 0; None inside it.
-    if i + j >= l2:
-        return None if i >= j else "transpose-bc"
-    return "anti-transpose" if i >= j else "flip-signs"
+def _fold(l2: int, i: int, j: int) -> tuple:
+    # (symmetry, i', j'): the symmetry that folds entry (i, j) of spin l2 onto the
+    # quadrant m + n >= 0, m - n >= 0 and the entry it lands on; None inside it.
+    which = (None, "transpose-bc") if i + j >= l2 else ("anti-transpose", "flip-signs")
+    which = which[i < j]
+    return (which, i, j) if which is None else (which, *SYMMETRIES[which][0](l2, i, j))
 
 
-def _quadrant_fold(l2: int):
-    # (symmetry, i', j') for each entry of spin l2 in row-major order: the
-    # symmetry that folds it onto the quadrant and the indices it lands on.
-    for i in range(l2 + 1):
-        for j in range(l2 + 1):
-            which = _quadrant_symmetry(l2, i, j)
-            yield (which, i, j) if which is None else (which, *SYMMETRIES[which][0](l2, i, j))
+def _chart_sign(which: str | None, i: int, j: int) -> float:
+    # An entry of d(theta) over its folded entry (i, j): transpose-bc and
+    # flip-signs map R(theta) to its image at psi = pi, whose entry (i, j) has
+    # the sign (-1)^(i - j); anti-transpose fixes R(theta).
+    return -1.0 if which in ("transpose-bc", "flip-signs") and (i - j) % 2 else 1.0
 
 
 def _chart(theta: float) -> tuple:
@@ -408,13 +414,39 @@ def _chart(theta: float) -> tuple:
     return sin_t, cos_t, (side * (den * den - 2 * num * num), den * den)
 
 
-def _chart_entries(l2: int, i: int, j: int, charts: list) -> list[float]:
-    # The Jacobi form of entry (i, j) of the quadrant i + j >= l2, i >= j at each
-    # chart (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
-    lm, mn, mmn = l2 - i, i + j - l2, i - j
-    pref = (-1.0 if lm % 2 else 1.0) * _factorial_ratio_sqrt(i, lm, j, l2 - j)
-    nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
-    return [pref * sin_t**mn * cos_t**mmn * _exact_series(nums, den, h) for sin_t, cos_t, h in charts]
+def _chart_stack(l: HalfInt, charts, entries) -> np.ndarray:
+    # d(theta) at each of the charts (listed after the spin is checked), shape
+    # (len(charts), 2l+1, 2l+1).  entries(l2, j, rows, charts) lists entry (i, j)
+    # per chart for each i of rows; it computes each column's quadrant rows, and
+    # every other entry is its folded entry times its sign.
+    dim, l2 = _dim(l), l.twice
+    charts = list(charts)
+    quadrant = np.zeros((dim, dim, len(charts)))
+    for j in range(dim):
+        rows = range(max(j, l2 - j), dim)
+        quadrant[rows.start :, j] = entries(l2, j, rows, charts)
+    folds = [_fold(l2, i, j) for i in range(dim) for j in range(dim)]
+    _, rows, cols = zip(*folds)
+    values = quadrant[rows, cols] * np.array([[_chart_sign(*fold)] for fold in folds])
+    return np.ascontiguousarray(values.reshape(dim, dim, len(charts)).transpose(2, 0, 1))
+
+
+def _chart_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, chart, entries) -> float:
+    # Entry (m, n) of _chart_stack(l, [chart(theta)], entries), bit for bit.
+    which, i, j = _fold(l.twice, _index(l, m), _index(l, n))
+    return _chart_sign(which, i, j) * entries(l.twice, j, [i], [chart(theta)])[0][0]
+
+
+def _jacobi_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
+    # The Jacobi form of entry (i, j) for each i of rows at each chart
+    # (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
+    out = []
+    for i in rows:
+        lm, mn, mmn = l2 - i, i + j - l2, i - j
+        pref = (-1.0 if lm % 2 else 1.0) * _factorial_ratio_sqrt(i, lm, j, l2 - j)
+        nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
+        out.append([pref * sin_t**mn * cos_t**mmn * _exact_series(nums, den, h) for sin_t, cos_t, h in charts])
+    return out
 
 
 def chart_phases(l: HalfInt, angles) -> np.ndarray:
@@ -440,17 +472,8 @@ def jacobi_stack(l: HalfInt, thetas) -> np.ndarray:
     """d(theta) at each of the thetas, shape (len(thetas), 2l+1, 2l+1): an entry
     of the quadrant m + n >= 0, m - n >= 0 is a Jacobi polynomial in cos 2 theta
     times powers of sin and cos theta, computed once and folded onto the others."""
-    dim, l2 = _dim(l), l.twice
-    charts = [(sin_t, cos_t, (num - den, 2 * den)) for sin_t, cos_t, (num, den) in map(_chart, thetas)]
-    quadrant = {(i, j): _chart_entries(l2, i, j, charts) for i in range(l2 + 1) for j in range(max(0, l2 - i), i + 1)}
-    # transpose-bc and flip-signs map R(theta) to its image at psi = pi, whose
-    # entry (i', j') has the sign (-1)^(i' - j'); anti-transpose fixes R(theta).
-    flips = ("transpose-bc", "flip-signs")
-    values = [
-        [-v for v in quadrant[i, j]] if which in flips and (i - j) % 2 else quadrant[i, j]
-        for which, i, j in _quadrant_fold(l2)
-    ]
-    return np.ascontiguousarray(np.array(values, dtype=float).reshape(dim, dim, len(charts)).transpose(2, 0, 1))
+    charts = ((sin_t, cos_t, (num - den, 2 * den)) for sin_t, cos_t, (num, den) in map(_chart, thetas))
+    return _chart_stack(l, charts, _jacobi_entries)
 
 
 def dmatrix_euler(l: HalfInt, angles: EulerAngles) -> WignerMatrix:
@@ -487,41 +510,29 @@ def _rodrigues_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]
 
 
 def tmn_rodrigues(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
-    """Matrix element at zero phases via a Rodrigues-type derivative.
+    """Matrix element at zero phases via a Rodrigues-type derivative:
+    rodrigues_stack's entry, folded onto the quadrant m + n >= 0, m - n >= 0.
 
-    The derivative of (1-s)^(l+n) (1+s)^(l-n) is expanded symbolically with
-    exact integer coefficients and then evaluated at s = cos(2*theta).  Valid
-    for every (m, n), but the prefactor holds negative powers of sin and cos,
-    so theta must lie strictly inside (0, pi/2).
+    There the derivative of (1-s)^(l+n) (1+s)^(l-n), expanded with exact
+    integer coefficients, is evaluated at s = cos(2*theta); the prefactor
+    holds sin^-(m+n) cos^-(m-n), so theta must lie strictly inside (0, pi/2).
     """
-    i, j = _index(l, m), _index(l, n)
-    return _rodrigues_entries(l.twice, j, [i], [_rodrigues_chart(theta)])[0][0]
-
-
-def _entry_stack(l: HalfInt, charts: list, entries) -> np.ndarray:
-    # The stack of every entry at each chart, shape (len(charts), 2l+1, 2l+1);
-    # entries(l2, j, rows, charts) lists, for each row i, entry (i, j) per chart.
-    dim = l.twice + 1
-    values = [entries(l.twice, j, range(dim), charts) for j in range(dim)]
-    return np.ascontiguousarray(np.array(values, dtype=float).reshape(dim, dim, len(charts)).transpose(2, 1, 0))
+    return _chart_entry(l, m, n, theta, _rodrigues_chart, _rodrigues_entries)
 
 
 def rodrigues_stack(l: HalfInt, thetas) -> np.ndarray:
-    """tmn_rodrigues for every (m, n) at each of the thetas, shape
-    (len(thetas), 2l+1, 2l+1); each column's product is expanded once."""
-    _dim(l)
-    return _entry_stack(l, [_rodrigues_chart(theta) for theta in thetas], _rodrigues_entries)
+    """d(theta) by the Rodrigues form at each of the thetas, shape
+    (len(thetas), 2l+1, 2l+1); each column's product is expanded once, and
+    only the quadrant's entries are computed and folded."""
+    return _chart_stack(l, map(_rodrigues_chart, thetas), _rodrigues_entries)
 
 
-def _krawtchouk_chart(theta: float, negative_sin_power: bool) -> tuple:
+def _krawtchouk_chart(theta: float) -> tuple:
     # (sin theta, cos theta, 1/p as an integer ratio), p = cos^2 theta =
-    # (1 + cos 2 theta)/2 from the chart; theta = 0 is refused too where an
-    # entry has a negative sin power.
+    # (1 + cos 2 theta)/2 from the chart.
     sin_t, cos_t, (num, den) = _chart(theta)
     if den + num == 0 or theta >= math.pi / 2:
         raise RouteUnavailableError("Krawtchouk route needs cos(theta) != 0")
-    if negative_sin_power and (sin_t == 0.0 or theta <= 0.0):
-        raise RouteUnavailableError("negative sin power: Krawtchouk route needs theta > 0 when m + n < 0")
     return sin_t, cos_t, (2 * den, den + num)
 
 
@@ -534,7 +545,7 @@ def _krawtchouk_entries(l2: int, j: int, rows, charts: list) -> list[list[float]
     for i in rows:
         lm, mn = l2 - i, i + j - l2
         nums, den = _hyp2f1_coeffs_cached(-lm, -ln, -l2, lm)
-        pref = (-1.0 if lm % 2 else 1.0) * math.sqrt(comb(l2, lm) * comb(l2, ln))
+        pref = (-1.0 if lm % 2 else 1.0) * _binomial_sqrt("Krawtchouk", l2, lm, ln)
         out.append(
             [pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p) for sin_t, cos_t, inv_p in charts]
         )
@@ -542,27 +553,19 @@ def _krawtchouk_entries(l2: int, j: int, rows, charts: list) -> list[list[float]
 
 
 def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
-    """Matrix element at zero phases via a Krawtchouk polynomial.
-
-    Valid for every (m, n); for m+n < 0 the sin power is genuinely negative,
-    so theta = 0 is refused there, and cos(theta) = 0 is always refused
+    """Matrix element at zero phases via a Krawtchouk polynomial:
+    krawtchouk_stack's entry, folded onto the quadrant m + n >= 0, m - n >= 0,
+    where the sin power m + n is never negative.  cos(theta) = 0 is refused,
     because it puts p = 0 inside the Krawtchouk argument.
     """
-    i, j = _index(l, m), _index(l, n)
-    l2 = l.twice
-    if l2 == 0:
-        return 1.0  # spin-0 representation is trivial; K needs a positive lattice size
-    return _krawtchouk_entries(l2, j, [i], [_krawtchouk_chart(theta, i + j < l2)])[0][0]
+    return _chart_entry(l, m, n, theta, _krawtchouk_chart, _krawtchouk_entries)
 
 
 def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:
-    """tmn_krawtchouk for every (m, n) at each of the thetas, shape
-    (len(thetas), 2l+1, 2l+1); each polynomial's coefficients are put over
-    one denominator once."""
-    if _dim(l) == 1:
-        return np.ones((len(thetas), 1, 1))
-    # entry (0, 0) has m + n = -2l < 0
-    return _entry_stack(l, [_krawtchouk_chart(theta, True) for theta in thetas], _krawtchouk_entries)
+    """d(theta) by the Krawtchouk form at each of the thetas, shape
+    (len(thetas), 2l+1, 2l+1); each polynomial is put over one denominator
+    once, and only the quadrant's entries are computed and folded."""
+    return _chart_stack(l, map(_krawtchouk_chart, thetas), _krawtchouk_entries)
 
 
 # The routes that build a whole matrix of any element, called as (l, A); the
@@ -583,13 +586,9 @@ ROTATION_ROUTES = {
 
 
 def apply_symmetry(which: str, l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
-    """Return (m', n', A') with t^l_{m,n}(A) = t^l_{m',n'}(A').
-
-    transpose-bc swaps the indices and the off-diagonal entries; flip-signs
-    negates both indices and reverses the matrix across its anti-diagonal
-    [[a,b],[c,d]] -> [[d,c],[b,a]]; anti-transpose is their composition,
-    (m,n) -> (-n,-m) with [[a,b],[c,d]] -> [[d,b],[c,a]].
-    """
+    """Return (m', n', A') with t^l_{m,n}(A) = t^l_{m',n'}(A') for one of SYMMETRIES:
+    transpose-bc, (n, m) and [[a,b],[c,d]] -> [[a,c],[b,d]]; flip-signs, (-m, -n) and
+    [[d,c],[b,a]]; anti-transpose, their composition, (-n, -m) and [[d,b],[c,a]]."""
     i, j = _index(l, m), _index(l, n)
     if which not in SYMMETRIES:
         raise ValueError(f"unknown symmetry {which!r}; expected one of {tuple(SYMMETRIES)}")
@@ -601,7 +600,7 @@ def apply_symmetry(which: str, l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
 def fold_to_quadrant(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
     """Return (m', n', A') with t^l_{m,n}(A) = t^l_{m',n'}(A') and
     m' + n' >= 0, m' - n' >= 0; inside that quadrant, (m, n, A) itself."""
-    which = _quadrant_symmetry(l.twice, _index(l, m), _index(l, n))
+    which, _, _ = _fold(l.twice, _index(l, m), _index(l, n))
     return (m, n, A) if which is None else apply_symmetry(which, l, m, n, A)
 
 

@@ -35,7 +35,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "5"
+        assert rec["schema_version"] == "6"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -154,8 +154,9 @@ class TestDmat:
         "argv, reason",
         [
             (
-                ["--l-x2", "3", "--theta", "0", "--route", "krawtchouk"],
-                "negative sin power: Krawtchouk route needs theta > 0 when m + n < 0",
+                # spin 0 is refused at cos(theta) = 0 like every other spin
+                ["--l-x2", "0", "--theta", repr(math.pi / 2), "--route", "krawtchouk"],
+                "Krawtchouk route needs cos(theta) != 0",
             ),
             (
                 ["--l-x2", "3", "--theta", repr(math.pi / 2), "--route", "krawtchouk"],
@@ -177,6 +178,13 @@ class TestDmat:
         assert code == 0
         assert rec["result"]["route_used"] == "oracle"
         assert rec["warnings"] == [f"route {route} unavailable ({reason}); fell back to oracle"]
+
+    def test_krawtchouk_serves_theta_zero(self, capsys):
+        # Folded onto the quadrant, no entry has a negative sin power.
+        code, rec = run_json(capsys, "dmat", "--l-x2", "3", "--theta", "0", "--route", "krawtchouk")
+        assert code == 0
+        assert rec["result"]["route_used"] == "krawtchouk"
+        assert "warnings" not in rec
 
     def test_overflowing_matrix_is_domain_error(self, capsys):
         code, rec = run_json(capsys, "dmat", "--l-x2", "3", "--matrix", "1e300,0,1e300,0,1e300,0,1e300,0")

@@ -34,7 +34,8 @@ from wignerkit.specfun import (
     krawtchouk,
     legendre,
 )
-from wignerkit.wigner import tmn_rodrigues
+from wignerkit.group import Mat2C
+from wignerkit.wigner import fold_to_quadrant, tmn_rodrigues
 
 # -- reference copies of the Fraction loops ---------------------------------
 
@@ -159,6 +160,15 @@ def old_tmn_rodrigues(l, m, n, theta):
         pref * 2.0 ** (-lpm) * math.sin(theta) ** (-mn) * math.cos(theta) ** (-mmn)
         * old_rodrigues_value(l, m, n, theta)
     )
+
+
+def old_folded_tmn_rodrigues(l, m, n, theta):
+    # tmn_rodrigues folds (m, n) onto the quadrant m + n >= 0, m - n >= 0: it is
+    # the old entry at the (m', n') it lands on, times d(theta)'s sign there,
+    # +1 inside the quadrant and where (m', n') = (-n, -m), else (-1)^(m - n).
+    m2, n2, _ = fold_to_quadrant(l, m, n, Mat2C(1, 0, 0, 1))
+    sign = 1.0 if (m2, n2) in ((m, n), (-n, -m)) or (m - n).as_int() % 2 == 0 else -1.0
+    return sign * old_tmn_rodrigues(l, m2, n2, theta)
 
 
 def outcome(fn, *args):
@@ -294,7 +304,7 @@ class TestRoutesMatchFractionLoops:
                 for n in spin_range(l):
                     for theta in thetas:
                         got = outcome(tmn_rodrigues, l, m, n, theta)
-                        assert got == outcome(old_tmn_rodrigues, l, m, n, theta), (l2, m, n, theta)
+                        assert got == outcome(old_folded_tmn_rodrigues, l, m, n, theta), (l2, m, n, theta)
 
 
 class TestFloatSeriesMatchesOldLoops:

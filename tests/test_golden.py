@@ -59,19 +59,19 @@ EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
     "dmat_oracle_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "5e55fb5e7ddb78d9429833cdce7e83bd04531c04af906aee71d62b8d50a0a38b",
+        "e9a86492a1d6635810cdb465639ae8f37d4bb5b73c523c7319b9ff1175b619cf",
     ),
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "066751716e9ef525cf1cf958a197565f8c52a1f76248fd32f5d116a1abb5c2d6",
+        "7aa517b6d32e383742d17b83ddd017ff4a17d99f15807679753eadd2a978ee2c",
     ),
     "dmat_oracle_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "f0e16debeb53597cea3b702af4d2196b242c7a4c3cc34a7477a70bcbe3b1be2e",
+        "80ccef5e751ec8027d44d4188595b2c56186d0823921a8950edb64a897875ecc",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "3f54f691cb15bcff842f42351417ef38112007ca18312350749a287fb5bee578",
+        "55254897e77a934049e110ba2be9a559b96e2e5ea05cbce496920ef16f9676ec",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -79,12 +79,12 @@ HASHED = {
     ),
     "dmat_krawtchouk_40_csv": (
         ["dmat", "--l-x2", "40", "--theta", "0.7", "--route", "krawtchouk", "--format", "csv"],
-        "c370d9ec51c4d35b2d3b6c0405643b4f48eb65cf8f7f59248eac9f262f237781",
+        "1d8a6c135e57e82d3b3ed9d2c2bb0a6da0f25d5623112c5a977b5e0781aa4b6e",
     ),
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "6f3c95d1b757158f546a1a71d853c15764788bc04f1a81bc5c698c2cf986b854",
+        "6e70168bd48991372d3d4126dad3f133906182e7d21b6cf42ae7f5ad41dddde6",
     ),
     "dmat_oracle_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
@@ -94,15 +94,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "0cd366055bbdc4e6775404854dbb7f167c048abe17cfa90a85ae075cbf8b4e1c",
+        "c7e2360391279f1d31c1524e21a9d4ec23869f016dbef58cd08307f0c93ad0ec",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "bce80a6feff5d70ed3c266e44d1d56a7f531455d85b9714813d86ddd69facef4",
+        "5db192b204e4f8f34ba60aa6b391e08cde6c14a218cc1765ce13a5c490844b9f",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "488f0a7ad61f777d645ae11903b1edbea31d4a556c3601d21356777e6f006c2a",
+        "2271908c0edf1019dcfb65991e9ef011267954091492fc782419885f78f41b0f",
     ),
 }
 
@@ -124,18 +124,20 @@ def test_large_stdout_is_byte_identical(name, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-# Every verify suite that runs no Haar grid, at --max-l-x2 6 with seed 0,
-# pinned by the sha256 of its stdout.  None makes a BLAS product, so the bytes
-# do not depend on the BLAS kernel or thread count; schur and all, which run
-# the Schur reduction, do.
+# Every verify suite but schur and all, at --max-l-x2 6 with seed 0, pinned by
+# the sha256 of its stdout.  None makes a BLAS product, so the bytes do not
+# depend on the BLAS kernel or thread count; schur and all, which run the Schur
+# reduction, do.  SCHUR_HASHED pins schur at one BLAS thread.
 VERIFY_HASHED = {
-    "routes": "0800ecf777dc44775a0c8fe1cac8ad9fca6cf525fa74bbfd41e17a3eeea76c23",
-    "unitarity": "309220631eb8ff59ae3d3c17afced44acb03de5f91299da2c13e68876f67d42e",
-    "homomorphism": "f41bba165797d86358984d4f4e68e8b58571cdce458089a913e4116d6bb9e137",
-    "jacobi-orth": "ccc3c00d442cd5ae1b74e153f44434cd633660be323a2122494746781708d074",
-    "legendre": "030591b90661f4d2b95eacb227b7df28bcd800735161da1d735aaab09d7f3d5c",
-    "krawtchouk-sym": "fbdee9fd9d50bae221be686e5c4d855d0547ca4a275abbac852c67a9169737cb",
+    "routes": "f6170e476e5ecbae0fa68ca6c0164a6dd4ed3511cc405df74cc37b8d8e1fccb9",
+    "unitarity": "396d89e1bdac62f6c5dec58984e97032c48e44c7a006fba5ffde5164d96830a9",
+    "homomorphism": "eb122fb83a85d13d8a152d28434414bd6580fc2901bdf14008d3d504ae6a7b15",
+    "jacobi-orth": "9b56f12aba4cfc68fb9e5dab6295936cf5767b7766c3aa5d8d3176349edc5132",
+    "legendre": "31c150dd6f2c867f8147c1c0c9a0b8fe668f0b69c66446b2db6590645f87a015",
+    "krawtchouk-sym": "5d74f3fcc10d65b2679abfd8f139d3004e67f0a1f3f9f6f75c02218623119b6b",
+    "character": "38e60987dae4fd39dcd80867945c925812255be76b9b7c441aa50083f45d3a5f",
 }
+SCHUR_HASHED = "3a86b080b0ee57c459892074ac9c26bf3cdf0eb985e07c55eb3e1619aecb3a62"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))
@@ -216,6 +218,7 @@ def assert_pins_hold_without(levels, pins):
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     disabled = [f for f in levels if f in __cpu_dispatch__ and __cpu_features__.get(f)]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled), "PYTHONPATH": str(SRC)}
+    env["OPENBLAS_NUM_THREADS"] = "1"  # the Schur pins' BLAS product holds at one thread
     env.pop("NPY_ENABLE_CPU_FEATURES", None)  # numpy refuses both variables at once
     argvs = json.dumps([argv for argv, _ in pins])
     run = subprocess.run([sys.executable, "-c", RUN_AND_HASH, argvs], env=env, capture_output=True, text=True)
@@ -230,3 +233,25 @@ def test_dmat_stdout_is_the_same_without_avx512():
 def test_chart_route_stdout_is_the_same_without_avx2():
     assert len(CHART_PINS) == 6 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
     assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS)
+
+
+# The Haar angles are drawn with math.acos, one sample at a time, so every
+# verify pin, the suites that read Haar samples or the grid included, prints
+# the same bytes with the AVX-512 levels off.
+VERIFY_PINS = [
+    *(
+        (argv, hashlib.sha256((GOLDEN / f"{name}.out").read_bytes()).hexdigest())
+        for name, argv in COMMANDS.items()
+        if argv[0] == "verify"
+    ),
+    *(pin for pin in HASHED.values() if pin[0][0] == "verify"),
+    *(
+        (["verify", "--suite", suite, "--max-l-x2", "6", "--seed", "0"], digest)
+        for suite, digest in [*VERIFY_HASHED.items(), ("schur", SCHUR_HASHED)]
+    ),
+]
+
+
+def test_verify_stdout_is_the_same_without_avx512():
+    assert len(VERIFY_PINS) == 16
+    assert_pins_hold_without(AVX512_LEVELS, VERIFY_PINS)

@@ -6,7 +6,8 @@ element) and l_x2 from 6 to 400, from the exact finite sum
 (scripts/reference_table.py).  A route passes at a spin when every sampled
 entry is within 1e-10 of the table, relative to the norm.  Each route is held
 only up to the spin where it is accurate today: the oracle drifts above
-l_x2 40, and dmatrix_euler costs seconds above 120.
+l_x2 40, and dmatrix_euler costs seconds above 120.  The Rodrigues and
+Krawtchouk chart forms cost about l^4; they are held to 40 and 80.
 """
 import importlib.util
 import json
@@ -17,7 +18,7 @@ import pytest
 
 from wignerkit.exactcomb import HalfInt
 from wignerkit.group import EulerAngles, Mat2C, from_euler
-from wignerkit.wigner import dmatrix_euler, oracle_matrix
+from wignerkit.wigner import ROTATION_ROUTES, dmatrix_euler, oracle_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = json.loads((ROOT / "tests" / "data" / "reference_table.json").read_text())
@@ -69,6 +70,16 @@ def test_the_oracle_matches_the_table(name, l2):
 @pytest.mark.parametrize("l2", [6, 20, 40, 80, 120])
 def test_dmatrix_euler_matches_the_table(name, l2):
     assert worst(dmatrix_euler(HalfInt(l2), angles(name)).entries, name, l2) <= TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "route, l2", [("rodrigues", l2) for l2 in (6, 20, 40)] + [("krawtchouk", l2) for l2 in (6, 20, 40, 80)]
+)
+def test_the_chart_forms_match_the_table(route, l2):
+    # All three Euler elements in one stack.
+    matrices = ROTATION_ROUTES[route](HalfInt(l2), [angles(name) for name in EULER])
+    for name, entries in zip(EULER, matrices):
+        assert worst(entries, name, l2) <= TOLERANCE, name
 
 
 def test_the_script_rederives_the_smallest_spin():

@@ -8,11 +8,14 @@ per-entry functions and the `dmat` route path must return the same bytes
 (the same exception type and message where the old code raised) at every
 spin up to l = 6, on group elements from every source the package uses and
 on the edges of each route's domain; rodrigues_stack also at spins up to
-l = 20.  Two exceptions: the per-entry forms of GL(2, C) elements read
+l = 20.  Three exceptions: the per-entry forms of GL(2, C) elements read
 the tables of their whole-matrix builders, so they raise where the old code
-returned inf or NaN, and where their builder raises; and dmatrix_euler
-applies its phases to the whole zero-phase matrix, so it is held to the old
-entries within a bound of a few rounding errors.
+returned inf or NaN, and where their builder raises; dmatrix_euler applies
+its phases to the whole zero-phase matrix, so it is held to the old entries
+within a bound of a few rounding errors; and the Rodrigues and Krawtchouk
+forms compute only the quadrant m + n >= 0, m - n >= 0 and fold it, so their
+other entries are held to the old entry they fold onto, times its sign
+(old_folded).
 """
 import cmath
 import math
@@ -28,6 +31,7 @@ from wignerkit.specfun import (
     JacobiParams,
     _binom_power_coeffs,
     _exact_series,
+    _jacobi_coeffs_cached,
     _poly_derivative,
     _poly_mul,
     hyp2f1_complex,
@@ -38,6 +42,8 @@ from wignerkit.specfun import (
 from wignerkit.verify import sample_gl2, suite_routes
 from wignerkit.wigner import (
     RouteUnavailableError,
+    _chart,
+    _factorial_ratio_sqrt,
     WignerMatrix,
     apply_symmetry,
     dmatrix_euler,
@@ -204,13 +210,15 @@ def old_tmn_rodrigues(l, m, n, theta):
 def old_tmn_krawtchouk(l, m, n, theta):
     check_spin_pair(l, m)
     check_spin_pair(l, n)
-    if l.twice == 0:
-        return 1.0
     sin_t = math.sin(theta)
     cos_t = math.cos(theta)
     p = (1 + old_cos2_exact(theta, sin_t, cos_t)) / 2
     if p == 0 or theta >= math.pi / 2:
         raise RouteUnavailableError("Krawtchouk route needs cos(theta) != 0")
+    if l.twice == 0:
+        # The old code returned this before its cos(theta) check; the kernel
+        # refuses cos(theta) = 0 at spin 0 too, and returns 1.0 elsewhere.
+        return 1.0
     mn = (m + n).as_int()
     if mn < 0 and (sin_t == 0.0 or theta <= 0.0):
         raise RouteUnavailableError("negative sin power: Krawtchouk route needs theta > 0 when m + n < 0")
@@ -219,6 +227,33 @@ def old_tmn_krawtchouk(l, m, n, theta):
     pref = math.sqrt(binomial(l.twice, lm) * binomial(l.twice, ln))
     sign = -1.0 if lm % 2 else 1.0
     return sign * pref * cos_t ** (lm + ln) * sin_t**mn * krawtchouk(lm, float(ln), p, l.twice)
+
+
+def old_jacobi_stack(l, thetas):
+    # The Jacobi chart form as it was before the three chart forms shared one
+    # layout: each quadrant entry by its own call at all the charts, and the
+    # other entries folded onto it inline.
+    l2, spins = l.twice, spin_range(l)
+    charts = [(s, c, (num - den, 2 * den)) for s, c, (num, den) in map(_chart, thetas)]
+
+    def quadrant_entry(m, n):
+        i, j = (l + m).as_int(), (l + n).as_int()
+        lm, mn, mmn = l2 - i, i + j - l2, i - j
+        pref = (-1.0 if lm % 2 else 1.0) * _factorial_ratio_sqrt(i, lm, j, l2 - j)
+        nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
+        return [pref * s**mn * c**mmn * _exact_series(nums, den, h) for s, c, h in charts]
+
+    values = []
+    for m in spins:
+        for n in spins:
+            which = old_quadrant_symmetry(m, n)
+            if which is None:
+                values.append(quadrant_entry(m, n))
+                continue
+            m2, n2, _ = old_apply_symmetry(which, l, m, n, Mat2C(1, 0, 0, 1))
+            flip = which != "anti-transpose" and (m2 - n2).as_int() % 2
+            values.append([-v for v in quadrant_entry(m2, n2)] if flip else quadrant_entry(m2, n2))
+    return np.array(values).reshape(l2 + 1, l2 + 1, len(charts)).transpose(2, 0, 1)
 
 
 def old_apply_symmetry(which, l, m, n, A):
@@ -241,6 +276,20 @@ def old_fold_to_quadrant(l, m, n, A):
     return (m, n, A) if which is None else old_apply_symmetry(which, l, m, n, A)
 
 
+def old_folded(old, l, m, n, theta):
+    # The old zero-phase entry at the quadrant entry (m', n') that (m, n) folds
+    # onto, times d(theta)'s sign there: (-1)^(m - n) for transpose-bc and
+    # flip-signs, +1 for anti-transpose.  Inside the quadrant, the old entry.
+    check_spin_pair(l, m)
+    check_spin_pair(l, n)
+    which = old_quadrant_symmetry(m, n)
+    if which is None:
+        return old(l, m, n, theta)
+    m2, n2, _ = old_apply_symmetry(which, l, m, n, Mat2C(1, 0, 0, 1))
+    sign = -1.0 if which != "anti-transpose" and (m - n).as_int() % 2 else 1.0
+    return sign * old(l, m2, n2, theta)
+
+
 def old_dmat_by_route(l, A, theta, route):
     if route == "jacobi" and theta is not None:
         # An Euler source takes the Jacobi chart form, which
@@ -249,8 +298,8 @@ def old_dmat_by_route(l, A, theta, route):
     entry = {
         "sum": lambda m, n: old_tmn_sum(l, m, n, A),
         "jacobi": lambda m, n: old_tmn_jacobi(l, *old_fold_to_quadrant(l, m, n, A)),
-        "rodrigues": lambda m, n: old_tmn_rodrigues(l, m, n, theta),
-        "krawtchouk": lambda m, n: old_tmn_krawtchouk(l, m, n, theta),
+        "rodrigues": lambda m, n: old_folded(old_tmn_rodrigues, l, m, n, theta),
+        "krawtchouk": lambda m, n: old_folded(old_tmn_krawtchouk, l, m, n, theta),
     }[route]
     spins = spin_range(l)
     return WignerMatrix(l, np.array([[entry(m, n) for n in spins] for m in spins], dtype=complex))
@@ -328,9 +377,10 @@ BUILDERS = {
     "tmn_hyp_symmetric": hyp_symmetric_entries,
     "tmn_jacobi": jacobi_entries,
 }
+# Each per-entry form folds (m, n) onto the quadrant, as its stack builder does.
 THETA_ROUTES = {
-    "tmn_rodrigues": (tmn_rodrigues, old_tmn_rodrigues),
-    "tmn_krawtchouk": (tmn_krawtchouk, old_tmn_krawtchouk),
+    "tmn_rodrigues": (tmn_rodrigues, lambda l, m, n, theta: old_folded(old_tmn_rodrigues, l, m, n, theta)),
+    "tmn_krawtchouk": (tmn_krawtchouk, lambda l, m, n, theta: old_folded(old_tmn_krawtchouk, l, m, n, theta)),
 }
 
 
@@ -440,8 +490,43 @@ def test_rodrigues_stack_bit_identical_up_to_l_x2_40():
     thetas = [0.05, math.pi / 4, 1.2]
     for l_x2 in (17, 28, 40):
         l = HalfInt(l_x2)
-        old = [[old_tmn_rodrigues(l, m, n, theta) for n in spin_range(l)] for theta in thetas for m in spin_range(l)]
+        spins = spin_range(l)
+        old = [[old_folded(old_tmn_rodrigues, l, m, n, theta) for n in spins] for theta in thetas for m in spins]
         assert rodrigues_stack(l, thetas).tobytes() == np.array(old).tobytes(), l_x2
+
+
+FOLD_THETAS = [0.2, 0.7, 1.3]
+
+
+@pytest.mark.parametrize("l_x2", range(41))
+def test_chart_stacks_fold_the_quadrant(l_x2):
+    # jacobi_stack is the old one bit for bit.  The Rodrigues and Krawtchouk
+    # stacks hold the old entries on the quadrant bit for bit, and every other
+    # entry is its folded entry times d(theta)'s sign there (old_folded).  The
+    # per-entry forms return their stack's entries bit for bit; they are called
+    # at one of the thetas per spin, each theta in turn.
+    l = HalfInt(l_x2)
+    spins = spin_range(l)
+    assert jacobi_stack(l, FOLD_THETAS).tobytes() == old_jacobi_stack(l, FOLD_THETAS).tobytes()
+    k = l_x2 % len(FOLD_THETAS)
+    for stack, per_entry, old in (
+        (rodrigues_stack, tmn_rodrigues, old_tmn_rodrigues),
+        (krawtchouk_stack, tmn_krawtchouk, old_tmn_krawtchouk),
+    ):
+        got = stack(l, FOLD_THETAS)
+        quadrant = {
+            (m, n, theta): old(l, m, n, theta)
+            for m in spins
+            for n in spins
+            if old_quadrant_symmetry(m, n) is None
+            for theta in FOLD_THETAS
+        }
+        folded = [
+            [[old_folded(lambda l, *key: quadrant[key], l, m, n, t) for n in spins] for m in spins] for t in FOLD_THETAS
+        ]
+        assert got.tobytes() == np.array(folded).tobytes()
+        entries = [[per_entry(l, m, n, FOLD_THETAS[k]) for n in spins] for m in spins]
+        assert got[k].tobytes() == np.array(entries).tobytes()
 
 
 def test_theta_stacks_of_no_angle_are_empty():

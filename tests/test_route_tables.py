@@ -33,6 +33,7 @@ from wignerkit.wigner import (
     tmn_hyp,
     tmn_hyp_symmetric,
     tmn_jacobi,
+    tmn_krawtchouk,
 )
 
 EULER = [(0.7, 1.2, 0.3), (0.0, 0.5, 2.0), (math.pi / 4, 3.0, 5.5), (math.pi / 2, 0.0, 0.0)]
@@ -260,6 +261,24 @@ def test_2f1_route_refuses_an_overflowing_prefactor():
         with pytest.raises(RouteUnavailableError) as info:
             call()
         assert str(info.value) == PREFACTOR_OVERFLOWS
+
+
+def test_binomial_prefactor_overflow_is_refused():
+    # sqrt(C(2l, l-m) C(2l, l-n)) is largest at the centre: the product of the
+    # binomials is a float up to l_x2 = 516 and past the largest float at 517,
+    # where the symmetric 2F1 form used to raise a bare OverflowError.  Only
+    # per-entry calls: hyp_symmetric_entries takes about a minute at 516.
+    A = from_euler(EulerAngles(0.7, 1.2, 0.3))
+    assert np.isfinite(tmn_hyp_symmetric(HalfInt(516), HalfInt(0), HalfInt(0), A))
+    assert np.isfinite(tmn_krawtchouk(HalfInt(516), HalfInt(0), HalfInt(0), 0.7))
+    centre = HalfInt(517), HalfInt(1), HalfInt(1)
+    for route, call in (
+        ("symmetric 2F1", lambda: tmn_hyp_symmetric(*centre, A)),
+        ("Krawtchouk", lambda: tmn_krawtchouk(*centre, 0.7)),
+    ):
+        with pytest.raises(RouteUnavailableError) as info:
+            call()
+        assert str(info.value) == f"{route} route's prefactor sqrt(C(2l, l-m) C(2l, l-n)) overflows"
 
 
 NON_FINITE = "matrix contains non-finite entries"

@@ -475,15 +475,24 @@ class TestTmnKrawtchouk:
                         assert abs(got - want.entry(m, n).real) <= 1e-9 * scale
 
     def test_route_unavailable_cases(self):
-        with pytest.raises(RouteUnavailableError):
-            tmn_krawtchouk(HalfInt(2), HalfInt(0), HalfInt(0), math.pi / 2)
-        with pytest.raises(RouteUnavailableError):
-            tmn_krawtchouk(HalfInt(2), HalfInt(-2), HalfInt(0), 0.0)
+        # cos(theta) = 0 is refused at every spin, spin 0 included
+        for l_x2, m_x2, n_x2 in ((2, 0, 0), (2, -2, 0), (0, 0, 0)):
+            with pytest.raises(RouteUnavailableError, match="needs cos"):
+                tmn_krawtchouk(HalfInt(l_x2), HalfInt(m_x2), HalfInt(n_x2), math.pi / 2)
 
     def test_theta_zero_valid_for_nonnegative_index_sum(self):
         want = oracle_matrix(HalfInt(2), from_euler(EulerAngles(0.0, 0.0, 0.0)))
         got = tmn_krawtchouk(HalfInt(2), HalfInt(0), HalfInt(0), 0.0)
         assert got == pytest.approx(want.entry(HalfInt(0), HalfInt(0)).real, abs=1e-14)
+
+    def test_theta_zero_valid_for_every_index(self):
+        # folded onto the quadrant, where the sin power m + n is never negative
+        for l_x2 in range(13):
+            l = HalfInt(l_x2)
+            want = oracle_matrix(l, from_euler(EulerAngles(0.0, 0.0, 0.0)))
+            for m in spin_range(l):
+                for n in spin_range(l):
+                    assert tmn_krawtchouk(l, m, n, 0.0) == pytest.approx(want.entry(m, n).real, abs=1e-14)
 
     def test_near_boundary_conditioning(self):
         # the polynomial degenerates to a power of 1-p or p near the
