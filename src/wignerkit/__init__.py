@@ -26,12 +26,10 @@ from .haar import (
     schur_check,
 )
 from .specfun import (
-    Hyp21Spec,
     JacobiParams,
     hyp2f1,
     hyp2f1_complex,
     hyp2f1_series_coeffs,
-    hyp2f1_terminating,
     jacobi_complex,
     jacobi_eval,
     jacobi_norm,

@@ -6,15 +6,16 @@ exact factorials) and converted to floating point as late as possible.  The
 terminating sums alternate in sign, and naive floating-point term generation
 loses digits to cancellation long before the degrees used here get large.
 
-The exact evaluations share one integer Horner scheme (_exact_series): the
-coefficients are written over one common denominator and the argument as a
-ratio of integers, so the whole sum is a single integer quotient that is
-rounded once, with no gcd taken along the way.  The coefficient rows of both
-series are built in that integer form: the 2F1 row by its term-ratio
-recurrence (_hyp2f1_coeffs_cached), the Jacobi row from its explicit sum
-(_jacobi_coeffs_cached).  Every rounding is one int / int true division,
-which is correctly rounded, so it gives the float that float(Fraction) gives
-for the same rational.
+Every terminating series is summed one way, by an integer Horner scheme
+(_exact_series): the coefficients are written over one common denominator
+and the argument as a ratio of integers, a real p/q or a complex (p + i r)/q,
+so the whole sum is a single integer quotient, or a Gaussian integer over an
+integer, whose parts are each rounded once, with no gcd taken along the way.
+The coefficient rows of both series are built in that integer form: the 2F1
+row by its term-ratio recurrence (_hyp2f1_coeffs_cached), the Jacobi row
+from its explicit sum (_jacobi_coeffs_cached).  Every rounding is one
+int / int true division, which is correctly rounded, so it gives the float
+that float(Fraction) gives for the same rational.
 """
 from __future__ import annotations
 
@@ -30,9 +31,7 @@ from .exactcomb import binomial, factorial
 
 __all__ = [
     "JacobiParams",
-    "Hyp21Spec",
     "hyp2f1_series_coeffs",
-    "hyp2f1_terminating",
     "hyp2f1",
     "hyp2f1_complex",
     "jacobi_eval",
@@ -65,43 +64,6 @@ class JacobiParams:
             raise ValueError(f"negative polynomial degree n={self.n}")
 
 
-@dataclass(frozen=True)
-class Hyp21Spec:
-    """A terminating 2F1(a, b; c; z) together with its termination length.
-
-    `terms` is the index of the last nonzero-by-construction term: the series
-    is summed for k = 0 .. terms.
-    """
-
-    a: float
-    b: float
-    c: float
-    z: float
-    terms: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", operator.index(self.terms))
-        if self.terms < 0:
-            raise ValueError(f"negative termination length {self.terms}")
-        if _nonpositive_int(self.a) is None and _nonpositive_int(self.b) is None:
-            raise ValueError(
-                f"2F1({self.a}, {self.b}; {self.c}; z) does not terminate: "
-                "neither upper parameter is a nonpositive integer"
-            )
-        neg_c = _nonpositive_int(self.c)
-        if neg_c is not None and neg_c < self.terms:
-            raise ValueError(
-                f"lower parameter c={self.c} vanishes inside the retained terms"
-            )
-
-    @classmethod
-    def terminating(cls, a, b, c, z) -> "Hyp21Spec":
-        """Build the spec, deriving the termination length from a and b;
-        __post_init__ refuses it when neither is a nonpositive integer."""
-        candidates = [v for v in (_nonpositive_int(a), _nonpositive_int(b)) if v is not None]
-        return cls(a, b, c, z, min(candidates, default=0))
-
-
 def _nonpositive_int(value):
     # Returns N >= 0 such that value == -N, or None.
     num, den = _as_ratio(value)
@@ -115,14 +77,33 @@ def _as_ratio(x) -> tuple[int, int]:
     return Fraction(x).as_integer_ratio()
 
 
-def _exact_series(nums, den: int, z: tuple[int, int]) -> float:
-    """sum_k nums[k] / den * z^k for the rational z = p/q, rounded once.
+def _complex_ratio(w) -> tuple[int, int, int]:
+    # (p, r, q) with w = (p + i r)/q exactly and q > 0: the parts of a complex
+    # float share the larger of their denominators, both powers of two.
+    (p, qp), (r, qr) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
+    q = max(qp, qr)
+    return p * (q // qp), r * (q // qr), q
 
-    With n = len(nums) - 1 the sum is sum_k nums[k] p^k q^(n-k) / (den q^n);
-    its numerator is accumulated by Horner's rule in integers, and the one
-    true division at the end is correctly rounded, exactly like
-    float(Fraction).  den must be positive.
+
+def _exact_series(nums, den: int, z: tuple):
+    """sum_k nums[k] / den * z^k for the rational z = p/q given as (p, q), or
+    for the Gaussian rational z = (p + i r)/q given as (p, r, q) with q a
+    power of two, which gives a complex.  den must be positive.
+
+    With n = len(nums) - 1 the sum is sum_k nums[k] (p + i r)^k q^(n-k) /
+    (den q^n); its numerator is accumulated by Horner's rule in integers, and
+    the one true division per part at the end is correctly rounded, exactly
+    like float(Fraction).
     """
+    if len(z) == 3:
+        p, r, q = z
+        step, shift = q.bit_length() - 1, 0  # q^k is 1 << shift
+        terms = reversed(nums)
+        acc, acc_i = next(terms), 0
+        for c in terms:
+            shift += step
+            acc, acc_i = acc * p - acc_i * r + (c << shift), acc * r + acc_i * p
+        return complex(acc / (den << shift), acc_i / (den << shift))
     p, q = z
     if q < 0:
         p, q = -p, -q
@@ -133,16 +114,6 @@ def _exact_series(nums, den: int, z: tuple[int, int]) -> float:
         scale *= q
         acc = acc * p + c * scale
     return acc / (den * scale)
-
-
-def _float_series(coeffs, z: complex) -> complex:
-    # sum_k coeffs[k] z^k accumulated in floating point, lowest term first.
-    acc = 0j
-    power = 1 + 0j
-    for ck in coeffs:
-        acc += ck * power
-        power *= z
-    return acc
 
 
 @lru_cache(maxsize=4096)
@@ -182,32 +153,26 @@ def hyp2f1_series_coeffs(a, b, c, nterms: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, den) for v in nums)
 
 
-def hyp2f1_terminating(spec: Hyp21Spec) -> float:
-    """Sum the terminating series; terms exact, accumulation in floating point."""
-    nums, den = _hyp2f1_coeffs_cached(spec.a, spec.b, spec.c, spec.terms)
-    p, q = _as_ratio(spec.z)
-    total = 0.0
-    p_k, q_k = 1, den
-    for v in nums:
-        total += (v * p_k) / q_k
-        p_k *= p
-        q_k *= q
-    return total
+def _hyp2f1_row(a, b, c) -> tuple[tuple[int, ...], int]:
+    # The integer row of the terminating 2F1(a, b; c; z), cut at the upper
+    # parameter nearer zero of those that are nonpositive integers.
+    ends = [v for v in (_nonpositive_int(a), _nonpositive_int(b)) if v is not None]
+    if not ends:
+        raise ValueError(f"2F1({a}, {b}; {c}; z) does not terminate: neither upper parameter is a nonpositive integer")
+    return _hyp2f1_coeffs_cached(a, b, c, min(ends))
 
 
 def hyp2f1(a, b, c, z) -> float:
-    """Convenience wrapper: terminating 2F1 straight from the parameters."""
-    return hyp2f1_terminating(Hyp21Spec.terminating(a, b, c, z))
+    """Terminating 2F1(a, b; c; z) at a real z, summed exactly and rounded once;
+    it ends at the upper parameter nearer zero that is a nonpositive integer,
+    and is refused if neither is one or if c vanishes inside the kept terms."""
+    return _exact_series(*_hyp2f1_row(a, b, c), _as_ratio(z))
 
 
 def hyp2f1_complex(a, b, c, nterms: int, z: complex) -> complex:
-    """Terminating 2F1 summed for k = 0 .. nterms at a complex argument.
-
-    The coefficients are exact; each is rounded once and the sum is
-    accumulated in floating point.
-    """
-    nums, den = _hyp2f1_coeffs_cached(a, b, c, nterms)
-    return _float_series([v / den for v in nums], z)
+    """Terminating 2F1 summed for k = 0 .. nterms at a complex argument,
+    exactly, with each part rounded once."""
+    return _exact_series(*_hyp2f1_coeffs_cached(a, b, c, nterms), _complex_ratio(complex(z)))
 
 
 @lru_cache(maxsize=4096)
@@ -255,13 +220,10 @@ def jacobi_values(params, x) -> np.ndarray:
 
 
 def jacobi_complex(p: JacobiParams, w: complex) -> complex:
-    """P_n^(alpha, beta)(w) at a complex argument.
-
-    The series coefficients are exact; each is rounded once and the sum in
-    powers of (w-1)/2 is accumulated in floating point.
-    """
-    nums, den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
-    return _float_series([c / den for c in nums], (w - 1) / 2)
+    """P_n^(alpha, beta)(w) at a complex argument: the series in powers of
+    (w - 1)/2, taken exactly from w, summed exactly, each part rounded once."""
+    num, r, q = _complex_ratio(complex(w))
+    return _exact_series(*_jacobi_coeffs_cached(p.alpha, p.beta, p.n), (num - q, r, 2 * q))
 
 
 def jacobi_via_2f1(p: JacobiParams, x: float) -> float:
@@ -272,10 +234,9 @@ def jacobi_via_2f1(p: JacobiParams, x: float) -> float:
     terms; jacobi_eval covers those parameters.  The prefactor is
     P_n^(alpha, beta)(1), the first coefficient of the Jacobi row.
     """
-    spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
-    nums, den = _hyp2f1_coeffs_cached(spec.a, spec.b, spec.c, spec.terms)
+    nums, den = _hyp2f1_row(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1)
     row, row_den = _jacobi_coeffs_cached(p.alpha, p.beta, p.n)
-    return _exact_series([c * row[0] for c in nums], den * row_den, _as_ratio(spec.z))
+    return _exact_series([c * row[0] for c in nums], den * row_den, _as_ratio((1 - x) / 2))
 
 
 def _binom_power_coeffs(sign: int, power: int) -> list[int]:

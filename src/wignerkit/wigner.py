@@ -29,13 +29,12 @@ from .exactcomb import HalfInt, check_spin_pair
 from .group import EulerAngles, Mat2C
 from .specfun import (
     _binom_power_coeffs,
+    _complex_ratio,
     _exact_series,
-    _float_series,
     _hyp2f1_coeffs_cached,
     _jacobi_coeffs_cached,
     _poly_derivative,
     _poly_mul,
-    hyp2f1_complex,
 )
 
 __all__ = [
@@ -193,6 +192,14 @@ def _index(l: HalfInt, m: HalfInt) -> int:
     return (l.twice + m.twice) // 2
 
 
+def _refusing_overflow(what: str, fn, *args):
+    # fn(*args), with an OverflowError on the way refused as "<what> overflows".
+    try:
+        return fn(*args)
+    except OverflowError:
+        raise RouteUnavailableError(f"{what} overflows") from None
+
+
 def _sqrt_fraction(num: int, den: int) -> float:
     # sqrt(num / den) with the ratio rounded once (int / int) before the root.
     return math.sqrt(num / den)
@@ -234,14 +241,19 @@ def _factorial_ratio_sqrt(p: int, q: int, r: int, s: int) -> float:
 
 def _binomial_sqrt(route: str, l2: int, lm: int, ln: int) -> float:
     # sqrt(C(2l, l-m) C(2l, l-n)), refused where the product overflows a float.
-    try:
-        return math.sqrt(comb(l2, lm) * comb(l2, ln))
-    except OverflowError:
-        raise RouteUnavailableError(f"{route} route's prefactor sqrt(C(2l, l-m) C(2l, l-n)) overflows") from None
+    what = f"{route} route's prefactor sqrt(C(2l, l-m) C(2l, l-n))"
+    return _refusing_overflow(what, math.sqrt, comb(l2, lm) * comb(l2, ln))
+
+
+# What an element kernel refuses where it overflows a float (its series are exact).
+_HYP_PREFACTOR = "2F1 route's prefactor sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!))"
+_HYP_SERIES = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc))"
+_HYP_SYMMETRIC_SERIES = "symmetric 2F1 route's series 2F1(-(l-m), -(l-n); -2l; (bc - ad)/(bc))"
+_JACOBI_SERIES = "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - ad))"
 
 
 def _hyp_tables(A: Mat2C, l2: int) -> tuple:
-    # The 2F1 arguments ad/(bc) and (bc - ad)/(bc), then the powers.
+    # The 2F1 arguments ad/(bc) and (bc - ad)/(bc) as exact ratios, then the powers.
     if A.b == 0 or A.c == 0:
         raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
     bc = A.b * A.c
@@ -251,18 +263,16 @@ def _hyp_tables(A: Mat2C, l2: int) -> tuple:
     z, w = ad / bc, (bc - ad) / bc
     if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise RouteUnavailableError("2F1 route needs ad/(bc) finite; it overflows")
-    return z, w, _powers(A.b, l2), _powers(A.c, l2), _powers(A.d, l2)
+    return _complex_ratio(z), _complex_ratio(w), _powers(A.b, l2), _powers(A.c, l2), _powers(A.d, l2)
 
 
 def _hyp_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
     # Needs m + n >= 0 (i + j >= l2).
     z, _, b_pow, c_pow, d_pow = tables
     lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    try:
-        pref = _factorial_ratio_sqrt(i, j, lm, ln)
-    except OverflowError:
-        raise RouteUnavailableError("2F1 route's prefactor sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!)) overflows") from None
-    series = hyp2f1_complex(-lm, -ln, mn + 1, min(lm, ln), z)
+    pref = _refusing_overflow(_HYP_PREFACTOR, _factorial_ratio_sqrt, i, j, lm, ln)
+    row = _hyp2f1_coeffs_cached(-lm, -ln, mn + 1, min(lm, ln))
+    series = _refusing_overflow(_HYP_SERIES, _exact_series, *row, z)
     return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] / factorial(mn) * series
 
 
@@ -288,7 +298,8 @@ def _hyp_symmetric_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
     # Needs m + n >= 0 (i + j >= l2).
     _, w, b_pow, c_pow, d_pow = tables
     lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    series = hyp2f1_complex(-lm, -ln, -l2, min(lm, ln), w)
+    row = _hyp2f1_coeffs_cached(-lm, -ln, -l2, min(lm, ln))
+    series = _refusing_overflow(_HYP_SYMMETRIC_SERIES, _exact_series, *row, w)
     return _binomial_sqrt("symmetric 2F1", l2, lm, ln) * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
 
 
@@ -319,22 +330,33 @@ def hyp_symmetric_entries(l: HalfInt, A: Mat2C) -> dict:
 
 def _jacobi_tables(A: Mat2C, l2: int) -> tuple:
     # (x, powers of c, d and bc - ad) with the Jacobi argument
-    # (bc + ad)/(bc - ad) = 1 + 2x.  In the quadrant, l - m <= l.
+    # w = (bc + ad)/(bc - ad) = 1 + 2x, x = (w - 1)/2 taken exactly from the
+    # rounded w.  In the quadrant, l - m <= l.
     bc = A.b * A.c
     ad = A.a * A.d
     if bc == ad:
         raise RouteUnavailableError("Jacobi route needs bc != ad")
-    x = ((bc + ad) / (bc - ad) - 1) / 2
-    return x, _powers(A.c, l2), _powers(A.d, l2), _powers(bc - ad, l2 // 2)
+    w = (bc + ad) / (bc - ad)
+    if not cmath.isfinite(w):
+        raise RouteUnavailableError("Jacobi route needs (bc + ad)/(bc - ad) finite; it overflows")
+    p, r, q = _complex_ratio(w)
+    return (p - q, r, 2 * q), _powers(A.c, l2), _powers(A.d, l2), _powers(bc - ad, l2 // 2)
 
 
-def _jacobi_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
-    # Needs the quadrant m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).
-    x, c_pow, d_pow, diff_pow = tables
+def _jacobi_shared(l2: int, i: int, j: int, x: tuple) -> tuple:
+    # The prefactor and the Jacobi polynomial at 1 + 2x of quadrant entry
+    # (i, j): what the entry shares with the images of its element.
     lm, mn, mmn = l2 - i, i + j - l2, i - j
-    pref = _factorial_ratio_sqrt(i, lm, j, l2 - j)
-    nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
-    poly = _float_series([c / den for c in nums], x)
+    poly = _refusing_overflow(_JACOBI_SERIES, _exact_series, *_jacobi_coeffs_cached(mn, mmn, lm), x)
+    return _factorial_ratio_sqrt(i, lm, j, l2 - j), poly
+
+
+def _jacobi_entry(l2: int, i: int, j: int, tables: tuple, shared: tuple | None = None) -> complex:
+    # Needs the quadrant m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).  shared
+    # is _jacobi_shared at the tables' x, computed here when not given.
+    x, c_pow, d_pow, diff_pow = tables
+    pref, poly = shared or _jacobi_shared(l2, i, j, x)
+    lm, mn, mmn = l2 - i, i + j - l2, i - j
     return pref * c_pow[mmn] * d_pow[mn] * diff_pow[lm] * poly
 
 
@@ -366,14 +388,18 @@ def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     """The whole matrix by the Jacobi form, each entry folded onto the
     quadrant m + n >= 0, m - n >= 0 by the index symmetry that reaches it.
 
-    Raises RouteUnavailableError when bc = ad.
+    Raises RouteUnavailableError when bc = ad.  The images of A under
+    SYMMETRIES have the Jacobi argument of A bit for bit (their bc and ad
+    are the same products with the factors swapped), so each quadrant
+    polynomial is summed once and multiplied by each image's powers.
     """
     dim = _dim(l)
     l2 = l.twice
     elements = {None: A, **{which: element_map(A) for which, (_, element_map) in SYMMETRIES.items()}}
     tables = {which: _jacobi_tables(B, l2) for which, B in elements.items()}
-    folds = (_fold(l2, i, j) for i in range(dim) for j in range(dim))
-    values = [_jacobi_entry(l2, i, j, tables[which]) for which, i, j in folds]
+    folds = [_fold(l2, i, j) for i in range(dim) for j in range(dim)]
+    shared = {ij: _jacobi_shared(l2, *ij, tables[None][0]) for ij in dict.fromkeys(fold[1:] for fold in folds)}
+    values = [_jacobi_entry(l2, i, j, tables[which], shared[i, j]) for which, i, j in folds]
     return WignerMatrix(l, np.reshape(values, (dim, dim)))
 
 
@@ -414,6 +440,12 @@ def _chart(theta: float) -> tuple:
     return sin_t, cos_t, (side * (den * den - 2 * num * num), den * den)
 
 
+# A chart form's entry is a product of floats, and on the way one of them can
+# overflow where the entry does not (a negative power of a small sine, or a
+# series in a large 1/p); every chart form refuses that with this reason.
+_CHART_OVERFLOW = "a float on the way to a chart form's entry"
+
+
 def _chart_stack(l: HalfInt, charts, entries) -> np.ndarray:
     # d(theta) at each of the charts (listed after the spin is checked), shape
     # (len(charts), 2l+1, 2l+1).  entries(l2, j, rows, charts) lists entry (i, j)
@@ -424,7 +456,7 @@ def _chart_stack(l: HalfInt, charts, entries) -> np.ndarray:
     quadrant = np.zeros((dim, dim, len(charts)))
     for j in range(dim):
         rows = range(max(j, l2 - j), dim)
-        quadrant[rows.start :, j] = entries(l2, j, rows, charts)
+        quadrant[rows.start :, j] = _refusing_overflow(_CHART_OVERFLOW, entries, l2, j, rows, charts)
     folds = [_fold(l2, i, j) for i in range(dim) for j in range(dim)]
     _, rows, cols = zip(*folds)
     values = quadrant[rows, cols] * np.array([[_chart_sign(*fold)] for fold in folds])
@@ -434,7 +466,8 @@ def _chart_stack(l: HalfInt, charts, entries) -> np.ndarray:
 def _chart_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, chart, entries) -> float:
     # Entry (m, n) of _chart_stack(l, [chart(theta)], entries), bit for bit.
     which, i, j = _fold(l.twice, _index(l, m), _index(l, n))
-    return _chart_sign(which, i, j) * entries(l.twice, j, [i], [chart(theta)])[0][0]
+    column = _refusing_overflow(_CHART_OVERFLOW, entries, l.twice, j, [i], [chart(theta)])
+    return _chart_sign(which, i, j) * column[0][0]
 
 
 def _jacobi_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from wignerkit.cli import MAX_DMAT_L_X2, _render_dmat, main
 from wignerkit.exactcomb import HalfInt
+from wignerkit.group import EulerAngles, from_euler
 from wignerkit.wigner import WignerMatrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -35,7 +36,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "6"
+        assert rec["schema_version"] == "7"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -170,6 +171,20 @@ class TestDmat:
                 ["--l-x2", "2", "--matrix", "1,0,1,0,1,0,1,0", "--route", "jacobi"],
                 "Jacobi route needs bc != ad",
             ),
+            # sin(theta) ** -(m + n) overflows a float, though the entry is tiny
+            (
+                ["--l-x2", "40", "--theta", "1e-9", "--route", "rodrigues"],
+                "a float on the way to a chart form's entry overflows",
+            ),
+            (
+                ["--l-x2", "2", "--theta", "1e-200", "--route", "rodrigues"],
+                "a float on the way to a chart form's entry overflows",
+            ),
+            # the Krawtchouk series in 1/p = 1/cos^2(theta) overflows a float
+            (
+                ["--l-x2", "40", "--theta", "1.5707963267", "--route", "krawtchouk"],
+                "a float on the way to a chart form's entry overflows",
+            ),
         ],
     )
     def test_fallback_warning_names_the_first_failing_entry(self, capsys, argv, reason):
@@ -178,6 +193,18 @@ class TestDmat:
         assert code == 0
         assert rec["result"]["route_used"] == "oracle"
         assert rec["warnings"] == [f"route {route} unavailable ({reason}); fell back to oracle"]
+
+    def test_jacobi_route_on_a_matrix_source_is_unitary_at_l_x2_200(self, capsys):
+        # The element Jacobi form sums its polynomials exactly; with a float
+        # sum this matrix had unitarity residual 4.3e69.
+        A = from_euler(EulerAngles(0.7, 1.2, 0.3))
+        source = ",".join(repr(v) for z in (A.a, A.b, A.c, A.d) for v in (z.real, z.imag))
+        code, rec = run_json(capsys, "dmat", "--l-x2", "200", "--matrix", source, "--route", "jacobi")
+        assert code == 0
+        assert rec["result"]["route_used"] == "jacobi" and "warnings" not in rec
+        pairs = np.array(rec["result"]["matrix"])
+        T = pairs[..., 0] + 1j * pairs[..., 1]
+        assert np.max(np.abs(T @ T.conj().T - np.eye(201))) < 1e-13
 
     def test_krawtchouk_serves_theta_zero(self, capsys):
         # Folded onto the quadrant, no entry has a negative sin power.

@@ -1,12 +1,14 @@
 """The integer 2F1 rows, the array form of jacobi_eval and the cached
-Gauss-Legendre rules, held bit for bit to the code they replaced.
+Gauss-Legendre rules, held bit for bit to the code they replaced, and the
+2F1 sums held to their exact values.
 
 The reference functions below are copies of the earlier implementations: the
-Fraction recurrence of hyp2f1_series_coeffs, the per-term float(ck * power)
-loop of hyp2f1_terminating, the Fraction branch of jacobi_norm and the
-square root of a Fraction.  Each new path must give the same float (compared
-by float.hex, so the sign of a zero counts) or raise the same exception type
-with the same message.
+Fraction recurrence of hyp2f1_series_coeffs, the Fraction branch of
+jacobi_norm and the square root of a Fraction.  The terminating 2F1 sums, at
+a real and at a complex argument, are held to one exact Fraction sum rounded
+once per part (exact_2f1, exact_complex_2f1).  Each path must give the same
+float (compared by float.hex, so the sign of a zero counts) or raise the same
+exception type with the same message.
 """
 import math
 from fractions import Fraction
@@ -20,16 +22,14 @@ from numpy.polynomial.legendre import leggauss
 from wignerkit.exactcomb import factorial, pochhammer
 from wignerkit.haar import gauss_legendre
 from wignerkit.specfun import (
-    Hyp21Spec,
     JacobiParams,
     _as_ratio,
     _exact_series,
-    _float_series,
     _hyp2f1_coeffs_cached,
     _nonpositive_int,
+    hyp2f1,
     hyp2f1_complex,
     hyp2f1_series_coeffs,
-    hyp2f1_terminating,
     jacobi_eval,
     jacobi_norm,
     jacobi_values,
@@ -62,26 +62,40 @@ def integer_form(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def old_hyp2f1_terminating(spec):
-    coeffs = old_hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms)
-    zf = Fraction(spec.z)
-    total = 0.0
-    power = Fraction(1)
-    for ck in coeffs:
-        total += float(ck * power)
-        power *= zf
-    return total
-
-
-def old_hyp2f1_complex(a, b, c, nterms, z):
-    return _float_series([float(ck) for ck in old_hyp2f1_series_coeffs(a, b, c, nterms)], z)
-
-
 def old_nonpositive_int(value):
     f = Fraction(value)
     if f.denominator == 1 and f <= 0:
         return int(-f)
     return None
+
+
+def terms(a, b, c):
+    # Where a terminating 2F1 ends: at the upper parameter nearer zero of
+    # those that are nonpositive integers.
+    ends = [v for v in (old_nonpositive_int(a), old_nonpositive_int(b)) if v is not None]
+    if not ends:
+        raise ValueError(f"2F1({a}, {b}; {c}; z) does not terminate: neither upper parameter is a nonpositive integer")
+    return min(ends)
+
+
+def exact_2f1(a, b, c, z):
+    # The terminating 2F1 at a real z as one Fraction, rounded once.
+    coeffs = old_hyp2f1_series_coeffs(a, b, c, terms(a, b, c))
+    zf = Fraction(z)
+    return float(sum(ck * zf**k for k, ck in enumerate(coeffs)))
+
+
+def exact_complex_2f1(a, b, c, nterms, z):
+    # The terminating 2F1 at a complex float z: each part of the sum as one
+    # Fraction, rounded once.
+    coeffs = old_hyp2f1_series_coeffs(a, b, c, nterms)
+    re, im = Fraction(z.real), Fraction(z.imag)
+    total_re, total_im, power_re, power_im = Fraction(0), Fraction(0), Fraction(1), Fraction(0)
+    for ck in coeffs:
+        total_re += ck * power_re
+        total_im += ck * power_im
+        power_re, power_im = power_re * re - power_im * im, power_re * im + power_im * re
+    return complex(float(total_re), float(total_im))
 
 
 def old_krawtchouk(n, x, p, N):
@@ -91,20 +105,20 @@ def old_krawtchouk(n, x, p, N):
 
 
 def old_jacobi_via_2f1(p, x):
-    spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
-    nums, den = integer_form(old_hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms))
+    a, b, c = -p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1
+    nums, den = integer_form(old_hyp2f1_series_coeffs(a, b, c, terms(a, b, c)))
     prefactor = pochhammer(Fraction(p.alpha) + 1, p.n) / factorial(p.n)
     return _exact_series(
-        [c * prefactor.numerator for c in nums], den * prefactor.denominator, Fraction(spec.z).as_integer_ratio()
+        [c * prefactor.numerator for c in nums], den * prefactor.denominator, Fraction((1 - x) / 2).as_integer_ratio()
     )
 
 
 def parent_jacobi_via_2f1(p, x):
     # The prefactor by a Pochhammer symbol, on the integer 2F1 row.
-    spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
-    nums, den = _hyp2f1_coeffs_cached(spec.a, spec.b, spec.c, spec.terms)
+    a, b, c = -p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1
+    nums, den = _hyp2f1_coeffs_cached(a, b, c, terms(a, b, c))
     prefactor = pochhammer(Fraction(p.alpha) + 1, p.n) / factorial(p.n)
-    return _exact_series([c * prefactor.numerator for c in nums], den * prefactor.denominator, _as_ratio(spec.z))
+    return _exact_series([c * prefactor.numerator for c in nums], den * prefactor.denominator, _as_ratio((1 - x) / 2))
 
 
 def old_jacobi_norm(p):
@@ -152,7 +166,7 @@ def outcome(fn, *args):
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, complex):
-        return repr(value)
+        return value.real.hex(), value.imag.hex()
     return value
 
 
@@ -200,26 +214,40 @@ class TestHyp2f1Rows:
 
     @given(st.integers(0, 14), parameter, parameter, argument)
     @settings(deadline=None, max_examples=400)
-    def test_terminating_sum_equals_the_per_term_float_loop(self, n, b, c, z):
-        try:
-            spec = Hyp21Spec.terminating(-n, b, c, z)
-        except ValueError:
-            return
-        assert outcome(hyp2f1_terminating, spec) == outcome(old_hyp2f1_terminating, spec), spec
+    def test_terminating_sum_is_the_exact_sum_rounded_once(self, n, b, c, z):
+        assert outcome(hyp2f1, -n, b, c, z) == outcome(exact_2f1, -n, b, c, z), (n, b, c, z)
 
     def test_terminating_sum_edges(self):
-        # zero and signed-zero arguments, subnormal terms and an overflowing term
-        for z in (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e200, -2.0):
+        # zero and signed-zero arguments, subnormal terms, an overflowing sum,
+        # a non-finite argument and a series that does not terminate
+        for z in (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e200, -2.0, float("inf"), float("nan")):
             for n in range(6):
                 for b, c in ((0.5, 1.5), (-3, -7), (Fraction(1, 3), 2.5), (2, 1)):
-                    spec = Hyp21Spec.terminating(-n, b, c, z)
-                    assert outcome(hyp2f1_terminating, spec) == outcome(old_hyp2f1_terminating, spec)
-        assert outcome(hyp2f1_terminating, Hyp21Spec.terminating(-3, 1, 1, 1e300))[0] is OverflowError
+                    assert outcome(hyp2f1, -n, b, c, z) == outcome(exact_2f1, -n, b, c, z), (n, b, c, z)
+        assert outcome(hyp2f1, -3, 1, 1, 1e300)[0] is OverflowError
+        assert outcome(hyp2f1, -3, 1, 1, float("inf"))[0] is OverflowError
+        assert outcome(hyp2f1, -3, 1, 1, float("nan"))[0] is ValueError
+        assert outcome(hyp2f1, 0.5, 1, 1, 0.5) == outcome(exact_2f1, 0.5, 1, 1, 0.5)
+        assert outcome(hyp2f1, 0.5, 1, 1, 0.5)[0] is ValueError
 
     @given(st.integers(0, 10), parameter, parameter, st.complex_numbers(max_magnitude=5.0, allow_nan=False))
     @settings(deadline=None, max_examples=200)
-    def test_complex_sum_rounds_each_coefficient_as_before(self, n, b, c, z):
-        assert outcome(hyp2f1_complex, -n, b, c, n, z) == outcome(old_hyp2f1_complex, -n, b, c, n, z)
+    def test_complex_sum_is_the_exact_sum_rounded_once_per_part(self, n, b, c, z):
+        assert outcome(hyp2f1_complex, -n, b, c, n, z) == outcome(exact_complex_2f1, -n, b, c, n, z)
+
+    def test_complex_sum_edges(self):
+        # signed zeros, subnormal and huge parts, an overflowing part, and an
+        # infinite or NaN part, which raise as the real path does
+        inf, nan = float("inf"), float("nan")
+        parts = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.3, -1.7, 1e200, -1e300)
+        for z in [complex(x, y) for x in parts for y in parts] + [complex(inf, 0.0), complex(0.5, nan)]:
+            for n in range(5):
+                for b, c in ((0.5, 1.5), (-3, -7), (2, 1)):
+                    got = outcome(hyp2f1_complex, -n, b, c, n, z)
+                    assert got == outcome(exact_complex_2f1, -n, b, c, n, z), (n, b, c, z)
+        assert outcome(hyp2f1_complex, -3, 1, 1, 3, complex(1e200, 0.0))[0] is OverflowError
+        assert outcome(hyp2f1_complex, -3, 1, 1, 3, complex(inf, 0.0))[0] is OverflowError
+        assert outcome(hyp2f1_complex, -3, 1, 1, 3, complex(0.5, nan))[0] is ValueError
 
     @given(st.one_of(parameter, argument))
     def test_nonpositive_int(self, value):

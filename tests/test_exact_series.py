@@ -4,7 +4,8 @@ to the exact-Fraction evaluation it replaced.
 The reference loops below are copies of the earlier Fraction-accumulating
 implementations; each route must return the same float (the same exception
 type where the old loop raised) on a parameter grid that includes the
-Pochhammer fallback (alpha = -1, -2) and half-integer parameters.
+Pochhammer fallback (alpha = -1, -2) and half-integer parameters.  The
+complex-argument series are held the same way, to one Fraction sum per part.
 """
 import functools
 import math
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from wignerkit.exactcomb import HalfInt, binomial, factorial, pochhammer, spin_range
 from wignerkit.specfun import (
-    Hyp21Spec,
     JacobiParams,
     _as_ratio,
     _binom_power_coeffs,
@@ -89,9 +89,11 @@ def old_jacobi_eval(p, x):
 
 
 def old_jacobi_via_2f1(p, x):
-    spec = Hyp21Spec.terminating(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, (1 - x) / 2)
-    coeffs = hyp2f1_series_coeffs(spec.a, spec.b, spec.c, spec.terms)
-    zf = Fraction(spec.z)
+    # The 2F1 ends at -n, or earlier where n + alpha + beta + 1 is a nonpositive integer.
+    b = Fraction(p.n + p.alpha + p.beta + 1)
+    terms = min(p.n, -b) if b.denominator == 1 and b <= 0 else p.n
+    coeffs = hyp2f1_series_coeffs(-p.n, p.n + p.alpha + p.beta + 1, p.alpha + 1, int(terms))
+    zf = Fraction((1 - x) / 2)
     total = Fraction(0)
     power = Fraction(1)
     for ck in coeffs:
@@ -307,31 +309,55 @@ class TestRoutesMatchFractionLoops:
                         assert got == outcome(old_folded_tmn_rodrigues, l, m, n, theta), (l2, m, n, theta)
 
 
-class TestFloatSeriesMatchesOldLoops:
-    # The complex-argument series keep the old float accumulation, term by term.
-    @staticmethod
-    def old_float_loop(coeffs, z):
-        acc = 0j
-        power = 1 + 0j
-        for ck in coeffs:
-            acc += float(ck) * power
-            power *= z
-        return acc
+def fraction_complex_sum(coeffs, re, im):
+    # sum_k coeffs[k] (re + i im)^k for Fractions re and im, each part of the
+    # sum rounded once, as float.hex.
+    total_re, total_im, power_re, power_im = Fraction(0), Fraction(0), Fraction(1), Fraction(0)
+    for ck in coeffs:
+        total_re += ck * power_re
+        total_im += ck * power_im
+        power_re, power_im = power_re * re - power_im * im, power_re * im + power_im * re
+    return float(total_re).hex(), float(total_im).hex()
 
-    ARGS = (0.3 - 0.4j, -1.7 + 0.2j, 2.5 + 0j, 1e-3j, -0.9 - 1.1j)
+
+def parts(value):
+    return value.real.hex(), value.imag.hex()
+
+
+class TestComplexSeriesAreExact:
+    # The complex-argument series are summed exactly too: each part is the
+    # exact sum rounded once, compared by float.hex, so the sign of a zero counts.
+    ARGS = (0.3 - 0.4j, -1.7 + 0.2j, 2.5 + 0j, 1e-3j, -0.9 - 1.1j, complex(-0.0, -0.0), complex(5e-324, -5e-324))
 
     def test_jacobi_complex(self):
         for a, b in PARAMS:
             for n in range(8):
                 p = JacobiParams(a, b, n)
                 for w in self.ARGS:
-                    want = self.old_float_loop(old_jacobi_coeffs(a, b, n), (w - 1) / 2)
-                    assert jacobi_complex(p, w) == want, (a, b, n, w)
+                    # the argument (w - 1)/2 is taken exactly from w
+                    h = (Fraction(w.real) - 1) / 2, Fraction(w.imag) / 2
+                    want = fraction_complex_sum(old_jacobi_coeffs(a, b, n), *h)
+                    assert parts(jacobi_complex(p, w)) == want, (a, b, n, w)
 
     def test_hyp2f1_complex(self):
         for n in range(8):
             for m in range(8):
                 for c in (n + 1, -(n + m + 1), 1.5):
                     for z in self.ARGS:
-                        want = self.old_float_loop(hyp2f1_series_coeffs(-n, -m, c, min(n, m)), z)
-                        assert hyp2f1_complex(-n, -m, c, min(n, m), z) == want
+                        coeffs = hyp2f1_series_coeffs(-n, -m, c, min(n, m))
+                        want = fraction_complex_sum(coeffs, Fraction(z.real), Fraction(z.imag))
+                        assert parts(hyp2f1_complex(-n, -m, c, min(n, m), z)) == want, (n, m, c, z)
+
+    def test_non_finite_arguments_raise_as_the_real_path(self):
+        p = JacobiParams(1, 2, 3)
+        for w, error in ((complex(float("inf"), 0.0), OverflowError), (complex(0.0, float("nan")), ValueError)):
+            with pytest.raises(error):
+                jacobi_complex(p, w)
+            with pytest.raises(error):
+                jacobi_eval(p, w.real if error is OverflowError else w.imag)
+            with pytest.raises(error):
+                hyp2f1_complex(-3, 1, 2, 3, w)
+
+    def test_an_overflowing_part_raises(self):
+        with pytest.raises(OverflowError):
+            jacobi_complex(JacobiParams(0, 0, 30), complex(0.5, 1e300))

@@ -59,19 +59,19 @@ EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
     "dmat_oracle_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "e9a86492a1d6635810cdb465639ae8f37d4bb5b73c523c7319b9ff1175b619cf",
+        "631b7b07996271f7b97addb01c0b094cb7c0044e342afd646b78a58240751e16",
     ),
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "7aa517b6d32e383742d17b83ddd017ff4a17d99f15807679753eadd2a978ee2c",
+        "5c6625919f3b9194847b3ec6e4e644ecd15a10da56589f286f760a3b04b99183",
     ),
     "dmat_oracle_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "80ccef5e751ec8027d44d4188595b2c56186d0823921a8950edb64a897875ecc",
+        "5d655a58d56edd99927430818d34e7b0a57f2d8bfb2f4acc5ef4b93c4c63e758",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "55254897e77a934049e110ba2be9a559b96e2e5ea05cbce496920ef16f9676ec",
+        "d4798b96a4b79562a279d75bcf213cce3c3982490547e661813b2fe844d6d494",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -84,7 +84,7 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "6e70168bd48991372d3d4126dad3f133906182e7d21b6cf42ae7f5ad41dddde6",
+        "ae7498a217b7582196131bdd57880b3d266ef81c27d07ce2a210b3e4f998ac4d",
     ),
     "dmat_oracle_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
@@ -94,15 +94,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "c7e2360391279f1d31c1524e21a9d4ec23869f016dbef58cd08307f0c93ad0ec",
+        "778981563788e5c87a869c116f6f194f2bf82d7f564e8b10d216178d7240471d",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "5db192b204e4f8f34ba60aa6b391e08cde6c14a218cc1765ce13a5c490844b9f",
+        "f8006713a463b84670aaf2d452d843ca97ddfc01891526fde9b30b3c60dbac70",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "2271908c0edf1019dcfb65991e9ef011267954091492fc782419885f78f41b0f",
+        "dcd3f4925e7b8af54cdada12fc67f9b14024b1775b16d9c4ef05ca8d744d7dfc",
     ),
 }
 
@@ -129,15 +129,15 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # depend on the BLAS kernel or thread count; schur and all, which run the Schur
 # reduction, do.  SCHUR_HASHED pins schur at one BLAS thread.
 VERIFY_HASHED = {
-    "routes": "f6170e476e5ecbae0fa68ca6c0164a6dd4ed3511cc405df74cc37b8d8e1fccb9",
-    "unitarity": "396d89e1bdac62f6c5dec58984e97032c48e44c7a006fba5ffde5164d96830a9",
-    "homomorphism": "eb122fb83a85d13d8a152d28434414bd6580fc2901bdf14008d3d504ae6a7b15",
-    "jacobi-orth": "9b56f12aba4cfc68fb9e5dab6295936cf5767b7766c3aa5d8d3176349edc5132",
-    "legendre": "31c150dd6f2c867f8147c1c0c9a0b8fe668f0b69c66446b2db6590645f87a015",
-    "krawtchouk-sym": "5d74f3fcc10d65b2679abfd8f139d3004e67f0a1f3f9f6f75c02218623119b6b",
-    "character": "38e60987dae4fd39dcd80867945c925812255be76b9b7c441aa50083f45d3a5f",
+    "routes": "8c209fe182cb8be244eb7cafc762007a021353eb2a616c7427915043c85635ee",
+    "unitarity": "17e2a31c1f9a65f89964938691bbdbe3e50154e39cafa25e0b457748d19ff82e",
+    "homomorphism": "7a2b9103736d23d599f28bec5bed0ed43c2c58e6c2b74ce9f1dac1150d403ce3",
+    "jacobi-orth": "388460de5c8e8bb16351e6830cda75b702062ee614b83986f1c4f02838a08334",
+    "legendre": "2c7547b34d22d1cd3b1853cc3c01093401a05f158d43e419391a52687970dcf7",
+    "krawtchouk-sym": "3f33e0e7f9d96cab3e8607578a47c9dd4e27be33dd37fc5c073fadf4e29cd265",
+    "character": "f6560ff26ce7b945a06f2d33675032653d8d9cf174c7c8b095cd6f7946692b09",
 }
-SCHUR_HASHED = "3a86b080b0ee57c459892074ac9c26bf3cdf0eb985e07c55eb3e1619aecb3a62"
+SCHUR_HASHED = "3f8c6c000abd19ee69ddbf1e7742b1b68fac9a279405b34ef262ad60e4458461"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))

@@ -5,9 +5,13 @@ s1^(2l) at four elements (three SU(2) Euler triples and one GL(2, C)
 element) and l_x2 from 6 to 400, from the exact finite sum
 (scripts/reference_table.py).  A route passes at a spin when every sampled
 entry is within 1e-10 of the table, relative to the norm.  Each route is held
-only up to the spin where it is accurate today: the oracle drifts above
-l_x2 40, and dmatrix_euler costs seconds above 120.  The Rodrigues and
-Krawtchouk chart forms cost about l^4; they are held to 40 and 80.
+only up to the spin where it is accurate today, or as far as its cost allows
+in a test: the oracle drifts above l_x2 40, and dmatrix_euler costs seconds
+above 120.  The Rodrigues and Krawtchouk chart forms cost about l^4; they
+are held to 40 and 80.  The element forms sum their series exactly: the
+Jacobi form is held to 120 (its worst at 400 was 1.2e-14), the 2F1 form to
+80 (from 99 it refuses its factorial prefactor) and the symmetric 2F1 form
+to 120, both on the cells of their domain m + n >= 0.
 """
 import importlib.util
 import json
@@ -18,7 +22,14 @@ import pytest
 
 from wignerkit.exactcomb import HalfInt
 from wignerkit.group import EulerAngles, Mat2C, from_euler
-from wignerkit.wigner import ROTATION_ROUTES, dmatrix_euler, oracle_matrix
+from wignerkit.wigner import (
+    ELEMENT_ROUTES,
+    ROTATION_ROUTES,
+    dmatrix_euler,
+    hyp_entries,
+    hyp_symmetric_entries,
+    oracle_matrix,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = json.loads((ROOT / "tests" / "data" / "reference_table.json").read_text())
@@ -48,9 +59,12 @@ def element(name):
     return from_euler(angles(name)) if kind == "euler" else Mat2C(*map(complex, values[::2], values[1::2]))
 
 
-def worst(entries, name, l2):
-    # The largest deviation from the table at the sampled cells, relative to the norm.
-    return max(abs(entries[i, j] - want) for (i, j), want in CELLS[name, l2]) / NORMS[name, l2]
+def worst(entries, name, l2, cells=lambda i, j: True):
+    # The largest deviation from the table at the sampled cells (those that
+    # cells admits), relative to the norm.
+    deviations = [abs(entries[i, j] - want) for (i, j), want in CELLS[name, l2] if cells(i, j)]
+    assert deviations, (name, l2)
+    return max(deviations) / NORMS[name, l2]
 
 
 def test_the_table_covers_every_element_and_spin():
@@ -80,6 +94,22 @@ def test_the_chart_forms_match_the_table(route, l2):
     matrices = ROTATION_ROUTES[route](HalfInt(l2), [angles(name) for name in EULER])
     for name, entries in zip(EULER, matrices):
         assert worst(entries, name, l2) <= TOLERANCE, name
+
+
+@pytest.mark.parametrize("name", sorted(TABLE["elements"]))
+@pytest.mark.parametrize("l2", [6, 20, 40, 80, 120])
+def test_the_element_jacobi_form_matches_the_table(name, l2):
+    assert worst(ELEMENT_ROUTES["jacobi"](HalfInt(l2), element(name)).entries, name, l2) <= TOLERANCE
+
+
+@pytest.mark.parametrize("name", sorted(TABLE["elements"]))
+@pytest.mark.parametrize(
+    "route, l2",
+    [("hyp", l2) for l2 in (6, 20, 40, 80)] + [("hyp-symmetric", l2) for l2 in (6, 20, 40, 80, 120)],
+)
+def test_the_2f1_forms_match_the_table(name, route, l2):
+    entries = {"hyp": hyp_entries, "hyp-symmetric": hyp_symmetric_entries}[route](HalfInt(l2), element(name))
+    assert worst(entries, name, l2, cells=lambda i, j: i + j >= l2) <= TOLERANCE
 
 
 def test_the_script_rederives_the_smallest_spin():

@@ -15,7 +15,9 @@ its phases to the whole zero-phase matrix, so it is held to the old entries
 within a bound of a few rounding errors; and the Rodrigues and Krawtchouk
 forms compute only the quadrant m + n >= 0, m - n >= 0 and fold it, so their
 other entries are held to the old entry they fold onto, times its sign
-(old_folded).
+(old_folded).  Where the old Rodrigues or Krawtchouk code raised a bare
+OverflowError, the chart forms refuse with RouteUnavailableError, and the
+copies below do the same (refused_like_the_chart_forms).
 """
 import cmath
 import math
@@ -41,8 +43,10 @@ from wignerkit.specfun import (
 )
 from wignerkit.verify import sample_gl2, suite_routes
 from wignerkit.wigner import (
+    SYMMETRIES,
     RouteUnavailableError,
     _chart,
+    _jacobi_tables,
     _factorial_ratio_sqrt,
     WignerMatrix,
     apply_symmetry,
@@ -188,6 +192,19 @@ def old_dmatrix_euler(l, angles):
     return WignerMatrix(l, entries)
 
 
+def refused_like_the_chart_forms(old):
+    # The old chart-form entry, with an OverflowError turned into the refusal
+    # that every chart form now gives.
+    def entry(*args):
+        try:
+            return old(*args)
+        except OverflowError:
+            raise RouteUnavailableError("a float on the way to a chart form's entry overflows") from None
+
+    return entry
+
+
+@refused_like_the_chart_forms
 def old_tmn_rodrigues(l, m, n, theta):
     check_spin_pair(l, m)
     check_spin_pair(l, n)
@@ -207,6 +224,7 @@ def old_tmn_rodrigues(l, m, n, theta):
     return pref * 2.0 ** (-lpm) * sin_t ** (-mn) * cos_t ** (-mmn) * value
 
 
+@refused_like_the_chart_forms
 def old_tmn_krawtchouk(l, m, n, theta):
     check_spin_pair(l, m)
     check_spin_pair(l, n)
@@ -464,6 +482,27 @@ def test_element_matrices_bit_identical(name):
         l = HalfInt(l_x2)
         assert outcome(sum_matrix, l, A) == outcome(old_dmat_by_route, l, A, None, "sum"), l_x2
         assert outcome(jacobi_matrix, l, A) == outcome(old_dmat_by_route, l, A, None, "jacobi"), l_x2
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTS))
+def test_symmetry_images_share_the_jacobi_argument(name):
+    # jacobi_matrix sums each quadrant polynomial once for A and its three
+    # images under SYMMETRIES: their bc and ad are the same complex products
+    # with the factors swapped, which Python computes bit for bit alike, so
+    # their Jacobi argument x is one exact ratio.
+    for A in [ELEMENTS[name], *sample_gl2(11, 50)]:
+        images = [A, *(element_map(A) for _, element_map in SYMMETRIES.values())]
+        assert len({outcome(lambda B: _jacobi_tables(B, 0)[0], B) for B in images}) == 1
+
+
+@pytest.mark.parametrize("name", ["gl2_0", "euler_0", "euler_6", "integer_entries", "large_entries"])
+def test_jacobi_matrix_is_the_folded_per_entry_form_up_to_l_x2_21(name):
+    A = ELEMENTS[name]
+    for l_x2 in range(13, 22):
+        l = HalfInt(l_x2)
+        spins = spin_range(l)
+        folded = [[tmn_jacobi(l, *fold_to_quadrant(l, m, n, A)) for n in spins] for m in spins]
+        assert jacobi_matrix(l, A).entries.tobytes() == np.array(folded, dtype=complex).tobytes(), l_x2
 
 
 def test_theta_stacks_bit_identical():

@@ -34,6 +34,7 @@ from wignerkit.wigner import (
     tmn_hyp_symmetric,
     tmn_jacobi,
     tmn_krawtchouk,
+    tmn_rodrigues,
 )
 
 EULER = [(0.7, 1.2, 0.3), (0.0, 0.5, 2.0), (math.pi / 4, 3.0, 5.5), (math.pi / 2, 0.0, 0.0)]
@@ -50,7 +51,9 @@ ELEMENTS = {
     "ad_over_bc_overflows": Mat2C(1 + 0j, 1e-160 + 0j, 1e-160 + 0j, 1 + 0j),
     # b * c overflows, so ad/(bc) is inf/inf
     "power_overflow": Mat2C(1e300 + 0j, 1e300 + 0j, 1e300 + 0j, 1e300 + 0j),
-    # from l_x2 = 4 the 2F1 series in ad/(bc) overflows to NaN, and a^2 overflows
+    # b * c overflows and a * d does not, so (bc + ad)/(bc - ad) is inf/inf
+    "bc_overflows": Mat2C(0.5 + 0j, 1e200 + 0j, 1e200 + 0j, 0.5 + 0j),
+    # from l_x2 = 4 the 2F1 series in ad/(bc) overflows, and a^2 overflows
     "a_overflow": Mat2C(1e200 + 0j, 0.5 + 0j, 0.3j, 0.5 + 0j),
     # from l_x2 = 2 a power of d overflows
     "d_overflow": Mat2C(0.5 + 0j, 0.3j, 0.5 + 0j, 1e200 + 0j),
@@ -211,6 +214,8 @@ Z_OVERFLOWS = "2F1 route needs ad/(bc) finite; it overflows"
         ("hyp-symmetric", "ad_over_bc_overflows", Z_OVERFLOWS),
         ("jacobi", "bc_eq_ad", "Jacobi route needs bc != ad"),
         ("jacobi", "bc_eq_ad_complex", "Jacobi route needs bc != ad"),
+        # refused at every spin, where a float sum of degree 0 used to return
+        ("jacobi", "bc_overflows", "Jacobi route needs (bc + ad)/(bc - ad) finite; it overflows"),
     ],
 )
 def test_entries_refuse_the_singular_set(route, name, message):
@@ -281,26 +286,56 @@ def test_binomial_prefactor_overflow_is_refused():
         assert str(info.value) == f"{route} route's prefactor sqrt(C(2l, l-m) C(2l, l-n)) overflows"
 
 
-NON_FINITE = "matrix contains non-finite entries"
+CHART_OVERFLOWS = "a float on the way to a chart form's entry overflows"
 
 
 @pytest.mark.parametrize(
-    "route, l_x2, A",
+    "stack, per_entry, l_x2, theta, m",
     [
-        ("hyp", 4, ELEMENTS["a_overflow"]),
-        ("hyp", 12, ELEMENTS["a_overflow"]),
+        # sin(theta) ** -(m + n) overflows a float at m = n = l, though the entry is tiny
+        (rodrigues_stack, tmn_rodrigues, 40, 1e-9, 40),
+        (rodrigues_stack, tmn_rodrigues, 2, 1e-200, 2),
+        # the Krawtchouk series in 1/p = 1/cos^2(theta) overflows a float at m = n = 0
+        (krawtchouk_stack, tmn_krawtchouk, 40, 1.5707963267, 0),
+    ],
+    ids=["rodrigues-40", "rodrigues-2", "krawtchouk-40"],
+)
+def test_chart_forms_refuse_an_overflowing_float(stack, per_entry, l_x2, theta, m):
+    # They used to raise a bare OverflowError, so dmat exited 3 instead of
+    # falling back.  Entry (l, -l) is finite in both forms.
+    l, m = HalfInt(l_x2), HalfInt(m)
+    with pytest.raises(RouteUnavailableError) as info:
+        stack(l, [0.7, theta])
+    assert str(info.value) == CHART_OVERFLOWS
+    with pytest.raises(RouteUnavailableError) as info:
+        per_entry(l, m, m, theta)
+    assert str(info.value) == CHART_OVERFLOWS
+    assert math.isfinite(per_entry(l, l, -l, theta))
+
+
+NON_FINITE = "matrix contains non-finite entries"
+SERIES_OVERFLOWS = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc)) overflows"
+
+
+@pytest.mark.parametrize(
+    "route, l_x2, A, refusal",
+    [
+        # the exact series in ad/(bc) = -3.3e200 i overflows a float at (2, 2)
+        ("hyp", 4, ELEMENTS["a_overflow"], (RouteUnavailableError, SERIES_OVERFLOWS)),
+        ("hyp", 12, ELEMENTS["a_overflow"], (RouteUnavailableError, SERIES_OVERFLOWS)),
         # entry (2, 1) is c (bc - ad) = 1e350 times a polynomial, though no power overflows
-        ("jacobi", 3, Mat2C(0.5 + 0j, 1e150 + 0j, 1e100 + 0j, 0.5 + 0j)),
+        ("jacobi", 3, Mat2C(0.5 + 0j, 1e150 + 0j, 1e100 + 0j, 0.5 + 0j), (ValueError, NON_FINITE)),
     ],
     ids=["hyp-a_overflow-4", "hyp-a_overflow-12", "jacobi-c_times_bc_overflows-3"],
 )
-def test_entries_refuse_a_non_finite_entry(route, l_x2, A):
+def test_entries_refuse_a_non_finite_entry(route, l_x2, A, refusal):
     # hyp_entries used to return nan+nanj at (2, 2) of l_x2 = 4 without an
-    # error.  The per-entry form refuses at the first such entry, alike.
+    # error, from a float sum of its series; the exact sum overflows there and
+    # is refused.  The per-entry form refuses at the first such entry, alike.
     entries, per_entry, domain = ENTRY_ROUTES[route]
     l = HalfInt(l_x2)
-    assert entries_outcome(entries, l, A) == (ValueError, NON_FINITE)
-    assert per_entry_outcome(per_entry, l, A, domain(l_x2)) == (ValueError, NON_FINITE)
+    assert entries_outcome(entries, l, A) == refusal
+    assert per_entry_outcome(per_entry, l, A, domain(l_x2)) == refusal
 
 
 def test_entries_refuse_a_negative_spin():

@@ -13,12 +13,10 @@ from numpy.polynomial.legendre import leggauss
 
 from wignerkit.exactcomb import pochhammer
 from wignerkit.specfun import (
-    Hyp21Spec,
     JacobiParams,
     _jacobi_coeffs_cached,
     hyp2f1,
     hyp2f1_series_coeffs,
-    hyp2f1_terminating,
     jacobi_eval,
     jacobi_norm,
     jacobi_rodrigues,
@@ -60,21 +58,28 @@ class TestHyp2F1:
                         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     def test_termination_length_is_min_over_upper(self):
-        spec = Hyp21Spec.terminating(-2, -1, 1, 1.0)
-        assert spec.terms == 1
+        # 2F1(-3, -1; -1; z) ends after its b = -1 term, so c = -1 never
+        # vanishes; ended at a = -3 it would.
+        for z in (0.5, -2.0, 0.125):
+            assert hyp2f1(-3, -1, -1, z) == 1 - 3 * z
+        assert hyp2f1(-1, -3, -1, 0.5) == hyp2f1(-3, -1, -1, 0.5)
 
     def test_non_terminating_rejected(self):
         message = r"2F1\(0.5, 2.0; 3.0; z\) does not terminate: neither upper parameter is a nonpositive integer"
         with pytest.raises(ValueError, match=message):
-            Hyp21Spec.terminating(0.5, 2.0, 3.0, 0.1)
-        with pytest.raises(ValueError, match=message):
-            Hyp21Spec(0.5, 2.0, 3.0, 0.1, 4)
+            hyp2f1(0.5, 2.0, 3.0, 0.1)
+        with pytest.raises(ValueError, match="does not terminate"):
+            hyp2f1(-0.5, 1.5, 3.0, 0.1)
 
     def test_vanishing_lower_parameter_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            Hyp21Spec(-3, 5.0, -1, 0.5, 3)
+        # The row is refused before anything is summed, for any argument.
+        message = "lower parameter c=-1 hits a nonpositive integer inside the retained terms (term 2)"
+        for z in (0.5, 1e300, float("inf")):
+            with pytest.raises(ValueError) as info:
+                hyp2f1(-3, 5.0, -1, z)
+            assert str(info.value) == message
         # c = -5 only vanishes beyond the retained terms
-        Hyp21Spec(-3, 5.0, -5, 0.5, 3)
+        assert hyp2f1(-3, 5.0, -5, 0.5) == brute_2f1(-3, 5.0, -5, 0.5, 3)
 
     def test_bad_lower_parameter_rejected(self):
         # c = -1 is hit at term 2 <= termination index 3
@@ -85,10 +90,6 @@ class TestHyp2F1:
         # c = -5 never vanishes within the 4 retained terms
         value = hyp2f1(-3, 2, -5, 0.25)
         assert value == pytest.approx(brute_2f1(-3, 2, -5, 0.25, 3), rel=1e-14)
-
-    def test_spec_object_evaluation(self):
-        spec = Hyp21Spec.terminating(-1, 2, 4, 1.0)
-        assert hyp2f1_terminating(spec) == pytest.approx(0.5, abs=1e-15)
 
     def test_coeffs_are_exact_rationals(self):
         # (-2)_k (3)_k / ((2)_k k!): 1, -3, 2
