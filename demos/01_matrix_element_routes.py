@@ -47,17 +47,15 @@ dev_hyp = max(
     abs(tmn_hyp(l, m, n, g) - reference.entry(m, n))
     for m in spin_range(l)
     for n in spin_range(l)
-    if (m + n).twice >= 0
 )
-print(f"  terminating 2F1   {dev_hyp:.2e}  (entries with m+n >= 0)")
+print(f"  terminating 2F1   {dev_hyp:.2e}  (every entry, folded onto m+n >= 0, m-n >= 0)")
 
 dev_jac = max(
     abs(tmn_jacobi(l, m, n, g) - reference.entry(m, n))
     for m in spin_range(l)
     for n in spin_range(l)
-    if (m + n).twice >= 0 and (m - n).twice >= 0
 )
-print(f"  jacobi form       {dev_jac:.2e}  (quadrant m+n >= 0, m-n >= 0)")
+print(f"  jacobi form       {dev_jac:.2e}  (every entry, folded onto m+n >= 0, m-n >= 0)")
 
 # zero-phase rotations: two more routes become available
 theta = 0.9

@@ -47,9 +47,8 @@ from .wigner import (
     chart_phases,
     dmatrix_euler,
     fold_to_quadrant,
-    hyp_entries,
-    hyp_symmetric_entries,
-    jacobi_entries,
+    hyp_matrix,
+    hyp_symmetric_matrix,
     jacobi_matrix,
     jacobi_stack,
     krawtchouk_stack,

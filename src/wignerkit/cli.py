@@ -1,15 +1,15 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "7"; strict JSON (a non-finite deviation is
+Output contract: schema_version "8"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
 across runs; only the Schur reduction (schur, all) makes a BLAS product, so
-only its bytes depend on the BLAS kernel and thread count.  In version 7
-every terminating series is summed exactly, at a complex argument too, so
-the element Jacobi route and the checks that sum a complex or 2F1 series
-moved; CHANGES.md lists each version.  Each command takes
+only its bytes depend on the BLAS kernel and thread count.  In version 8
+the routes suite checks every entry of each element form's whole matrix,
+so only the counts and deviations of its 2F1 and Jacobi checks (and their
+copies under all) moved; CHANGES.md lists each version.  Each command takes
 only the flags it reads: dmat exactly one source, --theta (with --phi and
 --psi, 0 when absent) or --matrix; poly the flags of its family.
 
@@ -35,7 +35,7 @@ from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, Wign
 
 log = logging.getLogger("wignerkit")
 
-SCHEMA_VERSION = "7"
+SCHEMA_VERSION = "8"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
 # takes the oracle; an unavailable route falls back to the oracle too.  An
 # Euler source takes a route's chart form where it has one.

@@ -344,14 +344,11 @@ def jacobi_norm(p: JacobiParams) -> float:
         return (
             2 ** (ia + ib + 1) * math.perm(2 * n + ia + ib, n) * factorial(n + ia) * factorial(n + ib)
         ) / (factorial(n) * factorial(2 * n + ia + ib + 1))
-    al, be = Fraction(ia, da), Fraction(ib, db)
+    # alpha, beta, alpha + beta and alpha + beta + 1, each one int / int division of its exact ratio
+    ab_num, ab_den = ia * db + ib * da, da * db
+    al, be, ab = ia / da, ib / db, ab_num / ab_den
     poch = 1.0
     for i in range(n):
-        poch *= float(al + be) + n + 1 + i
-    log_gammas = (
-        math.lgamma(n + float(al) + 1)
-        + math.lgamma(n + float(be) + 1)
-        - math.lgamma(n + 1)
-        - math.lgamma(2 * n + float(al + be) + 2)
-    )
-    return 2.0 ** float(al + be + 1) * poch * math.exp(log_gammas)
+        poch *= ab + n + 1 + i
+    log_gammas = math.lgamma(n + al + 1) + math.lgamma(n + be + 1) - math.lgamma(n + 1) - math.lgamma(2 * n + ab + 2)
+    return 2.0 ** ((ab_num + ab_den) / ab_den) * poch * math.exp(log_gammas)

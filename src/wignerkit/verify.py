@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -31,10 +31,9 @@ from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_n
 from .wigner import (
     ROTATION_ROUTES,
     SYMMETRIES,
-    RouteUnavailableError,
-    hyp_entries,
-    hyp_symmetric_entries,
-    jacobi_entries,
+    hyp_matrix,
+    hyp_symmetric_matrix,
+    jacobi_matrix,
     oracle_stack,
     sum_matrix,
 )
@@ -115,9 +114,9 @@ def _relative(lhs, rhs) -> float:
 
 
 def suite_routes(max_l: HalfInt, seed: int) -> dict:
-    """Closed-form routes against the polynomial-expansion oracle: the element
-    routes at the samples inside their domain, and each chart form at Euler
-    triples."""
+    """Closed-form routes against the polynomial-expansion oracle: each whole
+    element matrix at the samples, which lie inside every element form's
+    domain, and each chart form at Euler triples."""
     samples = sample_haar(seed, 20) + sample_gl2(seed + 1, 10)
     rng = np.random.default_rng(seed + 2)
     triples = [
@@ -130,31 +129,22 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
     ]
     spins = spins_up_to(max_l)
 
-    def references(elements, form):
-        # Per spin, (form(entries), max-norm) of the oracle at each element:
-        # each reference is built once and shared by every route against it.
+    def references(elements):
+        # Per spin, (entries in row-major order, max-norm) of the oracle at each
+        # element: each reference is built once and shared by every route against it.
         stacks = (_stack(l, elements) for l in spins)
-        return [[(form(T), scale) for T, scale in zip(S, _norms(S).tolist())] for S in stacks]
+        return [[(T.ravel().tolist(), scale) for T, scale in zip(S, _norms(S).tolist())] for S in stacks]
 
-    at_samples = references(samples, lambda T: T.tolist())
-    at_triples = references([from_euler(angles) for angles in triples], lambda T: T.ravel().tolist())
+    at_samples = references(samples)
+    at_triples = references([from_euler(angles) for angles in triples])
 
     def entrywise(pairs, scale):
         return (abs(value - target) / scale for value, target in pairs)
 
-    def finite_sum():
+    def element_form(build):
         for l, refs in zip(spins, at_samples):
             for A, (target, scale) in zip(samples, refs):
-                yield from entrywise(zip(chain(*sum_matrix(l, A).entries.tolist()), chain(*target)), scale)
-
-    def element_route(route):
-        for l, refs in zip(spins, at_samples):
-            for A, (target, scale) in zip(samples, refs):
-                try:
-                    entries = route(l, A)
-                except RouteUnavailableError:
-                    continue
-                yield from entrywise(((value, target[i][j]) for (i, j), value in entries.items()), scale)
+                yield from entrywise(zip(build(l, A).entries.ravel().tolist(), target), scale)
 
     def chart_form(route):
         for l, refs in zip(spins, at_triples):
@@ -162,10 +152,10 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
                 yield from entrywise(zip(matrix.ravel().tolist(), target), scale)
 
     checks = [
-        _check("finite-sum-vs-oracle", finite_sum(), 1e-10),
-        _check("terminating-2f1-vs-oracle", element_route(hyp_entries), 1e-9),
-        _check("terminating-2f1-symmetric-vs-oracle", element_route(hyp_symmetric_entries), 1e-9),
-        _check("jacobi-vs-oracle", element_route(jacobi_entries), 1e-9),
+        _check("finite-sum-vs-oracle", element_form(sum_matrix), 1e-10),
+        _check("terminating-2f1-vs-oracle", element_form(hyp_matrix), 1e-9),
+        _check("terminating-2f1-symmetric-vs-oracle", element_form(hyp_symmetric_matrix), 1e-9),
+        _check("jacobi-vs-oracle", element_form(jacobi_matrix), 1e-9),
         *(_check(f"{name}-chart-vs-oracle", chart_form(route), 1e-9) for name, route in ROTATION_ROUTES.items()),
     ]
     return {"suite": "routes", "checks": checks}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from math import comb, factorial
 
@@ -45,11 +45,10 @@ __all__ = [
     "tmn_sum",
     "sum_matrix",
     "tmn_hyp",
-    "hyp_entries",
+    "hyp_matrix",
     "tmn_hyp_symmetric",
-    "hyp_symmetric_entries",
+    "hyp_symmetric_matrix",
     "tmn_jacobi",
-    "jacobi_entries",
     "jacobi_matrix",
     "chart_phases",
     "dmatrix_euler",
@@ -251,9 +250,17 @@ _HYP_SERIES = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc))"
 _HYP_SYMMETRIC_SERIES = "symmetric 2F1 route's series 2F1(-(l-m), -(l-n); -2l; (bc - ad)/(bc))"
 _JACOBI_SERIES = "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - ad))"
 
+# An element form is (tables, shared, entry), in the quadrant m + n >= 0,
+# m - n >= 0 (i + j >= l2, i >= j).  tables(A, l2) is (the powers of a, b, c
+# and d, what A's symmetry images share with A); shared(l2, i, j, common) is
+# what quadrant entry (i, j) shares with its images, its exact series among
+# it; entry(l2, i, j, powers, shared) is the entry of the element whose powers
+# are given.  The images of A under SYMMETRIES have A's bc and ad bit for bit
+# (the same products with the factors swapped), so they share its arguments.
+
 
 def _hyp_tables(A: Mat2C, l2: int) -> tuple:
-    # The 2F1 arguments ad/(bc) and (bc - ad)/(bc) as exact ratios, then the powers.
+    # The 2F1 arguments ad/(bc) and (bc - ad)/(bc) as exact ratios.
     if A.b == 0 or A.c == 0:
         raise RouteUnavailableError("2F1 route needs b != 0 and c != 0")
     bc = A.b * A.c
@@ -263,75 +270,41 @@ def _hyp_tables(A: Mat2C, l2: int) -> tuple:
     z, w = ad / bc, (bc - ad) / bc
     if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise RouteUnavailableError("2F1 route needs ad/(bc) finite; it overflows")
-    return _complex_ratio(z), _complex_ratio(w), _powers(A.b, l2), _powers(A.c, l2), _powers(A.d, l2)
+    return _entry_powers(A, l2), (_complex_ratio(z), _complex_ratio(w))
 
 
-def _hyp_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
-    # Needs m + n >= 0 (i + j >= l2).
-    z, _, b_pow, c_pow, d_pow = tables
+def _hyp_shared(l2: int, i: int, j: int, common: tuple) -> tuple:
     lm, ln, mn = l2 - i, l2 - j, i + j - l2
     pref = _refusing_overflow(_HYP_PREFACTOR, _factorial_ratio_sqrt, i, j, lm, ln)
     row = _hyp2f1_coeffs_cached(-lm, -ln, mn + 1, min(lm, ln))
-    series = _refusing_overflow(_HYP_SERIES, _exact_series, *row, z)
+    return pref, _refusing_overflow(_HYP_SERIES, _exact_series, *row, common[0])
+
+
+def _hyp_entry(l2: int, i: int, j: int, powers: tuple, shared: tuple) -> complex:
+    _, b_pow, c_pow, d_pow = powers
+    pref, series = shared
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
     return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] / factorial(mn) * series
 
 
-def _hyp_args(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> tuple:
-    i, j = _index(l, m), _index(l, n)
-    l2 = l.twice
-    if i + j < l2:
-        raise RouteUnavailableError("2F1 route needs m + n >= 0")
-    return l2, i, j, _hyp_tables(A, l2)
-
-
-def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
-    """Matrix element as a prefactor times a terminating 2F1 in ad/(bc).
-
-    Needs m+n >= 0 and b, c nonzero; outside that the finite-sum or oracle
-    routes apply.  Reads hyp_entries' tables: raises where they overflow,
-    never returns inf or NaN.
-    """
-    return _finite(_hyp_entry(*_hyp_args(l, m, n, A)))
-
-
-def _hyp_symmetric_entry(l2: int, i: int, j: int, tables: tuple) -> complex:
-    # Needs m + n >= 0 (i + j >= l2).
-    _, w, b_pow, c_pow, d_pow = tables
-    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+def _hyp_symmetric_shared(l2: int, i: int, j: int, common: tuple) -> tuple:
+    lm, ln = l2 - i, l2 - j
     row = _hyp2f1_coeffs_cached(-lm, -ln, -l2, min(lm, ln))
-    series = _refusing_overflow(_HYP_SYMMETRIC_SERIES, _exact_series, *row, w)
-    return _binomial_sqrt("symmetric 2F1", l2, lm, ln) * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
+    series = _refusing_overflow(_HYP_SYMMETRIC_SERIES, _exact_series, *row, common[1])
+    return _binomial_sqrt("symmetric 2F1", l2, lm, ln), series
 
 
-def _hyp_entries(l: HalfInt, A: Mat2C, entry) -> dict:
-    # entry on the whole index domain m + n >= 0, from one set of tables.
-    l2 = _dim(l) - 1
-    tables = _hyp_tables(A, l2)
-    cells = [(i, j) for i in range(l2 + 1) for j in range(max(0, l2 - i), l2 + 1)]
-    return dict(zip(cells, _finite([entry(l2, i, j, tables) for i, j in cells])))
-
-
-def hyp_entries(l: HalfInt, A: Mat2C) -> dict:
-    """tmn_hyp on its whole index domain m + n >= 0, keyed by (row, column)
-    in row-major order; raises ValueError if an entry is not finite."""
-    return _hyp_entries(l, A, _hyp_entry)
-
-
-def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
-    """Variant 2F1 form with the symmetric binomial prefactor and argument
-    (bc - ad)/(bc); same domain, tables and failures as tmn_hyp."""
-    return _finite(_hyp_symmetric_entry(*_hyp_args(l, m, n, A)))
-
-
-def hyp_symmetric_entries(l: HalfInt, A: Mat2C) -> dict:
-    """tmn_hyp_symmetric on the domain of hyp_entries, keyed as it is."""
-    return _hyp_entries(l, A, _hyp_symmetric_entry)
+def _hyp_symmetric_entry(l2: int, i: int, j: int, powers: tuple, shared: tuple) -> complex:
+    _, b_pow, c_pow, d_pow = powers
+    pref, series = shared
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
 
 
 def _jacobi_tables(A: Mat2C, l2: int) -> tuple:
-    # (x, powers of c, d and bc - ad) with the Jacobi argument
-    # w = (bc + ad)/(bc - ad) = 1 + 2x, x = (w - 1)/2 taken exactly from the
-    # rounded w.  In the quadrant, l - m <= l.
+    # The Jacobi argument w = (bc + ad)/(bc - ad) = 1 + 2x, x = (w - 1)/2
+    # taken exactly from the rounded w, and the powers of bc - ad; in the
+    # quadrant, l - m <= l.
     bc = A.b * A.c
     ad = A.a * A.d
     if bc == ad:
@@ -340,67 +313,94 @@ def _jacobi_tables(A: Mat2C, l2: int) -> tuple:
     if not cmath.isfinite(w):
         raise RouteUnavailableError("Jacobi route needs (bc + ad)/(bc - ad) finite; it overflows")
     p, r, q = _complex_ratio(w)
-    return (p - q, r, 2 * q), _powers(A.c, l2), _powers(A.d, l2), _powers(bc - ad, l2 // 2)
+    return _entry_powers(A, l2), ((p - q, r, 2 * q), _powers(bc - ad, l2 // 2))
 
 
-def _jacobi_shared(l2: int, i: int, j: int, x: tuple) -> tuple:
-    # The prefactor and the Jacobi polynomial at 1 + 2x of quadrant entry
-    # (i, j): what the entry shares with the images of its element.
+def _jacobi_shared(l2: int, i: int, j: int, common: tuple) -> tuple:
+    x, diff_pow = common
     lm, mn, mmn = l2 - i, i + j - l2, i - j
     poly = _refusing_overflow(_JACOBI_SERIES, _exact_series, *_jacobi_coeffs_cached(mn, mmn, lm), x)
-    return _factorial_ratio_sqrt(i, lm, j, l2 - j), poly
+    return _factorial_ratio_sqrt(i, lm, j, l2 - j), diff_pow[lm], poly
 
 
-def _jacobi_entry(l2: int, i: int, j: int, tables: tuple, shared: tuple | None = None) -> complex:
-    # Needs the quadrant m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).  shared
-    # is _jacobi_shared at the tables' x, computed here when not given.
-    x, c_pow, d_pow, diff_pow = tables
-    pref, poly = shared or _jacobi_shared(l2, i, j, x)
-    lm, mn, mmn = l2 - i, i + j - l2, i - j
-    return pref * c_pow[mmn] * d_pow[mn] * diff_pow[lm] * poly
+def _jacobi_entry(l2: int, i: int, j: int, powers: tuple, shared: tuple) -> complex:
+    _, _, c_pow, d_pow = powers
+    pref, diff, poly = shared
+    return pref * c_pow[i - j] * d_pow[i + j - l2] * diff * poly
+
+
+_HYP = (_hyp_tables, _hyp_shared, _hyp_entry)
+_HYP_SYMMETRIC = (_hyp_tables, _hyp_symmetric_shared, _hyp_symmetric_entry)
+_JACOBI = (_jacobi_tables, _jacobi_shared, _jacobi_entry)
+
+
+def _element_matrix(l: HalfInt, A: Mat2C, form) -> WignerMatrix:
+    # The whole matrix by an element form: each quadrant entry's shared part
+    # once, and every entry folded onto the quadrant by _fold.
+    tables, shared, entry = form
+    dim, l2 = _dim(l), l.twice
+    powers, common = tables(A, l2)
+    images = {which: [powers[k] for k in order] for which, order in _IMAGE_ENTRIES.items()}
+    quadrant = {(i, j): shared(l2, i, j, common) for i in range(dim) for j in range(max(0, l2 - i), i + 1)}
+    values = [entry(l2, i, j, images[which], quadrant[i, j]) for which, i, j in _folds(l2)]
+    return WignerMatrix(l, np.reshape(values, (dim, dim)))
+
+
+def _element_entry(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C, form) -> complex:
+    # Entry (m, n) of _element_matrix(l, A, form), bit for bit.
+    tables, shared, entry = form
+    which, i, j = _fold(l.twice, _index(l, m), _index(l, n))
+    powers, common = tables(A, l.twice)
+    image = [powers[k] for k in _IMAGE_ENTRIES[which]]
+    return _finite(entry(l.twice, i, j, image, shared(l.twice, i, j, common)))
+
+
+def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
+    """Matrix element as a prefactor times a terminating 2F1 in ad/(bc):
+    hyp_matrix's entry, folded onto the quadrant m + n >= 0, m - n >= 0.
+
+    Needs b and c nonzero; elsewhere the finite-sum or oracle routes apply.
+    Reads hyp_matrix's tables: raises where they overflow, never returns inf
+    or NaN.
+    """
+    return _element_entry(l, m, n, A, _HYP)
+
+
+def hyp_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
+    """The whole matrix by the terminating 2F1 form in ad/(bc), each entry
+    folded onto the quadrant m + n >= 0, m - n >= 0 by the index symmetry that
+    reaches it; each quadrant series is summed once."""
+    return _element_matrix(l, A, _HYP)
+
+
+def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
+    """Variant 2F1 form with the symmetric binomial prefactor and argument
+    (bc - ad)/(bc): hyp_symmetric_matrix's entry; same tables and failures as
+    tmn_hyp."""
+    return _element_entry(l, m, n, A, _HYP_SYMMETRIC)
+
+
+def hyp_symmetric_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
+    """The whole matrix by the symmetric 2F1 form, folded as hyp_matrix is."""
+    return _element_matrix(l, A, _HYP_SYMMETRIC)
 
 
 def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
-    """Matrix element as a Jacobi polynomial in (bc+ad)/(bc-ad).
+    """Matrix element as a Jacobi polynomial in (bc+ad)/(bc-ad): jacobi_matrix's
+    entry, folded onto the quadrant m + n >= 0, m - n >= 0.
 
-    Needs m+n >= 0 and m-n >= 0 (the other three index triangles are reached
-    through fold_to_quadrant) and bc != ad.  Reads jacobi_entries' tables:
-    raises where they overflow, never returns inf or NaN.
+    Needs bc != ad.  Reads jacobi_matrix's tables: raises where they overflow,
+    never returns inf or NaN.
     """
-    i, j = _index(l, m), _index(l, n)
-    l2 = l.twice
-    if i + j < l2 or i < j:
-        raise RouteUnavailableError("Jacobi route needs m + n >= 0 and m - n >= 0")
-    return _finite(_jacobi_entry(l2, i, j, _jacobi_tables(A, l2)))
-
-
-def jacobi_entries(l: HalfInt, A: Mat2C) -> dict:
-    """tmn_jacobi on its whole quadrant m + n >= 0, m - n >= 0, keyed by
-    (row, column) in row-major order; raises ValueError if an entry is not
-    finite."""
-    l2 = _dim(l) - 1
-    tables = _jacobi_tables(A, l2)
-    cells = [(i, j) for i in range(l2 + 1) for j in range(max(0, l2 - i), i + 1)]
-    return dict(zip(cells, _finite([_jacobi_entry(l2, i, j, tables) for i, j in cells])))
+    return _element_entry(l, m, n, A, _JACOBI)
 
 
 def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     """The whole matrix by the Jacobi form, each entry folded onto the
-    quadrant m + n >= 0, m - n >= 0 by the index symmetry that reaches it.
-
-    Raises RouteUnavailableError when bc = ad.  The images of A under
-    SYMMETRIES have the Jacobi argument of A bit for bit (their bc and ad
-    are the same products with the factors swapped), so each quadrant
-    polynomial is summed once and multiplied by each image's powers.
-    """
-    dim = _dim(l)
-    l2 = l.twice
-    elements = {None: A, **{which: element_map(A) for which, (_, element_map) in SYMMETRIES.items()}}
-    tables = {which: _jacobi_tables(B, l2) for which, B in elements.items()}
-    folds = [_fold(l2, i, j) for i in range(dim) for j in range(dim)]
-    shared = {ij: _jacobi_shared(l2, *ij, tables[None][0]) for ij in dict.fromkeys(fold[1:] for fold in folds)}
-    values = [_jacobi_entry(l2, i, j, tables[which], shared[i, j]) for which, i, j in folds]
-    return WignerMatrix(l, np.reshape(values, (dim, dim)))
+    quadrant m + n >= 0, m - n >= 0 by the index symmetry that reaches it;
+    each quadrant polynomial is summed once.  Raises RouteUnavailableError
+    when bc = ad."""
+    return _element_matrix(l, A, _JACOBI)
 
 
 # The index symmetries t^l_{m,n}(A) = t^l_{m',n'}(A'), each as its map on the
@@ -412,6 +412,12 @@ SYMMETRIES = {
     "flip-signs": (lambda l2, i, j: (l2 - i, l2 - j), lambda A: Mat2C(A.d, A.c, A.b, A.a)),
     "anti-transpose": (lambda l2, i, j: (l2 - j, l2 - i), lambda A: Mat2C(A.d, A.b, A.c, A.a)),
 }
+# Where the entries (a', b', c', d') of each image of A sit in (a, b, c, d), and
+# so in its powers table (None: A itself).
+_IMAGE_ENTRIES = {
+    None: (0, 1, 2, 3),
+    **{which: astuple(element_map(Mat2C(0, 1, 2, 3))) for which, (_, element_map) in SYMMETRIES.items()},
+}
 
 
 def _fold(l2: int, i: int, j: int) -> tuple:
@@ -420,6 +426,12 @@ def _fold(l2: int, i: int, j: int) -> tuple:
     which = (None, "transpose-bc") if i + j >= l2 else ("anti-transpose", "flip-signs")
     which = which[i < j]
     return (which, i, j) if which is None else (which, *SYMMETRIES[which][0](l2, i, j))
+
+
+@lru_cache(maxsize=32)  # a layout holds about 100 (l2 + 1)^2 bytes, 16 MB at l2 = 400
+def _folds(l2: int) -> tuple:
+    # _fold of every entry of spin l2 in row-major order, shared by every builder.
+    return tuple(_fold(l2, i, j) for i in range(l2 + 1) for j in range(l2 + 1))
 
 
 def _chart_sign(which: str | None, i: int, j: int) -> float:
@@ -457,7 +469,7 @@ def _chart_stack(l: HalfInt, charts, entries) -> np.ndarray:
     for j in range(dim):
         rows = range(max(j, l2 - j), dim)
         quadrant[rows.start :, j] = _refusing_overflow(_CHART_OVERFLOW, entries, l2, j, rows, charts)
-    folds = [_fold(l2, i, j) for i in range(dim) for j in range(dim)]
+    folds = _folds(l2)
     _, rows, cols = zip(*folds)
     values = quadrant[rows, cols] * np.array([[_chart_sign(*fold)] for fold in folds])
     return np.ascontiguousarray(values.reshape(dim, dim, len(charts)).transpose(2, 0, 1))

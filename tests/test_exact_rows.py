@@ -311,6 +311,16 @@ class TestJacobiNorm:
         p = JacobiParams(alpha, beta, n)
         assert outcome(jacobi_norm, p) == outcome(old_jacobi_norm, p)
 
+    def test_non_integer_grid_equals_the_fraction_formula(self):
+        # The non-integer branch takes each ratio's float as one int / int
+        # division; the Fraction formula takes float() of Fraction sums.
+        grid = (-0.99, -0.5, 1e-300, 0.1, 0.3, Fraction(1, 3), 0.5, 1.0, 2.7, 7.25, 1e10 + 0.5, Fraction(-2, 7))
+        for alpha in grid:
+            for beta in grid:
+                for n in (0, 1, 5, 40):
+                    p = JacobiParams(alpha, beta, n)
+                    assert outcome(jacobi_norm, p) == outcome(old_jacobi_norm, p), (alpha, beta, n)
+
     def test_large_degrees_and_refusals(self):
         for n in (0, 1, 50, 200, 400):
             for a, b in ((0, 0), (3, 7), (20, 0), (Fraction(4), 2.0)):

@@ -59,19 +59,19 @@ EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
     "dmat_oracle_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "631b7b07996271f7b97addb01c0b094cb7c0044e342afd646b78a58240751e16",
+        "45bcca6eecfe78096c0c7875c051f29561fd6acff3dad8e973fd676ee047c677",
     ),
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "5c6625919f3b9194847b3ec6e4e644ecd15a10da56589f286f760a3b04b99183",
+        "622ec46bc5a453e2774e09662dcbe0780dab77b89cecafea52f6e2750cdb061b",
     ),
     "dmat_oracle_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "5d655a58d56edd99927430818d34e7b0a57f2d8bfb2f4acc5ef4b93c4c63e758",
+        "41dd78703d619f03c5b9491eafcba199ebe0d982c6681b9513315da79786280d",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "d4798b96a4b79562a279d75bcf213cce3c3982490547e661813b2fe844d6d494",
+        "6690eeebc08a50000437cd38c0994b0f9a1045c99d6ce373e4ec4a78a411b76a",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -84,7 +84,7 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "ae7498a217b7582196131bdd57880b3d266ef81c27d07ce2a210b3e4f998ac4d",
+        "62b0ec74686bb901d498484aebfaf4ef91b9e4106cff882e907cd47e089e5a5d",
     ),
     "dmat_oracle_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
@@ -94,15 +94,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "778981563788e5c87a869c116f6f194f2bf82d7f564e8b10d216178d7240471d",
+        "3dbe795e81a3606c9ddbdbf95287ddbd2bc960372c4b902a06de636402246cc8",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "f8006713a463b84670aaf2d452d843ca97ddfc01891526fde9b30b3c60dbac70",
+        "71115f8cda7760b7b0fd353413f9c9a6fc042dc9adaf409d74547d9b58f5ada3",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "dcd3f4925e7b8af54cdada12fc67f9b14024b1775b16d9c4ef05ca8d744d7dfc",
+        "670abe5f1922d387fa8f956bf37beb939e51ce8c530e4a1071876d753102d330",
     ),
 }
 
@@ -129,15 +129,15 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # depend on the BLAS kernel or thread count; schur and all, which run the Schur
 # reduction, do.  SCHUR_HASHED pins schur at one BLAS thread.
 VERIFY_HASHED = {
-    "routes": "8c209fe182cb8be244eb7cafc762007a021353eb2a616c7427915043c85635ee",
-    "unitarity": "17e2a31c1f9a65f89964938691bbdbe3e50154e39cafa25e0b457748d19ff82e",
-    "homomorphism": "7a2b9103736d23d599f28bec5bed0ed43c2c58e6c2b74ce9f1dac1150d403ce3",
-    "jacobi-orth": "388460de5c8e8bb16351e6830cda75b702062ee614b83986f1c4f02838a08334",
-    "legendre": "2c7547b34d22d1cd3b1853cc3c01093401a05f158d43e419391a52687970dcf7",
-    "krawtchouk-sym": "3f33e0e7f9d96cab3e8607578a47c9dd4e27be33dd37fc5c073fadf4e29cd265",
-    "character": "f6560ff26ce7b945a06f2d33675032653d8d9cf174c7c8b095cd6f7946692b09",
+    "routes": "2ab5a5c34dba3317f5a9c23a0d02e002ab1796a40cfedb21079b183ddbe937a5",
+    "unitarity": "e0f1d186daf6ea369381a8407599f4564fdd6bd5eb5442abd6e26a92cdee1f97",
+    "homomorphism": "5bd9f90efcf3d71fe031f61f0d95c2c653d43cb748d61ed6fdc43954586bdc73",
+    "jacobi-orth": "2718a66b82824c32a43f98004b0af686018b6433cdc3a3c949df67e1fe58f472",
+    "legendre": "d80419bee09b2604f969f43e540d00c2afc94baf772039204911ec868038de4e",
+    "krawtchouk-sym": "716f260807f37b60e692ebb30f007abb8a6d2f88b9b078449c73300e0d5027f6",
+    "character": "30f943f3995d86cd1b623365ac5a71dbec08260f49cc50daee593a89c35eba98",
 }
-SCHUR_HASHED = "3f8c6c000abd19ee69ddbf1e7742b1b68fac9a279405b34ef262ad60e4458461"
+SCHUR_HASHED = "6f15af7badebcbf0ec1acac4cf6548f04bf3554d26f1d9c80fc2c7e27d10d9a4"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))

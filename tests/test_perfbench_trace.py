@@ -21,7 +21,7 @@ OPS = [
     (["dmat", "--l-x2", "4", "--matrix", "1,0,1,0,1,0,1,0", "--route", "jacobi"], ["wigner.oracle_matrix"]),
     (
         ["verify", "--suite", "routes", "--max-l-x2", "1"],
-        ["wigner.hyp_entries", "wigner.jacobi_entries", "wigner.rodrigues_stack", "wigner.krawtchouk_stack"],
+        ["wigner.hyp_matrix", "wigner.jacobi_matrix", "wigner.rodrigues_stack", "wigner.krawtchouk_stack"],
     ),
 ]
 

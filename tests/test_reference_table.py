@@ -8,10 +8,10 @@ entry is within 1e-10 of the table, relative to the norm.  Each route is held
 only up to the spin where it is accurate today, or as far as its cost allows
 in a test: the oracle drifts above l_x2 40, and dmatrix_euler costs seconds
 above 120.  The Rodrigues and Krawtchouk chart forms cost about l^4; they
-are held to 40 and 80.  The element forms sum their series exactly: the
-Jacobi form is held to 120 (its worst at 400 was 1.2e-14), the 2F1 form to
-80 (from 99 it refuses its factorial prefactor) and the symmetric 2F1 form
-to 120, both on the cells of their domain m + n >= 0.
+are held to 40 and 80.  The element forms sum their series exactly and fold
+the quadrant onto every cell: the Jacobi form is held to 120 (its worst at
+400 was 1.2e-14), the 2F1 form to 80 (from 99 it refuses its factorial
+prefactor) and the symmetric 2F1 form to 120.
 """
 import importlib.util
 import json
@@ -26,8 +26,8 @@ from wignerkit.wigner import (
     ELEMENT_ROUTES,
     ROTATION_ROUTES,
     dmatrix_euler,
-    hyp_entries,
-    hyp_symmetric_entries,
+    hyp_matrix,
+    hyp_symmetric_matrix,
     oracle_matrix,
 )
 
@@ -59,10 +59,9 @@ def element(name):
     return from_euler(angles(name)) if kind == "euler" else Mat2C(*map(complex, values[::2], values[1::2]))
 
 
-def worst(entries, name, l2, cells=lambda i, j: True):
-    # The largest deviation from the table at the sampled cells (those that
-    # cells admits), relative to the norm.
-    deviations = [abs(entries[i, j] - want) for (i, j), want in CELLS[name, l2] if cells(i, j)]
+def worst(entries, name, l2):
+    # The largest deviation from the table at the sampled cells, relative to the norm.
+    deviations = [abs(entries[i, j] - want) for (i, j), want in CELLS[name, l2]]
     assert deviations, (name, l2)
     return max(deviations) / NORMS[name, l2]
 
@@ -108,8 +107,8 @@ def test_the_element_jacobi_form_matches_the_table(name, l2):
     [("hyp", l2) for l2 in (6, 20, 40, 80)] + [("hyp-symmetric", l2) for l2 in (6, 20, 40, 80, 120)],
 )
 def test_the_2f1_forms_match_the_table(name, route, l2):
-    entries = {"hyp": hyp_entries, "hyp-symmetric": hyp_symmetric_entries}[route](HalfInt(l2), element(name))
-    assert worst(entries, name, l2, cells=lambda i, j: i + j >= l2) <= TOLERANCE
+    matrix = {"hyp": hyp_matrix, "hyp-symmetric": hyp_symmetric_matrix}[route](HalfInt(l2), element(name))
+    assert worst(matrix.entries, name, l2) <= TOLERANCE
 
 
 def test_the_script_rederives_the_smallest_spin():

@@ -12,12 +12,14 @@ l = 20.  Three exceptions: the per-entry forms of GL(2, C) elements read
 the tables of their whole-matrix builders, so they raise where the old code
 returned inf or NaN, and where their builder raises; dmatrix_euler applies
 its phases to the whole zero-phase matrix, so it is held to the old entries
-within a bound of a few rounding errors; and the Rodrigues and Krawtchouk
-forms compute only the quadrant m + n >= 0, m - n >= 0 and fold it, so their
-other entries are held to the old entry they fold onto, times its sign
-(old_folded).  Where the old Rodrigues or Krawtchouk code raised a bare
-OverflowError, the chart forms refuse with RouteUnavailableError, and the
-copies below do the same (refused_like_the_chart_forms).
+within a bound of a few rounding errors; and every closed form but the sum
+computes only the quadrant m + n >= 0, m - n >= 0 and folds it, so its other
+entries are held to the old entry they fold onto: the element forms' at the
+image of the element (old_element_folded), the Rodrigues and Krawtchouk
+forms' times d(theta)'s sign there (old_folded).  Where the old Rodrigues or
+Krawtchouk code raised a bare OverflowError, the chart forms refuse with
+RouteUnavailableError, and the copies below do the same
+(refused_like_the_chart_forms).
 """
 import cmath
 import math
@@ -46,16 +48,16 @@ from wignerkit.wigner import (
     SYMMETRIES,
     RouteUnavailableError,
     _chart,
-    _jacobi_tables,
     _factorial_ratio_sqrt,
+    _hyp_tables,
+    _jacobi_tables,
     WignerMatrix,
     apply_symmetry,
     dmatrix_euler,
     jacobi_stack,
     fold_to_quadrant,
-    hyp_entries,
-    hyp_symmetric_entries,
-    jacobi_entries,
+    hyp_matrix,
+    hyp_symmetric_matrix,
     jacobi_matrix,
     krawtchouk_stack,
     rodrigues_stack,
@@ -382,18 +384,25 @@ THETAS = [
     math.pi / 2,
 ]
 SPINS = range(13)
+
+
+def old_element_folded(old):
+    # The old element form at the quadrant entry and element that (m, n, A) fold onto.
+    return lambda l, m, n, A: old(l, *old_fold_to_quadrant(l, m, n, A))
+
+
 ELEMENT_ROUTES = {
     "tmn_sum": (tmn_sum, old_tmn_sum),
-    "tmn_hyp": (tmn_hyp, old_tmn_hyp),
-    "tmn_hyp_symmetric": (tmn_hyp_symmetric, old_tmn_hyp_symmetric),
-    "tmn_jacobi": (tmn_jacobi, old_tmn_jacobi),
+    "tmn_hyp": (tmn_hyp, old_element_folded(old_tmn_hyp)),
+    "tmn_hyp_symmetric": (tmn_hyp_symmetric, old_element_folded(old_tmn_hyp_symmetric)),
+    "tmn_jacobi": (tmn_jacobi, old_element_folded(old_tmn_jacobi)),
 }
 # The whole-matrix builder of each per-entry form, whose tables it reads.
+MATRICES = {"tmn_sum": sum_matrix, "tmn_hyp": hyp_matrix, "tmn_hyp_symmetric": hyp_symmetric_matrix,
+            "tmn_jacobi": jacobi_matrix}
 BUILDERS = {
-    "tmn_sum": lambda l, A: {ij: complex(v) for ij, v in np.ndenumerate(sum_matrix(l, A).entries)},
-    "tmn_hyp": hyp_entries,
-    "tmn_hyp_symmetric": hyp_symmetric_entries,
-    "tmn_jacobi": jacobi_entries,
+    route: lambda l, A, build=build: {ij: complex(v) for ij, v in np.ndenumerate(build(l, A).entries)}
+    for route, build in MATRICES.items()
 }
 # Each per-entry form folds (m, n) onto the quadrant, as its stack builder does.
 THETA_ROUTES = {
@@ -482,27 +491,47 @@ def test_element_matrices_bit_identical(name):
         l = HalfInt(l_x2)
         assert outcome(sum_matrix, l, A) == outcome(old_dmat_by_route, l, A, None, "sum"), l_x2
         assert outcome(jacobi_matrix, l, A) == outcome(old_dmat_by_route, l, A, None, "jacobi"), l_x2
+        # The 2F1 matrices, where they return, are the old 2F1 entries folded
+        # onto the quadrant; where they raise, the per-entry test holds them.
+        for route in ("tmn_hyp", "tmn_hyp_symmetric"):
+            matrix = value_or_none(MATRICES[route], l, A)
+            if matrix is not None:
+                old = ELEMENT_ROUTES[route][1]
+                want = [[old(l, m, n, A) for n in spin_range(l)] for m in spin_range(l)]
+                assert matrix.entries.tobytes() == np.array(want, dtype=complex).tobytes(), (route, l_x2)
+
+
+def image_arguments(tables, B):
+    # The arguments of B that tables computes, as exact bytes, or the exception it raises.
+    return outcome(lambda: repr(tables(B, 2)[1]))
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENTS))
 def test_symmetry_images_share_the_jacobi_argument(name):
-    # jacobi_matrix sums each quadrant polynomial once for A and its three
+    # The element forms sum each quadrant series once for A and its three
     # images under SYMMETRIES: their bc and ad are the same complex products
     # with the factors swapped, which Python computes bit for bit alike, so
-    # their Jacobi argument x is one exact ratio.
+    # their Jacobi argument x, the powers of bc - ad and the 2F1 arguments
+    # ad/(bc) and (bc - ad)/(bc) are the same exact values.
     for A in [ELEMENTS[name], *sample_gl2(11, 50)]:
         images = [A, *(element_map(A) for _, element_map in SYMMETRIES.values())]
-        assert len({outcome(lambda B: _jacobi_tables(B, 0)[0], B) for B in images}) == 1
+        for tables in (_jacobi_tables, _hyp_tables):
+            assert len({image_arguments(tables, B) for B in images}) == 1
 
 
 @pytest.mark.parametrize("name", ["gl2_0", "euler_0", "euler_6", "integer_entries", "large_entries"])
 def test_jacobi_matrix_is_the_folded_per_entry_form_up_to_l_x2_21(name):
+    # Each element form's per-entry function folds (m, n) itself.
     A = ELEMENTS[name]
     for l_x2 in range(13, 22):
         l = HalfInt(l_x2)
         spins = spin_range(l)
-        folded = [[tmn_jacobi(l, *fold_to_quadrant(l, m, n, A)) for n in spins] for m in spins]
-        assert jacobi_matrix(l, A).entries.tobytes() == np.array(folded, dtype=complex).tobytes(), l_x2
+        for route in ("tmn_hyp", "tmn_hyp_symmetric", "tmn_jacobi"):
+            matrix = value_or_none(MATRICES[route], l, A)
+            assert matrix is not None or route != "tmn_jacobi", l_x2
+            if matrix is not None:
+                per_entry = [[ELEMENT_ROUTES[route][0](l, m, n, A) for n in spins] for m in spins]
+                assert matrix.entries.tobytes() == np.array(per_entry, dtype=complex).tobytes(), (route, l_x2)
 
 
 def test_theta_stacks_bit_identical():
@@ -617,7 +646,8 @@ def test_symmetries_and_fold_unchanged():
 
 
 def test_negative_spin_matrices_raise():
-    for fn, arg in ((sum_matrix, ELEMENTS["gl2_0"]), (jacobi_matrix, ELEMENTS["gl2_0"]),
+    for fn, arg in ((sum_matrix, ELEMENTS["gl2_0"]), (hyp_matrix, ELEMENTS["gl2_0"]),
+                    (hyp_symmetric_matrix, ELEMENTS["gl2_0"]), (jacobi_matrix, ELEMENTS["gl2_0"]),
                     (rodrigues_stack, [0.7]), (krawtchouk_stack, [0.7]), (jacobi_stack, [0.7])):
         with pytest.raises(ValueError, match="negative spin"):
             fn(HalfInt(-1), arg)

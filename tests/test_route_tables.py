@@ -1,6 +1,6 @@
 """The route tables in wignerkit.wigner and everything that dispatches from
-them: `dmat --route`, the routes suite, and the whole-domain entry functions
-`hyp_entries`, `hyp_symmetric_entries` and `jacobi_entries`, held to the
+them: `dmat --route`, the routes suite, and the element matrices
+`hyp_matrix`, `hyp_symmetric_matrix` and `jacobi_matrix`, held to the
 per-entry `tmn_*` functions."""
 import argparse
 import ast
@@ -22,9 +22,8 @@ from wignerkit.wigner import (
     WignerMatrix,
     chart_phases,
     dmatrix_euler,
-    hyp_entries,
-    hyp_symmetric_entries,
-    jacobi_entries,
+    hyp_matrix,
+    hyp_symmetric_matrix,
     jacobi_matrix,
     krawtchouk_stack,
     oracle_matrix,
@@ -148,38 +147,32 @@ def test_every_closed_route_has_a_check_in_the_routes_report(route):
 def test_verify_imports_no_private_name():
     tree = ast.parse(Path(verify.__file__).read_text())
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert "hyp_entries" in imported
+    assert "hyp_matrix" in imported
     assert [name for name in imported if name.startswith("_")] == []
 
 
-# -- hyp_entries and jacobi_entries --------------------------------------------------
+# -- hyp_matrix, hyp_symmetric_matrix and jacobi_matrix ----------------------------
 
-# Each entry function, its per-entry function and its index domain at spin l2.
+# Each element matrix and its per-entry function, which serves every (m, n).
 ENTRY_ROUTES = {
-    "hyp": (hyp_entries, tmn_hyp, lambda l2: [(i, j) for i in range(l2 + 1) for j in range(l2 + 1) if i + j >= l2]),
-    "hyp-symmetric": (
-        hyp_symmetric_entries,
-        tmn_hyp_symmetric,
-        lambda l2: [(i, j) for i in range(l2 + 1) for j in range(l2 + 1) if i + j >= l2],
-    ),
-    "jacobi": (
-        jacobi_entries,
-        tmn_jacobi,
-        lambda l2: [(i, j) for i in range(l2 + 1) for j in range(l2 + 1) if i + j >= l2 and i >= j],
-    ),
+    "hyp": (hyp_matrix, tmn_hyp),
+    "hyp-symmetric": (hyp_symmetric_matrix, tmn_hyp_symmetric),
+    "jacobi": (jacobi_matrix, tmn_jacobi),
 }
 
 
 def entries_outcome(fn, l, A):
+    # The matrix's entries in row-major order, keyed by (row, column).
     try:
-        return list(fn(l, A).items())
+        return [(ij, complex(v)) for ij, v in np.ndenumerate(fn(l, A).entries)]
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
 
 
-def per_entry_outcome(fn, l, A, domain):
+def per_entry_outcome(fn, l, A):
+    cells = np.ndindex(l.twice + 1, l.twice + 1)
     try:
-        return [((i, j), fn(l, HalfInt(2 * i - l.twice), HalfInt(2 * j - l.twice), A)) for i, j in domain]
+        return [((i, j), fn(l, HalfInt(2 * i - l.twice), HalfInt(2 * j - l.twice), A)) for i, j in cells]
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
 
@@ -187,12 +180,12 @@ def per_entry_outcome(fn, l, A, domain):
 @pytest.mark.parametrize("route", sorted(ENTRY_ROUTES))
 @pytest.mark.parametrize("name", sorted(ELEMENTS))
 def test_entries_equal_the_per_entry_route(route, name):
-    entries, per_entry, domain = ENTRY_ROUTES[route]
+    entries, per_entry = ENTRY_ROUTES[route]
     A = ELEMENTS[name]
     for l_x2 in SPINS:
         l = HalfInt(l_x2)
         got = entries_outcome(entries, l, A)
-        want = per_entry_outcome(per_entry, l, A, domain(l_x2))
+        want = per_entry_outcome(per_entry, l, A)
         # by repr, so that the sign of a zero counts and NaN equals NaN
         assert repr(got) == repr(want), (route, name, l_x2)
 
@@ -219,12 +212,12 @@ Z_OVERFLOWS = "2F1 route needs ad/(bc) finite; it overflows"
     ],
 )
 def test_entries_refuse_the_singular_set(route, name, message):
-    entries, per_entry, domain = ENTRY_ROUTES[route]
+    entries, per_entry = ENTRY_ROUTES[route]
     A = ELEMENTS[name]
     for l_x2 in SPINS:
         l = HalfInt(l_x2)
         assert entries_outcome(entries, l, A) == (RouteUnavailableError, message)
-        assert per_entry_outcome(per_entry, l, A, domain(l_x2)) == (RouteUnavailableError, message)
+        assert per_entry_outcome(per_entry, l, A) == (RouteUnavailableError, message)
 
 
 def assert_2f1_forms_refuse(name, message):
@@ -242,8 +235,7 @@ def test_2f1_forms_refuse_an_underflowing_bc():
     # The oracle is finite there; the 2F1 forms used to divide by b * c = 0.
     assert_2f1_forms_refuse("bc_underflows", BC_UNDERFLOWS)
     # b * c that is subnormal but not zero is still accepted
-    entries = hyp_entries(HalfInt(2), Mat2C(1 + 0j, 1e-160 + 0j, 1e-160 + 0j, 1e-300 + 0j))
-    assert all(np.isfinite(v) for v in entries.values())
+    assert hyp_matrix(HalfInt(2), Mat2C(1 + 0j, 1e-160 + 0j, 1e-160 + 0j, 1e-300 + 0j)).entries.shape == (3, 3)
 
 
 def test_2f1_forms_refuse_an_overflowing_ad_over_bc():
@@ -260,9 +252,9 @@ def test_2f1_route_refuses_an_overflowing_prefactor():
     # the largest float at 99; it used to raise a bare OverflowError.
     A = from_euler(EulerAngles(0.7, 1.2, 0.3))
     corner = HalfInt(98), HalfInt(98), HalfInt(98)
-    assert len(hyp_entries(HalfInt(98), A)) == 99 * 100 // 2
+    assert hyp_matrix(HalfInt(98), A).entries.shape == (99, 99)
     assert np.isfinite(tmn_hyp(*corner, A))
-    for call in (lambda: hyp_entries(HalfInt(99), A), lambda: tmn_hyp(HalfInt(99), HalfInt(99), HalfInt(99), A)):
+    for call in (lambda: hyp_matrix(HalfInt(99), A), lambda: tmn_hyp(HalfInt(99), HalfInt(99), HalfInt(99), A)):
         with pytest.raises(RouteUnavailableError) as info:
             call()
         assert str(info.value) == PREFACTOR_OVERFLOWS
@@ -272,7 +264,7 @@ def test_binomial_prefactor_overflow_is_refused():
     # sqrt(C(2l, l-m) C(2l, l-n)) is largest at the centre: the product of the
     # binomials is a float up to l_x2 = 516 and past the largest float at 517,
     # where the symmetric 2F1 form used to raise a bare OverflowError.  Only
-    # per-entry calls: hyp_symmetric_entries takes about a minute at 516.
+    # per-entry calls: hyp_symmetric_matrix sums 67,081 exact series at 516.
     A = from_euler(EulerAngles(0.7, 1.2, 0.3))
     assert np.isfinite(tmn_hyp_symmetric(HalfInt(516), HalfInt(0), HalfInt(0), A))
     assert np.isfinite(tmn_krawtchouk(HalfInt(516), HalfInt(0), HalfInt(0), 0.7))
@@ -317,28 +309,40 @@ NON_FINITE = "matrix contains non-finite entries"
 SERIES_OVERFLOWS = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc)) overflows"
 
 
+# ad/(bc) = -3.3e100 i, and no power of an entry up to the 4th overflows
+Z_OVERFLOW_4 = Mat2C(1e50 + 0j, 1e-50 + 0j, 0.3e-50j, 1e50 + 0j)
+# ad/(bc) = -3.3e80 i, and no power of an entry up to the 12th overflows
+Z_OVERFLOW_12 = Mat2C(1e20 + 0j, 1e-20 + 0j, 0.3e-20j, 1e20 + 0j)
+
+
 @pytest.mark.parametrize(
     "route, l_x2, A, refusal",
     [
-        # the exact series in ad/(bc) = -3.3e200 i overflows a float at (2, 2)
-        ("hyp", 4, ELEMENTS["a_overflow"], (RouteUnavailableError, SERIES_OVERFLOWS)),
-        ("hyp", 12, ELEMENTS["a_overflow"], (RouteUnavailableError, SERIES_OVERFLOWS)),
-        # entry (2, 1) is c (bc - ad) = 1e350 times a polynomial, though no power overflows
-        ("jacobi", 3, Mat2C(0.5 + 0j, 1e150 + 0j, 1e100 + 0j, 0.5 + 0j), (ValueError, NON_FINITE)),
+        # the exact series in ad/(bc) overflows a float at (2, 2), though the oracle is finite
+        ("hyp", 4, Z_OVERFLOW_4, (RouteUnavailableError, SERIES_OVERFLOWS)),
+        ("hyp", 12, Z_OVERFLOW_12, (RouteUnavailableError, SERIES_OVERFLOWS)),
+        # a^2 = 1e400: the tables of every element form hold the powers of a
+        ("hyp", 4, ELEMENTS["a_overflow"], (OverflowError, "complex exponentiation")),
+        ("hyp", 12, ELEMENTS["a_overflow"], (OverflowError, "complex exponentiation")),
+        # entry (2, 1) is c (bc - ad) = 1.8e308 times a polynomial of size 1.6,
+        # though no power of an entry up to the cube overflows
+        ("jacobi", 3, Mat2C(5e102 + 0j, 5e102 + 0j, 5e102j, 5e102 + 0j), (ValueError, NON_FINITE)),
     ],
-    ids=["hyp-a_overflow-4", "hyp-a_overflow-12", "jacobi-c_times_bc_overflows-3"],
+    ids=["hyp-z_overflow-4", "hyp-z_overflow-12", "hyp-a_overflow-4", "hyp-a_overflow-12",
+         "jacobi-c_times_bc_overflows-3"],
 )
 def test_entries_refuse_a_non_finite_entry(route, l_x2, A, refusal):
-    # hyp_entries used to return nan+nanj at (2, 2) of l_x2 = 4 without an
-    # error, from a float sum of its series; the exact sum overflows there and
-    # is refused.  The per-entry form refuses at the first such entry, alike.
-    entries, per_entry, domain = ENTRY_ROUTES[route]
+    # hyp_entries, the 2F1 form on m + n >= 0, used to return nan+nanj at
+    # (2, 2) of l_x2 = 4 without an error, from a float sum of its series;
+    # the exact sum overflows there and is refused.  The per-entry form
+    # refuses at the first such entry, alike.
+    entries, per_entry = ENTRY_ROUTES[route]
     l = HalfInt(l_x2)
     assert entries_outcome(entries, l, A) == refusal
-    assert per_entry_outcome(per_entry, l, A, domain(l_x2)) == refusal
+    assert per_entry_outcome(per_entry, l, A) == refusal
 
 
 def test_entries_refuse_a_negative_spin():
-    for fn in (hyp_entries, hyp_symmetric_entries, jacobi_entries):
+    for fn in (hyp_matrix, hyp_symmetric_matrix, jacobi_matrix):
         with pytest.raises(ValueError, match="negative spin"):
             fn(HalfInt(-1), ELEMENTS["gl2_0"])

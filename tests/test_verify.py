@@ -4,6 +4,7 @@ import copy
 import json
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,11 +93,13 @@ def test_a_nan_deviation_fails_its_check():
         assert verify._check("c", [0.1, bad], 1.0) == {**report, "count": 2}
 
 
+def filled(value):
+    # A stand-in element builder whose every entry is value (a WignerMatrix holds only finite ones).
+    return lambda l, A: SimpleNamespace(entries=np.full((l.twice + 1, l.twice + 1), value))
+
+
 def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
-    hyp_entries = verify.hyp_entries
-    monkeypatch.setattr(
-        verify, "hyp_entries", lambda l, A: {key: complex(math.nan, math.nan) for key in hyp_entries(l, A)}
-    )
+    monkeypatch.setattr(verify, "hyp_matrix", filled(complex(math.nan, math.nan)))
     report = verify.run_suite("routes", HalfInt(2), 0)
     checks = {chk["check"]: chk for chk in report["checks"]}
     assert checks["terminating-2f1-vs-oracle"]["max_deviation"] is None
@@ -110,7 +113,7 @@ def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
 
 def test_a_failing_run_prints_strict_json(monkeypatch, capsys):
     # NaN, Infinity and -Infinity are not JSON; a strict parser refuses them.
-    monkeypatch.setattr(verify, "hyp_entries", lambda l, A: {(0, 0): complex(math.inf, 0.0)})
+    monkeypatch.setattr(verify, "hyp_matrix", filled(complex(math.inf, 0.0)))
     assert main(["verify", "--suite", "routes", "--max-l-x2", "1"]) == 1
 
     def refuse(constant):
@@ -157,19 +160,28 @@ def test_routes_suite_builds_each_oracle_reference_once(monkeypatch):
 
 def test_routes_suite_checks_the_symmetric_2f1_form_on_the_2f1_domain(monkeypatch):
     # One set of 2F1 tables per (spin, element) for each 2F1 form, not one per entry.
-    hyp_tables = wigner._hyp_tables
     calls = Counter()
 
     def counting(A, l2):
         calls[l2] += 1
-        return hyp_tables(A, l2)
+        return wigner._hyp_tables(A, l2)
 
-    monkeypatch.setattr(wigner, "_hyp_tables", counting)
+    for form in ("_HYP", "_HYP_SYMMETRIC"):
+        monkeypatch.setattr(wigner, form, (counting, *getattr(wigner, form)[1:]))
     checks = {chk["check"]: chk for chk in verify.suite_routes(HalfInt(4), 2)["checks"]}
     symmetric = checks["terminating-2f1-symmetric-vs-oracle"]
     assert symmetric["count"] == checks["terminating-2f1-vs-oracle"]["count"] > 0
     assert symmetric["tolerance"] == 1e-9 and symmetric["passed"]
     assert calls == Counter({l2: 2 * 30 for l2 in range(5)})
+
+
+def test_routes_suite_checks_every_entry_of_each_element_matrix():
+    # 30 samples, (2l+1)^2 entries each at every spin: 4,200 up to l_x2 6.
+    checks = {chk["check"]: chk for chk in verify.suite_routes(HalfInt(6), 3)["checks"]}
+    names = ["finite-sum-vs-oracle", "terminating-2f1-vs-oracle", "terminating-2f1-symmetric-vs-oracle",
+             "jacobi-vs-oracle"]
+    assert [checks[name]["count"] for name in names] == [4200] * 4
+    assert all(checks[name]["passed"] for name in names)
 
 
 def test_routes_suite_checks_each_chart_form_at_20_triples():

@@ -231,9 +231,10 @@ class TestTmnHyp:
         with pytest.raises(RouteUnavailableError):
             tmn_hyp(HalfInt(2), HalfInt(2), HalfInt(2), Mat2C(2, 0, 0, 3))
 
-    def test_negative_index_sum_is_route_unavailable(self):
-        with pytest.raises(RouteUnavailableError):
-            tmn_hyp(HalfInt(2), HalfInt(-2), HalfInt(0), A_TEST)
+    def test_negative_index_sum_is_the_folded_entry(self):
+        # m + n < 0 folds onto m + n > 0 at an image of A
+        got = tmn_hyp(HalfInt(2), HalfInt(-2), HalfInt(0), A_TEST)
+        assert got == pytest.approx(tmn_sum(HalfInt(2), HalfInt(-2), HalfInt(0), A_TEST), rel=1e-12)
 
     def test_spin_half_diagonal(self):
         got = tmn_hyp(HalfInt(1), HalfInt(1), HalfInt(1), A_TEST)
@@ -247,7 +248,7 @@ class TestTmnHyp:
                 scale = max_norm(reference.entries)
                 for m in spin_range(l):
                     for n in spin_range(l):
-                        if (m + n).twice < 0 or A.b == 0 or A.c == 0:
+                        if A.b == 0 or A.c == 0:
                             continue
                         dev = abs(tmn_hyp(l, m, n, A) - reference.entry(m, n))
                         assert dev <= 1e-9 * scale
@@ -262,8 +263,6 @@ class TestTmnHypSymmetric:
                 scale = max_norm(reference.entries)
                 for m in spin_range(l):
                     for n in spin_range(l):
-                        if (m + n).twice < 0:
-                            continue
                         dev = abs(tmn_hyp_symmetric(l, m, n, A) - reference.entry(m, n))
                         assert dev <= 1e-9 * scale
 
@@ -287,8 +286,9 @@ class TestTmnJacobi:
         assert abs(got) <= 1e-15
 
     def test_route_unavailable_cases(self):
-        with pytest.raises(RouteUnavailableError):
-            tmn_jacobi(HalfInt(2), HalfInt(0), HalfInt(2), A_TEST)  # m - n < 0
+        # m - n < 0 folds onto the quadrant; only bc = ad is refused
+        got = tmn_jacobi(HalfInt(2), HalfInt(0), HalfInt(2), A_TEST)
+        assert got == pytest.approx(tmn_sum(HalfInt(2), HalfInt(0), HalfInt(2), A_TEST), rel=1e-12)
         with pytest.raises(RouteUnavailableError):
             tmn_jacobi(HalfInt(2), HalfInt(2), HalfInt(0), Mat2C(1, 2, 2, 4))  # bc = ad
 
@@ -300,8 +300,6 @@ class TestTmnJacobi:
                 scale = max_norm(reference.entries)
                 for m in spin_range(l):
                     for n in spin_range(l):
-                        if (m + n).twice < 0 or (m - n).twice < 0:
-                            continue
                         if A.b * A.c == A.a * A.d:
                             continue
                         dev = abs(tmn_jacobi(l, m, n, A) - reference.entry(m, n))
