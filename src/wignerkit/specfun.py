@@ -11,11 +11,14 @@ Every terminating series is summed one way, by an integer Horner scheme
 and the argument as a ratio of integers, a real p/q or a complex (p + i r)/q,
 so the whole sum is a single integer quotient, or a Gaussian integer over an
 integer, whose parts are each rounded once, with no gcd taken along the way.
-The coefficient rows of both series are built in that integer form: the 2F1
-row by its term-ratio recurrence (_hyp2f1_coeffs_cached), the Jacobi row
-from its explicit sum (_jacobi_coeffs_cached).  Every rounding is one
-int / int true division, which is correctly rounded, so it gives the float
-that float(Fraction) gives for the same rational.
+jacobi_values, which evaluates many Jacobi rows at many real nodes, sums the
+same integers against one table of powers per node instead of by Horner's
+rule, and rounds the same rational once.  The coefficient rows of both series
+are built in that integer form: the 2F1 row by its term-ratio recurrence
+(_hyp2f1_coeffs_cached), the Jacobi row from its explicit sum
+(_jacobi_coeffs_cached).  Every rounding is one int / int true division,
+which is correctly rounded, so it gives the float that float(Fraction) gives
+for the same rational.
 """
 from __future__ import annotations
 
@@ -211,11 +214,27 @@ def jacobi_eval(p: JacobiParams, x):
 
 
 def jacobi_values(params, x) -> np.ndarray:
-    """jacobi_eval(p, x) for each p of params, shape (len(params), *x.shape);
-    the elements of the ndarray x are turned into exact ratios once for all."""
+    """jacobi_eval(p, x) for each p of params, shape (len(params), *x.shape).
+
+    Each element of the ndarray x is turned into its exact argument p/q once,
+    and into one table of the terms p^k q^(N-k), k = 0 .. N, for the largest
+    degree N among the params, which every row shares.  A row of degree n
+    sums its numerators against the first n + 1 terms, which is its Horner
+    numerator times q^(N-n), and divides by den q^N, the first term times
+    den: one int / int division of the same rational, so the same float
+    jacobi_eval gives.
+    """
+    mul = operator.mul
     rows = [_jacobi_coeffs_cached(p.alpha, p.beta, p.n) for p in params]
-    points = [(num - q, 2 * q) for num, q in map(_as_ratio, x.ravel().tolist())]
-    values = [[_exact_series(*row, z) for z in points] for row in rows]
+    top = max((len(nums) for nums, _ in rows), default=1)
+    tables = []
+    for num, q in map(_as_ratio, x.ravel().tolist()):
+        p_pow, q_pow = [1] * top, [1] * top
+        for k in range(1, top):
+            p_pow[k] = p_pow[k - 1] * (num - q)
+            q_pow[k] = q_pow[k - 1] * 2 * q
+        tables.append(list(map(mul, p_pow, reversed(q_pow))))
+    values = [[sum(map(mul, nums, t)) / (den * t[0]) for t in tables] for nums, den in rows]
     return np.array(values, dtype=float).reshape(len(rows), *x.shape)
 
 

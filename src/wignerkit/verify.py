@@ -4,7 +4,15 @@ Each suite runs a family of seeded numerical checks and reports the worst
 deviation per check against a pinned tolerance.  Reports are plain dicts so
 the CLI can serialize them as-is; nothing time- or environment-dependent goes
 into a report, which keeps the output byte-reproducible for a fixed seed.
-Each set of oracle references is one oracle_stack call per spin.
+
+Each set of oracle references is one oracle_stack call per spin, and every
+check hands its deviations to _check as one float64 array: the routes suite
+compares each route's stack with the oracle's in one array expression per
+spin, and the weighted Jacobi integrals of one (alpha, beta) are one pairwise
+sum over a (nodes, pairs) stack.  The magnitude of a complex deviation is
+libm's hypot of its parts (_magnitudes), the function Python's abs(complex)
+calls, so the worst deviations are the floats a per-entry loop gives; the
+max-norms that scale them (_norms) are numpy's abs, as they have been.
 """
 from __future__ import annotations
 
@@ -14,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .exactcomb import HalfInt, pochhammer, spin_range, spins_up_to
+from .exactcomb import HalfInt, spin_range, spins_up_to
 from .group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
 from .haar import (
     HaarGrid,
@@ -27,7 +35,7 @@ from .haar import (
     pairwise_sum,
     schur_check,
 )
-from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_norm, jacobi_values, krawtchouk
+from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_norm, jacobi_values, krawtchouk
 from .wigner import (
     ROTATION_ROUTES,
     SYMMETRIES,
@@ -48,6 +56,12 @@ def max_norm(entries) -> float:
 def _norms(S) -> np.ndarray:
     # max_norm of each matrix of a stack
     return np.max(np.abs(S), axis=(1, 2))
+
+
+def _magnitudes(z) -> np.ndarray:
+    # |z| per element by libm's hypot, which Python's abs(complex) calls;
+    # numpy's SIMD complex abs can differ from it in the last bit.
+    return np.hypot(np.real(z), np.imag(z))
 
 
 def _products(X, Y) -> np.ndarray:
@@ -93,30 +107,39 @@ def sample_unimodular(seed: int, count: int) -> list[Mat2C]:
 def _check(name: str, deviations, tolerance: float, count: int | None = None) -> dict:
     """The report of one check: its worst deviation against the tolerance.
 
-    The worst of no deviations is 0.0.  A NaN or infinite deviation makes
-    the worst None (null in JSON), which fails.  The count is the number of
-    deviations unless one is given.
+    deviations is a 1-d array of nonnegative floats, or any iterable of
+    them.  The worst of no deviations is 0.0.  A NaN or infinite deviation
+    makes the worst None (null in JSON), which fails.  The count is the
+    number of deviations unless one is given.
     """
-    deviations = list(deviations)
-    worst = float(max(deviations, default=0.0)) if np.isfinite(deviations).all() else None
+    values = np.asarray(deviations if isinstance(deviations, np.ndarray) else list(deviations), dtype=float)
+    worst = float(values.max(initial=0.0)) if np.isfinite(values).all() else None
     return {
         "check": name,
         "max_deviation": worst,
         "tolerance": tolerance,
-        "count": len(deviations) if count is None else count,
+        "count": values.size if count is None else count,
         "passed": worst is not None and worst <= tolerance,
     }
 
 
-def _relative(lhs, rhs) -> float:
-    # |lhs - rhs| relative to |lhs|, and absolute where |lhs| < 1.
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+def _relative(lhs, rhs) -> np.ndarray:
+    # |lhs - rhs| relative to |lhs|, and absolute where |lhs| < 1, per element.
+    lhs = np.asarray(lhs)
+    return _magnitudes(lhs - np.asarray(rhs)) / np.maximum(1.0, _magnitudes(lhs))
+
+
+def _rising(a: float, k: int) -> tuple[int, int]:
+    # The rising factorial (a)_k = a (a+1) ... (a+k-1) as an exact (numerator, denominator).
+    p, q = a.as_integer_ratio()
+    return math.prod(p + i * q for i in range(k)), q**k
 
 
 def suite_routes(max_l: HalfInt, seed: int) -> dict:
     """Closed-form routes against the polynomial-expansion oracle: each whole
     element matrix at the samples, which lie inside every element form's
-    domain, and each chart form at Euler triples."""
+    domain, and each chart form at Euler triples.  An entry's deviation is
+    its distance from the oracle's over the max-norm of the oracle matrix."""
     samples = sample_haar(seed, 20) + sample_gl2(seed + 1, 10)
     rng = np.random.default_rng(seed + 2)
     triples = [
@@ -130,26 +153,24 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
     spins = spins_up_to(max_l)
 
     def references(elements):
-        # Per spin, (entries in row-major order, max-norm) of the oracle at each
-        # element: each reference is built once and shared by every route against it.
-        stacks = (_stack(l, elements) for l in spins)
-        return [[(T.ravel().tolist(), scale) for T, scale in zip(S, _norms(S).tolist())] for S in stacks]
+        # Per spin, the oracle stack at the elements and its max-norms, shaped
+        # to divide the stack: built once and shared by every route against it.
+        return [(S, _norms(S)[:, None, None]) for S in (_stack(l, elements) for l in spins)]
 
     at_samples = references(samples)
     at_triples = references([from_euler(angles) for angles in triples])
 
-    def entrywise(pairs, scale):
-        return (abs(value - target) / scale for value, target in pairs)
+    def deviations(stacks, refs):
+        # One array expression per spin over the whole stack of the route.
+        return np.concatenate(
+            [(_magnitudes(np.asarray(S) - T) / scale).ravel() for S, (T, scale) in zip(stacks, refs)]
+        )
 
     def element_form(build):
-        for l, refs in zip(spins, at_samples):
-            for A, (target, scale) in zip(samples, refs):
-                yield from entrywise(zip(build(l, A).entries.ravel().tolist(), target), scale)
+        return deviations(([build(l, A).entries for A in samples] for l in spins), at_samples)
 
     def chart_form(route):
-        for l, refs in zip(spins, at_triples):
-            for matrix, (target, scale) in zip(route(l, triples), refs):
-                yield from entrywise(zip(matrix.ravel().tolist(), target), scale)
+        return deviations((route(l, triples) for l in spins), at_triples)
 
     checks = [
         _check("finite-sum-vs-oracle", element_form(sum_matrix), 1e-10),
@@ -164,24 +185,24 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
 def suite_unitarity(max_l: HalfInt, seed: int) -> dict:
     samples = sample_haar(seed, 50)
 
-    def deviations():
-        for l in spins_up_to(max_l):
-            S = _stack(l, samples)
-            yield from _norms(_products(S, S.conj().transpose(0, 2, 1)) - np.eye(l.twice + 1)).tolist()
+    def per_spin(l):
+        S = _stack(l, samples)
+        return _norms(_products(S, S.conj().transpose(0, 2, 1)) - np.eye(l.twice + 1))
 
-    return {"suite": "unitarity", "checks": [_check("t(g) t(g)* = I on SU(2)", deviations(), 1e-10)]}
+    deviations = np.concatenate([per_spin(l) for l in spins_up_to(max_l)])
+    return {"suite": "unitarity", "checks": [_check("t(g) t(g)* = I on SU(2)", deviations, 1e-10)]}
 
 
 def suite_homomorphism(max_l: HalfInt, seed: int) -> dict:
     samples = sample_haar(seed, 100)
     products = [multiply(A, B) for A, B in zip(samples[:50], samples[50:])]
 
-    def deviations():
-        for l in spins_up_to(max_l):
-            expected = _products(_stack(l, samples[:50]), _stack(l, samples[50:]))
-            yield from (_norms(_stack(l, products) - expected) / _norms(expected)).tolist()
+    def per_spin(l):
+        expected = _products(_stack(l, samples[:50]), _stack(l, samples[50:]))
+        return _norms(_stack(l, products) - expected) / _norms(expected)
 
-    return {"suite": "homomorphism", "checks": [_check("t(AB) = t(A) t(B)", deviations(), 1e-9)]}
+    deviations = np.concatenate([per_spin(l) for l in spins_up_to(max_l)])
+    return {"suite": "homomorphism", "checks": [_check("t(AB) = t(A) t(B)", deviations, 1e-9)]}
 
 
 def suite_schur(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
@@ -207,68 +228,63 @@ def suite_character(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
 
 def suite_jacobi_orth(max_l: HalfInt) -> dict:
     spins = spins_up_to(max_l)
+    same_column = np.array([
+        abs(jacobi_orthogonality_check(l, l_prime, m, n))
+        for l, l_prime in product(spins, spins)
+        if (l - l_prime).twice % 2 == 0  # integer and half-integer spins share no weight pairs
+        for m, n in product(spin_range(min(l, l_prime)), repeat=2)
+        if (m + n).twice >= 0 and (m - n).twice >= 0
+    ])
 
-    def same_column():
-        for l, l_prime in product(spins, spins):
-            if (l - l_prime).twice % 2:
-                continue  # no common weight pairs between integer and half-integer spins
-            for m, n in product(spin_range(min(l, l_prime)), repeat=2):
-                if (m + n).twice >= 0 and (m - n).twice >= 0:
-                    yield abs(jacobi_orthogonality_check(l, l_prime, m, n))
-
-    def weighted():
-        for al, be in product(range(5), repeat=2):
-            x, w = gauss_legendre((2 * 8 + al + be) // 2 + 1)
-            weight = (1 - x) ** al * (1 + x) ** be
-            values = [jacobi_eval(JacobiParams(al, be, n), x) for n in range(9)]
-            for n1 in range(9):
-                for n2 in range(n1, 9):
-                    integral = float(pairwise_sum(w * values[n1] * values[n2] * weight))
-                    yield abs(integral - (jacobi_norm(JacobiParams(al, be, n1)) if n1 == n2 else 0.0))
+    # The 45 degree pairs n1 <= n2 up to 8: per (al, be), one (nodes, 45) stack
+    # of the products w P_n1 P_n2 (1-x)^al (1+x)^be, reduced by one pairwise sum.
+    pairs = [(n1, n2) for n1 in range(9) for n2 in range(n1, 9)]
+    first, second = np.array(pairs).T
+    weighted = []
+    for al, be in product(range(5), repeat=2):
+        x, w = gauss_legendre((2 * 8 + al + be) // 2 + 1)
+        weight = (1 - x) ** al * (1 + x) ** be
+        values = jacobi_values([JacobiParams(al, be, n) for n in range(9)], x).T
+        integrals = pairwise_sum(w[:, None] * values[:, first] * values[:, second] * weight[:, None])
+        norms = [jacobi_norm(JacobiParams(al, be, n1)) if n1 == n2 else 0.0 for n1, n2 in pairs]
+        weighted.append(np.abs(integrals - norms))
 
     return {
         "suite": "jacobi-orth",
         "checks": [
-            _check("same-column integrals vs 1/(2l+1)", same_column(), 1e-10),
-            _check("weighted jacobi integrals vs closed-form norm", weighted(), 1e-10),
+            _check("same-column integrals vs 1/(2l+1)", same_column, 1e-10),
+            _check("weighted jacobi integrals vs closed-form norm", np.concatenate(weighted), 1e-10),
         ],
     }
 
 
 def suite_legendre(seed: int) -> dict:
     matrices = sample_unimodular(seed, 20)
-    central = (
-        _relative(jacobi_complex(JacobiParams(0, 0, l), 2 * A.a * A.d - 1), center)
-        for l in range(7)
-        for A, center in zip(matrices, _stack(HalfInt(2 * l), matrices)[:, l, l].tolist())
+    central = _relative(
+        [jacobi_complex(JacobiParams(0, 0, l), 2 * A.a * A.d - 1) for l in range(7) for A in matrices],
+        np.concatenate([_stack(HalfInt(2 * l), matrices)[:, l, l] for l in range(7)]),
     )
     rng = np.random.default_rng(seed + 1)
     angles = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
+    addition = [addition_formula_check(l, t1, t2, phi) for t1, t2, phi in angles for l in range(7)]
+    products = [abs(legendre_product_check(l, t1, t2, 2 * l + 1)) for t1, t2, _ in angles for l in range(7)]
     return {
         "suite": "legendre",
         "checks": [
             _check("central element vs legendre of 2ad-1", central, 1e-9),
-            _check(
-                "addition formula",
-                (addition_formula_check(l, t1, t2, phi) for t1, t2, phi in angles for l in range(7)),
-                1e-9,
-            ),
-            _check(
-                "product formula",
-                (abs(legendre_product_check(l, t1, t2, 2 * l + 1)) for t1, t2, _ in angles for l in range(7)),
-                1e-10,
-            ),
+            _check("addition formula", addition, 1e-9),
+            _check("product formula", products, 1e-10),
         ],
     }
 
 
 def suite_krawtchouk_sym() -> dict:
-    deviations = (
-        _relative(krawtchouk(n, x, p, N), (1 - 1 / p) ** (x + n - N) * krawtchouk(N - n, N - x, p, N))
-        for N in range(1, 9)
-        for n in range(N + 1)
-        for x in range(N + 1)
-        for p in (0.3, 0.5, 0.9)
+    cases = [
+        (n, x, p, N) for N in range(1, 9) for n in range(N + 1) for x in range(N + 1) for p in (0.3, 0.5, 0.9)
+    ]
+    deviations = _relative(
+        [krawtchouk(n, x, p, N) for n, x, p, N in cases],
+        [(1 - 1 / p) ** (x + n - N) * krawtchouk(N - n, N - x, p, N) for n, x, p, N in cases],
     )
     return {"suite": "krawtchouk-sym", "checks": [_check("index-reflection identity", deviations, 1e-9)]}
 
@@ -279,58 +295,63 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
     Krawtchouk index reflection is the check of the krawtchouk_sym report."""
     samples = sample_haar(seed, 5) + sample_gl2(seed + 1, 5)
 
-    def index_symmetries():
-        # one deviation per entry of each symmetry image
-        for l2 in range(1, 5):
-            l = HalfInt(l2)
-            for A, scale in zip(samples, _norms(_stack(l, samples)).tolist()):
-                values = sum_matrix(l, A).entries.tolist()
-                for index_map, element_map in SYMMETRIES.values():
-                    images = sum_matrix(l, element_map(A)).entries.tolist()
-                    for i, j in product(range(l2 + 1), repeat=2):
-                        i2, j2 = index_map(l2, i, j)
-                        yield abs(values[i][j] - images[i2][j2]) / scale
+    def index_symmetries(l2):
+        # Each entry of the finite-sum matrix against its place in each symmetry image,
+        # shape (samples, symmetries, entries), over the max-norm of the oracle matrix.
+        l = HalfInt(l2)
+        places = list(product(range(l2 + 1), repeat=2))
+        values = np.array([sum_matrix(l, A).entries for A in samples]).reshape(len(samples), 1, -1)
+        images = []
+        for index_map, element_map in SYMMETRIES.values():
+            rows, cols = np.array([index_map(l2, i, j) for i, j in places]).T
+            images.append(np.array([sum_matrix(l, element_map(A)).entries for A in samples])[:, rows, cols])
+        return _magnitudes(values - np.stack(images, axis=1)) / _norms(_stack(l, samples))[:, None, None]
 
-    def jacobi_reflection():
-        # P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x); each side's 539 polynomials in one jacobi_values call
-        xs, triples = np.linspace(-1, 1, 21), list(product(range(7), range(7), range(11)))
-        lhs = jacobi_values([JacobiParams(al, be, n) for al, be, n in triples], -xs)
-        rhs = jacobi_values([JacobiParams(be, al, n) for al, be, n in triples], xs) * [[(-1) ** n] for *_, n in triples]
-        for left, right in zip(lhs.tolist(), rhs.tolist()):
-            yield from map(_relative, left, right)
+    # P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x); each side's 539 polynomials in one jacobi_values call
+    xs, triples = np.linspace(-1, 1, 21), list(product(range(7), range(7), range(11)))
+    reflection = _relative(
+        jacobi_values([JacobiParams(al, be, n) for al, be, n in triples], -xs),
+        jacobi_values([JacobiParams(be, al, n) for al, be, n in triples], xs) * [[(-1) ** n] for *_, n in triples],
+    ).ravel()
 
-    pfaff = (
-        _relative(hyp2f1(-n, b, c, z), (1 - z) ** n * hyp2f1(-n, c - b, c, z / (z - 1)))
-        for n, b, c, z in product(range(9), (0.5, 2.0), (1.5, 3.0), (-0.7, -0.2, 0.3))
-    )
-    # each Pochhammer prefactor is computed once and used at both x
-    flip_one = (
-        _relative(hyp2f1(-n, b, c, x), pref * hyp2f1(-n, b, b - c - n + 1, 1 - x))
-        for n, b, c in product(range(7), (0.5, 2.0), (1.5, 4.0))
-        for pref in [float(pochhammer(c - b, n) / pochhammer(c, n))]
-        for x in (0.2, 0.8)
-    )
-    flip_two = (
-        _relative(hyp2f1(-n, -m, c, x), pref * hyp2f1(-n, -m, -c - n - m + 1, 1 - x))
-        for n, m, c in product(range(7), range(7), (1.5, 4.0))
-        for pref in [float(pochhammer(c, m + n) / (pochhammer(c, n) * pochhammer(c, m)))]
-        for x in (0.2, 0.8)
+    cases = list(product(range(9), (0.5, 2.0), (1.5, 3.0), (-0.7, -0.2, 0.3)))
+    pfaff = _relative(
+        [hyp2f1(-n, b, c, z) for n, b, c, z in cases],
+        [(1 - z) ** n * hyp2f1(-n, c - b, c, z / (z - 1)) for n, b, c, z in cases],
     )
 
-    def rotations():
-        elements = [from_euler(EulerAngles(theta, 0.0, 0.0)) for theta in (math.pi / 6, math.pi / 3)]
-        for l in spins_up_to(HalfInt(6)):
-            S = _stack(l, elements)
-            yield from _norms(_products(S, S.transpose(0, 2, 1)) - np.eye(l.twice + 1)).tolist()
+    # The prefactors are ratios of rising factorials, each one int / int division, used at both x.
+    def flip_one(n, b, c):
+        (top, top_den), (bottom, bottom_den) = _rising(c - b, n), _rising(c, n)
+        pref = top * bottom_den / (top_den * bottom)
+        return [(hyp2f1(-n, b, c, x), pref * hyp2f1(-n, b, b - c - n + 1, 1 - x)) for x in (0.2, 0.8)]
+
+    def flip_two(n, m, c):
+        (top, top_den), (left, left_den), (right, right_den) = _rising(c, m + n), _rising(c, n), _rising(c, m)
+        pref = top * left_den * right_den / (top_den * left * right)
+        return [(hyp2f1(-n, -m, c, x), pref * hyp2f1(-n, -m, -c - n - m + 1, 1 - x)) for x in (0.2, 0.8)]
+
+    one = [pair for n, b, c in product(range(7), (0.5, 2.0), (1.5, 4.0)) for pair in flip_one(n, b, c)]
+    two = [pair for n, m, c in product(range(7), range(7), (1.5, 4.0)) for pair in flip_two(n, m, c)]
+
+    rotations = [from_euler(EulerAngles(theta, 0.0, 0.0)) for theta in (math.pi / 6, math.pi / 3)]
+
+    def row_orthogonality(l):
+        S = _stack(l, rotations)
+        return _norms(_products(S, S.transpose(0, 2, 1)) - np.eye(l.twice + 1))
 
     checks = [
-        _check("index symmetries", index_symmetries(), 1e-10),
-        _check("jacobi reflection", jacobi_reflection(), 1e-10),
+        _check("index symmetries", np.concatenate([index_symmetries(l2).ravel() for l2 in range(1, 5)]), 1e-10),
+        _check("jacobi reflection", reflection, 1e-10),
         _check("pfaff transformation", pfaff, 1e-10),
-        _check("terminating argument flip (one integer parameter)", flip_one, 1e-10),
-        _check("terminating argument flip (two integer parameters)", flip_two, 1e-10),
+        _check("terminating argument flip (one integer parameter)", _relative(*zip(*one)), 1e-10),
+        _check("terminating argument flip (two integer parameters)", _relative(*zip(*two)), 1e-10),
         {**krawtchouk_sym["checks"][0], "check": "krawtchouk index reflection"},
-        _check("real-rotation row orthogonality", rotations(), 1e-10),
+        _check(
+            "real-rotation row orthogonality",
+            np.concatenate([row_orthogonality(l) for l in spins_up_to(HalfInt(6))]),
+            1e-10,
+        ),
     ]
     return {"suite": "identities", "checks": checks}
 

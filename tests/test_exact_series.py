@@ -11,6 +11,7 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from wignerkit.specfun import (
     jacobi_complex,
     jacobi_eval,
     jacobi_rodrigues,
+    jacobi_values,
     jacobi_via_2f1,
     krawtchouk,
     legendre,
@@ -275,6 +277,18 @@ class TestRoutesMatchFractionLoops:
                 p = JacobiParams(a, b, n)
                 for x in XS:
                     assert outcome(jacobi_eval, p, x) == outcome(old_jacobi_eval, p, x), (a, b, n, x)
+
+    def test_jacobi_values_are_the_scalar_series(self):
+        # One call over every degree 0 .. 12: each row is summed against a
+        # table built for degree 12 and must still give jacobi_eval's float.
+        grid = (0, 3, 0.5, -0.25, 1e-3)
+        params = [JacobiParams(a, b, n) for a in grid for b in grid for n in range(13)]
+        nodes = np.array([-1.0, 0.0, 1.0, *np.linspace(-1, 1, 21)])
+        xs = np.concatenate([nodes, -nodes])
+        got = jacobi_values(params, xs)
+        assert got.shape == (len(params), len(xs)) and got.dtype == float
+        for p, row in zip(params, got.tolist()):
+            assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in xs.tolist()], p
 
     def test_jacobi_via_2f1(self):
         for a, b in PARAMS:

@@ -93,6 +93,38 @@ def test_a_nan_deviation_fails_its_check():
         assert verify._check("c", [0.1, bad], 1.0) == {**report, "count": 2}
 
 
+def test_check_reduces_an_array():
+    assert verify._check("c", np.array([]), 0.5) == {
+        "check": "c",
+        "max_deviation": 0.0,
+        "tolerance": 0.5,
+        "count": 0,
+        "passed": True,
+    }
+    report = verify._check("c", np.array([0.1, 0.3, 0.2]), 0.5)
+    assert report["max_deviation"] == 0.3 and type(report["max_deviation"]) is float
+    assert report["count"] == 3 and type(report["count"]) is int and report["passed"]
+    for bad in (math.nan, math.inf, -math.inf):
+        report = verify._check("c", np.array([0.1, bad, 0.2]), 1.0)
+        assert report["max_deviation"] is None and report["count"] == 3
+        assert report["passed"] is False
+    # a given count still wins, as the Schur checks pass one deviation for many integrals
+    assert verify._check("c", np.array([0.7]), 0.5, count=12)["count"] == 12
+
+
+def test_magnitudes_are_abs_of_a_complex_bit_for_bit():
+    # libm's hypot, as abs(complex) takes it, over normal, subnormal and huge parts.
+    rng = np.random.default_rng(21)
+    scales = rng.choice([1.0, 1e-3, 1e-300, 1e-310, 5e-324, 1e300, 0.0], size=(2, 10**5))
+    parts = rng.normal(size=(2, 10**5)) * scales
+    z = np.empty(10**5, dtype=complex)
+    z.real, z.imag = parts
+    assert (np.abs(parts) < 1e-308).any(axis=1).all() and (np.abs(parts) > 1e300).any(axis=1).all()
+    got = verify._magnitudes(z)
+    want = np.array([abs(v) for v in z.tolist()])
+    assert got.dtype == float and got.tobytes() == want.tobytes()
+
+
 def filled(value):
     # A stand-in element builder whose every entry is value (a WignerMatrix holds only finite ones).
     return lambda l, A: SimpleNamespace(entries=np.full((l.twice + 1, l.twice + 1), value))

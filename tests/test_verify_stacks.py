@@ -1,10 +1,12 @@
 """The verify suites' oracle references, built one stack per reference set,
-held float for float to the per-element loops they replaced.
+and their array reductions, held float for float to the per-element loops
+they replaced.
 
-The functions below are copies of the earlier implementation, which built
-every oracle reference with its own oracle_matrix call and took each
-product and max-norm one matrix at a time.  Each suite must report the same
-deviations, in the same order, as the copy.
+The functions below are copies of earlier implementations: one built every
+oracle reference with its own oracle_matrix call and took each product and
+max-norm one matrix at a time; the next yielded one deviation per entry,
+value or integral from a generator, with Python's abs and max.  Each suite
+must report the same deviations, in the same order, as the copy.
 """
 import math
 from itertools import product
@@ -13,11 +15,20 @@ import numpy as np
 import pytest
 
 from wignerkit import verify
-from wignerkit.exactcomb import HalfInt, spins_up_to
+from wignerkit.exactcomb import HalfInt, pochhammer, spins_up_to
 from wignerkit.group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
-from wignerkit.specfun import JacobiParams, jacobi_complex
+from wignerkit.haar import gauss_legendre, pairwise_sum
+from wignerkit.specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_norm, krawtchouk
 from wignerkit.verify import max_norm, sample_gl2, sample_unimodular
-from wignerkit.wigner import SYMMETRIES, oracle_matrix, sum_matrix
+from wignerkit.wigner import (
+    ROTATION_ROUTES,
+    SYMMETRIES,
+    hyp_matrix,
+    hyp_symmetric_matrix,
+    jacobi_matrix,
+    oracle_matrix,
+    sum_matrix,
+)
 
 # (--max-l-x2, seed); the legendre and identity checks take the seed only.
 CASES = [(4, 0), (4, 1), (4, 2), (12, 5)]
@@ -45,11 +56,15 @@ def old_homomorphism(max_l, seed):
             yield max_norm(oracle_matrix(l, AB).entries - expected) / max_norm(expected)
 
 
+def old_relative(lhs, rhs):
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+
 def old_central(seed):
     matrices = sample_unimodular(seed, 20)
     for l in range(7):
         for A in matrices:
-            yield verify._relative(
+            yield old_relative(
                 jacobi_complex(JacobiParams(0, 0, l), 2 * A.a * A.d - 1),
                 oracle_matrix(HalfInt(2 * l), A).entry(HalfInt(0), HalfInt(0)),
             )
@@ -72,6 +87,89 @@ def old_rotations():
     for l, theta in product(spins_up_to(HalfInt(6)), (math.pi / 6, math.pi / 3)):
         T = oracle_matrix(l, from_euler(EulerAngles(theta, 0.0, 0.0))).entries
         yield max_norm(old_product(T, T.T) - np.eye(l.twice + 1))
+
+
+def old_routes(max_l, seed):
+    # Every routes check, one deviation per entry: abs(complex) over the oracle's max-norm.
+    samples = sample_haar(seed, 20) + sample_gl2(seed + 1, 10)
+    rng = np.random.default_rng(seed + 2)
+    triples = [EulerAngles(*angles) for angles in zip(
+        rng.uniform(0, math.pi / 2, 20), rng.uniform(0, 2 * math.pi, 20), rng.uniform(0, 2 * math.pi, 20)
+    )]
+    elements = [from_euler(angles) for angles in triples]
+    spins = spins_up_to(max_l)
+
+    def entrywise(matrices, references):
+        for T, R in zip(matrices, references):
+            scale = max_norm(R)
+            yield from (abs(v - t) / scale for v, t in zip(T.ravel().tolist(), R.ravel().tolist()))
+
+    def element_form(build):
+        for l in spins:
+            yield from entrywise((build(l, A).entries for A in samples), (oracle_matrix(l, A).entries for A in samples))
+
+    def chart_form(route):
+        for l in spins:
+            yield from entrywise(route(l, triples), (oracle_matrix(l, A).entries for A in elements))
+
+    forms = {
+        "finite-sum-vs-oracle": element_form(sum_matrix),
+        "terminating-2f1-vs-oracle": element_form(hyp_matrix),
+        "terminating-2f1-symmetric-vs-oracle": element_form(hyp_symmetric_matrix),
+        "jacobi-vs-oracle": element_form(jacobi_matrix),
+        **{f"{name}-chart-vs-oracle": chart_form(route) for name, route in ROTATION_ROUTES.items()},
+    }
+    return {name: hexes(values) for name, values in forms.items()}
+
+
+def old_weighted():
+    # One Jacobi evaluation per degree and one pairwise sum per integral.
+    for al, be in product(range(5), repeat=2):
+        x, w = gauss_legendre((2 * 8 + al + be) // 2 + 1)
+        weight = (1 - x) ** al * (1 + x) ** be
+        values = [jacobi_eval(JacobiParams(al, be, n), x) for n in range(9)]
+        for n1 in range(9):
+            for n2 in range(n1, 9):
+                integral = float(pairwise_sum(w * values[n1] * values[n2] * weight))
+                yield abs(integral - (jacobi_norm(JacobiParams(al, be, n1)) if n1 == n2 else 0.0))
+
+
+def old_krawtchouk_sym():
+    for N in range(1, 9):
+        for n, x, p in product(range(N + 1), range(N + 1), (0.3, 0.5, 0.9)):
+            yield old_relative(krawtchouk(n, x, p, N), (1 - 1 / p) ** (x + n - N) * krawtchouk(N - n, N - x, p, N))
+
+
+def old_identities():
+    # The reflection at each node, and the argument flips with Fraction Pochhammer prefactors.
+    xs = np.linspace(-1, 1, 21).tolist()
+    reflection = (
+        old_relative(jacobi_eval(JacobiParams(al, be, n), -x), (-1) ** n * jacobi_eval(JacobiParams(be, al, n), x))
+        for al, be, n in product(range(7), range(7), range(11))
+        for x in xs
+    )
+    pfaff = (
+        old_relative(hyp2f1(-n, b, c, z), (1 - z) ** n * hyp2f1(-n, c - b, c, z / (z - 1)))
+        for n, b, c, z in product(range(9), (0.5, 2.0), (1.5, 3.0), (-0.7, -0.2, 0.3))
+    )
+    flip_one = (
+        old_relative(hyp2f1(-n, b, c, x), pref * hyp2f1(-n, b, b - c - n + 1, 1 - x))
+        for n, b, c in product(range(7), (0.5, 2.0), (1.5, 4.0))
+        for pref in [float(pochhammer(c - b, n) / pochhammer(c, n))]
+        for x in (0.2, 0.8)
+    )
+    flip_two = (
+        old_relative(hyp2f1(-n, -m, c, x), pref * hyp2f1(-n, -m, -c - n - m + 1, 1 - x))
+        for n, m, c in product(range(7), range(7), (1.5, 4.0))
+        for pref in [float(pochhammer(c, m + n) / (pochhammer(c, n) * pochhammer(c, m)))]
+        for x in (0.2, 0.8)
+    )
+    return {
+        "jacobi reflection": hexes(reflection),
+        "pfaff transformation": hexes(pfaff),
+        "terminating argument flip (one integer parameter)": hexes(flip_one),
+        "terminating argument flip (two integer parameters)": hexes(flip_two),
+    }
 
 
 def old_oracle_stack(l, a, b, c, d):
@@ -141,3 +239,22 @@ def test_legendre_and_identity_deviations_are_the_per_element_ones(deviations, s
     identities = deviations(verify.identity_checks, seed, verify.suite_krawtchouk_sym())
     assert identities["index symmetries"] == hexes(old_index_symmetries(seed))
     assert identities["real-rotation row orthogonality"] == hexes(old_rotations())
+
+
+@pytest.mark.parametrize("l_x2, seed", CASES)
+def test_routes_deviations_are_the_per_entry_ones(deviations, l_x2, seed):
+    assert deviations(verify.suite_routes, HalfInt(l_x2), seed) == old_routes(HalfInt(l_x2), seed)
+
+
+def test_jacobi_orth_and_krawtchouk_deviations_are_the_per_value_ones(deviations):
+    weighted = deviations(verify.suite_jacobi_orth, HalfInt(4))["weighted jacobi integrals vs closed-form norm"]
+    assert weighted == hexes(old_weighted())
+    (krawtchouk_sym,) = deviations(verify.suite_krawtchouk_sym).values()
+    assert krawtchouk_sym == hexes(old_krawtchouk_sym())
+
+
+def test_identity_deviations_are_the_per_value_ones(deviations):
+    # These checks take no seed; the index symmetries, which do, are held above.
+    identities = deviations(verify.identity_checks, 0, verify.suite_krawtchouk_sym())
+    want = old_identities()
+    assert {name: identities[name] for name in want} == want
