@@ -9,8 +9,10 @@ trigonometric monomial below the node count.  Products of two matrix
 elements of spin <= L are trigonometric polynomials of phase degree <= 4L
 and x-degree <= 2L, which gives a concrete node budget for exactness.
 
-The representation matrices at all nodes of a grid are built as one stack
-per spin by a single batched polynomial expansion (wigner.oracle_stack).
+The representation matrices at all nodes of a grid are the oracle's
+(wigner.oracle_stack) in its two steps: one power table of the node elements
+per grid, up to the grid's exactness budget, then one batched polynomial
+expansion per spin from that table's first 2l+1 powers.
 Reductions over nodes use a fixed pairwise tree; the Schur check first
 contracts each theta slice of the grid with one matrix product and then
 sums the per-theta slices pairwise.
@@ -27,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 from .exactcomb import HalfInt, factorial, is_valid_spin_pair, spin_range
 from .group import EulerAngles, Mat2C, diag_element, from_euler, multiply
 from .specfun import JacobiParams, jacobi_eval, legendre
-from .wigner import oracle_stack
+from .wigner import _oracle_expand, _oracle_powers, oracle_stack
 
 __all__ = [
     "HaarGrid",
@@ -60,6 +62,7 @@ class HaarGrid:
     psis: np.ndarray
     weights: np.ndarray
     _matrices: dict = field(default_factory=dict, repr=False)
+    _powers: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -73,14 +76,21 @@ class HaarGrid:
     def matrices(self, l: HalfInt) -> np.ndarray:
         """Representation matrices at every node, shape (nodes, 2l+1, 2l+1).
 
-        The stack is built once per spin by one oracle_stack call on the
-        node elements, which come straight from the angle arrays by the
-        from_euler formulas, and is cached on the grid.
+        The node elements come straight from the angle arrays by the
+        from_euler formulas.  Their power table is built once per grid, up to
+        the exactness budget or to spin l if that is larger, and each spin's
+        stack is expanded from the table's first 2l+1 powers and cached on
+        the grid.  The table is a running product, so its prefix is the
+        table oracle_stack would build for spin l, and the stack is
+        oracle_stack at the nodes, bit for bit.
         """
         if l.twice not in self._matrices:
-            st, ct = np.sin(self.thetas), np.cos(self.thetas)
-            ephi, epsi = np.exp(1j * self.phis), np.exp(1j * self.psis)
-            self._matrices[l.twice] = oracle_stack(l, st * ephi, -ct / epsi, ct * epsi, st / ephi)
+            if self._powers is None or self._powers.shape[1] <= l.twice:
+                st, ct = np.sin(self.thetas), np.cos(self.thetas)
+                ephi, epsi = np.exp(1j * self.phis), np.exp(1j * self.psis)
+                top = max(l.twice, self.max_exact_l().twice)
+                self._powers = _oracle_powers(st * ephi, -ct / epsi, ct * epsi, st / ephi, top)
+            self._matrices[l.twice] = _oracle_expand(l, self._powers)
         return self._matrices[l.twice]
 
     def max_exact_l(self) -> HalfInt:

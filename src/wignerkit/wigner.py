@@ -120,8 +120,9 @@ def _expansion_plan(l2: int) -> tuple:
     Column j expands (a z1 + c z2)^(l2-j) (b z1 + d z2)^j.  For its shorter
     and its longer factor (x z1 + y z2)^e: the binomials C(e, k), floats of
     exact Pascal rows and 0 past the degree, and where x^(e-k) and y^k sit in
-    the flat power table [a^0..a^l2, b^0.., c^0.., d^0..] (x^0 y^0 past the
-    degree).  Then the norms sqrt(C(l2, k)) that scale column k and divide row k.
+    the power table, as (entry, exponent) with a, b, c, d the entries 0 to 3
+    (x^0 y^0 past the degree).  Then the norms sqrt(C(l2, k)) that scale
+    column k and divide row k.
     """
     dim = l2 + 1
     binom, row = np.zeros((dim, dim)), [1]
@@ -131,10 +132,50 @@ def _expansion_plan(l2: int) -> tuple:
     k, j = np.ogrid[:dim, :dim]
     ac_short = 2 * j >= l2  # the (a, c) factor is the shorter one when l2 - j <= j
     e = np.array([np.minimum(l2 - j, j), np.maximum(l2 - j, j)])  # degrees, shorter factor first
-    x = np.array([np.where(ac_short, 0, dim), np.where(ac_short, dim, 0)])  # x: a at 0, b at dim; y: 2 dim on
-    tables = binom[e, k], x + np.maximum(e - k, 0), x + 2 * dim + k * (k <= e)
+    x = np.broadcast_to([np.where(ac_short, 0, 1), np.where(ac_short, 1, 0)], e.shape)  # x: a or b; y: c or d
+    tables = binom[e, k], x, np.maximum(e - k, 0), x + 2, k * (k <= e)
     # the shorter factor has at most l2 // 2 + 1 terms
     return [t[0, : l2 // 2 + 1] for t in tables], [t[1] for t in tables], np.sqrt(binom[l2])
+
+
+def _oracle_powers(a, b, c, d, top: int) -> np.ndarray:
+    """x^e for the entries x of N elements and e = 0 .. top, shape (4, top + 1, N).
+
+    Each row is a running product (np.cumprod, 0^0 = 1), so the first 2l+1
+    powers of a longer table are bit for bit the table of spin l.  A loop of
+    np.multiply calls would be faster but fuses its complex products from
+    numpy's X86_V3 level up, which np.cumprod's accumulate does not, and
+    would change the bits.
+    """
+    entries = np.array([a, b, c, d], dtype=complex)  # ValueError if they differ in shape
+    if entries.ndim != 2:
+        raise ValueError("expected four (N,) arrays of one length N")
+    powers = np.ones((4, top + 1, entries.shape[1]), dtype=complex)
+    powers[:, 1:] = entries[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumprod(powers, axis=1)
+
+
+def _oracle_expand(l: HalfInt, powers: np.ndarray) -> np.ndarray:
+    """The stack of spin l from a power table of _oracle_powers with at least
+    2l+1 powers, shape (N, 2l+1, 2l+1).
+
+    Every table runs with the element axis last, so each numpy loop is one
+    pass over the N elements; the stack is transposed once at the end.
+    """
+    dim = _dim(l)
+    powers = powers[:, :dim]
+    if not np.isfinite(powers).all() and np.isfinite(powers[:, 1:2]).all():  # the entries (none at spin 0)
+        raise OverflowError("a power of a matrix entry overflows")
+    (s_coef, s_xi, s_xe, s_yi, s_ye), (l_coef, l_xi, l_xe, l_yi, l_ye), norm = _expansion_plan(l.twice)
+    short = s_coef[..., None] * powers[s_xi, s_xe] * powers[s_yi, s_ye]  # (term k, column j, N)
+    long = l_coef[..., None] * powers[l_xi, l_xe] * powers[l_yi, l_ye]
+    out = np.zeros((dim, dim, powers.shape[2]), dtype=complex)
+    for k in range(l.twice // 2 + 1):  # term k of the shorter factor lands on rows k and up
+        out[k:, k : dim - k] += short[k, None, k : dim - k] * long[: dim - k, k : dim - k]
+    out *= norm[:, None]
+    out /= norm[:, None, None]
+    return _finite(np.ascontiguousarray(out.transpose(2, 0, 1)))
 
 
 def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
@@ -147,27 +188,13 @@ def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
     the reference every closed-form route is tested against; it has no
     singular parameter set.  Raises OverflowError where a power of a finite
     entry overflows.
+
+    It is a power table (_oracle_powers), then the expansion (_oracle_expand),
+    both with the element axis last.  Every element's value takes the same
+    operations in the same order whatever N is, so a stack's matrices are
+    oracle_matrix at each element, bit for bit.
     """
-    dim = _dim(l)
-    entries = np.array([a, b, c, d], dtype=complex)  # ValueError if they differ in shape
-    if entries.ndim != 2:
-        raise ValueError("expected four (N,) arrays of one length N")
-    powers = np.ones((entries.shape[1], 4, dim), dtype=complex)  # x^e by a running product, 0^0 = 1
-    powers[:, :, 1:] = entries.T[:, :, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.cumprod(powers, axis=2)
-    if not np.isfinite(powers).all() and np.isfinite(entries).all():
-        raise OverflowError("a power of a matrix entry overflows")
-    flat = powers.reshape(-1, 4 * dim)
-    (s_coef, s_x, s_y), (l_coef, l_x, l_y), norm = _expansion_plan(l.twice)
-    short = s_coef * flat[:, s_x] * flat[:, s_y]  # (N, term k, column j)
-    long = l_coef * flat[:, l_x] * flat[:, l_y]
-    out = np.zeros((len(flat), dim, dim), dtype=complex)
-    for k in range(l.twice // 2 + 1):  # term k of the shorter factor lands on rows k and up
-        out[:, k:, k : dim - k] += short[:, k, None, k : dim - k] * long[:, : dim - k, k : dim - k]
-    out *= norm
-    out /= norm[:, None]
-    return _finite(out)
+    return _oracle_expand(l, _oracle_powers(a, b, c, d, _dim(l) - 1))
 
 
 def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:

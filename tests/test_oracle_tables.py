@@ -10,15 +10,22 @@ old_oracle_stack is the batched builder as it was, one shifted add per term
 and column; the builder must return its bytes, at one element and on a Haar
 grid.  The elements come from every source the package uses, plus elements
 with a zero off-diagonal entry and elements whose expansion overflows.
+The builder runs every numpy loop over the element axis, so a stack's bits
+must not depend on how many elements it holds, nor a grid's stacks on the
+order in which their spins are asked for.
 """
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wignerkit.exactcomb import HalfInt, binomial, check_spin_pair, spin_range
-from wignerkit.group import EulerAngles, Mat2C, from_euler
+from wignerkit.group import EulerAngles, Mat2C, from_euler, sample_haar
 from wignerkit.haar import build_grid
 from wignerkit.verify import sample_gl2
 from wignerkit.wigner import WignerMatrix, oracle_matrix, oracle_stack
@@ -151,6 +158,69 @@ def test_oracle_stack_bit_identical_on_a_haar_grid():
         stack = grid.matrices(l)
         assert stack.flags.c_contiguous
         assert stack.tobytes() == old_oracle_stack(l, *nodes).tobytes(), l_x2
+
+
+def test_grid_stacks_do_not_depend_on_the_order_of_spins():
+    # The grid keeps one power table up to its budget, l_x2 6 here.  It
+    # rebuilds the table for l_x2 8 and again for 9, one past its end, and 7
+    # then reads a prefix of it.
+    grid = build_grid(HalfInt(6))
+    st, ct = np.sin(grid.thetas), np.cos(grid.thetas)
+    ephi, epsi = np.exp(1j * grid.phis), np.exp(1j * grid.psis)
+    nodes = (st * ephi, -ct / epsi, ct * epsi, st / ephi)
+    for l_x2 in [6, 0, 3, 1, 2, 4, 5, 8, 9, 7]:
+        l = HalfInt(l_x2)
+        assert grid.matrices(l).tobytes() == old_oracle_stack(l, *nodes).tobytes(), l_x2
+
+
+ELEMENT_SOURCES = {"haar": sample_haar, "gl2": sample_gl2}
+ELEMENT_COUNTS = [2, 3, 5, 8, 17]
+
+
+def check_element_count(source, count):
+    # Each matrix of a stack of `count` elements is oracle_matrix at its element.
+    elements = ELEMENT_SOURCES[source](11, count)
+    columns = [[getattr(A, x) for A in elements] for x in "abcd"]
+    for l_x2 in range(13):
+        l = HalfInt(l_x2)
+        stack = oracle_stack(l, *columns)
+        for i, A in enumerate(elements):
+            assert stack[i].tobytes() == oracle_matrix(l, A).entries.tobytes(), (source, count, l_x2, i)
+
+
+@pytest.mark.parametrize("count", ELEMENT_COUNTS)
+@pytest.mark.parametrize("source", sorted(ELEMENT_SOURCES))
+def test_stack_bits_do_not_depend_on_the_element_count(source, count):
+    check_element_count(source, count)
+
+
+def test_stack_bits_do_not_depend_on_the_element_count_without_avx512():
+    # numpy picks its complex-product loop by CPU level, and the element count
+    # decides which elements fall in a loop's tail; run the check again in a
+    # fresh interpreter with the AVX-512 levels off.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    levels = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    disabled = [f for f in levels if f in __cpu_dispatch__ and __cpu_features__.get(f)]
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled), "PYTHONPATH": path}
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)  # numpy refuses both variables at once
+    script = (
+        "import test_oracle_tables as t\n"
+        "for source in sorted(t.ELEMENT_SOURCES):\n"
+        "    for count in t.ELEMENT_COUNTS:\n"
+        "        t.check_element_count(source, count)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("l_x2", [0, 1, 6])
+def test_oracle_stack_of_no_elements(l_x2):
+    assert oracle_stack(HalfInt(l_x2), [], [], [], []).shape == (0, l_x2 + 1, l_x2 + 1)
 
 
 def test_overflow_elements_raise():
