@@ -1,15 +1,16 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "8"; strict JSON (a non-finite deviation is
+Output contract: schema_version "9"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
 across runs; only the Schur reduction (schur, all) makes a BLAS product, so
-only its bytes depend on the BLAS kernel and thread count.  In version 8
-the routes suite checks every entry of each element form's whole matrix,
-so only the counts and deviations of its 2F1 and Jacobi checks (and their
-copies under all) moved; CHANGES.md lists each version.  Each command takes
+only its bytes depend on the BLAS kernel and thread count.  In version 9
+dmat's auto route takes the Jacobi recurrence in the spin for an Euler
+source above wigner.ORACLE_TRUSTED_L_X2 (route_used "recurrence"), the
+routes suite checks that route too, and verify's max-norms are libm's hypot
+of each entry's parts; CHANGES.md lists each version.  Each command takes
 only the flags it reads: dmat exactly one source, --theta (with --phi and
 --psi, 0 when absent) or --matrix; poly the flags of its family.
 
@@ -31,14 +32,15 @@ from .floatrepr import write_reprs
 from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
-from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
+from .wigner import ELEMENT_ROUTES, ORACLE_TRUSTED_L_X2, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
 
 log = logging.getLogger("wignerkit")
 
-SCHEMA_VERSION = "8"
+SCHEMA_VERSION = "9"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
-# takes the oracle; an unavailable route falls back to the oracle too.  An
-# Euler source takes a route's chart form where it has one.
+# takes the recurrence for an Euler source above the oracle's trusted spin
+# and the oracle elsewhere; an unavailable route falls back to the oracle.
+# An Euler source takes a route's chart form where it has one.
 ROUTES = (*{**ELEMENT_ROUTES, **ROTATION_ROUTES}, "auto")
 _FALLBACK = "oracle"
 # poly's families: the flags each needs and the only ones it takes, in the
@@ -130,10 +132,18 @@ def _eight_reals(text: str) -> list[float]:
     return values
 
 
+def _route_for(route: str, l: HalfInt, angles: EulerAngles | None) -> str:
+    # The route that serves a dmat request for this route name.
+    if route != "auto":
+        return route
+    return "recurrence" if angles is not None and l.twice > ORACLE_TRUSTED_L_X2 else _FALLBACK
+
+
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> WignerMatrix:
+    route = _route_for(route, l, angles)
     if angles is not None and route in ROTATION_ROUTES:
         return WignerMatrix(l, ROTATION_ROUTES[route](l, [angles])[0])
-    return ELEMENT_ROUTES[_FALLBACK if route == "auto" else route](l, A)
+    return ELEMENT_ROUTES[route](l, A)
 
 
 def cmd_dmat(args, parser) -> tuple[str, int]:
@@ -154,7 +164,7 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
         A = from_euler(angles)
         source = {"source": "euler", "theta": angles.theta, "phi": angles.phi, "psi": angles.psi}
     warnings = []
-    route_used = _FALLBACK if args.route == "auto" else args.route
+    route_used = _route_for(args.route, l, angles)
     try:
         M = _dmat_by_route(l, A, angles, args.route)
     except RouteUnavailableError as exc:

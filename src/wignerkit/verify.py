@@ -11,8 +11,9 @@ compares each route's stack with the oracle's in one array expression per
 spin, and the weighted Jacobi integrals of one (alpha, beta) are one pairwise
 sum over a (nodes, pairs) stack.  The magnitude of a complex deviation is
 libm's hypot of its parts (_magnitudes), the function Python's abs(complex)
-calls, so the worst deviations are the floats a per-entry loop gives; the
-max-norms that scale them (_norms) are numpy's abs, as they have been.
+calls, so the worst deviations are the floats a per-entry loop gives; so is
+every entry's magnitude in the max-norms that scale them (_norms), so no
+check in this module takes a magnitude from numpy's SIMD complex abs.
 """
 from __future__ import annotations
 
@@ -49,19 +50,20 @@ from .wigner import (
 __all__ = ["SUITE_NAMES", "run_suite", "sample_gl2", "sample_unimodular", "max_norm"]
 
 
-def max_norm(entries) -> float:
-    return float(np.max(np.abs(entries)))
-
-
-def _norms(S) -> np.ndarray:
-    # max_norm of each matrix of a stack
-    return np.max(np.abs(S), axis=(1, 2))
-
-
 def _magnitudes(z) -> np.ndarray:
     # |z| per element by libm's hypot, which Python's abs(complex) calls;
     # numpy's SIMD complex abs can differ from it in the last bit.
     return np.hypot(np.real(z), np.imag(z))
+
+
+def max_norm(entries) -> float:
+    """The largest magnitude of the entries, each libm's hypot of its parts."""
+    return float(np.max(_magnitudes(entries)))
+
+
+def _norms(S) -> np.ndarray:
+    # max_norm of each matrix of a stack
+    return np.max(_magnitudes(S), axis=(1, 2))
 
 
 def _products(X, Y) -> np.ndarray:

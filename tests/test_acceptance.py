@@ -49,6 +49,7 @@ def test_criterion_1_route_cross_equality():
         "jacobi-chart-vs-oracle": 1e-9,
         "rodrigues-chart-vs-oracle": 1e-9,
         "krawtchouk-chart-vs-oracle": 1e-9,
+        "recurrence-chart-vs-oracle": 1e-9,
     }
     ok = True
     worst = 0.0

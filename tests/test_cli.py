@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from wignerkit.cli import MAX_DMAT_L_X2, _render_dmat, main
 from wignerkit.exactcomb import HalfInt
 from wignerkit.group import EulerAngles, from_euler
-from wignerkit.wigner import WignerMatrix
+from wignerkit.wigner import ORACLE_TRUSTED_L_X2, WignerMatrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -36,7 +36,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "8"
+        assert rec["schema_version"] == "9"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -95,7 +95,26 @@ class TestDmat:
             main(["dmat", "--l-x2", "2", "--matrix", "1,0,2,0,3,0,4,0", "--route", "rodrigues"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("route", ["rodrigues", "krawtchouk"])
+    def test_recurrence_needs_euler_source(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["dmat", "--l-x2", "2", "--matrix", "1,0,2,0,3,0,4,0", "--route", "recurrence"])
+        assert err.value.code == 2
+
+    def test_auto_takes_the_recurrence_above_the_trusted_spin(self, capsys):
+        angles = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
+        cases = [(ORACLE_TRUSTED_L_X2, "oracle"), (ORACLE_TRUSTED_L_X2 + 1, "recurrence"), (200, "recurrence")]
+        for l_x2, route in cases:
+            code, rec = run_json(capsys, "dmat", "--l-x2", str(l_x2), *angles)
+            assert code == 0 and rec["result"]["route_used"] == route and "warnings" not in rec
+            _, rec_route = run_json(capsys, "dmat", "--l-x2", str(l_x2), *angles, "--route", route)
+            assert rec_route["result"]["matrix"] == rec["result"]["matrix"]
+        pairs = np.array(rec["result"]["matrix"])
+        T = pairs[..., 0] + 1j * pairs[..., 1]
+        assert np.max(np.abs(T @ T.conj().T - np.eye(201))) < 1e-13  # the oracle's: 4.4e25
+        code, rec = run_json(capsys, "dmat", "--l-x2", str(ORACLE_TRUSTED_L_X2 + 1), "--matrix", "1,0,0,0,0,0,1,0")
+        assert code == 0 and rec["result"]["route_used"] == "oracle"
+
+    @pytest.mark.parametrize("route", ["rodrigues", "krawtchouk", "recurrence"])
     def test_rotation_routes_take_any_phases(self, capsys, route):
         # t(P1 R(theta) P2) = t(P1) d(theta) t(P2) with P1, P2 diagonal.
         angles = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]

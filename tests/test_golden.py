@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from wignerkit.cli import main
-from wignerkit.wigner import ROTATION_ROUTES
+from wignerkit.wigner import ORACLE_TRUSTED_L_X2, ROTATION_ROUTES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,28 +50,43 @@ COMMANDS = {
 
 
 # Larger outputs are pinned by the sha256 of their stdout instead of a file.
-# The JSON ones (0.2 to 13.6 MB) were recorded with the %-template matrix
-# writer that floatrepr's kernel replaced; the matrix source prints in
-# exponent form.  The CSV ones pin the str(complex) writer: exponent forms
-# at l_x2 40, "+0j" parts of a real matrix, and bare "0j" and "-1+0j" at
-# theta = 0.
+# The oracle's JSON ones (0.2 to 13.6 MB) were first recorded with the
+# %-template matrix writer that floatrepr's kernel replaced; the matrix
+# source prints in exponent form.  The CSV ones pin the str(complex) writer:
+# exponent forms at l_x2 40, "+0j" parts of a real matrix, and bare "0j" and
+# "-1+0j" at theta = 0.
 EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
-    "dmat_oracle_euler_45": (
+    # auto above the oracle's trusted spin: the recurrence in the spin
+    "dmat_auto_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "45bcca6eecfe78096c0c7875c051f29561fd6acff3dad8e973fd676ee047c677",
+        "945094feacdfcef4c60ce256344de55d0f045df02860fa331a1fcf5ab4aeb89d",
     ),
-    "dmat_oracle_euler_200": (
+    "dmat_auto_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "622ec46bc5a453e2774e09662dcbe0780dab77b89cecafea52f6e2750cdb061b",
+        "0fc63b05a7c4505f915d057237620d1e8e715171c153ff655c5651a13864271d",
     ),
-    "dmat_oracle_euler_400": (
+    "dmat_auto_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "41dd78703d619f03c5b9491eafcba199ebe0d982c6681b9513315da79786280d",
+        "7336866fc692a5353bdc0fc6f06de89f1c386ae56c8425729729314f0bd177c9",
+    ),
+    # The oracle where it is far from unitary (residual 4.4e25), kept on
+    # purpose: its matrix is the one auto printed at this spin before.
+    "dmat_oracle_euler_200": (
+        ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "oracle"],
+        "f99a0222bb1ec6e57f5524c35471b93a59d92e30e89a7e126c8b48256912cc2b",
+    ),
+    "dmat_recurrence_euler_201": (
+        ["dmat", "--l-x2", "201", *EULER_ANGLES, "--route", "recurrence"],
+        "0ae089cc2c9de23380c69bc59f74486be159697c596ecfa6e7a4cbd01db845bd",
+    ),
+    "dmat_recurrence_euler_400": (
+        ["dmat", "--l-x2", "400", *EULER_ANGLES, "--route", "recurrence"],
+        "20d834aaf9e83d5035976b31d13279cf162963ea4be18f736b6a204ed26db832",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "6690eeebc08a50000437cd38c0994b0f9a1045c99d6ce373e4ec4a78a411b76a",
+        "18fee1d33f286a4dc4076cb73cc833f907ac76ea53a7ba02b5a8bc250822df9d",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -84,7 +99,7 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "62b0ec74686bb901d498484aebfaf4ef91b9e4106cff882e907cd47e089e5a5d",
+        "8012e50301d0a751765710ce48c96d6648aa1cb2adf8376aac971be7e54e5508",
     ),
     "dmat_oracle_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
@@ -94,15 +109,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "3dbe795e81a3606c9ddbdbf95287ddbd2bc960372c4b902a06de636402246cc8",
+        "11f399cf93f51cfc565c0564bebc798e0fe5cf9185839b68ac15cab3dd956931",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "71115f8cda7760b7b0fd353413f9c9a6fc042dc9adaf409d74547d9b58f5ada3",
+        "591b3b1556984e6dd455b6f2f6e5ad0d9ffdcd5c5f4cbb27ab1902149ab39aba",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "670abe5f1922d387fa8f956bf37beb939e51ce8c530e4a1071876d753102d330",
+        "4f0ea47997067ace30a7fccd8943192952d0d094dcea1e90dcc59061b180723f",
     ),
 }
 
@@ -129,15 +144,15 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # depend on the BLAS kernel or thread count; schur and all, which run the Schur
 # reduction, do.  SCHUR_HASHED pins schur at one BLAS thread.
 VERIFY_HASHED = {
-    "routes": "2ab5a5c34dba3317f5a9c23a0d02e002ab1796a40cfedb21079b183ddbe937a5",
-    "unitarity": "e0f1d186daf6ea369381a8407599f4564fdd6bd5eb5442abd6e26a92cdee1f97",
-    "homomorphism": "5bd9f90efcf3d71fe031f61f0d95c2c653d43cb748d61ed6fdc43954586bdc73",
-    "jacobi-orth": "2718a66b82824c32a43f98004b0af686018b6433cdc3a3c949df67e1fe58f472",
-    "legendre": "d80419bee09b2604f969f43e540d00c2afc94baf772039204911ec868038de4e",
-    "krawtchouk-sym": "716f260807f37b60e692ebb30f007abb8a6d2f88b9b078449c73300e0d5027f6",
-    "character": "30f943f3995d86cd1b623365ac5a71dbec08260f49cc50daee593a89c35eba98",
+    "routes": "a5bc2a4f9a5ea480a7f57be7e5255423e35957511c3d4d053b7926f058011055",
+    "unitarity": "efbf032da9f6bffe7b748e6ce9b2231ca48101555ec28b6ac1a5ae956f7e0aad",
+    "homomorphism": "ce5cbe03cfc74440e9ce1af8b024ce3da1a826c38217f818d0a672905af67067",
+    "jacobi-orth": "f8cc09f7237befc1e8a2cdd814c891db3f8bf0d810b38593a8709d015b9a7661",
+    "legendre": "0138ff11e3bf808be5a1e62e8f174f5acf9900501acf6ebf2672257382cea503",
+    "krawtchouk-sym": "fc8057ab4a86c2944bf00caeea23c2c1c73ad1a79a74d356321f639c412a7fe6",
+    "character": "d860ebcc2e70ef54b53918acdfc7f08ad9a1540063526fa4a616d34dd0219a47",
 }
-SCHUR_HASHED = "6f15af7badebcbf0ec1acac4cf6548f04bf3554d26f1d9c80fc2c7e27d10d9a4"
+SCHUR_HASHED = "96ba4f71f563d32e3d5808bcaf5c54015cb709ffa0c9f77c030f9be2e141f88e"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))
@@ -153,7 +168,7 @@ def test_verify_suite_stdout_is_byte_identical(suite, capsys):
 OTHER_KERNELS = ("Haswell", "Zen")
 KERNEL_PINS = [
     (COMMANDS["dmat_oracle_euler_20"], hashlib.sha256((GOLDEN / "dmat_oracle_euler_20.out").read_bytes()).hexdigest()),
-    HASHED["dmat_oracle_euler_200"],
+    HASHED["dmat_auto_euler_200"],
     *(
         (["verify", "--suite", suite, "--max-l-x2", "6", "--seed", "0"], VERIFY_HASHED[suite])
         for suite in ("routes", "unitarity", "homomorphism", "legendre")
@@ -204,7 +219,13 @@ DMAT_PINS = [
 
 
 def route_of(argv):
-    return argv[argv.index("--route") + 1] if "--route" in argv else "auto"
+    # The route that prints the pin: auto takes the recurrence for an Euler
+    # source above the oracle's trusted spin and the oracle elsewhere.
+    route = argv[argv.index("--route") + 1] if "--route" in argv else "auto"
+    if route != "auto":
+        return route
+    high = int(argv[argv.index("--l-x2") + 1]) > ORACLE_TRUSTED_L_X2
+    return "recurrence" if "--theta" in argv and high else "oracle"
 
 
 # The dmat pins of an Euler source on a route with a chart form.
@@ -231,7 +252,7 @@ def test_dmat_stdout_is_the_same_without_avx512():
 
 
 def test_chart_route_stdout_is_the_same_without_avx2():
-    assert len(CHART_PINS) == 6 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
+    assert len(CHART_PINS) == 11 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
     assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS)
 
 

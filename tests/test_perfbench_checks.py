@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from wignerkit.cli import main
+from wignerkit.wigner import ORACLE_TRUSTED_L_X2
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,3 +40,8 @@ def test_check_dmat_passes_real_output_and_fails_its_negation(checks):
     record = checks.check_dmat(argv, code, json.dumps(negated))
     assert not record["ok"]
     assert not record["expected"]
+
+
+def test_the_trusted_spin_is_the_benchmarks(checks):
+    # The benchmark keeps its own copy of the oracle's trusted spin; the two must not drift.
+    assert ORACLE_TRUSTED_L_X2 == checks.TRUSTED_MAX_L_X2 == 40

@@ -8,7 +8,8 @@ entry is within 1e-10 of the table, relative to the norm.  Each route is held
 only up to the spin where it is accurate today, or as far as its cost allows
 in a test: the oracle drifts above l_x2 40, and dmatrix_euler costs seconds
 above 120.  The Rodrigues and Krawtchouk chart forms cost about l^4; they
-are held to 40 and 80.  The element forms sum their series exactly and fold
+are held to 40 and 80.  The recurrence in the spin is held at every spin of
+the table, up to 400.  The element forms sum their series exactly and fold
 the quadrant onto every cell: the Jacobi form is held to 120 (its worst at
 400 was 1.2e-14), the 2F1 form to 80 (from 99 it refuses its factorial
 prefactor) and the symmetric 2F1 form to 120.
@@ -86,7 +87,10 @@ def test_dmatrix_euler_matches_the_table(name, l2):
 
 
 @pytest.mark.parametrize(
-    "route, l2", [("rodrigues", l2) for l2 in (6, 20, 40)] + [("krawtchouk", l2) for l2 in (6, 20, 40, 80)]
+    "route, l2",
+    [("rodrigues", l2) for l2 in (6, 20, 40)]
+    + [("krawtchouk", l2) for l2 in (6, 20, 40, 80)]
+    + [("recurrence", l2) for l2 in (6, 20, 40, 80, 120, 200, 400)],
 )
 def test_the_chart_forms_match_the_table(route, l2):
     # All three Euler elements in one stack.

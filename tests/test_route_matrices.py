@@ -60,6 +60,7 @@ from wignerkit.wigner import (
     hyp_symmetric_matrix,
     jacobi_matrix,
     krawtchouk_stack,
+    recurrence_stack,
     rodrigues_stack,
     sum_matrix,
     tmn_hyp,
@@ -601,6 +602,7 @@ def test_theta_stacks_of_no_angle_are_empty():
     assert rodrigues_stack(HalfInt(2), []).shape == (0, 3, 3)
     assert krawtchouk_stack(HalfInt(2), []).shape == (0, 3, 3)
     assert jacobi_stack(HalfInt(2), []).shape == (0, 3, 3)
+    assert recurrence_stack(HalfInt(2), []).shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("euler", EULER + [(1e-300, 0.5, 0.5), (math.pi / 2 - 1e-9, 6.2, 0.1)])

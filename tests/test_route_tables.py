@@ -17,6 +17,7 @@ from wignerkit.group import EulerAngles, Mat2C, from_euler
 from wignerkit.verify import sample_gl2, suite_routes
 from wignerkit.wigner import (
     ELEMENT_ROUTES,
+    ORACLE_TRUSTED_L_X2,
     ROTATION_ROUTES,
     RouteUnavailableError,
     WignerMatrix,
@@ -27,6 +28,7 @@ from wignerkit.wigner import (
     jacobi_matrix,
     krawtchouk_stack,
     oracle_matrix,
+    recurrence_stack,
     rodrigues_stack,
     sum_matrix,
     tmn_hyp,
@@ -86,7 +88,13 @@ DIRECT = {
     "jacobi": lambda l, A, angles: jacobi_matrix(l, A) if angles is None else dmatrix_euler(l, angles),
     "rodrigues": on_chart(rodrigues_stack),
     "krawtchouk": on_chart(krawtchouk_stack),
-    "auto": lambda l, A, angles: oracle_matrix(l, A),
+    "recurrence": on_chart(recurrence_stack),
+    # the recurrence for an Euler source above the oracle's trusted spin
+    "auto": lambda l, A, angles: (
+        oracle_matrix(l, A)
+        if angles is None or l.twice <= ORACLE_TRUSTED_L_X2
+        else on_chart(recurrence_stack)(l, A, angles)
+    ),
 }
 
 
@@ -98,7 +106,7 @@ def choices(command: str, option: str) -> tuple:
 
 def test_choices_are_the_table_keys_in_order():
     assert choices("dmat", "--route") == cli.ROUTES == (*{**ELEMENT_ROUTES, **ROTATION_ROUTES}, "auto")
-    assert cli.ROUTES == ("oracle", "sum", "jacobi", "rodrigues", "krawtchouk", "auto")
+    assert cli.ROUTES == ("oracle", "sum", "jacobi", "rodrigues", "krawtchouk", "recurrence", "auto")
     assert choices("poly", "--family") == tuple(cli._FAMILIES) == ("jacobi", "krawtchouk", "legendre")
 
 
@@ -108,7 +116,8 @@ def test_dmat_by_route_is_the_route_function(route):
     cases += [(EulerAngles(*angles), None) for angles in EULER]
     if route in (*ELEMENT_ROUTES, "auto"):
         cases += [(None, A) for A in ELEMENTS.values()]
-    for l_x2 in range(7):
+    # auto changes route above the oracle's trusted spin
+    for l_x2 in [*range(7), *([ORACLE_TRUSTED_L_X2, ORACLE_TRUSTED_L_X2 + 1] if route == "auto" else [])]:
         l = HalfInt(l_x2)
         for angles, A in cases:
             A = from_euler(angles) if A is None else A

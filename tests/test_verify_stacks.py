@@ -5,7 +5,8 @@ they replaced.
 The functions below are copies of earlier implementations: one built every
 oracle reference with its own oracle_matrix call and took each product and
 max-norm one matrix at a time; the next yielded one deviation per entry,
-value or integral from a generator, with Python's abs and max.  Each suite
+value or integral from a generator, with Python's abs and max.  Every
+magnitude in a copy, each max-norm included, is Python's abs.  Each suite
 must report the same deviations, in the same order, as the copy.
 """
 import math
@@ -19,7 +20,7 @@ from wignerkit.exactcomb import HalfInt, pochhammer, spins_up_to
 from wignerkit.group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
 from wignerkit.haar import gauss_legendre, pairwise_sum
 from wignerkit.specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_norm, krawtchouk
-from wignerkit.verify import max_norm, sample_gl2, sample_unimodular
+from wignerkit.verify import sample_gl2, sample_unimodular
 from wignerkit.wigner import (
     ROTATION_ROUTES,
     SYMMETRIES,
@@ -34,6 +35,10 @@ from wignerkit.wigner import (
 CASES = [(4, 0), (4, 1), (4, 2), (12, 5)]
 
 
+def old_max_norm(M):
+    return max(abs(z) for z in np.ravel(M).tolist())
+
+
 def old_product(X, Y):
     return (np.ascontiguousarray(X)[:, :, None] * np.ascontiguousarray(Y)[None, :, :]).sum(axis=1)
 
@@ -44,7 +49,7 @@ def old_unitarity(max_l, seed):
         eye = np.eye(l.twice + 1)
         for g in samples:
             T = oracle_matrix(l, g).entries
-            yield max_norm(old_product(T, T.conj().T) - eye)
+            yield old_max_norm(old_product(T, T.conj().T) - eye)
 
 
 def old_homomorphism(max_l, seed):
@@ -53,7 +58,7 @@ def old_homomorphism(max_l, seed):
     for l in spins_up_to(max_l):
         for A, B, AB in products:
             expected = old_product(oracle_matrix(l, A).entries, oracle_matrix(l, B).entries)
-            yield max_norm(oracle_matrix(l, AB).entries - expected) / max_norm(expected)
+            yield old_max_norm(oracle_matrix(l, AB).entries - expected) / old_max_norm(expected)
 
 
 def old_relative(lhs, rhs):
@@ -74,7 +79,7 @@ def old_index_symmetries(seed):
     samples = sample_haar(seed, 5) + sample_gl2(seed + 1, 5)
     for l2, A in product(range(1, 5), samples):
         l = HalfInt(l2)
-        scale = max_norm(oracle_matrix(l, A).entries)
+        scale = old_max_norm(oracle_matrix(l, A).entries)
         values = sum_matrix(l, A).entries.tolist()
         for index_map, element_map in SYMMETRIES.values():
             images = sum_matrix(l, element_map(A)).entries.tolist()
@@ -86,7 +91,7 @@ def old_index_symmetries(seed):
 def old_rotations():
     for l, theta in product(spins_up_to(HalfInt(6)), (math.pi / 6, math.pi / 3)):
         T = oracle_matrix(l, from_euler(EulerAngles(theta, 0.0, 0.0))).entries
-        yield max_norm(old_product(T, T.T) - np.eye(l.twice + 1))
+        yield old_max_norm(old_product(T, T.T) - np.eye(l.twice + 1))
 
 
 def old_routes(max_l, seed):
@@ -101,7 +106,7 @@ def old_routes(max_l, seed):
 
     def entrywise(matrices, references):
         for T, R in zip(matrices, references):
-            scale = max_norm(R)
+            scale = old_max_norm(R)
             yield from (abs(v - t) / scale for v, t in zip(T.ravel().tolist(), R.ravel().tolist()))
 
     def element_form(build):
@@ -227,7 +232,7 @@ def test_routes_references_are_the_per_element_ones(deviations, monkeypatch, l_x
     # max-norm built one element at a time.
     batched = deviations(verify.suite_routes, HalfInt(l_x2), seed)
     monkeypatch.setattr(verify, "oracle_stack", old_oracle_stack)
-    monkeypatch.setattr(verify, "_norms", lambda S: np.array([max_norm(T) for T in S]))
+    monkeypatch.setattr(verify, "_norms", lambda S: np.array([old_max_norm(T) for T in S]))
     per_element = deviations(verify.suite_routes, HalfInt(l_x2), seed)
     assert batched == per_element and sum(map(len, batched.values())) > 0
 

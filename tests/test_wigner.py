@@ -22,8 +22,11 @@ from wignerkit.wigner import (
     dmatrix_euler,
     jacobi_stack,
     fold_to_quadrant,
+    krawtchouk_stack,
     oracle_matrix,
     oracle_stack,
+    recurrence_stack,
+    ROTATION_ROUTES,
     tmn_hyp,
     tmn_hyp_symmetric,
     tmn_jacobi,
@@ -393,6 +396,36 @@ class TestJacobiStack:
             assert d.shape == (5, l_x2 + 1, l_x2 + 1) and d.flags.c_contiguous
             for theta, layer in zip(thetas, d):
                 assert layer.tobytes() == jacobi_stack(l, [theta])[0].tobytes()
+
+
+class TestRecurrenceStack:
+    THETAS = [0.05, 0.7, math.pi / 4, 1.2, 1.55]
+
+    def test_entries_are_the_jacobi_forms(self):
+        # Odd spins included; at theta = 0 against the Krawtchouk form.
+        for l_x2 in range(81):
+            l = HalfInt(l_x2)
+            assert np.max(np.abs(recurrence_stack(l, self.THETAS) - jacobi_stack(l, self.THETAS))) <= 1e-12, l_x2
+            assert np.max(np.abs(recurrence_stack(l, [0.0]) - krawtchouk_stack(l, [0.0]))) <= 1e-12, l_x2
+
+    @pytest.mark.parametrize("count", [2, 3, 5, 17])
+    def test_a_stack_is_its_angles_one_at_a_time(self, count):
+        thetas = np.linspace(0.0, math.pi / 2, count).tolist()
+        for l_x2 in (0, 1, 2, 7, 40, 81):
+            l = HalfInt(l_x2)
+            d = recurrence_stack(l, thetas)
+            assert d.shape == (count, l_x2 + 1, l_x2 + 1) and d.flags.c_contiguous
+            for theta, layer in zip(thetas, d):
+                assert layer.tobytes() == recurrence_stack(l, [theta])[0].tobytes(), (count, l_x2, theta)
+
+    @pytest.mark.parametrize("l_x2", [200, 201, 400])
+    def test_unitary_at_high_spin(self, l_x2):
+        # The oracle's residual at (0.7, 1.2, 0.3) and l_x2 200 is 4.4e25.  At
+        # the ends of the chart, where cos beta = -+1, the residual is largest.
+        l = HalfInt(l_x2)
+        angles = [EulerAngles(theta, 1.2, 0.3) for theta in (0.7, 0.0, 0.01, math.pi / 4, 1.565, math.pi / 2)]
+        residuals = [max_norm(T @ T.conj().T - np.eye(l_x2 + 1)) for T in ROTATION_ROUTES["recurrence"](l, angles)]
+        assert residuals[0] < 1e-13 and max(residuals) < 1e-12, residuals
 
 
 class TestTmnRodrigues:
