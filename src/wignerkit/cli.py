@@ -16,6 +16,11 @@ only the flags it reads: dmat exactly one source, --theta (with --phi and
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 numeric domain error (a ValueError or an ArithmeticError).
+
+There is one argument parser per process (PARSER), built from build_parser()
+when this module is imported, and main parses with it.  main is re-entrant:
+a process may call it any number of times, and each call prints what the
+same command prints as a fresh `python -m wignerkit`.
 """
 from __future__ import annotations
 
@@ -254,15 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one parser of the process, built at import: building it costs about as
+# much as a small dmat call, and parse_args keeps no state between calls.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     level = os.environ.get("WIGNER_KIT_LOG")
     if level:
         logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     handlers = {"dmat": cmd_dmat, "poly": cmd_poly, "verify": cmd_verify}
     try:
-        text, code = handlers[args.command](args, parser)
+        text, code = handlers[args.command](args, PARSER)
     except (ValueError, ArithmeticError) as exc:
         record = {
             "schema_version": SCHEMA_VERSION,

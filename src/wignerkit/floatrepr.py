@@ -45,10 +45,11 @@ _MARGIN = 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two halves
 
 
-def _pow10_table() -> np.ndarray:
-    """Rows (hi, lo, hi_head, hi_tail) for 10**q, q = _Q0.._Q1: hi is 10**q
-    rounded to a double (int / int rounds correctly), hi + lo is 10**q to
-    about 2**-105, and hi_head + hi_tail is hi split into two 26-bit halves."""
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """Columns (hi, lo, hi_head, hi_tail) for 10**q, q = _Q0.._Q1, each one
+    contiguous array: hi is 10**q rounded to a double (int / int rounds
+    correctly), hi + lo is 10**q to about 2**-105, and hi_head + hi_tail is
+    hi split into two 26-bit halves."""
     rows = []
     exact = 1
     for _ in range(_Q1 + 1):
@@ -61,10 +62,9 @@ def _pow10_table() -> np.ndarray:
         num, two_pow = hi.as_integer_ratio()
         rows.insert(0, (hi, (two_pow - num * den) / two_pow * hi))
         den *= 10
-    table = np.array(rows)
-    hi = table[:, 0]
+    hi, lo = np.array(rows).T.copy()
     head = hi * _SPLIT - (hi * _SPLIT - hi)
-    return np.column_stack([table, head, hi - head])
+    return hi, lo, head, hi - head
 
 
 _POW10 = _pow10_table()
@@ -126,7 +126,8 @@ _LAYOUT = np.frombuffer(
 def _scaled(ax: np.ndarray, k: np.ndarray):
     """Y, F and h with ax * 10**(16 - k) = Y + F (Y an integer, 0 <= F < 1,
     F to about 1e-14) and h half an ulp of ax on the same scale."""
-    hi, lo, head, tail = _POW10[16 - k - _Q0].T
+    at = 16 - k - _Q0
+    hi, lo, head, tail = (column.take(at) for column in _POW10)
     p = ax * hi
     split = ax * _SPLIT
     ax_head = split - (split - ax)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .exactcomb import HalfInt, factorial, is_valid_spin_pair, spin_range
 from .group import EulerAngles, Mat2C, diag_element, from_euler, multiply
@@ -102,7 +101,11 @@ class HaarGrid:
 @lru_cache(maxsize=256)
 def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] (numpy's leggauss), computed
-    once per node count; the arrays are read-only because they are shared."""
+    once per node count; the arrays are read-only because they are shared.
+    numpy.polynomial is imported here, not with the module, because `dmat`
+    and `poly` never need it and it costs milliseconds of every import."""
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(npts)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -116,7 +119,7 @@ def build_grid(max_l: HalfInt) -> HaarGrid:
     if max_l.twice < 0:
         raise ValueError(f"negative spin l={max_l}")
     n_theta, n_phi, n_psi = max_l.twice + 1, 2 * max_l.twice + 1, 2 * max_l.twice + 1
-    x, wx = leggauss(n_theta)
+    x, wx = gauss_legendre(n_theta)
     thetas_1d = np.array([0.5 * math.acos(v) for v in x])  # np.arccos's bits depend on the SIMD level
     phis_1d = 2 * math.pi * np.arange(n_phi) / n_phi
     psis_1d = 2 * math.pi * np.arange(n_psi) / n_psi

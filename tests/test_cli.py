@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerkit import cli
 from wignerkit.cli import MAX_DMAT_L_X2, _render_dmat, main
 from wignerkit.exactcomb import HalfInt
 from wignerkit.group import EulerAngles, from_euler
@@ -455,3 +456,85 @@ class TestDeterminism:
         first = _run_subprocess(args)
         second = _run_subprocess(args)
         assert first.stdout == second.stdout
+
+
+def _fresh(argv):
+    # (exit code, stdout) of argv as a fresh `python -m wignerkit`.
+    done = _run_subprocess(argv)
+    return done.returncode, done.stdout.decode()
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+EULER = ["dmat", "--l-x2", "5", "--theta", "0.7"]
+# Pairs of calls that one process makes in turn, with the first call's exit
+# code: a call that sets a flag, or fails, and then a call that leaves the
+# flag out, or succeeds.
+REENTRANT_PAIRS = {
+    "phases-then-none": (EULER + ["--phi", "1.1", "--psi", "0.2"], EULER, 0),
+    "both-sources-then-valid": (EULER + ["--matrix", "1,0,0,0,0,0,1,0"], EULER, 2),
+    "phases-with-matrix-then-valid": (
+        ["dmat", "--l-x2", "2", "--matrix", "1,0,0,0,0,0,1,0", "--phi", "1.0"],
+        ["dmat", "--l-x2", "2", "--matrix", "1,0,0,0,0,0,1,0"],
+        2,
+    ),
+    "poly-missing-flag-then-valid": (
+        ["poly", "--family", "jacobi", "--n", "3"],
+        ["poly", "--family", "jacobi", "--n", "3", "--alpha", "0.5", "--beta", "1.5", "--x", "0.25"],
+        2,
+    ),
+    "seed-then-default": (
+        ["verify", "--suite", "routes", "--max-l-x2", "1", "--seed", "5"],
+        ["verify", "--suite", "routes", "--max-l-x2", "1"],
+        0,
+    ),
+    "csv-then-json": (EULER + ["--format", "csv"], EULER, 0),
+}
+
+
+class TestReentrant:
+    """main parses with the one parser built at import, so no call may leave
+    state behind for the next: each call of a pair made in one process prints
+    what the same command prints as a fresh interpreter."""
+
+    @pytest.mark.parametrize("first, second, first_code", REENTRANT_PAIRS.values(), ids=REENTRANT_PAIRS)
+    def test_a_pair_of_calls_prints_what_fresh_processes_print(self, capsys, first, second, first_code):
+        results = [_in_process(capsys, argv) for argv in (first, second)]
+        assert results == [_fresh(first), _fresh(second)]
+        assert [code for code, _ in results] == [first_code, 0]
+
+    def test_main_does_not_build_a_parser(self, capsys, monkeypatch):
+        expected = _in_process(capsys, EULER)
+
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert _in_process(capsys, EULER) == expected
+        assert _in_process(capsys, EULER + ["--matrix", "1,0,0,0,0,0,1,0"])[0] == 2
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # haar imports leggauss only inside gauss_legendre, which dmat and poly
+    # never call.  numpy 1.x imports numpy.polynomial with numpy itself, so
+    # the test compares against a bare `import numpy`.
+    script = (
+        "import json, sys, numpy\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))\n"
+        "bare = loaded()\n"
+        "import wignerkit.cli\n"
+        "print(json.dumps([bare, loaded()]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True)
+    bare, with_cli = json.loads(done.stdout)
+    assert with_cli == bare
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert with_cli == []
