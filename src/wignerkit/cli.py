@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 
 import numpy as np
@@ -38,8 +36,6 @@ from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
 from .wigner import ELEMENT_ROUTES, ORACLE_TRUSTED_L_X2, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
-
-log = logging.getLogger("wignerkit")
 
 SCHEMA_VERSION = "9"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
@@ -145,7 +141,7 @@ def _route_for(route: str, l: HalfInt, angles: EulerAngles | None) -> str:
 
 
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> WignerMatrix:
-    route = _route_for(route, l, angles)
+    # The matrix by a route that _route_for named.
     if angles is not None and route in ROTATION_ROUTES:
         return WignerMatrix(l, ROTATION_ROUTES[route](l, [angles])[0])
     return ELEMENT_ROUTES[route](l, A)
@@ -171,10 +167,9 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
     warnings = []
     route_used = _route_for(args.route, l, angles)
     try:
-        M = _dmat_by_route(l, A, angles, args.route)
+        M = _dmat_by_route(l, A, angles, route_used)
     except RouteUnavailableError as exc:
         warnings.append(f"route {args.route} unavailable ({exc}); fell back to {_FALLBACK}")
-        log.info("route fallback: %s", exc)
         route_used = _FALLBACK
         M = ELEMENT_ROUTES[_FALLBACK](l, A)
     record = {
@@ -265,9 +260,6 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("WIGNER_KIT_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
     args = PARSER.parse_args(argv)
     handlers = {"dmat": cmd_dmat, "poly": cmd_poly, "verify": cmd_verify}
     try:

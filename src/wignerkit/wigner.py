@@ -298,7 +298,8 @@ _JACOBI_SERIES = "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - a
 # what quadrant entry (i, j) shares with its images, its exact series among
 # it; entry(l2, i, j, powers, shared) is the entry of the element whose powers
 # are given.  The images of A under SYMMETRIES have A's bc and ad bit for bit
-# (the same products with the factors swapped), so they share its arguments.
+# (the same products with the factors swapped), so they share its arguments,
+# and _element_matrix computes shared once for a quadrant entry's _IMAGES.
 
 
 def _hyp_tables(A: Mat2C, l2: int) -> tuple:
@@ -378,14 +379,20 @@ _JACOBI = (_jacobi_tables, _jacobi_shared, _jacobi_entry)
 
 def _element_matrix(l: HalfInt, A: Mat2C, form) -> WignerMatrix:
     # The whole matrix by an element form: each quadrant entry's shared part
-    # once, and every entry folded onto the quadrant by _fold.
+    # once, then its entry at each distinct place of its _IMAGES, by the last image there.
     tables, shared, entry = form
     dim, l2 = _dim(l), l.twice
     powers, common = tables(A, l2)
-    images = {which: [powers[k] for k in order] for which, order in _IMAGE_ENTRIES.items()}
-    quadrant = {(i, j): shared(l2, i, j, common) for i in range(dim) for j in range(max(0, l2 - i), i + 1)}
-    values = [entry(l2, i, j, images[which], quadrant[i, j]) for which, i, j in _folds(l2)]
-    return WignerMatrix(l, np.reshape(values, (dim, dim)))
+    images = [(index_map, [powers[k] for k in order]) for index_map, order, _ in _IMAGES.values()]
+    out = np.empty((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(max(0, l2 - i), i + 1):
+            quadrant, places = shared(l2, i, j, common), {}
+            for index_map, image in images:
+                places[index_map(l2, i, j)] = image
+            for place, image in places.items():
+                out[place] = entry(l2, i, j, image, quadrant)
+    return WignerMatrix(l, out)
 
 
 def _element_entry(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C, form) -> complex:
@@ -393,7 +400,7 @@ def _element_entry(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C, form) -> comple
     tables, shared, entry = form
     which, i, j = _fold(l.twice, _index(l, m), _index(l, n))
     powers, common = tables(A, l.twice)
-    image = [powers[k] for k in _IMAGE_ENTRIES[which]]
+    image = [powers[k] for k in _IMAGES[which][1]]
     return _finite(entry(l.twice, i, j, image, shared(l.twice, i, j, common)))
 
 
@@ -446,41 +453,52 @@ def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
 
 
 # The index symmetries t^l_{m,n}(A) = t^l_{m',n'}(A'), each as its map on the
-# indices (i, j) of spin l2 and its map on A: transpose-bc swaps the indices
-# and the off-diagonal entries; flip-signs negates both indices and reverses
-# the matrix across its anti-diagonal; anti-transpose is their composition.
+# indices (i, j) of spin l2 (ints or arrays) and its map on A: transpose-bc
+# swaps the indices and the off-diagonal entries; flip-signs negates both
+# indices and reverses the matrix across its anti-diagonal; anti-transpose is
+# their composition.  Every closed form but the finite sum computes the
+# quadrant m + n >= 0, m - n >= 0 and fills the rest in the order of _IMAGES.
 SYMMETRIES = {
     "transpose-bc": (lambda l2, i, j: (j, i), lambda A: Mat2C(A.a, A.c, A.b, A.d)),
     "flip-signs": (lambda l2, i, j: (l2 - i, l2 - j), lambda A: Mat2C(A.d, A.c, A.b, A.a)),
     "anti-transpose": (lambda l2, i, j: (l2 - j, l2 - i), lambda A: Mat2C(A.d, A.b, A.c, A.a)),
 }
-# Where the entries (a', b', c', d') of each image of A sit in (a, b, c, d), and
-# so in its powers table (None: A itself).
-_IMAGE_ENTRIES = {
-    None: (0, 1, 2, 3),
-    **{which: astuple(element_map(Mat2C(0, 1, 2, 3))) for which, (_, element_map) in SYMMETRIES.items()},
+# The images of a quadrant entry (i, j) in the order every builder writes them;
+# an entry reached twice, on a diagonal, keeps the last, which _fold picks.  Each
+# is (its index map, its own inverse; where its element's entries sit in (a, b,
+# c, d); whether d(theta) has the sign (-1)^(i - j) there: transpose-bc and
+# flip-signs map R(theta) to its image at psi = pi).  None is (i, j) and A.
+_IMAGES = {
+    which: (index_map, astuple(element_map(Mat2C(0, 1, 2, 3))), which in ("transpose-bc", "flip-signs"))
+    for which, (index_map, element_map) in (
+        ("flip-signs", SYMMETRIES["flip-signs"]),
+        ("anti-transpose", SYMMETRIES["anti-transpose"]),
+        ("transpose-bc", SYMMETRIES["transpose-bc"]),
+        (None, (lambda l2, i, j: (i, j), lambda A: A)),
+    )
 }
 
 
 def _fold(l2: int, i: int, j: int) -> tuple:
-    # (symmetry, i', j'): the symmetry that folds entry (i, j) of spin l2 onto the
-    # quadrant m + n >= 0, m - n >= 0 and the entry it lands on; None inside it.
-    which = (None, "transpose-bc") if i + j >= l2 else ("anti-transpose", "flip-signs")
-    which = which[i < j]
-    return (which, i, j) if which is None else (which, *SYMMETRIES[which][0](l2, i, j))
+    # (image, i', j'): the image of _IMAGES written last at entry (i, j) of spin
+    # l2, and the quadrant entry it is the image of (None inside the quadrant).
+    for which in reversed(_IMAGES):
+        i2, j2 = _IMAGES[which][0](l2, i, j)
+        if i2 + j2 >= l2 and i2 >= j2:
+            return which, i2, j2
 
 
-@lru_cache(maxsize=32)  # a layout holds about 100 (l2 + 1)^2 bytes, 16 MB at l2 = 400
-def _folds(l2: int) -> tuple:
-    # _fold of every entry of spin l2 in row-major order, shared by every builder.
-    return tuple(_fold(l2, i, j) for i in range(l2 + 1) for j in range(l2 + 1))
-
-
-def _chart_sign(which: str | None, i: int, j: int) -> float:
-    # An entry of d(theta) over its folded entry (i, j): transpose-bc and
-    # flip-signs map R(theta) to its image at psi = pi, whose entry (i, j) has
-    # the sign (-1)^(i - j); anti-transpose fixes R(theta).
-    return -1.0 if which in ("transpose-bc", "flip-signs") and (i - j) % 2 else 1.0
+def _unfold(l2: int, i, j, values) -> np.ndarray:
+    # d(theta) at N thetas, shape (N, l2 + 1, l2 + 1), from its quadrant lanes:
+    # entry (i[k], j[k]) is values[k], shape (N,).  Each image of _IMAGES is one
+    # flat-index scatter of every lane, in order.
+    dim = l2 + 1
+    signed = values * np.where((i - j) % 2, -1.0, 1.0)[:, None]
+    out = np.empty((dim * dim, values.shape[1]))
+    for index_map, _, flips in _IMAGES.values():
+        rows, cols = index_map(l2, i, j)
+        out[rows * dim + cols] = signed if flips else values
+    return np.ascontiguousarray(out.T).reshape(-1, dim, dim)
 
 
 def _chart(theta: float) -> tuple:
@@ -503,25 +521,21 @@ _CHART_OVERFLOW = "a float on the way to a chart form's entry"
 def _chart_stack(l: HalfInt, charts, entries) -> np.ndarray:
     # d(theta) at each of the charts (listed after the spin is checked), shape
     # (len(charts), 2l+1, 2l+1).  entries(l2, j, rows, charts) lists entry (i, j)
-    # per chart for each i of rows; it computes each column's quadrant rows, and
-    # every other entry is its folded entry times its sign.
+    # per chart for each i of rows; it computes each column's quadrant rows,
+    # and _unfold writes their images.
     dim, l2 = _dim(l), l.twice
     charts = list(charts)
-    quadrant = np.zeros((dim, dim, len(charts)))
-    for j in range(dim):
-        rows = range(max(j, l2 - j), dim)
-        quadrant[rows.start :, j] = _refusing_overflow(_CHART_OVERFLOW, entries, l2, j, rows, charts)
-    folds = _folds(l2)
-    _, rows, cols = zip(*folds)
-    values = quadrant[rows, cols] * np.array([[_chart_sign(*fold)] for fold in folds])
-    return np.ascontiguousarray(values.reshape(dim, dim, len(charts)).transpose(2, 0, 1))
+    columns = [range(max(j, l2 - j), dim) for j in range(dim)]
+    values = [_refusing_overflow(_CHART_OVERFLOW, entries, l2, j, rows, charts) for j, rows in enumerate(columns)]
+    i, j = np.concatenate(columns), np.repeat(np.arange(dim), [len(rows) for rows in columns])
+    return _unfold(l2, i, j, np.concatenate(values))
 
 
 def _chart_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, chart, entries) -> float:
     # Entry (m, n) of _chart_stack(l, [chart(theta)], entries), bit for bit.
     which, i, j = _fold(l.twice, _index(l, m), _index(l, n))
     column = _refusing_overflow(_CHART_OVERFLOW, entries, l.twice, j, [i], [chart(theta)])
-    return _chart_sign(which, i, j) * column[0][0]
+    return (-1.0 if _IMAGES[which][2] and (i - j) % 2 else 1.0) * column[0][0]
 
 
 def _jacobi_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
@@ -674,10 +688,10 @@ def recurrence_stack(l: HalfInt, thetas) -> np.ndarray:
     products of the sine and the cosine) and steps by
         e^{J+1} = (cos beta - M M'/(J(J+1)))/2 e^J - (J^2 - M^2)(J^2 - M'^2)/(4J^2 (4J^2 - 1)) e^{J-1},
     with no root or division per step; at the end d^l = sqrt(C(2l, l-M)
-    C(2l, l-M')) e^l.  Every other entry is a wedge entry by d_{M'M} =
-    (-1)^(M-M') d_{MM'} = d_{-M,-M'}.  Each step is +, -, and x on real
-    arrays, elementwise in theta, so a stack's matrices are the single-theta
-    results bit for bit at every numpy SIMD level.
+    C(2l, l-M')) e^l.  The wedge is the quadrant, and _unfold fills every other
+    entry by d_{M'M} = (-1)^(M-M') d_{MM'} = d_{-M,-M'}.  Each step is +, -, and
+    x on real arrays, elementwise in theta, so a stack's matrices are the
+    single-theta results bit for bit at every numpy SIMD level.
     """
     dim, l2 = _dim(l), l.twice
     charts = [_chart(theta) for theta in thetas]
@@ -708,16 +722,10 @@ def recurrence_stack(l: HalfInt, thetas) -> np.ndarray:
         p *= c[:, None]
         np.subtract(t, p, out=p)
         prev, cur = cur, prev
-    # Lane (M, M') is entry (i, j) = (l + M, l + M'); the three images fill the rest.
+    # Lane (M, M') is entry (i, j) = (l + M, l + M') of the quadrant.
     i, j = (l2 + m2) // 2, (l2 + n2) // 2
     roots = np.sqrt(np.array(_binom_power_coeffs(+1, l2), dtype=float))  # sqrt(C(2l, i)) from exact binomials
-    values = cur * (roots[i] * roots[j])[:, None]
-    signed = values * np.where((i - j) % 2, -1.0, 1.0)[:, None]
-    out = np.empty((dim * dim, n))
-    at, mirrored = i * dim + j, j * dim + i  # flat places of (i, j) and (j, i)
-    out[at] = out[dim * dim - 1 - mirrored] = values  # and (l2 - j, l2 - i)
-    out[mirrored] = out[dim * dim - 1 - at] = signed  # and (l2 - i, l2 - j)
-    return np.ascontiguousarray(out.T).reshape(n, dim, dim)
+    return _unfold(l2, i, j, cur * (roots[i] * roots[j])[:, None])
 
 
 # The routes that build a whole matrix of any element, called as (l, A); the

@@ -74,6 +74,16 @@ class TestDmat:
         assert rec["result"]["route_used"] == "oracle"
         assert any("jacobi" in w for w in rec["warnings"])
 
+    def test_fallback_prints_the_oracle_matrix_and_its_reason(self, capsys):
+        # bc = ad = 1: the Jacobi route refuses, and dmat prints the oracle's matrix
+        source = ["dmat", "--l-x2", "3", "--matrix", "1,0,1,0,1,0,1,0"]
+        code, rec = run_json(capsys, *source, "--route", "jacobi")
+        _, oracle = run_json(capsys, *source, "--route", "oracle")
+        assert code == 0
+        assert rec["warnings"] == ["route jacobi unavailable (Jacobi route needs bc != ad); fell back to oracle"]
+        assert rec["result"] == oracle["result"]
+        assert rec["result"]["route_used"] == "oracle"
+
     def test_rodrigues_route_euler_source(self, capsys):
         code, rec = run_json(
             capsys, "dmat", "--l-x2", "3", "--theta", "0.8", "--route", "rodrigues"

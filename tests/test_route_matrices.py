@@ -49,6 +49,7 @@ from wignerkit.wigner import (
     RouteUnavailableError,
     _chart,
     _factorial_ratio_sqrt,
+    _fold,
     _hyp_tables,
     _jacobi_tables,
     WignerMatrix,
@@ -535,6 +536,21 @@ def test_jacobi_matrix_is_the_folded_per_entry_form_up_to_l_x2_21(name):
                 assert matrix.entries.tobytes() == np.array(per_entry, dtype=complex).tobytes(), (route, l_x2)
 
 
+# An element of GL(2, C) off the chart (|a| != |d|), at which all three
+# element forms return up to l_x2 60.
+OFF_CHART = Mat2C(0.8 + 0.3j, 0.5 - 0.2j, -0.4 + 0.1j, 0.9 - 0.6j)
+
+
+@pytest.mark.parametrize("l_x2", [41, 60])
+def test_element_matrices_are_their_per_entry_forms_above_l_x2_40(l_x2):
+    l = HalfInt(l_x2)
+    spins = spin_range(l)
+    for route in ("tmn_hyp", "tmn_hyp_symmetric", "tmn_jacobi"):
+        matrix = MATRICES[route](l, OFF_CHART)
+        per_entry = [repr(ELEMENT_ROUTES[route][0](l, m, n, OFF_CHART)) for m in spins for n in spins]
+        assert [repr(complex(v)) for v in matrix.entries.ravel()] == per_entry, (route, l_x2)
+
+
 def test_theta_stacks_bit_identical():
     for l_x2 in SPINS:
         l = HalfInt(l_x2)
@@ -596,6 +612,34 @@ def test_chart_stacks_fold_the_quadrant(l_x2):
         assert got.tobytes() == np.array(folded).tobytes()
         entries = [[per_entry(l, m, n, FOLD_THETAS[k]) for n in spins] for m in spins]
         assert got[k].tobytes() == np.array(entries).tobytes()
+
+
+def unfolded_by_the_fold(stack):
+    # The stack rebuilt from its quadrant by _fold: each entry is the quadrant
+    # entry (i', j') that it folds onto, times (-1)^(i' - j') where the fold is
+    # transpose-bc or flip-signs (d(theta)'s sign there).
+    l2 = stack.shape[1] - 1
+    want = np.empty_like(stack)
+    for i in range(l2 + 1):
+        for j in range(l2 + 1):
+            which, i2, j2 = _fold(l2, i, j)
+            assert i2 + j2 >= l2 and i2 >= j2
+            sign = -1.0 if which in ("transpose-bc", "flip-signs") and (i2 - j2) % 2 else 1.0
+            want[:, i, j] = sign * stack[:, i2, j2]
+    return want
+
+
+@pytest.mark.parametrize("l_x2", [*range(61), 199, 200, 201])
+def test_recurrence_stack_unfolds_by_the_fold(l_x2):
+    got = recurrence_stack(HalfInt(l_x2), FOLD_THETAS)
+    assert got.tobytes() == unfolded_by_the_fold(got).tobytes()
+
+
+@pytest.mark.parametrize("l_x2", range(41, 61))
+def test_chart_stacks_unfold_by_the_fold_above_l_x2_40(l_x2):
+    for stack in (jacobi_stack, rodrigues_stack, krawtchouk_stack):
+        got = stack(HalfInt(l_x2), [0.7])
+        assert got.tobytes() == unfolded_by_the_fold(got).tobytes(), stack.__name__
 
 
 def test_theta_stacks_of_no_angle_are_empty():

@@ -121,7 +121,9 @@ def test_dmat_by_route_is_the_route_function(route):
         l = HalfInt(l_x2)
         for angles, A in cases:
             A = from_euler(angles) if A is None else A
-            assert outcome(cli._dmat_by_route, l, A, angles, route) == outcome(DIRECT[route], l, A, angles), (
+            # dmat resolves its route once (_route_for) and builds by the result
+            served = cli._route_for(route, l, angles)
+            assert outcome(cli._dmat_by_route, l, A, angles, served) == outcome(DIRECT[route], l, A, angles), (
                 route, l_x2, A)
 
 
