@@ -13,7 +13,7 @@ from wignerkit import (
     HalfInt,
     build_grid,
     character_norm,
-    integrate,
+    pairwise_sum,
     sample_haar,
     schur_check,
     spins_up_to,
@@ -26,7 +26,7 @@ print(
     f"({grid.node_count} total), weights sum to 1 within "
     f"{abs(grid.weights.sum() - 1):.1e}"
 )
-print(f"normalization check, integral of 1: {integrate(grid, lambda g: 1.0).real!r}\n")
+print(f"normalization check, integral of 1: {float(pairwise_sum(grid.weights))!r}\n")
 
 print("Schur orthogonality: worst deviation from delta/(2l+1) per spin pair")
 spins = spins_up_to(HalfInt(3))

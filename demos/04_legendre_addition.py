@@ -32,6 +32,6 @@ for l in range(7):
 
 print("\nproduct formula: P_l(cos t1) P_l(cos t2) as a phase average")
 for l in range(7):
-    dev = legendre_product_check(l, t1, t2, 2 * l + 1)
+    dev = legendre_product_check(l, t1, t2)
     lhs = legendre(l, math.cos(t1)) * legendre(l, math.cos(t2))
     print(f"  l={l}: product = {lhs: .10f}, quadrature deviation = {dev:.2e}")

@@ -207,7 +207,9 @@ def cmd_poly(args, parser) -> tuple[str, int]:
 
 def cmd_verify(args, parser) -> tuple[str, int]:
     if args.max_l_x2 < 0 or args.max_l_x2 > MAX_VERIFY_L_X2:
-        parser.error(f"--max-l-x2 must lie in [0, {MAX_VERIFY_L_X2}]")
+        parser.error(f"--max-l-x2 must lie in [0, {MAX_VERIFY_L_X2}], got {args.max_l_x2}")
+    if args.seed < 0:
+        parser.error(f"--seed must be at least 0, got {args.seed}")
     report = run_suite(args.suite, HalfInt(args.max_l_x2), args.seed)
     record = {
         "schema_version": SCHEMA_VERSION,

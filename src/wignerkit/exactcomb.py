@@ -1,9 +1,9 @@
 """Exact integer and half-integer combinatorics.
 
 Spin labels are stored as twice their value, so l = 3/2 is the integer 3 and
-all label arithmetic stays exact.  Factorials, binomials and Pochhammer
-symbols are kept in arbitrary-precision integers/rationals; square roots and
-other float conversions happen only at the outermost step.
+all label arithmetic stays exact.  Factorials and binomials are exact
+integers and the rising factorial (pochhammer) an exact rational; square
+roots and other float conversions happen only at the outermost step.
 """
 from __future__ import annotations
 
@@ -99,11 +99,9 @@ def binomial(n: int, k: int) -> int:
 
 
 def pochhammer(a, k: int) -> Fraction:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1) as an exact rational."""
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1) as an exact rational: with
+    a = p/q (any value Fraction takes), the integer product of p + i q over q^k."""
     if k < 0:
         raise ValueError(f"pochhammer with negative length {k}")
-    out = Fraction(1)
-    base = Fraction(a)
-    for i in range(k):
-        out *= base + i
-    return out
+    p, q = Fraction(a).as_integer_ratio()
+    return Fraction(math.prod(p + i * q for i in range(k)), q**k)

@@ -40,12 +40,12 @@ class Mat2C:
     def is_invertible(self) -> bool:
         return abs(self.det()) > 0
 
-    def is_su2(self, tol: float = SU2_TOL) -> bool:
-        """Check the unitary-determinant-one shape [[a, -conj(c)], [c, conj(a)]]."""
+    def is_su2(self) -> bool:
+        """Check the unitary-determinant-one shape [[a, -conj(c)], [c, conj(a)]], within SU2_TOL."""
         return (
-            abs(abs(self.a) ** 2 + abs(self.c) ** 2 - 1) <= tol
-            and abs(self.b + self.c.conjugate()) <= tol
-            and abs(self.d - self.a.conjugate()) <= tol
+            abs(abs(self.a) ** 2 + abs(self.c) ** 2 - 1) <= SU2_TOL
+            and abs(self.b + self.c.conjugate()) <= SU2_TOL
+            and abs(self.d - self.a.conjugate()) <= SU2_TOL
         )
 
     def as_array(self) -> np.ndarray:

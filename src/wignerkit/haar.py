@@ -13,7 +13,8 @@ The representation matrices at all nodes of a grid are the oracle's
 (wigner.oracle_stack) in its two steps: one power table of the node elements
 per grid, up to the grid's exactness budget, then one batched polynomial
 expansion per spin from that table's first 2l+1 powers.
-Reductions over nodes use a fixed pairwise tree; the Schur check first
+An integral over a grid is pairwise_sum, a fixed pairwise tree, of weighted
+node values taken from those stacks; the Schur check first
 contracts each theta slice of the grid with one matrix product and then
 sums the per-theta slices pairwise.
 """
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exactcomb import HalfInt, factorial, is_valid_spin_pair, spin_range
-from .group import EulerAngles, Mat2C, diag_element, from_euler, multiply
+from .group import Mat2C, diag_element, multiply
 from .specfun import JacobiParams, jacobi_eval, legendre
 from .wigner import _oracle_expand, _oracle_powers, oracle_stack
 
@@ -35,7 +36,6 @@ __all__ = [
     "gauss_legendre",
     "pairwise_sum",
     "build_grid",
-    "integrate",
     "DeviationReport",
     "schur_check",
     "character_norm",
@@ -66,11 +66,6 @@ class HaarGrid:
     @property
     def node_count(self) -> int:
         return len(self.weights)
-
-    def element(self, index: int) -> Mat2C:
-        return from_euler(
-            EulerAngles(float(self.thetas[index]), float(self.phis[index]), float(self.psis[index]))
-        )
 
     def matrices(self, l: HalfInt) -> np.ndarray:
         """Representation matrices at every node, shape (nodes, 2l+1, 2l+1).
@@ -142,19 +137,6 @@ def pairwise_sum(values):
         else:
             arr = half
     return arr[0]
-
-
-def integrate(grid: HaarGrid, f) -> complex:
-    """Weighted sum of f over the grid, reduced in a fixed pairwise order."""
-    values = np.empty(grid.node_count, dtype=complex)
-    for i in range(grid.node_count):
-        values[i] = complex(f(grid.element(i)))
-        if not (math.isfinite(values[i].real) and math.isfinite(values[i].imag)):
-            raise ValueError(
-                f"integrand not finite at node {i} "
-                f"(theta={grid.thetas[i]}, phi={grid.phis[i]}, psi={grid.psis[i]})"
-            )
-    return complex(pairwise_sum(grid.weights * values))
 
 
 @dataclass(frozen=True)
@@ -243,15 +225,14 @@ def jacobi_orthogonality_check(l: HalfInt, l_prime: HalfInt, m: HalfInt, n: Half
     return pref * integral - expected
 
 
-def legendre_product_check(l: int, theta1: float, theta2: float, n_phi: int) -> float:
+def legendre_product_check(l: int, theta1: float, theta2: float) -> float:
     """Deviation of the phase-averaged composite Legendre value from the product.
 
     Compares P_l(cos t1) P_l(cos t2) with the uniform-quadrature average of
-    P_l(cos t1 cos t2 + sin t1 sin t2 cos phi); the integrand is a
-    trigonometric polynomial of degree l, so n_phi >= 2l + 1 is exact.
+    P_l(cos t1 cos t2 + sin t1 sin t2 cos phi) over 2l + 1 phases; the
+    integrand is a trigonometric polynomial of degree l, so that is exact.
     """
-    if n_phi < 2 * l + 1:
-        raise ValueError(f"need n_phi >= 2l+1 = {2 * l + 1}, got {n_phi}")
+    n_phi = 2 * l + 1
     phis = 2 * math.pi * np.arange(n_phi) / n_phi
     args = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(theta2) * np.cos(phis)
     values = legendre(l, args)

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .exactcomb import HalfInt, spin_range, spins_up_to
+from .exactcomb import HalfInt, pochhammer, spin_range, spins_up_to
 from .group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
 from .haar import (
     HaarGrid,
@@ -129,12 +129,6 @@ def _relative(lhs, rhs) -> np.ndarray:
     # |lhs - rhs| relative to |lhs|, and absolute where |lhs| < 1, per element.
     lhs = np.asarray(lhs)
     return _magnitudes(lhs - np.asarray(rhs)) / np.maximum(1.0, _magnitudes(lhs))
-
-
-def _rising(a: float, k: int) -> tuple[int, int]:
-    # The rising factorial (a)_k = a (a+1) ... (a+k-1) as an exact (numerator, denominator).
-    p, q = a.as_integer_ratio()
-    return math.prod(p + i * q for i in range(k)), q**k
 
 
 def suite_routes(max_l: HalfInt, seed: int) -> dict:
@@ -269,7 +263,7 @@ def suite_legendre(seed: int) -> dict:
     rng = np.random.default_rng(seed + 1)
     angles = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
     addition = [addition_formula_check(l, t1, t2, phi) for t1, t2, phi in angles for l in range(7)]
-    products = [abs(legendre_product_check(l, t1, t2, 2 * l + 1)) for t1, t2, _ in angles for l in range(7)]
+    products = [abs(legendre_product_check(l, t1, t2)) for t1, t2, _ in angles for l in range(7)]
     return {
         "suite": "legendre",
         "checks": [
@@ -322,15 +316,13 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
         [(1 - z) ** n * hyp2f1(-n, c - b, c, z / (z - 1)) for n, b, c, z in cases],
     )
 
-    # The prefactors are ratios of rising factorials, each one int / int division, used at both x.
+    # The prefactors are exact ratios of rising factorials, each rounded once, used at both x.
     def flip_one(n, b, c):
-        (top, top_den), (bottom, bottom_den) = _rising(c - b, n), _rising(c, n)
-        pref = top * bottom_den / (top_den * bottom)
+        pref = float(pochhammer(c - b, n) / pochhammer(c, n))
         return [(hyp2f1(-n, b, c, x), pref * hyp2f1(-n, b, b - c - n + 1, 1 - x)) for x in (0.2, 0.8)]
 
     def flip_two(n, m, c):
-        (top, top_den), (left, left_den), (right, right_den) = _rising(c, m + n), _rising(c, n), _rising(c, m)
-        pref = top * left_den * right_den / (top_den * left * right)
+        pref = float(pochhammer(c, m + n) / (pochhammer(c, n) * pochhammer(c, m)))
         return [(hyp2f1(-n, -m, c, x), pref * hyp2f1(-n, -m, -c - n - m + 1, 1 - x)) for x in (0.2, 0.8)]
 
     one = [pair for n, b, c in product(range(7), (0.5, 2.0), (1.5, 4.0)) for pair in flip_one(n, b, c)]

@@ -15,6 +15,7 @@ from wignerkit import cli
 from wignerkit.cli import MAX_DMAT_L_X2, _render_dmat, main
 from wignerkit.exactcomb import HalfInt
 from wignerkit.group import EulerAngles, from_euler
+from wignerkit.verify import SUITE_NAMES
 from wignerkit.wigner import ORACLE_TRUSTED_L_X2, WignerMatrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -414,6 +415,15 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "schur", "--max-l-x2", "13"])
         assert err.value.code == 2
+        assert "--max-l-x2 must lie in [0, 12], got 13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_negative_seed_is_usage_error(self, capsys, suite):
+        # Refused before any suite runs, also by the suites that take no seed.
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", suite, "--max-l-x2", "0", "--seed", "-1"])
+        assert err.value.code == 2
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:

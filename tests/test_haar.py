@@ -11,13 +11,12 @@ from wignerkit.haar import (
     addition_formula_check,
     build_grid,
     character_norm,
-    integrate,
     jacobi_orthogonality_check,
     legendre_product_check,
     pairwise_sum,
     schur_check,
 )
-from wignerkit.wigner import oracle_matrix, tmn_sum
+from wignerkit.wigner import tmn_sum
 
 HALF = HalfInt(1)
 
@@ -63,28 +62,6 @@ class TestPairwiseSum:
     def test_axis0_on_matrices(self):
         values = np.arange(12.0).reshape(4, 3)
         assert np.allclose(pairwise_sum(values), values.sum(axis=0))
-
-
-class TestIntegrate:
-    def test_normalization(self):
-        grid = build_grid(HalfInt(0))
-        assert abs(integrate(grid, lambda g: 1.0) - 1.0) <= 1e-13
-
-    def test_single_element_integrates_to_zero(self):
-        # orthogonality against the trivial representation
-        grid = build_grid(HALF)
-        value = integrate(grid, lambda g: oracle_matrix(HALF, g).entry(HALF, HALF))
-        assert abs(value) <= 1e-15
-
-    def test_squared_element_is_inverse_dimension(self):
-        grid = build_grid(HALF)
-        value = integrate(grid, lambda g: abs(oracle_matrix(HALF, g).entry(HALF, HALF)) ** 2)
-        assert value.real == pytest.approx(0.5, abs=1e-13)
-
-    def test_nonfinite_integrand_reports_node(self):
-        grid = build_grid(HalfInt(0))
-        with pytest.raises(ValueError, match="node 0"):
-            integrate(grid, lambda g: float("nan"))
 
 
 class TestSchur:
@@ -203,18 +180,14 @@ class TestJacobiOrthogonality:
 
 class TestLegendreFormulas:
     def test_product_degree_zero(self):
-        assert abs(legendre_product_check(0, 0.4, 1.0, 1)) <= 1e-15
+        assert abs(legendre_product_check(0, 0.4, 1.0)) <= 1e-15
 
     def test_product_degree_one(self):
         # the cos(phi) cross term averages to zero, leaving cos(t1) cos(t2)
-        assert abs(legendre_product_check(1, 0.4, 1.0, 3)) <= 1e-15
+        assert abs(legendre_product_check(1, 0.4, 1.0)) <= 1e-15
 
     def test_product_degree_three(self):
-        assert abs(legendre_product_check(3, 0.7, 1.1, 7)) <= 1e-10
-
-    def test_product_node_guard(self):
-        with pytest.raises(ValueError):
-            legendre_product_check(3, 0.7, 1.1, 6)
+        assert abs(legendre_product_check(3, 0.7, 1.1)) <= 1e-10
 
     def test_addition_collapses_without_phi_dependence(self):
         # theta2 = 0 removes the phi dependence: both sides P_l(cos theta1)

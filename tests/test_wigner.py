@@ -153,7 +153,9 @@ class TestOracleStack:
         # the grid builds its node entries from the angle arrays, not from
         # from_euler, so this also ties those formulas to the chart
         grid = build_grid(HalfInt(6))
-        elements = [grid.element(i) for i in range(grid.node_count)]
+        elements = [
+            from_euler(EulerAngles(float(t), float(p), float(q))) for t, p, q in zip(grid.thetas, grid.phis, grid.psis)
+        ]
         for l in SPINS:
             stack = grid.matrices(l)
             assert stack.shape == (grid.node_count, l.twice + 1, l.twice + 1)
