@@ -20,7 +20,7 @@ from wignerkit import (
     tmn_sum,
 )
 
-grid = build_grid(HalfInt(3))  # exact through spin 3/2
+grid = build_grid(HalfInt(3))  # exact through spin 3/2: 2 x 7 x 7 nodes
 print(
     f"grid: {grid.n_theta} x {grid.n_phi} x {grid.n_psi} nodes "
     f"({grid.node_count} total), weights sum to 1 within "

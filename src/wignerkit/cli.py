@@ -1,26 +1,30 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "9"; strict JSON (a non-finite deviation is
+Output contract: schema_version "10"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
 across runs; only the Schur reduction (schur, all) makes a BLAS product, so
-only its bytes depend on the BLAS kernel and thread count.  In version 9
-dmat's auto route takes the Jacobi recurrence in the spin for an Euler
-source above wigner.ORACLE_TRUSTED_L_X2 (route_used "recurrence"), the
-routes suite checks that route too, and verify's max-norms are libm's hypot
-of each entry's parts; CHANGES.md lists each version.  Each command takes
-only the flags it reads: dmat exactly one source, --theta (with --phi and
---psi, 0 when absent) or --matrix; poly the flags of its family.
+only its bytes depend on the BLAS kernel and thread count.  Since version 10
+the Haar grid of schur, character and all has the fewest theta nodes whose
+Gauss-Legendre rule is exact, and every check's magnitudes are libm's hypot
+of the parts; since version 9 dmat's auto route takes the Jacobi recurrence
+in the spin for an Euler source above wigner.ORACLE_TRUSTED_L_X2
+(route_used "recurrence").  CHANGES.md lists each version.  Each command
+takes only the flags it reads: dmat exactly one source, --theta (with --phi
+and --psi, 0 when absent) or --matrix; poly the flags of its family.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 numeric domain error (a ValueError or an ArithmeticError).
 
 There is one argument parser per process (PARSER), built from build_parser()
-when this module is imported, and main parses with it.  main is re-entrant:
-a process may call it any number of times, and each call prints what the
-same command prints as a fresh `python -m wignerkit`.
+when this module is imported, and main parses with it.  A usage error that
+a command's handler finds goes through that command's parser
+(COMMAND_PARSERS), so it prints the command's usage line, as argparse's own
+errors for the command do.  main is re-entrant: a process may call it any
+number of times, and each call prints what the same command prints as a
+fresh `python -m wignerkit`.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
 from .wigner import ELEMENT_ROUTES, ORACLE_TRUSTED_L_X2, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
 
-SCHEMA_VERSION = "9"
+SCHEMA_VERSION = "10"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
 # takes the recurrence for an Euler source above the oracle's trusted spin
 # and the oracle elsewhere; an unavailable route falls back to the oracle.
@@ -259,13 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
 # The one parser of the process, built at import: building it costs about as
 # much as a small dmat call, and parse_args keeps no state between calls.
 PARSER = build_parser()
+# Each command's own parser, built with PARSER: its handler reports usage
+# errors through it, so they print that command's usage line.
+COMMAND_PARSERS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     handlers = {"dmat": cmd_dmat, "poly": cmd_poly, "verify": cmd_verify}
     try:
-        text, code = handlers[args.command](args, PARSER)
+        text, code = handlers[args.command](args, COMMAND_PARSERS[args.command])
     except (ValueError, ArithmeticError) as exc:
         record = {
             "schema_version": SCHEMA_VERSION,

@@ -5,9 +5,14 @@ On the angle chart the measure is (1/(2 pi^2)) sin(t) cos(t) dt dpsi dphi.
 Substituting x = cos(2t) makes the t-density uniform on [-1, 1], so a
 Gauss-Legendre rule in x integrates the polynomial part exactly, while
 uniform (trapezoidal) rules on the periodic phases are exact for every
-trigonometric monomial below the node count.  Products of two matrix
-elements of spin <= L are trigonometric polynomials of phase degree <= 4L
-and x-degree <= 2L, which gives a concrete node budget for exactness.
+trigonometric monomial below the node count.  A product
+t^l_{m,n} conj(t^l'_{m',n'}) of elements of spin <= L is a sum of monomials
+sin(t)^a cos(t)^b e^{i(j phi + k psi)} with a + b = 2l + 2l' and |j|, |k| <= 4L.
+A monomial whose phase exponents do not cancel sums to zero under the phase
+rules of 4L + 1 nodes.  One whose phases cancel has even a and b, so it is a
+polynomial in x of degree (a + b)/2 = l + l' <= 2L.  An n-node
+Gauss-Legendre rule is exact to degree 2n - 1, so (2L) // 2 + 1 nodes in x
+are the fewest that are exact.
 
 The representation matrices at all nodes of a grid are the oracle's
 (wigner.oracle_stack) in its two steps: one power table of the node elements
@@ -16,7 +21,9 @@ expansion per spin from that table's first 2l+1 powers.
 An integral over a grid is pairwise_sum, a fixed pairwise tree, of weighted
 node values taken from those stacks; the Schur check first
 contracts each theta slice of the grid with one matrix product and then
-sums the per-theta slices pairwise.
+sums the per-theta slices pairwise.  The magnitude of a complex value is
+libm's hypot of its parts (magnitudes), the function Python's abs(complex)
+calls, never numpy's SIMD complex abs.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ __all__ = [
     "HaarGrid",
     "gauss_legendre",
     "pairwise_sum",
+    "magnitudes",
     "build_grid",
     "DeviationReport",
     "schur_check",
@@ -88,8 +96,11 @@ class HaarGrid:
         return self._matrices[l.twice]
 
     def max_exact_l(self) -> HalfInt:
-        """Largest spin within this grid's exactness budget."""
-        twice = min(self.n_theta - 1, (self.n_phi - 1) // 2, (self.n_psi - 1) // 2)
+        """Largest spin within this grid's exactness budget.  n_theta
+        Gauss-Legendre nodes are exact to x-degree 2 n_theta - 1, and n
+        phase nodes to phase degree n - 1; products of two spin-l elements
+        need x-degree 2l and phase degree 4l."""
+        twice = min(2 * self.n_theta - 1, (self.n_phi - 1) // 2, (self.n_psi - 1) // 2)
         return HalfInt(max(twice, 0))
 
 
@@ -108,12 +119,15 @@ def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_grid(max_l: HalfInt) -> HaarGrid:
-    """Smallest grid exact for spin max_l: 2 max_l + 1 theta nodes and 4 max_l + 1
-    nodes per phase, the phase degree of a product of two spin-max_l elements
-    being 4 max_l; HaarGrid.max_exact_l above inverts the counts."""
+    """Smallest grid exact for spin max_l: 4 max_l + 1 nodes per phase, the
+    phase degree of a product of two spin-max_l elements being 4 max_l, and
+    (2 max_l) // 2 + 1 theta nodes, the fewest whose Gauss-Legendre rule,
+    exact to degree 2n - 1, reaches the x-degree 2 max_l of the products
+    whose phases cancel (see the module docstring).  HaarGrid.max_exact_l
+    above inverts the counts."""
     if max_l.twice < 0:
         raise ValueError(f"negative spin l={max_l}")
-    n_theta, n_phi, n_psi = max_l.twice + 1, 2 * max_l.twice + 1, 2 * max_l.twice + 1
+    n_theta, n_phi, n_psi = max_l.twice // 2 + 1, 2 * max_l.twice + 1, 2 * max_l.twice + 1
     x, wx = gauss_legendre(n_theta)
     thetas_1d = np.array([0.5 * math.acos(v) for v in x])  # np.arccos's bits depend on the SIMD level
     phis_1d = 2 * math.pi * np.arange(n_phi) / n_phi
@@ -123,6 +137,13 @@ def build_grid(max_l: HalfInt) -> HaarGrid:
     psis = np.tile(psis_1d, n_theta * n_phi)
     weights = np.repeat(wx / 2, n_phi * n_psi) / (n_phi * n_psi)
     return HaarGrid(n_theta, n_phi, n_psi, thetas, phis, psis, weights)
+
+
+def magnitudes(z) -> np.ndarray:
+    """|z| per element by libm's hypot of its parts, the function Python's
+    abs(complex) calls; numpy's SIMD complex abs can differ from it in the
+    last bit."""
+    return np.hypot(np.real(z), np.imag(z))
 
 
 def pairwise_sum(values):
@@ -183,7 +204,7 @@ def schur_check(grid: HaarGrid, l: HalfInt, l_prime: HalfInt) -> DeviationReport
     integrals = pairwise_sum(np.matmul(weighted.transpose(0, 2, 1), conj_u))
     if l.twice == l_prime.twice:
         integrals -= np.eye(dim * dim) / dim
-    deviations = np.abs(integrals)
+    deviations = magnitudes(integrals)
     row, col = divmod(int(np.argmax(deviations)), dim_u * dim_u)
     (i1, j1), (i2, j2) = divmod(row, dim), divmod(col, dim_u)
     worst = (2 * i1 - l.twice, 2 * j1 - l.twice, 2 * i2 - l_prime.twice, 2 * j2 - l_prime.twice)
@@ -195,7 +216,7 @@ def character_norm(grid: HaarGrid, l: HalfInt) -> float:
     _check_budget(grid, l)
     T = grid.matrices(l)
     traces = np.trace(T, axis1=1, axis2=2)
-    return float(pairwise_sum(grid.weights * np.abs(traces) ** 2).real)
+    return float(pairwise_sum(grid.weights * magnitudes(traces) ** 2))
 
 
 def jacobi_orthogonality_check(l: HalfInt, l_prime: HalfInt, m: HalfInt, n: HalfInt) -> float:

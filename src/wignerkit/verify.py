@@ -10,10 +10,11 @@ check hands its deviations to _check as one float64 array: the routes suite
 compares each route's stack with the oracle's in one array expression per
 spin, and the weighted Jacobi integrals of one (alpha, beta) are one pairwise
 sum over a (nodes, pairs) stack.  The magnitude of a complex deviation is
-libm's hypot of its parts (_magnitudes), the function Python's abs(complex)
-calls, so the worst deviations are the floats a per-entry loop gives; so is
-every entry's magnitude in the max-norms that scale them (_norms), so no
-check in this module takes a magnitude from numpy's SIMD complex abs.
+libm's hypot of its parts (haar.magnitudes), the function Python's
+abs(complex) calls, so the worst deviations are the floats a per-entry loop
+gives; so is every entry's magnitude in the max-norms that scale them
+(_norms), and haar's Schur and character reductions take theirs the same
+way, so no check output depends on numpy's SIMD complex abs.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .haar import (
     gauss_legendre,
     jacobi_orthogonality_check,
     legendre_product_check,
+    magnitudes,
     pairwise_sum,
     schur_check,
 )
@@ -50,20 +52,14 @@ from .wigner import (
 __all__ = ["SUITE_NAMES", "run_suite", "sample_gl2", "sample_unimodular", "max_norm"]
 
 
-def _magnitudes(z) -> np.ndarray:
-    # |z| per element by libm's hypot, which Python's abs(complex) calls;
-    # numpy's SIMD complex abs can differ from it in the last bit.
-    return np.hypot(np.real(z), np.imag(z))
-
-
 def max_norm(entries) -> float:
     """The largest magnitude of the entries, each libm's hypot of its parts."""
-    return float(np.max(_magnitudes(entries)))
+    return float(np.max(magnitudes(entries)))
 
 
 def _norms(S) -> np.ndarray:
     # max_norm of each matrix of a stack
-    return np.max(_magnitudes(S), axis=(1, 2))
+    return np.max(magnitudes(S), axis=(1, 2))
 
 
 def _products(X, Y) -> np.ndarray:
@@ -128,7 +124,7 @@ def _check(name: str, deviations, tolerance: float, count: int | None = None) ->
 def _relative(lhs, rhs) -> np.ndarray:
     # |lhs - rhs| relative to |lhs|, and absolute where |lhs| < 1, per element.
     lhs = np.asarray(lhs)
-    return _magnitudes(lhs - np.asarray(rhs)) / np.maximum(1.0, _magnitudes(lhs))
+    return magnitudes(lhs - np.asarray(rhs)) / np.maximum(1.0, magnitudes(lhs))
 
 
 def suite_routes(max_l: HalfInt, seed: int) -> dict:
@@ -159,7 +155,7 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
     def deviations(stacks, refs):
         # One array expression per spin over the whole stack of the route.
         return np.concatenate(
-            [(_magnitudes(np.asarray(S) - T) / scale).ravel() for S, (T, scale) in zip(stacks, refs)]
+            [(magnitudes(np.asarray(S) - T) / scale).ravel() for S, (T, scale) in zip(stacks, refs)]
         )
 
     def element_form(build):
@@ -301,7 +297,7 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
         for index_map, element_map in SYMMETRIES.values():
             rows, cols = np.array([index_map(l2, i, j) for i, j in places]).T
             images.append(np.array([sum_matrix(l, element_map(A)).entries for A in samples])[:, rows, cols])
-        return _magnitudes(values - np.stack(images, axis=1)) / _norms(_stack(l, samples))[:, None, None]
+        return magnitudes(values - np.stack(images, axis=1)) / _norms(_stack(l, samples))[:, None, None]
 
     # P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x); each side's 539 polynomials in one jacobi_values call
     xs, triples = np.linspace(-1, 1, 21), list(product(range(7), range(7), range(11)))

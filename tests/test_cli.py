@@ -38,7 +38,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "9"
+        assert rec["schema_version"] == "10"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -450,6 +450,26 @@ class TestVerify:
         assert code == 0
         assert rec["result"]["passed"] is True
         assert elapsed < 5.0
+
+
+# A usage error that a command's handler finds, after parsing, with its message.
+HANDLER_USAGE_ERRORS = {
+    "dmat": (["dmat", "--l-x2", "-1", "--theta", "0.3"], "--l-x2 must lie in [0, 400], got -1"),
+    "poly": (["poly", "--family", "jacobi", "--n", "3"], "jacobi needs --alpha"),
+    "verify": (["verify", "--seed", "-1"], "--seed must be at least 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("command", HANDLER_USAGE_ERRORS)
+def test_a_handler_usage_error_prints_the_command_usage_line(capsys, command):
+    # As argparse's own errors for the command do, not the top-level usage line.
+    argv, message = HANDLER_USAGE_ERRORS[command]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: wignerkit {command} [-h]")
+    assert lines[-1] == f"wignerkit {command}: error: {message}"
 
 
 def _run_subprocess(args):

@@ -60,33 +60,33 @@ HASHED = {
     # auto above the oracle's trusted spin: the recurrence in the spin
     "dmat_auto_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "945094feacdfcef4c60ce256344de55d0f045df02860fa331a1fcf5ab4aeb89d",
+        "3de6d431d8a1d11c3dc64ddf2e05dbff4eaa22ff8ccf45eafac6292ca790f678",
     ),
     "dmat_auto_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "0fc63b05a7c4505f915d057237620d1e8e715171c153ff655c5651a13864271d",
+        "40f633af0da451b33838f83eb50aa086a1537840e0821d5b9a0afe72493d02d9",
     ),
     "dmat_auto_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "7336866fc692a5353bdc0fc6f06de89f1c386ae56c8425729729314f0bd177c9",
+        "5ccd3750e152aa0a1161f326d6ae59a89229ea860c3746bbc3bf4e710833a630",
     ),
     # The oracle where it is far from unitary (residual 4.4e25), kept on
     # purpose: its matrix is the one auto printed at this spin before.
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "oracle"],
-        "f99a0222bb1ec6e57f5524c35471b93a59d92e30e89a7e126c8b48256912cc2b",
+        "eb891cc95e02bd641bb2411109e706745b322d3f92e7ec53e2062a0e54f48204",
     ),
     "dmat_recurrence_euler_201": (
         ["dmat", "--l-x2", "201", *EULER_ANGLES, "--route", "recurrence"],
-        "0ae089cc2c9de23380c69bc59f74486be159697c596ecfa6e7a4cbd01db845bd",
+        "12b2a27aea41bc5b38aca52a09a705f0e5f99596d30a54a50156dfa0fffed43f",
     ),
     "dmat_recurrence_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES, "--route", "recurrence"],
-        "20d834aaf9e83d5035976b31d13279cf162963ea4be18f736b6a204ed26db832",
+        "d64df81f415851c15f44155adf7e7483305a2de04132f43a8cbab2ef5686bddd",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "18fee1d33f286a4dc4076cb73cc833f907ac76ea53a7ba02b5a8bc250822df9d",
+        "63fd2db7b84f727488bbf6ff86c2db13867a21bf9d6eb472d48a5f7fe8056d05",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -99,7 +99,7 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "8012e50301d0a751765710ce48c96d6648aa1cb2adf8376aac971be7e54e5508",
+        "9718f914d5a973c86b0420e21aeed6a83f90a0ff690244156c01687da95fdd98",
     ),
     "dmat_oracle_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
@@ -109,15 +109,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "11f399cf93f51cfc565c0564bebc798e0fe5cf9185839b68ac15cab3dd956931",
+        "ab003eb4250ca0fad217305337db14451298250ebb8630b292a8e555ba5c7501",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "591b3b1556984e6dd455b6f2f6e5ad0d9ffdcd5c5f4cbb27ab1902149ab39aba",
+        "40569998696e7ebb65ccdb5684ce921cacb434ebad28e0a65110095fb12f6ad8",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "4f0ea47997067ace30a7fccd8943192952d0d094dcea1e90dcc59061b180723f",
+        "089923c5d049671b984319710cf0bd2949aac6a657355a6d9d36327865dc7631",
     ),
 }
 
@@ -144,15 +144,15 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # depend on the BLAS kernel or thread count; schur and all, which run the Schur
 # reduction, do.  SCHUR_HASHED pins schur at one BLAS thread.
 VERIFY_HASHED = {
-    "routes": "a5bc2a4f9a5ea480a7f57be7e5255423e35957511c3d4d053b7926f058011055",
-    "unitarity": "efbf032da9f6bffe7b748e6ce9b2231ca48101555ec28b6ac1a5ae956f7e0aad",
-    "homomorphism": "ce5cbe03cfc74440e9ce1af8b024ce3da1a826c38217f818d0a672905af67067",
-    "jacobi-orth": "f8cc09f7237befc1e8a2cdd814c891db3f8bf0d810b38593a8709d015b9a7661",
-    "legendre": "0138ff11e3bf808be5a1e62e8f174f5acf9900501acf6ebf2672257382cea503",
-    "krawtchouk-sym": "fc8057ab4a86c2944bf00caeea23c2c1c73ad1a79a74d356321f639c412a7fe6",
-    "character": "d860ebcc2e70ef54b53918acdfc7f08ad9a1540063526fa4a616d34dd0219a47",
+    "routes": "9f266edb55b49dd5eab74d03438452bbff86fdfa80c0f5b967896bac8b60b2cb",
+    "unitarity": "fb18d7b898332f5cc627915858bfb8ff695ecfa2e6d7ba26578c3a2cb3e2fd58",
+    "homomorphism": "509762cb0741bac753b0dcf8a8733827d2a8f73de7afd02babae16c935c78e02",
+    "jacobi-orth": "6ff043984d798f1e4ac5bfdf997b510a32a33107cec09b769b3585605acfbd25",
+    "legendre": "f119788f8aadd85fafbc8e76bde112aec336c7a8ff2a74000d9b7eab9e0fb458",
+    "krawtchouk-sym": "3fa0a0528f139f42f5c9d29c4ecbcbadb3f9cfee43ef561f24c4320112ff53f5",
+    "character": "04fb34ff693d1aa4bdd7236bd45d1a267cd68b8c388cf5628499e160c924b695",
 }
-SCHUR_HASHED = "96ba4f71f563d32e3d5808bcaf5c54015cb709ffa0c9f77c030f9be2e141f88e"
+SCHUR_HASHED = "6ae877c6e6a083604cb856beb88aaac313c4313475551d57d08aefdcf421b7a7"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))

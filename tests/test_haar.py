@@ -11,6 +11,7 @@ from wignerkit.haar import (
     addition_formula_check,
     build_grid,
     character_norm,
+    gauss_legendre,
     jacobi_orthogonality_check,
     legendre_product_check,
     pairwise_sum,
@@ -24,7 +25,7 @@ HALF = HalfInt(1)
 class TestGridConstruction:
     def test_budget_thresholds(self):
         grid = build_grid(HalfInt(1))
-        assert (grid.n_theta, grid.n_phi, grid.n_psi) == (2, 3, 3)
+        assert (grid.n_theta, grid.n_phi, grid.n_psi) == (1, 3, 3)
 
     def test_weights_sum_to_one(self):
         for twice in range(0, 7):
@@ -36,8 +37,10 @@ class TestGridConstruction:
         assert np.all(grid.weights > 0)
 
     def test_max_exact_l_roundtrip(self):
-        for twice in range(0, 7):
-            assert build_grid(HalfInt(twice)).max_exact_l().twice == twice
+        for twice in range(0, 13):
+            grid = build_grid(HalfInt(twice))
+            assert grid.n_theta == twice // 2 + 1
+            assert grid.max_exact_l().twice == twice
 
     def test_negative_spin_rejected(self):
         with pytest.raises(ValueError, match="negative spin"):
@@ -46,6 +49,42 @@ class TestGridConstruction:
     def test_node_iteration_matches_count(self):
         grid = build_grid(HalfInt(2))
         assert len(grid.weights) == grid.node_count == grid.n_theta * grid.n_phi * grid.n_psi
+
+
+def one_theta_node_fewer(grid: HaarGrid, l: HalfInt) -> HaarGrid:
+    """grid with the Gauss-Legendre rule of one theta node fewer, claiming
+    spin l anyway, so that the checks run on it past its true budget."""
+    n_theta, per_theta = grid.n_theta - 1, grid.n_phi * grid.n_psi
+    x, wx = gauss_legendre(n_theta)
+    thetas = np.repeat([0.5 * math.acos(v) for v in x], per_theta)
+    weights = np.repeat(wx / 2, per_theta) / per_theta
+    nodes = slice(0, n_theta * per_theta)
+    fewer = HaarGrid(n_theta, grid.n_phi, grid.n_psi, thetas, grid.phis[nodes], grid.psis[nodes], weights)
+    assert fewer.max_exact_l().twice < l.twice
+    fewer.max_exact_l = lambda: l
+    return fewer
+
+
+class TestExactnessRule:
+    """build_grid's theta rule has l_x2 // 2 + 1 nodes: the products whose
+    phases cancel are polynomials of degree l + l' <= l_x2 in x, and an
+    n-node Gauss-Legendre rule is exact to degree 2n - 1."""
+
+    @pytest.mark.parametrize("l_x2", range(13))
+    def test_every_check_passes_at_machine_precision(self, l_x2):
+        grid = build_grid(HalfInt(l_x2))
+        spins = spins_up_to(HalfInt(l_x2))
+        for i, l in enumerate(spins):
+            assert abs(character_norm(grid, l) - 1.0) <= 1e-13, l
+            for lp in spins[i:]:
+                assert schur_check(grid, l, lp).max_deviation <= 1e-13, (l, lp)
+
+    @pytest.mark.parametrize("l_x2", [6, 12])
+    def test_one_theta_node_fewer_misses_the_top_spin(self, l_x2):
+        l = HalfInt(l_x2)
+        fewer = one_theta_node_fewer(build_grid(l), l)
+        misses = (schur_check(fewer, l, l).max_deviation, abs(character_norm(fewer, l) - 1.0))
+        assert max(misses) > 1e-3, misses
 
 
 class TestPairwiseSum:
