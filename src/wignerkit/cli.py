@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -127,13 +128,15 @@ def _render(record: dict) -> str:
 
 
 def _eight_reals(text: str) -> list[float]:
-    # --matrix's type: the 8 reals a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im.
+    # --matrix's type: the 8 finite reals a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im.
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError:
         values = []
     if len(values) != 8:
         raise argparse.ArgumentTypeError("needs 8 comma-separated reals: a_re,a_im,b_re,...,d_im")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"the 8 reals must be finite, got {text}")
     return values
 
 
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = dmat.add_mutually_exclusive_group(required=True)
     source.add_argument("--theta", type=float, help="colatitude in [0, pi/2] (radians)")
     source.add_argument(
-        "--matrix", type=_eight_reals, help="8 comma-separated reals: a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im"
+        "--matrix", type=_eight_reals, help="8 comma-separated finite reals: a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im"
     )
     dmat.add_argument("--phi", type=float, help="first phase in [0, 2*pi), with --theta; default 0")
     dmat.add_argument("--psi", type=float, help="second phase in [0, 2*pi), with --theta; default 0")

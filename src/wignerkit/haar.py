@@ -14,10 +14,10 @@ polynomial in x of degree (a + b)/2 = l + l' <= 2L.  An n-node
 Gauss-Legendre rule is exact to degree 2n - 1, so (2L) // 2 + 1 nodes in x
 are the fewest that are exact.
 
-The representation matrices at all nodes of a grid are the oracle's
-(wigner.oracle_stack) in its two steps: one power table of the node elements
-per grid, up to the grid's exactness budget, then one batched polynomial
-expansion per spin from that table's first 2l+1 powers.
+A grid serves the spins up to its exactness budget only, and its matrices
+at all nodes are the oracle's (wigner.oracle_stack) in its two steps: one
+power table of the node elements per grid, built to that budget, then one
+batched polynomial expansion per spin from that table's first 2l+1 powers.
 An integral over a grid is pairwise_sum, a fixed pairwise tree, of weighted
 node values taken from those stacks; the Schur check first
 contracts each theta slice of the grid with one matrix product and then
@@ -78,20 +78,22 @@ class HaarGrid:
     def matrices(self, l: HalfInt) -> np.ndarray:
         """Representation matrices at every node, shape (nodes, 2l+1, 2l+1).
 
-        The node elements come straight from the angle arrays by the
-        from_euler formulas.  Their power table is built once per grid, up to
-        the exactness budget or to spin l if that is larger, and each spin's
-        stack is expanded from the table's first 2l+1 powers and cached on
-        the grid.  The table is a running product, so its prefix is the
-        table oracle_stack would build for spin l, and the stack is
-        oracle_stack at the nodes, bit for bit.
+        A spin past the exactness budget (max_exact_l) raises ValueError
+        before anything is built.  The node elements come straight from the
+        angle arrays by the from_euler formulas.  Their power table is built
+        once per grid, to the budget, and each spin's stack is expanded from
+        the table's first 2l+1 powers and cached on the grid.  The table is a
+        running product, so its prefix is the table oracle_stack would build
+        for spin l, and the stack is oracle_stack at the nodes, bit for bit.
         """
+        budget = self.max_exact_l()
+        if l.twice > budget.twice:
+            raise ValueError(f"spin l={l} exceeds the grid exactness budget (max l={budget})")
         if l.twice not in self._matrices:
-            if self._powers is None or self._powers.shape[1] <= l.twice:
+            if self._powers is None:
                 st, ct = np.sin(self.thetas), np.cos(self.thetas)
                 ephi, epsi = np.exp(1j * self.phis), np.exp(1j * self.psis)
-                top = max(l.twice, self.max_exact_l().twice)
-                self._powers = _oracle_powers(st * ephi, -ct / epsi, ct * epsi, st / ephi, top)
+                self._powers = _oracle_powers(st * ephi, -ct / epsi, ct * epsi, st / ephi, budget.twice)
             self._matrices[l.twice] = _oracle_expand(l, self._powers)
         return self._matrices[l.twice]
 
@@ -169,13 +171,6 @@ class DeviationReport:
     checked: int
 
 
-def _check_budget(grid: HaarGrid, l: HalfInt) -> None:
-    if l.twice > grid.max_exact_l().twice:
-        raise ValueError(
-            f"spin l={l} exceeds the grid exactness budget (max l={grid.max_exact_l()})"
-        )
-
-
 def schur_check(grid: HaarGrid, l: HalfInt, l_prime: HalfInt) -> DeviationReport:
     """Integrals of t^l_{m,n} conj(t^l'_{m',n'}) against their exact values.
 
@@ -190,8 +185,6 @@ def schur_check(grid: HaarGrid, l: HalfInt, l_prime: HalfInt) -> DeviationReport
     The order of the sums inside a block is BLAS's, so the last bits of the
     deviation can depend on its thread count.
     """
-    _check_budget(grid, l)
-    _check_budget(grid, l_prime)
     if grid.node_count != grid.n_theta * grid.n_phi * grid.n_psi:
         raise ValueError(
             f"grid has {grid.node_count} nodes, not n_theta * n_phi * n_psi = "
@@ -212,8 +205,7 @@ def schur_check(grid: HaarGrid, l: HalfInt, l_prime: HalfInt) -> DeviationReport
 
 
 def character_norm(grid: HaarGrid, l: HalfInt) -> float:
-    """Integral of |trace t^l|^2; equals 1 exactly for every spin."""
-    _check_budget(grid, l)
+    """Integral of |trace t^l|^2; equals 1 exactly for every spin within the grid's budget."""
     T = grid.matrices(l)
     traces = np.trace(T, axis1=1, axis2=2)
     return float(pairwise_sum(grid.weights * magnitudes(traces) ** 2))

@@ -197,8 +197,7 @@ def suite_homomorphism(max_l: HalfInt, seed: int) -> dict:
     return {"suite": "homomorphism", "checks": [_check("t(AB) = t(A) t(B)", deviations, 1e-9)]}
 
 
-def suite_schur(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
-    grid = build_grid(max_l) if grid is None else grid
+def suite_schur(max_l: HalfInt, grid: HaarGrid) -> dict:
     checks = [_check("normalization integral of 1", [abs(pairwise_sum(grid.weights) - 1.0)], 1e-13)]
     spins = spins_up_to(max_l)
     for i, l in enumerate(spins):
@@ -210,8 +209,7 @@ def suite_schur(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
     return {"suite": "schur", "checks": checks}
 
 
-def suite_character(max_l: HalfInt, grid: HaarGrid | None = None) -> dict:
-    grid = build_grid(max_l) if grid is None else grid
+def suite_character(max_l: HalfInt, grid: HaarGrid) -> dict:
     checks = [
         _check(f"character norm l={l}", [abs(character_norm(grid, l) - 1.0)], 1e-10) for l in spins_up_to(max_l)
     ]
@@ -367,8 +365,8 @@ _GRID_SUITES = ("schur", "character", "all")
 def run_suite(name: str, max_l: HalfInt, seed: int) -> dict:
     """Run one named suite (or all of them) and report pinned-tolerance checks.
 
-    The schur and character suites share one grid, so under "all" each
-    matrix stack is built once.
+    The schur and character suites take the one grid built here, and share
+    it under "all", so each matrix stack is built once.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")

@@ -77,7 +77,7 @@ def test_criterion_2_representation_axioms():
 
 def test_criterion_3_schur_orthogonality():
     t0 = time.monotonic()
-    result = suite_schur(HalfInt(3))
+    result = suite_schur(HalfInt(3), build_grid(HalfInt(3)))
     elapsed = time.monotonic() - t0
     norm_check = result["checks"][0]
     pair_checks = result["checks"][1:]

@@ -171,6 +171,21 @@ class TestDmat:
             main(["dmat", "--l-x2", "2", "--matrix", "x,0,0,0,0,0,1,0"])
         assert err.value.code == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("l_x2", ["0", "2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_non_finite_matrix_is_usage_error(self, capsys, l_x2, value):
+        # refused by --matrix's type, before any entry is computed or rendered
+        with pytest.raises(SystemExit) as err:
+            main(["dmat", "--l-x2", l_x2, f"--matrix={value},0,0,0,0,0,1,0"])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        lines = err_text.splitlines()
+        assert lines[0].startswith("usage: wignerkit dmat [-h]")
+        message = f"argument --matrix: the 8 reals must be finite, got {value},0,0,0,0,0,1,0"
+        assert lines[-1] == f"wignerkit dmat: error: {message}"
+
     def test_negative_spin_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["dmat", "--l-x2", "-1", "--theta", "0.3"])

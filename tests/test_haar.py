@@ -50,6 +50,19 @@ class TestGridConstruction:
         grid = build_grid(HalfInt(2))
         assert len(grid.weights) == grid.node_count == grid.n_theta * grid.n_phi * grid.n_psi
 
+    def test_a_spin_past_the_budget_builds_nothing(self):
+        grid = build_grid(HalfInt(6))
+        with pytest.raises(ValueError, match=r"^spin l=7/2 exceeds the grid exactness budget \(max l=3\)$"):
+            grid.matrices(HalfInt(7))
+        assert grid._matrices == {}
+        assert grid._powers is None
+
+    def test_the_power_table_is_built_to_the_budget(self):
+        # powers 0 .. 6 of the node elements, whichever spin asks first
+        grid = build_grid(HalfInt(6))
+        grid.matrices(HalfInt(0))
+        assert grid._powers.shape == (4, 7, grid.node_count)
+
 
 def one_theta_node_fewer(grid: HaarGrid, l: HalfInt) -> HaarGrid:
     """grid with the Gauss-Legendre rule of one theta node fewer, claiming
@@ -179,6 +192,11 @@ class TestCharacterNorm:
         grid = build_grid(HalfInt(6))
         for l in spins_up_to(HalfInt(6)):
             assert abs(character_norm(grid, l) - 1.0) <= 1e-10
+
+    def test_budget_guard(self):
+        grid = build_grid(HALF)
+        with pytest.raises(ValueError, match="exceeds the grid exactness budget"):
+            character_norm(grid, HalfInt(2))
 
 
 class TestJacobiOrthogonality:
