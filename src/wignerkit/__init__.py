@@ -19,7 +19,6 @@ from .haar import (
     addition_formula_check,
     build_grid,
     character_norm,
-    jacobi_orthogonality_check,
     legendre_product_check,
     pairwise_sum,
     schur_check,

@@ -1,19 +1,22 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "10"; strict JSON (a non-finite deviation is
+Output contract: schema_version "11"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
 across runs; only the Schur reduction (schur, all) makes a BLAS product, so
-only its bytes depend on the BLAS kernel and thread count.  Since version 10
-the Haar grid of schur, character and all has the fewest theta nodes whose
-Gauss-Legendre rule is exact, and every check's magnitudes are libm's hypot
-of the parts; since version 9 dmat's auto route takes the Jacobi recurrence
-in the spin for an Euler source above wigner.ORACLE_TRUSTED_L_X2
-(route_used "recurrence").  CHANGES.md lists each version.  Each command
-takes only the flags it reads: dmat exactly one source, --theta (with --phi
-and --psi, 0 when absent) or --matrix; poly the flags of its family.
+only its bytes depend on the BLAS kernel and thread count.  Since version 11
+jacobi-orth's same-column integrals are wigner.jacobi_stack's on the Haar
+grid's theta rule, and a nan or infinity in a real flag is a usage error;
+since version 10 the Haar grid of schur, character and all has the fewest
+theta nodes whose Gauss-Legendre rule is exact, and every check's magnitudes
+are libm's hypot of the parts; since version 9 dmat's auto route takes the
+Jacobi recurrence in the spin for an Euler source above
+wigner.ORACLE_TRUSTED_L_X2 (route_used "recurrence").  CHANGES.md lists each
+version.  Each command takes only the flags it reads: dmat exactly one
+source, --theta (with --phi and --psi, 0 when absent) or --matrix; poly the
+flags of its family.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 numeric domain error (a ValueError or an ArithmeticError).
@@ -42,7 +45,7 @@ from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
 from .wigner import ELEMENT_ROUTES, ORACLE_TRUSTED_L_X2, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
 
-SCHEMA_VERSION = "10"
+SCHEMA_VERSION = "11"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
 # takes the recurrence for an Euler source above the oracle's trusted spin
 # and the oracle elsewhere; an unavailable route falls back to the oracle.
@@ -127,17 +130,24 @@ def _render(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
 
 
+def _finite_real(text: str) -> float:
+    # The type of every real flag: text that is not a finite float is a usage error.
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"needs a finite real, got {text}")
+
+
 def _eight_reals(text: str) -> list[float]:
     # --matrix's type: the 8 finite reals a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im.
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        values = []
-    if len(values) != 8:
+    if len(parts := text.split(",")) != 8:
         raise argparse.ArgumentTypeError("needs 8 comma-separated reals: a_re,a_im,b_re,...,d_im")
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"the 8 reals must be finite, got {text}")
-    return values
+    try:
+        return [_finite_real(v) for v in parts]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"the 8 reals must be finite, got {text}") from None
 
 
 def _route_for(route: str, l: HalfInt, angles: EulerAngles | None) -> str:
@@ -238,22 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
     dmat = sub.add_parser("dmat", help="compute a (2l+1) x (2l+1) representation matrix")
     dmat.add_argument("--l-x2", type=int, required=True, help="spin as a twice-value (3/2 -> 3)")
     source = dmat.add_mutually_exclusive_group(required=True)
-    source.add_argument("--theta", type=float, help="colatitude in [0, pi/2] (radians)")
+    source.add_argument("--theta", type=_finite_real, help="colatitude in [0, pi/2] (radians)")
     source.add_argument(
         "--matrix", type=_eight_reals, help="8 comma-separated finite reals: a_re,a_im,b_re,b_im,c_re,c_im,d_re,d_im"
     )
-    dmat.add_argument("--phi", type=float, help="first phase in [0, 2*pi), with --theta; default 0")
-    dmat.add_argument("--psi", type=float, help="second phase in [0, 2*pi), with --theta; default 0")
+    dmat.add_argument("--phi", type=_finite_real, help="first phase in [0, 2*pi), with --theta; default 0")
+    dmat.add_argument("--psi", type=_finite_real, help="second phase in [0, 2*pi), with --theta; default 0")
     dmat.add_argument("--route", choices=ROUTES, default="auto")
     dmat.add_argument("--format", choices=("json", "csv"), default="json")
 
     poly = sub.add_parser("poly", help="evaluate a polynomial family member")
     poly.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     poly.add_argument("--n", type=int, help="degree")
-    poly.add_argument("--alpha", type=float, help="jacobi alpha")
-    poly.add_argument("--beta", type=float, help="jacobi beta")
-    poly.add_argument("--x", type=float, help="evaluation point")
-    poly.add_argument("--p", type=float, help="krawtchouk success parameter")
+    poly.add_argument("--alpha", type=_finite_real, help="jacobi alpha")
+    poly.add_argument("--beta", type=_finite_real, help="jacobi beta")
+    poly.add_argument("--x", type=_finite_real, help="evaluation point")
+    poly.add_argument("--p", type=_finite_real, help="krawtchouk success parameter")
     poly.add_argument("--N", type=int, help="krawtchouk lattice size")
 
     verify = sub.add_parser("verify", help="run a property-verification suite")

@@ -12,7 +12,8 @@ A monomial whose phase exponents do not cancel sums to zero under the phase
 rules of 4L + 1 nodes.  One whose phases cancel has even a and b, so it is a
 polynomial in x of degree (a + b)/2 = l + l' <= 2L.  An n-node
 Gauss-Legendre rule is exact to degree 2n - 1, so (2L) // 2 + 1 nodes in x
-are the fewest that are exact.
+are the fewest that are exact.  That rule (theta_rule) serves the jacobi-orth
+suite too: d^l_{m,n}(t) d^l'_{m,n}(t) is such a polynomial in x.
 
 A grid serves the spins up to its exactness budget only, and its matrices
 at all nodes are the oracle's (wigner.oracle_stack) in its two steps: one
@@ -33,21 +34,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactcomb import HalfInt, factorial, is_valid_spin_pair, spin_range
+from .exactcomb import HalfInt, spin_range
 from .group import Mat2C, diag_element, multiply
-from .specfun import JacobiParams, jacobi_eval, legendre
+from .specfun import legendre
 from .wigner import _oracle_expand, _oracle_powers, oracle_stack
 
 __all__ = [
     "HaarGrid",
     "gauss_legendre",
+    "theta_rule",
     "pairwise_sum",
     "magnitudes",
     "build_grid",
     "DeviationReport",
     "schur_check",
     "character_norm",
-    "jacobi_orthogonality_check",
     "legendre_product_check",
     "addition_formula_check",
 ]
@@ -120,24 +121,29 @@ def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def theta_rule(max_l: HalfInt) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's theta nodes acos(x)/2 and weights wx/2 for spin max_l: the fewest
+    Gauss-Legendre nodes in x = cos 2 theta exact to degree 2 max_l."""
+    x, wx = gauss_legendre(max_l.twice // 2 + 1)
+    return np.array([0.5 * math.acos(v) for v in x]), wx / 2  # np.arccos's bits depend on the SIMD level
+
+
 def build_grid(max_l: HalfInt) -> HaarGrid:
     """Smallest grid exact for spin max_l: 4 max_l + 1 nodes per phase, the
     phase degree of a product of two spin-max_l elements being 4 max_l, and
-    (2 max_l) // 2 + 1 theta nodes, the fewest whose Gauss-Legendre rule,
-    exact to degree 2n - 1, reaches the x-degree 2 max_l of the products
-    whose phases cancel (see the module docstring).  HaarGrid.max_exact_l
-    above inverts the counts."""
+    the theta_rule of max_l, the fewest Gauss-Legendre nodes that reach the
+    x-degree 2 max_l of the products whose phases cancel (see the module
+    docstring).  HaarGrid.max_exact_l above inverts the counts."""
     if max_l.twice < 0:
         raise ValueError(f"negative spin l={max_l}")
-    n_theta, n_phi, n_psi = max_l.twice // 2 + 1, 2 * max_l.twice + 1, 2 * max_l.twice + 1
-    x, wx = gauss_legendre(n_theta)
-    thetas_1d = np.array([0.5 * math.acos(v) for v in x])  # np.arccos's bits depend on the SIMD level
+    thetas_1d, w_theta = theta_rule(max_l)
+    n_theta, n_phi, n_psi = len(thetas_1d), 2 * max_l.twice + 1, 2 * max_l.twice + 1
     phis_1d = 2 * math.pi * np.arange(n_phi) / n_phi
     psis_1d = 2 * math.pi * np.arange(n_psi) / n_psi
     thetas = np.repeat(thetas_1d, n_phi * n_psi)
     phis = np.tile(np.repeat(phis_1d, n_psi), n_theta)
     psis = np.tile(psis_1d, n_theta * n_phi)
-    weights = np.repeat(wx / 2, n_phi * n_psi) / (n_phi * n_psi)
+    weights = np.repeat(w_theta, n_phi * n_psi) / (n_phi * n_psi)
     return HaarGrid(n_theta, n_phi, n_psi, thetas, phis, psis, weights)
 
 
@@ -190,6 +196,7 @@ def schur_check(grid: HaarGrid, l: HalfInt, l_prime: HalfInt) -> DeviationReport
             f"grid has {grid.node_count} nodes, not n_theta * n_phi * n_psi = "
             f"{grid.n_theta * grid.n_phi * grid.n_psi}"
         )
+    grid.matrices(max(l, l_prime))  # refuses a spin past the budget before either stack is built
     dim, dim_u = l.twice + 1, l_prime.twice + 1
     blocks = (grid.n_theta, grid.n_phi * grid.n_psi)
     weighted = (grid.weights[:, None, None] * grid.matrices(l)).reshape(*blocks, dim * dim)
@@ -209,33 +216,6 @@ def character_norm(grid: HaarGrid, l: HalfInt) -> float:
     T = grid.matrices(l)
     traces = np.trace(T, axis1=1, axis2=2)
     return float(pairwise_sum(grid.weights * magnitudes(traces) ** 2))
-
-
-def jacobi_orthogonality_check(l: HalfInt, l_prime: HalfInt, m: HalfInt, n: HalfInt) -> float:
-    """Deviation of the x-substituted same-column integral from its target.
-
-    Evaluates the weighted Jacobi product integral on [-1, 1] with a
-    Gauss-Legendre rule of exact degree and compares against
-    delta_{l,l'}/(2l+1).
-    """
-    for spin in (l, l_prime):
-        if not (is_valid_spin_pair(spin, m) and is_valid_spin_pair(spin, n)):
-            raise ValueError(f"(m={m}, n={n}) is not a weight pair of spin {spin}")
-    if (m + n).twice < 0 or (m - n).twice < 0:
-        raise ValueError("check is stated on the quadrant m + n >= 0, m - n >= 0")
-    deg1 = (l - m).as_int()
-    deg2 = (l_prime - m).as_int()
-    al = (m + n).as_int()
-    be = (m - n).as_int()
-    x, w = gauss_legendre((deg1 + deg2 + al + be) // 2 + 1)
-    p1 = jacobi_eval(JacobiParams(al, be, deg1), x)
-    p2 = p1 if (deg2 == deg1) else jacobi_eval(JacobiParams(al, be, deg2), x)
-    integral = float(pairwise_sum(w * p1 * p2 * (1 - x) ** al * (1 + x) ** be))
-    pref = (factorial((l + m).as_int()) * factorial((l - m).as_int())) / (
-        factorial((l + n).as_int()) * factorial((l - n).as_int()) * 2 ** (m.twice + 1)
-    )
-    expected = 1.0 / (l.twice + 1) if l.twice == l_prime.twice else 0.0
-    return pref * integral - expected
 
 
 def legendre_product_check(l: int, theta1: float, theta2: float) -> float:

@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .exactcomb import HalfInt, pochhammer, spin_range, spins_up_to
+from .exactcomb import HalfInt, pochhammer, spins_up_to
 from .group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
 from .haar import (
     HaarGrid,
@@ -32,11 +32,11 @@ from .haar import (
     build_grid,
     character_norm,
     gauss_legendre,
-    jacobi_orthogonality_check,
     legendre_product_check,
     magnitudes,
     pairwise_sum,
     schur_check,
+    theta_rule,
 )
 from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_norm, jacobi_values, krawtchouk
 from .wigner import (
@@ -45,6 +45,7 @@ from .wigner import (
     hyp_matrix,
     hyp_symmetric_matrix,
     jacobi_matrix,
+    jacobi_stack,
     oracle_stack,
     sum_matrix,
 )
@@ -217,14 +218,23 @@ def suite_character(max_l: HalfInt, grid: HaarGrid) -> dict:
 
 
 def suite_jacobi_orth(max_l: HalfInt) -> dict:
-    spins = spins_up_to(max_l)
-    same_column = np.array([
-        abs(jacobi_orthogonality_check(l, l_prime, m, n))
-        for l, l_prime in product(spins, spins)
-        if (l - l_prime).twice % 2 == 0  # integer and half-integer spins share no weight pairs
-        for m, n in product(spin_range(min(l, l_prime)), repeat=2)
-        if (m + n).twice >= 0 and (m - n).twice >= 0
-    ])
+    # Same-column integrals of d(theta) = jacobi_stack against delta_{l,l'}/(2l+1)
+    # on the Haar grid's theta rule, exact as d^l_{m,n} d^l'_{m,n} has degree
+    # l + l' <= 2 max_l in x = cos 2 theta: per ordered pair of spins of one parity,
+    # one pairwise sum over the rows and columns of each stack that hold the
+    # weights m, n of the smaller spin, taken on its quadrant m + n >= 0, m - n >= 0.
+    thetas, weights = theta_rule(max_l)
+    stacks = [jacobi_stack(l, thetas) for l in spins_up_to(max_l)]
+    same_column = []
+    for S, S_prime in product(stacks, stacks):
+        dim, dim_prime = len(S[0]), len(S_prime[0])
+        if (dim - dim_prime) % 2:
+            continue  # integer and half-integer spins share no weight pairs
+        n = min(dim, dim_prime)
+        a, b = (dim - n) // 2, (dim_prime - n) // 2
+        integrals = pairwise_sum(weights[:, None, None] * S[:, a : a + n, a : a + n] * S_prime[:, b : b + n, b : b + n])
+        i, j = np.indices((n, n))
+        same_column.append(np.abs(integrals - (dim == dim_prime) / n)[(i + j >= n - 1) & (i >= j)])
 
     # The 45 degree pairs n1 <= n2 up to 8: per (al, be), one (nodes, 45) stack
     # of the products w P_n1 P_n2 (1-x)^al (1+x)^be, reduced by one pairwise sum.
@@ -242,7 +252,7 @@ def suite_jacobi_orth(max_l: HalfInt) -> dict:
     return {
         "suite": "jacobi-orth",
         "checks": [
-            _check("same-column integrals vs 1/(2l+1)", same_column, 1e-10),
+            _check("same-column integrals vs 1/(2l+1)", np.concatenate(same_column), 1e-10),
             _check("weighted jacobi integrals vs closed-form norm", np.concatenate(weighted), 1e-10),
         ],
     }

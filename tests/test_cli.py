@@ -38,7 +38,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "10"
+        assert rec["schema_version"] == "11"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -410,6 +410,32 @@ class TestPoly:
             capsys, "poly", "--family", "krawtchouk", "--n", "9", "--x", "1", "--p", "0.5", "--N", "4"
         )
         assert code == 3
+
+
+# Each real flag with a command line that is valid for any finite value of it.
+REAL_FLAGS = {
+    "theta": ["dmat", "--l-x2", "0"],
+    "phi": ["dmat", "--l-x2", "0", "--theta", "0.3"],
+    "psi": ["dmat", "--l-x2", "0", "--theta", "0.3"],
+    "alpha": ["poly", "--family", "jacobi", "--n", "2", "--beta", "0", "--x", "0.3"],
+    "beta": ["poly", "--family", "jacobi", "--n", "2", "--alpha", "0", "--x", "0.3"],
+    "x": ["poly", "--family", "legendre", "--n", "3"],
+    "p": ["poly", "--family", "krawtchouk", "--n", "1", "--x", "2", "--N", "4"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(REAL_FLAGS))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_real_flag_is_usage_error(capsys, flag, value):
+    argv = REAL_FLAGS[flag]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, f"--{flag}={value}"])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    lines = err_text.splitlines()
+    assert lines[0].startswith(f"usage: wignerkit {argv[0]} [-h]")
+    assert lines[-1] == f"wignerkit {argv[0]}: error: argument --{flag}: needs a finite real, got {value}"
 
 
 class TestVerify:

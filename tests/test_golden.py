@@ -60,33 +60,33 @@ HASHED = {
     # auto above the oracle's trusted spin: the recurrence in the spin
     "dmat_auto_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "3de6d431d8a1d11c3dc64ddf2e05dbff4eaa22ff8ccf45eafac6292ca790f678",
+        "6374bcef60b3db628858d1ca051649fde44910f3b123d76eb0358819ca8868e0",
     ),
     "dmat_auto_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "40f633af0da451b33838f83eb50aa086a1537840e0821d5b9a0afe72493d02d9",
+        "0e2840b9a1ccd170258d9f8618659fcc4606b64d60cf4500603fd3ca02606577",
     ),
     "dmat_auto_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "5ccd3750e152aa0a1161f326d6ae59a89229ea860c3746bbc3bf4e710833a630",
+        "ed4d6c97ff3b27eced2c758c05139399542bb35e385898a8cd469f5fe0621825",
     ),
     # The oracle where it is far from unitary (residual 4.4e25), kept on
     # purpose: its matrix is the one auto printed at this spin before.
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "oracle"],
-        "eb891cc95e02bd641bb2411109e706745b322d3f92e7ec53e2062a0e54f48204",
+        "8b52e8142099d12b74e684feedad845d5daf8d2215b005d34d46842a097ec409",
     ),
     "dmat_recurrence_euler_201": (
         ["dmat", "--l-x2", "201", *EULER_ANGLES, "--route", "recurrence"],
-        "12b2a27aea41bc5b38aca52a09a705f0e5f99596d30a54a50156dfa0fffed43f",
+        "266b04a3eae89e54e8c0d5ce0e9381c5a4c74e38f40236219ec16eb4be6e6530",
     ),
     "dmat_recurrence_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES, "--route", "recurrence"],
-        "d64df81f415851c15f44155adf7e7483305a2de04132f43a8cbab2ef5686bddd",
+        "61b97668af6b98e6a68451eb049c097e31ae6b337f2b01faac2e47d16ceb3f22",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "63fd2db7b84f727488bbf6ff86c2db13867a21bf9d6eb472d48a5f7fe8056d05",
+        "a34e3f1a3ff65a59f33b3f08b6a06cdd821df1afa152d2c596beb8f50a095eac",
     ),
     "dmat_oracle_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -99,7 +99,7 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "9718f914d5a973c86b0420e21aeed6a83f90a0ff690244156c01687da95fdd98",
+        "6cbc90d33311c67880781f8f37670cfa9bfb651b18fd06bedf4d8af6fb1fcd28",
     ),
     "dmat_oracle_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
@@ -109,15 +109,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "ab003eb4250ca0fad217305337db14451298250ebb8630b292a8e555ba5c7501",
+        "dd15425496ddd5319c5d3797622a16e66304be82ce5681a02bd96cdba3aeafb1",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "40569998696e7ebb65ccdb5684ce921cacb434ebad28e0a65110095fb12f6ad8",
+        "d94eea852222baab1e6d01e7c80d08a3a10a01547c380baa2261fe0aa8951e45",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "089923c5d049671b984319710cf0bd2949aac6a657355a6d9d36327865dc7631",
+        "303f7cb36135f0c8a0df26edbc3b95d18c0510fd14b54d60180a790084d54eff",
     ),
 }
 
@@ -144,15 +144,15 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # depend on the BLAS kernel or thread count; schur and all, which run the Schur
 # reduction, do.  SCHUR_HASHED pins schur at one BLAS thread.
 VERIFY_HASHED = {
-    "routes": "9f266edb55b49dd5eab74d03438452bbff86fdfa80c0f5b967896bac8b60b2cb",
-    "unitarity": "fb18d7b898332f5cc627915858bfb8ff695ecfa2e6d7ba26578c3a2cb3e2fd58",
-    "homomorphism": "509762cb0741bac753b0dcf8a8733827d2a8f73de7afd02babae16c935c78e02",
-    "jacobi-orth": "6ff043984d798f1e4ac5bfdf997b510a32a33107cec09b769b3585605acfbd25",
-    "legendre": "f119788f8aadd85fafbc8e76bde112aec336c7a8ff2a74000d9b7eab9e0fb458",
-    "krawtchouk-sym": "3fa0a0528f139f42f5c9d29c4ecbcbadb3f9cfee43ef561f24c4320112ff53f5",
-    "character": "04fb34ff693d1aa4bdd7236bd45d1a267cd68b8c388cf5628499e160c924b695",
+    "routes": "69a10fa09825e40b879e12a6d0e8245e1a70f612a2b7dd671b53b9b8716b085e",
+    "unitarity": "ea6ac8c55759930c6bfcc458be109bcf64bfc84b2c4f37139d3b190c72d007be",
+    "homomorphism": "820775ba3e85f6c3169bb49c033b07c8616d57fadc2d7f66285f636cbe3d6cc8",
+    "jacobi-orth": "8e9f6c130109194cc65c147f4c7ff04824e412096d88f19c8ea6cf23f93f5838",
+    "legendre": "ef7d1f8e7753f5da29441ce999668bc5165e13294cbd36cc3b184f74700aefda",
+    "krawtchouk-sym": "c2925c7b560c370e5ac69e9c65ac39a2bf74a0e4d4f53e5e9089995101125e5f",
+    "character": "7fb169793306e64a014236ab1d010f0fec85624118a67e44e94a8c113b63ec5c",
 }
-SCHUR_HASHED = "6ae877c6e6a083604cb856beb88aaac313c4313475551d57d08aefdcf421b7a7"
+SCHUR_HASHED = "629a3ec3e7f151e49806ddaef044cfb862452f6e1d516affb26301a18b9733bb"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))

@@ -12,12 +12,12 @@ from wignerkit.haar import (
     build_grid,
     character_norm,
     gauss_legendre,
-    jacobi_orthogonality_check,
     legendre_product_check,
     pairwise_sum,
     schur_check,
+    theta_rule,
 )
-from wignerkit.wigner import tmn_sum
+from wignerkit.wigner import jacobi_stack, tmn_sum
 
 HALF = HalfInt(1)
 
@@ -56,6 +56,10 @@ class TestGridConstruction:
             grid.matrices(HalfInt(7))
         assert grid._matrices == {}
         assert grid._powers is None
+
+    def test_the_theta_axis_is_the_theta_rule(self):
+        grid = build_grid(HalfInt(6))
+        assert np.array_equal(grid.thetas[:: grid.n_phi * grid.n_psi], theta_rule(HalfInt(6))[0])
 
     def test_the_power_table_is_built_to_the_budget(self):
         # powers 0 .. 6 of the node elements, whichever spin asks first
@@ -145,6 +149,14 @@ class TestSchur:
         with pytest.raises(ValueError):
             schur_check(grid, HalfInt(2), HALF)
 
+    @pytest.mark.parametrize("l_x2, lp_x2", [(1, 2), (2, 1)])
+    def test_a_spin_past_the_budget_builds_nothing(self, l_x2, lp_x2):
+        grid = build_grid(HALF)
+        with pytest.raises(ValueError, match="exceeds the grid exactness budget"):
+            schur_check(grid, HalfInt(l_x2), HalfInt(lp_x2))
+        assert grid._matrices == {}
+        assert grid._powers is None
+
     @pytest.mark.parametrize(
         "l_x2, lp_x2, i, j, i2, j2", [(2, 3, 0, 2, 1, 3), (0, 3, 0, 0, 3, 1), (1, 2, 1, 0, 2, 2)]
     )
@@ -200,25 +212,26 @@ class TestCharacterNorm:
 
 
 class TestJacobiOrthogonality:
+    # The same-column integral of d^l_{m,n} d^l'_{m,n} (jacobi_stack) on the
+    # theta rule of the larger spin, as the jacobi-orth suite takes it,
+    # against its exact value delta_{l,l'}/(2l+1).
+    @staticmethod
+    def deviation(l, l_prime, m, n):
+        thetas, weights = theta_rule(max(l, l_prime))
+        first, second = (
+            jacobi_stack(s, thetas)[:, (s.twice + m.twice) // 2, (s.twice + n.twice) // 2] for s in (l, l_prime)
+        )
+        expected = 1 / (l.twice + 1) if l == l_prime else 0.0
+        return float(pairwise_sum(weights * first * second)) - expected
+
     def test_trivial_case(self):
-        dev = jacobi_orthogonality_check(HalfInt(0), HalfInt(0), HalfInt(0), HalfInt(0))
-        assert abs(dev) <= 1e-14
+        assert abs(self.deviation(HalfInt(0), HalfInt(0), HalfInt(0), HalfInt(0))) <= 1e-14
 
     def test_different_spins_vanish(self):
-        dev = jacobi_orthogonality_check(HalfInt(2), HalfInt(4), HalfInt(2), HalfInt(0))
-        assert abs(dev) <= 1e-12
+        assert abs(self.deviation(HalfInt(2), HalfInt(4), HalfInt(2), HalfInt(0))) <= 1e-12
 
     def test_same_spin_inverse_dimension(self):
-        dev = jacobi_orthogonality_check(HalfInt(2), HalfInt(2), HalfInt(2), HalfInt(0))
-        assert abs(dev) <= 1e-12
-
-    def test_invalid_quadrant_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi_orthogonality_check(HalfInt(2), HalfInt(2), HalfInt(0), HalfInt(2))
-
-    def test_invalid_pair_rejected(self):
-        with pytest.raises(ValueError):
-            jacobi_orthogonality_check(HalfInt(2), HalfInt(1), HalfInt(2), HalfInt(0))
+        assert abs(self.deviation(HalfInt(2), HalfInt(2), HalfInt(2), HalfInt(0))) <= 1e-12
 
     def test_all_quadrant_pairs_to_spin_three(self):
         spins = spins_up_to(HalfInt(6))
@@ -231,8 +244,7 @@ class TestJacobiOrthogonality:
                     for n in spin_range(smaller):
                         if (m + n).twice < 0 or (m - n).twice < 0:
                             continue
-                        dev = jacobi_orthogonality_check(l, lp, m, n)
-                        assert abs(dev) <= 1e-10
+                        assert abs(self.deviation(l, lp, m, n)) <= 1e-10
 
 
 class TestLegendreFormulas:

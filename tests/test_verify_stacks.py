@@ -7,7 +7,10 @@ oracle reference with its own oracle_matrix call and took each product and
 max-norm one matrix at a time; the next yielded one deviation per entry,
 value or integral from a generator, with Python's abs and max.  Every
 magnitude in a copy, each max-norm included, is Python's abs.  Each suite
-must report the same deviations, in the same order, as the copy.
+must report the same deviations, in the same order, as the copy.  The
+same-column Jacobi integrals are the exception: they are now sums of
+jacobi_stack products on another rule, so they are held to the copy's count
+and to their exact values within 1e-15.
 """
 import math
 from itertools import product
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from wignerkit import verify
-from wignerkit.exactcomb import HalfInt, pochhammer, spins_up_to
+from wignerkit.exactcomb import HalfInt, factorial, is_valid_spin_pair, pochhammer, spin_range, spins_up_to
 from wignerkit.group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
 from wignerkit.haar import gauss_legendre, pairwise_sum
 from wignerkit.specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_norm, krawtchouk
@@ -139,6 +142,39 @@ def old_weighted():
                 yield abs(integral - (jacobi_norm(JacobiParams(al, be, n1)) if n1 == n2 else 0.0))
 
 
+def old_jacobi_orthogonality_check(l, l_prime, m, n):
+    # The x-substituted same-column integral, with its own prefactor, Jacobi
+    # integrand and exact Gauss-Legendre rule, against delta_{l,l'}/(2l+1).
+    for spin in (l, l_prime):
+        if not (is_valid_spin_pair(spin, m) and is_valid_spin_pair(spin, n)):
+            raise ValueError(f"(m={m}, n={n}) is not a weight pair of spin {spin}")
+    if (m + n).twice < 0 or (m - n).twice < 0:
+        raise ValueError("check is stated on the quadrant m + n >= 0, m - n >= 0")
+    deg1 = (l - m).as_int()
+    deg2 = (l_prime - m).as_int()
+    al = (m + n).as_int()
+    be = (m - n).as_int()
+    x, w = gauss_legendre((deg1 + deg2 + al + be) // 2 + 1)
+    p1 = jacobi_eval(JacobiParams(al, be, deg1), x)
+    p2 = p1 if (deg2 == deg1) else jacobi_eval(JacobiParams(al, be, deg2), x)
+    integral = float(pairwise_sum(w * p1 * p2 * (1 - x) ** al * (1 + x) ** be))
+    pref = (factorial((l + m).as_int()) * factorial((l - m).as_int())) / (
+        factorial((l + n).as_int()) * factorial((l - n).as_int()) * 2 ** (m.twice + 1)
+    )
+    expected = 1.0 / (l.twice + 1) if l.twice == l_prime.twice else 0.0
+    return pref * integral - expected
+
+
+def old_same_column(max_l):
+    # One integral per ordered spin pair of one parity and quadrant entry of the smaller spin.
+    spins = spins_up_to(max_l)
+    for l, l_prime in product(spins, spins):
+        if (l - l_prime).twice % 2 == 0:
+            for m, n in product(spin_range(min(l, l_prime)), repeat=2):
+                if (m + n).twice >= 0 and (m - n).twice >= 0:
+                    yield abs(old_jacobi_orthogonality_check(l, l_prime, m, n))
+
+
 def old_krawtchouk_sym():
     for N in range(1, 9):
         for n, x, p in product(range(N + 1), range(N + 1), (0.3, 0.5, 0.9)):
@@ -256,6 +292,15 @@ def test_jacobi_orth_and_krawtchouk_deviations_are_the_per_value_ones(deviations
     assert weighted == hexes(old_weighted())
     (krawtchouk_sym,) = deviations(verify.suite_krawtchouk_sym).values()
     assert krawtchouk_sym == hexes(old_krawtchouk_sym())
+
+
+@pytest.mark.parametrize("l_x2", [0, 1, 2, 6, 12])
+def test_same_column_integrals_are_as_many_and_exact(l_x2):
+    # jacobi_stack on the grid's theta rule checks the integrals the
+    # per-entry Jacobi integrals did, each to within 1e-15 of its exact value.
+    same_column = verify.suite_jacobi_orth(HalfInt(l_x2))["checks"][0]
+    assert same_column["count"] == len(list(old_same_column(HalfInt(l_x2))))
+    assert same_column["max_deviation"] <= 1e-15
 
 
 def test_identity_deviations_are_the_per_value_ones(deviations):
