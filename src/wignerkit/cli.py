@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -128,6 +129,9 @@ def _matrix_csv(M: WignerMatrix) -> str:
 
 def _render(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+
+
+_NEGATIVE_REAL = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _finite_real(text: str) -> float:
@@ -270,6 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
     verify.add_argument("--max-l-x2", type=int, default=6)
     verify.add_argument("--seed", type=int, default=0)
+    # argparse reads an argument that starts with "-" as an option unless it
+    # matches this pattern, by default a plain decimal; every text that float()
+    # reads as a negative number matches this one (-1e-3, -inf, -nan, and
+    # --matrix's list), and no option of wignerkit does.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_REAL
     return parser
 
 

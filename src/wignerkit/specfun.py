@@ -11,14 +11,19 @@ Every terminating series is summed one way, by an integer Horner scheme
 and the argument as a ratio of integers, a real p/q or a complex (p + i r)/q,
 so the whole sum is a single integer quotient, or a Gaussian integer over an
 integer, whose parts are each rounded once, with no gcd taken along the way.
-jacobi_values, which evaluates many Jacobi rows at many real nodes, sums the
-same integers against one table of powers per node instead of by Horner's
-rule, and rounds the same rational once.  The coefficient rows of both series
-are built in that integer form: the 2F1 row by its term-ratio recurrence
-(_hyp2f1_coeffs_cached), the Jacobi row from its explicit sum
-(_jacobi_coeffs_cached).  Every rounding is one int / int true division,
-which is correctly rounded, so it gives the float that float(Fraction) gives
-for the same rational.
+The coefficient rows of both series are built in that integer form: the 2F1
+row by its term-ratio recurrence (_hyp2f1_coeffs_cached), the Jacobi row
+from its explicit sum (_jacobi_coeffs_cached).  Every rounding is one
+int / int true division, which is correctly rounded, so it gives the float
+that float(Fraction) gives for the same rational.
+
+jacobi_values evaluates many Jacobi rows at many real nodes.  A small block
+sums the same integers against one table of powers per node.  A block of at
+least _DD_MIN_VALUES values takes one numpy Horner pass in double-double
+arithmetic (_dd_values), whose a-priori error bound certifies, value by
+value, that the exact rational rounds to the computed double, and sums the
+values it cannot certify exactly.  Either way each value is the float that
+the one int / int division gives.
 """
 from __future__ import annotations
 
@@ -216,26 +221,165 @@ def jacobi_eval(p: JacobiParams, x):
 def jacobi_values(params, x) -> np.ndarray:
     """jacobi_eval(p, x) for each p of params, shape (len(params), *x.shape).
 
-    Each element of the ndarray x is turned into its exact argument p/q once,
-    and into one table of the terms p^k q^(N-k), k = 0 .. N, for the largest
-    degree N among the params, which every row shares.  A row of degree n
-    sums its numerators against the first n + 1 terms, which is its Horner
-    numerator times q^(N-n), and divides by den q^N, the first term times
-    den: one int / int division of the same rational, so the same float
-    jacobi_eval gives.
+    A block of at least _DD_MIN_VALUES values (rows times nodes) of a finite
+    float64 x is evaluated by _dd_values: one double-double Horner pass over
+    the whole block, whose error bound certifies, value by value, that the
+    exact rational rounds to the computed float; the values it cannot
+    certify are summed exactly.  A smaller block, or any other x, is summed
+    exactly by _exact_values.  Either way every value is the float
+    jacobi_eval gives, and a non-finite element of x raises as there.
     """
-    mul = operator.mul
     rows = [_jacobi_coeffs_cached(p.alpha, p.beta, p.n) for p in params]
+    flat = x.ravel()
+    if len(rows) * flat.size >= _DD_MIN_VALUES and flat.dtype == np.float64 and np.isfinite(flat).all():
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows is not certified
+            values = _dd_values(rows, flat)
+    else:
+        values = _exact_values(rows, flat.tolist())
+    return values.reshape(len(rows), *x.shape)
+
+
+def _exact_values(rows, xs: list) -> np.ndarray:
+    # Each node x is turned into its exact argument p/q once, and into one
+    # table of the terms p^k q^(N-k), k = 0 .. N, for the largest degree N
+    # among the rows, which every row shares.  A row of degree n sums its
+    # numerators against the first n + 1 terms, which is its Horner numerator
+    # times q^(N-n), and divides by den q^N, the first term times den: one
+    # int / int division of the same rational jacobi_eval rounds.
+    mul = operator.mul
     top = max((len(nums) for nums, _ in rows), default=1)
     tables = []
-    for num, q in map(_as_ratio, x.ravel().tolist()):
+    for num, q in map(_as_ratio, xs):
         p_pow, q_pow = [1] * top, [1] * top
         for k in range(1, top):
             p_pow[k] = p_pow[k - 1] * (num - q)
             q_pow[k] = q_pow[k - 1] * 2 * q
         tables.append(list(map(mul, p_pow, reversed(q_pow))))
     values = [[sum(map(mul, nums, t)) / (den * t[0]) for t in tables] for nums, den in rows]
-    return np.array(values, dtype=float).reshape(len(rows), *x.shape)
+    return np.array(values, dtype=float).reshape(len(rows), len(xs))
+
+
+# The smallest block (rows times nodes) that _dd_values takes: below it the
+# fixed cost of its numpy calls is more than the exact sums cost.
+_DD_MIN_VALUES = 512
+_U = 2.0**-53  # the unit roundoff of a double
+# Magnitudes inside which the double-double pass cannot overflow and its
+# underflows are negligible against its error bound.
+_TINY, _HUGE = 2.0**-900, 2.0**900
+
+
+def _two_sum(a, b):
+    # (s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth).
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a):
+    # Dekker's split of a double into two halves of at most 26 bits each.
+    t = a * 134217729.0  # 2**27 + 1
+    head = t - (t - a)
+    return head, a - head
+
+
+def _two_prod(a, b, b_halves):
+    # (p, e) with p = fl(a b) and p + e = a b exactly (Dekker), b split once by the caller.
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), b_halves
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_pairs(ints: list) -> tuple[np.ndarray, np.ndarray]:
+    # Double-double pairs (hi, lo) of the integers.  Below 2^63 in magnitude
+    # hi + lo = N exactly: N's high and low 32 bits are exact doubles, summed
+    # by _two_sum.  Beyond, hi = float(N) and lo = float(N - hi), within u^2
+    # |N| of N; an integer of more than 900 bits becomes inf, which makes its
+    # row's bound inf or nan, so that none of its values is certified.
+    try:
+        exact = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        hi = [float(v) if v.bit_length() <= 900 else math.inf for v in ints]
+        lo = [float(v - int(h)) if h != math.inf else 0.0 for v, h in zip(ints, hi)]
+        return np.array(hi), np.array(lo)
+    return _two_sum((exact >> 32).astype(float) * 2.0**32, (exact & 0xFFFFFFFF).astype(float))
+
+
+def _dd_values(rows, x: np.ndarray) -> np.ndarray:
+    """The rows' values at the nodes x (finite float64), shape (rows, nodes),
+    from one double-double Horner pass, each value certified or summed exactly.
+
+    Pass.  A row (nums, den) of degree n is V = S / den with S the sum of
+    N_k y^k, y = (x - 1)/2.  Each N_k and den become pairs hi + lo
+    (_dd_pairs), and x - 1 is split exactly by _two_sum and halved, so
+    y = yh + yl exactly.  Horner's step a <- a y + N_k takes the exact
+    product ah yh and the exact sum with N_k's hi (_two_prod, _two_sum),
+    adds the low terms ah yl and al yh, the two errors and N_k's lo in plain
+    doubles, and renormalizes with _two_sum.  Every product and sum is its
+    own numpy call, so no SIMD level can contract one into an FMA.  The rows
+    are taken by falling degree, and each step runs on the rows whose degree
+    it reaches; the others still hold an exact 0.  The quotient by den is
+    th = fl(ah / dh) corrected by the residual ah - th dh (exact), al and
+    th dl, over dh.
+
+    Bound.  Let B_k be the sum over j >= k of |N_j| |y|^(j-k), so that
+    B_k = B_(k+1) |y| + |N_k| and B_0 is the condition sum.  With
+    |al| <= u |ah| and |yl| <= u |yh|, u = 2^-53, the dropped al yl, the
+    roundings of ah yl, al yh and of the four low additions, and N_k's lo
+    each cost a few u^2 of |a| |y| + |N_k|: one step adds at most 20 u^2 B_k
+    to the error e, and e_k <= |y| e_(k+1) (1 + 20 u^2) + 20 u^2 B_k.  As
+    B_k |y|^k <= B_0, e_0 <= 20 (n + 1) u^2 B_0 (1 + 20 u^2)^n.  The
+    quotient adds at most 13 u^2 (B_0 + e_0) / den.  So
+    |h + l - V| < 64 (n + 1) u^2 B_0 / den, with room for the rounding of
+    B_0 itself (a float Horner pass on |N_k| and |y|) and of the test below.
+
+    Certificate.  h is V correctly rounded when |l| plus the bound is less
+    than half the gap from |h| to its lower neighbour, the smaller of the
+    gaps around h.  The bound holds without overflow and with underflows,
+    each at most 2^-1074, far below u^2 B_k.  So a value is only certified
+    where x is 0 or |x| lies in [_TINY, _HUGE], where y = 0 or |y|^N >= _TINY
+    for the block's top degree N (then no partial sum B_(k+1) |y| is tiny,
+    as a nonzero N_k has |N_k| >= 1), and where B_0 / den lies in [_TINY,
+    _HUGE].  The bound exceeds the gap
+    of a zero or subnormal h, so neither is certified.  Every value that is
+    not certified is summed exactly by _exact_series.
+    """
+    order = sorted(range(len(rows)), key=lambda r: -len(rows[r][0]))
+    sizes = np.array([len(rows[r][0]) for r in order])
+    top = sizes[0]
+    # Per step k, the numerators of degree top - 1 - k, row by row; a row's
+    # first top - len(nums) entries are never read.
+    table = [c for r in order for c in (0,) * (top - len(rows[r][0])) + rows[r][0][::-1]]
+    nh, nl = (v.reshape(len(rows), top).T[:, :, None] for v in _dd_pairs(table))
+    dh, dl = (v[:, None] for v in _dd_pairs([rows[r][1] for r in order]))
+
+    s, e = _two_sum(x, -1.0)
+    yh, yl = s * 0.5, e * 0.5
+    ay, y_halves = np.abs(yh), _split(yh)
+    ah, al, bound = (np.zeros((len(rows), x.size)) for _ in range(3))
+    for k in range(top):
+        m = np.count_nonzero(sizes >= top - k)
+        a, b = ah[:m], al[:m]
+        p, pe = _two_prod(a, yh, y_halves)
+        s, se = _two_sum(p, nh[k, :m])
+        ah[:m], al[:m] = _two_sum(s, (((pe + a * yl) + b * yh) + se) + nl[k, :m])
+        bound[:m] = bound[:m] * ay + np.abs(nh[k, :m])
+
+    th = ah / dh
+    p, pe = _two_prod(th, dh, _split(dh))
+    h, l = _two_sum(th, ((((ah - p) - pe) + al) - th * dl) / dh)
+    bound /= dh
+    err = 64 * _U**2 * sizes[:, None] * bound
+    ax = np.abs(x)
+    node_ok = ((ax == 0) | ((ax >= _TINY) & (ax <= _HUGE))) & ((ay == 0) | (ay ** (top - 1) >= _TINY))
+    gap = np.spacing(np.nextafter(np.abs(h), 0))
+    sure = node_ok & (bound >= _TINY) & (bound <= _HUGE) & (np.abs(l) + err < gap / 2)
+    values = np.empty_like(h)
+    values[order] = np.where(sure, h, 0.0)
+    if not sure.all():
+        ratios = [(num - q, 2 * q) for num, q in map(_as_ratio, x.tolist())]
+        for r, c in zip(*np.nonzero(~sure)):
+            values[order[r], c] = _exact_series(*rows[order[r]], ratios[c])
+    return values
 
 
 def jacobi_complex(p: JacobiParams, w: complex) -> complex:

@@ -307,12 +307,13 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
             images.append(np.array([sum_matrix(l, element_map(A)).entries for A in samples])[:, rows, cols])
         return magnitudes(values - np.stack(images, axis=1)) / _norms(_stack(l, samples))[:, None, None]
 
-    # P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x); each side's 539 polynomials in one jacobi_values call
-    xs, triples = np.linspace(-1, 1, 21), list(product(range(7), range(7), range(11)))
-    reflection = _relative(
-        jacobi_values([JacobiParams(al, be, n) for al, be, n in triples], -xs),
-        jacobi_values([JacobiParams(be, al, n) for al, be, n in triples], xs) * [[(-1) ** n] for *_, n in triples],
-    ).ravel()
+    # P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x): the 539 polynomials in one jacobi_values call on
+    # nodes that are symmetric bit for bit.  The left side reads row (al, be, n) at the reversed
+    # nodes, the right side row (be, al, n) at the nodes, at index (7 be + al) 11 + n.
+    triples = list(product(range(7), range(7), range(11)))
+    values = jacobi_values([JacobiParams(*t) for t in triples], np.arange(-10, 11) / 10)
+    al, be, n = np.array(triples).T
+    reflection = _relative(values[:, ::-1], values[(7 * be + al) * 11 + n] * (-1.0) ** n[:, None]).ravel()
 
     cases = list(product(range(9), (0.5, 2.0), (1.5, 3.0), (-0.7, -0.2, 0.3)))
     pfaff = _relative(

@@ -766,5 +766,23 @@ def fold_to_quadrant(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
 
 
 def character(l: HalfInt, A: Mat2C) -> complex:
-    """Trace of the spin-l representation matrix."""
-    return complex(np.trace(oracle_matrix(l, A).entries))
+    """Trace of the spin-l representation matrix, each part rounded once.
+
+    The trace is h_2l, the complete homogeneous symmetric polynomial of A's
+    eigenvalues, and h_k = T h_(k-1) - D h_(k-2) with h_0 = 1, h_1 = T,
+    T = tr A and D = det A.  The entries of A are Gaussian integers over one
+    power of two q (_complex_ratio), so T q and D q^2 are Gaussian integers,
+    H_k = h_k q^k runs in integers, and h_2l = H_2l / q^(2l).  A part that
+    overflows a float is refused with RouteUnavailableError.
+    """
+    n = _dim(l) - 1
+    parts = [_complex_ratio(complex(v)) for v in _finite(astuple(A))]
+    q = max(f for *_, f in parts)
+    (pa, ra), (pb, rb), (pc, rc), (pd, rd) = ((p * (q // f), r * (q // f)) for p, r, f in parts)
+    t, t_i = pa + pd, ra + rd
+    d, d_i = pa * pd - ra * rd - pb * pc + rb * rc, pa * rd + ra * pd - pb * rc - rb * pc
+    h, h_i, g, g_i = 1, 0, 0, 0  # H_k and H_(k-1), from H_0 = 1 and H_(-1) = 0
+    for _ in range(n):
+        h, h_i, g, g_i = t * h - t_i * h_i - d * g + d_i * g_i, t * h_i + t_i * h - d * g_i - d_i * g, h, h_i
+    scale = q**n
+    return _refusing_overflow("the character", lambda: complex(h / scale, h_i / scale))

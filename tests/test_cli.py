@@ -438,6 +438,38 @@ def test_a_non_finite_real_flag_is_usage_error(capsys, flag, value):
     assert lines[-1] == f"wignerkit {argv[0]}: error: argument --{flag}: needs a finite real, got {value}"
 
 
+
+def outcome_of(capsys, argv):
+    # (exit code, stdout, stderr) of main(argv); a usage error exits through SystemExit.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+# A real flag's value may start with "-" in any form float() reads, and may
+# follow the flag as the next argument: it then means what --flag=value means.
+SPACED_FLAGS = {**REAL_FLAGS, "matrix": ["dmat", "--l-x2", "1"]}
+
+
+@pytest.mark.parametrize("flag", sorted(SPACED_FLAGS))
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+0", "-.5", "-7", "-inf", "-nan", "-Infinity"])
+def test_a_negative_real_after_its_flag_is_its_value(capsys, flag, value):
+    argv = SPACED_FLAGS[flag]
+    if flag == "matrix":
+        value = f"{value},0,0,0,0,0,1,0"
+    spaced = outcome_of(capsys, [*argv, f"--{flag}", value])
+    assert spaced == outcome_of(capsys, [*argv, f"--{flag}={value}"])
+    code, out, err = spaced
+    if not math.isfinite(float(value.split(",")[0])):
+        assert code == 2 and out == ""
+        reason = "the 8 reals must be finite" if flag == "matrix" else "needs a finite real"
+        assert err.splitlines()[-1] == f"wignerkit {argv[0]}: error: argument --{flag}: {reason}, got {value}"
+    else:
+        assert code in (0, 3) and out.startswith("{") and err == ""
+
+
 class TestVerify:
     def test_schur_suite_passes(self, capsys):
         code, rec = run_json(capsys, "verify", "--suite", "schur", "--max-l-x2", "3")

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from wignerkit import specfun
 from wignerkit.exactcomb import factorial, pochhammer
 from wignerkit.haar import gauss_legendre
 from wignerkit.specfun import (
@@ -397,6 +398,67 @@ class TestArrayJacobiEval:
             for p, row in zip(params, got):
                 assert [v.hex() for v in row.ravel().tolist()] == [v.hex() for v in jacobi_eval(p, xs).ravel().tolist()]
         assert jacobi_values([], np.linspace(-1, 1, 3)).shape == (0, 3)
+
+    # Rows and nodes where the double-double kernel has to leave values to the
+    # exact sum: alpha = beta (an exact zero at x = 0 for odd n), a negative
+    # integer alpha (zero numerators), alpha = 1e-300 and other non-integer
+    # parameters (numerators beyond 63 and beyond 900 bits), degrees up to 60;
+    # x = +-1 (y = 0 or -1), |x| > 1, subnormal and tiny x, and 1 +- eps.
+    ADVERSARIAL_ROWS = [
+        *(JacobiParams(a, a, n) for a in (0, 2, 0.5) for n in (1, 3, 7, 15)),
+        *(JacobiParams(-3, 2, n) for n in (2, 5, 9)),
+        *(JacobiParams(1e-300, b, n) for b in (0, 3) for n in (1, 4, 9)),
+        *(JacobiParams(0.3, -0.7, n) for n in (2, 11, 25)),
+        JacobiParams(-1.5, 0.25, 6),
+        JacobiParams(0, 0, 60),
+        JacobiParams(5, 1, 60),
+        JacobiParams(6, 6, 40),
+        JacobiParams(40, 3, 20),
+    ]
+    ADVERSARIAL_NODES = [0.0, -0.0, 1.0, -1.0, 1.5, -2.0, 3.0, 5e-324, -1e-310, 1e-300, 1 - 2**-52, 1 + 2**-52, -0.3]
+
+    @pytest.mark.parametrize("extra_nodes", [0, 30])
+    def test_blocks_on_both_sides_of_the_kernel_cut_are_the_scalar_series(self, extra_nodes):
+        params = self.ADVERSARIAL_ROWS
+        xs = np.array([*self.ADVERSARIAL_NODES, *np.linspace(-1, 1, extra_nodes + 2)[1:-1]])
+        # 29 rows at 13 nodes are summed exactly; at 43 nodes they take the kernel
+        assert (len(params) * len(xs) >= specfun._DD_MIN_VALUES) == (extra_nodes > 0)
+        got = jacobi_values(params, xs)
+        for p, row in zip(params, got.tolist()):
+            assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in xs.tolist()], p
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 14), parameter, parameter), min_size=26, max_size=30),
+        st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, 1.0, -1.0, 5e-324])), min_size=20, max_size=30),
+    )
+    @settings(deadline=None, max_examples=20)
+    def test_blocks_above_the_kernel_cut_are_the_scalar_series(self, rows, xs):
+        params = [JacobiParams(alpha, beta, n) for n, alpha, beta in rows]
+        got = jacobi_values(params, np.array(xs))
+        for p, row in zip(params, got.tolist()):
+            assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in xs], p
+
+    def test_the_kernel_certifies_all_but_a_few_values(self, monkeypatch):
+        # The reflection identity's block: 539 rows at 21 nodes.  The values
+        # the certificate cannot decide are each one _exact_series call.
+        fallbacks = []
+        series = specfun._exact_series
+        monkeypatch.setattr(specfun, "_exact_series", lambda *args: fallbacks.append(args) or series(*args))
+        params = [JacobiParams(al, be, n) for al in range(7) for be in range(7) for n in range(11)]
+        xs = np.arange(-10, 11) / 10
+        got = jacobi_values(params, xs)
+        assert got.size == 11319 and 0 < len(fallbacks) < 0.03 * got.size
+        for p, row in zip(params, got.tolist()):
+            assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in xs.tolist()], p
+
+    def test_a_non_finite_node_raises_as_the_scalar_call_in_a_large_block(self):
+        params = [JacobiParams(1, 2, n) for n in range(40)]
+        for bad in (np.nan, np.inf, -np.inf):
+            xs = np.linspace(-1, 1, 20)
+            xs[7] = bad
+            with pytest.raises((ValueError, OverflowError)) as info:
+                jacobi_values(params, xs)
+            assert (type(info.value), str(info.value)) == outcome(jacobi_eval, params[0], float(bad))
 
 
 class TestGaussLegendre:

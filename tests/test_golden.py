@@ -14,11 +14,14 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wignerkit.cli import main
+from wignerkit.specfun import _exact_values, _jacobi_coeffs_cached
 from wignerkit.wigner import ORACLE_TRUSTED_L_X2, ROTATION_ROUTES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -232,7 +235,8 @@ def route_of(argv):
 CHART_PINS = [pin for pin in DMAT_PINS if "--theta" in pin[0] and route_of(pin[0]) in ROTATION_ROUTES]
 
 
-def assert_pins_hold_without(levels, pins):
+def assert_pins_hold_without(levels, pins, script=RUN_AND_HASH, extra=()):
+    # extra: the lines that script prints after those of the pins.
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy < 2
@@ -242,18 +246,34 @@ def assert_pins_hold_without(levels, pins):
     env["OPENBLAS_NUM_THREADS"] = "1"  # the Schur pins' BLAS product holds at one thread
     env.pop("NPY_ENABLE_CPU_FEATURES", None)  # numpy refuses both variables at once
     argvs = json.dumps([argv for argv, _ in pins])
-    run = subprocess.run([sys.executable, "-c", RUN_AND_HASH, argvs], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", script, argvs], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n")[:-1] == [f"0 {digest}" for _, digest in pins]
+    assert run.stdout.split("\n")[:-1] == [*(f"0 {digest}" for _, digest in pins), *extra]
 
 
 def test_dmat_stdout_is_the_same_without_avx512():
     assert_pins_hold_without(AVX512_LEVELS, DMAT_PINS)
 
 
+# The one block of verify_all_0 that takes specfun's double-double Jacobi
+# kernel, the reflection check's 539 rows at 21 nodes; its values must be the
+# exact sums at every feature level.  verify_all_0 itself runs the oracle, whose
+# bytes move below X86_V3 (the legendre checks), so its pin holds in the
+# AVX-512 test below.
+REFLECTION_BLOCK = """
+from itertools import product
+import numpy as np
+from wignerkit.specfun import JacobiParams, jacobi_values
+params = [JacobiParams(*t) for t in product(range(7), range(7), range(11))]
+print(hashlib.sha256(jacobi_values(params, np.arange(-10, 11) / 10).tobytes()).hexdigest())
+"""
+
+
 def test_chart_route_stdout_is_the_same_without_avx2():
     assert len(CHART_PINS) == 11 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
-    assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS)
+    rows = [_jacobi_coeffs_cached(*t) for t in product(range(7), range(7), range(11))]
+    exact = hashlib.sha256(_exact_values(rows, (np.arange(-10, 11) / 10).tolist()).tobytes()).hexdigest()
+    assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS, RUN_AND_HASH + REFLECTION_BLOCK, [exact])
 
 
 # The Haar angles are drawn with math.acos, one sample at a time, so every

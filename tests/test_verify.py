@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from wignerkit import haar, verify, wigner
+from wignerkit import haar, specfun, verify, wigner
 from wignerkit.cli import main
 from wignerkit.exactcomb import HalfInt, spins_up_to
 from wignerkit.group import EulerAngles, Mat2C, from_euler, sample_haar
@@ -224,3 +224,29 @@ def test_routes_suite_checks_each_chart_form_at_20_triples():
     for name in charts:
         assert checks[name]["count"] == 20 * sum((l2 + 1) ** 2 for l2 in range(max_l.twice + 1))
         assert checks[name]["tolerance"] == 1e-9 and checks[name]["passed"]
+
+
+def reflection_check(seed=0):
+    checks = verify.identity_checks(seed, verify.suite_krawtchouk_sym())["checks"]
+    return next(chk for chk in checks if chk["check"] == "jacobi reflection")
+
+
+def test_the_reflection_check_reads_both_sides_of_one_array():
+    # P_n^(al,be)(-x) and (-1)^n P_n^(be,al)(x) are one exact rational, rounded once.
+    assert reflection_check() == {
+        "check": "jacobi reflection", "max_deviation": 0.0, "tolerance": 1e-10, "count": 11319, "passed": True
+    }
+
+
+def test_the_reflection_check_fails_on_one_perturbed_row(monkeypatch):
+    # Row (2, 3, 4) gains 1 at every node and row (3, 2, 4) does not, so the
+    # two sides, read from one array, no longer agree.
+    rows = specfun._jacobi_coeffs_cached
+
+    def perturbed(alpha, beta, n):
+        nums, den = rows(alpha, beta, n)
+        return ((nums[0] + den, *nums[1:]), den) if (alpha, beta, n) == (2, 3, 4) else (nums, den)
+
+    monkeypatch.setattr(specfun, "_jacobi_coeffs_cached", perturbed)
+    check = reflection_check()
+    assert check["count"] == 11319 and not check["passed"] and check["max_deviation"] > 0.1

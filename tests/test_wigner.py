@@ -601,6 +601,49 @@ class TestCharacter:
     def test_spin_half_is_trace(self):
         assert character(HalfInt(1), A_TEST) == pytest.approx(5.0)
 
+    # Haar and GL(2, C) draws, +-I, a Jordan block, eigenvalues 1e-9 apart on
+    # the unit circle, and a rank-1 element.
+    EXACT_CASES = [
+        *sample_haar(11, 4),
+        *sample_gl2(12, 4),
+        Mat2C(1, 0, 0, 1),
+        Mat2C(-1, 0, 0, -1),
+        Mat2C(1, 1, 0, 1),
+        Mat2C(cmath.exp(1e-9j), 0, 0, cmath.exp(-1e-9j)),
+        Mat2C(1, 2, 2, 4),
+    ]
+
+    @staticmethod
+    def within_two_ulp(l2, A):
+        # h_2l as the sum of lambda1^k lambda2^(2l-k) over A's eigenvalues in 120-digit mpmath.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(120):
+            a, b, c, d = (mpmath.mpc(complex(v).real, complex(v).imag) for v in (A.a, A.b, A.c, A.d))
+            root = mpmath.sqrt((a + d) ** 2 - 4 * (a * d - b * c))
+            lam1, lam2 = (a + d + root) / 2, (a + d - root) / 2
+            want = mpmath.fsum(lam1**k * lam2 ** (l2 - k) for k in range(l2 + 1))
+            got = character(HalfInt(l2), A)
+            return abs(mpmath.mpc(got.real, got.imag) - want) <= 2 * np.spacing(float(abs(want)))
+
+    @pytest.mark.parametrize("l2", [6, 40, 200, 400])
+    def test_is_the_exact_character_rounded_once(self, l2):
+        assert all(self.within_two_ulp(l2, A) for A in self.EXACT_CASES)
+
+    @pytest.mark.parametrize("l2", [6, 40])
+    def test_a_tiny_imaginary_part_is_kept(self, l2):
+        # 1e-300 i makes q = 2^1048 or so; the integers grow with it.
+        assert self.within_two_ulp(l2, Mat2C(0.9 + 1e-300j, -0.2, 0.5, 0.8))
+
+    def test_an_overflow_is_refused(self):
+        assert self.within_two_ulp(200, Mat2C(30, 0, 0, 0.1))
+        with pytest.raises(RouteUnavailableError, match="the character overflows"):
+            character(HalfInt(400), Mat2C(30, 0, 0, 0.1))
+
+    def test_a_non_finite_entry_is_refused(self):
+        for bad in (math.nan, math.inf, complex(0, -math.inf)):
+            with pytest.raises(ValueError, match="non-finite"):
+                character(HalfInt(0), Mat2C(bad, 0, 0, 1))
+
 
 class TestWignerMatrixType:
     def test_shape_validation(self):
