@@ -223,11 +223,12 @@ def jacobi_values(params, x) -> np.ndarray:
 
     A block of at least _DD_MIN_VALUES values (rows times nodes) of a finite
     float64 x is evaluated by _dd_values: one double-double Horner pass over
-    the whole block, whose error bound certifies, value by value, that the
-    exact rational rounds to the computed float; the values it cannot
-    certify are summed exactly.  A smaller block, or any other x, is summed
-    exactly by _exact_values.  Either way every value is the float
-    jacobi_eval gives, and a non-finite element of x raises as there.
+    the block, whose error bound certifies, value by value, that the exact
+    rational rounds to the computed float; the values it cannot certify, and
+    the rows it never could, are summed exactly.  A smaller block, or any
+    other x, is summed exactly by _exact_values.  Either way every value is
+    the float jacobi_eval gives, and a non-finite element of x raises as
+    there.
     """
     rows = [_jacobi_coeffs_cached(p.alpha, p.beta, p.n) for p in params]
     flat = x.ravel()
@@ -264,8 +265,10 @@ def _exact_values(rows, xs: list) -> np.ndarray:
 _DD_MIN_VALUES = 512
 _U = 2.0**-53  # the unit roundoff of a double
 # Magnitudes inside which the double-double pass cannot overflow and its
-# underflows are negligible against its error bound.
+# underflows are negligible against its error bound; an integer of more than
+# 900 bits, at least _WIDE in magnitude, becomes inf in _dd_pairs.
 _TINY, _HUGE = 2.0**-900, 2.0**900
+_WIDE = 1 << 900
 
 
 def _two_sum(a, b):
@@ -341,21 +344,30 @@ def _dd_values(rows, x: np.ndarray) -> np.ndarray:
     as a nonzero N_k has |N_k| >= 1), and where B_0 / den lies in [_TINY,
     _HUGE].  The bound exceeds the gap
     of a zero or subnormal h, so neither is certified.  Every value that is
-    not certified is summed exactly by _exact_series.
+    not certified is summed exactly by _exact_series.  A row with an integer
+    of more than 900 bits is never certified, so it is summed by
+    _exact_values before the pass, which runs over the other rows.
     """
-    order = sorted(range(len(rows)), key=lambda r: -len(rows[r][0]))
+    values = np.empty((len(rows), x.size))
+    fits = [den < _WIDE and -_WIDE < min(nums) and max(nums) < _WIDE for nums, den in rows]
+    wide = [r for r, ok in enumerate(fits) if not ok]
+    if wide:
+        values[wide] = _exact_values([rows[r] for r in wide], x.tolist())
+    order = sorted((r for r, ok in enumerate(fits) if ok), key=lambda r: -len(rows[r][0]))
+    if not order:
+        return values
     sizes = np.array([len(rows[r][0]) for r in order])
     top = sizes[0]
     # Per step k, the numerators of degree top - 1 - k, row by row; a row's
     # first top - len(nums) entries are never read.
     table = [c for r in order for c in (0,) * (top - len(rows[r][0])) + rows[r][0][::-1]]
-    nh, nl = (v.reshape(len(rows), top).T[:, :, None] for v in _dd_pairs(table))
+    nh, nl = (v.reshape(len(order), top).T[:, :, None] for v in _dd_pairs(table))
     dh, dl = (v[:, None] for v in _dd_pairs([rows[r][1] for r in order]))
 
     s, e = _two_sum(x, -1.0)
     yh, yl = s * 0.5, e * 0.5
     ay, y_halves = np.abs(yh), _split(yh)
-    ah, al, bound = (np.zeros((len(rows), x.size)) for _ in range(3))
+    ah, al, bound = (np.zeros((len(order), x.size)) for _ in range(3))
     for k in range(top):
         m = np.count_nonzero(sizes >= top - k)
         a, b = ah[:m], al[:m]
@@ -373,7 +385,6 @@ def _dd_values(rows, x: np.ndarray) -> np.ndarray:
     node_ok = ((ax == 0) | ((ax >= _TINY) & (ax <= _HUGE))) & ((ay == 0) | (ay ** (top - 1) >= _TINY))
     gap = np.spacing(np.nextafter(np.abs(h), 0))
     sure = node_ok & (bound >= _TINY) & (bound <= _HUGE) & (np.abs(l) + err < gap / 2)
-    values = np.empty_like(h)
     values[order] = np.where(sure, h, 0.0)
     if not sure.all():
         ratios = [(num - q, 2 * q) for num, q in map(_as_ratio, x.tolist())]

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+from array import array
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -115,8 +117,10 @@ def _powers(x, top: int) -> list:
     return [x**e for e in range(top + 1)]
 
 
-def _entry_powers(A: Mat2C, l2: int) -> tuple:
-    return tuple(_powers(x, l2) for x in (A.a, A.b, A.c, A.d))
+def _entry_powers(A: Mat2C, l2: int) -> list:
+    # _powers(x, l2) for x = a, b, c and d.
+    exponents = range(l2 + 1)
+    return [[x**e for e in exponents] for x in (A.a, A.b, A.c, A.d)]
 
 
 @lru_cache(maxsize=32)  # a plan holds 48 (l2 + 1)^2 bytes, 7.7 MB at l2 = 400
@@ -246,13 +250,56 @@ def _sqrt_fraction(num: int, den: int) -> float:
     return math.sqrt(num / den)
 
 
-def _sum_entry(l2: int, i: int, j: int, powers: tuple) -> complex:
+def _overflowing(fn, *args) -> float:
+    # fn(*args), a float, or inf where it raises OverflowError.
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _factorials(top: int) -> list:
+    # k! for k = 0 .. top, as exact integers.
+    out = [1]
+    for k in range(1, top + 1):
+        out.append(out[-1] * k)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _sum_plan(l2: int) -> list:
+    """What sum_matrix reads at spin l2/2 before it sees an element, as
+    columns over its entries (i, j) by row and then by column: l - m, l - n,
+    m + n, the start and the stop of the range of k, Pascal's rows C(l-n, .)
+    and C(l+n, .) (exact), and the prefactor sqrt(C(2l, l-n) / C(2l, l-m)),
+    or inf where it overflows a float.  At l2 = 400 it holds 160,801 entries
+    and 80,601 binomials, about 12 MB.
+    """
+    binomials = [[1]]
+    for _ in range(l2):
+        binomials.append([1, *map(operator.add, binomials[-1], binomials[-1][1:]), 1])
+    columns, left, right, prefactors = [array("i") for _ in range(5)], [], [], array("d")
+    for i in range(l2 + 1):
+        for j in range(l2 + 1):
+            lm, ln, mn = l2 - i, l2 - j, i + j - l2
+            for column, value in zip(columns, (lm, ln, mn, max(0, -mn), min(lm, ln) + 1)):
+                column.append(value)
+            left.append(binomials[ln])
+            right.append(binomials[j])
+            prefactors.append(_overflowing(_sqrt_fraction, binomials[l2][ln], binomials[l2][lm]))
+    return [*columns, left, right, prefactors]
+
+
+def _sum_entries(l2: int, rows, powers: list, out: list) -> None:
+    # The entries of the rows of _sum_plan(l2) in their order, appended to out.
     a_pow, b_pow, c_pow, d_pow = powers
-    lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    acc = 0j
-    for k in range(max(0, -mn), min(lm, ln) + 1):
-        acc += comb(ln, k) * comb(j, lm - k) * a_pow[k] * b_pow[lm - k] * c_pow[ln - k] * d_pow[mn + k]
-    return _sqrt_fraction(comb(l2, ln), comb(l2, lm)) * acc
+    for lm, ln, mn, start, stop, left, right, pref in rows:
+        acc = 0j
+        for k in range(start, stop):
+            acc += left[k] * right[lm - k] * a_pow[k] * b_pow[lm - k] * c_pow[ln - k] * d_pow[mn + k]
+        if pref == math.inf:  # the ratio overflows: the same division raises
+            _sqrt_fraction(comb(l2, ln), comb(l2, lm))
+        out.append(pref * acc)
 
 
 def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
@@ -261,18 +308,21 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     All binomials are exact integers; the monomials a^j b^.. c^.. d^.. are
     evaluated in floating point with the 0^0 = 1 convention, which is what
     makes the corner cases with vanishing entries come out right.  Reads
-    sum_matrix's tables: raises where they overflow, never returns inf or NaN.
+    sum_matrix's tables and plan: raises where they overflow, never returns
+    inf or NaN.
     """
-    i, j = _index(l, m), _index(l, n)
-    return _finite(_sum_entry(l.twice, i, j, _entry_powers(A, l.twice)))
+    at = _index(l, m) * _dim(l) + _index(l, n)
+    out = []
+    _sum_entries(l.twice, [[column[at] for column in _sum_plan(l.twice)]], _entry_powers(A, l.twice), out)
+    return _finite(out[0])
 
 
 def sum_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     """The whole matrix by the finite sum, from one table of the powers of
-    a, b, c and d."""
-    dim = _dim(l)
-    powers = _entry_powers(A, l.twice)
-    return WignerMatrix(l, [[_sum_entry(l.twice, i, j, powers) for j in range(dim)] for i in range(dim)])
+    a, b, c and d and the spin's plan."""
+    dim, out = _dim(l), []
+    _sum_entries(l.twice, zip(*_sum_plan(l.twice)), _entry_powers(A, l.twice), out)
+    return WignerMatrix(l, np.reshape(out, (dim, dim)))
 
 
 def _factorial_ratio_sqrt(p: int, q: int, r: int, s: int) -> float:
@@ -286,20 +336,92 @@ def _binomial_sqrt(route: str, l2: int, lm: int, ln: int) -> float:
     return _refusing_overflow(what, math.sqrt, comb(l2, lm) * comb(l2, ln))
 
 
+def _quadrant(l2: int):
+    # The quadrant entries (i, j), i + j >= l2 and i >= j, of spin l2/2 by row
+    # and then by column: the order in which every element builder computes them.
+    return ((i, j) for i in range((l2 + 1) // 2, l2 + 1) for j in range(l2 - i, i + 1))
+
+
+def _quadrant_position(l2: int, i: int, j: int) -> int:
+    # Where (i, j) sits in _quadrant(l2): row (l2 + 1) // 2 + t holds
+    # 2t + 1 + l2 % 2 entries, so t (t + l2 % 2) entries come before it.
+    t = i - (l2 + 1) // 2
+    return t * (t + l2 % 2) + j - (l2 - i)
+
+
+# The prefactors of the closed forms at quadrant entry (i, j) of spin l2, from
+# the factorials f = _factorials(l2) and the binomials c = C(l2, .), each ratio
+# taken exactly before the root; each raises OverflowError where it overflows a float.
+_PREFACTORS = {
+    # sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!)), the 2F1 form's
+    "2F1": lambda l2, i, j, f, c: _sqrt_fraction(f[i] * f[j], f[l2 - i] * f[l2 - j]),
+    # sqrt((l+m)! (l-m)! / ((l+n)! (l-n)!)), the Jacobi forms'
+    "jacobi": lambda l2, i, j, f, c: _sqrt_fraction(f[i] * f[l2 - i], f[j] * f[l2 - j]),
+    # sqrt(C(2l, l-m) C(2l, l-n)), the symmetric 2F1 and Krawtchouk forms'
+    "binomial": lambda l2, i, j, f, c: math.sqrt(c[l2 - i] * c[l2 - j]),
+}
+
+
+@lru_cache(maxsize=32)
+def _prefactors(kind: str, l2: int) -> array:
+    """The prefactor _PREFACTORS[kind] at each quadrant entry of spin l2/2, in
+    _quadrant order, or inf where it overflows a float: what the element
+    forms and the chart forms of that prefactor read.  Where a reader finds
+    inf it recomputes the prefactor with its own route's function, which
+    raises that route's refusal.  At l2 = 400 it holds 40,401 floats, 323 kB.
+    """
+    f = _factorials(l2)
+    c = [f[l2] // (f[k] * f[l2 - k]) for k in range(l2 + 1)]
+    prefactor = _PREFACTORS[kind]
+    return array("d", [_overflowing(prefactor, l2, i, j, f, c) for i, j in _quadrant(l2)])
+
+
+@lru_cache(maxsize=32)
+def _quadrant_plan(l2: int) -> tuple:
+    """What every element form reads at spin l2/2 before it sees an element.
+
+    Five columns over the quadrant entries in _quadrant order: l - m, l - n,
+    m + n, m - n and (m + n)!.  Then the lists of images that entries write:
+    the indices into _IMAGES of an entry's distinct places, each the last
+    image written there, in the order of their first writes; and a column of
+    the list each entry writes.  Then those places, entry by entry and image
+    by image, as flat indices into the matrix.  At l2 = 400 it holds 40,401
+    entries and 160,801 places, about 1.7 MB.
+    """
+    dim, f = l2 + 1, _factorials(l2)
+    columns, image_sets, entry_sets, places = [array("i") for _ in range(4)], [], array("B"), array("i")
+    for i, j in _quadrant(l2):
+        written = {}
+        for k, (index_map, _, _) in enumerate(_IMAGES.values()):
+            written[index_map(l2, i, j)] = k
+        ks = tuple(written.values())
+        if ks not in image_sets:
+            image_sets.append(ks)
+        entry_sets.append(image_sets.index(ks))
+        places.extend(r * dim + c for r, c in written)
+        for column, value in zip(columns, (l2 - i, l2 - j, i + j - l2, i - j)):
+            column.append(value)
+    columns.append([f[mn] for mn in columns[2]])
+    return columns, image_sets, entry_sets, places
+
+
 # What an element kernel refuses where it overflows a float (its series are exact).
 _HYP_PREFACTOR = "2F1 route's prefactor sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!))"
 _HYP_SERIES = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc))"
 _HYP_SYMMETRIC_SERIES = "symmetric 2F1 route's series 2F1(-(l-m), -(l-n); -2l; (bc - ad)/(bc))"
 _JACOBI_SERIES = "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - ad))"
 
-# An element form is (tables, shared, entry), in the quadrant m + n >= 0,
-# m - n >= 0 (i + j >= l2, i >= j).  tables(A, l2) is (the powers of a, b, c
-# and d, what A's symmetry images share with A); shared(l2, i, j, common) is
-# what quadrant entry (i, j) shares with its images, its exact series among
-# it; entry(l2, i, j, powers, shared) is the entry of the element whose powers
-# are given.  The images of A under SYMMETRIES have A's bc and ad bit for bit
-# (the same products with the factors swapped), so they share its arguments,
-# and _element_matrix computes shared once for a quadrant entry's _IMAGES.
+# An element form is (tables, quadrant, prefactor kind), in the quadrant
+# m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).  tables(A, l2) is (the powers
+# of a, b, c and d, what A's symmetry images share with A).  quadrant(l2,
+# rows, images, common, out, places) computes quadrant entries in the order of
+# rows; a row is an entry's columns of _quadrant_plan, its prefactor of
+# _PREFACTORS[kind] and the index of its list of images, each given by its
+# powers.  It sums the entry's exact series once and writes the entry at each
+# of its images to out at the next of places.  The images of A under
+# SYMMETRIES have A's bc and ad bit for bit (the same products with the
+# factors swapped), so they share its arguments and its series.  An entry
+# whose prefactor overflows is refused in its place among the entry's refusals.
 
 
 def _hyp_tables(A: Mat2C, l2: int) -> tuple:
@@ -316,32 +438,26 @@ def _hyp_tables(A: Mat2C, l2: int) -> tuple:
     return _entry_powers(A, l2), (_complex_ratio(z), _complex_ratio(w))
 
 
-def _hyp_shared(l2: int, i: int, j: int, common: tuple) -> tuple:
-    lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    pref = _refusing_overflow(_HYP_PREFACTOR, _factorial_ratio_sqrt, i, j, lm, ln)
-    row = _hyp2f1_coeffs_cached(-lm, -ln, mn + 1, min(lm, ln))
-    return pref, _refusing_overflow(_HYP_SERIES, _exact_series, *row, common[0])
+def _hyp_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> None:
+    z = common[0]
+    for lm, ln, mn, _, mn_factorial, pref, at in rows:
+        if pref == math.inf:
+            _refusing_overflow(_HYP_PREFACTOR, _factorial_ratio_sqrt, l2 - lm, l2 - ln, lm, ln)
+        coeffs = _hyp2f1_coeffs_cached(-lm, -ln, mn + 1, min(lm, ln))
+        series = _refusing_overflow(_HYP_SERIES, _exact_series, *coeffs, z)
+        for _, b_pow, c_pow, d_pow in images[at]:
+            out[next(places)] = pref * b_pow[lm] * c_pow[ln] * d_pow[mn] / mn_factorial * series
 
 
-def _hyp_entry(l2: int, i: int, j: int, powers: tuple, shared: tuple) -> complex:
-    _, b_pow, c_pow, d_pow = powers
-    pref, series = shared
-    lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] / factorial(mn) * series
-
-
-def _hyp_symmetric_shared(l2: int, i: int, j: int, common: tuple) -> tuple:
-    lm, ln = l2 - i, l2 - j
-    row = _hyp2f1_coeffs_cached(-lm, -ln, -l2, min(lm, ln))
-    series = _refusing_overflow(_HYP_SYMMETRIC_SERIES, _exact_series, *row, common[1])
-    return _binomial_sqrt("symmetric 2F1", l2, lm, ln), series
-
-
-def _hyp_symmetric_entry(l2: int, i: int, j: int, powers: tuple, shared: tuple) -> complex:
-    _, b_pow, c_pow, d_pow = powers
-    pref, series = shared
-    lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
+def _hyp_symmetric_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> None:
+    w = common[1]
+    for lm, ln, mn, _, _, pref, at in rows:
+        coeffs = _hyp2f1_coeffs_cached(-lm, -ln, -l2, min(lm, ln))
+        series = _refusing_overflow(_HYP_SYMMETRIC_SERIES, _exact_series, *coeffs, w)
+        if pref == math.inf:
+            _binomial_sqrt("symmetric 2F1", l2, lm, ln)
+        for _, b_pow, c_pow, d_pow in images[at]:
+            out[next(places)] = pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
 
 
 def _jacobi_tables(A: Mat2C, l2: int) -> tuple:
@@ -359,49 +475,48 @@ def _jacobi_tables(A: Mat2C, l2: int) -> tuple:
     return _entry_powers(A, l2), ((p - q, r, 2 * q), _powers(bc - ad, l2 // 2))
 
 
-def _jacobi_shared(l2: int, i: int, j: int, common: tuple) -> tuple:
+def _jacobi_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> None:
     x, diff_pow = common
-    lm, mn, mmn = l2 - i, i + j - l2, i - j
-    poly = _refusing_overflow(_JACOBI_SERIES, _exact_series, *_jacobi_coeffs_cached(mn, mmn, lm), x)
-    return _factorial_ratio_sqrt(i, lm, j, l2 - j), diff_pow[lm], poly
+    for lm, ln, mn, mmn, _, pref, at in rows:
+        poly = _refusing_overflow(_JACOBI_SERIES, _exact_series, *_jacobi_coeffs_cached(mn, mmn, lm), x)
+        if pref == math.inf:
+            _factorial_ratio_sqrt(l2 - lm, lm, l2 - ln, ln)
+        diff = diff_pow[lm]
+        for _, _, c_pow, d_pow in images[at]:
+            out[next(places)] = pref * c_pow[mmn] * d_pow[mn] * diff * poly
 
 
-def _jacobi_entry(l2: int, i: int, j: int, powers: tuple, shared: tuple) -> complex:
-    _, _, c_pow, d_pow = powers
-    pref, diff, poly = shared
-    return pref * c_pow[i - j] * d_pow[i + j - l2] * diff * poly
-
-
-_HYP = (_hyp_tables, _hyp_shared, _hyp_entry)
-_HYP_SYMMETRIC = (_hyp_tables, _hyp_symmetric_shared, _hyp_symmetric_entry)
-_JACOBI = (_jacobi_tables, _jacobi_shared, _jacobi_entry)
+_HYP = (_hyp_tables, _hyp_quadrant, "2F1")
+_HYP_SYMMETRIC = (_hyp_tables, _hyp_symmetric_quadrant, "binomial")
+_JACOBI = (_jacobi_tables, _jacobi_quadrant, "jacobi")
 
 
 def _element_matrix(l: HalfInt, A: Mat2C, form) -> WignerMatrix:
-    # The whole matrix by an element form: each quadrant entry's shared part
-    # once, then its entry at each distinct place of its _IMAGES, by the last image there.
-    tables, shared, entry = form
+    # The whole matrix by an element form from the spin's plan: each quadrant
+    # entry's series once, and its entry at each of its distinct places.
+    tables, quadrant, kind = form
     dim, l2 = _dim(l), l.twice
     powers, common = tables(A, l2)
-    images = [(index_map, [powers[k] for k in order]) for index_map, order, _ in _IMAGES.values()]
-    out = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(max(0, l2 - i), i + 1):
-            quadrant, places = shared(l2, i, j, common), {}
-            for index_map, image in images:
-                places[index_map(l2, i, j)] = image
-            for place, image in places.items():
-                out[place] = entry(l2, i, j, image, quadrant)
-    return WignerMatrix(l, out)
+    columns, image_sets, entry_sets, places = _quadrant_plan(l2)
+    by_image = [[powers[k] for k in order] for _, order, _ in _IMAGES.values()]
+    images = [[by_image[k] for k in ks] for ks in image_sets]
+    out = np.empty(dim * dim, dtype=complex)
+    quadrant(l2, zip(*columns, _prefactors(kind, l2), entry_sets), images, common, out, iter(places))
+    return WignerMatrix(l, out.reshape(dim, dim))
 
 
 def _element_entry(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C, form) -> complex:
-    # Entry (m, n) of _element_matrix(l, A, form), bit for bit.
-    tables, shared, entry = form
-    which, i, j = _fold(l.twice, _index(l, m), _index(l, n))
-    powers, common = tables(A, l.twice)
-    image = [powers[k] for k in _IMAGES[which][1]]
-    return _finite(entry(l.twice, i, j, image, shared(l.twice, i, j, common)))
+    # Entry (m, n) of _element_matrix(l, A, form), bit for bit: its quadrant
+    # entry's row of the plan, at the image that _fold picks.
+    tables, quadrant, kind = form
+    l2 = l.twice
+    which, i, j = _fold(l2, _index(l, m), _index(l, n))
+    powers, common = tables(A, l2)
+    at = _quadrant_position(l2, i, j)
+    row = (*(column[at] for column in _quadrant_plan(l2)[0]), _prefactors(kind, l2)[at], 0)
+    out = [None]
+    quadrant(l2, [row], [[[powers[k] for k in _IMAGES[which][1]]]], common, out, iter([0]))
+    return _finite(out[0])
 
 
 def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
@@ -541,10 +656,13 @@ def _chart_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, chart, entrie
 def _jacobi_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
     # The Jacobi form of entry (i, j) for each i of rows at each chart
     # (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
-    out = []
+    prefactors, out = _prefactors("jacobi", l2), []
     for i in rows:
         lm, mn, mmn = l2 - i, i + j - l2, i - j
-        pref = (-1.0 if lm % 2 else 1.0) * _factorial_ratio_sqrt(i, lm, j, l2 - j)
+        pref = prefactors[_quadrant_position(l2, i, j)]
+        if pref == math.inf:
+            _factorial_ratio_sqrt(i, lm, j, l2 - j)
+        pref = (-1.0 if lm % 2 else 1.0) * pref
         nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
         out.append([pref * sin_t**mn * cos_t**mmn * _exact_series(nums, den, h) for sin_t, cos_t, h in charts])
     return out
@@ -641,12 +759,14 @@ def _krawtchouk_entries(l2: int, j: int, rows, charts: list) -> list[list[float]
     # Entry (i, j) for each i of rows at each chart (sin theta, cos theta,
     # 1/p as an integer ratio); K_{l-m}(l-n; p, 2l) = 2F1(-(l-m), -(l-n);
     # -2l; 1/p) is written over one denominator once for all the charts.
-    ln = l2 - j
-    out = []
+    ln, prefactors, out = l2 - j, _prefactors("binomial", l2), []
     for i in rows:
         lm, mn = l2 - i, i + j - l2
         nums, den = _hyp2f1_coeffs_cached(-lm, -ln, -l2, lm)
-        pref = (-1.0 if lm % 2 else 1.0) * _binomial_sqrt("Krawtchouk", l2, lm, ln)
+        pref = prefactors[_quadrant_position(l2, i, j)]
+        if pref == math.inf:
+            _binomial_sqrt("Krawtchouk", l2, lm, ln)
+        pref = (-1.0 if lm % 2 else 1.0) * pref
         out.append(
             [pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p) for sin_t, cos_t, inv_p in charts]
         )

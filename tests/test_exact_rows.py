@@ -451,6 +451,27 @@ class TestArrayJacobiEval:
         for p, row in zip(params, got.tolist()):
             assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in xs.tolist()], p
 
+    def test_rows_the_pass_cannot_certify_are_summed_before_it(self, monkeypatch):
+        # A row with an integer of more than 900 bits (alpha = 0.3, beta = -0.7
+        # from n = 16 on, or alpha = 1e-300) has no certified value, so it is
+        # summed exactly before the double-double pass, which sees only the
+        # integers of the other rows.
+        seen = []
+        pairs = specfun._dd_pairs
+        monkeypatch.setattr(specfun, "_dd_pairs", lambda ints: seen.extend(ints) or pairs(ints))
+        wide = [JacobiParams(0.3, -0.7, n) for n in (16, 20, 25)] + [JacobiParams(1e-300, b, 4) for b in (0, 0.5)]
+        narrow = [JacobiParams(0.3, -0.7, n) for n in (2, 9, 15)] + [JacobiParams(a, 2, 6) for a in range(4)]
+        params = [p for pair in zip(narrow, wide) for p in pair] + narrow[len(wide):]
+        xs = np.array([*self.ADVERSARIAL_NODES, *np.linspace(-1.2, 1.2, 31)])
+        assert len(params) * xs.size >= specfun._DD_MIN_VALUES
+        rows = [specfun._jacobi_coeffs_cached(p.alpha, p.beta, p.n) for p in params]
+        width = [max(abs(v) for v in (*nums, den)) for nums, den in rows]
+        assert [p for p, top in zip(params, width) if top >= 2**900] == [p for p in params if p in wide]
+        got = jacobi_values(params, xs)
+        for p, row in zip(params, got.tolist()):
+            assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in xs.tolist()], p
+        assert seen and max(map(abs, seen)) < 2**900
+
     def test_a_non_finite_node_raises_as_the_scalar_call_in_a_large_block(self):
         params = [JacobiParams(1, 2, n) for n in range(40)]
         for bad in (np.nan, np.inf, -np.inf):

@@ -20,6 +20,15 @@ forms' times d(theta)'s sign there (old_folded).  Where the old Rodrigues or
 Krawtchouk code raised a bare OverflowError, the chart forms refuse with
 RouteUnavailableError, and the copies below do the same
 (refused_like_the_chart_forms).
+
+The element builders and their per-entry forms now read one plan per spin:
+the quadrant's index columns, the places of each entry's images and the
+prefactors, and for the finite sum Pascal's rows and its prefactors.  The
+copies old_element_matrix, old_element_entry and old_sum_entry, with their
+kernels, are the builders that computed all of that per element; the planned
+builders must return their bytes, and raise their exception and message, at
+every spin up to l_x2 = 12 and at the first refusals of the 2F1 prefactor
+and of the 2F1 and Jacobi series.
 """
 import cmath
 import math
@@ -30,11 +39,12 @@ import pytest
 
 from wignerkit import cli
 from wignerkit.exactcomb import HalfInt, binomial, check_spin_pair, factorial, spin_range
-from wignerkit.group import EulerAngles, Mat2C, from_euler
+from wignerkit.group import EulerAngles, Mat2C, from_euler, sample_haar
 from wignerkit.specfun import (
     JacobiParams,
     _binom_power_coeffs,
     _exact_series,
+    _hyp2f1_coeffs_cached,
     _jacobi_coeffs_cached,
     _poly_derivative,
     _poly_mul,
@@ -45,10 +55,12 @@ from wignerkit.specfun import (
 )
 from wignerkit.verify import sample_gl2, suite_routes
 from wignerkit.wigner import (
+    _IMAGES,
     SYMMETRIES,
     RouteUnavailableError,
     _chart,
     _factorial_ratio_sqrt,
+    _finite,
     _fold,
     _hyp_tables,
     _jacobi_tables,
@@ -325,6 +337,144 @@ def old_dmat_by_route(l, A, theta, route):
     }[route]
     spins = spin_range(l)
     return WignerMatrix(l, np.array([[entry(m, n) for n in spins] for m in spins], dtype=complex))
+
+
+# -- reference copies of the element builders before their per-spin plan -----
+# Each computed its prefactors, the places of a quadrant entry's images and
+# its index arithmetic per element; the tables of powers and arguments are
+# the builders' own (_hyp_tables, _jacobi_tables).
+
+
+def old_refusing_overflow(what, fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:
+        raise RouteUnavailableError(f"{what} overflows") from None
+
+
+def old_sum_entry(l2, i, j, powers):
+    a_pow, b_pow, c_pow, d_pow = powers
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    acc = 0j
+    for k in range(max(0, -mn), min(lm, ln) + 1):
+        acc += math.comb(ln, k) * math.comb(j, lm - k) * a_pow[k] * b_pow[lm - k] * c_pow[ln - k] * d_pow[mn + k]
+    return math.sqrt(math.comb(l2, ln) / math.comb(l2, lm)) * acc
+
+
+def old_entry_powers(A, l2):
+    return tuple([x**e for e in range(l2 + 1)] for x in (A.a, A.b, A.c, A.d))
+
+
+def old_sum_matrix(l, A):
+    dim = l.twice + 1
+    powers = old_entry_powers(A, l.twice)
+    return WignerMatrix(l, [[old_sum_entry(l.twice, i, j, powers) for j in range(dim)] for i in range(dim)])
+
+
+def old_sum_tmn(l, m, n, A):
+    check_spin_pair(l, m)
+    check_spin_pair(l, n)
+    i, j = (l + m).as_int(), (l + n).as_int()
+    return _finite(old_sum_entry(l.twice, i, j, old_entry_powers(A, l.twice)))
+
+
+def old_ratio_sqrt(p, q, r, s):
+    # sqrt(p! q! / (r! s!)), the ratio rounded once by int / int.
+    return math.sqrt(factorial(p) * factorial(q) / (factorial(r) * factorial(s)))
+
+
+def old_binomial_sqrt(route, l2, lm, ln):
+    what = f"{route} route's prefactor sqrt(C(2l, l-m) C(2l, l-n))"
+    return old_refusing_overflow(what, math.sqrt, math.comb(l2, lm) * math.comb(l2, ln))
+
+
+def old_hyp_shared(l2, i, j, common):
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    what = "2F1 route's prefactor sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!))"
+    pref = old_refusing_overflow(what, old_ratio_sqrt, i, j, lm, ln)
+    row = _hyp2f1_coeffs_cached(-lm, -ln, mn + 1, min(lm, ln))
+    series = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc))"
+    return pref, old_refusing_overflow(series, _exact_series, *row, common[0])
+
+
+def old_hyp_entry(l2, i, j, powers, shared):
+    _, b_pow, c_pow, d_pow = powers
+    pref, series = shared
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] / factorial(mn) * series
+
+
+def old_hyp_symmetric_shared(l2, i, j, common):
+    lm, ln = l2 - i, l2 - j
+    row = _hyp2f1_coeffs_cached(-lm, -ln, -l2, min(lm, ln))
+    what = "symmetric 2F1 route's series 2F1(-(l-m), -(l-n); -2l; (bc - ad)/(bc))"
+    series = old_refusing_overflow(what, _exact_series, *row, common[1])
+    return old_binomial_sqrt("symmetric 2F1", l2, lm, ln), series
+
+
+def old_hyp_symmetric_entry(l2, i, j, powers, shared):
+    _, b_pow, c_pow, d_pow = powers
+    pref, series = shared
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    return pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
+
+
+def old_jacobi_shared(l2, i, j, common):
+    x, diff_pow = common
+    lm, mn, mmn = l2 - i, i + j - l2, i - j
+    what = "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - ad))"
+    poly = old_refusing_overflow(what, _exact_series, *_jacobi_coeffs_cached(mn, mmn, lm), x)
+    return old_ratio_sqrt(i, lm, j, l2 - j), diff_pow[lm], poly
+
+
+def old_jacobi_entry(l2, i, j, powers, shared):
+    _, _, c_pow, d_pow = powers
+    pref, diff, poly = shared
+    return pref * c_pow[i - j] * d_pow[i + j - l2] * diff * poly
+
+
+OLD_FORMS = {
+    "tmn_hyp": (_hyp_tables, old_hyp_shared, old_hyp_entry),
+    "tmn_hyp_symmetric": (_hyp_tables, old_hyp_symmetric_shared, old_hyp_symmetric_entry),
+    "tmn_jacobi": (_jacobi_tables, old_jacobi_shared, old_jacobi_entry),
+}
+
+
+def old_element_matrix(l, A, form):
+    tables, shared, entry = form
+    dim, l2 = l.twice + 1, l.twice
+    powers, common = tables(A, l2)
+    images = [(index_map, [powers[k] for k in order]) for index_map, order, _ in _IMAGES.values()]
+    out = np.empty((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(max(0, l2 - i), i + 1):
+            quadrant, places = shared(l2, i, j, common), {}
+            for index_map, image in images:
+                places[index_map(l2, i, j)] = image
+            for place, image in places.items():
+                out[place] = entry(l2, i, j, image, quadrant)
+    return WignerMatrix(l, out)
+
+
+def old_element_entry(l, m, n, A, form):
+    tables, shared, entry = form
+    check_spin_pair(l, m)
+    check_spin_pair(l, n)
+    which, i, j = _fold(l.twice, (l + m).as_int(), (l + n).as_int())
+    powers, common = tables(A, l.twice)
+    image = [powers[k] for k in _IMAGES[which][1]]
+    return _finite(entry(l.twice, i, j, image, shared(l.twice, i, j, common)))
+
+
+# The builders and per-entry forms above, by the name of the per-entry form.
+OLD_BUILDERS = {
+    "tmn_sum": old_sum_matrix,
+    **{route: lambda l, A, form=form: old_element_matrix(l, A, form) for route, form in OLD_FORMS.items()},
+}
+OLD_ENTRIES = {
+    "tmn_sum": old_sum_tmn,
+    **{route: lambda l, m, n, A, form=form: old_element_entry(l, m, n, A, form) for route, form in OLD_FORMS.items()},
+}
 
 
 # -- comparison ----------------------------------------------------------------
@@ -713,3 +863,74 @@ def test_routes_suite_builds_no_halfint_per_entry(monkeypatch):
     built.clear()
     suite_routes(max_l, 0)
     assert sorted(built) == list(range(7))
+
+
+# Draws of both kinds and the edges of the element forms' domains.
+PLAN_ELEMENTS = {
+    **{f"haar_{k}": A for k, A in enumerate(sample_haar(21, 2))},
+    **{f"gl2_{k}": A for k, A in enumerate(sample_gl2(22, 2))},
+    **{name: ELEMENTS[name] for name in ("b_zero", "c_zero", "bc_eq_ad_complex")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_ELEMENTS))
+def test_planned_builders_are_the_unplanned_ones(name):
+    A = PLAN_ELEMENTS[name]
+    for l_x2 in SPINS:
+        l = HalfInt(l_x2)
+        for route, old in OLD_BUILDERS.items():
+            assert outcome(MATRICES[route], l, A) == outcome(old, l, A), (route, l_x2)
+
+
+@pytest.mark.parametrize("name", ["haar_0", "gl2_0", "b_zero", "bc_eq_ad_complex"])
+def test_planned_entries_are_the_unplanned_ones(name):
+    A = PLAN_ELEMENTS[name]
+    for l_x2 in SPINS:
+        l = HalfInt(l_x2)
+        spins = spin_range(l)
+        for route, old in OLD_ENTRIES.items():
+            new = ELEMENT_ROUTES[route][0]
+            got = [outcome(new, l, m, n, A) for m in spins for n in spins]
+            assert got == [outcome(old, l, m, n, A) for m in spins for n in spins], (route, l_x2)
+
+
+# Entries that are exact binary fractions, so that the 2F1 series at l_x2 98
+# and 99 are summed in small integers.
+BINARY = Mat2C(0.5 + 0.5j, 1 + 0j, 0.5j, 1 + 0j)
+# ad/(bc) = 1e300: every 2F1 series of degree 2 and up overflows, from the first quadrant entry on.
+TINY_BC = Mat2C(1 + 0j, 1e-150 + 0j, 1e-150 + 0j, 1 + 0j)
+# (bc + ad)/(bc - ad) = 1 - 2e300 i: every Jacobi polynomial of degree 2 and up overflows.
+NEAR_BC_EQ_AD = Mat2C(1 + 0j, 1 + 0j, 1 + 1e-300j, 1 + 0j)
+
+
+@pytest.mark.parametrize(
+    "route, l_x2, A, refusal",
+    [
+        ("tmn_hyp", 98, BINARY, None),
+        ("tmn_hyp", 99, BINARY, "2F1 route's prefactor sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!)) overflows"),
+        ("tmn_hyp", 99, TINY_BC, "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc)) overflows"),
+        ("tmn_hyp_symmetric", 4, TINY_BC,
+         "symmetric 2F1 route's series 2F1(-(l-m), -(l-n); -2l; (bc - ad)/(bc)) overflows"),
+        ("tmn_jacobi", 4, NEAR_BC_EQ_AD, "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - ad)) overflows"),
+    ],
+)
+def test_planned_refusals_are_the_unplanned_ones(route, l_x2, A, refusal):
+    # The 2F1 prefactor overflows from l_x2 99, at (i, j) = (99, 98), and the
+    # planned builder refuses it there; at TINY_BC the series of the first
+    # quadrant entry overflows first, and that is the refusal.
+    l = HalfInt(l_x2)
+    got = outcome(MATRICES[route], l, A)
+    assert got == outcome(OLD_BUILDERS[route], l, A)
+    if refusal is None:
+        assert isinstance(got, bytes)
+    else:
+        assert got == (RouteUnavailableError, refusal)
+
+
+def test_an_entry_whose_2f1_prefactor_and_series_both_overflow_is_refused_for_its_prefactor():
+    # (i, j) = (110, 105) at l_x2 120: the prefactor overflows, and so does the
+    # series of degree 10 in ad/(bc) = 1e300; the prefactor is refused first.
+    l, m, n = HalfInt(120), HalfInt(100), HalfInt(90)
+    got = outcome(tmn_hyp, l, m, n, TINY_BC)
+    assert got == outcome(OLD_ENTRIES["tmn_hyp"], l, m, n, TINY_BC)
+    assert got == (RouteUnavailableError, "2F1 route's prefactor sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!)) overflows")
