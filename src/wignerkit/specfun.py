@@ -17,13 +17,12 @@ from its explicit sum (_jacobi_coeffs_cached).  Every rounding is one
 int / int true division, which is correctly rounded, so it gives the float
 that float(Fraction) gives for the same rational.
 
-jacobi_values evaluates many Jacobi rows at many real nodes.  A small block
-sums the same integers against one table of powers per node.  A block of at
+jacobi_values evaluates many Jacobi rows at many real nodes.  A block of at
 least _DD_MIN_VALUES values takes one numpy Horner pass in double-double
 arithmetic (_dd_values), whose a-priori error bound certifies, value by
-value, that the exact rational rounds to the computed double, and sums the
-values it cannot certify exactly.  Either way each value is the float that
-the one int / int division gives.
+value, that the exact rational rounds to the computed double.  Every other
+value is summed by _exact_series, so each is the float that the one
+int / int division gives.
 """
 from __future__ import annotations
 
@@ -221,43 +220,27 @@ def jacobi_eval(p: JacobiParams, x):
 def jacobi_values(params, x) -> np.ndarray:
     """jacobi_eval(p, x) for each p of params, shape (len(params), *x.shape).
 
-    A block of at least _DD_MIN_VALUES values (rows times nodes) of a finite
-    float64 x is evaluated by _dd_values: one double-double Horner pass over
-    the block, whose error bound certifies, value by value, that the exact
-    rational rounds to the computed float; the values it cannot certify, and
-    the rows it never could, are summed exactly.  A smaller block, or any
-    other x, is summed exactly by _exact_values.  Either way every value is
-    the float jacobi_eval gives, and a non-finite element of x raises as
-    there.
+    Each element of x is turned into its exact argument once, so a non-finite
+    one raises as in jacobi_eval.  A block of at least _DD_MIN_VALUES values
+    (rows times nodes) of a float64 x goes through _dd_values: one
+    double-double Horner pass whose error bound certifies, value by value,
+    that the exact rational rounds to the computed float.  Every value it
+    does not certify, and every value of a smaller block or of any other x,
+    is summed by _exact_series, so every value is the float jacobi_eval gives.
     """
     rows = [_jacobi_coeffs_cached(p.alpha, p.beta, p.n) for p in params]
     flat = x.ravel()
-    if len(rows) * flat.size >= _DD_MIN_VALUES and flat.dtype == np.float64 and np.isfinite(flat).all():
+    args = [(num - q, 2 * q) for num, q in map(_as_ratio, flat.tolist())]
+    if len(rows) * flat.size >= _DD_MIN_VALUES and flat.dtype == np.float64:
         with np.errstate(over="ignore", invalid="ignore"):  # what overflows is not certified
-            values = _dd_values(rows, flat)
+            values, sure = _dd_values(rows, flat)
     else:
-        values = _exact_values(rows, flat.tolist())
+        values, sure = np.empty((len(rows), flat.size)), np.zeros((len(rows), flat.size), dtype=bool)
+    out = values.reshape(-1)  # a view: value k is (row k // nodes, node k % nodes)
+    for k in np.flatnonzero(~sure).tolist():
+        nums, den = rows[k // flat.size]
+        out[k] = _exact_series(nums, den, args[k % flat.size])
     return values.reshape(len(rows), *x.shape)
-
-
-def _exact_values(rows, xs: list) -> np.ndarray:
-    # Each node x is turned into its exact argument p/q once, and into one
-    # table of the terms p^k q^(N-k), k = 0 .. N, for the largest degree N
-    # among the rows, which every row shares.  A row of degree n sums its
-    # numerators against the first n + 1 terms, which is its Horner numerator
-    # times q^(N-n), and divides by den q^N, the first term times den: one
-    # int / int division of the same rational jacobi_eval rounds.
-    mul = operator.mul
-    top = max((len(nums) for nums, _ in rows), default=1)
-    tables = []
-    for num, q in map(_as_ratio, xs):
-        p_pow, q_pow = [1] * top, [1] * top
-        for k in range(1, top):
-            p_pow[k] = p_pow[k - 1] * (num - q)
-            q_pow[k] = q_pow[k - 1] * 2 * q
-        tables.append(list(map(mul, p_pow, reversed(q_pow))))
-    values = [[sum(map(mul, nums, t)) / (den * t[0]) for t in tables] for nums, den in rows]
-    return np.array(values, dtype=float).reshape(len(rows), len(xs))
 
 
 # The smallest block (rows times nodes) that _dd_values takes: below it the
@@ -265,8 +248,8 @@ def _exact_values(rows, xs: list) -> np.ndarray:
 _DD_MIN_VALUES = 512
 _U = 2.0**-53  # the unit roundoff of a double
 # Magnitudes inside which the double-double pass cannot overflow and its
-# underflows are negligible against its error bound; an integer of more than
-# 900 bits, at least _WIDE in magnitude, becomes inf in _dd_pairs.
+# underflows are negligible against its error bound; a row with an integer of
+# at least _WIDE in magnitude never enters the pass.
 _TINY, _HUGE = 2.0**-900, 2.0**900
 _WIDE = 1 << 900
 
@@ -293,23 +276,23 @@ def _two_prod(a, b, b_halves):
 
 
 def _dd_pairs(ints: list) -> tuple[np.ndarray, np.ndarray]:
-    # Double-double pairs (hi, lo) of the integers.  Below 2^63 in magnitude
-    # hi + lo = N exactly: N's high and low 32 bits are exact doubles, summed
-    # by _two_sum.  Beyond, hi = float(N) and lo = float(N - hi), within u^2
-    # |N| of N; an integer of more than 900 bits becomes inf, which makes its
-    # row's bound inf or nan, so that none of its values is certified.
+    # Double-double pairs (hi, lo) of the integers, each below _WIDE in
+    # magnitude.  Below 2^63 hi + lo = N exactly: N's high and low 32 bits are
+    # exact doubles, summed by _two_sum.  Beyond, which the int64 conversion
+    # signals by raising OverflowError, hi = float(N) and lo = float(N - hi),
+    # within u^2 |N| of N.
     try:
         exact = np.array(ints, dtype=np.int64)
     except OverflowError:
-        hi = [float(v) if v.bit_length() <= 900 else math.inf for v in ints]
-        lo = [float(v - int(h)) if h != math.inf else 0.0 for v, h in zip(ints, hi)]
+        hi = [float(v) for v in ints]
+        lo = [float(v - int(h)) for v, h in zip(ints, hi)]
         return np.array(hi), np.array(lo)
     return _two_sum((exact >> 32).astype(float) * 2.0**32, (exact & 0xFFFFFFFF).astype(float))
 
 
-def _dd_values(rows, x: np.ndarray) -> np.ndarray:
-    """The rows' values at the nodes x (finite float64), shape (rows, nodes),
-    from one double-double Horner pass, each value certified or summed exactly.
+def _dd_values(rows, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' values at the nodes x (finite float64) from one double-double
+    Horner pass, and the mask of those it certifies, each of shape (rows, nodes).
 
     Pass.  A row (nums, den) of degree n is V = S / den with S the sum of
     N_k y^k, y = (x - 1)/2.  Each N_k and den become pairs hi + lo
@@ -343,19 +326,15 @@ def _dd_values(rows, x: np.ndarray) -> np.ndarray:
     for the block's top degree N (then no partial sum B_(k+1) |y| is tiny,
     as a nonzero N_k has |N_k| >= 1), and where B_0 / den lies in [_TINY,
     _HUGE].  The bound exceeds the gap
-    of a zero or subnormal h, so neither is certified.  Every value that is
-    not certified is summed exactly by _exact_series.  A row with an integer
-    of more than 900 bits is never certified, so it is summed by
-    _exact_values before the pass, which runs over the other rows.
+    of a zero or subnormal h, so neither is certified.  A row with an integer
+    of at least _WIDE in magnitude could never be certified, so it stays out
+    of the pass, which runs over the other rows, and none of its values is.
     """
-    values = np.empty((len(rows), x.size))
-    fits = [den < _WIDE and -_WIDE < min(nums) and max(nums) < _WIDE for nums, den in rows]
-    wide = [r for r, ok in enumerate(fits) if not ok]
-    if wide:
-        values[wide] = _exact_values([rows[r] for r in wide], x.tolist())
-    order = sorted((r for r, ok in enumerate(fits) if ok), key=lambda r: -len(rows[r][0]))
+    values, sure = np.empty((len(rows), x.size)), np.zeros((len(rows), x.size), dtype=bool)
+    fits = (r for r, (nums, den) in enumerate(rows) if den < _WIDE and -_WIDE < min(nums) and max(nums) < _WIDE)
+    order = sorted(fits, key=lambda r: -len(rows[r][0]))
     if not order:
-        return values
+        return values, sure
     sizes = np.array([len(rows[r][0]) for r in order])
     top = sizes[0]
     # Per step k, the numerators of degree top - 1 - k, row by row; a row's
@@ -384,13 +363,9 @@ def _dd_values(rows, x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     node_ok = ((ax == 0) | ((ax >= _TINY) & (ax <= _HUGE))) & ((ay == 0) | (ay ** (top - 1) >= _TINY))
     gap = np.spacing(np.nextafter(np.abs(h), 0))
-    sure = node_ok & (bound >= _TINY) & (bound <= _HUGE) & (np.abs(l) + err < gap / 2)
-    values[order] = np.where(sure, h, 0.0)
-    if not sure.all():
-        ratios = [(num - q, 2 * q) for num, q in map(_as_ratio, x.tolist())]
-        for r, c in zip(*np.nonzero(~sure)):
-            values[order[r], c] = _exact_series(*rows[order[r]], ratios[c])
-    return values
+    values[order] = h
+    sure[order] = node_ok & (bound >= _TINY) & (bound <= _HUGE) & (np.abs(l) + err < gap / 2)
+    return values, sure
 
 
 def jacobi_complex(p: JacobiParams, w: complex) -> complex:

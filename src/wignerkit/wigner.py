@@ -26,7 +26,7 @@ import math
 import operator
 from array import array
 from dataclasses import astuple, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 import numpy as np
@@ -266,6 +266,13 @@ def _factorials(top: int) -> list:
     return out
 
 
+def _sum_row(l2: int, i: int, j: int, row, c) -> tuple:
+    # Entry (i, j)'s row of _sum_plan(l2), from Pascal's rows row(k) = C(k, .)
+    # and the binomials c(k) = C(2l, k).
+    lm, ln, mn = l2 - i, l2 - j, i + j - l2
+    return lm, ln, mn, max(0, -mn), min(lm, ln) + 1, row(ln), row(j), _overflowing(_sqrt_fraction, c(ln), c(lm))
+
+
 @lru_cache(maxsize=32)
 def _sum_plan(l2: int) -> list:
     """What sum_matrix reads at spin l2/2 before it sees an element, as
@@ -278,27 +285,25 @@ def _sum_plan(l2: int) -> list:
     binomials = [[1]]
     for _ in range(l2):
         binomials.append([1, *map(operator.add, binomials[-1], binomials[-1][1:]), 1])
-    columns, left, right, prefactors = [array("i") for _ in range(5)], [], [], array("d")
+    plan = [*(array("i") for _ in range(5)), [], [], array("d")]
+    row, c = binomials.__getitem__, binomials[l2].__getitem__
     for i in range(l2 + 1):
         for j in range(l2 + 1):
-            lm, ln, mn = l2 - i, l2 - j, i + j - l2
-            for column, value in zip(columns, (lm, ln, mn, max(0, -mn), min(lm, ln) + 1)):
+            for column, value in zip(plan, _sum_row(l2, i, j, row, c)):
                 column.append(value)
-            left.append(binomials[ln])
-            right.append(binomials[j])
-            prefactors.append(_overflowing(_sqrt_fraction, binomials[l2][ln], binomials[l2][lm]))
-    return [*columns, left, right, prefactors]
+    return plan
 
 
-def _sum_entries(l2: int, rows, powers: list, out: list) -> None:
-    # The entries of the rows of _sum_plan(l2) in their order, appended to out.
+def _sum_entries(rows, powers: list, out: list) -> None:
+    # The entries of rows of _sum_plan in their order, appended to out; a term
+    # that overflows raises OverflowError, an overflowing prefactor is refused.
     a_pow, b_pow, c_pow, d_pow = powers
     for lm, ln, mn, start, stop, left, right, pref in rows:
         acc = 0j
         for k in range(start, stop):
             acc += left[k] * right[lm - k] * a_pow[k] * b_pow[lm - k] * c_pow[ln - k] * d_pow[mn + k]
-        if pref == math.inf:  # the ratio overflows: the same division raises
-            _sqrt_fraction(comb(l2, ln), comb(l2, lm))
+        if pref == math.inf:
+            raise RouteUnavailableError(f"{_SUM_PREFACTOR} overflows")
         out.append(pref * acc)
 
 
@@ -307,13 +312,13 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
 
     All binomials are exact integers; the monomials a^j b^.. c^.. d^.. are
     evaluated in floating point with the 0^0 = 1 convention, which is what
-    makes the corner cases with vanishing entries come out right.  Reads
-    sum_matrix's tables and plan: raises where they overflow, never returns
-    inf or NaN.
+    makes the corner cases with vanishing entries come out right.  Computes
+    its own row of sum_matrix's plan and reads the same tables: raises where
+    they overflow, never returns inf or NaN.
     """
-    at = _index(l, m) * _dim(l) + _index(l, n)
-    out = []
-    _sum_entries(l.twice, [[column[at] for column in _sum_plan(l.twice)]], _entry_powers(A, l.twice), out)
+    l2, out = l.twice, []
+    row = _sum_row(l2, _index(l, m), _index(l, n), lambda k: [comb(k, t) for t in range(k + 1)], partial(comb, l2))
+    _refusing_overflow(_SUM_TERM, _sum_entries, [row], _entry_powers(A, l2), out)
     return _finite(out[0])
 
 
@@ -321,19 +326,8 @@ def sum_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     """The whole matrix by the finite sum, from one table of the powers of
     a, b, c and d and the spin's plan."""
     dim, out = _dim(l), []
-    _sum_entries(l.twice, zip(*_sum_plan(l.twice)), _entry_powers(A, l.twice), out)
+    _refusing_overflow(_SUM_TERM, _sum_entries, zip(*_sum_plan(l.twice)), _entry_powers(A, l.twice), out)
     return WignerMatrix(l, np.reshape(out, (dim, dim)))
-
-
-def _factorial_ratio_sqrt(p: int, q: int, r: int, s: int) -> float:
-    # sqrt(p! q! / (r! s!)) with the ratio taken exactly before the root.
-    return _sqrt_fraction(factorial(p) * factorial(q), factorial(r) * factorial(s))
-
-
-def _binomial_sqrt(route: str, l2: int, lm: int, ln: int) -> float:
-    # sqrt(C(2l, l-m) C(2l, l-n)), refused where the product overflows a float.
-    what = f"{route} route's prefactor sqrt(C(2l, l-m) C(2l, l-n))"
-    return _refusing_overflow(what, math.sqrt, comb(l2, lm) * comb(l2, ln))
 
 
 def _quadrant(l2: int):
@@ -350,15 +344,15 @@ def _quadrant_position(l2: int, i: int, j: int) -> int:
 
 
 # The prefactors of the closed forms at quadrant entry (i, j) of spin l2, from
-# the factorials f = _factorials(l2) and the binomials c = C(l2, .), each ratio
+# the factorials f(k) = k! and the binomials c(k) = C(2l, k), each ratio
 # taken exactly before the root; each raises OverflowError where it overflows a float.
 _PREFACTORS = {
     # sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!)), the 2F1 form's
-    "2F1": lambda l2, i, j, f, c: _sqrt_fraction(f[i] * f[j], f[l2 - i] * f[l2 - j]),
+    "2F1": lambda l2, i, j, f, c: _sqrt_fraction(f(i) * f(j), f(l2 - i) * f(l2 - j)),
     # sqrt((l+m)! (l-m)! / ((l+n)! (l-n)!)), the Jacobi forms'
-    "jacobi": lambda l2, i, j, f, c: _sqrt_fraction(f[i] * f[l2 - i], f[j] * f[l2 - j]),
+    "jacobi": lambda l2, i, j, f, c: _sqrt_fraction(f(i) * f(l2 - i), f(j) * f(l2 - j)),
     # sqrt(C(2l, l-m) C(2l, l-n)), the symmetric 2F1 and Krawtchouk forms'
-    "binomial": lambda l2, i, j, f, c: math.sqrt(c[l2 - i] * c[l2 - j]),
+    "binomial": lambda l2, i, j, f, c: math.sqrt(c(l2 - i) * c(l2 - j)),
 }
 
 
@@ -366,14 +360,20 @@ _PREFACTORS = {
 def _prefactors(kind: str, l2: int) -> array:
     """The prefactor _PREFACTORS[kind] at each quadrant entry of spin l2/2, in
     _quadrant order, or inf where it overflows a float: what the element
-    forms and the chart forms of that prefactor read.  Where a reader finds
-    inf it recomputes the prefactor with its own route's function, which
-    raises that route's refusal.  At l2 = 400 it holds 40,401 floats, 323 kB.
+    forms and the chart forms of that prefactor read.  A reader that finds
+    inf refuses with its route's prefactor message.  At l2 = 400 it holds
+    40,401 floats, 323 kB.
     """
     f = _factorials(l2)
     c = [f[l2] // (f[k] * f[l2 - k]) for k in range(l2 + 1)]
-    prefactor = _PREFACTORS[kind]
+    prefactor, f, c = _PREFACTORS[kind], f.__getitem__, c.__getitem__
     return array("d", [_overflowing(prefactor, l2, i, j, f, c) for i, j in _quadrant(l2)])
+
+
+def _quadrant_row(l2: int, i: int, j: int, f) -> tuple:
+    # Quadrant entry (i, j)'s columns of _quadrant_plan: l - m, l - n, m + n,
+    # m - n and (m + n)!, with f(k) = k!.
+    return l2 - i, l2 - j, i + j - l2, i - j, f(i + j - l2)
 
 
 @lru_cache(maxsize=32)
@@ -388,8 +388,8 @@ def _quadrant_plan(l2: int) -> tuple:
     by image, as flat indices into the matrix.  At l2 = 400 it holds 40,401
     entries and 160,801 places, about 1.7 MB.
     """
-    dim, f = l2 + 1, _factorials(l2)
-    columns, image_sets, entry_sets, places = [array("i") for _ in range(4)], [], array("B"), array("i")
+    dim, f = l2 + 1, _factorials(l2).__getitem__
+    columns, image_sets, entry_sets, places = [*(array("i") for _ in range(4)), []], [], array("B"), array("i")
     for i, j in _quadrant(l2):
         written = {}
         for k, (index_map, _, _) in enumerate(_IMAGES.values()):
@@ -399,14 +399,18 @@ def _quadrant_plan(l2: int) -> tuple:
             image_sets.append(ks)
         entry_sets.append(image_sets.index(ks))
         places.extend(r * dim + c for r, c in written)
-        for column, value in zip(columns, (l2 - i, l2 - j, i + j - l2, i - j)):
+        for column, value in zip(columns, _quadrant_row(l2, i, j, f)):
             column.append(value)
-    columns.append([f[mn] for mn in columns[2]])
     return columns, image_sets, entry_sets, places
 
 
-# What an element kernel refuses where it overflows a float (its series are exact).
+# What a closed form refuses where it overflows a float (the element and chart
+# series are exact); the binomial prefactor's message follows its route's name.
+_SUM_PREFACTOR = "finite sum route's prefactor sqrt(C(2l, l-n) / C(2l, l-m))"
+_SUM_TERM = "finite sum route's term C(l-n, k) C(l+n, l-m-k) a^k b^(l-m-k) c^(l-n-k) d^(m+n+k)"
 _HYP_PREFACTOR = "2F1 route's prefactor sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!))"
+_JACOBI_PREFACTOR = "Jacobi route's prefactor sqrt((l+m)! (l-m)! / ((l+n)! (l-n)!))"
+_BINOMIAL_PREFACTOR = "route's prefactor sqrt(C(2l, l-m) C(2l, l-n))"
 _HYP_SERIES = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc))"
 _HYP_SYMMETRIC_SERIES = "symmetric 2F1 route's series 2F1(-(l-m), -(l-n); -2l; (bc - ad)/(bc))"
 _JACOBI_SERIES = "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - ad))"
@@ -442,7 +446,7 @@ def _hyp_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> No
     z = common[0]
     for lm, ln, mn, _, mn_factorial, pref, at in rows:
         if pref == math.inf:
-            _refusing_overflow(_HYP_PREFACTOR, _factorial_ratio_sqrt, l2 - lm, l2 - ln, lm, ln)
+            raise RouteUnavailableError(f"{_HYP_PREFACTOR} overflows")
         coeffs = _hyp2f1_coeffs_cached(-lm, -ln, mn + 1, min(lm, ln))
         series = _refusing_overflow(_HYP_SERIES, _exact_series, *coeffs, z)
         for _, b_pow, c_pow, d_pow in images[at]:
@@ -455,7 +459,7 @@ def _hyp_symmetric_quadrant(l2: int, rows, images: list, common: tuple, out, pla
         coeffs = _hyp2f1_coeffs_cached(-lm, -ln, -l2, min(lm, ln))
         series = _refusing_overflow(_HYP_SYMMETRIC_SERIES, _exact_series, *coeffs, w)
         if pref == math.inf:
-            _binomial_sqrt("symmetric 2F1", l2, lm, ln)
+            raise RouteUnavailableError(f"symmetric 2F1 {_BINOMIAL_PREFACTOR} overflows")
         for _, b_pow, c_pow, d_pow in images[at]:
             out[next(places)] = pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
 
@@ -480,7 +484,7 @@ def _jacobi_quadrant(l2: int, rows, images: list, common: tuple, out, places) ->
     for lm, ln, mn, mmn, _, pref, at in rows:
         poly = _refusing_overflow(_JACOBI_SERIES, _exact_series, *_jacobi_coeffs_cached(mn, mmn, lm), x)
         if pref == math.inf:
-            _factorial_ratio_sqrt(l2 - lm, lm, l2 - ln, ln)
+            raise RouteUnavailableError(f"{_JACOBI_PREFACTOR} overflows")
         diff = diff_pow[lm]
         for _, _, c_pow, d_pow in images[at]:
             out[next(places)] = pref * c_pow[mmn] * d_pow[mn] * diff * poly
@@ -507,13 +511,13 @@ def _element_matrix(l: HalfInt, A: Mat2C, form) -> WignerMatrix:
 
 def _element_entry(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C, form) -> complex:
     # Entry (m, n) of _element_matrix(l, A, form), bit for bit: its quadrant
-    # entry's row of the plan, at the image that _fold picks.
+    # entry's row of the plan, computed alone, at the image that _fold picks.
     tables, quadrant, kind = form
     l2 = l.twice
     which, i, j = _fold(l2, _index(l, m), _index(l, n))
     powers, common = tables(A, l2)
-    at = _quadrant_position(l2, i, j)
-    row = (*(column[at] for column in _quadrant_plan(l2)[0]), _prefactors(kind, l2)[at], 0)
+    pref = _overflowing(_PREFACTORS[kind], l2, i, j, factorial, partial(comb, l2))
+    row = (*_quadrant_row(l2, i, j, factorial), pref, 0)
     out = [None]
     quadrant(l2, [row], [[[powers[k] for k in _IMAGES[which][1]]]], common, out, iter([0]))
     return _finite(out[0])
@@ -661,7 +665,7 @@ def _jacobi_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
         lm, mn, mmn = l2 - i, i + j - l2, i - j
         pref = prefactors[_quadrant_position(l2, i, j)]
         if pref == math.inf:
-            _factorial_ratio_sqrt(i, lm, j, l2 - j)
+            raise RouteUnavailableError(f"{_JACOBI_PREFACTOR} overflows")
         pref = (-1.0 if lm % 2 else 1.0) * pref
         nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
         out.append([pref * sin_t**mn * cos_t**mmn * _exact_series(nums, den, h) for sin_t, cos_t, h in charts])
@@ -765,7 +769,7 @@ def _krawtchouk_entries(l2: int, j: int, rows, charts: list) -> list[list[float]
         nums, den = _hyp2f1_coeffs_cached(-lm, -ln, -l2, lm)
         pref = prefactors[_quadrant_position(l2, i, j)]
         if pref == math.inf:
-            _binomial_sqrt("Krawtchouk", l2, lm, ln)
+            raise RouteUnavailableError(f"Krawtchouk {_BINOMIAL_PREFACTOR} overflows")
         pref = (-1.0 if lm % 2 else 1.0) * pref
         out.append(
             [pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p) for sin_t, cos_t, inv_p in charts]

@@ -451,11 +451,11 @@ class TestArrayJacobiEval:
         for p, row in zip(params, got.tolist()):
             assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in xs.tolist()], p
 
-    def test_rows_the_pass_cannot_certify_are_summed_before_it(self, monkeypatch):
+    def test_rows_the_pass_cannot_certify_stay_out_of_it(self, monkeypatch):
         # A row with an integer of more than 900 bits (alpha = 0.3, beta = -0.7
-        # from n = 16 on, or alpha = 1e-300) has no certified value, so it is
-        # summed exactly before the double-double pass, which sees only the
-        # integers of the other rows.
+        # from n = 16 on, or alpha = 1e-300) has no certified value, so it
+        # stays out of the double-double pass, which sees only the integers of
+        # the other rows, and each of its values is summed exactly.
         seen = []
         pairs = specfun._dd_pairs
         monkeypatch.setattr(specfun, "_dd_pairs", lambda ints: seen.extend(ints) or pairs(ints))
@@ -480,6 +480,52 @@ class TestArrayJacobiEval:
             with pytest.raises((ValueError, OverflowError)) as info:
                 jacobi_values(params, xs)
             assert (type(info.value), str(info.value)) == outcome(jacobi_eval, params[0], float(bad))
+
+    NODE_ARRAYS = {
+        "int64": np.arange(-3, 4),
+        "int64-600": np.arange(-300, 300),
+        "float32": np.linspace(-1, 1, 7, dtype=np.float32),
+        "float32-600": np.linspace(-1.2, 1.2, 60, dtype=np.float32),
+        "object": np.array([Fraction(1, 3), Fraction(-2, 7), 0.5], dtype=object),
+    }
+
+    @pytest.mark.parametrize("kind", NODE_ARRAYS)
+    def test_nodes_of_other_dtypes_are_the_scalar_series(self, kind):
+        # Only a float64 block takes the double-double pass; any other nodes,
+        # on either side of its cut, are summed exactly at the Python numbers.
+        xs = self.NODE_ARRAYS[kind]
+        params = [JacobiParams(al, be, n) for al, be in ((0, 0), (1, 2), (0.5, -0.5)) for n in (0, 3, 7)]
+        assert (len(params) * xs.size >= specfun._DD_MIN_VALUES) == kind.endswith("600")
+        got = jacobi_values(params, xs)
+        assert got.shape == (len(params), xs.size) and got.dtype == float
+        for p, row in zip(params, got.tolist()):
+            assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in xs.tolist()], p
+
+
+class TestDoubleDoublePairs:
+    # _dd_pairs(ints) -> (hi, lo): below 2^63 in magnitude hi + lo is the
+    # integer exactly; from 2^63 on, which np.array(ints, dtype=np.int64)
+    # must signal by raising OverflowError, it is within 2^-104 of it.
+    EXACT = [0, 1, -1, 2**63 - 1, -(2**63)]
+    NEAR = [2**63, -(2**63) - 1, 3**500, -(7**300)]
+
+    def test_the_int64_conversion_raises_from_2_to_the_63(self):
+        assert np.array(self.EXACT, dtype=np.int64).tolist() == self.EXACT
+        for n in self.NEAR:
+            with pytest.raises(OverflowError):
+                np.array([n], dtype=np.int64)
+
+    def test_integers_below_2_to_the_63_are_exact(self):
+        hi, lo = specfun._dd_pairs(self.EXACT)
+        assert [Fraction(h) + Fraction(l) for h, l in zip(hi.tolist(), lo.tolist())] == self.EXACT
+
+    @pytest.mark.parametrize("n", NEAR)
+    def test_wider_integers_are_within_2_to_the_minus_104(self, n):
+        for ints in ([n], [*self.EXACT, n]):
+            hi, lo = specfun._dd_pairs(ints)
+            assert len(hi) == len(lo) == len(ints)
+            for v, h, l in zip(ints, hi.tolist(), lo.tolist()):
+                assert abs(Fraction(h) + Fraction(l) - v) <= Fraction(abs(v), 2**104), v
 
 
 class TestGaussLegendre:

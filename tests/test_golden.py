@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from wignerkit.cli import main
-from wignerkit.specfun import _exact_values, _jacobi_coeffs_cached
+from wignerkit.specfun import JacobiParams, jacobi_eval
 from wignerkit.wigner import ORACLE_TRUSTED_L_X2, ROTATION_ROUTES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -256,10 +256,10 @@ def test_dmat_stdout_is_the_same_without_avx512():
 
 
 # The one block of verify_all_0 that takes specfun's double-double Jacobi
-# kernel, the reflection check's 539 rows at 21 nodes; its values must be the
-# exact sums at every feature level.  verify_all_0 itself runs the oracle, whose
-# bytes move below X86_V3 (the legendre checks), so its pin holds in the
-# AVX-512 test below.
+# kernel, the reflection check's 539 rows at 21 nodes; its values must be
+# scalar jacobi_eval's exact sums at every feature level.  verify_all_0 itself
+# runs the oracle, whose bytes move below X86_V3 (the legendre checks), so its
+# pin holds in the AVX-512 test below.
 REFLECTION_BLOCK = """
 from itertools import product
 import numpy as np
@@ -271,8 +271,9 @@ print(hashlib.sha256(jacobi_values(params, np.arange(-10, 11) / 10).tobytes()).h
 
 def test_chart_route_stdout_is_the_same_without_avx2():
     assert len(CHART_PINS) == 11 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
-    rows = [_jacobi_coeffs_cached(*t) for t in product(range(7), range(7), range(11))]
-    exact = hashlib.sha256(_exact_values(rows, (np.arange(-10, 11) / 10).tolist()).tobytes()).hexdigest()
+    params = [JacobiParams(*t) for t in product(range(7), range(7), range(11))]
+    nodes = (np.arange(-10, 11) / 10).tolist()
+    exact = hashlib.sha256(np.array([[jacobi_eval(p, x) for x in nodes] for p in params]).tobytes()).hexdigest()
     assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS, RUN_AND_HASH + REFLECTION_BLOCK, [exact])
 
 

@@ -59,7 +59,6 @@ from wignerkit.wigner import (
     SYMMETRIES,
     RouteUnavailableError,
     _chart,
-    _factorial_ratio_sqrt,
     _finite,
     _fold,
     _hyp_tables,
@@ -273,7 +272,7 @@ def old_jacobi_stack(l, thetas):
     def quadrant_entry(m, n):
         i, j = (l + m).as_int(), (l + n).as_int()
         lm, mn, mmn = l2 - i, i + j - l2, i - j
-        pref = (-1.0 if lm % 2 else 1.0) * _factorial_ratio_sqrt(i, lm, j, l2 - j)
+        pref = (-1.0 if lm % 2 else 1.0) * old_ratio_sqrt(i, lm, j, l2 - j)
         nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
         return [pref * s**mn * c**mmn * _exact_series(nums, den, h) for s, c, h in charts]
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerkit import cli, verify
+from wignerkit import cli, verify, wigner
 from wignerkit.exactcomb import HalfInt
 from wignerkit.group import EulerAngles, Mat2C, from_euler
 from wignerkit.verify import sample_gl2, suite_routes
@@ -36,6 +36,7 @@ from wignerkit.wigner import (
     tmn_jacobi,
     tmn_krawtchouk,
     tmn_rodrigues,
+    tmn_sum,
 )
 
 EULER = [(0.7, 1.2, 0.3), (0.0, 0.5, 2.0), (math.pi / 4, 3.0, 5.5), (math.pi / 2, 0.0, 0.0)]
@@ -287,6 +288,53 @@ def test_binomial_prefactor_overflow_is_refused():
         with pytest.raises(RouteUnavailableError) as info:
             call()
         assert str(info.value) == f"{route} route's prefactor sqrt(C(2l, l-m) C(2l, l-n)) overflows"
+
+
+SUM_MONOMIAL = "a^k b^(l-m-k) c^(l-n-k) d^(m+n+k)"
+
+
+@pytest.mark.parametrize(
+    "tmn, m_x2, n_x2, refusal",
+    [
+        # sqrt(1040! / (520! 520!)): the ratio overflows before the root
+        (tmn_jacobi, 1040, 0, "Jacobi route's prefactor sqrt((l+m)! (l-m)! / ((l+n)! (l-n)!)) overflows"),
+        (tmn_sum, 1040, 0, "finite sum route's prefactor sqrt(C(2l, l-n) / C(2l, l-m)) overflows"),
+        # C(0, 0) C(1040, 520) does not convert to a float
+        (tmn_sum, 0, 1040, f"finite sum route's term C(l-n, k) C(l+n, l-m-k) {SUM_MONOMIAL} overflows"),
+    ],
+    ids=["jacobi-prefactor", "sum-prefactor", "sum-term"],
+)
+def test_every_prefactor_or_term_overflow_is_refused(tmn, m_x2, n_x2, refusal):
+    # These raised a bare OverflowError from an int / int division or an int
+    # to float conversion.
+    with pytest.raises(RouteUnavailableError) as info:
+        tmn(HalfInt(1040), HalfInt(m_x2), HalfInt(n_x2), from_euler(EulerAngles(0.7, 1.2, 0.3)))
+    assert str(info.value) == refusal
+
+
+def test_per_entry_forms_compute_only_their_entry():
+    # A first call at a spin used to build the spin's whole plan (0.3-0.8 s
+    # at l_x2 400); each entry is still its builder's bit for bit.
+    A = from_euler(EulerAngles(0.7, 1.2, 0.3))
+    plans = (wigner._quadrant_plan, wigner._prefactors, wigner._sum_plan)
+    forms = [
+        (tmn_hyp, hyp_matrix),
+        (tmn_hyp_symmetric, hyp_symmetric_matrix),
+        (tmn_jacobi, jacobi_matrix),
+        (tmn_sum, sum_matrix),
+    ]
+    for plan in plans:
+        plan.cache_clear()
+    for tmn, _ in forms:
+        assert np.isfinite(tmn(HalfInt(400), HalfInt(2), HalfInt(0), A))
+    assert [plan.cache_info().currsize for plan in plans] == [0, 0, 0]
+    l = HalfInt(40)
+    for tmn, builder in forms:
+        entries = builder(l, A).entries
+        for i in [*range(0, 41, 4), 39]:
+            for j in [*range(0, 41, 4), 1]:
+                got, want = tmn(l, HalfInt(2 * i - 40), HalfInt(2 * j - 40), A), entries[i, j]
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (tmn, i, j)
 
 
 CHART_OVERFLOWS = "a float on the way to a chart form's entry overflows"
