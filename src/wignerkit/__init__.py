@@ -19,6 +19,7 @@ from .haar import (
     addition_formula_check,
     build_grid,
     character_norm,
+    legendre_checks,
     legendre_product_check,
     pairwise_sum,
     schur_check,
@@ -32,6 +33,7 @@ from .specfun import (
     jacobi_eval,
     jacobi_norm,
     jacobi_rodrigues,
+    jacobi_rows,
     jacobi_values,
     jacobi_via_2f1,
     krawtchouk,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .exactcomb import HalfInt, spin_range
 from .group import Mat2C, diag_element, multiply
-from .specfun import legendre
+from .specfun import JacobiParams, jacobi_rows
 from .wigner import _oracle_expand, _oracle_powers, oracle_stack
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "DeviationReport",
     "schur_check",
     "character_norm",
+    "legendre_checks",
     "legendre_product_check",
     "addition_formula_check",
 ]
@@ -218,42 +219,71 @@ def character_norm(grid: HaarGrid, l: HalfInt) -> float:
     return float(pairwise_sum(grid.weights * magnitudes(traces) ** 2))
 
 
-def legendre_product_check(l: int, theta1: float, theta2: float) -> float:
-    """Deviation of the phase-averaged composite Legendre value from the product.
+def legendre_checks(degrees, angles) -> tuple[np.ndarray, np.ndarray]:
+    """The deviations of the addition and the product formula of the Legendre
+    polynomials at each (theta1, theta2, phi) of angles and each degree l of
+    degrees, two arrays of shape (len(angles), len(degrees)).
 
-    Compares P_l(cos t1) P_l(cos t2) with the uniform-quadrature average of
-    P_l(cos t1 cos t2 + sin t1 sin t2 cos phi) over 2l + 1 phases; the
-    integrand is a trigonometric polynomial of degree l, so that is exact.
+    Addition: T = R(t1/2) diag(e^{i phi/2}, e^{-i phi/2}) R'(t2/2) is built
+    from its two real rotation factors, and the central element of t^l(T) is
+    checked against (i) P_l at the composite argument cos t1 cos t2 +
+    sin t1 sin t2 cos phi and (ii) the phase-weighted sum over the central row
+    and column of the two factors; the deviation is the larger of the two.
+    Product: P_l(cos t1) P_l(cos t2) against the uniform-quadrature average of
+    P_l(cos t1 cos t2 + sin t1 sin t2 cos phi') over 2l + 1 phases phi' (phi
+    is not read); the integrand is a trigonometric polynomial of degree l, so
+    that is exact, and the deviation is signed.
+
+    Per degree, one oracle_stack call builds the three matrices of every
+    triple, and one jacobi_rows call takes every Legendre value: per degree
+    and triple, one row at the 2l + 1 phase nodes, cos t1, cos t2 and the
+    composite argument, padded by repeating its last node.  Every value is
+    the one that its degree and triple alone give, bit for bit.
     """
-    n_phi = 2 * l + 1
-    phis = 2 * math.pi * np.arange(n_phi) / n_phi
-    args = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(theta2) * np.cos(phis)
-    values = legendre(l, args)
-    average = float(pairwise_sum(values)) / n_phi
-    return average - legendre(l, math.cos(theta1)) * legendre(l, math.cos(theta2))
+    degrees, angles = list(degrees), list(angles)  # each is read more than once
+    for l in degrees:
+        if l < 0:
+            raise ValueError(f"negative degree l={l}")
+    factors = []
+    for theta1, theta2, phi in angles:
+        h1, h2 = theta1 / 2, theta2 / 2
+        left = Mat2C(math.sin(h1), -math.cos(h1), math.cos(h1), math.sin(h1))
+        right = Mat2C(math.sin(h2), math.cos(h2), -math.cos(h2), math.sin(h2))
+        factors += [multiply(multiply(left, diag_element(phi / 2)), right), left, right]
+    stacks = [oracle_stack(HalfInt(2 * l), *([getattr(X, x) for X in factors] for x in "abcd")) for l in degrees]
+    trig = []  # per triple: cos t1, cos t2, cos t1 cos t2, sin t1 sin t2 and the composite argument
+    for theta1, theta2, phi in angles:
+        cc, ss = math.cos(theta1) * math.cos(theta2), math.sin(theta1) * math.sin(theta2)
+        trig.append((math.cos(theta1), math.cos(theta2), cc, ss, cc + ss * math.cos(phi)))
+    c1, c2, cc, ss, composite = np.reshape(trig, (-1, 5, 1)).transpose(1, 0, 2)
+    width = 2 * max(degrees, default=0) + 4
+    nodes = []
+    for l in degrees:
+        n_phi = 2 * l + 1
+        phases = cc + ss * np.cos(2 * math.pi * np.arange(n_phi) / n_phi)
+        nodes.append(np.hstack([phases, c1, c2, composite])[:, np.minimum(np.arange(width), n_phi + 2)])
+    params = [JacobiParams(0, 0, l) for l in degrees for _ in angles]
+    values = jacobi_rows(params, np.reshape(nodes, (len(params), width))).reshape(len(degrees), len(angles), width)
+    addition, product = np.empty((2, len(angles), len(degrees)))
+    for d, (l, S, block) in enumerate(zip(degrees, stacks, values)):
+        n_phi = 2 * l + 1
+        product[:, d] = pairwise_sum(block[:, :n_phi].T) / n_phi - block[:, n_phi] * block[:, n_phi + 1]
+        for t, ((_, _, phi), closed_form) in enumerate(zip(angles, block[:, n_phi + 2].tolist())):
+            center = complex(S[3 * t, l, l])  # row and column l hold the weight 0
+            series = 0j
+            for k, r, c in zip(spin_range(HalfInt(2 * l)), S[3 * t + 1, l].tolist(), S[3 * t + 2, :, l].tolist()):
+                series += r * c * np.exp(-1j * float(k) * phi)
+            addition[t, d] = max(abs(center - closed_form), abs(center - series))
+    return addition, product
+
+
+def legendre_product_check(l: int, theta1: float, theta2: float) -> float:
+    """Deviation of the phase-averaged composite Legendre value from the
+    product P_l(cos t1) P_l(cos t2): legendre_checks at one degree and triple."""
+    return float(legendre_checks([l], [(theta1, theta2, 0.0)])[1][0, 0])
 
 
 def addition_formula_check(l: int, theta1: float, theta2: float, phi: float) -> float:
-    """Largest deviation among the two decompositions of a composite element.
-
-    Builds T = R(t1/2) diag(e^{i phi/2}, e^{-i phi/2}) R'(t2/2) from the two
-    real rotation factors, takes the central matrix element of t^l(T), and
-    checks it against (i) the Legendre value at the composite argument and
-    (ii) the phase-weighted sum over the central row and column of the two
-    factors.
-    """
-    if l < 0:
-        raise ValueError(f"negative degree l={l}")
-    h1, h2 = theta1 / 2, theta2 / 2
-    left = Mat2C(math.sin(h1), -math.cos(h1), math.cos(h1), math.sin(h1))
-    right = Mat2C(math.sin(h2), math.cos(h2), -math.cos(h2), math.sin(h2))
-    T = multiply(multiply(left, diag_element(phi / 2)), right)
-    spin = HalfInt(2 * l)
-    S = oracle_stack(spin, *zip(*((X.a, X.b, X.c, X.d) for X in (T, left, right))))
-    center = complex(S[0, l, l])  # row and column l hold the weight 0
-    composite = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(theta2) * math.cos(phi)
-    closed_form = legendre(l, composite)
-    series = 0j
-    for k, r, c in zip(spin_range(spin), S[1, l].tolist(), S[2, :, l].tolist()):
-        series += r * c * np.exp(-1j * float(k) * phi)
-    return max(abs(center - closed_form), abs(center - series))
+    """Largest deviation among the two decompositions of a composite element:
+    legendre_checks at one degree and triple."""
+    return float(legendre_checks([l], [(theta1, theta2, phi)])[0][0, 0])

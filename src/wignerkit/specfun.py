@@ -17,12 +17,13 @@ from its explicit sum (_jacobi_coeffs_cached).  Every rounding is one
 int / int true division, which is correctly rounded, so it gives the float
 that float(Fraction) gives for the same rational.
 
-jacobi_values evaluates many Jacobi rows at many real nodes.  A block of at
-least _DD_MIN_VALUES values takes one numpy Horner pass in double-double
-arithmetic (_dd_values), whose a-priori error bound certifies, value by
-value, that the exact rational rounds to the computed double.  Every other
-value is summed by _exact_series, so each is the float that the one
-int / int division gives.
+jacobi_rows evaluates many Jacobi rows, each at its own real nodes, and
+jacobi_values is its broadcast case, every row at one shared set of nodes.
+A block of at least _DD_MIN_VALUES values takes one numpy Horner pass in
+double-double arithmetic (_dd_values), whose a-priori error bound certifies,
+value by value, that the exact rational rounds to the computed double.
+Every other value is summed by _exact_series, so each is the float that the
+one int / int division gives.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ __all__ = [
     "hyp2f1_complex",
     "jacobi_eval",
     "jacobi_values",
+    "jacobi_rows",
     "jacobi_complex",
     "jacobi_via_2f1",
     "jacobi_rodrigues",
@@ -123,7 +125,11 @@ def _exact_series(nums, den: int, z: tuple):
     return acc / (den * scale)
 
 
-@lru_cache(maxsize=4096)
+# The slots of each cache of exact coefficient rows.
+_ROW_SLOTS = 4096
+
+
+@lru_cache(maxsize=_ROW_SLOTS)
 def _hyp2f1_coeffs_cached(a, b, c, nterms: int) -> tuple[tuple[int, ...], int]:
     # Integer form (nums, den) of the coefficients (a)_k (b)_k / ((c)_k k!),
     # k = 0 .. nterms, with den > 0.  With a = pa/qa and so on, step k
@@ -182,7 +188,7 @@ def hyp2f1_complex(a, b, c, nterms: int, z: complex) -> complex:
     return _exact_series(*_hyp2f1_coeffs_cached(a, b, c, nterms), _complex_ratio(complex(z)))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_ROW_SLOTS)
 def _jacobi_coeffs_cached(alpha, beta, n: int) -> tuple[tuple[int, ...], int]:
     # Integer form (nums, den) of the series coefficients
     # c_k = C(n, k) (s)_k (alpha+k+1)_{n-k} / n! with s = n+alpha+beta+1,
@@ -218,29 +224,42 @@ def jacobi_eval(p: JacobiParams, x):
 
 
 def jacobi_values(params, x) -> np.ndarray:
-    """jacobi_eval(p, x) for each p of params, shape (len(params), *x.shape).
+    """jacobi_eval(p, x) for each p of params, shape (len(params), *x.shape):
+    jacobi_rows with every row at all of x."""
+    return jacobi_rows(params, x.reshape(1, -1)).reshape(len(params), *x.shape)
 
-    Each element of x is turned into its exact argument once, so a non-finite
-    one raises as in jacobi_eval.  A block of at least _DD_MIN_VALUES values
-    (rows times nodes) of a float64 x goes through _dd_values: one
-    double-double Horner pass whose error bound certifies, value by value,
-    that the exact rational rounds to the computed float.  Every value it
-    does not certify, and every value of a smaller block or of any other x,
-    is summed by _exact_series, so every value is the float jacobi_eval gives.
+
+def jacobi_rows(params, x) -> np.ndarray:
+    """jacobi_eval(params[r], x[r, k]) at each (r, k), shape (len(params), nodes).
+
+    x is 2-d: one row of nodes per polynomial, or one row that every
+    polynomial shares.  A block of at least _DD_MIN_VALUES values (rows times
+    nodes) of a float64 x goes through _dd_values: one double-double Horner
+    pass whose error bound certifies, value by value, that the exact rational
+    rounds to the computed float.  Every value it does not certify, and every
+    value of a smaller block or of any other x, is summed by _exact_series at
+    its node's exact ratio, so every value is the float jacobi_eval gives, and
+    a non-finite node, which is never certified, raises as in jacobi_eval.
     """
     rows = [_jacobi_coeffs_cached(p.alpha, p.beta, p.n) for p in params]
-    flat = x.ravel()
-    args = [(num - q, 2 * q) for num, q in map(_as_ratio, flat.tolist())]
-    if len(rows) * flat.size >= _DD_MIN_VALUES and flat.dtype == np.float64:
+    if x.ndim != 2 or len(x) not in (1, len(rows)):
+        raise ValueError(f"nodes of shape {x.shape} for {len(rows)} rows; expected (1, k) or ({len(rows)}, k)")
+    shape = (len(rows), x.shape[1])
+    if len(rows) * shape[1] >= _DD_MIN_VALUES and x.dtype == np.float64:
         with np.errstate(over="ignore", invalid="ignore"):  # what overflows is not certified
-            values, sure = _dd_values(rows, flat)
+            values, sure = _dd_values(rows, x)
     else:
-        values, sure = np.empty((len(rows), flat.size)), np.zeros((len(rows), flat.size), dtype=bool)
-    out = values.reshape(-1)  # a view: value k is (row k // nodes, node k % nodes)
-    for k in np.flatnonzero(~sure).tolist():
-        nums, den = rows[k // flat.size]
-        out[k] = _exact_series(nums, den, args[k % flat.size])
-    return values.reshape(len(rows), *x.shape)
+        values, sure = np.empty(shape), np.zeros(shape, dtype=bool)
+    # Value k sits at node k % x.size of x.ravel(), whether x has a row per
+    # row or one shared row; each node that the exact sums need is converted once.
+    miss, size, width = np.flatnonzero(~sure).tolist(), x.size, shape[1]
+    nodes = sorted({k % size for k in miss})
+    args = {i: (num - q, 2 * q) for i, (num, q) in zip(nodes, map(_as_ratio, x.ravel()[nodes].tolist()))}
+    out = values.reshape(-1)  # a view
+    for k in miss:
+        nums, den = rows[k // width]
+        out[k] = _exact_series(nums, den, args[k % size])
+    return values
 
 
 # The smallest block (rows times nodes) that _dd_values takes: below it the
@@ -291,8 +310,9 @@ def _dd_pairs(ints: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dd_values(rows, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows' values at the nodes x (finite float64) from one double-double
-    Horner pass, and the mask of those it certifies, each of shape (rows, nodes).
+    """The rows' values at the float64 nodes x, one row of nodes per row or one
+    row that all share, from one double-double Horner pass, and the mask of
+    those it certifies, each of shape (rows, nodes).
 
     Pass.  A row (nums, den) of degree n is V = S / den with S the sum of
     N_k y^k, y = (x - 1)/2.  Each N_k and den become pairs hi + lo
@@ -330,7 +350,8 @@ def _dd_values(rows, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of at least _WIDE in magnitude could never be certified, so it stays out
     of the pass, which runs over the other rows, and none of its values is.
     """
-    values, sure = np.empty((len(rows), x.size)), np.zeros((len(rows), x.size), dtype=bool)
+    shape = (len(rows), x.shape[1])
+    values, sure = np.empty(shape), np.zeros(shape, dtype=bool)
     fits = (r for r, (nums, den) in enumerate(rows) if den < _WIDE and -_WIDE < min(nums) and max(nums) < _WIDE)
     order = sorted(fits, key=lambda r: -len(rows[r][0]))
     if not order:
@@ -343,17 +364,21 @@ def _dd_values(rows, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nh, nl = (v.reshape(len(order), top).T[:, :, None] for v in _dd_pairs(table))
     dh, dl = (v[:, None] for v in _dd_pairs([rows[r][1] for r in order]))
 
+    # Each node row follows its row into the order; one shared row broadcasts,
+    # so a slice [:m] of a node table is the nodes of the m rows it serves.
+    if len(x) > 1:
+        x = x[order]
     s, e = _two_sum(x, -1.0)
     yh, yl = s * 0.5, e * 0.5
-    ay, y_halves = np.abs(yh), _split(yh)
-    ah, al, bound = (np.zeros((len(order), x.size)) for _ in range(3))
+    ay, (yhh, yhl) = np.abs(yh), _split(yh)
+    ah, al, bound = (np.zeros((len(order), shape[1])) for _ in range(3))
     for k in range(top):
         m = np.count_nonzero(sizes >= top - k)
-        a, b = ah[:m], al[:m]
-        p, pe = _two_prod(a, yh, y_halves)
+        a, b, y = ah[:m], al[:m], yh[:m]
+        p, pe = _two_prod(a, y, (yhh[:m], yhl[:m]))
         s, se = _two_sum(p, nh[k, :m])
-        ah[:m], al[:m] = _two_sum(s, (((pe + a * yl) + b * yh) + se) + nl[k, :m])
-        bound[:m] = bound[:m] * ay + np.abs(nh[k, :m])
+        ah[:m], al[:m] = _two_sum(s, (((pe + a * yl[:m]) + b * y) + se) + nl[k, :m])
+        bound[:m] = bound[:m] * ay[:m] + np.abs(nh[k, :m])
 
     th = ah / dh
     p, pe = _two_prod(th, dh, _split(dh))

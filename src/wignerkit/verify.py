@@ -9,12 +9,15 @@ Each set of oracle references is one oracle_stack call per spin, and every
 check hands its deviations to _check as one float64 array: the routes suite
 compares each route's stack with the oracle's in one array expression per
 spin, and the weighted Jacobi integrals of one (alpha, beta) are one pairwise
-sum over a (nodes, pairs) stack.  The magnitude of a complex deviation is
-libm's hypot of its parts (haar.magnitudes), the function Python's
-abs(complex) calls, so the worst deviations are the floats a per-entry loop
-gives; so is every entry's magnitude in the max-norms that scale them
-(_norms), and haar's Schur and character reductions take theirs the same
-way, so no check output depends on numpy's SIMD complex abs.
+sum over a (nodes, pairs) stack.  The weighted family and the Legendre
+addition and product formulas each take all their real Jacobi values in one
+specfun.jacobi_rows call, every row at its own nodes.  The magnitude of a
+complex deviation is libm's hypot of its parts (haar.magnitudes), the
+function Python's abs(complex) calls, so the worst deviations are the
+floats a per-entry loop gives; so is every entry's magnitude in the
+max-norms that scale them (_norms), and haar's Schur and character
+reductions take theirs the same way, so no check output depends on numpy's
+SIMD complex abs.
 """
 from __future__ import annotations
 
@@ -28,17 +31,16 @@ from .exactcomb import HalfInt, pochhammer, spins_up_to
 from .group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
 from .haar import (
     HaarGrid,
-    addition_formula_check,
     build_grid,
     character_norm,
     gauss_legendre,
-    legendre_product_check,
+    legendre_checks,
     magnitudes,
     pairwise_sum,
     schur_check,
     theta_rule,
 )
-from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_norm, jacobi_values, krawtchouk
+from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_norm, jacobi_rows, jacobi_values, krawtchouk
 from .wigner import (
     ROTATION_ROUTES,
     SYMMETRIES,
@@ -236,15 +238,22 @@ def suite_jacobi_orth(max_l: HalfInt) -> dict:
         i, j = np.indices((n, n))
         same_column.append(np.abs(integrals - (dim == dim_prime) / n)[(i + j >= n - 1) & (i >= j)])
 
-    # The 45 degree pairs n1 <= n2 up to 8: per (al, be), one (nodes, 45) stack
-    # of the products w P_n1 P_n2 (1-x)^al (1+x)^be, reduced by one pairwise sum.
+    # The 45 degree pairs n1 <= n2 up to 8 of each (al, be), on the Gauss rule of
+    # (2 * 8 + al + be) // 2 + 1 <= 13 nodes, exact for the degree 16 + al + be.
+    # All 225 polynomials are one jacobi_rows call, each row at its own rule
+    # padded to 13 nodes by repeating the last; per (al, be), one (nodes, 45)
+    # stack of the products w P_n1 P_n2 (1-x)^al (1+x)^be, reduced by one pairwise sum.
     pairs = [(n1, n2) for n1 in range(9) for n2 in range(n1, 9)]
     first, second = np.array(pairs).T
+    blocks = list(product(range(5), repeat=2))
+    rules = [gauss_legendre((2 * 8 + al + be) // 2 + 1) for al, be in blocks]
+    nodes = np.array([x[np.minimum(np.arange(13), len(x) - 1)] for x, _ in rules])
+    params = [JacobiParams(al, be, n) for al, be in blocks for n in range(9)]
+    rows = jacobi_rows(params, np.repeat(nodes, 9, axis=0)).reshape(len(blocks), 9, 13)
     weighted = []
-    for al, be in product(range(5), repeat=2):
-        x, w = gauss_legendre((2 * 8 + al + be) // 2 + 1)
+    for (al, be), (x, w), block in zip(blocks, rules, rows):
         weight = (1 - x) ** al * (1 + x) ** be
-        values = jacobi_values([JacobiParams(al, be, n) for n in range(9)], x).T
+        values = block[:, : len(x)].T
         integrals = pairwise_sum(w[:, None] * values[:, first] * values[:, second] * weight[:, None])
         norms = [jacobi_norm(JacobiParams(al, be, n1)) if n1 == n2 else 0.0 for n1, n2 in pairs]
         weighted.append(np.abs(integrals - norms))
@@ -266,14 +275,15 @@ def suite_legendre(seed: int) -> dict:
     )
     rng = np.random.default_rng(seed + 1)
     angles = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
-    addition = [addition_formula_check(l, t1, t2, phi) for t1, t2, phi in angles for l in range(7)]
-    products = [abs(legendre_product_check(l, t1, t2)) for t1, t2, _ in angles for l in range(7)]
+    # The addition and product formulas at every degree and triple: one oracle_stack
+    # call per degree over the 10 triples, and every Legendre value in one jacobi_rows call.
+    addition, products = legendre_checks(range(7), angles)
     return {
         "suite": "legendre",
         "checks": [
             _check("central element vs legendre of 2ad-1", central, 1e-9),
-            _check("addition formula", addition, 1e-9),
-            _check("product formula", products, 1e-10),
+            _check("addition formula", addition.ravel(), 1e-9),
+            _check("product formula", np.abs(products).ravel(), 1e-10),
         ],
     }
 

@@ -34,6 +34,7 @@ import numpy as np
 from .exactcomb import HalfInt, check_spin_pair
 from .group import EulerAngles, Mat2C
 from .specfun import (
+    _ROW_SLOTS,
     _binom_power_coeffs,
     _complex_ratio,
     _exact_series,
@@ -376,6 +377,16 @@ def _quadrant_row(l2: int, i: int, j: int, f) -> tuple:
     return l2 - i, l2 - j, i + j - l2, i - j, f(i + j - l2)
 
 
+def _row_source(cached, l2: int):
+    """cached (a row cache of _ROW_SLOTS slots), or the function it caches
+    where a build of spin l2/2 reads more rows than it holds.  Each quadrant
+    entry has a row of its own, which a build reads once, so such a build
+    would evict every cached row, the small ones that the verify families
+    reuse among them, and hit none."""
+    t = l2 // 2 + 1  # the quadrant has t (t + l2 % 2) entries
+    return cached if t * (t + l2 % 2) <= _ROW_SLOTS else cached.__wrapped__
+
+
 @lru_cache(maxsize=32)
 def _quadrant_plan(l2: int) -> tuple:
     """What every element form reads at spin l2/2 before it sees an element.
@@ -443,20 +454,20 @@ def _hyp_tables(A: Mat2C, l2: int) -> tuple:
 
 
 def _hyp_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> None:
-    z = common[0]
+    z, row = common[0], _row_source(_hyp2f1_coeffs_cached, l2)
     for lm, ln, mn, _, mn_factorial, pref, at in rows:
         if pref == math.inf:
             raise RouteUnavailableError(f"{_HYP_PREFACTOR} overflows")
-        coeffs = _hyp2f1_coeffs_cached(-lm, -ln, mn + 1, min(lm, ln))
+        coeffs = row(-lm, -ln, mn + 1, min(lm, ln))
         series = _refusing_overflow(_HYP_SERIES, _exact_series, *coeffs, z)
         for _, b_pow, c_pow, d_pow in images[at]:
             out[next(places)] = pref * b_pow[lm] * c_pow[ln] * d_pow[mn] / mn_factorial * series
 
 
 def _hyp_symmetric_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> None:
-    w = common[1]
+    w, row = common[1], _row_source(_hyp2f1_coeffs_cached, l2)
     for lm, ln, mn, _, _, pref, at in rows:
-        coeffs = _hyp2f1_coeffs_cached(-lm, -ln, -l2, min(lm, ln))
+        coeffs = row(-lm, -ln, -l2, min(lm, ln))
         series = _refusing_overflow(_HYP_SYMMETRIC_SERIES, _exact_series, *coeffs, w)
         if pref == math.inf:
             raise RouteUnavailableError(f"symmetric 2F1 {_BINOMIAL_PREFACTOR} overflows")
@@ -480,9 +491,9 @@ def _jacobi_tables(A: Mat2C, l2: int) -> tuple:
 
 
 def _jacobi_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> None:
-    x, diff_pow = common
+    (x, diff_pow), row = common, _row_source(_jacobi_coeffs_cached, l2)
     for lm, ln, mn, mmn, _, pref, at in rows:
-        poly = _refusing_overflow(_JACOBI_SERIES, _exact_series, *_jacobi_coeffs_cached(mn, mmn, lm), x)
+        poly = _refusing_overflow(_JACOBI_SERIES, _exact_series, *row(mn, mmn, lm), x)
         if pref == math.inf:
             raise RouteUnavailableError(f"{_JACOBI_PREFACTOR} overflows")
         diff = diff_pow[lm]
@@ -660,14 +671,14 @@ def _chart_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, chart, entrie
 def _jacobi_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
     # The Jacobi form of entry (i, j) for each i of rows at each chart
     # (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
-    prefactors, out = _prefactors("jacobi", l2), []
+    prefactors, row, out = _prefactors("jacobi", l2), _row_source(_jacobi_coeffs_cached, l2), []
     for i in rows:
         lm, mn, mmn = l2 - i, i + j - l2, i - j
         pref = prefactors[_quadrant_position(l2, i, j)]
         if pref == math.inf:
             raise RouteUnavailableError(f"{_JACOBI_PREFACTOR} overflows")
         pref = (-1.0 if lm % 2 else 1.0) * pref
-        nums, den = _jacobi_coeffs_cached(mn, mmn, lm)
+        nums, den = row(mn, mmn, lm)
         out.append([pref * sin_t**mn * cos_t**mmn * _exact_series(nums, den, h) for sin_t, cos_t, h in charts])
     return out
 
@@ -759,14 +770,18 @@ def _krawtchouk_chart(theta: float) -> tuple:
     return sin_t, cos_t, (2 * den, den + num)
 
 
-def _krawtchouk_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
+def _krawtchouk_entries(l2: int, j: int, rows, charts: list, prefactors=None) -> list[list[float]]:
     # Entry (i, j) for each i of rows at each chart (sin theta, cos theta,
     # 1/p as an integer ratio); K_{l-m}(l-n; p, 2l) = 2F1(-(l-m), -(l-n);
     # -2l; 1/p) is written over one denominator once for all the charts.
-    ln, prefactors, out = l2 - j, _prefactors("binomial", l2), []
+    # prefactors holds the binomial prefactor (inf where it overflows) at the
+    # quadrant positions of the rows: the spin's whole table unless given.
+    ln, row, out = l2 - j, _row_source(_hyp2f1_coeffs_cached, l2), []
+    if prefactors is None:
+        prefactors = _prefactors("binomial", l2)
     for i in rows:
         lm, mn = l2 - i, i + j - l2
-        nums, den = _hyp2f1_coeffs_cached(-lm, -ln, -l2, lm)
+        nums, den = row(-lm, -ln, -l2, lm)
         pref = prefactors[_quadrant_position(l2, i, j)]
         if pref == math.inf:
             raise RouteUnavailableError(f"Krawtchouk {_BINOMIAL_PREFACTOR} overflows")
@@ -783,7 +798,15 @@ def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
     where the sin power m + n is never negative.  cos(theta) = 0 is refused,
     because it puts p = 0 inside the Krawtchouk argument.
     """
-    return _chart_entry(l, m, n, theta, _krawtchouk_chart, _krawtchouk_entries)
+
+    def entry(l2, j, rows, charts):
+        # The one entry's prefactor, computed alone as _element_entry computes
+        # it, so that a first call at a spin builds none of the spin's table.
+        (i,) = rows
+        pref = _overflowing(_PREFACTORS["binomial"], l2, i, j, factorial, partial(comb, l2))
+        return _krawtchouk_entries(l2, j, rows, charts, {_quadrant_position(l2, i, j): pref})
+
+    return _chart_entry(l, m, n, theta, _krawtchouk_chart, entry)
 
 
 def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:

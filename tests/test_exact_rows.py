@@ -33,6 +33,7 @@ from wignerkit.specfun import (
     hyp2f1_series_coeffs,
     jacobi_eval,
     jacobi_norm,
+    jacobi_rows,
     jacobi_values,
     jacobi_via_2f1,
     krawtchouk,
@@ -500,6 +501,81 @@ class TestArrayJacobiEval:
         assert got.shape == (len(params), xs.size) and got.dtype == float
         for p, row in zip(params, got.tolist()):
             assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in xs.tolist()], p
+
+
+class TestPerRowNodes:
+    # jacobi_rows(params, x): row r at its own nodes x[r], every value the
+    # float scalar jacobi_eval gives, on either side of the kernel's cut.
+    @staticmethod
+    def assert_scalar(params, xs):
+        got = jacobi_rows(params, xs)
+        assert got.shape == xs.shape and got.dtype == float
+        for p, row, nodes in zip(params, got.tolist(), xs.tolist()):
+            assert [v.hex() for v in row] == [jacobi_eval(p, x).hex() for x in nodes], p
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 14), parameter, parameter), min_size=26, max_size=40),
+        st.integers(20, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=30)
+    def test_random_rows_at_random_nodes(self, rows, width, seed):
+        rng = np.random.default_rng(seed)
+        params = [JacobiParams(alpha, beta, n) for n, alpha, beta in rows]
+        xs = rng.uniform(-1.5, 1.5, (len(params), width))
+        assert xs.size >= specfun._DD_MIN_VALUES
+        self.assert_scalar(params, xs)
+
+    def test_edge_nodes_padding_wide_rows_and_degree_zero(self, monkeypatch):
+        # 40 rows at 16 nodes each, 640 values, so the block takes the kernel;
+        # each row has its own shuffle of +-1, +-0, subnormals and 1 +- eps,
+        # and repeats its last node as padding.  Rows with an integer of 2^900
+        # or more (alpha = 1e-300, alpha = 0.3 and beta = -0.7 from n = 16 on)
+        # stay out of the pass, and degree-0 rows are the constant 1.
+        seen = []
+        pairs = specfun._dd_pairs
+        monkeypatch.setattr(specfun, "_dd_pairs", lambda ints: seen.extend(ints) or pairs(ints))
+        rng = np.random.default_rng(34)
+        params = [
+            *(JacobiParams(a, b, n) for a, b, n in rng.integers(0, 7, (28, 3)).tolist()),
+            *(JacobiParams(a, b, 0) for a, b in ((0, 0), (3, 1), (0.5, -0.5), (1e-300, 2))),
+            *(JacobiParams(0.3, -0.7, n) for n in (16, 20, 25)),
+            *(JacobiParams(1e-300, b, 4) for b in (0, 0.5)),
+            *(JacobiParams(a, a, n) for a, n in ((0, 7), (2, 15), (0.5, 3))),
+        ]
+        rows = [specfun._jacobi_coeffs_cached(p.alpha, p.beta, p.n) for p in params]
+        assert sum(max(abs(v) for v in (*nums, den)) >= 2**900 for nums, den in rows) == 5
+        edges = [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1 - 2**-52, 1 + 2**-52, -0.5]
+        xs = []
+        for r in range(len(params)):
+            nodes = [*rng.permutation(edges).tolist(), *rng.uniform(-1, 1, 3).tolist()]
+            xs.append(nodes + [nodes[-1]] * (16 - len(nodes)))
+        xs = np.array(xs)
+        assert len(params) == 40 and xs.size >= specfun._DD_MIN_VALUES
+        self.assert_scalar(params, xs)
+        assert seen and max(map(abs, seen)) < 2**900
+
+    def test_a_block_below_the_cut_is_summed_exactly(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_dd_values", None)  # never called below the cut
+        params = [JacobiParams(al, be, n) for al, be, n in ((0, 0, 5), (2, 1, 8), (0.5, -1.5, 7), (3, 3, 0))]
+        xs = np.array([[-1.0, 0.0, 0.5], [1.0, 5e-324, 0.25], [0.3, 0.3, 0.3], [2.0, -2.0, 0.7]])
+        assert xs.size < specfun._DD_MIN_VALUES
+        self.assert_scalar(params, xs)
+
+    def test_nodes_of_another_shape_are_refused(self):
+        params = [JacobiParams(1, 2, n) for n in range(3)]
+        for shape in ((2, 4), (4, 4), (12,), (3, 2, 2)):
+            with pytest.raises(ValueError, match="^nodes of shape"):
+                jacobi_rows(params, np.zeros(shape))
+        assert jacobi_rows([], np.zeros((1, 4))).shape == jacobi_rows([], np.zeros((0, 4))).shape == (0, 4)
+
+    def test_shared_nodes_are_the_broadcast_case(self):
+        params = [JacobiParams(al, be, n) for al in range(3) for be in range(3) for n in range(60)]
+        xs = np.linspace(-1, 1, 7)
+        assert len(params) * xs.size >= specfun._DD_MIN_VALUES
+        shared = jacobi_rows(params, xs[None, :])
+        assert shared.tobytes() == jacobi_rows(params, np.tile(xs, (len(params), 1))).tobytes()
+        assert shared.tobytes() == jacobi_values(params, xs).tobytes()
 
 
 class TestDoubleDoublePairs:

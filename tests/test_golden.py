@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from wignerkit.cli import main
+from wignerkit.haar import gauss_legendre
 from wignerkit.specfun import JacobiParams, jacobi_eval
 from wignerkit.wigner import ORACLE_TRUSTED_L_X2, ROTATION_ROUTES
 
@@ -255,11 +256,11 @@ def test_dmat_stdout_is_the_same_without_avx512():
     assert_pins_hold_without(AVX512_LEVELS, DMAT_PINS)
 
 
-# The one block of verify_all_0 that takes specfun's double-double Jacobi
-# kernel, the reflection check's 539 rows at 21 nodes; its values must be
-# scalar jacobi_eval's exact sums at every feature level.  verify_all_0 itself
-# runs the oracle, whose bytes move below X86_V3 (the legendre checks), so its
-# pin holds in the AVX-512 test below.
+# Two blocks of verify_all_0 that take specfun's double-double Jacobi kernel,
+# the reflection check's 539 rows at 21 shared nodes and the weighted family
+# below; their values must be scalar jacobi_eval's exact sums at every feature
+# level.  verify_all_0 itself runs the oracle, whose bytes move below X86_V3
+# (the legendre checks), so its pin holds in the AVX-512 test below.
 REFLECTION_BLOCK = """
 from itertools import product
 import numpy as np
@@ -269,12 +270,33 @@ print(hashlib.sha256(jacobi_values(params, np.arange(-10, 11) / 10).tobytes()).h
 """
 
 
+# The jacobi-orth suite's weighted family, the block whose rows each take
+# their own nodes: 225 rows (alpha, beta, n), each at its Gauss rule padded to
+# 13 nodes by repeating the last.  The nodes enter the script as literals, so
+# both sides evaluate at the same floats whatever leggauss gives at a level.
+WEIGHTED_BLOCK = """
+from wignerkit.specfun import jacobi_rows
+params = [JacobiParams(al, be, n) for al, be in product(range(5), repeat=2) for n in range(9)]
+print(hashlib.sha256(jacobi_rows(params, np.array({nodes})).tobytes()).hexdigest())
+"""
+
+
+def exact_hash(params, nodes):
+    # The sha256 of the scalar jacobi_eval values, row r at nodes[r].
+    values = np.array([[jacobi_eval(p, x) for x in row] for p, row in zip(params, nodes)])
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
 def test_chart_route_stdout_is_the_same_without_avx2():
     assert len(CHART_PINS) == 11 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
     params = [JacobiParams(*t) for t in product(range(7), range(7), range(11))]
-    nodes = (np.arange(-10, 11) / 10).tolist()
-    exact = hashlib.sha256(np.array([[jacobi_eval(p, x) for x in nodes] for p in params]).tobytes()).hexdigest()
-    assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS, RUN_AND_HASH + REFLECTION_BLOCK, [exact])
+    reflection = exact_hash(params, [(np.arange(-10, 11) / 10).tolist()] * len(params))
+    blocks = list(product(range(5), repeat=2))
+    rules = [gauss_legendre((2 * 8 + al + be) // 2 + 1)[0] for al, be in blocks]
+    nodes = np.repeat([x[np.minimum(np.arange(13), len(x) - 1)] for x in rules], 9, axis=0).tolist()
+    weighted = exact_hash([JacobiParams(al, be, n) for al, be in blocks for n in range(9)], nodes)
+    script = RUN_AND_HASH + REFLECTION_BLOCK + WEIGHTED_BLOCK.format(nodes=nodes)
+    assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS, script, [reflection, weighted])
 
 
 # The Haar angles are drawn with math.acos, one sample at a time, so every

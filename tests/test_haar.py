@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 
 from wignerkit.exactcomb import HalfInt, spin_range, spins_up_to
-from wignerkit.group import sample_haar
+from wignerkit.group import Mat2C, diag_element, multiply, sample_haar
 from wignerkit.haar import (
     HaarGrid,
     addition_formula_check,
     build_grid,
     character_norm,
     gauss_legendre,
+    legendre_checks,
     legendre_product_check,
     pairwise_sum,
     schur_check,
     theta_rule,
 )
-from wignerkit.wigner import jacobi_stack, tmn_sum
+from wignerkit.specfun import legendre
+from wignerkit.wigner import jacobi_stack, oracle_stack, tmn_sum
 
 HALF = HalfInt(1)
 
@@ -292,6 +294,60 @@ class TestLegendreFormulas:
         for angles in ((nan, 0.4, 1.0), (0.3, 0.4, nan), (0.3, 0.4, inf)):
             with pytest.raises(ValueError):
                 addition_formula_check(0, *angles)
+
+
+# Reference copies of the per-triple checks that legendre_checks batches.
+def old_legendre_product_check(l, theta1, theta2):
+    n_phi = 2 * l + 1
+    phis = 2 * math.pi * np.arange(n_phi) / n_phi
+    args = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(theta2) * np.cos(phis)
+    values = legendre(l, args)
+    average = float(pairwise_sum(values)) / n_phi
+    return average - legendre(l, math.cos(theta1)) * legendre(l, math.cos(theta2))
+
+
+def old_addition_formula_check(l, theta1, theta2, phi):
+    h1, h2 = theta1 / 2, theta2 / 2
+    left = Mat2C(math.sin(h1), -math.cos(h1), math.cos(h1), math.sin(h1))
+    right = Mat2C(math.sin(h2), math.cos(h2), -math.cos(h2), math.sin(h2))
+    T = multiply(multiply(left, diag_element(phi / 2)), right)
+    spin = HalfInt(2 * l)
+    S = oracle_stack(spin, *zip(*((X.a, X.b, X.c, X.d) for X in (T, left, right))))
+    center = complex(S[0, l, l])
+    composite = math.cos(theta1) * math.cos(theta2) + math.sin(theta1) * math.sin(theta2) * math.cos(phi)
+    closed_form = legendre(l, composite)
+    series = 0j
+    for k, r, c in zip(spin_range(spin), S[1, l].tolist(), S[2, :, l].tolist()):
+        series += r * c * np.exp(-1j * float(k) * phi)
+    return max(abs(center - closed_form), abs(center - series))
+
+
+class TestBatchedLegendreChecks:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_ten_triples_at_degrees_0_to_6_are_the_per_triple_checks(self, seed):
+        # The legendre suite's draw: every deviation of the batch, bit for bit.
+        rng = np.random.default_rng(seed + 1)
+        angles = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
+        addition, product = legendre_checks(range(7), angles)
+        assert addition.shape == product.shape == (10, 7)
+        for t, (t1, t2, phi) in enumerate(angles):
+            for l in range(7):
+                want_addition = old_addition_formula_check(l, t1, t2, phi).hex()
+                want_product = old_legendre_product_check(l, t1, t2).hex()
+                assert float(addition[t, l]).hex() == want_addition == addition_formula_check(l, t1, t2, phi).hex()
+                assert float(product[t, l]).hex() == want_product == legendre_product_check(l, t1, t2).hex()
+
+    def test_degrees_in_any_order_and_empty_inputs(self):
+        angles = [(0.3, 1.1, 2.0), (2.9, 0.05, 5.5)]
+        addition, product = legendre_checks([4, 0, 2], angles)
+        for t, (t1, t2, phi) in enumerate(angles):
+            for d, l in enumerate([4, 0, 2]):
+                assert float(addition[t, d]).hex() == old_addition_formula_check(l, t1, t2, phi).hex()
+                assert float(product[t, d]).hex() == old_legendre_product_check(l, t1, t2).hex()
+        assert [a.shape for a in legendre_checks([], angles)] == [(2, 0), (2, 0)]
+        assert [a.shape for a in legendre_checks([3], [])] == [(0, 1), (0, 1)]
+        with pytest.raises(ValueError, match="^negative degree l=-1$"):
+            legendre_checks([2, -1], angles)
 
 
 class TestMonteCarloConsistency:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerkit import cli, verify, wigner
+from wignerkit import cli, specfun, verify, wigner
 from wignerkit.exactcomb import HalfInt
 from wignerkit.group import EulerAngles, Mat2C, from_euler
 from wignerkit.verify import sample_gl2, suite_routes
@@ -26,6 +26,7 @@ from wignerkit.wigner import (
     hyp_matrix,
     hyp_symmetric_matrix,
     jacobi_matrix,
+    jacobi_stack,
     krawtchouk_stack,
     oracle_matrix,
     recurrence_stack,
@@ -310,6 +311,42 @@ def test_every_prefactor_or_term_overflow_is_refused(tmn, m_x2, n_x2, refusal):
     with pytest.raises(RouteUnavailableError) as info:
         tmn(HalfInt(1040), HalfInt(m_x2), HalfInt(n_x2), from_euler(EulerAngles(0.7, 1.2, 0.3)))
     assert str(info.value) == refusal
+
+
+def test_the_krawtchouk_entry_computes_only_its_prefactor():
+    # Its first call at a spin used to build the spin's whole binomial
+    # prefactor table (55-72 ms at l_x2 400); it is still the stack's entry
+    # bit for bit.
+    wigner._prefactors.cache_clear()
+    assert np.isfinite(tmn_krawtchouk(HalfInt(400), HalfInt(10), HalfInt(-40), 0.7))
+    assert wigner._prefactors.cache_info().currsize == 0
+    l = HalfInt(40)
+    stack = krawtchouk_stack(l, [0.7, 1.3])
+    for t, theta in enumerate((0.7, 1.3)):
+        for i in [*range(0, 41, 4), 39]:
+            for j in [*range(0, 41, 4), 1]:
+                got = tmn_krawtchouk(l, HalfInt(2 * i - 40), HalfInt(2 * j - 40), theta)
+                assert got.hex() == stack[t, i, j].hex(), (theta, i, j)
+
+
+@pytest.mark.parametrize(
+    "stack, cache", [(jacobi_stack, specfun._jacobi_coeffs_cached), (krawtchouk_stack, specfun._hyp2f1_coeffs_cached)]
+)
+def test_a_stack_past_the_row_cache_leaves_the_cached_rows(stack, cache):
+    # Every quadrant entry has a row of its own.  At l_x2 140 there are 5,041
+    # against the cache's 4,096 slots: through the cache, two such stacks made
+    # 0 hits in 10,082 lookups and evicted the small rows of every spin.
+    assert cache.cache_parameters()["maxsize"] == specfun._ROW_SLOTS == 4096
+    assert wigner._row_source(cache, 126) is cache and wigner._row_source(cache, 127) is cache.__wrapped__
+    cache.cache_clear()
+    small = stack(HalfInt(6), [0.7])
+    before = cache.cache_info()
+    assert before.misses == before.currsize > 0
+    big = stack(HalfInt(140), [0.7])
+    assert cache.cache_info() == before and np.isfinite(big).all()
+    assert stack(HalfInt(6), [0.7]).tobytes() == small.tobytes()
+    after = cache.cache_info()
+    assert (after.hits, after.misses) == (before.hits + before.misses, before.misses)
 
 
 def test_per_entry_forms_compute_only_their_entry():
