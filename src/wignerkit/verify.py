@@ -292,9 +292,10 @@ def suite_krawtchouk_sym() -> dict:
     cases = [
         (n, x, p, N) for N in range(1, 9) for n in range(N + 1) for x in range(N + 1) for p in (0.3, 0.5, 0.9)
     ]
+    values = {case: krawtchouk(*case) for case in cases}  # (N - n, N - x) runs over the grid of (n, x)
     deviations = _relative(
-        [krawtchouk(n, x, p, N) for n, x, p, N in cases],
-        [(1 - 1 / p) ** (x + n - N) * krawtchouk(N - n, N - x, p, N) for n, x, p, N in cases],
+        list(values.values()),
+        [(1 - 1 / p) ** (x + n - N) * values[N - n, N - x, p, N] for n, x, p, N in cases],
     )
     return {"suite": "krawtchouk-sym", "checks": [_check("index-reflection identity", deviations, 1e-9)]}
 

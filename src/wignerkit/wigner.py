@@ -337,16 +337,11 @@ def _quadrant(l2: int):
     return ((i, j) for i in range((l2 + 1) // 2, l2 + 1) for j in range(l2 - i, i + 1))
 
 
-def _quadrant_position(l2: int, i: int, j: int) -> int:
-    # Where (i, j) sits in _quadrant(l2): row (l2 + 1) // 2 + t holds
-    # 2t + 1 + l2 % 2 entries, so t (t + l2 % 2) entries come before it.
-    t = i - (l2 + 1) // 2
-    return t * (t + l2 % 2) + j - (l2 - i)
-
-
 # The prefactors of the closed forms at quadrant entry (i, j) of spin l2, from
 # the factorials f(k) = k! and the binomials c(k) = C(2l, k), each ratio
 # taken exactly before the root; each raises OverflowError where it overflows a float.
+# _quadrant_plan holds each at every quadrant entry for the element builders;
+# the per-entry forms and the chart forms compute each entry's own.
 _PREFACTORS = {
     # sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!)), the 2F1 form's
     "2F1": lambda l2, i, j, f, c: _sqrt_fraction(f(i) * f(j), f(l2 - i) * f(l2 - j)),
@@ -355,20 +350,6 @@ _PREFACTORS = {
     # sqrt(C(2l, l-m) C(2l, l-n)), the symmetric 2F1 and Krawtchouk forms'
     "binomial": lambda l2, i, j, f, c: math.sqrt(c(l2 - i) * c(l2 - j)),
 }
-
-
-@lru_cache(maxsize=32)
-def _prefactors(kind: str, l2: int) -> array:
-    """The prefactor _PREFACTORS[kind] at each quadrant entry of spin l2/2, in
-    _quadrant order, or inf where it overflows a float: what the element
-    forms and the chart forms of that prefactor read.  A reader that finds
-    inf refuses with its route's prefactor message.  At l2 = 400 it holds
-    40,401 floats, 323 kB.
-    """
-    f = _factorials(l2)
-    c = [f[l2] // (f[k] * f[l2 - k]) for k in range(l2 + 1)]
-    prefactor, f, c = _PREFACTORS[kind], f.__getitem__, c.__getitem__
-    return array("d", [_overflowing(prefactor, l2, i, j, f, c) for i, j in _quadrant(l2)])
 
 
 def _quadrant_row(l2: int, i: int, j: int, f) -> tuple:
@@ -392,15 +373,20 @@ def _quadrant_plan(l2: int) -> tuple:
     """What every element form reads at spin l2/2 before it sees an element.
 
     Five columns over the quadrant entries in _quadrant order: l - m, l - n,
-    m + n, m - n and (m + n)!.  Then the lists of images that entries write:
-    the indices into _IMAGES of an entry's distinct places, each the last
-    image written there, in the order of their first writes; and a column of
-    the list each entry writes.  Then those places, entry by entry and image
-    by image, as flat indices into the matrix.  At l2 = 400 it holds 40,401
-    entries and 160,801 places, about 1.7 MB.
+    m + n, m - n and (m + n)!.  Then a float column per kind of _PREFACTORS,
+    its rule at each entry or inf where that overflows.  Then the lists of
+    images that entries write: the indices into _IMAGES of an entry's
+    distinct places, each the last image written there, in the order of
+    their first writes; and a column of the list each entry writes.  Then
+    those places, entry by entry and image by image, as flat indices into
+    the matrix.  At l2 = 400 it holds 40,401 entries and 160,801 places,
+    about 2.6 MB.
     """
-    dim, f = l2 + 1, _factorials(l2).__getitem__
-    columns, image_sets, entry_sets, places = [*(array("i") for _ in range(4)), []], [], array("B"), array("i")
+    dim, f = l2 + 1, _factorials(l2)
+    c = [f[l2] // (f[k] * f[l2 - k]) for k in range(dim)]
+    f, c = f.__getitem__, c.__getitem__
+    columns, prefactors = [*(array("i") for _ in range(4)), []], {kind: array("d") for kind in _PREFACTORS}
+    image_sets, entry_sets, places = [], array("B"), array("i")
     for i, j in _quadrant(l2):
         written = {}
         for k, (index_map, _, _) in enumerate(_IMAGES.values()):
@@ -409,10 +395,12 @@ def _quadrant_plan(l2: int) -> tuple:
         if ks not in image_sets:
             image_sets.append(ks)
         entry_sets.append(image_sets.index(ks))
-        places.extend(r * dim + c for r, c in written)
+        places.extend(r * dim + col for r, col in written)
         for column, value in zip(columns, _quadrant_row(l2, i, j, f)):
             column.append(value)
-    return columns, image_sets, entry_sets, places
+        for kind, rule in _PREFACTORS.items():
+            prefactors[kind].append(_overflowing(rule, l2, i, j, f, c))
+    return columns, prefactors, image_sets, entry_sets, places
 
 
 # What a closed form refuses where it overflows a float (the element and chart
@@ -430,13 +418,14 @@ _JACOBI_SERIES = "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - a
 # m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).  tables(A, l2) is (the powers
 # of a, b, c and d, what A's symmetry images share with A).  quadrant(l2,
 # rows, images, common, out, places) computes quadrant entries in the order of
-# rows; a row is an entry's columns of _quadrant_plan, its prefactor of
-# _PREFACTORS[kind] and the index of its list of images, each given by its
-# powers.  It sums the entry's exact series once and writes the entry at each
-# of its images to out at the next of places.  The images of A under
-# SYMMETRIES have A's bc and ad bit for bit (the same products with the
-# factors swapped), so they share its arguments and its series.  An entry
-# whose prefactor overflows is refused in its place among the entry's refusals.
+# rows; a row is an entry's five columns of _quadrant_plan, its value of the
+# plan's prefactor column of the form's kind (inf where it overflows) and the
+# index of its list of images, each given by its powers.  It sums the entry's
+# exact series once and writes the entry at each of its images to out at the
+# next of places.  The images of A under SYMMETRIES have A's bc and ad bit for
+# bit (the same products with the factors swapped), so they share its
+# arguments and its series.  An entry whose prefactor is inf is refused in
+# its place among the entry's refusals.
 
 
 def _hyp_tables(A: Mat2C, l2: int) -> tuple:
@@ -512,11 +501,11 @@ def _element_matrix(l: HalfInt, A: Mat2C, form) -> WignerMatrix:
     tables, quadrant, kind = form
     dim, l2 = _dim(l), l.twice
     powers, common = tables(A, l2)
-    columns, image_sets, entry_sets, places = _quadrant_plan(l2)
+    columns, prefactors, image_sets, entry_sets, places = _quadrant_plan(l2)
     by_image = [[powers[k] for k in order] for _, order, _ in _IMAGES.values()]
     images = [[by_image[k] for k in ks] for ks in image_sets]
     out = np.empty(dim * dim, dtype=complex)
-    quadrant(l2, zip(*columns, _prefactors(kind, l2), entry_sets), images, common, out, iter(places))
+    quadrant(l2, zip(*columns, prefactors[kind], entry_sets), images, common, out, iter(places))
     return WignerMatrix(l, out.reshape(dim, dim))
 
 
@@ -671,12 +660,10 @@ def _chart_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, chart, entrie
 def _jacobi_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
     # The Jacobi form of entry (i, j) for each i of rows at each chart
     # (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
-    prefactors, row, out = _prefactors("jacobi", l2), _row_source(_jacobi_coeffs_cached, l2), []
+    row, c, out = _row_source(_jacobi_coeffs_cached, l2), partial(comb, l2), []
     for i in rows:
         lm, mn, mmn = l2 - i, i + j - l2, i - j
-        pref = prefactors[_quadrant_position(l2, i, j)]
-        if pref == math.inf:
-            raise RouteUnavailableError(f"{_JACOBI_PREFACTOR} overflows")
+        pref = _refusing_overflow(_JACOBI_PREFACTOR, _PREFACTORS["jacobi"], l2, i, j, factorial, c)
         pref = (-1.0 if lm % 2 else 1.0) * pref
         nums, den = row(mn, mmn, lm)
         out.append([pref * sin_t**mn * cos_t**mmn * _exact_series(nums, den, h) for sin_t, cos_t, h in charts])
@@ -770,21 +757,15 @@ def _krawtchouk_chart(theta: float) -> tuple:
     return sin_t, cos_t, (2 * den, den + num)
 
 
-def _krawtchouk_entries(l2: int, j: int, rows, charts: list, prefactors=None) -> list[list[float]]:
+def _krawtchouk_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
     # Entry (i, j) for each i of rows at each chart (sin theta, cos theta,
     # 1/p as an integer ratio); K_{l-m}(l-n; p, 2l) = 2F1(-(l-m), -(l-n);
     # -2l; 1/p) is written over one denominator once for all the charts.
-    # prefactors holds the binomial prefactor (inf where it overflows) at the
-    # quadrant positions of the rows: the spin's whole table unless given.
-    ln, row, out = l2 - j, _row_source(_hyp2f1_coeffs_cached, l2), []
-    if prefactors is None:
-        prefactors = _prefactors("binomial", l2)
+    ln, row, c, out = l2 - j, _row_source(_hyp2f1_coeffs_cached, l2), partial(comb, l2), []
     for i in rows:
         lm, mn = l2 - i, i + j - l2
         nums, den = row(-lm, -ln, -l2, lm)
-        pref = prefactors[_quadrant_position(l2, i, j)]
-        if pref == math.inf:
-            raise RouteUnavailableError(f"Krawtchouk {_BINOMIAL_PREFACTOR} overflows")
+        pref = _refusing_overflow(f"Krawtchouk {_BINOMIAL_PREFACTOR}", _PREFACTORS["binomial"], l2, i, j, factorial, c)
         pref = (-1.0 if lm % 2 else 1.0) * pref
         out.append(
             [pref * cos_t ** (lm + ln) * sin_t**mn * _exact_series(nums, den, inv_p) for sin_t, cos_t, inv_p in charts]
@@ -798,15 +779,7 @@ def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
     where the sin power m + n is never negative.  cos(theta) = 0 is refused,
     because it puts p = 0 inside the Krawtchouk argument.
     """
-
-    def entry(l2, j, rows, charts):
-        # The one entry's prefactor, computed alone as _element_entry computes
-        # it, so that a first call at a spin builds none of the spin's table.
-        (i,) = rows
-        pref = _overflowing(_PREFACTORS["binomial"], l2, i, j, factorial, partial(comb, l2))
-        return _krawtchouk_entries(l2, j, rows, charts, {_quadrant_position(l2, i, j): pref})
-
-    return _chart_entry(l, m, n, theta, _krawtchouk_chart, entry)
+    return _chart_entry(l, m, n, theta, _krawtchouk_chart, _krawtchouk_entries)
 
 
 def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:

@@ -52,7 +52,7 @@ def test_worker_clears_every_cache_in_the_package(cli_worker):
     caches = package_caches()
     assert {"specfun._hyp2f1_coeffs_cached", "specfun._jacobi_coeffs_cached",
             "specfun.hyp2f1_series_coeffs", "haar.gauss_legendre", "wigner._quadrant_plan",
-            "wigner._prefactors", "wigner._sum_plan"} <= set(caches)
+            "wigner._sum_plan"} <= set(caches)
     assert [name for name, cache in caches.items() if id(cache) not in listed] == []
 
 
@@ -63,7 +63,7 @@ def test_each_op_starts_with_empty_caches(cli_worker):
 
     haar.gauss_legendre(7)
     specfun._hyp2f1_coeffs_cached(-3, 2, 5, 3)
-    plans = (wigner._quadrant_plan, wigner._prefactors, wigner._sum_plan)
+    plans = (wigner._quadrant_plan, wigner._sum_plan)
     wigner.jacobi_matrix(HalfInt(4), Mat2C(0.6, 0.8j, 0.8j, 0.6))
     wigner.sum_matrix(HalfInt(4), Mat2C(0.6, 0.8j, 0.8j, 0.6))
     assert all(plan.cache_info().currsize for plan in plans)
@@ -73,7 +73,7 @@ def test_each_op_starts_with_empty_caches(cli_worker):
     assert header["code"] == 0
     assert haar.gauss_legendre.cache_info().currsize == 0
     assert specfun._hyp2f1_coeffs_cached.cache_info().currsize == 0
-    assert [plan.cache_info().currsize for plan in plans] == [0, 0, 0]
+    assert [plan.cache_info().currsize for plan in plans] == [0, 0]
 
 
 def test_a_warm_routes_op_prints_the_bytes_of_a_cold_one(cli_worker):

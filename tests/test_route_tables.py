@@ -4,6 +4,7 @@ them: `dmat --route`, the routes suite, and the element matrices
 per-entry `tmn_*` functions."""
 import argparse
 import ast
+import functools
 import json
 import math
 from pathlib import Path
@@ -313,13 +314,20 @@ def test_every_prefactor_or_term_overflow_is_refused(tmn, m_x2, n_x2, refusal):
     assert str(info.value) == refusal
 
 
+def wigner_caches() -> list:
+    # Every lru_cache defined in wigner (not the row caches it imports): the per-spin plans.
+    caches = [obj for obj in vars(wigner).values() if isinstance(obj, functools._lru_cache_wrapper)]
+    return [cache for cache in caches if cache.__module__ == wigner.__name__]
+
+
 def test_the_krawtchouk_entry_computes_only_its_prefactor():
     # Its first call at a spin used to build the spin's whole binomial
-    # prefactor table (55-72 ms at l_x2 400); it is still the stack's entry
-    # bit for bit.
-    wigner._prefactors.cache_clear()
+    # prefactor table (55-72 ms at l_x2 400); it fills no cache of wigner and
+    # is still the stack's entry bit for bit.
+    for cache in wigner_caches():
+        cache.cache_clear()
     assert np.isfinite(tmn_krawtchouk(HalfInt(400), HalfInt(10), HalfInt(-40), 0.7))
-    assert wigner._prefactors.cache_info().currsize == 0
+    assert [cache.cache_info().currsize for cache in wigner_caches()] == [0] * len(wigner_caches())
     l = HalfInt(40)
     stack = krawtchouk_stack(l, [0.7, 1.3])
     for t, theta in enumerate((0.7, 1.3)):
@@ -353,7 +361,7 @@ def test_per_entry_forms_compute_only_their_entry():
     # A first call at a spin used to build the spin's whole plan (0.3-0.8 s
     # at l_x2 400); each entry is still its builder's bit for bit.
     A = from_euler(EulerAngles(0.7, 1.2, 0.3))
-    plans = (wigner._quadrant_plan, wigner._prefactors, wigner._sum_plan)
+    plans = (wigner._quadrant_plan, wigner._sum_plan)
     forms = [
         (tmn_hyp, hyp_matrix),
         (tmn_hyp_symmetric, hyp_symmetric_matrix),
@@ -364,7 +372,7 @@ def test_per_entry_forms_compute_only_their_entry():
         plan.cache_clear()
     for tmn, _ in forms:
         assert np.isfinite(tmn(HalfInt(400), HalfInt(2), HalfInt(0), A))
-    assert [plan.cache_info().currsize for plan in plans] == [0, 0, 0]
+    assert [plan.cache_info().currsize for plan in plans] == [0, 0]
     l = HalfInt(40)
     for tmn, builder in forms:
         entries = builder(l, A).entries
@@ -372,6 +380,31 @@ def test_per_entry_forms_compute_only_their_entry():
             for j in [*range(0, 41, 4), 1]:
                 got, want = tmn(l, HalfInt(2 * i - 40), HalfInt(2 * j - 40), A), entries[i, j]
                 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (tmn, i, j)
+
+
+def test_chart_stacks_fill_no_cache_of_wigner():
+    # Each chart form computes its entries' prefactors one by one; the
+    # Jacobi form used to fill a per-spin prefactor table.
+    assert {"_expansion_plan", "_sum_plan", "_quadrant_plan"} <= {cache.__name__ for cache in wigner_caches()}
+    for stack in (jacobi_stack, krawtchouk_stack, rodrigues_stack):
+        for cache in wigner_caches():
+            cache.cache_clear()
+        assert np.isfinite(stack(HalfInt(12), [0.3, 0.7, 1.3])).all()
+        assert [cache.cache_info().currsize for cache in wigner_caches()] == [0] * len(wigner_caches()), stack
+
+
+@pytest.mark.parametrize("l_x2", range(41))
+def test_the_plan_holds_each_prefactor_rule(l_x2):
+    # Each prefactor column of the plan is its rule at each quadrant entry,
+    # computed alone from math.factorial and math.comb, bit for bit.
+    columns, prefactors, *_ = wigner._quadrant_plan(l_x2)
+    quadrant = list(wigner._quadrant(l_x2))
+    assert list(zip(l_x2 - np.array(columns[0]), l_x2 - np.array(columns[1]))) == quadrant
+    assert list(prefactors) == list(wigner._PREFACTORS)
+    f, c = math.factorial, functools.partial(math.comb, l_x2)
+    for kind, rule in wigner._PREFACTORS.items():
+        want = [rule(l_x2, i, j, f, c).hex() for i, j in quadrant]
+        assert [value.hex() for value in prefactors[kind]] == want, kind
 
 
 CHART_OVERFLOWS = "a float on the way to a chart form's entry overflows"

@@ -64,6 +64,21 @@ def test_all_runs_krawtchouk_sym_once(monkeypatch):
     assert {**own, "check": None} == {**again, "check": None}
 
 
+def test_krawtchouk_sym_computes_each_value_once(monkeypatch):
+    # (N - n, N - x) runs over the grid of (n, x): 852 values, which the
+    # suite used to compute twice each.
+    report = verify.suite_krawtchouk_sym()
+    calls = Counter()
+
+    def counting(*case):
+        calls[case] += 1
+        return specfun.krawtchouk(*case)
+
+    monkeypatch.setattr(verify, "krawtchouk", counting)
+    assert verify.suite_krawtchouk_sym() == report
+    assert (sum(calls.values()), max(calls.values())) == (852, 1)
+
+
 def test_identity_checks_leave_the_krawtchouk_report_as_it_was():
     report = verify.suite_krawtchouk_sym()
     before = copy.deepcopy(report)
