@@ -16,11 +16,9 @@ from .group import EulerAngles, Mat2C, diag_element, from_euler, multiply, sampl
 from .haar import (
     DeviationReport,
     HaarGrid,
-    addition_formula_check,
     build_grid,
     character_norm,
     legendre_checks,
-    legendre_product_check,
     pairwise_sum,
     schur_check,
 )
@@ -46,7 +44,6 @@ from .wigner import (
     character,
     chart_phases,
     dmatrix_euler,
-    fold_to_quadrant,
     hyp_matrix,
     hyp_symmetric_matrix,
     jacobi_matrix,

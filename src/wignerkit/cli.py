@@ -1,22 +1,22 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "11"; strict JSON (a non-finite deviation is
+Output contract: schema_version "12"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
 across runs; only the Schur reduction (schur, all) makes a BLAS product, so
-only its bytes depend on the BLAS kernel and thread count.  Since version 11
-jacobi-orth's same-column integrals are wigner.jacobi_stack's on the Haar
+only its bytes depend on the BLAS kernel and thread count.  Since version 12
+dmat's auto route is the Jacobi recurrence in the spin (route_used
+"recurrence") for every Euler source and the oracle for a matrix source, and
+an unavailable route falls back to auto's route for its source; since version
+11 jacobi-orth's same-column integrals are wigner.jacobi_stack's on the Haar
 grid's theta rule, and a nan or infinity in a real flag is a usage error;
 since version 10 the Haar grid of schur, character and all has the fewest
 theta nodes whose Gauss-Legendre rule is exact, and every check's magnitudes
-are libm's hypot of the parts; since version 9 dmat's auto route takes the
-Jacobi recurrence in the spin for an Euler source above
-wigner.ORACLE_TRUSTED_L_X2 (route_used "recurrence").  CHANGES.md lists each
-version.  Each command takes only the flags it reads: dmat exactly one
-source, --theta (with --phi and --psi, 0 when absent) or --matrix; poly the
-flags of its family.
+are libm's hypot of the parts.  CHANGES.md lists each version.  Each command
+takes only the flags it reads: dmat exactly one source, --theta (with --phi
+and --psi, 0 when absent) or --matrix; poly the flags of its family.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 numeric domain error (a ValueError or an ArithmeticError).
@@ -44,15 +44,14 @@ from .floatrepr import write_reprs
 from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
-from .wigner import ELEMENT_ROUTES, ORACLE_TRUSTED_L_X2, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
+from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
 
-SCHEMA_VERSION = "11"
+SCHEMA_VERSION = "12"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
-# takes the recurrence for an Euler source above the oracle's trusted spin
-# and the oracle elsewhere; an unavailable route falls back to the oracle.
-# An Euler source takes a route's chart form where it has one.
+# is the recurrence for an Euler source and the oracle for a matrix source; an
+# unavailable route falls back to auto.  An Euler source takes a route's chart
+# form where it has one.
 ROUTES = (*{**ELEMENT_ROUTES, **ROTATION_ROUTES}, "auto")
-_FALLBACK = "oracle"
 # poly's families: the flags each needs and the only ones it takes, in the
 # order they are checked, its evaluator on those flags and its route_used.
 # The lambdas look each function up at call time.
@@ -154,18 +153,13 @@ def _eight_reals(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"the 8 reals must be finite, got {text}") from None
 
 
-def _route_for(route: str, l: HalfInt, angles: EulerAngles | None) -> str:
-    # The route that serves a dmat request for this route name.
-    if route != "auto":
-        return route
-    return "recurrence" if angles is not None and l.twice > ORACLE_TRUSTED_L_X2 else _FALLBACK
-
-
-def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> WignerMatrix:
-    # The matrix by a route that _route_for named.
+def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> tuple[str, WignerMatrix]:
+    # (the route that serves a route name of ROUTES, its matrix of the source).
+    if route == "auto":
+        route = "oracle" if angles is None else "recurrence"
     if angles is not None and route in ROTATION_ROUTES:
-        return WignerMatrix(l, ROTATION_ROUTES[route](l, [angles])[0])
-    return ELEMENT_ROUTES[route](l, A)
+        return route, WignerMatrix(l, ROTATION_ROUTES[route](l, [angles])[0])
+    return route, ELEMENT_ROUTES[route](l, A)
 
 
 def cmd_dmat(args, parser) -> tuple[str, int]:
@@ -186,13 +180,11 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
         A = from_euler(angles)
         source = {"source": "euler", "theta": angles.theta, "phi": angles.phi, "psi": angles.psi}
     warnings = []
-    route_used = _route_for(args.route, l, angles)
     try:
-        M = _dmat_by_route(l, A, angles, route_used)
+        route_used, M = _dmat_by_route(l, A, angles, args.route)
     except RouteUnavailableError as exc:
-        warnings.append(f"route {args.route} unavailable ({exc}); fell back to {_FALLBACK}")
-        route_used = _FALLBACK
-        M = ELEMENT_ROUTES[_FALLBACK](l, A)
+        route_used, M = _dmat_by_route(l, A, angles, "auto")
+        warnings.append(f"route {args.route} unavailable ({exc}); fell back to {route_used}")
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "dmat",

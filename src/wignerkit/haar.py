@@ -50,8 +50,6 @@ __all__ = [
     "schur_check",
     "character_norm",
     "legendre_checks",
-    "legendre_product_check",
-    "addition_formula_check",
 ]
 
 
@@ -276,14 +274,3 @@ def legendre_checks(degrees, angles) -> tuple[np.ndarray, np.ndarray]:
             addition[t, d] = max(abs(center - closed_form), abs(center - series))
     return addition, product
 
-
-def legendre_product_check(l: int, theta1: float, theta2: float) -> float:
-    """Deviation of the phase-averaged composite Legendre value from the
-    product P_l(cos t1) P_l(cos t2): legendre_checks at one degree and triple."""
-    return float(legendre_checks([l], [(theta1, theta2, 0.0)])[1][0, 0])
-
-
-def addition_formula_check(l: int, theta1: float, theta2: float, phi: float) -> float:
-    """Largest deviation among the two decompositions of a composite element:
-    legendre_checks at one degree and triple."""
-    return float(legendre_checks([l], [(theta1, theta2, phi)])[0][0, 0])

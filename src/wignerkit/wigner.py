@@ -4,15 +4,14 @@ SU(2), computed by several independent routes.
 The canonical route expands the image of each basis monomial as an explicit
 homogeneous polynomial (exact binomials, products summed by shifted adds);
 it works for every group element and every spin and serves as the oracle
-for everything else.
+for everything else.  Its float expansion cancels as the spin grows (at
+(0.7, 1.2, 0.3) a unitarity residual of 1.1e-11 at l_x2 40 and 4.4e25 at 200);
+the Jacobi recurrence in the spin (recurrence_stack) builds the rotations of
+the angle chart to within about 1e-14 of the norm at every spin.
 The closed-form routes (finite sum, terminating 2F1, Jacobi, Rodrigues-type
 derivative, Krawtchouk) are faster on their domains but each has a singular
 parameter set, on which they raise RouteUnavailableError instead of guessing
 a limit.
-The oracle's float expansion cancels as the spin grows, so it is trusted up
-to ORACLE_TRUSTED_L_X2 only.  Above it, the Jacobi recurrence in the spin
-(recurrence_stack) builds the rotations of the angle chart to within about
-1e-14 of the norm.
 
 Index convention, fixed once: row i corresponds to m = -l + i and column j
 to n = -l + j, i.e. i = (m + l) as an integer.  The representation acts by
@@ -65,12 +64,10 @@ __all__ = [
     "tmn_krawtchouk",
     "krawtchouk_stack",
     "recurrence_stack",
-    "ORACLE_TRUSTED_L_X2",
     "ELEMENT_ROUTES",
     "ROTATION_ROUTES",
     "SYMMETRIES",
     "apply_symmetry",
-    "fold_to_quadrant",
     "character",
 ]
 
@@ -213,15 +210,6 @@ def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     return WignerMatrix(l, oracle_stack(l, [A.a], [A.b], [A.c], [A.d])[0])
 
 
-# The largest l_x2 at which the oracle is trusted.  Its float expansion
-# cancels more as the spin grows: at theta = 0.7 its unitarity residual was
-# 3e-14 at l_x2 20, 1.5e-11 at 40, 1.5e-8 at 60, 1e-5 at 80 and 3e2 at 120, and
-# 4.4e25 at l_x2 200 with phases (1.2, 0.3).  Over Haar-random SU(2) elements
-# it passes the 1e-10 unitarity check up to this spin and fails it from
-# l_x2 42 on at some elements.
-ORACLE_TRUSTED_L_X2 = 40
-
-
 # Every closed-form route below is written as one kernel on plain integers.
 # With l2 = 2l, row i = l + m and column j = l + n, so l - m = l2 - i,
 # l - n = l2 - j, m + n = i + j - l2 and m - n = i - j.  A kernel reads its
@@ -319,7 +307,8 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     """
     l2, out = l.twice, []
     row = _sum_row(l2, _index(l, m), _index(l, n), lambda k: [comb(k, t) for t in range(k + 1)], partial(comb, l2))
-    _refusing_overflow(_SUM_TERM, _sum_entries, [row], _entry_powers(A, l2), out)
+    powers = _refusing_overflow(_SUM_POWERS, _entry_powers, A, l2)
+    _refusing_overflow(_SUM_TERM, _sum_entries, [row], powers, out)
     return _finite(out[0])
 
 
@@ -327,7 +316,8 @@ def sum_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
     """The whole matrix by the finite sum, from one table of the powers of
     a, b, c and d and the spin's plan."""
     dim, out = _dim(l), []
-    _refusing_overflow(_SUM_TERM, _sum_entries, zip(*_sum_plan(l.twice)), _entry_powers(A, l.twice), out)
+    powers = _refusing_overflow(_SUM_POWERS, _entry_powers, A, l.twice)
+    _refusing_overflow(_SUM_TERM, _sum_entries, zip(*_sum_plan(l.twice)), powers, out)
     return WignerMatrix(l, np.reshape(out, (dim, dim)))
 
 
@@ -413,19 +403,26 @@ _BINOMIAL_PREFACTOR = "route's prefactor sqrt(C(2l, l-m) C(2l, l-n))"
 _HYP_SERIES = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc))"
 _HYP_SYMMETRIC_SERIES = "symmetric 2F1 route's series 2F1(-(l-m), -(l-n); -2l; (bc - ad)/(bc))"
 _JACOBI_SERIES = "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - ad))"
+# What a route's powers are, refused where one overflows a float: a complex
+# power raises, and so does an entry product that converts a large int power
+# of integer entries.
+_POWERS = "route's power of a, b, c or d"
+_SUM_POWERS = f"finite sum {_POWERS}"
+_JACOBI_POWERS = "Jacobi route's power of a, b, c, d or bc - ad"
 
-# An element form is (tables, quadrant, prefactor kind), in the quadrant
-# m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).  tables(A, l2) is (the powers
-# of a, b, c and d, what A's symmetry images share with A).  quadrant(l2,
-# rows, images, common, out, places) computes quadrant entries in the order of
-# rows; a row is an entry's five columns of _quadrant_plan, its value of the
-# plan's prefactor column of the form's kind (inf where it overflows) and the
-# index of its list of images, each given by its powers.  It sums the entry's
-# exact series once and writes the entry at each of its images to out at the
-# next of places.  The images of A under SYMMETRIES have A's bc and ad bit for
-# bit (the same products with the factors swapped), so they share its
-# arguments and its series.  An entry whose prefactor is inf is refused in
-# its place among the entry's refusals.
+# An element form is (tables, quadrant, prefactor kind, what its powers are),
+# in the quadrant m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).  tables(A, l2)
+# is (the powers of a, b, c and d, what A's symmetry images share with A).
+# quadrant(l2, rows, images, common, out, places) computes quadrant entries in
+# the order of rows; a row is an entry's five columns of _quadrant_plan, its
+# value of the plan's prefactor column of the form's kind (inf where it
+# overflows) and the index of its list of images, each given by its powers.
+# It sums the entry's exact series once and writes the entry at each of its
+# images to out at the next of places.  The images of A under SYMMETRIES have
+# A's bc and ad bit for bit (the same products with the factors swapped), so
+# they share its arguments and its series.  An entry whose prefactor is inf is
+# refused in its place among the entry's refusals; a power that overflows, in
+# tables or in an entry, is refused once per build as what its powers are.
 
 
 def _hyp_tables(A: Mat2C, l2: int) -> tuple:
@@ -490,36 +487,37 @@ def _jacobi_quadrant(l2: int, rows, images: list, common: tuple, out, places) ->
             out[next(places)] = pref * c_pow[mmn] * d_pow[mn] * diff * poly
 
 
-_HYP = (_hyp_tables, _hyp_quadrant, "2F1")
-_HYP_SYMMETRIC = (_hyp_tables, _hyp_symmetric_quadrant, "binomial")
-_JACOBI = (_jacobi_tables, _jacobi_quadrant, "jacobi")
+_HYP = (_hyp_tables, _hyp_quadrant, "2F1", f"2F1 {_POWERS}")
+_HYP_SYMMETRIC = (_hyp_tables, _hyp_symmetric_quadrant, "binomial", f"symmetric 2F1 {_POWERS}")
+_JACOBI = (_jacobi_tables, _jacobi_quadrant, "jacobi", _JACOBI_POWERS)
 
 
 def _element_matrix(l: HalfInt, A: Mat2C, form) -> WignerMatrix:
     # The whole matrix by an element form from the spin's plan: each quadrant
     # entry's series once, and its entry at each of its distinct places.
-    tables, quadrant, kind = form
+    tables, quadrant, kind, what = form
     dim, l2 = _dim(l), l.twice
-    powers, common = tables(A, l2)
+    powers, common = _refusing_overflow(what, tables, A, l2)
     columns, prefactors, image_sets, entry_sets, places = _quadrant_plan(l2)
     by_image = [[powers[k] for k in order] for _, order, _ in _IMAGES.values()]
     images = [[by_image[k] for k in ks] for ks in image_sets]
     out = np.empty(dim * dim, dtype=complex)
-    quadrant(l2, zip(*columns, prefactors[kind], entry_sets), images, common, out, iter(places))
+    rows = zip(*columns, prefactors[kind], entry_sets)
+    _refusing_overflow(what, quadrant, l2, rows, images, common, out, iter(places))
     return WignerMatrix(l, out.reshape(dim, dim))
 
 
 def _element_entry(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C, form) -> complex:
     # Entry (m, n) of _element_matrix(l, A, form), bit for bit: its quadrant
     # entry's row of the plan, computed alone, at the image that _fold picks.
-    tables, quadrant, kind = form
+    tables, quadrant, kind, what = form
     l2 = l.twice
     which, i, j = _fold(l2, _index(l, m), _index(l, n))
-    powers, common = tables(A, l2)
+    powers, common = _refusing_overflow(what, tables, A, l2)
     pref = _overflowing(_PREFACTORS[kind], l2, i, j, factorial, partial(comb, l2))
     row = (*_quadrant_row(l2, i, j, factorial), pref, 0)
     out = [None]
-    quadrant(l2, [row], [[[powers[k] for k in _IMAGES[which][1]]]], common, out, iter([0]))
+    _refusing_overflow(what, quadrant, l2, [row], [[[powers[k] for k in _IMAGES[which][1]]]], common, out, iter([0]))
     return _finite(out[0])
 
 
@@ -876,13 +874,6 @@ def apply_symmetry(which: str, l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
     index_map, element_map = SYMMETRIES[which]
     i2, j2 = index_map(l.twice, i, j)
     return HalfInt(2 * i2 - l.twice), HalfInt(2 * j2 - l.twice), element_map(A)
-
-
-def fold_to_quadrant(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C):
-    """Return (m', n', A') with t^l_{m,n}(A) = t^l_{m',n'}(A') and
-    m' + n' >= 0, m' - n' >= 0; inside that quadrant, (m, n, A) itself."""
-    which, _, _ = _fold(l.twice, _index(l, m), _index(l, n))
-    return (m, n, A) if which is None else apply_symmetry(which, l, m, n, A)
 
 
 def character(l: HalfInt, A: Mat2C) -> complex:

@@ -16,7 +16,7 @@ from wignerkit.cli import MAX_DMAT_L_X2, _render_dmat, main
 from wignerkit.exactcomb import HalfInt
 from wignerkit.group import EulerAngles, from_euler
 from wignerkit.verify import SUITE_NAMES
-from wignerkit.wigner import ORACLE_TRUSTED_L_X2, WignerMatrix
+from wignerkit.wigner import WignerMatrix
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -38,7 +38,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "11"
+        assert rec["schema_version"] == "12"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -97,9 +97,12 @@ class TestDmat:
         assert np.max(np.abs(a - b)) <= 1e-9
 
     def test_rodrigues_falls_back_at_boundary(self, capsys):
+        # an Euler source falls back to auto's route for it, the recurrence
         code, rec = run_json(capsys, "dmat", "--l-x2", "2", "--theta", "0.0", "--route", "rodrigues")
+        _, recurrence = run_json(capsys, "dmat", "--l-x2", "2", "--theta", "0.0", "--route", "recurrence")
         assert code == 0
-        assert rec["result"]["route_used"] == "oracle"
+        assert rec["result"]["route_used"] == "recurrence"
+        assert rec["result"] == recurrence["result"]
         assert rec["warnings"]
 
     def test_rodrigues_needs_euler_source(self, capsys):
@@ -112,19 +115,47 @@ class TestDmat:
             main(["dmat", "--l-x2", "2", "--matrix", "1,0,2,0,3,0,4,0", "--route", "recurrence"])
         assert err.value.code == 2
 
-    def test_auto_takes_the_recurrence_above_the_trusted_spin(self, capsys):
+    def test_auto_is_the_recurrence_for_euler_and_the_oracle_for_matrix_sources(self, capsys):
         angles = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
-        cases = [(ORACLE_TRUSTED_L_X2, "oracle"), (ORACLE_TRUSTED_L_X2 + 1, "recurrence"), (200, "recurrence")]
-        for l_x2, route in cases:
+        for l_x2 in (0, 40, 41, 200):
             code, rec = run_json(capsys, "dmat", "--l-x2", str(l_x2), *angles)
-            assert code == 0 and rec["result"]["route_used"] == route and "warnings" not in rec
-            _, rec_route = run_json(capsys, "dmat", "--l-x2", str(l_x2), *angles, "--route", route)
+            assert code == 0 and rec["result"]["route_used"] == "recurrence" and "warnings" not in rec
+            _, rec_route = run_json(capsys, "dmat", "--l-x2", str(l_x2), *angles, "--route", "recurrence")
             assert rec_route["result"]["matrix"] == rec["result"]["matrix"]
         pairs = np.array(rec["result"]["matrix"])
         T = pairs[..., 0] + 1j * pairs[..., 1]
         assert np.max(np.abs(T @ T.conj().T - np.eye(201))) < 1e-13  # the oracle's: 4.4e25
-        code, rec = run_json(capsys, "dmat", "--l-x2", str(ORACLE_TRUSTED_L_X2 + 1), "--matrix", "1,0,0,0,0,0,1,0")
-        assert code == 0 and rec["result"]["route_used"] == "oracle"
+        for l_x2 in (0, 40, 41):
+            source = ["dmat", "--l-x2", str(l_x2), "--matrix", "1,0,0,0,0,0,1,0"]
+            code, rec = run_json(capsys, *source)
+            _, oracle = run_json(capsys, *source, "--route", "oracle")
+            assert code == 0 and rec["result"] == oracle["result"] and rec["result"]["route_used"] == "oracle"
+
+    @pytest.mark.parametrize("angles", [(0.7, 1.2, 0.3), (0.05, 4.0, 2.5), (1.5, 0.2, 5.9)])
+    def test_auto_prints_the_recurrence_at_every_spin_up_to_40(self, capsys, angles):
+        source = ["--theta", repr(angles[0]), "--phi", repr(angles[1]), "--psi", repr(angles[2])]
+        for l_x2 in range(41):
+            _, auto = run_main(capsys, "dmat", "--l-x2", str(l_x2), *source)
+            _, recurrence = run_main(capsys, "dmat", "--l-x2", str(l_x2), *source, "--route", "recurrence")
+            assert auto.count('"route": "auto"') == 1, l_x2
+            assert auto.replace('"route": "auto"', '"route": "recurrence"') == recurrence, l_x2
+
+    def test_auto_is_unitary_at_l_x2_40(self, capsys):
+        # The oracle, which auto took here before, has residual 1.1e-11.
+        _, rec = run_json(capsys, "dmat", "--l-x2", "40", "--theta", "0.7", "--phi", "1.2", "--psi", "0.3")
+        pairs = np.array(rec["result"]["matrix"])
+        T = pairs[..., 0] + 1j * pairs[..., 1]
+        assert np.max(np.abs(T @ T.conj().T - np.eye(41))) < 1e-13
+
+    def test_an_overflowing_power_of_the_jacobi_route_falls_back_to_the_oracle(self, capsys):
+        # The Jacobi route refuses 31^400 with its reason (it used to raise a
+        # bare "complex exponentiation"), so dmat falls back to the oracle,
+        # which meets the same power and exits 3 as --route oracle does.
+        source = ["dmat", "--l-x2", "400", "--matrix", "30,0,1,0,2,0,31,0"]
+        code, rec = run_json(capsys, *source, "--route", "jacobi")
+        assert code == 3
+        assert rec["error"] == {"type": "OverflowError", "message": "a power of a matrix entry overflows"}
+        assert run_json(capsys, *source, "--route", "oracle") == (code, rec)
 
     @pytest.mark.parametrize("route", ["rodrigues", "krawtchouk", "recurrence"])
     def test_rotation_routes_take_any_phases(self, capsys, route):
@@ -234,11 +265,12 @@ class TestDmat:
         ],
     )
     def test_fallback_warning_names_the_first_failing_entry(self, capsys, argv, reason):
+        # the fallback is auto's route for the source
         code, rec = run_json(capsys, "dmat", *argv)
-        route = argv[-1]
+        route, fallback = argv[-1], "oracle" if "--matrix" in argv else "recurrence"
         assert code == 0
-        assert rec["result"]["route_used"] == "oracle"
-        assert rec["warnings"] == [f"route {route} unavailable ({reason}); fell back to oracle"]
+        assert rec["result"]["route_used"] == fallback
+        assert rec["warnings"] == [f"route {route} unavailable ({reason}); fell back to {fallback}"]
 
     def test_jacobi_route_on_a_matrix_source_is_unitary_at_l_x2_200(self, capsys):
         # The element Jacobi form sums its polynomials exactly; with a float

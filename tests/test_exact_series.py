@@ -37,7 +37,7 @@ from wignerkit.specfun import (
     legendre,
 )
 from wignerkit.group import Mat2C
-from wignerkit.wigner import fold_to_quadrant, tmn_rodrigues
+from wignerkit.wigner import _fold, apply_symmetry, tmn_rodrigues
 
 # -- reference copies of the Fraction loops ---------------------------------
 
@@ -170,7 +170,8 @@ def old_folded_tmn_rodrigues(l, m, n, theta):
     # tmn_rodrigues folds (m, n) onto the quadrant m + n >= 0, m - n >= 0: it is
     # the old entry at the (m', n') it lands on, times d(theta)'s sign there,
     # +1 inside the quadrant and where (m', n') = (-n, -m), else (-1)^(m - n).
-    m2, n2, _ = fold_to_quadrant(l, m, n, Mat2C(1, 0, 0, 1))
+    which, _, _ = _fold(l.twice, (l + m).as_int(), (l + n).as_int())
+    m2, n2, _ = (m, n, None) if which is None else apply_symmetry(which, l, m, n, Mat2C(1, 0, 0, 1))
     sign = 1.0 if (m2, n2) in ((m, n), (-n, -m)) or (m - n).as_int() % 2 == 0 else -1.0
     return sign * old_tmn_rodrigues(l, m2, n2, theta)
 

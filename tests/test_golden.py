@@ -23,7 +23,7 @@ import pytest
 from wignerkit.cli import main
 from wignerkit.haar import gauss_legendre
 from wignerkit.specfun import JacobiParams, jacobi_eval
-from wignerkit.wigner import ORACLE_TRUSTED_L_X2, ROTATION_ROUTES
+from wignerkit.wigner import ROTATION_ROUTES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -42,7 +42,7 @@ COMMANDS = {
     "dmat_sum_csv": [
         "dmat", "--l-x2", "3", "--matrix", "0.9,0.1,-0.2,0.3,0.5,-0.1,0.8,0.2", "--route", "sum", "--format", "csv",
     ],
-    "dmat_oracle_euler_20": ["dmat", "--l-x2", "20", "--theta", "0.7", "--phi", "1.2", "--psi", "0.3"],
+    "dmat_auto_euler_20": ["dmat", "--l-x2", "20", "--theta", "0.7", "--phi", "1.2", "--psi", "0.3"],
     "dmat_oracle_matrix_20": ["dmat", "--l-x2", "20", "--matrix", "0.9,0.1,-0.2,0.3,0.5,-0.1,0.8,0.2"],
     "verify_routes_3": ["verify", "--suite", "routes", "--max-l-x2", "3", "--seed", "1"],
     "verify_routes_12": ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "42"],
@@ -58,43 +58,43 @@ COMMANDS = {
 # %-template matrix writer that floatrepr's kernel replaced; the matrix
 # source prints in exponent form.  The CSV ones pin the str(complex) writer:
 # exponent forms at l_x2 40, "+0j" parts of a real matrix, and bare "0j" and
-# "-1+0j" at theta = 0.
+# "-0+0j" at theta = 0.
 EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
-    # auto above the oracle's trusted spin: the recurrence in the spin
+    # auto on an Euler source: the recurrence in the spin
     "dmat_auto_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "6374bcef60b3db628858d1ca051649fde44910f3b123d76eb0358819ca8868e0",
+        "ad0f56f75c23e06e8c53f497bf63945eb84d6641e5a2804318869d3bee9269b4",
     ),
     "dmat_auto_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "0e2840b9a1ccd170258d9f8618659fcc4606b64d60cf4500603fd3ca02606577",
+        "f5f453b9091d966cdd1cd39d6f79159e3c605a7f1ac7d7f6130e37208f093ec3",
     ),
     "dmat_auto_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "ed4d6c97ff3b27eced2c758c05139399542bb35e385898a8cd469f5fe0621825",
+        "7ebc4e0ac36ce7fd6a000751a735412e99851ed35748d44dc5d9eb2b94c10ad1",
     ),
     # The oracle where it is far from unitary (residual 4.4e25), kept on
-    # purpose: its matrix is the one auto printed at this spin before.
+    # purpose: its matrix is the one auto printed at this spin up to schema 8.
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "oracle"],
-        "8b52e8142099d12b74e684feedad845d5daf8d2215b005d34d46842a097ec409",
+        "fc30e497b4f123bd571c808c3d030b5beeb8030e70284afe504a82e042dbb80d",
     ),
     "dmat_recurrence_euler_201": (
         ["dmat", "--l-x2", "201", *EULER_ANGLES, "--route", "recurrence"],
-        "266b04a3eae89e54e8c0d5ce0e9381c5a4c74e38f40236219ec16eb4be6e6530",
+        "9a90d7db7f7f86be717c60637741a3d1a191c09ae2d1600a25ac9849ecc2ed57",
     ),
     "dmat_recurrence_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES, "--route", "recurrence"],
-        "61b97668af6b98e6a68451eb049c097e31ae6b337f2b01faac2e47d16ceb3f22",
+        "d36499d84b823f40a9172be10fd5f1c8e6c6cc1f777524fd65ebab1ab771b412",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "a34e3f1a3ff65a59f33b3f08b6a06cdd821df1afa152d2c596beb8f50a095eac",
+        "42fb30a1201f163195d6704ccf93052e70d28c6dc1b9a9109abe741c4d48d590",
     ),
-    "dmat_oracle_euler_40_csv": (
+    "dmat_auto_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
-        "008886f750934bc2d0c608395bdf1262b0c87e001eacc9876c519a0246ddb26c",
+        "5ba8d07ef15bbb3eb768fef4fb6b3448a58d66eec2c03d996fba25a03ee25687",
     ),
     "dmat_krawtchouk_40_csv": (
         ["dmat", "--l-x2", "40", "--theta", "0.7", "--route", "krawtchouk", "--format", "csv"],
@@ -103,25 +103,25 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "6cbc90d33311c67880781f8f37670cfa9bfb651b18fd06bedf4d8af6fb1fcd28",
+        "86fe54b45b4f3cc4c637c9204ce613e81d7a46299c0a5841b2ec161030b49a35",
     ),
-    "dmat_oracle_theta0_12_csv": (
+    "dmat_auto_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
-        "8dc9b3f0c3a2936a0ef290646581803076a5fc0e822e207f45ec7280725be1a9",
+        "03b611f5bc5957b449f00b959f2a8ed0f7d3bde4876c7e6b0d902fca4c5b8799",
     ),
     # The suites that build oracle stacks, at the CLI cap, where the stacks
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "dd15425496ddd5319c5d3797622a16e66304be82ce5681a02bd96cdba3aeafb1",
+        "0f6e12b47dc4d310cc86a51c881d73325d6e88c709b123781dd6695f225131e3",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "d94eea852222baab1e6d01e7c80d08a3a10a01547c380baa2261fe0aa8951e45",
+        "4d3ad3f76a630fc65fac46e4289f685a0af6011c40c5753bde006929a8f69c2d",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "303f7cb36135f0c8a0df26edbc3b95d18c0510fd14b54d60180a790084d54eff",
+        "9dc5c93fbca1c7f87903588f488e5955e62260ec165a546eb9e55b7bd2afcbd5",
     ),
 }
 
@@ -148,15 +148,15 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # depend on the BLAS kernel or thread count; schur and all, which run the Schur
 # reduction, do.  SCHUR_HASHED pins schur at one BLAS thread.
 VERIFY_HASHED = {
-    "routes": "69a10fa09825e40b879e12a6d0e8245e1a70f612a2b7dd671b53b9b8716b085e",
-    "unitarity": "ea6ac8c55759930c6bfcc458be109bcf64bfc84b2c4f37139d3b190c72d007be",
-    "homomorphism": "820775ba3e85f6c3169bb49c033b07c8616d57fadc2d7f66285f636cbe3d6cc8",
-    "jacobi-orth": "8e9f6c130109194cc65c147f4c7ff04824e412096d88f19c8ea6cf23f93f5838",
-    "legendre": "ef7d1f8e7753f5da29441ce999668bc5165e13294cbd36cc3b184f74700aefda",
-    "krawtchouk-sym": "c2925c7b560c370e5ac69e9c65ac39a2bf74a0e4d4f53e5e9089995101125e5f",
-    "character": "7fb169793306e64a014236ab1d010f0fec85624118a67e44e94a8c113b63ec5c",
+    "routes": "ba11a2e35851c6567fe4dc2ac7ba30a92b0a8a45023458de13b1b198cb9adf26",
+    "unitarity": "1af5191f001c8af003e1d52bc60f00e88c0814d5ade403988dd1f95ba83e0de7",
+    "homomorphism": "842f19815ffc7af3a115198e89e5e08ca7c8d33f77b5b0252d661386ecd8a904",
+    "jacobi-orth": "0bfab236902f3c22abe79c23649afe2c6e95cdb191320c72156145d9a6cffd6f",
+    "legendre": "4e5942d467079b627afe31197791c01f0f0b91be8b71e212d434f21283d76ed3",
+    "krawtchouk-sym": "57c2edc18b98daa5c9824e69758ce3d5d6478363182a363d66f11b0916fcf2d7",
+    "character": "1f03caeda4011fd8eae642c1d81a57db77207f92f6546defa1a9cebf8b0851b2",
 }
-SCHUR_HASHED = "629a3ec3e7f151e49806ddaef044cfb862452f6e1d516affb26301a18b9733bb"
+SCHUR_HASHED = "1288211faab766891cf8679a83d97e2c725f155dc4d52cba5ccdfa85118fee8a"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))
@@ -171,7 +171,7 @@ def test_verify_suite_stdout_is_byte_identical(suite, capsys):
 # built without DYNAMIC_ARCH ignores the variable and runs its one kernel.
 OTHER_KERNELS = ("Haswell", "Zen")
 KERNEL_PINS = [
-    (COMMANDS["dmat_oracle_euler_20"], hashlib.sha256((GOLDEN / "dmat_oracle_euler_20.out").read_bytes()).hexdigest()),
+    (COMMANDS["dmat_auto_euler_20"], hashlib.sha256((GOLDEN / "dmat_auto_euler_20.out").read_bytes()).hexdigest()),
     HASHED["dmat_auto_euler_200"],
     *(
         (["verify", "--suite", suite, "--max-l-x2", "6", "--seed", "0"], VERIFY_HASHED[suite])
@@ -224,12 +224,11 @@ DMAT_PINS = [
 
 def route_of(argv):
     # The route that prints the pin: auto takes the recurrence for an Euler
-    # source above the oracle's trusted spin and the oracle elsewhere.
+    # source and the oracle for a matrix source.
     route = argv[argv.index("--route") + 1] if "--route" in argv else "auto"
     if route != "auto":
         return route
-    high = int(argv[argv.index("--l-x2") + 1]) > ORACLE_TRUSTED_L_X2
-    return "recurrence" if "--theta" in argv and high else "oracle"
+    return "recurrence" if "--theta" in argv else "oracle"
 
 
 # The dmat pins of an Euler source on a route with a chart form.
@@ -288,7 +287,7 @@ def exact_hash(params, nodes):
 
 
 def test_chart_route_stdout_is_the_same_without_avx2():
-    assert len(CHART_PINS) == 11 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
+    assert len(CHART_PINS) == 14 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
     params = [JacobiParams(*t) for t in product(range(7), range(7), range(11))]
     reflection = exact_hash(params, [(np.arange(-10, 11) / 10).tolist()] * len(params))
     blocks = list(product(range(5), repeat=2))

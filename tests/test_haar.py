@@ -8,12 +8,10 @@ from wignerkit.exactcomb import HalfInt, spin_range, spins_up_to
 from wignerkit.group import Mat2C, diag_element, multiply, sample_haar
 from wignerkit.haar import (
     HaarGrid,
-    addition_formula_check,
     build_grid,
     character_norm,
     gauss_legendre,
     legendre_checks,
-    legendre_product_check,
     pairwise_sum,
     schur_check,
     theta_rule,
@@ -250,23 +248,25 @@ class TestJacobiOrthogonality:
 
 
 class TestLegendreFormulas:
+    # legendre_checks at one degree and one (theta1, theta2, phi); the
+    # product check does not read phi.
     def test_product_degree_zero(self):
-        assert abs(legendre_product_check(0, 0.4, 1.0)) <= 1e-15
+        assert abs(legendre_checks([0], [(0.4, 1.0, 0.0)])[1][0, 0]) <= 1e-15
 
     def test_product_degree_one(self):
         # the cos(phi) cross term averages to zero, leaving cos(t1) cos(t2)
-        assert abs(legendre_product_check(1, 0.4, 1.0)) <= 1e-15
+        assert abs(legendre_checks([1], [(0.4, 1.0, 0.0)])[1][0, 0]) <= 1e-15
 
     def test_product_degree_three(self):
-        assert abs(legendre_product_check(3, 0.7, 1.1)) <= 1e-10
+        assert abs(legendre_checks([3], [(0.7, 1.1, 0.0)])[1][0, 0]) <= 1e-10
 
     def test_addition_collapses_without_phi_dependence(self):
         # theta2 = 0 removes the phi dependence: both sides P_l(cos theta1)
         for l in range(5):
-            assert addition_formula_check(l, 0.8, 0.0, 1.9) <= 1e-12
+            assert legendre_checks([l], [(0.8, 0.0, 1.9)])[0][0, 0] <= 1e-12
 
     def test_addition_argument_one(self):
-        assert addition_formula_check(1, math.pi / 2, math.pi / 2, 0.0) <= 1e-14
+        assert legendre_checks([1], [(math.pi / 2, math.pi / 2, 0.0)])[0][0, 0] <= 1e-14
 
     def test_addition_random_angles(self):
         rng = np.random.default_rng(41)
@@ -274,7 +274,7 @@ class TestLegendreFormulas:
             t1, t2 = rng.uniform(0.05, math.pi - 0.05, 2)
             phi = rng.uniform(0, 2 * math.pi)
             for l in range(7):
-                assert addition_formula_check(l, t1, t2, phi) <= 1e-9
+                assert legendre_checks([l], [(t1, t2, phi)])[0][0, 0] <= 1e-9
 
     def test_addition_refuses_non_finite_angles(self):
         # The phase series sums finite WignerMatrix entries times unit phases,
@@ -284,16 +284,16 @@ class TestLegendreFormulas:
         for l in range(1, 6):
             for angles in ((nan, 0.4, 1.0), (0.3, nan, 1.0), (0.3, 0.4, nan), (0.3, 0.4, inf), (0.3, 0.4, -inf)):
                 with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
-                    addition_formula_check(l, *angles)
+                    legendre_checks([l], [angles])
         for l in range(6):
             for angles in ((inf, 0.4, 1.0), (-inf, 0.4, 1.0), (0.3, inf, 1.0)):
                 with pytest.raises(ValueError, match="^math domain error$"):
-                    addition_formula_check(l, *angles)
+                    legendre_checks([l], [angles])
         # At l = 0 the matrices are [[1]] at any angle; the Legendre argument
         # refuses a NaN or infinite phase instead.
         for angles in ((nan, 0.4, 1.0), (0.3, 0.4, nan), (0.3, 0.4, inf)):
             with pytest.raises(ValueError):
-                addition_formula_check(0, *angles)
+                legendre_checks([0], [angles])
 
 
 # Reference copies of the per-triple checks that legendre_checks batches.
@@ -334,8 +334,9 @@ class TestBatchedLegendreChecks:
             for l in range(7):
                 want_addition = old_addition_formula_check(l, t1, t2, phi).hex()
                 want_product = old_legendre_product_check(l, t1, t2).hex()
-                assert float(addition[t, l]).hex() == want_addition == addition_formula_check(l, t1, t2, phi).hex()
-                assert float(product[t, l]).hex() == want_product == legendre_product_check(l, t1, t2).hex()
+                one_addition, one_product = legendre_checks([l], [(t1, t2, phi)])  # one degree and triple
+                assert float(addition[t, l]).hex() == want_addition == float(one_addition[0, 0]).hex()
+                assert float(product[t, l]).hex() == want_product == float(one_product[0, 0]).hex()
 
     def test_degrees_in_any_order_and_empty_inputs(self):
         angles = [(0.3, 1.1, 2.0), (2.9, 0.05, 5.5)]

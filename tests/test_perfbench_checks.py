@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from wignerkit.cli import main
-from wignerkit.wigner import ORACLE_TRUSTED_L_X2
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,6 +41,12 @@ def test_check_dmat_passes_real_output_and_fails_its_negation(checks):
     assert not record["expected"]
 
 
-def test_the_trusted_spin_is_the_benchmarks(checks):
-    # The benchmark keeps its own copy of the oracle's trusted spin; the two must not drift.
-    assert ORACLE_TRUSTED_L_X2 == checks.TRUSTED_MAX_L_X2 == 40
+def test_auto_passes_the_check_on_both_sides_of_the_trusted_spin(checks):
+    # The benchmark trusts the oracle up to its own TRUSTED_MAX_L_X2; auto
+    # takes the recurrence for every Euler source, so it passes on both sides
+    # of that spin, within 1e-13 of unitary (the oracle's residual at 40 is 1.1e-11).
+    for l_x2 in (checks.TRUSTED_MAX_L_X2, checks.TRUSTED_MAX_L_X2 + 1):
+        argv = ["dmat", "--l-x2", str(l_x2), "--theta", "0.7", "--phi", "1.2", "--psi", "0.3", "--route", "auto"]
+        record = checks.check_dmat(argv, *checks.call_cli(main, argv))
+        assert record["ok"] and record["expected"], record["reason"]
+        assert record["deviation"] < 1e-13

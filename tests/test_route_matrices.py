@@ -19,7 +19,9 @@ image of the element (old_element_folded), the Rodrigues and Krawtchouk
 forms' times d(theta)'s sign there (old_folded).  Where the old Rodrigues or
 Krawtchouk code raised a bare OverflowError, the chart forms refuse with
 RouteUnavailableError, and the copies below do the same
-(refused_like_the_chart_forms).
+(refused_like_the_chart_forms); where the old sum or Jacobi code raised one
+from a power of an entry, the element routes refuse it as their powers', and
+old_dmat_by_route does the same (POWERS_REFUSALS).
 
 The element builders and their per-entry forms now read one plan per spin:
 the quadrant's index columns, the places of each entry's images and the
@@ -67,7 +69,6 @@ from wignerkit.wigner import (
     apply_symmetry,
     dmatrix_euler,
     jacobi_stack,
-    fold_to_quadrant,
     hyp_matrix,
     hyp_symmetric_matrix,
     jacobi_matrix,
@@ -323,6 +324,14 @@ def old_folded(old, l, m, n, theta):
     return sign * old(l, m2, n2, theta)
 
 
+# What the element routes refuse where the old code raised a bare
+# OverflowError from a power of an entry (of bc - ad too in the Jacobi form).
+POWERS_REFUSALS = {
+    "sum": "finite sum route's power of a, b, c or d overflows",
+    "jacobi": "Jacobi route's power of a, b, c, d or bc - ad overflows",
+}
+
+
 def old_dmat_by_route(l, A, theta, route):
     if route == "jacobi" and theta is not None:
         # An Euler source takes the Jacobi chart form, which
@@ -335,7 +344,13 @@ def old_dmat_by_route(l, A, theta, route):
         "krawtchouk": lambda m, n: old_folded(old_tmn_krawtchouk, l, m, n, theta),
     }[route]
     spins = spin_range(l)
-    return WignerMatrix(l, np.array([[entry(m, n) for n in spins] for m in spins], dtype=complex))
+    try:
+        entries = [[entry(m, n) for n in spins] for m in spins]
+    except OverflowError:
+        if theta is not None:
+            raise
+        raise RouteUnavailableError(POWERS_REFUSALS[route]) from None
+    return WignerMatrix(l, np.array(entries, dtype=complex))
 
 
 # -- reference copies of the element builders before their per-spin plan -----
@@ -822,7 +837,7 @@ def test_dmat_route_path_bit_identical(route):
         l = HalfInt(l_x2)
         for A, angles in cases:
             theta = None if angles is None else angles.theta
-            assert outcome(cli._dmat_by_route, l, A, angles, route) == outcome(
+            assert outcome(lambda *args: cli._dmat_by_route(*args)[1], l, A, angles, route) == outcome(
                 old_dmat_by_route, l, A, theta, route
             ), (route, l_x2, A, angles)
 
@@ -833,7 +848,10 @@ def test_symmetries_and_fold_unchanged():
         l = HalfInt(l_x2)
         for m in spin_range(l):
             for n in spin_range(l):
-                assert fold_to_quadrant(l, m, n, A) == old_fold_to_quadrant(l, m, n, A)
+                which, i2, j2 = _fold(l.twice, (l + m).as_int(), (l + n).as_int())
+                folded = (m, n, A) if which is None else apply_symmetry(which, l, m, n, A)
+                assert folded == old_fold_to_quadrant(l, m, n, A)
+                assert ((l + folded[0]).as_int(), (l + folded[1]).as_int()) == (i2, j2)
                 for which in ("transpose-bc", "flip-signs", "anti-transpose", "mirror"):
                     assert outcome(apply_symmetry, which, l, m, n, A) == outcome(
                         old_apply_symmetry, which, l, m, n, A

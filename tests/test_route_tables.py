@@ -18,7 +18,6 @@ from wignerkit.group import EulerAngles, Mat2C, from_euler
 from wignerkit.verify import sample_gl2, suite_routes
 from wignerkit.wigner import (
     ELEMENT_ROUTES,
-    ORACLE_TRUSTED_L_X2,
     ROTATION_ROUTES,
     RouteUnavailableError,
     WignerMatrix,
@@ -92,12 +91,8 @@ DIRECT = {
     "rodrigues": on_chart(rodrigues_stack),
     "krawtchouk": on_chart(krawtchouk_stack),
     "recurrence": on_chart(recurrence_stack),
-    # the recurrence for an Euler source above the oracle's trusted spin
-    "auto": lambda l, A, angles: (
-        oracle_matrix(l, A)
-        if angles is None or l.twice <= ORACLE_TRUSTED_L_X2
-        else on_chart(recurrence_stack)(l, A, angles)
-    ),
+    # the recurrence for an Euler source, the oracle for a matrix source
+    "auto": lambda l, A, angles: oracle_matrix(l, A) if angles is None else on_chart(recurrence_stack)(l, A, angles),
 }
 
 
@@ -119,15 +114,20 @@ def test_dmat_by_route_is_the_route_function(route):
     cases += [(EulerAngles(*angles), None) for angles in EULER]
     if route in (*ELEMENT_ROUTES, "auto"):
         cases += [(None, A) for A in ELEMENTS.values()]
-    # auto changes route above the oracle's trusted spin
-    for l_x2 in [*range(7), *([ORACLE_TRUSTED_L_X2, ORACLE_TRUSTED_L_X2 + 1] if route == "auto" else [])]:
+    # auto takes one route per kind of source at every spin
+    for l_x2 in [*range(7), *([40, 41] if route == "auto" else [])]:
         l = HalfInt(l_x2)
         for angles, A in cases:
+            name = {"auto": "oracle" if angles is None else "recurrence"}.get(route, route)
             A = from_euler(angles) if A is None else A
-            # dmat resolves its route once (_route_for) and builds by the result
-            served = cli._route_for(route, l, angles)
-            assert outcome(cli._dmat_by_route, l, A, angles, served) == outcome(DIRECT[route], l, A, angles), (
-                route, l_x2, A)
+
+            def by_route(*args):
+                # dmat resolves auto once (_dmat_by_route) and names the route that served
+                served, M = cli._dmat_by_route(*args)
+                assert served == name
+                return M
+
+            assert outcome(by_route, l, A, angles, route) == outcome(DIRECT[route], l, A, angles), (route, l_x2, A)
 
 
 CHART_EULER = [(0.7, 1.2, 0.3), (0.05, 4.0, 2.5), (1.5, 0.2, 5.9)]
@@ -436,6 +436,7 @@ def test_chart_forms_refuse_an_overflowing_float(stack, per_entry, l_x2, theta, 
 
 NON_FINITE = "matrix contains non-finite entries"
 SERIES_OVERFLOWS = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc)) overflows"
+POWERS_OVERFLOW = "2F1 route's power of a, b, c or d overflows"
 
 
 # ad/(bc) = -3.3e100 i, and no power of an entry up to the 4th overflows
@@ -451,8 +452,8 @@ Z_OVERFLOW_12 = Mat2C(1e20 + 0j, 1e-20 + 0j, 0.3e-20j, 1e20 + 0j)
         ("hyp", 4, Z_OVERFLOW_4, (RouteUnavailableError, SERIES_OVERFLOWS)),
         ("hyp", 12, Z_OVERFLOW_12, (RouteUnavailableError, SERIES_OVERFLOWS)),
         # a^2 = 1e400: the tables of every element form hold the powers of a
-        ("hyp", 4, ELEMENTS["a_overflow"], (OverflowError, "complex exponentiation")),
-        ("hyp", 12, ELEMENTS["a_overflow"], (OverflowError, "complex exponentiation")),
+        ("hyp", 4, ELEMENTS["a_overflow"], (RouteUnavailableError, POWERS_OVERFLOW)),
+        ("hyp", 12, ELEMENTS["a_overflow"], (RouteUnavailableError, POWERS_OVERFLOW)),
         # entry (2, 1) is c (bc - ad) = 1.8e308 times a polynomial of size 1.6,
         # though no power of an entry up to the cube overflows
         ("jacobi", 3, Mat2C(5e102 + 0j, 5e102 + 0j, 5e102j, 5e102 + 0j), (ValueError, NON_FINITE)),
@@ -469,6 +470,29 @@ def test_entries_refuse_a_non_finite_entry(route, l_x2, A, refusal):
     l = HalfInt(l_x2)
     assert entries_outcome(entries, l, A) == refusal
     assert per_entry_outcome(per_entry, l, A) == refusal
+
+
+@pytest.mark.parametrize(
+    "matrix, per_entry, powers",
+    [
+        (sum_matrix, tmn_sum, "finite sum route's power of a, b, c or d"),
+        (hyp_matrix, tmn_hyp, "2F1 route's power of a, b, c or d"),
+        (hyp_symmetric_matrix, tmn_hyp_symmetric, "symmetric 2F1 route's power of a, b, c or d"),
+        (jacobi_matrix, tmn_jacobi, "Jacobi route's power of a, b, c, d or bc - ad"),
+    ],
+    ids=["sum", "hyp", "hyp-symmetric", "jacobi"],
+)
+def test_an_overflowing_power_is_refused_with_its_route(matrix, per_entry, powers):
+    # 31^400 overflows a float, and Python's complex power raised a bare
+    # "complex exponentiation" before any entry.  The powers of integer entries
+    # are exact ints, and the Jacobi route's entry product raised a bare "int
+    # too large to convert to float" where it converts d^(m+n) at (l, l).
+    l, refusal = HalfInt(400), (RouteUnavailableError, f"{powers} overflows")
+    A = Mat2C(30 + 0j, 1 + 0j, 2 + 0j, 31 + 0j)
+    assert outcome(matrix, l, A) == outcome(per_entry, l, l, l, A) == refusal
+    if matrix is jacobi_matrix:
+        A = Mat2C(30, 1, 2, 31)
+        assert outcome(matrix, l, A) == outcome(per_entry, l, l, l, A) == refusal
 
 
 def test_entries_refuse_a_negative_spin():

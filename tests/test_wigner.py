@@ -20,8 +20,8 @@ from wignerkit.wigner import (
     apply_symmetry,
     character,
     dmatrix_euler,
+    _fold,
     jacobi_stack,
-    fold_to_quadrant,
     krawtchouk_stack,
     oracle_matrix,
     oracle_stack,
@@ -581,7 +581,8 @@ class TestApplySymmetry:
             l = HalfInt(twice)
             for m in spin_range(l):
                 for n in spin_range(l):
-                    m2, n2, A2 = fold_to_quadrant(l, m, n, A_TEST)
+                    which, _, _ = _fold(twice, (l + m).as_int(), (l + n).as_int())
+                    m2, n2, A2 = (m, n, A_TEST) if which is None else apply_symmetry(which, l, m, n, A_TEST)
                     assert (m2 + n2).twice >= 0 and (m2 - n2).twice >= 0
                     if (m + n).twice >= 0 and (m - n).twice >= 0:
                         assert (m2, n2, A2) == (m, n, A_TEST)
