@@ -21,6 +21,7 @@ from .haar import (
     legendre_checks,
     pairwise_sum,
     schur_check,
+    schur_checks,
 )
 from .specfun import (
     JacobiParams,

@@ -1,20 +1,22 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "12"; strict JSON (a non-finite deviation is
+Output contract: schema_version "13"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
-across runs; only the Schur reduction (schur, all) makes a BLAS product, so
-only its bytes depend on the BLAS kernel and thread count.  Since version 12
-dmat's auto route is the Jacobi recurrence in the spin (route_used
-"recurrence") for every Euler source and the oracle for a matrix source, and
-an unavailable route falls back to auto's route for its source; since version
-11 jacobi-orth's same-column integrals are wigner.jacobi_stack's on the Haar
-grid's theta rule, and a nan or infinity in a real flag is a usage error;
-since version 10 the Haar grid of schur, character and all has the fewest
-theta nodes whose Gauss-Legendre rule is exact, and every check's magnitudes
-are libm's hypot of the parts.  CHANGES.md lists each version.  Each command
+across runs, and no command makes a BLAS product.  Since version 13 the
+Schur integrals are read from the phase spectra of the grid stacks (an
+on-bin theta sum, or a Cauchy-Schwarz bound below a rounding floor), and a
+dmat error record after a refused route carries that route's warning; since
+version 12 dmat's auto route is the Jacobi recurrence in the spin
+(route_used "recurrence") for every Euler source and the oracle for a matrix
+source, and an unavailable route falls back to auto's route for its source;
+since version 11 jacobi-orth's same-column integrals are
+wigner.jacobi_stack's on the Haar grid's theta rule, and a nan or infinity
+in a real flag is a usage error; since version 10 the Haar grid of schur,
+character and all has the fewest theta nodes whose Gauss-Legendre rule is
+exact, and every check's magnitudes are libm's hypot of the parts.  CHANGES.md lists each version.  Each command
 takes only the flags it reads: dmat exactly one source, --theta (with --phi
 and --psi, 0 when absent) or --matrix; poly the flags of its family.
 
@@ -46,7 +48,7 @@ from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
 from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
 
-SCHEMA_VERSION = "12"
+SCHEMA_VERSION = "13"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
 # is the recurrence for an Euler source and the oracle for a matrix source; an
 # unavailable route falls back to auto.  An Euler source takes a route's chart
@@ -130,6 +132,19 @@ def _render(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
 
 
+def _error_record(command: str, exc: Exception, warnings=()) -> str:
+    # The record of a numeric domain error (exit 3), with the warnings of a
+    # route that was refused before it, if any.
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "error": {"type": type(exc).__name__, "message": str(exc)},
+    }
+    if warnings:
+        record["warnings"] = list(warnings)
+    return _render(record)
+
+
 _NEGATIVE_REAL = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
@@ -153,10 +168,15 @@ def _eight_reals(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"the 8 reals must be finite, got {text}") from None
 
 
+def _auto_route(angles: EulerAngles | None) -> str:
+    # auto's route: the oracle for a matrix source, the recurrence for an Euler source.
+    return "oracle" if angles is None else "recurrence"
+
+
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> tuple[str, WignerMatrix]:
     # (the route that serves a route name of ROUTES, its matrix of the source).
     if route == "auto":
-        route = "oracle" if angles is None else "recurrence"
+        route = _auto_route(angles)
     if angles is not None and route in ROTATION_ROUTES:
         return route, WignerMatrix(l, ROTATION_ROUTES[route](l, [angles])[0])
     return route, ELEMENT_ROUTES[route](l, A)
@@ -183,8 +203,12 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
     try:
         route_used, M = _dmat_by_route(l, A, angles, args.route)
     except RouteUnavailableError as exc:
-        route_used, M = _dmat_by_route(l, A, angles, "auto")
-        warnings.append(f"route {args.route} unavailable ({exc}); fell back to {route_used}")
+        fallback = _auto_route(angles)
+        warnings.append(f"route {args.route} unavailable ({exc}); fell back to {fallback}")
+        try:
+            route_used, M = _dmat_by_route(l, A, angles, fallback)
+        except (ValueError, ArithmeticError) as fallback_exc:
+            return _error_record("dmat", fallback_exc, warnings), 3
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "dmat",
@@ -289,13 +313,7 @@ def main(argv=None) -> int:
     try:
         text, code = handlers[args.command](args, COMMAND_PARSERS[args.command])
     except (ValueError, ArithmeticError) as exc:
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        print(_render(record))
-        return 3
+        text, code = _error_record(args.command, exc), 3
     print(text)
     return code
 

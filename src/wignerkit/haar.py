@@ -20,11 +20,21 @@ at all nodes are the oracle's (wigner.oracle_stack) in its two steps: one
 power table of the node elements per grid, built to that budget, then one
 batched polynomial expansion per spin from that table's first 2l+1 powers.
 An integral over a grid is pairwise_sum, a fixed pairwise tree, of weighted
-node values taken from those stacks; the Schur check first
-contracts each theta slice of the grid with one matrix product and then
-sums the per-theta slices pairwise.  The magnitude of a complex value is
-libm's hypot of its parts (magnitudes), the function Python's abs(complex)
-calls, never numpy's SIMD complex abs.
+node values taken from those stacks.  The Schur check reads the stacks'
+phase spectra instead.  On a theta slice t^l_{m,n} is the one phase mode
+e^{-i(m+n) phi} e^{i(m-n) psi} times d^l_{m,n}(theta), so over the uniform
+phase rules each entry's spectrum there is one on-bin value plus a rest
+whose 2-norm e is rounding on an exact grid.  The integral of two entries
+with the same (m, n) is the theta sum of their on-bin products, within the
+theta sum of e_p e_q; that of two entries whose bins differ is at most the
+theta sum of |on_p| e_q + e_p |on_q| + e_p e_q (Cauchy-Schwarz).  A pair
+whose bound exceeds SCHUR_FLOOR is summed node by node over the grid, so a
+real deviation is still located at its pair.  No step is a BLAS product,
+every complex product is written as real products and sums, and every theta
+sum is a pairwise_sum, so the Schur values depend on neither the BLAS kernel
+nor numpy's SIMD level.  The magnitude of a complex value is libm's hypot of
+its parts (magnitudes), the function Python's abs(complex) calls, never
+numpy's SIMD complex abs.
 """
 from __future__ import annotations
 
@@ -48,6 +58,7 @@ __all__ = [
     "build_grid",
     "DeviationReport",
     "schur_check",
+    "schur_checks",
     "character_norm",
     "legendre_checks",
 ]
@@ -127,6 +138,11 @@ def theta_rule(max_l: HalfInt) -> tuple[np.ndarray, np.ndarray]:
     return np.array([0.5 * math.acos(v) for v in x]), wx / 2  # np.arccos's bits depend on the SIMD level
 
 
+def _phase_rule(n: int) -> np.ndarray:
+    """The uniform rule of n phase nodes 2 pi k / n, exact for phase degree n - 1."""
+    return 2 * math.pi * np.arange(n) / n
+
+
 def build_grid(max_l: HalfInt) -> HaarGrid:
     """Smallest grid exact for spin max_l: 4 max_l + 1 nodes per phase, the
     phase degree of a product of two spin-max_l elements being 4 max_l, and
@@ -137,8 +153,7 @@ def build_grid(max_l: HalfInt) -> HaarGrid:
         raise ValueError(f"negative spin l={max_l}")
     thetas_1d, w_theta = theta_rule(max_l)
     n_theta, n_phi, n_psi = len(thetas_1d), 2 * max_l.twice + 1, 2 * max_l.twice + 1
-    phis_1d = 2 * math.pi * np.arange(n_phi) / n_phi
-    psis_1d = 2 * math.pi * np.arange(n_psi) / n_psi
+    phis_1d, psis_1d = _phase_rule(n_phi), _phase_rule(n_psi)
     thetas = np.repeat(thetas_1d, n_phi * n_psi)
     phis = np.tile(np.repeat(phis_1d, n_psi), n_theta)
     psis = np.tile(psis_1d, n_theta * n_phi)
@@ -176,6 +191,183 @@ class DeviationReport:
     checked: int
 
 
+# A pair whose bound exceeds this is integrated node by node instead.  On an
+# exact grid every bound is a few units of 1e-16; 2^-43 is 1.1e-13, three
+# orders above that and three below the suites' tolerance of 1e-10.
+SCHUR_FLOOR = 2.0**-43
+
+
+def _grid_scale(grid: HaarGrid) -> np.ndarray:
+    """The factor by which a product of two raw spectrum values at each theta
+    node enters an integral: the node weight over n_phi n_psi.  A grid that
+    is not a product of theta slices, with the uniform phase rules and one
+    node weight per slice, or with a negative weight (the bound of a pair
+    holds only for weights of one sign), raises ValueError."""
+    shape = (grid.n_theta, grid.n_phi, grid.n_psi)
+    if grid.node_count != math.prod(shape):
+        raise ValueError(f"grid has {grid.node_count} nodes, not n_theta * n_phi * n_psi = {math.prod(shape)}")
+    if not (
+        np.all(grid.phis.reshape(shape) == _phase_rule(grid.n_phi)[:, None])
+        and np.all(grid.psis.reshape(shape) == _phase_rule(grid.n_psi))
+    ):
+        raise ValueError("the grid's phase nodes are not the uniform rules 2 pi k / n_phi and 2 pi k / n_psi")
+    weights = grid.weights.reshape(grid.n_theta, -1)
+    if not np.all(weights == weights[:, :1]):
+        raise ValueError("the grid's node weights differ within a theta slice")
+    if np.any(weights[:, 0] < 0):
+        raise ValueError("the grid has a negative node weight")
+    return weights[:, 0] / (grid.n_phi * grid.n_psi)
+
+
+def _labels(l: HalfInt) -> tuple[np.ndarray, np.ndarray]:
+    """Twice m and twice n of each entry of t^l, row-major."""
+    return tuple(2 * k - l.twice for k in divmod(np.arange((l.twice + 1) ** 2), l.twice + 1))
+
+
+def _phase_spectra(grid: HaarGrid, spins) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the entries of t^l of each spin l of spins, row-major and
+    concatenated: the real and imaginary part of the on-bin value of their raw
+    phase spectrum at each theta node, and the 2-norm of the rest of it, three
+    arrays of shape (n_theta, entries).
+
+    The raw spectrum of an entry at a theta node is the unnormalized DFT of its
+    values on that slice over (phi, psi), n_phi n_psi times its Fourier
+    coefficients; its one mode e^{-i(m+n) phi} e^{i(m-n) psi} sits at the bin
+    (-(m+n) mod n_phi, m-n mod n_psi).  One FFT per spin along psi gives every
+    psi bin, and one along phi, over each entry's own psi-bin column only,
+    that column's phi bins.  The rest's squared norm is summed directly from
+    the off-bin terms, n_phi times those of the other psi columns plus those
+    of the column's other phi bins (Parseval), never as the total less the
+    on-bin term, which would leave only rounding.
+    """
+    from numpy.fft import fft  # loaded on first use: dmat and poly never need it
+
+    columns, off_psi = zip(*(_psi_spectrum(grid, l) for l in spins))
+    m2, n2 = (np.concatenate(parts) for parts in zip(*map(_labels, spins)))
+    a, entries = (-(m2 + n2) // 2) % grid.n_phi, np.arange(len(m2))
+    # Laid out (theta, entries, phi), whatever the layout of the columns: the
+    # phi sum is then numpy's pairwise sum along the last axis on any numpy.
+    column = fft(np.ascontiguousarray(np.concatenate(columns, axis=2).transpose(0, 2, 1)))
+    on = column[:, entries, a]
+    power = column.real * column.real + column.imag * column.imag
+    power[:, entries, a] = 0.0
+    return on.real, on.imag, np.sqrt(grid.n_phi * np.concatenate(off_psi, axis=1) + power.sum(axis=2))
+
+
+def _psi_spectrum(grid: HaarGrid, l: HalfInt) -> tuple[np.ndarray, np.ndarray]:
+    """One FFT of the stack of t^l along psi: each entry's own psi-bin column,
+    shape (n_theta, n_phi, entries), and the squared norm of its other psi
+    bins summed over phi, shape (n_theta, entries).  The spectrum, the size of
+    the stack, is freed on return."""
+    from numpy.fft import fft
+
+    m2, n2 = _labels(l)
+    b, entries = ((m2 - n2) // 2) % grid.n_psi, np.arange(len(m2))
+    # numpy 1.x returns an FFT along an inner axis as a transposed view; the
+    # float view below needs the entries axis contiguous.
+    spectrum = np.ascontiguousarray(fft(grid.matrices(l).reshape(grid.n_theta, grid.n_phi, grid.n_psi, -1), axis=2))
+    column = spectrum[:, :, b, entries]
+    parts = spectrum.view(np.float64)  # real and imaginary parts, alternating
+    parts *= parts  # squared in place: the spectrum is not read again
+    power = parts.sum(axis=1)  # over phi: numpy adds along an outer axis in index order
+    power = power[..., 0::2] + power[..., 1::2]
+    power[:, b, entries] = 0.0
+    return column, power.sum(axis=1)
+
+
+def _grid_deviations(grid: HaarGrid, l: HalfInt, l_prime: HalfInt, p, q) -> np.ndarray:
+    """The deviation of the integral of t^l_p conj(t^l'_q) from its exact value
+    for each pair (p[k], q[k]) of row-major entry indices, the integral summed
+    node by node over the whole grid, 2^18 node values of each side at a time."""
+    T = grid.matrices(l).reshape(grid.node_count, -1)
+    U = grid.matrices(l_prime).reshape(grid.node_count, -1)
+    w = grid.weights[:, None]
+    step = max(1, 2**18 // grid.node_count)
+    deviations = []
+    for k in range(0, len(p), step):
+        t, u = T[:, p[k : k + step]], U[:, q[k : k + step]]
+        re = pairwise_sum(w * (t.real * u.real + t.imag * u.imag))
+        im = pairwise_sum(w * (t.imag * u.real - t.real * u.imag))
+        expected = (p[k : k + step] == q[k : k + step]) / (l.twice + 1) if l == l_prime else 0.0
+        deviations.append(np.hypot(re - expected, im))
+    return np.concatenate(deviations)
+
+
+def schur_checks(grid: HaarGrid, pairs) -> list[DeviationReport]:
+    """schur_check of each spin pair (l, l') of pairs, in their order.
+
+    The phase spectra of every spin (_phase_spectra) are taken once, and the
+    integrals of every two entries with the same (m, n) in one pass.  The
+    bounds are then reduced one first spin l at a time: every entry of t^l
+    against the concatenated entries of all its second spins, in a few array
+    operations whose size is one spin's rows, so memory at the CLI cap does
+    not grow.
+    """
+    pairs = list(pairs)  # it is read more than once
+    scale = _grid_scale(grid)[:, None]  # a column, to broadcast along the entries
+    if not pairs:
+        return []
+    grid.matrices(max(max(pair) for pair in pairs))  # refuses a spin past the budget before anything is built
+    spins = sorted({l for pair in pairs for l in pair})
+    for l in reversed(spins):  # the largest first, so a stack's build meets the fewest other stacks
+        grid.matrices(l)
+    on_re, on_im, off = _phase_spectra(grid, spins)
+    on_abs = np.hypot(on_re, on_im)
+    sizes = [(l.twice + 1) ** 2 for l in spins]
+    first = dict(zip(spins, np.cumsum([0, *sizes]).tolist()))
+    # The same bin, (m, n) = (m', n'): the on-bin product plus at most e_p e_q.
+    m2, n2 = (np.concatenate(parts) for parts in zip(*map(_labels, spins)))
+    P, Q = np.nonzero((m2[:, None] == m2) & (n2[:, None] == n2))
+    re, im, same_bound = pairwise_sum(
+        scale[:, None]
+        * np.stack(
+            [
+                on_re[:, P] * on_re[:, Q] + on_im[:, P] * on_im[:, Q],
+                on_im[:, P] * on_re[:, Q] - on_re[:, P] * on_im[:, Q],
+                off[:, P] * off[:, Q],
+            ],
+            axis=1,
+        )
+    )
+    expected = (P == Q) / np.repeat([l.twice + 1 for l in spins], sizes)[P]
+    same_deviation = np.hypot(re - expected, im) + same_bound
+    # Bins that differ: the integral is F_p[b_q] conj(on_q) + on_p conj(F_q[b_p])
+    # plus the other bins' terms, at most |on_p| e_q + e_p |on_q| + e_p e_q.
+    row_on, row_off, col_sum = scale * on_abs, scale * off, on_abs + off
+    seconds = {}
+    for l, l_prime in pairs:
+        seconds.setdefault(l, set()).add(l_prime)
+    reports = {}
+    for l in sorted(seconds):
+        rows = slice(first[l], first[l] + (l.twice + 1) ** 2)
+        columns = sorted(seconds[l])
+        cols = np.concatenate([np.arange(first[lp], first[lp] + (lp.twice + 1) ** 2) for lp in columns])
+        bound = row_on[:, rows, None] * off[:, None, cols]
+        bound += row_off[:, rows, None] * col_sum[:, None, cols]
+        bound = pairwise_sum(bound)
+        col_at = np.full(len(m2), -1)  # each entry's column in this block
+        col_at[cols] = np.arange(len(cols))
+        same = (rows.start <= P) & (P < rows.stop) & (col_at[Q] >= 0)
+        r, c = P[same] - rows.start, col_at[Q[same]]
+        bound[r, c] = same_bound[same]
+        deviations = bound.copy()
+        deviations[r, c] = same_deviation[same]
+        refine = bool((bound > SCHUR_FLOOR).any())
+        for l_prime in columns:
+            dim, dim_u = l.twice + 1, l_prime.twice + 1
+            j = slice(col_at[first[l_prime]], col_at[first[l_prime]] + dim_u * dim_u)
+            block = deviations[:, j]
+            if refine:  # every pair whose bound exceeds the floor takes its node-by-node value
+                p, q = np.nonzero(bound[:, j] > SCHUR_FLOOR)
+                if p.size:
+                    block[p, q] = _grid_deviations(grid, l, l_prime, p, q)
+            row, col = divmod(int(np.argmax(block)), dim_u * dim_u)
+            (i1, j1), (i2, j2) = divmod(row, dim), divmod(col, dim_u)
+            worst = (2 * i1 - l.twice, 2 * j1 - l.twice, 2 * i2 - l_prime.twice, 2 * j2 - l_prime.twice)
+            reports[l, l_prime] = DeviationReport(float(block[row, col]), worst, dim * dim * dim_u * dim_u)
+    return [reports[pair] for pair in pairs]
+
+
 def schur_check(grid: HaarGrid, l: HalfInt, l_prime: HalfInt) -> DeviationReport:
     """Integrals of t^l_{m,n} conj(t^l'_{m',n'}) against their exact values.
 
@@ -183,31 +375,20 @@ def schur_check(grid: HaarGrid, l: HalfInt, l_prime: HalfInt) -> DeviationReport
     the report carries the worst deviation over all index combinations, at
     the first (m, n, m', n') in row-major order that attains it.
 
-    All integrals are computed at once.  The grid is theta-major, so its
-    nodes split into n_theta blocks of n_phi * n_psi nodes; one batched
-    matrix product of the weighted T stack with the conjugated T' stack
-    contracts each block, and the per-theta results are summed pairwise.
-    The order of the sums inside a block is BLAS's, so the last bits of the
-    deviation can depend on its thread count.
+    The grid must be a product of theta slices with the uniform phase rules
+    2 pi k / n and one non-negative node weight per slice, as build_grid
+    makes it; any other grid raises ValueError.  Each deviation is an upper
+    bound on the full-grid deviation, up to rounding, read from the phase
+    spectra of the two stacks (see the module docstring): for (m, n) =
+    (m', n') the on-bin deviation plus the theta sum of e e', for any other
+    pair the Cauchy-Schwarz bound of its cross terms.  A pair whose bound part exceeds
+    SCHUR_FLOOR (2^-43) takes its deviation summed node by node over the
+    whole grid instead, so a real deviation is reported at its own pair.
+    When no pair exceeds the floor, as on an exact grid, max_deviation is a
+    rounding-level bound and worst names the pair with the largest one: an
+    on-bin deviation or a bound, not a located defect.
     """
-    if grid.node_count != grid.n_theta * grid.n_phi * grid.n_psi:
-        raise ValueError(
-            f"grid has {grid.node_count} nodes, not n_theta * n_phi * n_psi = "
-            f"{grid.n_theta * grid.n_phi * grid.n_psi}"
-        )
-    grid.matrices(max(l, l_prime))  # refuses a spin past the budget before either stack is built
-    dim, dim_u = l.twice + 1, l_prime.twice + 1
-    blocks = (grid.n_theta, grid.n_phi * grid.n_psi)
-    weighted = (grid.weights[:, None, None] * grid.matrices(l)).reshape(*blocks, dim * dim)
-    conj_u = np.conj(grid.matrices(l_prime).reshape(*blocks, dim_u * dim_u))
-    integrals = pairwise_sum(np.matmul(weighted.transpose(0, 2, 1), conj_u))
-    if l.twice == l_prime.twice:
-        integrals -= np.eye(dim * dim) / dim
-    deviations = magnitudes(integrals)
-    row, col = divmod(int(np.argmax(deviations)), dim_u * dim_u)
-    (i1, j1), (i2, j2) = divmod(row, dim), divmod(col, dim_u)
-    worst = (2 * i1 - l.twice, 2 * j1 - l.twice, 2 * i2 - l_prime.twice, 2 * j2 - l_prime.twice)
-    return DeviationReport(float(deviations[row, col]), worst, dim * dim * dim_u * dim_u)
+    return schur_checks(grid, [(l, l_prime)])[0]
 
 
 def character_norm(grid: HaarGrid, l: HalfInt) -> float:

@@ -37,7 +37,7 @@ from .haar import (
     legendre_checks,
     magnitudes,
     pairwise_sum,
-    schur_check,
+    schur_checks,
     theta_rule,
 )
 from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_norm, jacobi_rows, jacobi_values, krawtchouk
@@ -203,12 +203,9 @@ def suite_homomorphism(max_l: HalfInt, seed: int) -> dict:
 def suite_schur(max_l: HalfInt, grid: HaarGrid) -> dict:
     checks = [_check("normalization integral of 1", [abs(pairwise_sum(grid.weights) - 1.0)], 1e-13)]
     spins = spins_up_to(max_l)
-    for i, l in enumerate(spins):
-        for l_prime in spins[i:]:
-            report = schur_check(grid, l, l_prime)
-            checks.append(
-                _check(f"orthogonality l={l} vs l'={l_prime}", [report.max_deviation], 1e-10, report.checked)
-            )
+    pairs = [(l, l_prime) for i, l in enumerate(spins) for l_prime in spins[i:]]
+    for (l, l_prime), report in zip(pairs, schur_checks(grid, pairs)):
+        checks.append(_check(f"orthogonality l={l} vs l'={l_prime}", [report.max_deviation], 1e-10, report.checked))
     return {"suite": "schur", "checks": checks}
 
 

@@ -38,7 +38,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "12"
+        assert rec["schema_version"] == "13"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -150,11 +150,15 @@ class TestDmat:
     def test_an_overflowing_power_of_the_jacobi_route_falls_back_to_the_oracle(self, capsys):
         # The Jacobi route refuses 31^400 with its reason (it used to raise a
         # bare "complex exponentiation"), so dmat falls back to the oracle,
-        # which meets the same power and exits 3 as --route oracle does.
+        # which meets the same power and exits 3 as --route oracle does.  The
+        # error record keeps the Jacobi route's refusal as its warning.
         source = ["dmat", "--l-x2", "400", "--matrix", "30,0,1,0,2,0,31,0"]
         code, rec = run_json(capsys, *source, "--route", "jacobi")
         assert code == 3
         assert rec["error"] == {"type": "OverflowError", "message": "a power of a matrix entry overflows"}
+        assert rec.pop("warnings") == [
+            "route jacobi unavailable (Jacobi route's power of a, b, c, d or bc - ad overflows); fell back to oracle"
+        ]
         assert run_json(capsys, *source, "--route", "oracle") == (code, rec)
 
     @pytest.mark.parametrize("route", ["rodrigues", "krawtchouk", "recurrence"])
@@ -665,13 +669,12 @@ class TestReentrant:
         assert _in_process(capsys, EULER + ["--matrix", "1,0,0,0,0,0,1,0"])[0] == 2
 
 
-def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
-    # haar imports leggauss only inside gauss_legendre, which dmat and poly
-    # never call.  numpy 1.x imports numpy.polynomial with numpy itself, so
-    # the test compares against a bare `import numpy`.
+def _loaded_with_the_cli(package):
+    # The modules of package loaded after a bare `import numpy`, and after
+    # importing the CLI too, in a fresh interpreter.
     script = (
         "import json, sys, numpy\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))\n"
+        f"def loaded(): return sorted(m for m in sys.modules if m.startswith({package!r}))\n"
         "bare = loaded()\n"
         "import wignerkit.cli\n"
         "print(json.dumps([bare, loaded()]))\n"
@@ -679,7 +682,23 @@ def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True)
-    bare, with_cli = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # haar imports leggauss only inside gauss_legendre, which dmat and poly
+    # never call.  numpy 1.x imports numpy.polynomial with numpy itself, so
+    # the test compares against a bare `import numpy`.
+    bare, with_cli = _loaded_with_the_cli("numpy.polynomial")
+    assert with_cli == bare
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert with_cli == []
+
+
+def test_importing_the_cli_leaves_numpy_fft_unloaded():
+    # haar imports numpy.fft only inside _phase_spectra, which only the
+    # schur suite calls.
+    bare, with_cli = _loaded_with_the_cli("numpy.fft")
     assert with_cli == bare
     if int(np.__version__.split(".")[0]) >= 2:
         assert with_cli == []

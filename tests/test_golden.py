@@ -2,12 +2,12 @@
 
 Each file under tests/golden/ holds the stdout of one command.  A change to
 how any number is computed must leave these bytes alone; a deliberate output
-change replaces the files and bumps the schema version.  Only the Schur
-reduction makes a BLAS product, so only its last digits can depend on the
-BLAS kernel and thread count; the pinned verify commands that run it stay at
-spins small enough that their output was the same with one BLAS thread and
-with the default thread count.  numpy's CPU feature level is another source:
-the oracle's dmat bytes hold down to numpy's AVX2 level, not below it.
+change replaces the files and bumps the schema version.  No command makes a
+BLAS product: the Schur reduction reads FFT phase spectra and sums in a
+fixed order, so the pins hold under every OpenBLAS kernel, at one BLAS
+thread and at the default thread count.  numpy's CPU feature level is the
+one source left: the oracle's dmat bytes hold down to numpy's AVX2 level, not
+below it.
 """
 import hashlib
 import json
@@ -64,33 +64,33 @@ HASHED = {
     # auto on an Euler source: the recurrence in the spin
     "dmat_auto_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "ad0f56f75c23e06e8c53f497bf63945eb84d6641e5a2804318869d3bee9269b4",
+        "8c5777dfab3aa3ea40736cca2bdc60fc79fc2898843d7724938756db1a0b58d3",
     ),
     "dmat_auto_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "f5f453b9091d966cdd1cd39d6f79159e3c605a7f1ac7d7f6130e37208f093ec3",
+        "c4ad16314d537b733f58fe07745c609fddf089a458554ffd38c217debc6d8c29",
     ),
     "dmat_auto_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "7ebc4e0ac36ce7fd6a000751a735412e99851ed35748d44dc5d9eb2b94c10ad1",
+        "4a97741949fa6011dc392f8ea29aff112b60d8d686d8f409f56b83bb5446ceb4",
     ),
     # The oracle where it is far from unitary (residual 4.4e25), kept on
     # purpose: its matrix is the one auto printed at this spin up to schema 8.
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "oracle"],
-        "fc30e497b4f123bd571c808c3d030b5beeb8030e70284afe504a82e042dbb80d",
+        "2ef96d265ff269b07124bfc66400b0936c7ea6f83495fa32dfccbdb52e0e0986",
     ),
     "dmat_recurrence_euler_201": (
         ["dmat", "--l-x2", "201", *EULER_ANGLES, "--route", "recurrence"],
-        "9a90d7db7f7f86be717c60637741a3d1a191c09ae2d1600a25ac9849ecc2ed57",
+        "d5e4b897af778aecdeecfc95ee26f3c3d74b0fdc14d1178ebe94925167cb9717",
     ),
     "dmat_recurrence_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES, "--route", "recurrence"],
-        "d36499d84b823f40a9172be10fd5f1c8e6c6cc1f777524fd65ebab1ab771b412",
+        "d00070ab8724c1a2bcdb4a96670fb639ebb909eef1362d2ddec11c9ca882371c",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "42fb30a1201f163195d6704ccf93052e70d28c6dc1b9a9109abe741c4d48d590",
+        "4bd37c283a4b73305fd5b019ce925547b33394f95db217c32d584e862ae79183",
     ),
     "dmat_auto_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -103,7 +103,7 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "86fe54b45b4f3cc4c637c9204ce613e81d7a46299c0a5841b2ec161030b49a35",
+        "ec784a457f654eab9f40a24243da79401a62e8ee84c1dc4d151bb4e2e54f9e4f",
     ),
     "dmat_auto_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
@@ -113,15 +113,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "0f6e12b47dc4d310cc86a51c881d73325d6e88c709b123781dd6695f225131e3",
+        "2c3e5f2ca57fc92d30721e32dbbdf6b0ee982db0f676454f757543a982795733",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "4d3ad3f76a630fc65fac46e4289f685a0af6011c40c5753bde006929a8f69c2d",
+        "1899d6de226728b446f9fb9586b37bedbd164871e623835300f07f39e38a0a6c",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "9dc5c93fbca1c7f87903588f488e5955e62260ec165a546eb9e55b7bd2afcbd5",
+        "52c530dbae4a550041a636aa1e40201946e3cef812cf0bceb990743e9093959a",
     ),
 }
 
@@ -144,19 +144,18 @@ def test_large_stdout_is_byte_identical(name, capsys):
 
 
 # Every verify suite but schur and all, at --max-l-x2 6 with seed 0, pinned by
-# the sha256 of its stdout.  None makes a BLAS product, so the bytes do not
-# depend on the BLAS kernel or thread count; schur and all, which run the Schur
-# reduction, do.  SCHUR_HASHED pins schur at one BLAS thread.
+# the sha256 of its stdout, and schur by SCHUR_HASHED.  None makes a BLAS
+# product, so the bytes do not depend on the BLAS kernel or thread count.
 VERIFY_HASHED = {
-    "routes": "ba11a2e35851c6567fe4dc2ac7ba30a92b0a8a45023458de13b1b198cb9adf26",
-    "unitarity": "1af5191f001c8af003e1d52bc60f00e88c0814d5ade403988dd1f95ba83e0de7",
-    "homomorphism": "842f19815ffc7af3a115198e89e5e08ca7c8d33f77b5b0252d661386ecd8a904",
-    "jacobi-orth": "0bfab236902f3c22abe79c23649afe2c6e95cdb191320c72156145d9a6cffd6f",
-    "legendre": "4e5942d467079b627afe31197791c01f0f0b91be8b71e212d434f21283d76ed3",
-    "krawtchouk-sym": "57c2edc18b98daa5c9824e69758ce3d5d6478363182a363d66f11b0916fcf2d7",
-    "character": "1f03caeda4011fd8eae642c1d81a57db77207f92f6546defa1a9cebf8b0851b2",
+    "routes": "6ad041d525937f1324a0b8b077f41ea249ea016bf289303f91e4d81438c2b3e3",
+    "unitarity": "b9a372ca7e810cc2734ee579139800b5dac086e35ddde81c9bcea61d74ff70dd",
+    "homomorphism": "d0af862e8cbb603ac5b80cc5984899a4122871af109f767e09c27f014fad6c15",
+    "jacobi-orth": "58e6b23c593ae00910737758975dfaf0aaf70b66b1019df8df9bd00cd5108e2a",
+    "legendre": "db591b62b30fbcc350c68e037d3951526b1642a3db597605a2a6cc907f4223eb",
+    "krawtchouk-sym": "628e4b5d20c47acfce1115b493b05b8c4d4c787f37fbcb5a05864e9ab75a283d",
+    "character": "fcbcfac6aa53addfb3f4e08e9c1ebeec5b51f31060e9ca000ba70ffd694ac60e",
 }
-SCHUR_HASHED = "1288211faab766891cf8679a83d97e2c725f155dc4d52cba5ccdfa85118fee8a"
+SCHUR_HASHED = "1e3c1d90ab2e73c9fd7b4ff7c87d093090a2b42607e9dc32556bdee998b5ca73"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))
@@ -165,17 +164,23 @@ def test_verify_suite_stdout_is_byte_identical(suite, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_HASHED[suite]
 
 
-# Commands that call no BLAS, run under other OpenBLAS kernels, must print
-# the bytes pinned above.  OPENBLAS_CORETYPE names the kernel; OpenBLAS reads
-# it when numpy loads, so each kernel gets a fresh interpreter.  An OpenBLAS
-# built without DYNAMIC_ARCH ignores the variable and runs its one kernel.
-OTHER_KERNELS = ("Haswell", "Zen")
+# Commands run under other OpenBLAS kernels must print the bytes pinned above,
+# the Schur suite and all included: up to schema 12 the Schur reduction was a
+# BLAS product, and under Haswell, Zen and Sandybridge schur and all printed
+# other bytes than under SkylakeX.  OPENBLAS_CORETYPE names the kernel;
+# OpenBLAS reads it when numpy loads, so each kernel gets a fresh interpreter.
+# An OpenBLAS built without DYNAMIC_ARCH ignores the variable and runs its one
+# kernel.
+OTHER_KERNELS = ("Haswell", "Zen", "Sandybridge")
 KERNEL_PINS = [
-    (COMMANDS["dmat_auto_euler_20"], hashlib.sha256((GOLDEN / "dmat_auto_euler_20.out").read_bytes()).hexdigest()),
+    *(
+        (COMMANDS[name], hashlib.sha256((GOLDEN / f"{name}.out").read_bytes()).hexdigest())
+        for name in ("dmat_auto_euler_20", "verify_all_2")
+    ),
     HASHED["dmat_auto_euler_200"],
     *(
-        (["verify", "--suite", suite, "--max-l-x2", "6", "--seed", "0"], VERIFY_HASHED[suite])
-        for suite in ("routes", "unitarity", "homomorphism", "legendre")
+        (["verify", "--suite", suite, "--max-l-x2", "6", "--seed", "0"], digest)
+        for suite, digest in {**VERIFY_HASHED, "schur": SCHUR_HASHED}.items()
     ),
 ]
 # Runs each argv list of argv[1] (JSON) and prints its exit code and the
@@ -192,13 +197,23 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def assert_pins_hold(env, pins, script=RUN_AND_HASH, extra=()):
+    # Runs script in a fresh interpreter with env, once at one BLAS thread and
+    # once at the default thread count; extra: the lines that script prints
+    # after those of the pins.
+    argvs = json.dumps([argv for argv, _ in pins])
+    for threads in ("1", None):
+        run_env = {k: v for k, v in env.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads:
+            run_env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", script, argvs], env=run_env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n")[:-1] == [*(f"0 {digest}" for _, digest in pins), *extra], threads
+
+
 @pytest.mark.parametrize("kernel", OTHER_KERNELS)
 def test_stdout_is_the_same_on_other_blas_kernels(kernel):
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": str(SRC)}
-    argvs = json.dumps([argv for argv, _ in KERNEL_PINS])
-    run = subprocess.run([sys.executable, "-c", RUN_AND_HASH, argvs], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n")[:-1] == [f"0 {digest}" for _, digest in KERNEL_PINS]
+    assert_pins_hold({**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": str(SRC)}, KERNEL_PINS)
 
 
 # numpy picks its loops by CPU feature level.  With its AVX-512 levels turned
@@ -243,12 +258,8 @@ def assert_pins_hold_without(levels, pins, script=RUN_AND_HASH, extra=()):
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     disabled = [f for f in levels if f in __cpu_dispatch__ and __cpu_features__.get(f)]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled), "PYTHONPATH": str(SRC)}
-    env["OPENBLAS_NUM_THREADS"] = "1"  # the Schur pins' BLAS product holds at one thread
     env.pop("NPY_ENABLE_CPU_FEATURES", None)  # numpy refuses both variables at once
-    argvs = json.dumps([argv for argv, _ in pins])
-    run = subprocess.run([sys.executable, "-c", script, argvs], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n")[:-1] == [*(f"0 {digest}" for _, digest in pins), *extra]
+    assert_pins_hold(env, pins, script, extra)
 
 
 def test_dmat_stdout_is_the_same_without_avx512():

@@ -6,6 +6,7 @@ import pytest
 
 from wignerkit.exactcomb import HalfInt, spin_range, spins_up_to
 from wignerkit.group import Mat2C, diag_element, multiply, sample_haar
+from wignerkit import haar
 from wignerkit.haar import (
     HaarGrid,
     build_grid,
@@ -14,6 +15,7 @@ from wignerkit.haar import (
     legendre_checks,
     pairwise_sum,
     schur_check,
+    schur_checks,
     theta_rule,
 )
 from wignerkit.specfun import legendre
@@ -150,12 +152,15 @@ class TestSchur:
             schur_check(grid, HalfInt(2), HALF)
 
     @pytest.mark.parametrize("l_x2, lp_x2", [(1, 2), (2, 1)])
-    def test_a_spin_past_the_budget_builds_nothing(self, l_x2, lp_x2):
+    def test_a_spin_past_the_budget_builds_nothing(self, l_x2, lp_x2, monkeypatch):
+        spectra = []
+        monkeypatch.setattr(haar, "_phase_spectra", lambda *args: spectra.append(args))
         grid = build_grid(HALF)
         with pytest.raises(ValueError, match="exceeds the grid exactness budget"):
             schur_check(grid, HalfInt(l_x2), HalfInt(lp_x2))
         assert grid._matrices == {}
         assert grid._powers is None
+        assert spectra == []
 
     @pytest.mark.parametrize(
         "l_x2, lp_x2, i, j, i2, j2", [(2, 3, 0, 2, 1, 3), (0, 3, 0, 0, 3, 1), (1, 2, 1, 0, 2, 2)]
@@ -175,6 +180,49 @@ class TestSchur:
         assert all(type(v) is int for v in report.worst)
         assert report.checked == (l_x2 + 1) ** 2 * (lp_x2 + 1) ** 2
 
+    @pytest.mark.parametrize("i, j, i2, j2", [(0, 0, 0, 2), (0, 1, 1, 1), (0, 1, 1, 0)])
+    def test_a_perturbation_across_psi_bins_is_located(self, i, j, i2, j2, monkeypatch):
+        # t^{1/2}_{i,j} and t^{3/2}_{i2,j2} have different psi bins (m - n), so
+        # the integral the perturbation moves is a cross term, which the bound
+        # alone would pin on the l' entry largest on that slice.  The pairs
+        # over the floor take their node-by-node value, which locates it.
+        l, lp = HALF, HalfInt(3)
+        expected = (2 * i - 1, 2 * j - 1, 2 * i2 - 3, 2 * j2 - 3)
+        assert expected[0] - expected[1] != expected[2] - expected[3]
+        grid = build_grid(HalfInt(3))
+        block = slice(grid.n_phi * grid.n_psi, 2 * grid.n_phi * grid.n_psi)
+        grid.matrices(l)[block, i, j] += 1e-6 * grid.matrices(lp)[block, i2, j2]
+        report = schur_check(grid, l, lp)
+        assert report.worst == expected
+        assert report.max_deviation == pytest.approx(full_grid_deviations(grid, l, lp).max(), rel=1e-9)
+        monkeypatch.setattr(haar, "SCHUR_FLOOR", math.inf)  # the bound alone
+        bound_only = schur_check(grid, l, lp)
+        assert bound_only.worst != expected
+        assert bound_only.max_deviation >= report.max_deviation
+
+    @pytest.mark.parametrize("axis", ["phis", "psis"])
+    def test_a_grid_off_the_uniform_phase_rule_is_refused(self, axis):
+        grid = build_grid(HalfInt(2))
+        setattr(grid, axis, getattr(grid, axis) + 1e-3)
+        with pytest.raises(ValueError, match="uniform rules 2 pi k / n_phi and 2 pi k / n_psi"):
+            schur_check(grid, HALF, HALF)
+
+    def test_a_grid_with_two_weights_on_one_slice_is_refused(self):
+        grid = build_grid(HalfInt(2))
+        grid.weights = grid.weights.copy()
+        grid.weights[0] *= 2
+        with pytest.raises(ValueError, match="node weights differ within a theta slice"):
+            schur_check(grid, HALF, HALF)
+
+    def test_a_grid_with_a_negative_slice_weight_is_refused(self):
+        # The bound of a pair in different bins sums |terms| against the
+        # weights, so it bounds the integral only if no weight is negative.
+        grid = build_grid(HalfInt(2))
+        grid.weights = grid.weights.copy()
+        grid.weights[: grid.n_phi * grid.n_psi] *= -1
+        with pytest.raises(ValueError, match="negative node weight"):
+            schur_check(grid, HALF, HALF)
+
     def test_grid_with_wrong_node_count_rejected(self):
         good = build_grid(HalfInt(2))
         bad = HaarGrid(good.n_theta, good.n_phi, good.n_psi + 1, good.thetas, good.phis, good.psis, good.weights)
@@ -189,6 +237,108 @@ class TestSchur:
             a = schur_check(small, l, lp).max_deviation
             b = schur_check(big, l, lp).max_deviation
             assert abs(a - b) <= 1e-12
+
+
+def full_grid_deviations(grid: HaarGrid, l: HalfInt, lp: HalfInt) -> np.ndarray:
+    """|integral - exact value| of every pair of entries, each integral summed
+    over the whole grid by one matrix product."""
+    T = grid.matrices(l).reshape(grid.node_count, -1)
+    U = grid.matrices(lp).reshape(grid.node_count, -1)
+    integrals = (grid.weights[:, None] * T).T @ U.conj()
+    if l == lp:
+        integrals -= np.eye(T.shape[1]) / (l.twice + 1)
+    return np.abs(integrals)
+
+
+# Both sides round: an integral of at most 1 in magnitude, summed over a few
+# thousand nodes, is off by a few units of 2^-53 on each side.  The Schur
+# values themselves are a few units of 1e-16 on an exact grid.
+ROUNDING_MARGIN = 2.0**-48
+
+
+class TestSchurBound:
+    """The reported deviation is at least the full-grid deviation, up to
+    rounding: on-bin deviations plus Cauchy-Schwarz bounds below the floor,
+    node-by-node values above it."""
+
+    @staticmethod
+    def assert_bounds(grid, pairs):
+        for (l, lp), report in zip(pairs, schur_checks(grid, pairs)):
+            full = full_grid_deviations(grid, l, lp).max()
+            assert report.max_deviation >= full - ROUNDING_MARGIN, (l, lp, report, full)
+            assert report.max_deviation <= 1e-10 or report.max_deviation <= full + ROUNDING_MARGIN, (l, lp)
+
+    @pytest.mark.parametrize("noise, one_entry", [(0.0, False), (1e-14, False), (1e-12, True)])
+    def test_every_pair_up_to_l_x2_8(self, noise, one_entry, monkeypatch):
+        # Noise of 1e-14 on every value keeps every bound below the floor;
+        # 1e-12 on the entry (2, 1) of t^1 puts the pairs of that entry over
+        # it, which then report their node-by-node value.
+        grid = build_grid(HalfInt(8))
+        spins = spins_up_to(HalfInt(8))
+        rng = np.random.default_rng(8)
+        for stack in [grid.matrices(HalfInt(2))[:, 2, 1]] if one_entry else map(grid.matrices, spins):
+            stack += noise * (rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape))
+        refined = []
+        grid_deviations = haar._grid_deviations
+        monkeypatch.setattr(haar, "_grid_deviations", lambda *args: refined.append(args) or grid_deviations(*args))
+        self.assert_bounds(grid, [(l, lp) for l in spins for lp in spins])
+        assert bool(refined) == one_entry
+
+    def test_a_sample_of_pairs_at_l_x2_12(self):
+        grid = build_grid(HalfInt(12))
+        spins = spins_up_to(HalfInt(12))
+        rng = np.random.default_rng(12)
+        pairs = [(spins[a], spins[b]) for a, b in rng.integers(len(spins), size=(8, 2))]
+        self.assert_bounds(grid, [*pairs, (HalfInt(12), HalfInt(12)), (HalfInt(11), HalfInt(12))])
+
+    def test_the_spectra_are_those_of_fft2(self):
+        # On-bin values and off-bin norms against a full 2-D FFT of each theta
+        # slice, on stacks with noise off the on-bin modes.
+        grid = build_grid(HalfInt(4))
+        spins = spins_up_to(HalfInt(4))
+        rng = np.random.default_rng(4)
+        on, off = [], []
+        for l in spins:
+            stack = grid.matrices(l)
+            stack += 1e-9 * (rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape))
+            spectrum = np.fft.fft2(stack.reshape(grid.n_theta, grid.n_phi, grid.n_psi, -1), axes=(1, 2))
+            power = np.abs(spectrum) ** 2
+            for k in range(power.shape[3]):
+                m2, n2 = (2 * v - l.twice for v in divmod(k, l.twice + 1))  # row-major entry k
+                bins = (-(m2 + n2) // 2) % grid.n_phi, ((m2 - n2) // 2) % grid.n_psi
+                on.append(spectrum[:, bins[0], bins[1], k])
+                power[:, bins[0], bins[1], k] = 0.0
+            off.append(np.sqrt(power.sum(axis=(1, 2))))
+        on_re, on_im, off_norm = haar._phase_spectra(grid, spins)
+        assert np.allclose(on_re + 1j * on_im, np.transpose(on), rtol=0, atol=1e-12)
+        assert np.allclose(off_norm, np.concatenate(off, axis=1), rtol=1e-9, atol=0)
+        assert off_norm.min() > 1e-8  # the noise, not the rounding of the modes
+
+    def test_an_fft_returned_as_a_transposed_view_gives_the_same_reports(self, monkeypatch):
+        # numpy 1.x takes an FFT along an inner axis by transposing that axis
+        # last, transforming into a new C-ordered array and transposing back,
+        # so its result is a view whose last axis is strided.
+        grid = build_grid(HalfInt(4))
+        spins = spins_up_to(HalfInt(4))
+        pairs = [(l, lp) for l in spins for lp in spins]
+        expected = schur_checks(grid, pairs)
+        fft, strided = np.fft.fft, []
+
+        def transposed_fft(a, axis=-1):
+            out = np.swapaxes(np.ascontiguousarray(fft(np.swapaxes(a, axis, -1), axis=-1)), axis, -1)
+            strided.append(out.strides[-1] != out.itemsize)
+            return out
+
+        monkeypatch.setattr(np.fft, "fft", transposed_fft)
+        assert schur_checks(grid, pairs) == expected
+        assert any(strided)
+
+    def test_one_call_reports_each_pair_as_its_own_call(self):
+        grid = build_grid(HalfInt(4))
+        spins = spins_up_to(HalfInt(4))
+        pairs = [(l, lp) for l in spins for lp in spins]
+        assert schur_checks(grid, pairs) == [schur_check(grid, l, lp) for l, lp in pairs]
+        assert schur_checks(grid, []) == []
 
 
 class TestCharacterNorm:
