@@ -45,14 +45,18 @@ from .wigner import (
     character,
     chart_phases,
     dmatrix_euler,
+    hyp_matrices,
     hyp_matrix,
+    hyp_symmetric_matrices,
     hyp_symmetric_matrix,
+    jacobi_matrices,
     jacobi_matrix,
     jacobi_stack,
     krawtchouk_stack,
     oracle_matrix,
     oracle_stack,
     rodrigues_stack,
+    sum_matrices,
     sum_matrix,
     tmn_hyp,
     tmn_hyp_symmetric,

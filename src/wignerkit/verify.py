@@ -44,12 +44,12 @@ from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_norm, jacobi_r
 from .wigner import (
     ROTATION_ROUTES,
     SYMMETRIES,
-    hyp_matrix,
-    hyp_symmetric_matrix,
-    jacobi_matrix,
+    hyp_matrices,
+    hyp_symmetric_matrices,
+    jacobi_matrices,
     jacobi_stack,
     oracle_stack,
-    sum_matrix,
+    sum_matrices,
 )
 
 __all__ = ["SUITE_NAMES", "run_suite", "sample_gl2", "sample_unimodular", "max_norm"]
@@ -162,16 +162,16 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
         )
 
     def element_form(build):
-        return deviations(([build(l, A).entries for A in samples] for l in spins), at_samples)
+        return deviations((build(l, samples) for l in spins), at_samples)
 
     def chart_form(route):
         return deviations((route(l, triples) for l in spins), at_triples)
 
     checks = [
-        _check("finite-sum-vs-oracle", element_form(sum_matrix), 1e-10),
-        _check("terminating-2f1-vs-oracle", element_form(hyp_matrix), 1e-9),
-        _check("terminating-2f1-symmetric-vs-oracle", element_form(hyp_symmetric_matrix), 1e-9),
-        _check("jacobi-vs-oracle", element_form(jacobi_matrix), 1e-9),
+        _check("finite-sum-vs-oracle", element_form(sum_matrices), 1e-10),
+        _check("terminating-2f1-vs-oracle", element_form(hyp_matrices), 1e-9),
+        _check("terminating-2f1-symmetric-vs-oracle", element_form(hyp_symmetric_matrices), 1e-9),
+        _check("jacobi-vs-oracle", element_form(jacobi_matrices), 1e-9),
         *(_check(f"{name}-chart-vs-oracle", chart_form(route), 1e-9) for name, route in ROTATION_ROUTES.items()),
     ]
     return {"suite": "routes", "checks": checks}
@@ -210,9 +210,10 @@ def suite_schur(max_l: HalfInt, grid: HaarGrid) -> dict:
 
 
 def suite_character(max_l: HalfInt, grid: HaarGrid) -> dict:
-    checks = [
-        _check(f"character norm l={l}", [abs(character_norm(grid, l) - 1.0)], 1e-10) for l in spins_up_to(max_l)
-    ]
+    spins = spins_up_to(max_l)
+    for l in reversed(spins):  # the largest first, as schur_checks builds them, so a build meets the fewest stacks
+        grid.matrices(l)
+    checks = [_check(f"character norm l={l}", [abs(character_norm(grid, l) - 1.0)], 1e-10) for l in spins]
     return {"suite": "character", "checks": checks}
 
 
@@ -305,14 +306,17 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
 
     def index_symmetries(l2):
         # Each entry of the finite-sum matrix against its place in each symmetry image,
-        # shape (samples, symmetries, entries), over the max-norm of the oracle matrix.
+        # shape (samples, symmetries, entries), over the max-norm of the oracle matrix:
+        # the samples and their images under every symmetry in one sum_matrices stack.
         l = HalfInt(l2)
         places = list(product(range(l2 + 1), repeat=2))
-        values = np.array([sum_matrix(l, A).entries for A in samples]).reshape(len(samples), 1, -1)
+        elements = [*samples, *(element_map(A) for _, element_map in SYMMETRIES.values() for A in samples)]
+        values, *mapped = sum_matrices(l, elements).reshape(len(SYMMETRIES) + 1, len(samples), l2 + 1, l2 + 1)
         images = []
-        for index_map, element_map in SYMMETRIES.values():
+        for (index_map, _), S in zip(SYMMETRIES.values(), mapped):
             rows, cols = np.array([index_map(l2, i, j) for i, j in places]).T
-            images.append(np.array([sum_matrix(l, element_map(A)).entries for A in samples])[:, rows, cols])
+            images.append(S[:, rows, cols])
+        values = values.reshape(len(samples), 1, -1)
         return magnitudes(values - np.stack(images, axis=1)) / _norms(_stack(l, samples))[:, None, None]
 
     # P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x): the 539 polynomials in one jacobi_values call on

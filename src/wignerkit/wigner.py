@@ -13,6 +13,15 @@ derivative, Krawtchouk) are faster on their domains but each has a singular
 parameter set, on which they raise RouteUnavailableError instead of guessing
 a limit.
 
+The element forms (finite sum, the two 2F1 forms, Jacobi) build a stack over
+a list of elements, and their one-element matrices are that stack at one
+element.  Each element's powers and exact series are Python numbers; every
+product of them runs on float64 arrays written as the scalar complex
+arithmetic of CPython 3.10 to 3.13, an int or a float operand being (x, 0.0)
+and a product of two of them a float.  A stack's matrices are its elements'
+one-element matrices bit for bit, signed zeros included, at every numpy SIMD
+level, and under Python 3.14, whose mixed float-complex products differ, too.
+
 Index convention, fixed once: row i corresponds to m = -l + i and column j
 to n = -l + j, i.e. i = (m + l) as an integer.  The representation acts by
 substitution with the transposed matrix, so for l = 1/2 the matrix of t(A)
@@ -49,12 +58,16 @@ __all__ = [
     "oracle_matrix",
     "oracle_stack",
     "tmn_sum",
+    "sum_matrices",
     "sum_matrix",
     "tmn_hyp",
+    "hyp_matrices",
     "hyp_matrix",
     "tmn_hyp_symmetric",
+    "hyp_symmetric_matrices",
     "hyp_symmetric_matrix",
     "tmn_jacobi",
+    "jacobi_matrices",
     "jacobi_matrix",
     "chart_phases",
     "dmatrix_euler",
@@ -218,6 +231,19 @@ def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
 # same tables as their matrix builder and call the same kernel: an entry is
 # its builder's entry bit for bit, it raises where those tables overflow,
 # and it is never a non-finite value.
+#
+# The element forms (the finite sum, the two 2F1 forms and the Jacobi form)
+# build a stack over N elements.  Each element's tables are Python numbers
+# (x**e of its entries, and exact series at its own arguments); every product
+# of them runs on float64 arrays over (entries x elements), written as
+# CPython's scalar complex arithmetic of Python 3.10 to 3.13 (_times, _over):
+# an int or a float is the complex (x, 0.0), and a product of two of them is
+# a float.  So an element's matrix is the same in any stack, bit for bit,
+# signed zeros included, and it does not depend on numpy's SIMD level, which
+# fuses complex ufuncs with FMA from X86_V3 up.  Python 3.14 multiplies a
+# float by a complex part by part; the arrays keep the rule above there too.
+# An int entry's powers are exact ints, each rounded once to a float where
+# the arrays read it.
 
 
 def _index(l: HalfInt, m: HalfInt) -> int:
@@ -255,45 +281,116 @@ def _factorials(top: int) -> list:
     return out
 
 
-def _sum_row(l2: int, i: int, j: int, row, c) -> tuple:
-    # Entry (i, j)'s row of _sum_plan(l2), from Pascal's rows row(k) = C(k, .)
-    # and the binomials c(k) = C(2l, k).
+def _pairs(values) -> np.ndarray:
+    # Python numbers, or nested lists of them, as their real and imaginary
+    # parts, shape (2, ...): an int or a float x is (x, 0.0), as CPython
+    # promotes it, and an int past the float range raises OverflowError.
+    pairs = np.array(values, dtype=complex)[..., None].view(float)
+    return pairs.transpose(-1, *range(pairs.ndim - 1))
+
+
+def _times(x, y, real=None) -> tuple:
+    # CPython's complex product x * y of (real part, imaginary part) pairs of
+    # floats or of arrays, broadcast against each other: (xr yr - xi yi,
+    # xr yi + xi yr), each product and sum rounded on its own.  Where real is
+    # True both factors are a float or an int, whose product is a float: its
+    # imaginary part is 0.0.
+    (xr, xi), (yr, yi) = x, y
+    re, im = xr * yr, xr * yi  # each of the shape of the product: x or y is a whole array
+    re -= xi * yi
+    im += xi * yr
+    return re, (im if real is None else np.where(real, 0.0, im))
+
+
+def _over(x, f, real=None) -> tuple:
+    # CPython's complex x / int, with the int f as a float: ((xr + xi 0.0)/f,
+    # (xi - xr 0.0)/f); where real is True x is a float, and x / f is xr/f.
+    xr, xi = x
+    re = (xr + xi * 0.0) / f
+    return (re if real is None else np.where(real, xr / f, re)), (xi - xr * 0.0) / f
+
+
+def _chain(first: float, factors: list, divisor=None, last=None) -> tuple:
+    # first times each factor, left to right, then over divisor (an int as a
+    # float) and times last (a complex), as CPython takes them; a factor is
+    # (its pair, whether it is a complex: a bool, or an array over elements).
+    out, complex_ = (first, 0.0), False
+    for factor, kind in factors:
+        complex_ = complex_ | kind
+        if isinstance(complex_, np.ndarray):
+            real = None if complex_.all() else ~complex_
+        else:
+            real = None if complex_ else True
+        out = _times(out, factor, real)
+    if divisor is not None:
+        out = _over(out, divisor, real)
+    return out if last is None else _times(out, last)
+
+
+def _power_pairs(what: str, tables: list, rows: int, top: int) -> tuple:
+    # Power tables of N elements (each a list of rows x^0 .. x^top) as pairs,
+    # shape (2, rows, top + 1, N), and whether each row's powers are complex,
+    # shape (rows, N); an int power past the float range is refused as what.
+    pairs = _refusing_overflow(what, _pairs, tables).reshape(2, len(tables), rows, top + 1)
+    kinds = np.array([[isinstance(row[0], complex) for row in table] for table in tables], dtype=bool)
+    return pairs.transpose(0, 2, 3, 1), kinds.reshape(len(tables), rows).T
+
+
+def _block(elements: int) -> int:
+    # How many entries an element form computes at a time for that many
+    # elements, so that its temporary arrays stay small at any spin.
+    return max(1, 1024 // max(elements, 1))
+
+
+def _as_stack(entries: np.ndarray, dim: int) -> np.ndarray:
+    # Complex entries of shape (dim * dim, N), by row and then by column, as
+    # the stack of shape (N, dim, dim); raises if an entry is not finite.
+    return _finite(np.ascontiguousarray(entries.T).reshape(-1, dim, dim))
+
+
+def _sum_row(l2: int, i: int, j: int, c) -> tuple:
+    # Entry (i, j)'s columns of _sum_plan, from the binomials c(k) = C(2l, k):
+    # l - m, l - n, m + n, the first k, the number of terms k, and the
+    # prefactor sqrt(C(2l, l-n) / C(2l, l-m)) or inf where it overflows.
     lm, ln, mn = l2 - i, l2 - j, i + j - l2
-    return lm, ln, mn, max(0, -mn), min(lm, ln) + 1, row(ln), row(j), _overflowing(_sqrt_fraction, c(ln), c(lm))
+    start = max(0, -mn)
+    return lm, ln, mn, start, min(lm, ln) + 1 - start, _overflowing(_sqrt_fraction, c(ln), c(lm))
 
 
 @lru_cache(maxsize=32)
-def _sum_plan(l2: int) -> list:
-    """What sum_matrix reads at spin l2/2 before it sees an element, as
-    columns over its entries (i, j) by row and then by column: l - m, l - n,
-    m + n, the start and the stop of the range of k, Pascal's rows C(l-n, .)
-    and C(l+n, .) (exact), and the prefactor sqrt(C(2l, l-n) / C(2l, l-m)),
-    or inf where it overflows a float.  At l2 = 400 it holds 160,801 entries
-    and 80,601 binomials, about 12 MB.
+def _sum_plan(l2: int) -> tuple:
+    """What sum_matrices reads at spin l2/2 before it sees an element.
+
+    Pascal's triangle C(n, t), n, t <= l2, as an object array of exact ints.
+    Then the entries (i, j), longest sum first, as int32 columns: l - n and
+    l + n (the rows of the triangle that hold C(l-n, .) and C(l+n, .)),
+    l - m, m + n and the first k; how many entries have more than r terms,
+    for each r; the prefactor sqrt(C(2l, l-n) / C(2l, l-m)), or inf where it
+    overflows a float; and each entry's flat index.  At l2 = 400 it holds
+    160,801 entries and 80,601 binomials, about 12 MB.
     """
-    binomials = [[1]]
-    for _ in range(l2):
-        binomials.append([1, *map(operator.add, binomials[-1], binomials[-1][1:]), 1])
-    plan = [*(array("i") for _ in range(5)), [], [], array("d")]
-    row, c = binomials.__getitem__, binomials[l2].__getitem__
-    for i in range(l2 + 1):
-        for j in range(l2 + 1):
-            for column, value in zip(plan, _sum_row(l2, i, j, row, c)):
+    dim = l2 + 1
+    binomials, row = np.zeros((dim, dim), dtype=object), [1]
+    for r in range(dim):
+        binomials[r, : r + 1] = row
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    c, columns = binomials[l2].__getitem__, [*(array("i") for _ in range(5)), array("d")]
+    for i in range(dim):
+        for j in range(dim):
+            for column, value in zip(columns, _sum_row(l2, i, j, c)):
                 column.append(value)
-    return plan
+    lm, ln, mn, start, count, pref = map(np.array, columns)
+    order = np.argsort(-count, kind="stable")
+    active = (len(order) - np.cumsum(np.bincount(count)))[: count.max()].tolist()
+    columns = [column[order].astype(np.int32) for column in (ln, l2 - ln, lm, mn, start)]
+    return binomials, columns, active, pref[order], order
 
 
-def _sum_entries(rows, powers: list, out: list) -> None:
-    # The entries of rows of _sum_plan in their order, appended to out; a term
-    # that overflows raises OverflowError, an overflowing prefactor is refused.
-    a_pow, b_pow, c_pow, d_pow = powers
-    for lm, ln, mn, start, stop, left, right, pref in rows:
-        acc = 0j
-        for k in range(start, stop):
-            acc += left[k] * right[lm - k] * a_pow[k] * b_pow[lm - k] * c_pow[ln - k] * d_pow[mn + k]
-        if pref == math.inf:
-            raise RouteUnavailableError(f"{_SUM_PREFACTOR} overflows")
-        out.append(pref * acc)
+def _sum_term(lr, k, lm, ln, mn, powers, kinds) -> tuple:
+    # Term k of the finite sum, C(l-n, k) C(l+n, l-m-k) a^k b^(l-m-k)
+    # c^(l-n-k) d^(m+n+k), from lr, the product of its binomials, exact and
+    # rounded once, and the power pairs and kinds of _power_pairs.
+    return _chain(lr, [(powers[:, x, e], kinds[x]) for x, e in enumerate((k, lm - k, ln - k, mn + k))])
 
 
 def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
@@ -302,23 +399,58 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     All binomials are exact integers; the monomials a^j b^.. c^.. d^.. are
     evaluated in floating point with the 0^0 = 1 convention, which is what
     makes the corner cases with vanishing entries come out right.  Computes
-    its own row of sum_matrix's plan and reads the same tables: raises where
+    its own row of sum_matrices' plan and reads the same tables: raises where
     they overflow, never returns inf or NaN.
     """
-    l2, out = l.twice, []
-    row = _sum_row(l2, _index(l, m), _index(l, n), lambda k: [comb(k, t) for t in range(k + 1)], partial(comb, l2))
-    powers = _refusing_overflow(_SUM_POWERS, _entry_powers, A, l2)
-    _refusing_overflow(_SUM_TERM, _sum_entries, [row], powers, out)
-    return _finite(out[0])
+    l2 = l.twice
+    i, j = _index(l, m), _index(l, n)
+    lm, ln, mn, start, count, pref = _sum_row(l2, i, j, partial(comb, l2))
+    powers, kinds = _power_pairs(_SUM_POWERS, [_refusing_overflow(_SUM_POWERS, _entry_powers, A, l2)], 4, l2)
+    left, right, acc = _binom_power_coeffs(+1, ln), _binom_power_coeffs(+1, j), (0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # sum_matrices' arithmetic on one entry's floats
+        for k in range(start, start + count):
+            lr = _refusing_overflow(_SUM_TERM, float, left[k] * right[lm - k])
+            term = _sum_term(lr, k, lm, ln, mn, powers[..., 0], kinds[:, 0])
+            acc = (acc[0] + term[0], acc[1] + term[1])
+        re, im = _times((pref, 0.0), acc)
+    if pref == math.inf:
+        raise RouteUnavailableError(f"{_SUM_PREFACTOR} overflows")
+    return _finite(complex(re, im))
+
+
+def sum_matrices(l: HalfInt, elements) -> np.ndarray:
+    """The matrices of t at the elements by the finite sum, shape
+    (len(elements), 2l+1, 2l+1), from one table of the powers of a, b, c and
+    d per element and the spin's plan.  An element that the route refuses
+    makes the stack raise."""
+    dim, l2 = _dim(l), l.twice
+    tables = [_refusing_overflow(_SUM_POWERS, _entry_powers, A, l2) for A in elements]
+    powers, kinds = _power_pairs(_SUM_POWERS, tables, 4, l2)
+    binomials, columns, active, prefactors, order = _sum_plan(l2)
+    # Entry (0, n) has the one term 1 and the prefactor sqrt(C(2l, l-n)), so the
+    # first refusal is that prefactor's wherever one overflows; and no term
+    # overflows before then, as a term's binomials are at most C(2l, l-m).
+    if prefactors.max() == math.inf:
+        raise RouteUnavailableError(f"{_SUM_PREFACTOR} overflows")
+    out, step = np.empty((dim * dim, len(tables)), dtype=complex), _block(len(tables))
+    with np.errstate(over="ignore", invalid="ignore"):  # a float overflows to inf as in Python, unchecked
+        for s in range(0, dim * dim, step):
+            at = slice(s, s + step)
+            ln, j, lm, mn, start = (column[at] for column in columns)
+            acc = np.zeros((2, len(lm), len(tables)))
+            # Pass r adds term k = start + r of the entries with more than r terms, which
+            # lead the block, so each entry sums its terms in the order of k from 0j.
+            for r, n in enumerate(min(n, s + step) - s for n in active if n > s):
+                k = start[:n] + r
+                lr = (binomials[ln[:n], k] * binomials[j[:n], lm[:n] - k]).astype(float)[:, None]
+                acc[:, :n] += _sum_term(lr, k, lm[:n], ln[:n], mn[:n], powers, kinds)
+            out.real[order[at]], out.imag[order[at]] = _times((prefactors[at, None], 0.0), acc)
+    return _as_stack(out, dim)
 
 
 def sum_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
-    """The whole matrix by the finite sum, from one table of the powers of
-    a, b, c and d and the spin's plan."""
-    dim, out = _dim(l), []
-    powers = _refusing_overflow(_SUM_POWERS, _entry_powers, A, l.twice)
-    _refusing_overflow(_SUM_TERM, _sum_entries, zip(*_sum_plan(l.twice)), powers, out)
-    return WignerMatrix(l, np.reshape(out, (dim, dim)))
+    """The whole matrix by the finite sum: sum_matrices at the one element A."""
+    return WignerMatrix(l, sum_matrices(l, [A])[0])
 
 
 def _quadrant(l2: int):
@@ -344,8 +476,8 @@ _PREFACTORS = {
 
 def _quadrant_row(l2: int, i: int, j: int, f) -> tuple:
     # Quadrant entry (i, j)'s columns of _quadrant_plan: l - m, l - n, m + n,
-    # m - n and (m + n)!, with f(k) = k!.
-    return l2 - i, l2 - j, i + j - l2, i - j, f(i + j - l2)
+    # m - n and (m + n)! as a float (inf past the float range), with f(k) = k!.
+    return l2 - i, l2 - j, i + j - l2, i - j, _overflowing(float, f(i + j - l2))
 
 
 def _row_source(cached, l2: int):
@@ -363,34 +495,26 @@ def _quadrant_plan(l2: int) -> tuple:
     """What every element form reads at spin l2/2 before it sees an element.
 
     Five columns over the quadrant entries in _quadrant order: l - m, l - n,
-    m + n, m - n and (m + n)!.  Then a float column per kind of _PREFACTORS,
-    its rule at each entry or inf where that overflows.  Then the lists of
-    images that entries write: the indices into _IMAGES of an entry's
-    distinct places, each the last image written there, in the order of
-    their first writes; and a column of the list each entry writes.  Then
-    those places, entry by entry and image by image, as flat indices into
-    the matrix.  At l2 = 400 it holds 40,401 entries and 160,801 places,
-    about 2.6 MB.
+    m + n and m - n (int32), and (m + n)! as a float.  Then a float column
+    per kind of _PREFACTORS, its rule at each entry or inf where that
+    overflows.  Then, per image of _IMAGES, the place it writes for each
+    entry, a flat index into the matrix.  At l2 = 400 it holds 40,401
+    entries, about 2.6 MB.
     """
     dim, f = l2 + 1, _factorials(l2)
     c = [f[l2] // (f[k] * f[l2 - k]) for k in range(dim)]
     f, c = f.__getitem__, c.__getitem__
-    columns, prefactors = [*(array("i") for _ in range(4)), []], {kind: array("d") for kind in _PREFACTORS}
-    image_sets, entry_sets, places = [], array("B"), array("i")
+    columns, prefactors = [*(array("i") for _ in range(4)), array("d")], {kind: array("d") for kind in _PREFACTORS}
+    places = [array("i") for _ in _IMAGES]
     for i, j in _quadrant(l2):
-        written = {}
-        for k, (index_map, _, _) in enumerate(_IMAGES.values()):
-            written[index_map(l2, i, j)] = k
-        ks = tuple(written.values())
-        if ks not in image_sets:
-            image_sets.append(ks)
-        entry_sets.append(image_sets.index(ks))
-        places.extend(r * dim + col for r, col in written)
         for column, value in zip(columns, _quadrant_row(l2, i, j, f)):
             column.append(value)
+        for at, (index_map, _, _) in zip(places, _IMAGES.values()):
+            r, col = index_map(l2, i, j)
+            at.append(r * dim + col)
         for kind, rule in _PREFACTORS.items():
             prefactors[kind].append(_overflowing(rule, l2, i, j, f, c))
-    return columns, prefactors, image_sets, entry_sets, places
+    return [*map(np.array, columns)], {kind: np.array(column) for kind, column in prefactors.items()}, np.array(places)
 
 
 # What a closed form refuses where it overflows a float (the element and chart
@@ -404,25 +528,28 @@ _HYP_SERIES = "2F1 route's series 2F1(-(l-m), -(l-n); m+n+1; ad/(bc))"
 _HYP_SYMMETRIC_SERIES = "symmetric 2F1 route's series 2F1(-(l-m), -(l-n); -2l; (bc - ad)/(bc))"
 _JACOBI_SERIES = "Jacobi route's polynomial P_(l-m)^(m+n, m-n)((bc + ad)/(bc - ad))"
 # What a route's powers are, refused where one overflows a float: a complex
-# power raises, and so does an entry product that converts a large int power
-# of integer entries.
+# power raises, and so does an int power of integer entries where the arrays
+# read it as a float.
 _POWERS = "route's power of a, b, c or d"
 _SUM_POWERS = f"finite sum {_POWERS}"
 _JACOBI_POWERS = "Jacobi route's power of a, b, c, d or bc - ad"
 
-# An element form is (tables, quadrant, prefactor kind, what its powers are),
-# in the quadrant m + n >= 0, m - n >= 0 (i + j >= l2, i >= j).  tables(A, l2)
-# is (the powers of a, b, c and d, what A's symmetry images share with A).
-# quadrant(l2, rows, images, common, out, places) computes quadrant entries in
-# the order of rows; a row is an entry's five columns of _quadrant_plan, its
-# value of the plan's prefactor column of the form's kind (inf where it
-# overflows) and the index of its list of images, each given by its powers.
-# It sums the entry's exact series once and writes the entry at each of its
-# images to out at the next of places.  The images of A under SYMMETRIES have
-# A's bc and ad bit for bit (the same products with the factors swapped), so
-# they share its arguments and its series.  An entry whose prefactor is inf is
-# refused in its place among the entry's refusals; a power that overflows, in
-# tables or in an entry, is refused once per build as what its powers are.
+# A quadrant form is (tables, series, prefactor kind, what its powers are,
+# factors, divides), in the quadrant m + n >= 0, m - n >= 0 (i + j >= l2,
+# i >= j).  tables(A, l2) is (the powers of a, b, c and d, what A's symmetry
+# images share with A).  series(l2, rows, commons) lists the exact series of
+# each row at each element, row by row; a row is an entry's first four
+# columns of _quadrant_plan and its value of the plan's prefactor column of
+# the form's kind, and commons holds each element's shared tables.  An entry
+# is its prefactor times its factors, left to right, each (where, column):
+# the power table of entry `where` of the image's element (a, b, c, d = 0 to
+# 3; 4 is the shared powers of bc - ad) at the entry's value of that column;
+# then divided by (m + n)! if the form divides, and times the series.  The
+# images of A under SYMMETRIES have A's bc and ad bit for bit (the same
+# products with the factors swapped), so they share its arguments and its
+# series.  An entry whose prefactor is inf is refused in its place among the
+# entry's refusals; a power that overflows is refused once per build, before
+# any entry, as what its powers are.
 
 
 def _hyp_tables(A: Mat2C, l2: int) -> tuple:
@@ -439,26 +566,27 @@ def _hyp_tables(A: Mat2C, l2: int) -> tuple:
     return _entry_powers(A, l2), (_complex_ratio(z), _complex_ratio(w))
 
 
-def _hyp_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> None:
-    z, row = common[0], _row_source(_hyp2f1_coeffs_cached, l2)
-    for lm, ln, mn, _, mn_factorial, pref, at in rows:
+def _series_at(nums, den: int, args: list) -> list:
+    # The exact series sum_k nums[k] / den z^k at each z of args.
+    return [_exact_series(nums, den, z) for z in args]
+
+
+def _hyp_series(l2: int, rows, commons: list) -> list:
+    args, row, out = [common[0] for common in commons], _row_source(_hyp2f1_coeffs_cached, l2), []
+    for lm, ln, mn, _, pref in rows:
         if pref == math.inf:
             raise RouteUnavailableError(f"{_HYP_PREFACTOR} overflows")
-        coeffs = row(-lm, -ln, mn + 1, min(lm, ln))
-        series = _refusing_overflow(_HYP_SERIES, _exact_series, *coeffs, z)
-        for _, b_pow, c_pow, d_pow in images[at]:
-            out[next(places)] = pref * b_pow[lm] * c_pow[ln] * d_pow[mn] / mn_factorial * series
+        out += _refusing_overflow(_HYP_SERIES, _series_at, *row(-lm, -ln, mn + 1, min(lm, ln)), args)
+    return out
 
 
-def _hyp_symmetric_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> None:
-    w, row = common[1], _row_source(_hyp2f1_coeffs_cached, l2)
-    for lm, ln, mn, _, _, pref, at in rows:
-        coeffs = row(-lm, -ln, -l2, min(lm, ln))
-        series = _refusing_overflow(_HYP_SYMMETRIC_SERIES, _exact_series, *coeffs, w)
+def _hyp_symmetric_series(l2: int, rows, commons: list) -> list:
+    args, row, out = [common[1] for common in commons], _row_source(_hyp2f1_coeffs_cached, l2), []
+    for lm, ln, _, _, pref in rows:
+        out += _refusing_overflow(_HYP_SYMMETRIC_SERIES, _series_at, *row(-lm, -ln, -l2, min(lm, ln)), args)
         if pref == math.inf:
             raise RouteUnavailableError(f"symmetric 2F1 {_BINOMIAL_PREFACTOR} overflows")
-        for _, b_pow, c_pow, d_pow in images[at]:
-            out[next(places)] = pref * b_pow[lm] * c_pow[ln] * d_pow[mn] * series
+    return out
 
 
 def _jacobi_tables(A: Mat2C, l2: int) -> tuple:
@@ -476,49 +604,85 @@ def _jacobi_tables(A: Mat2C, l2: int) -> tuple:
     return _entry_powers(A, l2), ((p - q, r, 2 * q), _powers(bc - ad, l2 // 2))
 
 
-def _jacobi_quadrant(l2: int, rows, images: list, common: tuple, out, places) -> None:
-    (x, diff_pow), row = common, _row_source(_jacobi_coeffs_cached, l2)
-    for lm, ln, mn, mmn, _, pref, at in rows:
-        poly = _refusing_overflow(_JACOBI_SERIES, _exact_series, *row(mn, mmn, lm), x)
+def _jacobi_series(l2: int, rows, commons: list) -> list:
+    args, row, out = [common[0] for common in commons], _row_source(_jacobi_coeffs_cached, l2), []
+    for lm, _, mn, mmn, pref in rows:
+        out += _refusing_overflow(_JACOBI_SERIES, _series_at, *row(mn, mmn, lm), args)
         if pref == math.inf:
             raise RouteUnavailableError(f"{_JACOBI_PREFACTOR} overflows")
-        diff = diff_pow[lm]
-        for _, _, c_pow, d_pow in images[at]:
-            out[next(places)] = pref * c_pow[mmn] * d_pow[mn] * diff * poly
+    return out
 
 
-_HYP = (_hyp_tables, _hyp_quadrant, "2F1", f"2F1 {_POWERS}")
-_HYP_SYMMETRIC = (_hyp_tables, _hyp_symmetric_quadrant, "binomial", f"symmetric 2F1 {_POWERS}")
-_JACOBI = (_jacobi_tables, _jacobi_quadrant, "jacobi", _JACOBI_POWERS)
+# Factors b^(l-m) c^(l-n) d^(m+n) of the 2F1 forms, c^(m-n) d^(m+n) (bc - ad)^(l-m) of the Jacobi form.
+_BCD, _CD_DIFF = ((1, 0), (2, 1), (3, 2)), ((2, 3), (3, 2), (4, 0))
+_HYP = (_hyp_tables, _hyp_series, "2F1", f"2F1 {_POWERS}", _BCD, True)
+_HYP_SYMMETRIC = (_hyp_tables, _hyp_symmetric_series, "binomial", f"symmetric 2F1 {_POWERS}", _BCD, False)
+_JACOBI = (_jacobi_tables, _jacobi_series, "jacobi", _JACOBI_POWERS, _CD_DIFF, False)
 
 
-def _element_matrix(l: HalfInt, A: Mat2C, form) -> WignerMatrix:
-    # The whole matrix by an element form from the spin's plan: each quadrant
-    # entry's series once, and its entry at each of its distinct places.
-    tables, quadrant, kind, what = form
+def _quadrant_tables(l2: int, elements: list, form) -> tuple:
+    # What a quadrant form reads of each element: the pairs and kinds
+    # (_power_pairs) of the powers of a, b, c and d, and of bc - ad as a fifth
+    # table (0 past l - m = l) where the form reads them; and what the element
+    # shares with its symmetry images.
+    tables, _, _, what, factors, _ = form
+    built = [_refusing_overflow(what, tables, A, l2) for A in elements]
+    commons = [common for _, common in built]
+    powers, kinds = _power_pairs(what, [table for table, _ in built], 4, l2)
+    if any(where == 4 for where, _ in factors):
+        diff, diff_kinds = _power_pairs(what, [[common[1]] for common in commons], 1, l2 // 2)
+        powers = np.concatenate([powers, np.zeros_like(powers[:, :1])], axis=1)
+        powers[:, 4, : l2 // 2 + 1] = diff[:, 0]
+        kinds = np.concatenate([kinds, diff_kinds])
+    return powers, kinds, commons
+
+
+def _factors(form, powers, kinds, image, columns) -> list:
+    # The pairs and kinds of a quadrant form's factors: factor (where, column)
+    # reads table image[where] of _quadrant_tables at the entries' values of
+    # the column.  image and columns are arrays for a block of a stack, ints
+    # for one entry.
+    return [(powers[:, image[where], columns[column]], kinds[image[where]]) for where, column in form[4]]
+
+
+def _element_stack(l: HalfInt, elements, form) -> np.ndarray:
+    # The matrices of a quadrant form at the elements from the spin's plan:
+    # each quadrant entry's series once per element, and its entry at each
+    # image of _IMAGES in order, so a place that two images write keeps the
+    # last; a block of the quadrant at a time.
     dim, l2 = _dim(l), l.twice
-    powers, common = _refusing_overflow(what, tables, A, l2)
-    columns, prefactors, image_sets, entry_sets, places = _quadrant_plan(l2)
-    by_image = [[powers[k] for k in order] for _, order, _ in _IMAGES.values()]
-    images = [[by_image[k] for k in ks] for ks in image_sets]
-    out = np.empty(dim * dim, dtype=complex)
-    rows = zip(*columns, prefactors[kind], entry_sets)
-    _refusing_overflow(what, quadrant, l2, rows, images, common, out, iter(places))
-    return WignerMatrix(l, out.reshape(dim, dim))
+    columns, prefactors, places = _quadrant_plan(l2)
+    powers, kinds, commons = _quadrant_tables(l2, list(elements), form)
+    images = np.array([(*order, 4) for _, order, _ in _IMAGES.values()]).T[..., None]  # each image's tables
+    out, step = np.empty((dim * dim, len(commons)), dtype=complex), _block(len(commons))
+    with np.errstate(over="ignore", invalid="ignore"):  # a float overflows to inf as in Python, unchecked
+        for s in range(0, len(places[0]), step):
+            at = slice(s, s + step)
+            block, pref = [column[at] for column in columns], prefactors[form[2]][at]
+            rows = zip(*(column.tolist() for column in block[:4]), pref.tolist())
+            series = _pairs(form[1](l2, rows, commons)).reshape(2, len(pref), len(commons))
+            factors = _factors(form, powers, kinds, images, block)
+            values = _chain(pref[:, None], factors, block[4][:, None] if form[5] else None, series)
+            for part, value in zip((out.real, out.imag), values):
+                for image_places, image in zip(places[:, at], value):
+                    part[image_places] = image
+    return _as_stack(out, dim)
 
 
 def _element_entry(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C, form) -> complex:
-    # Entry (m, n) of _element_matrix(l, A, form), bit for bit: its quadrant
-    # entry's row of the plan, computed alone, at the image that _fold picks.
-    tables, quadrant, kind, what = form
+    # Entry (m, n) of _element_stack(l, [A], form), bit for bit: its quadrant
+    # entry's row of the plan, computed alone, at the image that _fold picks,
+    # by the stack's arithmetic on that entry's floats.
     l2 = l.twice
     which, i, j = _fold(l2, _index(l, m), _index(l, n))
-    powers, common = _refusing_overflow(what, tables, A, l2)
-    pref = _overflowing(_PREFACTORS[kind], l2, i, j, factorial, partial(comb, l2))
-    row = (*_quadrant_row(l2, i, j, factorial), pref, 0)
-    out = [None]
-    _refusing_overflow(what, quadrant, l2, [row], [[[powers[k] for k in _IMAGES[which][1]]]], common, out, iter([0]))
-    return _finite(out[0])
+    row = _quadrant_row(l2, i, j, factorial)
+    pref = _overflowing(_PREFACTORS[form[2]], l2, i, j, factorial, partial(comb, l2))
+    powers, kinds, commons = _quadrant_tables(l2, [A], form)
+    (series,) = form[1](l2, [(*row[:4], pref)], commons)
+    factors = _factors(form, powers[..., 0], kinds[:, 0], (*_IMAGES[which][1], 4), row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = _chain(pref, factors, row[4] if form[5] else None, (series.real, series.imag))
+    return _finite(complex(re, im))
 
 
 def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
@@ -532,11 +696,17 @@ def tmn_hyp(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     return _element_entry(l, m, n, A, _HYP)
 
 
+def hyp_matrices(l: HalfInt, elements) -> np.ndarray:
+    """The matrices of t at the elements by the terminating 2F1 form in
+    ad/(bc), shape (len(elements), 2l+1, 2l+1), each entry folded onto the
+    quadrant m + n >= 0, m - n >= 0 by the index symmetry that reaches it.
+    An element that the route refuses makes the stack raise."""
+    return _element_stack(l, elements, _HYP)
+
+
 def hyp_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
-    """The whole matrix by the terminating 2F1 form in ad/(bc), each entry
-    folded onto the quadrant m + n >= 0, m - n >= 0 by the index symmetry that
-    reaches it; each quadrant series is summed once."""
-    return _element_matrix(l, A, _HYP)
+    """The whole matrix by the terminating 2F1 form: hyp_matrices at the one element A."""
+    return WignerMatrix(l, hyp_matrices(l, [A])[0])
 
 
 def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
@@ -546,9 +716,14 @@ def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     return _element_entry(l, m, n, A, _HYP_SYMMETRIC)
 
 
+def hyp_symmetric_matrices(l: HalfInt, elements) -> np.ndarray:
+    """The matrices of t at the elements by the symmetric 2F1 form, folded as hyp_matrices are."""
+    return _element_stack(l, elements, _HYP_SYMMETRIC)
+
+
 def hyp_symmetric_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
-    """The whole matrix by the symmetric 2F1 form, folded as hyp_matrix is."""
-    return _element_matrix(l, A, _HYP_SYMMETRIC)
+    """The whole matrix by the symmetric 2F1 form: hyp_symmetric_matrices at the one element A."""
+    return WignerMatrix(l, hyp_symmetric_matrices(l, [A])[0])
 
 
 def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
@@ -561,12 +736,15 @@ def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     return _element_entry(l, m, n, A, _JACOBI)
 
 
+def jacobi_matrices(l: HalfInt, elements) -> np.ndarray:
+    """The matrices of t at the elements by the Jacobi form, folded as
+    hyp_matrices are; an element with bc = ad is refused."""
+    return _element_stack(l, elements, _JACOBI)
+
+
 def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
-    """The whole matrix by the Jacobi form, each entry folded onto the
-    quadrant m + n >= 0, m - n >= 0 by the index symmetry that reaches it;
-    each quadrant polynomial is summed once.  Raises RouteUnavailableError
-    when bc = ad."""
-    return _element_matrix(l, A, _JACOBI)
+    """The whole matrix by the Jacobi form: jacobi_matrices at the one element A."""
+    return WignerMatrix(l, jacobi_matrices(l, [A])[0])
 
 
 # The index symmetries t^l_{m,n}(A) = t^l_{m',n'}(A'), each as its map on the

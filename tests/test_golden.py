@@ -9,7 +9,9 @@ thread and at the default thread count.  numpy's CPU feature level is the
 one source left: the oracle's dmat bytes hold down to numpy's AVX2 level, not
 below it.
 """
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -291,6 +293,29 @@ print(hashlib.sha256(jacobi_rows(params, np.array({nodes})).tobytes()).hexdigest
 """
 
 
+# The four element stacks at l_x2 0-6 over the routes suite's samples at seed
+# 0.  Their complex products are written as real products and sums, so their
+# bytes hold below X86_V3, where numpy stops fusing complex ufuncs with FMA.
+ELEMENT_BLOCK = """
+from wignerkit.exactcomb import HalfInt
+from wignerkit.group import sample_haar
+from wignerkit.verify import sample_gl2
+from wignerkit.wigner import hyp_matrices, hyp_symmetric_matrices, jacobi_matrices, sum_matrices
+samples = sample_haar(0, 20) + sample_gl2(1, 10)
+builders = (sum_matrices, hyp_matrices, hyp_symmetric_matrices, jacobi_matrices)
+stacks = [build(HalfInt(l2), samples) for build in builders for l2 in range(7)]
+print(hashlib.sha256(b"".join(stack.tobytes() for stack in stacks)).hexdigest())
+"""
+
+
+def element_hash():
+    # What ELEMENT_BLOCK prints, run in this interpreter at numpy's default feature level.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec("import hashlib" + ELEMENT_BLOCK, {})
+    return out.getvalue().strip()
+
+
 def exact_hash(params, nodes):
     # The sha256 of the scalar jacobi_eval values, row r at nodes[r].
     values = np.array([[jacobi_eval(p, x) for x in row] for p, row in zip(params, nodes)])
@@ -305,8 +330,8 @@ def test_chart_route_stdout_is_the_same_without_avx2():
     rules = [gauss_legendre((2 * 8 + al + be) // 2 + 1)[0] for al, be in blocks]
     nodes = np.repeat([x[np.minimum(np.arange(13), len(x) - 1)] for x in rules], 9, axis=0).tolist()
     weighted = exact_hash([JacobiParams(al, be, n) for al, be in blocks for n in range(9)], nodes)
-    script = RUN_AND_HASH + REFLECTION_BLOCK + WEIGHTED_BLOCK.format(nodes=nodes)
-    assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS, script, [reflection, weighted])
+    script = RUN_AND_HASH + REFLECTION_BLOCK + WEIGHTED_BLOCK.format(nodes=nodes) + ELEMENT_BLOCK
+    assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS, script, [reflection, weighted, element_hash()])
 
 
 # The Haar angles are drawn with math.acos, one sample at a time, so every

@@ -4,7 +4,6 @@ import copy
 import json
 import math
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +45,22 @@ def test_all_builds_one_grid_for_schur_and_character(monkeypatch):
     ]
     assert report["checks"] == expected
     assert report["passed"]
+
+
+def test_character_suite_builds_the_largest_stack_first(monkeypatch):
+    # As schur_checks does, so that a stack's build meets the fewest other
+    # stacks: at --max-l-x2 12 the suite peaked at 158 MB, smallest first.
+    max_l = HalfInt(4)
+    want = verify.suite_character(max_l, haar.build_grid(max_l))
+    expand, built = haar._oracle_expand, []
+
+    def recording(l, powers):
+        built.append(l.twice)
+        return expand(l, powers)
+
+    monkeypatch.setattr(haar, "_oracle_expand", recording)
+    assert verify.suite_character(max_l, haar.build_grid(max_l)) == want
+    assert built == list(range(max_l.twice, -1, -1))
 
 
 def test_all_runs_krawtchouk_sym_once(monkeypatch):
@@ -141,12 +156,12 @@ def test_magnitudes_are_abs_of_a_complex_bit_for_bit():
 
 
 def filled(value):
-    # A stand-in element builder whose every entry is value (a WignerMatrix holds only finite ones).
-    return lambda l, A: SimpleNamespace(entries=np.full((l.twice + 1, l.twice + 1), value))
+    # A stand-in element stack builder whose every entry is value (a real stack holds only finite ones).
+    return lambda l, elements: np.full((len(elements), l.twice + 1, l.twice + 1), value)
 
 
 def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "hyp_matrix", filled(complex(math.nan, math.nan)))
+    monkeypatch.setattr(verify, "hyp_matrices", filled(complex(math.nan, math.nan)))
     report = verify.run_suite("routes", HalfInt(2), 0)
     checks = {chk["check"]: chk for chk in report["checks"]}
     assert checks["terminating-2f1-vs-oracle"]["max_deviation"] is None
@@ -160,7 +175,7 @@ def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
 
 def test_a_failing_run_prints_strict_json(monkeypatch, capsys):
     # NaN, Infinity and -Infinity are not JSON; a strict parser refuses them.
-    monkeypatch.setattr(verify, "hyp_matrix", filled(complex(math.inf, 0.0)))
+    monkeypatch.setattr(verify, "hyp_matrices", filled(complex(math.inf, 0.0)))
     assert main(["verify", "--suite", "routes", "--max-l-x2", "1"]) == 1
 
     def refuse(constant):
