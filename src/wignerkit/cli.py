@@ -85,14 +85,16 @@ def _render_dmat(record: dict, M: WignerMatrix) -> str:
     placeholder.  json writes a finite float as float.__repr__ does, and
     WignerMatrix holds only finite entries.
 
-    floatrepr.write_reprs writes the parts with the digits of
-    float.__repr__, without a Python call per value; it leaves the few
-    values it cannot decide with a wide margin to float.__repr__.  It takes
-    _CHUNK_VALUES parts at a time, in whole rows, and ends each part with a
-    separator byte: after a real part, after an imaginary part, or after a
-    row.  bytes.replace turns the separators of a chunk into the list
-    punctuation and indentation, and the chunk is decoded at once, so only
-    the final join holds a copy of the whole text.
+    floatrepr.write_reprs writes _CHUNK_VALUES parts at a time, in whole
+    rows, with the digits of float.__repr__ and no Python call per value
+    (the few values its kernel cannot decide with a wide margin take
+    float.__repr__).  Each part is a row of four 8-byte words, each taken
+    from a small table: a prefix (sign, lead digit, point), two words of
+    digits, and a suffix (the exponent and a separator byte: after a real
+    part, after an imaginary part, or after a row); one bytes.translate
+    deletes the padding between them.  bytes.replace turns the separators of
+    a chunk into the list punctuation and indentation, and the chunk is
+    decoded at once, so only the final join holds a copy of the whole text.
     """
     i0, i1, i2, i3 = ("\n" + " " * k for k in (4, 6, 8, 10))
     dim = M.entries.shape[0]

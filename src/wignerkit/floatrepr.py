@@ -17,11 +17,15 @@ once, in the line of Ryu (Adams, PLDI 2018) and Schubfach (Giulietti, 2020):
   multiple of 10**(17 - n) lies in that interval; the interval is
   symmetric, so the nearest n-digit decimal, Y + F rounded at 10**(17 - n),
   is one.  The smallest such n is repr's digit count.
-- *Layout.*  Each value's characters are gathered from a small byte row (a
-  sign, 17 digits from a 4-digit ASCII table, '.', '0', 'e', the exponent
-  and the separator) through one layout row per (notation, digit count):
-  fixed for decimal exponents -4..15, otherwise scientific with a sign and
-  at least two exponent digits, as repr does.
+- *Layout.*  Each value is a row of four uint64 words, each taken from a
+  small table built at import: a prefix by (notation, sign, lead digit,
+  point), with "0." and zeros at fixed exponents -1..-4; digits 2-17 in two
+  words from the ASCII of 0000..9999, ORed with a row by digit count that
+  turns the digits past it into filler; and a suffix by exponent, "e-05",
+  "e+100" or filler, with the separator ORed into byte 5.  Fixed exponents
+  1..15 shift the point into the digit words, on their subset only.  Tables
+  and rows are little-endian ("<u8"), so the text does not depend on the
+  host's byte order; one bytes.translate deletes the filler.
 - *Fallback.*  A value the kernel cannot decide with a wide margin gets its
   digits from ``float.__repr__``: an interval end within 1e-6 (in units of
   the 17th digit) of an integer, where a candidate could sit on it and
@@ -29,7 +33,7 @@ once, in the line of Ryu (Adams, PLDI 2018) and Schubfach (Giulietti, 2020):
   power-of-two mantissa, whose interval is lopsided; or |x| outside
   [1e-280, 1e280], beyond the table.  Zeros are written directly.
 
-NaN and infinity are not accepted.
+NaN, infinity, a 2-d array and the separator 0x7F are refused with a ValueError.
 """
 from __future__ import annotations
 
@@ -71,56 +75,53 @@ _POW10 = _pow10_table()
 # 10**(17 - n) for n = 1..17: the rounding step of an n-digit decimal.
 _STEP = 10 ** np.arange(16, -1, -1, dtype=np.int64)
 
-
-def _quad_table() -> np.ndarray:
-    """The ASCII of 0000..9999, four bytes per number, as one native uint32
-    each."""
-    digit = np.arange(48, 58, dtype=np.uint8)
-    quad = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-    quad[..., 0] = digit[:, None, None, None]
-    quad[..., 1] = digit[:, None, None]
-    quad[..., 2] = digit[:, None]
-    quad[..., 3] = digit
-    return quad.reshape(10000, 4).view(np.uint32)[:, 0]
+_FILLER = 0x7F  # padding in the word rows, deleted before the text is returned
+# Shifts as uint64: numpy 1.x makes a float64 of uint64 op int64.
+_B8, _B16, _B24, _B32, _B40, _B56 = (np.uint64(bits) for bits in (8, 16, 24, 32, 40, 56))
+_E_MIN = -324  # the doubles' decimal exponents run from -324 to 308
+_E = np.arange(_E_MIN, 309)
+_FIXED = (_E >= -4) & (_E <= 15)  # where repr writes fixed notation
 
 
-_QUAD = _quad_table()
-
-# A value's source row: byte slots that the layout rows gather from.
-_E, _DOT, _ZERO, _DIGITS, _SIGN, _EXP_SIGN, _SEP, _FILL, _EXP = 0, 1, 2, 3, 20, 21, 22, 23, 24
-_WIDTH = 28  # _EXP holds four exponent digits, the first always 0
-_FILLER = 0x7F  # padding in the gathered text, deleted before it is returned
-_SOURCE = np.full(_WIDTH, _FILLER, dtype=np.uint8)
-_SOURCE[[_E, _DOT, _ZERO]] = list(b"e.0")
-# Notations: fixed at decimal exponents -4..15, then scientific with a two-
-# and with a three-digit exponent.
-_FIXED_MIN, _FIXED_MAX = -4, 15
-_SCI2, _SCI3 = _FIXED_MAX - _FIXED_MIN + 1, _FIXED_MAX - _FIXED_MIN + 2
-# The longest text, "-1.2345678901234567e-100", and its separator; shorter
-# layout rows are padded with the filler slot.
-_TEXT_MAX = 25
-_DIGIT_SLOTS = bytes(range(_DIGITS, _DIGITS + 17))
+def _words(text) -> np.ndarray:
+    """Rows of 8k bytes as rows of k words, each its 8 bytes read little-endian."""
+    return np.ascontiguousarray(text, dtype=np.uint8).view("<u8").astype(np.uint64)
 
 
-def _layout_row(notation: int, n: int) -> bytes:
-    """The source slot of each character of a value's text, then filler."""
-    dot, zero = bytes([_DOT]), bytes([_ZERO])
-    if notation < _SCI2:
-        e = notation + _FIXED_MIN
-        if e >= 0:  # the digit slots past n hold '0'
-            text = _DIGIT_SLOTS[: e + 1] + dot + (_DIGIT_SLOTS[e + 1 : n] or zero)
-        else:
-            text = zero + dot + zero * (-e - 1) + _DIGIT_SLOTS[:n]
-    else:
-        text = _DIGIT_SLOTS[:1] + (dot + _DIGIT_SLOTS[1:n] if n > 1 else b"") + bytes([_E, _EXP_SIGN])
-        text += bytes(range(_EXP + (2 if notation == _SCI2 else 1), _EXP + 4))
-    return (bytes([_SIGN]) + text + bytes([_SEP])).ljust(_TEXT_MAX, bytes([_FILL]))
+_QUAD = np.arange(48, 58, dtype=np.uint64)  # the ASCII of 0000..9999, in the low and the high half of a word
+_QUAD = (_QUAD[:, None, None, None] | _QUAD[:, None, None] << _B8 | _QUAD[:, None] << _B16 | _QUAD << _B24).ravel()
+_QUAD = np.stack([_QUAD, _QUAD << _B32])
+# Rows over the 16 bytes of the two digit words.
+_MASK = _words((1 - np.tri(17, 16, -1)) * _FILLER)  # row n: filler over bytes n..15 (0x3X | 0x7F is 0x7F)
+_KEEP = _words(np.tri(16, k=-1) * 0xFF)  # row p: every bit of bytes 0..p-1
+_DOT = _words(np.eye(16) * ord("."))  # row p: '.' in byte p
+_SEP = np.arange(256, dtype=np.uint64) << _B40
+
+# Prefix row ((form * 2 + negative) * 2 + point) * 10 + d, for lead digit d and a point if more digits
+# follow; forms: scientific, fixed at exponent 0, at -1..-4 and at 1..15 (point in the digit words).
+_FORMS = ((b"d", b"d."), (b"d.0", b"d."), *((b"0." + b"0" * k + b"d",) * 2 for k in range(4)), (b"d", b"d"))
+_FORM_AT = 40 * np.where(_E > 0, 6, 1 - _E) * _FIXED  # by exponent: 40 * form
 
 
-# Row notation * 17 + n - 1.
-_LAYOUT = np.frombuffer(
-    b"".join(_layout_row(notation, n) for notation in range(_SCI3 + 1) for n in range(1, 18)), np.uint8
-).reshape(-1, _TEXT_MAX).astype(np.intp)
+def _prefix_table() -> np.ndarray:
+    heads = b"".join((sign + head).ljust(8, b"\x7f") for pair in _FORMS for sign in (b"", b"-") for head in pair)
+    text = np.frombuffer(heads, dtype=np.uint8).reshape(-1, 1, 8)
+    return _words(np.where(text == ord("d"), np.arange(48, 58)[:, None], text).reshape(-1, 8))[:, 0]
+
+
+def _suffix_table() -> np.ndarray:
+    """Row e - _E_MIN: repr's exponent ("e-05", "e+100"), or filler for a
+    fixed exponent, in bytes 0-4, then 0 for the separator and filler."""
+    text = np.full((_E.size, 8), _FILLER, dtype=np.uint8)
+    text[:, :2] = np.where(_E < 0, ord("-"), ord("+"))[:, None]
+    text[:, 0], text[:, 5] = ord("e"), 0
+    text[:, 2:5] = 48 + np.abs(_E)[:, None] // [100, 10, 1] % 10
+    text[np.abs(_E) < 100, 2] = _FILLER
+    text[_FIXED, :5] = _FILLER
+    return _words(text)[:, 0]
+
+
+_PREFIX, _SUFFIX = _prefix_table(), _suffix_table()
 
 
 def _scaled(ax: np.ndarray, k: np.ndarray):
@@ -189,7 +190,9 @@ def _shortest(x: np.ndarray):
     zero = x == 0
     digits[zero], k[zero], count[zero] = 0, 0, 1
     undecided = ~(decided | zero)
-    for i in np.flatnonzero(undecided):
+    for i in np.flatnonzero(undecided):  # every NaN and infinity lands here
+        if not np.isfinite(x[i]):
+            raise ValueError(f"write_reprs takes finite values, got values[{i}] = {x[i]}")
         digits[i], k[i], count[i] = _repr_digits(abs(float(x[i])))
     return digits, k, count, undecided
 
@@ -209,22 +212,29 @@ def write_reprs(values: np.ndarray, seps: np.ndarray) -> bytes:
     for a 1-d float64 array of finite values and a uint8 array of separator
     bytes, any but 0x7F."""
     x = np.ascontiguousarray(values, dtype=np.float64)
+    seps = np.asarray(seps)
+    if x.ndim != 1 or seps.shape != x.shape:
+        raise ValueError(f"write_reprs takes a 1-d array and one separator each, got shapes {x.shape}, {seps.shape}")
+    if (seps == _FILLER).any():
+        raise ValueError(f"write_reprs takes no separator 0x7F, its filler byte: seps[{np.argmax(seps == _FILLER)}]")
     digits, e, count, _ = _shortest(x)
-    source = np.empty((len(x), _WIDTH), dtype=np.uint8)
-    source[:] = _SOURCE
-    quads = source.view(np.uint32)
-    lead = digits // 10**16
-    source[:, _DIGITS] = lead + 48
-    rest = digits - lead * 10**16
-    # Digits 2-17 fill bytes 4-19, the uint32 words 1-4.
-    for word, power in zip(range(1, 5), (10**12, 10**8, 10**4, 1)):
-        quads[:, word] = _QUAD[rest // power % 10000]
-    quads[:, _EXP // 4] = _QUAD[np.abs(e)]
-    source[:, _SIGN] = np.where(np.signbit(x), ord("-"), _FILLER)
-    source[:, _EXP_SIGN] = np.where(e < 0, ord("-"), ord("+"))
-    source[:, _SEP] = seps
-    fixed = (e >= _FIXED_MIN) & (e <= _FIXED_MAX)
-    notation = np.where(fixed, e - _FIXED_MIN, np.where(np.abs(e) < 100, _SCI2, _SCI3))
-    at = _LAYOUT.take(notation * 17 + count - 1, axis=0)
-    at += np.arange(0, source.size, _WIDTH)[:, None]  # in place: a fresh array this size costs more
-    return source.ravel().take(at).tobytes().translate(None, bytes([_FILLER]))
+    at = e - _E_MIN
+    top = digits // 10**8
+    lead = top // 10**8
+    high, low = top - lead * 10**8, digits - top * 10**8  # digits 2-9 and 10-17
+    kept = count - 1  # digits written after the lead
+    integral = np.flatnonzero((e > 0) & (e < 16))  # fixed notation with two or more integer digits
+    kept[integral] = np.maximum(kept[integral], e[integral] + 1)
+    words = np.empty((len(x), 4), dtype=np.uint64)
+    words[:, 0] = _PREFIX.take(_FORM_AT.take(at) + np.signbit(x) * 20 + (count > 1) * 10 + lead)
+    for word, half in ((1, high), (2, low)):
+        quad = half // 10**4
+        words[:, word] = _QUAD[0].take(quad) | _QUAD[1].take(half - quad * 10**4) | _MASK[:, word - 1].take(kept)
+    words[:, 3] = _SUFFIX.take(at) | _SEP.take(seps)
+    if integral.size:  # the point after digit e + 1 shifts the digits' last byte into the suffix
+        text, keep = words[integral, 1:3], _KEEP[e[integral]]
+        move = text & ~keep
+        words[integral, 1:3] = text & keep | move << _B8 | _DOT[e[integral]]
+        words[integral, 2] |= move[:, 0] >> _B56
+        words[integral, 3] = words[integral, 3] >> _B8 << _B8 | text[:, 1] >> _B56
+    return words.astype("<u8", copy=False).tobytes().translate(None, b"\x7f")

@@ -5,12 +5,15 @@ The draws force in every class the kernel leaves to float.__repr__ or
 decides next to a format boundary: raw bit patterns, subnormals, powers of
 two, exact integers, decimal midpoints, neighbours of the powers of ten, and
 the neighbours of 1e-5, 1e-4 and 1e16, where repr switches between fixed
-and scientific notation.
+and scientific notation.  A deterministic sweep writes every decimal
+exponent with every digit count, lead digit and sign.
 """
 import math
+import re
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,3 +90,48 @@ def test_zeros_separators_and_strides():
     for values, marks in ((x, seps), (x[::3], seps[::3]), (x[:0], seps[:0])):
         want = b"".join(repr(v).encode() + bytes([s]) for v, s in zip(values.tolist(), marks.tolist()))
         assert floatrepr.write_reprs(values, marks) == want
+
+
+def test_every_exponent_digit_count_lead_and_sign():
+    # n digits, each lead digit followed by the first n - 1 of pi's, at every
+    # decimal exponent of the doubles: every count at every normal exponent
+    # (fixed 1..15 with fewer digits than the integer part, "123.0", among
+    # them), three-digit exponents and subnormals.  Texts past the largest
+    # double read as inf and are dropped; below the smallest they read as 0.
+    tail = "3141592653589793"
+    texts = (f"{lead}.{tail[: n - 1]}e{k}" for k in range(-324, 309) for n in range(1, 18) for lead in "123456789")
+    magnitudes = [v for v in map(float, texts) if math.isfinite(v)]
+    x = np.array(magnitudes + [-v for v in magnitudes])
+    seps = np.resize(np.array([0, 1, 2, ord("\n")], dtype=np.uint8), len(x))
+    want = b"".join(repr(v).encode() + bytes([s]) for v, s in zip(x.tolist(), seps.tolist()))
+    assert floatrepr.write_reprs(x, seps) == want
+    # What the sweep reaches: every exponent (each suffix row), every count at
+    # every normal exponent (each digit mask in each notation), and every
+    # prefix (notation, sign, lead digit, point); zeros lead with 0.
+    digits, e, count, _ = floatrepr._shortest(x)
+    assert set(e[x != 0].tolist()) == set(range(-324, 309))
+    reached = set(zip(e.tolist(), count.tolist()))
+    assert all((k, n) in reached for k in range(-307, 309) for n in range(1, 18))
+    notation = np.where((e >= -4) & (e <= 0), e, np.where((e > 0) & (e < 16), 1, 2))
+    prefixes = set(zip(notation.tolist(), np.signbit(x).tolist(), (digits // 10**16).tolist(), (count > 1).tolist()))
+    assert prefixes >= {(f, s, d, p) for f in range(-4, 3) for s in (0, 1) for d in range(1, 10) for p in (0, 1)}
+    assert {(0, 0, 0, 0), (0, 1, 0, 0)} <= prefixes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_value_is_refused(bad):
+    with pytest.raises(ValueError, match=r"finite values, got values\[1\] = "):
+        floatrepr.write_reprs(np.array([1.0, bad, 2.0]), np.zeros(3, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("shape, sep_shape", [((2, 2), (2, 2)), ((2, 2), (4,)), ((3,), (2,))])
+def test_values_not_one_per_separator_on_a_1d_array_are_refused(shape, sep_shape):
+    message = f"1-d array and one separator each, got shapes {shape}, {sep_shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        floatrepr.write_reprs(np.ones(shape), np.zeros(sep_shape, dtype=np.uint8))
+
+
+def test_the_filler_byte_is_refused_as_a_separator():
+    # 0x7F pads the word rows and is deleted from the text, so it would vanish.
+    with pytest.raises(ValueError, match=r"no separator 0x7F, its filler byte: seps\[1\]"):
+        floatrepr.write_reprs(np.array([1.0, 2.0, 3.0]), np.array([0, 0x7F, 1], dtype=np.uint8))
