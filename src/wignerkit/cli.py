@@ -21,7 +21,19 @@ takes only the flags it reads: dmat exactly one source, --theta (with --phi
 and --psi, 0 when absent) or --matrix; poly the flags of its family.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-error, 3 numeric domain error (a ValueError or an ArithmeticError).
+error, 3 numeric domain error (a ValueError or an ArithmeticError), 141
+(EXIT_BROKEN_PIPE, as for SIGPIPE) when the reader of a stdout pipe closes
+it before the text is written: main then stops writing, points the
+descriptor at the null device so that the interpreter's last flush stays
+silent, and prints nothing to stderr.  A stdout that is not the process's
+own, such as an in-process caller's buffer, gets the BrokenPipeError.
+
+Each command's handler returns its text as pieces and its exit code, and
+main writes the pieces in order, then a newline.  A dmat matrix is its
+record's head, one piece per chunk of the matrix text and the record's
+tail, so no string holds the whole matrix.  A handler computes whatever can
+raise (the route, the finite check, the rendered head) before it returns,
+so a domain error prints only its error record.
 
 There is one argument parser per process (PARSER), built from build_parser()
 when this module is imported, and main parses with it.  A usage error that
@@ -36,8 +48,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -66,6 +80,8 @@ _FAMILIES = {
     "krawtchouk": (("n", "x", "p", "N"), lambda n, x, p, N: krawtchouk(n, x, p, N), "terminating-2f1"),
     "legendre": (("n", "x"), lambda n, x: legendre(n, x), "jacobi-terminating-series"),
 }
+# main's status when stdout is a pipe that its reader closed, as for SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 MAX_VERIFY_L_X2 = 12
 # dmat prints about 84 bytes per entry: 13.6 MB at this spin, 55 MB at 800.
 MAX_DMAT_L_X2 = 400
@@ -74,16 +90,18 @@ MAX_DMAT_L_X2 = 400
 _CHUNK_VALUES = 4096
 
 
-def _render_dmat(record: dict, M: WignerMatrix) -> str:
-    """_render(record) with M added as record["result"]["matrix"], complex
-    entries as [re, im] pairs.
+def _render_dmat(record: dict, M: WignerMatrix) -> Iterator[str]:
+    """The text of _render(record) with M added as record["result"]["matrix"],
+    complex entries as [re, im] pairs, as pieces: the record up to the
+    matrix, the matrix one chunk at a time, and the rest of the record.
 
     json.dumps with an indent runs its pure-Python encoder, which is slow for
     (2l+1)^2 pairs.  So the matrix text is written here, in the text
     json.dumps(indent=2) gives a list at its depth (record -> "result" ->
-    "matrix"), and spliced into the rendered record in place of a
+    "matrix"), between the pieces of the record rendered around a
     placeholder.  json writes a finite float as float.__repr__ does, and
-    WignerMatrix holds only finite entries.
+    WignerMatrix holds only finite entries.  The record is rendered before
+    this returns, so whatever can raise has raised before the first piece.
 
     floatrepr.write_reprs writes _CHUNK_VALUES parts at a time, in whole
     rows, with the digits of float.__repr__ and no Python call per value
@@ -94,7 +112,8 @@ def _render_dmat(record: dict, M: WignerMatrix) -> str:
     part, after an imaginary part, or after a row); one bytes.translate
     deletes the padding between them.  bytes.replace turns the separators of
     a chunk into the list punctuation and indentation, and the chunk is
-    decoded at once, so only the final join holds a copy of the whole text.
+    decoded at once into a piece of its own.  Nothing is spliced or joined:
+    no piece holds more than one chunk, and no string the whole matrix.
     """
     i0, i1, i2, i3 = ("\n" + " " * k for k in (4, 6, 8, 10))
     dim = M.entries.shape[0]
@@ -103,31 +122,33 @@ def _render_dmat(record: dict, M: WignerMatrix) -> str:
     slot = "<matrix>"
     head, _, tail = _render({**record, "result": {**record["result"], "matrix": slot}}).partition(json.dumps(slot))
     punctuation = (
-        (b"\0", "," + i3),
-        (b"\1", i2 + "]," + i2 + "[" + i3),
-        (b"\2", i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3),
+        (b"\0", ("," + i3).encode()),
+        (b"\1", (i2 + "]," + i2 + "[" + i3).encode()),
+        (b"\2", (i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3).encode()),
     )
-    row_seps = np.tile(np.array([0, 1], dtype=np.uint8), dim)
-    row_seps[-1] = 2
     rows = max(1, _CHUNK_VALUES // (2 * dim))
-    parts = [head, "[" + i1 + "[" + i2 + "[" + i3]
-    for start in range(0, dim, rows):
-        block = values[start : start + rows]
-        chunk = write_reprs(block.ravel(), np.tile(row_seps, len(block)))
-        if start + rows >= dim:
-            chunk = chunk[:-1]  # the last row closes the matrix instead
-        for sep, text in punctuation:
-            chunk = chunk.replace(sep, text.encode())
-        parts.append(chunk.decode())
-    parts += [i2 + "]" + i1 + "]" + i0 + "]", tail]
-    return "".join(parts)
+    seps = np.tile(np.array([0, 1], dtype=np.uint8), rows * dim)
+    seps[2 * dim - 1 :: 2 * dim] = 2
+
+    def pieces() -> Iterator[str]:
+        yield head + "[" + i1 + "[" + i2 + "[" + i3
+        for start in range(0, dim, rows):
+            block = values[start : start + rows].ravel()
+            chunk = write_reprs(block, seps[: block.size])
+            if start + rows >= dim:
+                chunk = chunk[:-1]  # the last row closes the matrix instead
+            for sep, text in punctuation:
+                chunk = chunk.replace(sep, text)
+            yield chunk.decode()
+        yield i2 + "]" + i1 + "]" + i0 + "]" + tail
+
+    return pieces()
 
 
-def _matrix_csv(M: WignerMatrix) -> str:
-    lines = []
-    for row in M.entries.tolist():
-        lines.append(",".join(str(z).strip("()") for z in row))
-    return "\n".join(lines)
+def _matrix_csv(M: WignerMatrix) -> Iterator[str]:
+    # One piece per row, each but the first after a newline.
+    for i, row in enumerate(M.entries.tolist()):
+        yield "\n" * (i > 0) + ",".join(str(z).strip("()") for z in row)
 
 
 def _render(record: dict) -> str:
@@ -184,7 +205,7 @@ def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str)
     return route, ELEMENT_ROUTES[route](l, A)
 
 
-def cmd_dmat(args, parser) -> tuple[str, int]:
+def cmd_dmat(args, parser) -> tuple[Iterable[str], int]:
     if not 0 <= args.l_x2 <= MAX_DMAT_L_X2:
         parser.error(f"--l-x2 must lie in [0, {MAX_DMAT_L_X2}], got {args.l_x2}")
     l = HalfInt(args.l_x2)
@@ -210,7 +231,7 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
         try:
             route_used, M = _dmat_by_route(l, A, angles, fallback)
         except (ValueError, ArithmeticError) as fallback_exc:
-            return _error_record("dmat", fallback_exc, warnings), 3
+            return [_error_record("dmat", fallback_exc, warnings)], 3
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "dmat",
@@ -226,7 +247,7 @@ def cmd_dmat(args, parser) -> tuple[str, int]:
     return _render_dmat(record, M), 0
 
 
-def cmd_poly(args, parser) -> tuple[str, int]:
+def cmd_poly(args, parser) -> tuple[Iterable[str], int]:
     flags, evaluate, route = _FAMILIES[args.family]
     for flag in flags:
         if getattr(args, flag) is None:
@@ -241,10 +262,10 @@ def cmd_poly(args, parser) -> tuple[str, int]:
         "inputs": {"family": args.family, **values},
         "result": {"value": evaluate(**values), "route_used": route},
     }
-    return _render(record), 0
+    return [_render(record)], 0
 
 
-def cmd_verify(args, parser) -> tuple[str, int]:
+def cmd_verify(args, parser) -> tuple[Iterable[str], int]:
     if args.max_l_x2 < 0 or args.max_l_x2 > MAX_VERIFY_L_X2:
         parser.error(f"--max-l-x2 must lie in [0, {MAX_VERIFY_L_X2}], got {args.max_l_x2}")
     if args.seed < 0:
@@ -256,7 +277,7 @@ def cmd_verify(args, parser) -> tuple[str, int]:
         "inputs": {"suite": args.suite, "max_l_x2": args.max_l_x2, "seed": args.seed},
         "result": report,
     }
-    return _render(record), 0 if report["passed"] else 1
+    return [_render(record)], 0 if report["passed"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,10 +334,24 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     handlers = {"dmat": cmd_dmat, "poly": cmd_poly, "verify": cmd_verify}
     try:
-        text, code = handlers[args.command](args, COMMAND_PARSERS[args.command])
+        pieces, code = handlers[args.command](args, COMMAND_PARSERS[args.command])
     except (ValueError, ArithmeticError) as exc:
-        text, code = _error_record(args.command, exc), 3
-    print(text)
+        pieces, code = [_error_record(args.command, exc)], 3
+    out = sys.stdout
+    try:
+        for piece in pieces:
+            out.write(piece)
+        out.write("\n")
+        out.flush()
+    except BrokenPipeError:
+        if out is not sys.__stdout__:
+            raise
+        # The reader has gone: point the descriptor at the null device, so
+        # that the interpreter's last flush of what is buffered is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -12,11 +12,12 @@ once, in the line of Ryu (Adams, PLDI 2018) and Schubfach (Giulietti, 2020):
 - *Digits.*  With k = floor(log10 |x|), |x| * 10**(16 - k) is taken as a
   double-double product with a hi/lo table of the powers of ten built from
   exact integers.  Its integer part Y has 17 digits (int64), and its fraction
-  F is good to about 1e-14.  h is half an ulp of x on the same scale, and x
-  is the only double in [Y + F - h, Y + F + h].  n digits suffice when a
-  multiple of 10**(17 - n) lies in that interval; the interval is
-  symmetric, so the nearest n-digit decimal, Y + F rounded at 10**(17 - n),
-  is one.  The smallest such n is repr's digit count.
+  F is good to about 1e-14.  h is half an ulp of x on the same scale (read
+  from the exponent bits of x), and x is the only double in
+  [Y + F - h, Y + F + h].  n digits suffice when a multiple of
+  10**(17 - n) lies in that interval; the interval is symmetric, so the
+  nearest n-digit decimal, Y + F rounded at 10**(17 - n), is one.  The
+  smallest such n is repr's digit count.
 - *Layout.*  Each value is a row of four uint64 words, each taken from a
   small table built at import: a prefix by (notation, sign, lead digit,
   point), with "0." and zeros at fixed exponents -1..-4; digits 2-17 in two
@@ -39,10 +40,19 @@ from __future__ import annotations
 
 import numpy as np
 
-# Magnitudes the kernel decides itself; the rest fall back.
+# Magnitudes the kernel decides itself; the rest fall back.  The bits of a
+# non-negative double order as its value, so |x| lies in the range when its
+# bits less _MIN_BITS, taken modulo 2**64, are at most _SPAN.
 _MIN_ABS, _MAX_ABS = 1e-280, 1e280
-# The scale 10**q for |x| in that range, with q = 16 - k and k off by one at most.
+_MIN_BITS = np.float64(_MIN_ABS).view(np.uint64)
+_SPAN = np.float64(_MAX_ABS).view(np.uint64) - _MIN_BITS
+# A double's exponent field, and half an ulp's field below it: 53 binades.
+_EXPONENT, _HALF_ULP_BINADES = np.uint64(0x7FF << 52), np.uint64(53 << 52)
+_MANTISSA = np.uint64(2**52 - 1)
+# The scale 10**q for |x| in that range, with q = 16 - k and k off by one at
+# most; row 16 - _Q0 - k of the table.
 _Q0, _Q1 = -266, 298
+_ROW16 = 16 - _Q0
 # Margin, in units of the 17th digit, around a tie or an interval end; the
 # double-double scaled value is good to about 1e-14 of that unit.
 _MARGIN = 1e-6
@@ -74,6 +84,7 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
 _POW10 = _pow10_table()
 # 10**(17 - n) for n = 1..17: the rounding step of an n-digit decimal.
 _STEP = 10 ** np.arange(16, -1, -1, dtype=np.int64)
+_DECADE = np.uint64(9 * 10**16)  # the width of [10**16, 10**17)
 
 _FILLER = 0x7F  # padding in the word rows, deleted before the text is returned
 # Shifts as uint64: numpy 1.x makes a float64 of uint64 op int64.
@@ -124,11 +135,23 @@ def _suffix_table() -> np.ndarray:
 _PREFIX, _SUFFIX = _prefix_table(), _suffix_table()
 
 
+def _in_table(bits: np.ndarray) -> np.ndarray:
+    """Whether |x| lies in [_MIN_ABS, _MAX_ABS], for the bits of |x|: one
+    unsigned compare."""
+    return bits - _MIN_BITS <= _SPAN
+
+
+def _half_ulp(ax: np.ndarray) -> np.ndarray:
+    """0.5 * np.spacing(ax), read from the exponent bits: the power of two 53
+    binades below ax's.  It holds from 2**-969 up to the largest double
+    (where np.spacing overflows), so on the whole table."""
+    return ((ax.view(np.uint64) & _EXPONENT) - _HALF_ULP_BINADES).view(np.float64)
+
+
 def _scaled(ax: np.ndarray, k: np.ndarray):
     """Y, F and h with ax * 10**(16 - k) = Y + F (Y an integer, 0 <= F < 1,
     F to about 1e-14) and h half an ulp of ax on the same scale."""
-    at = 16 - k - _Q0
-    hi, lo, head, tail = (column.take(at) for column in _POW10)
+    hi, lo, head, tail = (column.take(_ROW16 - k) for column in _POW10)
     p = ax * hi
     split = ax * _SPLIT
     ax_head = split - (split - ax)
@@ -138,7 +161,7 @@ def _scaled(ax: np.ndarray, k: np.ndarray):
     whole = np.floor(p)
     frac = (p - whole) + low
     carry = np.floor(frac)
-    return whole.astype(np.int64) + carry.astype(np.int64), frac - carry, 0.5 * np.spacing(ax) * hi
+    return whole.astype(np.int64) + carry.astype(np.int64), frac - carry, _half_ulp(ax) * hi
 
 
 def _fits(low: np.ndarray, high: np.ndarray, step) -> np.ndarray:
@@ -153,13 +176,14 @@ def _shortest(x: np.ndarray):
     Zeros give digits 0, exponent 0 and count 1."""
     ax = np.abs(x)
     bits = ax.view(np.uint64)
-    decided = (ax >= _MIN_ABS) & (ax <= _MAX_ABS) & ((bits & np.uint64(2**52 - 1)) != 0)
+    decided = _in_table(bits) & ((bits & _MANTISSA) != 0)
     ax = np.where(decided, ax, 1.5)
     k = np.floor(np.log10(ax)).astype(np.int64)
     Y, F, h = _scaled(ax, k)
-    # log10 can land one decade off next to a power of ten.
-    off = (Y < 10**16).astype(np.int64) - (Y >= 10**17)
-    if off.any():
+    # log10 can land one decade off next to a power of ten, where Y falls
+    # outside [10**16, 10**17): one unsigned compare finds it.
+    if ((Y - 10**16).view(np.uint64) >= _DECADE).any():
+        off = (Y < 10**16).astype(np.int64) - (Y >= 10**17)
         at = np.flatnonzero(off)
         k[at] -= off[at]
         Y[at], F[at], h[at] = _scaled(ax[at], k[at])
@@ -172,9 +196,10 @@ def _shortest(x: np.ndarray):
     high = Y + np.floor(high).astype(np.int64)
     # n digits read back as x when a multiple of 10**(17 - n) lies in
     # [low, high].  17 always do (h > 1/2); a random double needs 16 or 17,
-    # so 15 and fewer are tried only where 15 fit.
+    # so 14 and fewer are tried only where 14 fit, which few of the 15 do.
     count = 17 - _fits(low, high, 10) - _fits(low, high, 100)
     short = np.flatnonzero(count == 15)
+    short = short[_fits(low[short], high[short], 1000)]
     if short.size:
         count[short] -= _fits(low[short, None], high[short, None], _STEP[:14]).sum(axis=1)
     # The nearest count-digit decimal; near a tie it is left undecided.

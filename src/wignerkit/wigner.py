@@ -462,8 +462,8 @@ def _quadrant(l2: int):
 # The prefactors of the closed forms at quadrant entry (i, j) of spin l2, from
 # the factorials f(k) = k! and the binomials c(k) = C(2l, k), each ratio
 # taken exactly before the root; each raises OverflowError where it overflows a float.
-# _quadrant_plan holds each at every quadrant entry for the element builders;
-# the per-entry forms and the chart forms compute each entry's own.
+# _prefactor_column holds one at every quadrant entry for the element
+# builders; the per-entry forms and the chart forms compute each entry's own.
 _PREFACTORS = {
     # sqrt((l+m)! (l+n)! / ((l-m)! (l-n)!)), the 2F1 form's
     "2F1": lambda l2, i, j, f, c: _sqrt_fraction(f(i) * f(j), f(l2 - i) * f(l2 - j)),
@@ -492,19 +492,17 @@ def _row_source(cached, l2: int):
 
 @lru_cache(maxsize=32)
 def _quadrant_plan(l2: int) -> tuple:
-    """What every element form reads at spin l2/2 before it sees an element.
+    """What every element form reads at spin l2/2 before it sees an element,
+    but its prefactors (_prefactor_column).
 
     Five columns over the quadrant entries in _quadrant order: l - m, l - n,
-    m + n and m - n (int32), and (m + n)! as a float.  Then a float column
-    per kind of _PREFACTORS, its rule at each entry or inf where that
-    overflows.  Then, per image of _IMAGES, the place it writes for each
-    entry, a flat index into the matrix.  At l2 = 400 it holds 40,401
-    entries, about 2.6 MB.
+    m + n and m - n (int32), and (m + n)! as a float.  Then, per image of
+    _IMAGES, the place it writes for each entry, a flat index into the
+    matrix.  At l2 = 400 it holds 40,401 entries, about 1.6 MB, and each
+    prefactor column 0.3 MB more.
     """
-    dim, f = l2 + 1, _factorials(l2)
-    c = [f[l2] // (f[k] * f[l2 - k]) for k in range(dim)]
-    f, c = f.__getitem__, c.__getitem__
-    columns, prefactors = [*(array("i") for _ in range(4)), array("d")], {kind: array("d") for kind in _PREFACTORS}
+    dim, f = l2 + 1, _factorials(l2).__getitem__
+    columns = [*(array("i") for _ in range(4)), array("d")]
     places = [array("i") for _ in _IMAGES]
     for i, j in _quadrant(l2):
         for column, value in zip(columns, _quadrant_row(l2, i, j, f)):
@@ -512,9 +510,18 @@ def _quadrant_plan(l2: int) -> tuple:
         for at, (index_map, _, _) in zip(places, _IMAGES.values()):
             r, col = index_map(l2, i, j)
             at.append(r * dim + col)
-        for kind, rule in _PREFACTORS.items():
-            prefactors[kind].append(_overflowing(rule, l2, i, j, f, c))
-    return [*map(np.array, columns)], {kind: np.array(column) for kind, column in prefactors.items()}, np.array(places)
+    return [*map(np.array, columns)], np.array(places)
+
+
+@lru_cache(maxsize=32)
+def _prefactor_column(l2: int, kind: str) -> np.ndarray:
+    """The rule _PREFACTORS[kind] at each quadrant entry of spin l2/2, in
+    _quadrant order, as a float column, inf where it overflows.  An element
+    form reads one kind, so each is built on its first use."""
+    f = _factorials(l2)
+    c = [f[l2] // (f[k] * f[l2 - k]) for k in range(l2 + 1)]
+    f, c, rule = f.__getitem__, c.__getitem__, _PREFACTORS[kind]
+    return np.array([_overflowing(rule, l2, i, j, f, c) for i, j in _quadrant(l2)])
 
 
 # What a closed form refuses where it overflows a float (the element and chart
@@ -539,8 +546,8 @@ _JACOBI_POWERS = "Jacobi route's power of a, b, c, d or bc - ad"
 # i >= j).  tables(A, l2) is (the powers of a, b, c and d, what A's symmetry
 # images share with A).  series(l2, rows, commons) lists the exact series of
 # each row at each element, row by row; a row is an entry's first four
-# columns of _quadrant_plan and its value of the plan's prefactor column of
-# the form's kind, and commons holds each element's shared tables.  An entry
+# columns of _quadrant_plan and its value of the _prefactor_column of the
+# form's kind, and commons holds each element's shared tables.  An entry
 # is its prefactor times its factors, left to right, each (where, column):
 # the power table of entry `where` of the image's element (a, b, c, d = 0 to
 # 3; 4 is the shared powers of bc - ad) at the entry's value of that column;
@@ -651,14 +658,14 @@ def _element_stack(l: HalfInt, elements, form) -> np.ndarray:
     # image of _IMAGES in order, so a place that two images write keeps the
     # last; a block of the quadrant at a time.
     dim, l2 = _dim(l), l.twice
-    columns, prefactors, places = _quadrant_plan(l2)
+    (columns, places), prefactors = _quadrant_plan(l2), _prefactor_column(l2, form[2])
     powers, kinds, commons = _quadrant_tables(l2, list(elements), form)
     images = np.array([(*order, 4) for _, order, _ in _IMAGES.values()]).T[..., None]  # each image's tables
     out, step = np.empty((dim * dim, len(commons)), dtype=complex), _block(len(commons))
     with np.errstate(over="ignore", invalid="ignore"):  # a float overflows to inf as in Python, unchecked
         for s in range(0, len(places[0]), step):
             at = slice(s, s + step)
-            block, pref = [column[at] for column in columns], prefactors[form[2]][at]
+            block, pref = [column[at] for column in columns], prefactors[at]
             rows = zip(*(column.tolist() for column in block[:4]), pref.tolist())
             series = _pairs(form[1](l2, rows, commons)).reshape(2, len(pref), len(commons))
             factors = _factors(form, powers, kinds, images, block)

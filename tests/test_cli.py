@@ -1,4 +1,6 @@
 """CLI surface: flags, output schema, exit codes, fallbacks, determinism."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -345,7 +347,7 @@ DMAT_RECORDS = [
 def assert_renders_as_json_dumps(record, M):
     payload = [[[z.real, z.imag] for z in row] for row in M.entries.tolist()]
     want = json.dumps({**record, "result": {**record["result"], "matrix": payload}}, sort_keys=True, indent=2)
-    got = _render_dmat(record, M)
+    got = "".join(_render_dmat(record, M))
     if got != want:
         # Report the first difference only: pytest's full diff of two long
         # texts is slow enough to stall hypothesis's shrinking.
@@ -374,6 +376,97 @@ class TestMatrixJson:
     def test_non_contiguous_entries(self):
         entries = (np.arange(9.0) + 1j * np.arange(9.0)[::-1]).reshape(3, 3).T
         assert_renders_as_json_dumps(DMAT_RECORDS[0], WignerMatrix(HalfInt(2), entries))
+
+
+def _buffered_env():
+    # src on the path, and stdout block-buffered, as in a shell that does not
+    # set PYTHONUNBUFFERED: text can then still sit in the buffer at exit.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _auto_matrix(l_x2):
+    angles = EulerAngles(0.7, 1.2, 0.3)
+    return cli._dmat_by_route(HalfInt(l_x2), from_euler(angles), angles, "auto")[1]
+
+
+class _Writes(io.StringIO):
+    # A stdout that keeps the length of each write.
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+class TestStreamedOutput:
+    """dmat's text reaches stdout as pieces, none of them the whole matrix."""
+
+    @pytest.mark.parametrize("l_x2", [200, 400])
+    def test_each_piece_holds_at_most_one_chunk(self, l_x2):
+        M = _auto_matrix(l_x2)
+        pieces = list(_render_dmat(DMAT_RECORDS[0], M))
+        dim = l_x2 + 1
+        rows = cli._CHUNK_VALUES // (2 * dim)
+        assert len(pieces) == 2 + -(-dim // rows)
+        # Each part of an entry starts a line of its own, at indent 10.
+        parts = [piece.count("\n" + " " * 10) for piece in pieces]
+        assert parts[0] == 1 and parts[-1] == 0
+        assert max(parts) <= cli._CHUNK_VALUES and sum(parts) == 2 * dim * dim
+        assert_renders_as_json_dumps(DMAT_RECORDS[0], M)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_main_writes_the_pieces_and_a_newline(self, capsys, fmt):
+        argv = ["dmat", "--l-x2", "400", "--theta", "0.7", "--phi", "1.2", "--psi", "0.3", "--format", fmt]
+        code, want = run_main(capsys, *argv)
+        out = _Writes()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == code == 0
+        assert out.getvalue() == want
+        assert len(out.sizes) > 80 and out.sizes[-1] == 1
+        assert max(out.sizes) < len(want) / 20
+
+    def test_an_in_process_stdout_that_raises_broken_pipe_sees_it(self):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with contextlib.redirect_stdout(Closed()), pytest.raises(BrokenPipeError):
+            main(["dmat", "--l-x2", "2", "--theta", "0.7"])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_reader_that_closes_the_pipe_ends_the_process_quietly(self, fmt):
+        # The reader takes 20 bytes of a text of megabytes and closes its end:
+        # the process exits with EXIT_BROKEN_PIPE and writes nothing to stderr.
+        argv = ["dmat", "--l-x2", "200", "--theta", "0.7", "--format", fmt]
+        with subprocess.Popen(
+            [sys.executable, "-m", "wignerkit", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env()
+        ) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
+
+    def test_a_pipe_closed_before_the_first_byte_ends_the_process_quietly(self):
+        # The whole record sits in stdout's buffer when main's flush fails, so
+        # the interpreter's last flush must find the null device, not the pipe.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "wignerkit", "poly", "--family", "legendre", "--n", "3", "--x", "0.5"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=_buffered_env(),
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 class TestPoly:

@@ -52,7 +52,7 @@ def test_worker_clears_every_cache_in_the_package(cli_worker):
     caches = package_caches()
     assert {"specfun._hyp2f1_coeffs_cached", "specfun._jacobi_coeffs_cached",
             "specfun.hyp2f1_series_coeffs", "haar.gauss_legendre", "wigner._quadrant_plan",
-            "wigner._sum_plan"} <= set(caches)
+            "wigner._prefactor_column", "wigner._sum_plan"} <= set(caches)
     assert [name for name, cache in caches.items() if id(cache) not in listed] == []
 
 

@@ -395,16 +395,29 @@ def test_chart_stacks_fill_no_cache_of_wigner():
 
 @pytest.mark.parametrize("l_x2", range(41))
 def test_the_plan_holds_each_prefactor_rule(l_x2):
-    # Each prefactor column of the plan is its rule at each quadrant entry,
-    # computed alone from math.factorial and math.comb, bit for bit.
-    columns, prefactors, *_ = wigner._quadrant_plan(l_x2)
+    # Each prefactor column, built apart from the plan on its first use, is
+    # its rule at each quadrant entry of the plan's order, computed alone from
+    # math.factorial and math.comb, bit for bit.
+    columns, _ = wigner._quadrant_plan(l_x2)
     quadrant = list(wigner._quadrant(l_x2))
     assert list(zip(l_x2 - np.array(columns[0]), l_x2 - np.array(columns[1]))) == quadrant
-    assert list(prefactors) == list(wigner._PREFACTORS)
     f, c = math.factorial, functools.partial(math.comb, l_x2)
     for kind, rule in wigner._PREFACTORS.items():
         want = [rule(l_x2, i, j, f, c).hex() for i, j in quadrant]
-        assert [value.hex() for value in prefactors[kind]] == want, kind
+        assert [value.hex() for value in wigner._prefactor_column(l_x2, kind)] == want, kind
+
+
+def test_an_element_build_computes_only_its_prefactor_kind():
+    # An element form reads one kind of prefactor, so its first build at a
+    # spin builds that column alone, and its next build reuses it.
+    A = from_euler(EulerAngles(0.7, 1.2, 0.3))
+    builds = [(jacobi_matrix, "jacobi"), (hyp_matrix, "2F1"), (hyp_symmetric_matrix, "binomial")]
+    wigner._prefactor_column.cache_clear()
+    for count, (build, kind) in enumerate(builds, 1):
+        build(HalfInt(12), A)
+        build(HalfInt(12), A)
+        info = wigner._prefactor_column.cache_info()
+        assert (info.currsize, info.misses) == (count, count), kind
 
 
 CHART_OVERFLOWS = "a float on the way to a chart form's entry overflows"
