@@ -21,6 +21,7 @@ __all__ = [
     "factorial",
     "binomial",
     "pochhammer",
+    "pochhammer_pair",
 ]
 
 
@@ -101,7 +102,14 @@ def binomial(n: int, k: int) -> int:
 def pochhammer(a, k: int) -> Fraction:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1) as an exact rational: with
     a = p/q (any value Fraction takes), the integer product of p + i q over q^k."""
+    return Fraction(*pochhammer_pair(a, k))
+
+
+def pochhammer_pair(a, k: int) -> tuple[int, int]:
+    """pochhammer(a, k) as the integer pair (p (p + q) ... (p + (k-1) q), q^k)
+    for a = p/q in lowest terms, q > 0: its numerator and denominator, not
+    reduced."""
     if k < 0:
         raise ValueError(f"pochhammer with negative length {k}")
     p, q = Fraction(a).as_integer_ratio()
-    return Fraction(math.prod(p + i * q for i in range(k)), q**k)
+    return math.prod(p + i * q for i in range(k)), q**k

@@ -47,7 +47,7 @@ import numpy as np
 from .exactcomb import HalfInt, spin_range
 from .group import Mat2C, diag_element, multiply
 from .specfun import JacobiParams, jacobi_rows
-from .wigner import _oracle_expand, _oracle_powers, oracle_stack
+from .wigner import _oracle_expand, _oracle_powers, oracle_stack_by_spin
 
 __all__ = [
     "HaarGrid",
@@ -413,10 +413,10 @@ def legendre_checks(degrees, angles) -> tuple[np.ndarray, np.ndarray]:
     is not read); the integrand is a trigonometric polynomial of degree l, so
     that is exact, and the deviation is signed.
 
-    Per degree, one oracle_stack call builds the three matrices of every
-    triple, and one jacobi_rows call takes every Legendre value: per degree
-    and triple, one row at the 2l + 1 phase nodes, cos t1, cos t2 and the
-    composite argument, padded by repeating its last node.  Every value is
+    One oracle_stack_by_spin call builds the three matrices of every triple
+    at every degree, and one jacobi_rows call takes every Legendre value:
+    per degree and triple, one row at the 2l + 1 phase nodes, cos t1, cos t2
+    and the composite argument, padded by repeating its last node.  Every value is
     the one that its degree and triple alone give, bit for bit.
     """
     degrees, angles = list(degrees), list(angles)  # each is read more than once
@@ -429,7 +429,8 @@ def legendre_checks(degrees, angles) -> tuple[np.ndarray, np.ndarray]:
         left = Mat2C(math.sin(h1), -math.cos(h1), math.cos(h1), math.sin(h1))
         right = Mat2C(math.sin(h2), math.cos(h2), -math.cos(h2), math.sin(h2))
         factors += [multiply(multiply(left, diag_element(phi / 2)), right), left, right]
-    stacks = [oracle_stack(HalfInt(2 * l), *([getattr(X, x) for X in factors] for x in "abcd")) for l in degrees]
+    spins = [HalfInt(2 * l) for l in degrees]
+    stacks = oracle_stack_by_spin(spins, *([getattr(X, x) for X in factors] for x in "abcd"))
     trig = []  # per triple: cos t1, cos t2, cos t1 cos t2, sin t1 sin t2 and the composite argument
     for theta1, theta2, phi in angles:
         cc, ss = math.cos(theta1) * math.cos(theta2), math.sin(theta1) * math.sin(theta2)

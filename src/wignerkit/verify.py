@@ -5,12 +5,13 @@ deviation per check against a pinned tolerance.  Reports are plain dicts so
 the CLI can serialize them as-is; nothing time- or environment-dependent goes
 into a report, which keeps the output byte-reproducible for a fixed seed.
 
-Each set of oracle references is one oracle_stack call per spin, and every
-check hands its deviations to _check as one float64 array: the routes suite
-compares each route's stack with the oracle's in one array expression per
-spin, and the weighted Jacobi integrals of one (alpha, beta) are one pairwise
-sum over a (nodes, pairs) stack.  The weighted family and the Legendre
-addition and product formulas each take all their real Jacobi values in one
+Each set of oracle references is one oracle_stack_by_spin call over every
+spin, each route of the routes suite one by-spin call, and every check hands
+its deviations to _check as one float64 array: the routes suite compares each
+route's stack with the oracle's in one array expression per spin, and the
+weighted Jacobi integrals of one (alpha, beta) are one pairwise sum over a
+(nodes, pairs) stack.  The weighted family and the Legendre addition and
+product formulas each take all their real Jacobi values in one
 specfun.jacobi_rows call, every row at its own nodes.  The magnitude of a
 complex deviation is libm's hypot of its parts (haar.magnitudes), the
 function Python's abs(complex) calls, so the worst deviations are the
@@ -27,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .exactcomb import HalfInt, pochhammer, spins_up_to
+from .exactcomb import HalfInt, pochhammer_pair, spins_up_to
 from .group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
 from .haar import (
     HaarGrid,
@@ -42,14 +43,15 @@ from .haar import (
 )
 from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_norm, jacobi_rows, jacobi_values, krawtchouk
 from .wigner import (
-    ROTATION_ROUTES,
+    ROTATION_STACKS,
     SYMMETRIES,
-    hyp_matrices,
-    hyp_symmetric_matrices,
-    jacobi_matrices,
-    jacobi_stack,
-    oracle_stack,
-    sum_matrices,
+    chart_phases,
+    hyp_matrices_by_spin,
+    hyp_symmetric_matrices_by_spin,
+    jacobi_matrices_by_spin,
+    jacobi_stack_by_spin,
+    oracle_stack_by_spin,
+    sum_matrices_by_spin,
 )
 
 __all__ = ["SUITE_NAMES", "run_suite", "sample_gl2", "sample_unimodular", "max_norm"]
@@ -70,9 +72,10 @@ def _products(X, Y) -> np.ndarray:
     return (np.ascontiguousarray(X)[:, :, :, None] * np.ascontiguousarray(Y)[:, None, :, :]).sum(axis=2)
 
 
-def _stack(l: HalfInt, elements) -> np.ndarray:
-    # The oracle matrices of t^l at the elements, shape (len(elements), 2l+1, 2l+1).
-    return oracle_stack(l, *([getattr(A, x) for A in elements] for x in "abcd"))
+def _stacks(spins, elements) -> list:
+    # The oracle matrices of t at the elements for each of the spins, one
+    # stack of shape (len(elements), 2l+1, 2l+1) per spin, from one power table.
+    return oracle_stack_by_spin(spins, *([getattr(A, x) for A in elements] for x in "abcd"))
 
 
 def sample_gl2(seed: int, count: int, min_det: float = 1e-2) -> list[Mat2C]:
@@ -80,7 +83,11 @@ def sample_gl2(seed: int, count: int, min_det: float = 1e-2) -> list[Mat2C]:
 
     Near-singular draws and draws with a near-zero off-diagonal entry are
     rejected so every closed-form route is comfortably inside its domain.
+    |ad - bc| <= |a| |d| + |b| |c| <= 2 for such entries, so a min_det of 2
+    or more, which no draw would meet, is refused with ValueError.
     """
+    if min_det >= 2:
+        raise ValueError(f"min_det={min_det} is never met: |det| <= 2 for entries in the unit disc")
     rng = np.random.default_rng(seed)
     out: list[Mat2C] = []
     while len(out) < count:
@@ -150,7 +157,7 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
     def references(elements):
         # Per spin, the oracle stack at the elements and its max-norms, shaped
         # to divide the stack: built once and shared by every route against it.
-        return [(S, _norms(S)[:, None, None]) for S in (_stack(l, elements) for l in spins)]
+        return [(S, _norms(S)[:, None, None]) for S in _stacks(spins, elements)]
 
     at_samples = references(samples)
     at_triples = references([from_euler(angles) for angles in triples])
@@ -162,17 +169,21 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
         )
 
     def element_form(build):
-        return deviations((build(l, samples) for l in spins), at_samples)
+        return deviations(build(spins, samples), at_samples)
 
-    def chart_form(route):
-        return deviations((route(l, triples) for l in spins), at_triples)
+    # Each chart form's matrices are chart_phases times its d(theta), as the
+    # routes of wigner.ROTATION_ROUTES multiply them; the phases are shared.
+    thetas, phases = [angles.theta for angles in triples], [chart_phases(l, triples) for l in spins]
+
+    def chart_form(stacks):
+        return deviations((P * S for P, S in zip(phases, stacks(spins, thetas))), at_triples)
 
     checks = [
-        _check("finite-sum-vs-oracle", element_form(sum_matrices), 1e-10),
-        _check("terminating-2f1-vs-oracle", element_form(hyp_matrices), 1e-9),
-        _check("terminating-2f1-symmetric-vs-oracle", element_form(hyp_symmetric_matrices), 1e-9),
-        _check("jacobi-vs-oracle", element_form(jacobi_matrices), 1e-9),
-        *(_check(f"{name}-chart-vs-oracle", chart_form(route), 1e-9) for name, route in ROTATION_ROUTES.items()),
+        _check("finite-sum-vs-oracle", element_form(sum_matrices_by_spin), 1e-10),
+        _check("terminating-2f1-vs-oracle", element_form(hyp_matrices_by_spin), 1e-9),
+        _check("terminating-2f1-symmetric-vs-oracle", element_form(hyp_symmetric_matrices_by_spin), 1e-9),
+        _check("jacobi-vs-oracle", element_form(jacobi_matrices_by_spin), 1e-9),
+        *(_check(f"{name}-chart-vs-oracle", chart_form(stacks), 1e-9) for name, stacks in ROTATION_STACKS.items()),
     ]
     return {"suite": "routes", "checks": checks}
 
@@ -180,11 +191,10 @@ def suite_routes(max_l: HalfInt, seed: int) -> dict:
 def suite_unitarity(max_l: HalfInt, seed: int) -> dict:
     samples = sample_haar(seed, 50)
 
-    def per_spin(l):
-        S = _stack(l, samples)
-        return _norms(_products(S, S.conj().transpose(0, 2, 1)) - np.eye(l.twice + 1))
+    def per_spin(S):
+        return _norms(_products(S, S.conj().transpose(0, 2, 1)) - np.eye(S.shape[1]))
 
-    deviations = np.concatenate([per_spin(l) for l in spins_up_to(max_l)])
+    deviations = np.concatenate([per_spin(S) for S in _stacks(spins_up_to(max_l), samples)])
     return {"suite": "unitarity", "checks": [_check("t(g) t(g)* = I on SU(2)", deviations, 1e-10)]}
 
 
@@ -192,11 +202,12 @@ def suite_homomorphism(max_l: HalfInt, seed: int) -> dict:
     samples = sample_haar(seed, 100)
     products = [multiply(A, B) for A, B in zip(samples[:50], samples[50:])]
 
-    def per_spin(l):
-        expected = _products(_stack(l, samples[:50]), _stack(l, samples[50:]))
-        return _norms(_stack(l, products) - expected) / _norms(expected)
+    def per_spin(A, B, AB):
+        expected = _products(A, B)
+        return _norms(AB - expected) / _norms(expected)
 
-    deviations = np.concatenate([per_spin(l) for l in spins_up_to(max_l)])
+    stacks = (_stacks(spins_up_to(max_l), elements) for elements in (samples[:50], samples[50:], products))
+    deviations = np.concatenate([per_spin(*spin) for spin in zip(*stacks)])
     return {"suite": "homomorphism", "checks": [_check("t(AB) = t(A) t(B)", deviations, 1e-9)]}
 
 
@@ -224,7 +235,7 @@ def suite_jacobi_orth(max_l: HalfInt) -> dict:
     # one pairwise sum over the rows and columns of each stack that hold the
     # weights m, n of the smaller spin, taken on its quadrant m + n >= 0, m - n >= 0.
     thetas, weights = theta_rule(max_l)
-    stacks = [jacobi_stack(l, thetas) for l in spins_up_to(max_l)]
+    stacks = jacobi_stack_by_spin(spins_up_to(max_l), thetas)
     same_column = []
     for S, S_prime in product(stacks, stacks):
         dim, dim_prime = len(S[0]), len(S_prime[0])
@@ -269,7 +280,7 @@ def suite_legendre(seed: int) -> dict:
     matrices = sample_unimodular(seed, 20)
     central = _relative(
         [jacobi_complex(JacobiParams(0, 0, l), 2 * A.a * A.d - 1) for l in range(7) for A in matrices],
-        np.concatenate([_stack(HalfInt(2 * l), matrices)[:, l, l] for l in range(7)]),
+        np.concatenate([S[:, l, l] for l, S in enumerate(_stacks([HalfInt(2 * l) for l in range(7)], matrices))]),
     )
     rng = np.random.default_rng(seed + 1)
     angles = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
@@ -303,21 +314,24 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
     the 2F1 argument flips and real-rotation row orthogonality; the
     Krawtchouk index reflection is the check of the krawtchouk_sym report."""
     samples = sample_haar(seed, 5) + sample_gl2(seed + 1, 5)
+    # The samples and their images under every symmetry in one sum_matrices_by_spin call.
+    elements = [*samples, *(element_map(A) for _, element_map in SYMMETRIES.values() for A in samples)]
+    spins = [HalfInt(l2) for l2 in range(1, 5)]
 
-    def index_symmetries(l2):
+    def index_symmetries(stack, reference):
         # Each entry of the finite-sum matrix against its place in each symmetry image,
-        # shape (samples, symmetries, entries), over the max-norm of the oracle matrix:
-        # the samples and their images under every symmetry in one sum_matrices stack.
-        l = HalfInt(l2)
+        # shape (samples, symmetries, entries), over the max-norm of the oracle matrix.
+        l2 = reference.shape[1] - 1
         places = list(product(range(l2 + 1), repeat=2))
-        elements = [*samples, *(element_map(A) for _, element_map in SYMMETRIES.values() for A in samples)]
-        values, *mapped = sum_matrices(l, elements).reshape(len(SYMMETRIES) + 1, len(samples), l2 + 1, l2 + 1)
+        values, *mapped = stack.reshape(len(SYMMETRIES) + 1, len(samples), l2 + 1, l2 + 1)
         images = []
         for (index_map, _), S in zip(SYMMETRIES.values(), mapped):
             rows, cols = np.array([index_map(l2, i, j) for i, j in places]).T
             images.append(S[:, rows, cols])
         values = values.reshape(len(samples), 1, -1)
-        return magnitudes(values - np.stack(images, axis=1)) / _norms(_stack(l, samples))[:, None, None]
+        return magnitudes(values - np.stack(images, axis=1)) / _norms(reference)[:, None, None]
+
+    symmetries = zip(sum_matrices_by_spin(spins, elements), _stacks(spins, samples))
 
     # P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x): the 539 polynomials in one jacobi_values call on
     # nodes that are symmetric bit for bit.  The left side reads row (al, be, n) at the reversed
@@ -333,13 +347,17 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
         [(1 - z) ** n * hyp2f1(-n, c - b, c, z / (z - 1)) for n, b, c, z in cases],
     )
 
-    # The prefactors are exact ratios of rising factorials, each rounded once, used at both x.
+    # The prefactors are exact ratios of rising factorials, each one integer
+    # ratio rounded once by int / int, as float(Fraction) rounds it (c > 0, so
+    # every denominator is positive), and used at both x.
     def flip_one(n, b, c):
-        pref = float(pochhammer(c - b, n) / pochhammer(c, n))
+        (p, q), (r, s) = pochhammer_pair(c - b, n), pochhammer_pair(c, n)
+        pref = (p * s) / (q * r)
         return [(hyp2f1(-n, b, c, x), pref * hyp2f1(-n, b, b - c - n + 1, 1 - x)) for x in (0.2, 0.8)]
 
     def flip_two(n, m, c):
-        pref = float(pochhammer(c, m + n) / (pochhammer(c, n) * pochhammer(c, m)))
+        (p, q), (r, s), (t, u) = (pochhammer_pair(c, k) for k in (m + n, n, m))
+        pref = (p * s * u) / (q * r * t)
         return [(hyp2f1(-n, -m, c, x), pref * hyp2f1(-n, -m, -c - n - m + 1, 1 - x)) for x in (0.2, 0.8)]
 
     one = [pair for n, b, c in product(range(7), (0.5, 2.0), (1.5, 4.0)) for pair in flip_one(n, b, c)]
@@ -347,12 +365,11 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
 
     rotations = [from_euler(EulerAngles(theta, 0.0, 0.0)) for theta in (math.pi / 6, math.pi / 3)]
 
-    def row_orthogonality(l):
-        S = _stack(l, rotations)
-        return _norms(_products(S, S.transpose(0, 2, 1)) - np.eye(l.twice + 1))
+    def row_orthogonality(S):
+        return _norms(_products(S, S.transpose(0, 2, 1)) - np.eye(S.shape[1]))
 
     checks = [
-        _check("index symmetries", np.concatenate([index_symmetries(l2).ravel() for l2 in range(1, 5)]), 1e-10),
+        _check("index symmetries", np.concatenate([index_symmetries(*pair).ravel() for pair in symmetries]), 1e-10),
         _check("jacobi reflection", reflection, 1e-10),
         _check("pfaff transformation", pfaff, 1e-10),
         _check("terminating argument flip (one integer parameter)", _relative(*zip(*one)), 1e-10),
@@ -360,7 +377,7 @@ def identity_checks(seed: int, krawtchouk_sym: dict) -> dict:
         {**krawtchouk_sym["checks"][0], "check": "krawtchouk index reflection"},
         _check(
             "real-rotation row orthogonality",
-            np.concatenate([row_orthogonality(l) for l in spins_up_to(HalfInt(6))]),
+            np.concatenate([row_orthogonality(S) for S in _stacks(spins_up_to(HalfInt(6)), rotations)]),
             1e-10,
         ),
     ]

@@ -22,6 +22,13 @@ and a product of two of them a float.  A stack's matrices are its elements'
 one-element matrices bit for bit, signed zeros included, at every numpy SIMD
 level, and under Python 3.14, whose mixed float-complex products differ, too.
 
+Every route also builds over a list of spins (oracle_stack_by_spin,
+sum_matrices_by_spin, ..., recurrence_stack_by_spin): the tables that a
+longer spin only extends (the powers of the entries and of bc - ad, the exact
+arguments, the charts of the angles) are made once, at the largest spin,
+and each spin reads their prefix, so its stack is its one-spin build bit for
+bit.  The one-spin builders are that build at one spin.
+
 Index convention, fixed once: row i corresponds to m = -l + i and column j
 to n = -l + j, i.e. i = (m + l) as an integer.  The representation acts by
 substitution with the transposed matrix, so for l = 1/2 the matrix of t(A)
@@ -57,28 +64,38 @@ __all__ = [
     "WignerMatrix",
     "oracle_matrix",
     "oracle_stack",
+    "oracle_stack_by_spin",
     "tmn_sum",
     "sum_matrices",
+    "sum_matrices_by_spin",
     "sum_matrix",
     "tmn_hyp",
     "hyp_matrices",
+    "hyp_matrices_by_spin",
     "hyp_matrix",
     "tmn_hyp_symmetric",
     "hyp_symmetric_matrices",
+    "hyp_symmetric_matrices_by_spin",
     "hyp_symmetric_matrix",
     "tmn_jacobi",
     "jacobi_matrices",
+    "jacobi_matrices_by_spin",
     "jacobi_matrix",
     "chart_phases",
     "dmatrix_euler",
     "jacobi_stack",
+    "jacobi_stack_by_spin",
     "tmn_rodrigues",
     "rodrigues_stack",
+    "rodrigues_stack_by_spin",
     "tmn_krawtchouk",
     "krawtchouk_stack",
+    "krawtchouk_stack_by_spin",
     "recurrence_stack",
+    "recurrence_stack_by_spin",
     "ELEMENT_ROUTES",
     "ROTATION_ROUTES",
+    "ROTATION_STACKS",
     "SYMMETRIES",
     "apply_symmetry",
     "character",
@@ -121,6 +138,27 @@ def _finite(values):
     if not np.isfinite(values).all():
         raise ValueError("matrix contains non-finite entries")
     return values
+
+
+def _by_spin(spins, tables, build) -> list:
+    """build(l, tables(top)) at each of the spins, in order, from one call
+    tables(top) at the largest of them.
+
+    Every route's tables have the prefix property: those of spin l2/2 are
+    the first entries of any longer table, bit for bit (the powers x^0 ..
+    x^l2 of an element's entries, each its own operation or a running
+    product; exact arguments and charts, which do not depend on the spin).
+    So each spin reads the prefix it needs.  Where tables(top) refuses,
+    each spin makes its own after its spin is checked, so the call raises
+    the refusal that the first spin's one-spin build raises, and a call at
+    one spin is that one-spin build.
+    """
+    spins = list(spins)
+    try:
+        top = tables(max([0, *(l.twice for l in spins)]))
+    except RouteUnavailableError:
+        top = None
+    return [build(l, tables(_dim(l) - 1) if top is None else top) for l in spins]
 
 
 def _powers(x, top: int) -> list:
@@ -199,6 +237,12 @@ def _oracle_expand(l: HalfInt, powers: np.ndarray) -> np.ndarray:
     return _finite(np.ascontiguousarray(out.transpose(2, 0, 1)))
 
 
+def oracle_stack_by_spin(spins, a, b, c, d) -> list:
+    """oracle_stack at each of the spins, from one power table at the
+    largest: a table's first 2l+1 powers are spin l's (_oracle_powers)."""
+    return _by_spin(spins, partial(_oracle_powers, a, b, c, d), _oracle_expand)
+
+
 def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
     """The matrices of t at N elements, shape (N, 2l+1, 2l+1).
 
@@ -213,9 +257,10 @@ def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
     It is a power table (_oracle_powers), then the expansion (_oracle_expand),
     both with the element axis last.  Every element's value takes the same
     operations in the same order whatever N is, so a stack's matrices are
-    oracle_matrix at each element, bit for bit.
+    oracle_matrix at each element, bit for bit.  It is oracle_stack_by_spin
+    at the one spin l.
     """
-    return _oracle_expand(l, _oracle_powers(a, b, c, d, _dim(l) - 1))
+    return oracle_stack_by_spin([l], a, b, c, d)[0]
 
 
 def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
@@ -405,7 +450,7 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     l2 = l.twice
     i, j = _index(l, m), _index(l, n)
     lm, ln, mn, start, count, pref = _sum_row(l2, i, j, partial(comb, l2))
-    powers, kinds = _power_pairs(_SUM_POWERS, [_refusing_overflow(_SUM_POWERS, _entry_powers, A, l2)], 4, l2)
+    powers, kinds = _sum_tables(l2, [A])
     left, right, acc = _binom_power_coeffs(+1, ln), _binom_power_coeffs(+1, j), (0.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # sum_matrices' arithmetic on one entry's floats
         for k in range(start, start + count):
@@ -418,26 +463,29 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     return _finite(complex(re, im))
 
 
-def sum_matrices(l: HalfInt, elements) -> np.ndarray:
-    """The matrices of t at the elements by the finite sum, shape
-    (len(elements), 2l+1, 2l+1), from one table of the powers of a, b, c and
-    d per element and the spin's plan.  An element that the route refuses
-    makes the stack raise."""
-    dim, l2 = _dim(l), l.twice
+def _sum_tables(l2: int, elements: list) -> tuple:
+    # The pairs and kinds (_power_pairs) of the powers of a, b, c and d of each element.
     tables = [_refusing_overflow(_SUM_POWERS, _entry_powers, A, l2) for A in elements]
-    powers, kinds = _power_pairs(_SUM_POWERS, tables, 4, l2)
+    return _power_pairs(_SUM_POWERS, tables, 4, l2)
+
+
+def _sum_stack(l: HalfInt, tables: tuple) -> np.ndarray:
+    # The stack of spin l by the finite sum from _sum_tables at this spin or a larger one.
+    dim, l2 = _dim(l), l.twice
+    powers, kinds = tables
     binomials, columns, active, prefactors, order = _sum_plan(l2)
     # Entry (0, n) has the one term 1 and the prefactor sqrt(C(2l, l-n)), so the
     # first refusal is that prefactor's wherever one overflows; and no term
     # overflows before then, as a term's binomials are at most C(2l, l-m).
     if prefactors.max() == math.inf:
         raise RouteUnavailableError(f"{_SUM_PREFACTOR} overflows")
-    out, step = np.empty((dim * dim, len(tables)), dtype=complex), _block(len(tables))
+    elements = kinds.shape[1]
+    out, step = np.empty((dim * dim, elements), dtype=complex), _block(elements)
     with np.errstate(over="ignore", invalid="ignore"):  # a float overflows to inf as in Python, unchecked
         for s in range(0, dim * dim, step):
             at = slice(s, s + step)
             ln, j, lm, mn, start = (column[at] for column in columns)
-            acc = np.zeros((2, len(lm), len(tables)))
+            acc = np.zeros((2, len(lm), elements))
             # Pass r adds term k = start + r of the entries with more than r terms, which
             # lead the block, so each entry sums its terms in the order of k from 0j.
             for r, n in enumerate(min(n, s + step) - s for n in active if n > s):
@@ -446,6 +494,21 @@ def sum_matrices(l: HalfInt, elements) -> np.ndarray:
                 acc[:, :n] += _sum_term(lr, k, lm[:n], ln[:n], mn[:n], powers, kinds)
             out.real[order[at]], out.imag[order[at]] = _times((prefactors[at, None], 0.0), acc)
     return _as_stack(out, dim)
+
+
+def sum_matrices_by_spin(spins, elements) -> list:
+    """sum_matrices at each of the spins, from one table of the powers of a,
+    b, c and d per element, built at the largest spin."""
+    elements = list(elements)
+    return _by_spin(spins, lambda l2: _sum_tables(l2, elements), _sum_stack)
+
+
+def sum_matrices(l: HalfInt, elements) -> np.ndarray:
+    """The matrices of t at the elements by the finite sum, shape
+    (len(elements), 2l+1, 2l+1), from one table of the powers of a, b, c and
+    d per element and the spin's plan.  An element that the route refuses
+    makes the stack raise.  It is sum_matrices_by_spin at the one spin l."""
+    return sum_matrices_by_spin([l], elements)[0]
 
 
 def sum_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
@@ -652,14 +715,15 @@ def _factors(form, powers, kinds, image, columns) -> list:
     return [(powers[:, image[where], columns[column]], kinds[image[where]]) for where, column in form[4]]
 
 
-def _element_stack(l: HalfInt, elements, form) -> np.ndarray:
-    # The matrices of a quadrant form at the elements from the spin's plan:
-    # each quadrant entry's series once per element, and its entry at each
-    # image of _IMAGES in order, so a place that two images write keeps the
-    # last; a block of the quadrant at a time.
+def _element_stack(l: HalfInt, tables: tuple, form) -> np.ndarray:
+    # The matrices of a quadrant form at the elements of _quadrant_tables (of
+    # this spin or a larger one) from the spin's plan: each quadrant entry's
+    # series once per element, and its entry at each image of _IMAGES in
+    # order, so a place that two images write keeps the last; a block of the
+    # quadrant at a time.
     dim, l2 = _dim(l), l.twice
     (columns, places), prefactors = _quadrant_plan(l2), _prefactor_column(l2, form[2])
-    powers, kinds, commons = _quadrant_tables(l2, list(elements), form)
+    powers, kinds, commons = tables
     images = np.array([(*order, 4) for _, order, _ in _IMAGES.values()]).T[..., None]  # each image's tables
     out, step = np.empty((dim * dim, len(commons)), dtype=complex), _block(len(commons))
     with np.errstate(over="ignore", invalid="ignore"):  # a float overflows to inf as in Python, unchecked
@@ -676,8 +740,15 @@ def _element_stack(l: HalfInt, elements, form) -> np.ndarray:
     return _as_stack(out, dim)
 
 
+def _element_stacks(spins, elements, form) -> list:
+    # The stacks of a quadrant form at each of the spins, from one set of
+    # _quadrant_tables at the largest.
+    elements = list(elements)
+    return _by_spin(spins, lambda l2: _quadrant_tables(l2, elements, form), partial(_element_stack, form=form))
+
+
 def _element_entry(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C, form) -> complex:
-    # Entry (m, n) of _element_stack(l, [A], form), bit for bit: its quadrant
+    # Entry (m, n) of _element_stacks([l], [A], form), bit for bit: its quadrant
     # entry's row of the plan, computed alone, at the image that _fold picks,
     # by the stack's arithmetic on that entry's floats.
     l2 = l.twice
@@ -707,8 +778,15 @@ def hyp_matrices(l: HalfInt, elements) -> np.ndarray:
     """The matrices of t at the elements by the terminating 2F1 form in
     ad/(bc), shape (len(elements), 2l+1, 2l+1), each entry folded onto the
     quadrant m + n >= 0, m - n >= 0 by the index symmetry that reaches it.
-    An element that the route refuses makes the stack raise."""
-    return _element_stack(l, elements, _HYP)
+    An element that the route refuses makes the stack raise.  It is
+    hyp_matrices_by_spin at the one spin l."""
+    return hyp_matrices_by_spin([l], elements)[0]
+
+
+def hyp_matrices_by_spin(spins, elements) -> list:
+    """hyp_matrices at each of the spins, from one set of each element's
+    powers and exact arguments, built at the largest spin."""
+    return _element_stacks(spins, elements, _HYP)
 
 
 def hyp_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
@@ -724,8 +802,15 @@ def tmn_hyp_symmetric(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
 
 
 def hyp_symmetric_matrices(l: HalfInt, elements) -> np.ndarray:
-    """The matrices of t at the elements by the symmetric 2F1 form, folded as hyp_matrices are."""
-    return _element_stack(l, elements, _HYP_SYMMETRIC)
+    """The matrices of t at the elements by the symmetric 2F1 form, folded as
+    hyp_matrices are: hyp_symmetric_matrices_by_spin at the one spin l."""
+    return hyp_symmetric_matrices_by_spin([l], elements)[0]
+
+
+def hyp_symmetric_matrices_by_spin(spins, elements) -> list:
+    """hyp_symmetric_matrices at each of the spins, from one set of tables
+    per element, as hyp_matrices_by_spin."""
+    return _element_stacks(spins, elements, _HYP_SYMMETRIC)
 
 
 def hyp_symmetric_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
@@ -745,8 +830,15 @@ def tmn_jacobi(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
 
 def jacobi_matrices(l: HalfInt, elements) -> np.ndarray:
     """The matrices of t at the elements by the Jacobi form, folded as
-    hyp_matrices are; an element with bc = ad is refused."""
-    return _element_stack(l, elements, _JACOBI)
+    hyp_matrices are; an element with bc = ad is refused.  It is
+    jacobi_matrices_by_spin at the one spin l."""
+    return jacobi_matrices_by_spin([l], elements)[0]
+
+
+def jacobi_matrices_by_spin(spins, elements) -> list:
+    """jacobi_matrices at each of the spins, from one set of each element's
+    powers, powers of bc - ad and exact argument, built at the largest spin."""
+    return _element_stacks(spins, elements, _JACOBI)
 
 
 def jacobi_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
@@ -820,17 +912,22 @@ def _chart(theta: float) -> tuple:
 _CHART_OVERFLOW = "a float on the way to a chart form's entry"
 
 
-def _chart_stack(l: HalfInt, charts, entries) -> np.ndarray:
-    # d(theta) at each of the charts (listed after the spin is checked), shape
-    # (len(charts), 2l+1, 2l+1).  entries(l2, j, rows, charts) lists entry (i, j)
-    # per chart for each i of rows; it computes each column's quadrant rows,
-    # and _unfold writes their images.
+def _chart_stack(l: HalfInt, charts: list, entries) -> np.ndarray:
+    # d(theta) at each of the charts, shape (len(charts), 2l+1, 2l+1).
+    # entries(l2, j, rows, charts) lists entry (i, j) per chart for each i of
+    # rows; it computes each column's quadrant rows, and _unfold writes their
+    # images.
     dim, l2 = _dim(l), l.twice
-    charts = list(charts)
     columns = [range(max(j, l2 - j), dim) for j in range(dim)]
     values = [_refusing_overflow(_CHART_OVERFLOW, entries, l2, j, rows, charts) for j, rows in enumerate(columns)]
     i, j = np.concatenate(columns), np.repeat(np.arange(dim), [len(rows) for rows in columns])
     return _unfold(l2, i, j, np.concatenate(values))
+
+
+def _chart_stacks(spins, thetas, chart, build) -> list:
+    # build(l, charts) at each of the spins, from one chart(theta) per theta.
+    thetas = list(thetas)
+    return _by_spin(spins, lambda _: [chart(theta) for theta in thetas], build)
 
 
 def _chart_entry(l: HalfInt, m: HalfInt, n: HalfInt, theta: float, chart, entries) -> float:
@@ -872,12 +969,23 @@ def _chart_form(stack, l: HalfInt, angles) -> np.ndarray:
     return chart_phases(l, angles) * stack(l, [a.theta for a in angles])
 
 
+def _jacobi_chart(theta: float) -> tuple:
+    # (sin theta, cos theta, (cos 2 theta - 1)/2 as an integer ratio).
+    sin_t, cos_t, (num, den) = _chart(theta)
+    return sin_t, cos_t, (num - den, 2 * den)
+
+
 def jacobi_stack(l: HalfInt, thetas) -> np.ndarray:
     """d(theta) at each of the thetas, shape (len(thetas), 2l+1, 2l+1): an entry
     of the quadrant m + n >= 0, m - n >= 0 is a Jacobi polynomial in cos 2 theta
-    times powers of sin and cos theta, computed once and folded onto the others."""
-    charts = ((sin_t, cos_t, (num - den, 2 * den)) for sin_t, cos_t, (num, den) in map(_chart, thetas))
-    return _chart_stack(l, charts, _jacobi_entries)
+    times powers of sin and cos theta, computed once and folded onto the others.
+    It is jacobi_stack_by_spin at the one spin l."""
+    return jacobi_stack_by_spin([l], thetas)[0]
+
+
+def jacobi_stack_by_spin(spins, thetas) -> list:
+    """jacobi_stack at each of the spins, from one chart per theta."""
+    return _chart_stacks(spins, thetas, _jacobi_chart, partial(_chart_stack, entries=_jacobi_entries))
 
 
 def dmatrix_euler(l: HalfInt, angles: EulerAngles) -> WignerMatrix:
@@ -927,8 +1035,14 @@ def tmn_rodrigues(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
 def rodrigues_stack(l: HalfInt, thetas) -> np.ndarray:
     """d(theta) by the Rodrigues form at each of the thetas, shape
     (len(thetas), 2l+1, 2l+1); each column's product is expanded once, and
-    only the quadrant's entries are computed and folded."""
-    return _chart_stack(l, map(_rodrigues_chart, thetas), _rodrigues_entries)
+    only the quadrant's entries are computed and folded.  It is
+    rodrigues_stack_by_spin at the one spin l."""
+    return rodrigues_stack_by_spin([l], thetas)[0]
+
+
+def rodrigues_stack_by_spin(spins, thetas) -> list:
+    """rodrigues_stack at each of the spins, from one chart per theta."""
+    return _chart_stacks(spins, thetas, _rodrigues_chart, partial(_chart_stack, entries=_rodrigues_entries))
 
 
 def _krawtchouk_chart(theta: float) -> tuple:
@@ -968,8 +1082,14 @@ def tmn_krawtchouk(l: HalfInt, m: HalfInt, n: HalfInt, theta: float) -> float:
 def krawtchouk_stack(l: HalfInt, thetas) -> np.ndarray:
     """d(theta) by the Krawtchouk form at each of the thetas, shape
     (len(thetas), 2l+1, 2l+1); each polynomial is put over one denominator
-    once, and only the quadrant's entries are computed and folded."""
-    return _chart_stack(l, map(_krawtchouk_chart, thetas), _krawtchouk_entries)
+    once, and only the quadrant's entries are computed and folded.  It is
+    krawtchouk_stack_by_spin at the one spin l."""
+    return krawtchouk_stack_by_spin([l], thetas)[0]
+
+
+def krawtchouk_stack_by_spin(spins, thetas) -> list:
+    """krawtchouk_stack at each of the spins, from one chart per theta."""
+    return _chart_stacks(spins, thetas, _krawtchouk_chart, partial(_chart_stack, entries=_krawtchouk_entries))
 
 
 def recurrence_stack(l: HalfInt, thetas) -> np.ndarray:
@@ -994,10 +1114,21 @@ def recurrence_stack(l: HalfInt, thetas) -> np.ndarray:
     C(2l, l-M')) e^l.  The wedge is the quadrant, and _unfold fills every other
     entry by d_{M'M} = (-1)^(M-M') d_{MM'} = d_{-M,-M'}.  Each step is +, -, and
     x on real arrays, elementwise in theta, so a stack's matrices are the
-    single-theta results bit for bit at every numpy SIMD level.
+    single-theta results bit for bit at every numpy SIMD level.  It is
+    recurrence_stack_by_spin at the one spin l.
     """
+    return recurrence_stack_by_spin([l], thetas)[0]
+
+
+def recurrence_stack_by_spin(spins, thetas) -> list:
+    """recurrence_stack at each of the spins, from one chart per theta; each
+    spin runs its own recurrence."""
+    return _chart_stacks(spins, thetas, _chart, _recurrence)
+
+
+def _recurrence(l: HalfInt, charts: list) -> np.ndarray:
+    # recurrence_stack at the charts (_chart) of its thetas.
     dim, l2 = _dim(l), l.twice
-    charts = [_chart(theta) for theta in thetas]
     n = len(charts)
     half_cos_beta = np.array([-0.5 * (num / den) for _, _, (num, den) in charts])
     groups = np.arange(l2 % 2, dim, 2)  # 2M of each lane group, M <= l of l's parity
@@ -1046,6 +1177,15 @@ ROTATION_ROUTES = {
     "rodrigues": lambda l, angles: _chart_form(rodrigues_stack, l, angles),
     "krawtchouk": lambda l, angles: _chart_form(krawtchouk_stack, l, angles),
     "recurrence": lambda l, angles: _chart_form(recurrence_stack, l, angles),
+}
+# Their zero-phase stacks over a list of spins, called as (spins, thetas):
+# each returns d(theta) at those thetas for each spin, the stacks that
+# ROTATION_ROUTES multiplies by chart_phases.
+ROTATION_STACKS = {
+    "jacobi": lambda spins, thetas: jacobi_stack_by_spin(spins, thetas),
+    "rodrigues": lambda spins, thetas: rodrigues_stack_by_spin(spins, thetas),
+    "krawtchouk": lambda spins, thetas: krawtchouk_stack_by_spin(spins, thetas),
+    "recurrence": lambda spins, thetas: recurrence_stack_by_spin(spins, thetas),
 }
 
 

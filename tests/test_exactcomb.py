@@ -12,6 +12,7 @@ from wignerkit.exactcomb import (
     factorial,
     is_valid_spin_pair,
     pochhammer,
+    pochhammer_pair,
     spin_range,
 )
 
@@ -97,6 +98,27 @@ class TestPochhammer:
             for k in range(n + 1):
                 assert Fraction(factorial(n + k), factorial(n)) == pochhammer(n + 1, k)
                 assert Fraction(factorial(n), factorial(n - k)) == (-1) ** k * pochhammer(-n, k)
+
+    def test_integer_pair(self):
+        # The unreduced numerator and denominator: (1/2)_3 = (1 * 3 * 5) / 2^3.
+        assert pochhammer_pair(0.5, 3) == (15, 8)
+        assert pochhammer_pair(-7.3, 0) == (1, 1)
+        with pytest.raises(ValueError):
+            pochhammer_pair(1, -1)
+
+    def test_an_integer_ratio_of_pairs_rounds_as_the_fraction(self):
+        # The identity suite's argument-flip prefactors as one int / int each,
+        # against float() of their Fraction quotients, bit for bit.
+        for n in range(7):
+            for c in (1.5, 4.0):
+                for b in (0.5, 2.0):
+                    (p, q), (r, s) = pochhammer_pair(c - b, n), pochhammer_pair(c, n)
+                    want = float(pochhammer(c - b, n) / pochhammer(c, n))
+                    assert ((p * s) / (q * r)).hex() == want.hex()
+                for m in range(7):
+                    (p, q), (r, s), (t, u) = (pochhammer_pair(c, k) for k in (m + n, n, m))
+                    want = float(pochhammer(c, m + n) / (pochhammer(c, n) * pochhammer(c, m)))
+                    assert ((p * s * u) / (q * r * t)).hex() == want.hex()
 
 
 class TestHalfInt:

@@ -21,7 +21,12 @@ OPS = [
     (["dmat", "--l-x2", "4", "--matrix", "1,0,1,0,1,0,1,0", "--route", "jacobi"], ["wigner.oracle_matrix"]),
     (
         ["verify", "--suite", "routes", "--max-l-x2", "1"],
-        ["wigner.hyp_matrices", "wigner.jacobi_matrices", "wigner.rodrigues_stack", "wigner.krawtchouk_stack"],
+        [
+            "wigner.hyp_matrices_by_spin",
+            "wigner.jacobi_matrices_by_spin",
+            "wigner.rodrigues_stack_by_spin",
+            "wigner.krawtchouk_stack_by_spin",
+        ],
     ),
 ]
 

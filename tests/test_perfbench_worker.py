@@ -11,7 +11,10 @@ import functools
 import importlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,27 @@ def test_worker_clears_every_cache_in_the_package(cli_worker):
             "specfun.hyp2f1_series_coeffs", "haar.gauss_legendre", "wigner._quadrant_plan",
             "wigner._prefactor_column", "wigner._sum_plan"} <= set(caches)
     assert [name for name, cache in caches.items() if id(cache) not in listed] == []
+
+
+def test_worker_lists_every_cache_from_a_fresh_process():
+    # The worker takes its list once, when it starts serving, in a process that
+    # has imported only wignerkit.cli; the scan above imports every module
+    # first.  A fresh interpreter takes the list as the worker does, then scans
+    # the whole package, and names every cache it did not list.
+    script = f"""
+import sys
+sys.path[:0] = [{str(PERFBENCH)!r}, {str(Path(__file__).resolve().parent)!r}]
+import wignerkit.cli
+import cli_worker
+listed = {{id(cache) for cache in cli_worker.wignerkit_caches()}}
+from test_perfbench_worker import package_caches
+print(sorted(name for name, cache in package_caches().items() if id(cache) not in listed))
+"""
+    src = str(Path(wignerkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_each_op_starts_with_empty_caches(cli_worker):

@@ -161,7 +161,7 @@ def test_every_closed_route_has_a_check_in_the_routes_report(route):
 def test_verify_imports_no_private_name():
     tree = ast.parse(Path(verify.__file__).read_text())
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert "hyp_matrices" in imported
+    assert "hyp_matrices_by_spin" in imported
     assert [name for name in imported if name.startswith("_")] == []
 
 

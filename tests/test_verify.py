@@ -6,6 +6,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from wignerkit import haar, specfun, verify, wigner
 from wignerkit.cli import main
@@ -156,12 +157,12 @@ def test_magnitudes_are_abs_of_a_complex_bit_for_bit():
 
 
 def filled(value):
-    # A stand-in element stack builder whose every entry is value (a real stack holds only finite ones).
-    return lambda l, elements: np.full((len(elements), l.twice + 1, l.twice + 1), value)
+    # A stand-in by-spin element stack builder whose every entry is value (a real stack holds only finite ones).
+    return lambda spins, elements: [np.full((len(elements), l.twice + 1, l.twice + 1), value) for l in spins]
 
 
 def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "hyp_matrices", filled(complex(math.nan, math.nan)))
+    monkeypatch.setattr(verify, "hyp_matrices_by_spin", filled(complex(math.nan, math.nan)))
     report = verify.run_suite("routes", HalfInt(2), 0)
     checks = {chk["check"]: chk for chk in report["checks"]}
     assert checks["terminating-2f1-vs-oracle"]["max_deviation"] is None
@@ -175,7 +176,7 @@ def test_nan_2f1_entries_fail_the_routes_suite(monkeypatch, capsys):
 
 def test_a_failing_run_prints_strict_json(monkeypatch, capsys):
     # NaN, Infinity and -Infinity are not JSON; a strict parser refuses them.
-    monkeypatch.setattr(verify, "hyp_matrices", filled(complex(math.inf, 0.0)))
+    monkeypatch.setattr(verify, "hyp_matrices_by_spin", filled(complex(math.inf, 0.0)))
     assert main(["verify", "--suite", "routes", "--max-l-x2", "1"]) == 1
 
     def refuse(constant):
@@ -186,28 +187,28 @@ def test_a_failing_run_prints_strict_json(monkeypatch, capsys):
 
 
 def test_a_nan_oracle_fails_unitarity(monkeypatch):
-    def nan_stack(l, a, b, c, d):
-        return np.full((len(a), l.twice + 1, l.twice + 1), math.nan + 0j)
+    def nan_stacks(spins, a, b, c, d):
+        return [np.full((len(a), l.twice + 1, l.twice + 1), math.nan + 0j) for l in spins]
 
-    monkeypatch.setattr(verify, "oracle_stack", nan_stack)
+    monkeypatch.setattr(verify, "oracle_stack_by_spin", nan_stacks)
     (check,) = verify.suite_unitarity(HalfInt(1), 0)["checks"]
     assert check["max_deviation"] is None and not check["passed"]
     assert check["count"] == 2 * 50
 
 
 def test_routes_suite_builds_each_oracle_reference_once(monkeypatch):
-    # Each (spin, element) in one oracle_stack call, two calls per spin: the
-    # samples and the Euler triples of the chart forms.
+    # Each (spin, element) once, in two oracle_stack_by_spin calls over every
+    # spin: the samples and the Euler triples of the chart forms.
     seed, max_l = 0, HalfInt(2)
-    oracle_stack = verify.oracle_stack
+    oracle_stack_by_spin = verify.oracle_stack_by_spin
     calls, stacks = Counter(), Counter()
 
-    def counting(l, a, b, c, d):
-        calls.update((l.twice, Mat2C(*entries)) for entries in zip(a, b, c, d))
-        stacks[l.twice] += 1
-        return oracle_stack(l, a, b, c, d)
+    def counting(spins, a, b, c, d):
+        calls.update((l.twice, Mat2C(*entries)) for l in spins for entries in zip(a, b, c, d))
+        stacks[tuple(l.twice for l in spins)] += 1
+        return oracle_stack_by_spin(spins, a, b, c, d)
 
-    monkeypatch.setattr(verify, "oracle_stack", counting)
+    monkeypatch.setattr(verify, "oracle_stack_by_spin", counting)
     verify.suite_routes(max_l, seed)
     rng = np.random.default_rng(seed + 2)
     triples = zip(rng.uniform(0, math.pi / 2, 20), rng.uniform(0, 2 * math.pi, 20), rng.uniform(0, 2 * math.pi, 20))
@@ -217,11 +218,12 @@ def test_routes_suite_builds_each_oracle_reference_once(monkeypatch):
         *(from_euler(EulerAngles(*angles)) for angles in triples),
     ]
     assert calls == Counter((l.twice, A) for l in spins_up_to(max_l) for A in elements)
-    assert stacks == Counter({l.twice: 2 for l in spins_up_to(max_l)})
+    assert stacks == Counter({tuple(l.twice for l in spins_up_to(max_l)): 2})
 
 
 def test_routes_suite_checks_the_symmetric_2f1_form_on_the_2f1_domain(monkeypatch):
-    # One set of 2F1 tables per (spin, element) for each 2F1 form, not one per entry.
+    # One set of 2F1 tables per element for each 2F1 form, at the largest spin,
+    # not one per spin or per entry.
     calls = Counter()
 
     def counting(A, l2):
@@ -234,7 +236,7 @@ def test_routes_suite_checks_the_symmetric_2f1_form_on_the_2f1_domain(monkeypatc
     symmetric = checks["terminating-2f1-symmetric-vs-oracle"]
     assert symmetric["count"] == checks["terminating-2f1-vs-oracle"]["count"] > 0
     assert symmetric["tolerance"] == 1e-9 and symmetric["passed"]
-    assert calls == Counter({l2: 2 * 30 for l2 in range(5)})
+    assert calls == Counter({4: 2 * 30})
 
 
 def test_routes_suite_checks_every_entry_of_each_element_matrix():
@@ -280,3 +282,11 @@ def test_the_reflection_check_fails_on_one_perturbed_row(monkeypatch):
     monkeypatch.setattr(specfun, "_jacobi_coeffs_cached", perturbed)
     check = reflection_check()
     assert check["count"] == 11319 and not check["passed"] and check["max_deviation"] > 0.1
+
+
+def test_sample_gl2_refuses_a_determinant_bound_no_draw_meets():
+    # |ad - bc| <= 2 for entries in the unit disc, so a draw loop would never end.
+    for min_det in (2, 2.5, math.inf):
+        with pytest.raises(ValueError, match="never met"):
+            verify.sample_gl2(0, 1, min_det=min_det)
+    assert len(verify.sample_gl2(0, 3, min_det=1.0)) == 3

@@ -267,7 +267,7 @@ def test_routes_references_are_the_per_element_ones(deviations, monkeypatch, l_x
     # Every deviation of every routes check, with each reference and its
     # max-norm built one element at a time.
     batched = deviations(verify.suite_routes, HalfInt(l_x2), seed)
-    monkeypatch.setattr(verify, "oracle_stack", old_oracle_stack)
+    monkeypatch.setattr(verify, "oracle_stack_by_spin", lambda spins, *entries: [old_oracle_stack(l, *entries) for l in spins])
     monkeypatch.setattr(verify, "_norms", lambda S: np.array([old_max_norm(T) for T in S]))
     per_element = deviations(verify.suite_routes, HalfInt(l_x2), seed)
     assert batched == per_element and sum(map(len, batched.values())) > 0
