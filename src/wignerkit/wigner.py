@@ -15,12 +15,12 @@ a limit.
 
 The element forms (finite sum, the two 2F1 forms, Jacobi) build a stack over
 a list of elements, and their one-element matrices are that stack at one
-element.  Each element's powers and exact series are Python numbers; every
-product of them runs on float64 arrays written as the scalar complex
-arithmetic of CPython 3.10 to 3.13, an int or a float operand being (x, 0.0)
-and a product of two of them a float.  A stack's matrices are its elements'
+element.  Each element's powers and exact series are Python numbers, each
+taken as a complex; every product of them runs on float64 arrays by one rule,
+CPython's complex x complex on (real, imaginary) pairs, and the (m+n)!
+divisor by its complex / complex.  A stack's matrices are its elements'
 one-element matrices bit for bit, signed zeros included, at every numpy SIMD
-level, and under Python 3.14, whose mixed float-complex products differ, too.
+level.
 
 Every route also builds over a list of spins (oracle_stack_by_spin,
 sum_matrices_by_spin, ..., recurrence_stack_by_spin): the tables that a
@@ -41,7 +41,7 @@ import math
 import operator
 from array import array
 from dataclasses import astuple, dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import comb, factorial
 
 import numpy as np
@@ -279,16 +279,15 @@ def oracle_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
 #
 # The element forms (the finite sum, the two 2F1 forms and the Jacobi form)
 # build a stack over N elements.  Each element's tables are Python numbers
-# (x**e of its entries, and exact series at its own arguments); every product
-# of them runs on float64 arrays over (entries x elements), written as
-# CPython's scalar complex arithmetic of Python 3.10 to 3.13 (_times, _over):
-# an int or a float is the complex (x, 0.0), and a product of two of them is
-# a float.  So an element's matrix is the same in any stack, bit for bit,
-# signed zeros included, and it does not depend on numpy's SIMD level, which
-# fuses complex ufuncs with FMA from X86_V3 up.  Python 3.14 multiplies a
-# float by a complex part by part; the arrays keep the rule above there too.
-# An int entry's powers are exact ints, each rounded once to a float where
-# the arrays read it.
+# (x**e of its entries, and exact series at its own arguments), each taken as
+# a complex: an int or a float x is (x, 0.0).  Every product of them runs on
+# float64 arrays over (entries x elements) by one rule, CPython's complex x
+# complex on (real, imaginary) pairs, and the (m+n)! divisor by its complex /
+# complex (_times, _over, _chain).  So an element's matrix is the same in any
+# stack, bit for bit, signed zeros included, and it does not depend on
+# numpy's SIMD level, which fuses complex ufuncs with FMA from X86_V3 up.  An
+# int entry's powers are exact ints, each rounded once to a float where the
+# arrays read it.
 
 
 def _index(l: HalfInt, m: HalfInt) -> int:
@@ -328,57 +327,44 @@ def _factorials(top: int) -> list:
 
 def _pairs(values) -> np.ndarray:
     # Python numbers, or nested lists of them, as their real and imaginary
-    # parts, shape (2, ...): an int or a float x is (x, 0.0), as CPython
-    # promotes it, and an int past the float range raises OverflowError.
+    # parts, shape (2, ...): an int or a float x is the complex (x, 0.0),
+    # and an int past the float range raises OverflowError.
     pairs = np.array(values, dtype=complex)[..., None].view(float)
     return pairs.transpose(-1, *range(pairs.ndim - 1))
 
 
-def _times(x, y, real=None) -> tuple:
+def _times(x, y) -> tuple:
     # CPython's complex product x * y of (real part, imaginary part) pairs of
     # floats or of arrays, broadcast against each other: (xr yr - xi yi,
-    # xr yi + xi yr), each product and sum rounded on its own.  Where real is
-    # True both factors are a float or an int, whose product is a float: its
-    # imaginary part is 0.0.
+    # xr yi + xi yr), each product and sum rounded on its own.
     (xr, xi), (yr, yi) = x, y
     re, im = xr * yr, xr * yi  # each of the shape of the product: x or y is a whole array
     re -= xi * yi
     im += xi * yr
-    return re, (im if real is None else np.where(real, 0.0, im))
+    return re, im
 
 
-def _over(x, f, real=None) -> tuple:
-    # CPython's complex x / int, with the int f as a float: ((xr + xi 0.0)/f,
-    # (xi - xr 0.0)/f); where real is True x is a float, and x / f is xr/f.
+def _over(x, f) -> tuple:
+    # CPython's complex quotient x / complex(f) of a pair by a float f:
+    # ((xr + xi 0.0)/f, (xi - xr 0.0)/f).
     xr, xi = x
-    re = (xr + xi * 0.0) / f
-    return (re if real is None else np.where(real, xr / f, re)), (xi - xr * 0.0) / f
+    return (xr + xi * 0.0) / f, (xi - xr * 0.0) / f
 
 
 def _chain(first: float, factors: list, divisor=None, last=None) -> tuple:
-    # first times each factor, left to right, then over divisor (an int as a
-    # float) and times last (a complex), as CPython takes them; a factor is
-    # (its pair, whether it is a complex: a bool, or an array over elements).
-    out, complex_ = (first, 0.0), False
-    for factor, kind in factors:
-        complex_ = complex_ | kind
-        if isinstance(complex_, np.ndarray):
-            real = None if complex_.all() else ~complex_
-        else:
-            real = None if complex_ else True
-        out = _times(out, factor, real)
+    # complex(first, 0.0) times each factor pair, left to right, then over
+    # divisor and times last (a pair), as CPython takes them.
+    out = reduce(_times, factors, (first, 0.0))
     if divisor is not None:
-        out = _over(out, divisor, real)
+        out = _over(out, divisor)
     return out if last is None else _times(out, last)
 
 
-def _power_pairs(what: str, tables: list, rows: int, top: int) -> tuple:
+def _power_pairs(what: str, tables: list, rows: int, top: int) -> np.ndarray:
     # Power tables of N elements (each a list of rows x^0 .. x^top) as pairs,
-    # shape (2, rows, top + 1, N), and whether each row's powers are complex,
-    # shape (rows, N); an int power past the float range is refused as what.
+    # shape (2, rows, top + 1, N); an int power past the float range is refused as what.
     pairs = _refusing_overflow(what, _pairs, tables).reshape(2, len(tables), rows, top + 1)
-    kinds = np.array([[isinstance(row[0], complex) for row in table] for table in tables], dtype=bool)
-    return pairs.transpose(0, 2, 3, 1), kinds.reshape(len(tables), rows).T
+    return pairs.transpose(0, 2, 3, 1)
 
 
 def _block(elements: int) -> int:
@@ -431,11 +417,11 @@ def _sum_plan(l2: int) -> tuple:
     return binomials, columns, active, pref[order], order
 
 
-def _sum_term(lr, k, lm, ln, mn, powers, kinds) -> tuple:
+def _sum_term(lr, k, lm, ln, mn, powers) -> tuple:
     # Term k of the finite sum, C(l-n, k) C(l+n, l-m-k) a^k b^(l-m-k)
     # c^(l-n-k) d^(m+n+k), from lr, the product of its binomials, exact and
-    # rounded once, and the power pairs and kinds of _power_pairs.
-    return _chain(lr, [(powers[:, x, e], kinds[x]) for x, e in enumerate((k, lm - k, ln - k, mn + k))])
+    # rounded once, and the power pairs of _power_pairs.
+    return _chain(lr, [powers[:, x, e] for x, e in enumerate((k, lm - k, ln - k, mn + k))])
 
 
 def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
@@ -450,12 +436,12 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
     l2 = l.twice
     i, j = _index(l, m), _index(l, n)
     lm, ln, mn, start, count, pref = _sum_row(l2, i, j, partial(comb, l2))
-    powers, kinds = _sum_tables(l2, [A])
+    powers = _sum_tables(l2, [A])
     left, right, acc = _binom_power_coeffs(+1, ln), _binom_power_coeffs(+1, j), (0.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # sum_matrices' arithmetic on one entry's floats
         for k in range(start, start + count):
             lr = _refusing_overflow(_SUM_TERM, float, left[k] * right[lm - k])
-            term = _sum_term(lr, k, lm, ln, mn, powers[..., 0], kinds[:, 0])
+            term = _sum_term(lr, k, lm, ln, mn, powers[..., 0])
             acc = (acc[0] + term[0], acc[1] + term[1])
         re, im = _times((pref, 0.0), acc)
     if pref == math.inf:
@@ -464,22 +450,21 @@ def tmn_sum(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C) -> complex:
 
 
 def _sum_tables(l2: int, elements: list) -> tuple:
-    # The pairs and kinds (_power_pairs) of the powers of a, b, c and d of each element.
+    # The pairs (_power_pairs) of the powers of a, b, c and d of each element.
     tables = [_refusing_overflow(_SUM_POWERS, _entry_powers, A, l2) for A in elements]
     return _power_pairs(_SUM_POWERS, tables, 4, l2)
 
 
-def _sum_stack(l: HalfInt, tables: tuple) -> np.ndarray:
+def _sum_stack(l: HalfInt, powers: np.ndarray) -> np.ndarray:
     # The stack of spin l by the finite sum from _sum_tables at this spin or a larger one.
     dim, l2 = _dim(l), l.twice
-    powers, kinds = tables
     binomials, columns, active, prefactors, order = _sum_plan(l2)
     # Entry (0, n) has the one term 1 and the prefactor sqrt(C(2l, l-n)), so the
     # first refusal is that prefactor's wherever one overflows; and no term
     # overflows before then, as a term's binomials are at most C(2l, l-m).
     if prefactors.max() == math.inf:
         raise RouteUnavailableError(f"{_SUM_PREFACTOR} overflows")
-    elements = kinds.shape[1]
+    elements = powers.shape[-1]
     out, step = np.empty((dim * dim, elements), dtype=complex), _block(elements)
     with np.errstate(over="ignore", invalid="ignore"):  # a float overflows to inf as in Python, unchecked
         for s in range(0, dim * dim, step):
@@ -491,7 +476,7 @@ def _sum_stack(l: HalfInt, tables: tuple) -> np.ndarray:
             for r, n in enumerate(min(n, s + step) - s for n in active if n > s):
                 k = start[:n] + r
                 lr = (binomials[ln[:n], k] * binomials[j[:n], lm[:n] - k]).astype(float)[:, None]
-                acc[:, :n] += _sum_term(lr, k, lm[:n], ln[:n], mn[:n], powers, kinds)
+                acc[:, :n] += _sum_term(lr, k, lm[:n], ln[:n], mn[:n], powers)
             out.real[order[at]], out.imag[order[at]] = _times((prefactors[at, None], 0.0), acc)
     return _as_stack(out, dim)
 
@@ -691,28 +676,27 @@ _JACOBI = (_jacobi_tables, _jacobi_series, "jacobi", _JACOBI_POWERS, _CD_DIFF, F
 
 
 def _quadrant_tables(l2: int, elements: list, form) -> tuple:
-    # What a quadrant form reads of each element: the pairs and kinds
-    # (_power_pairs) of the powers of a, b, c and d, and of bc - ad as a fifth
-    # table (0 past l - m = l) where the form reads them; and what the element
-    # shares with its symmetry images.
+    # What a quadrant form reads of each element: the pairs (_power_pairs) of
+    # the powers of a, b, c and d, and of bc - ad as a fifth table (0 past
+    # l - m = l) where the form reads them; and what the element shares with
+    # its symmetry images.
     tables, _, _, what, factors, _ = form
     built = [_refusing_overflow(what, tables, A, l2) for A in elements]
     commons = [common for _, common in built]
-    powers, kinds = _power_pairs(what, [table for table, _ in built], 4, l2)
+    powers = _power_pairs(what, [table for table, _ in built], 4, l2)
     if any(where == 4 for where, _ in factors):
-        diff, diff_kinds = _power_pairs(what, [[common[1]] for common in commons], 1, l2 // 2)
+        diff = _power_pairs(what, [[common[1]] for common in commons], 1, l2 // 2)
         powers = np.concatenate([powers, np.zeros_like(powers[:, :1])], axis=1)
         powers[:, 4, : l2 // 2 + 1] = diff[:, 0]
-        kinds = np.concatenate([kinds, diff_kinds])
-    return powers, kinds, commons
+    return powers, commons
 
 
-def _factors(form, powers, kinds, image, columns) -> list:
-    # The pairs and kinds of a quadrant form's factors: factor (where, column)
-    # reads table image[where] of _quadrant_tables at the entries' values of
-    # the column.  image and columns are arrays for a block of a stack, ints
-    # for one entry.
-    return [(powers[:, image[where], columns[column]], kinds[image[where]]) for where, column in form[4]]
+def _factors(form, powers, image, columns) -> list:
+    # The pairs of a quadrant form's factors: factor (where, column) reads
+    # table image[where] of _quadrant_tables at the entries' values of the
+    # column.  image and columns are arrays for a block of a stack, ints for
+    # one entry.
+    return [powers[:, image[where], columns[column]] for where, column in form[4]]
 
 
 def _element_stack(l: HalfInt, tables: tuple, form) -> np.ndarray:
@@ -723,7 +707,7 @@ def _element_stack(l: HalfInt, tables: tuple, form) -> np.ndarray:
     # quadrant at a time.
     dim, l2 = _dim(l), l.twice
     (columns, places), prefactors = _quadrant_plan(l2), _prefactor_column(l2, form[2])
-    powers, kinds, commons = tables
+    powers, commons = tables
     images = np.array([(*order, 4) for _, order, _ in _IMAGES.values()]).T[..., None]  # each image's tables
     out, step = np.empty((dim * dim, len(commons)), dtype=complex), _block(len(commons))
     with np.errstate(over="ignore", invalid="ignore"):  # a float overflows to inf as in Python, unchecked
@@ -732,7 +716,7 @@ def _element_stack(l: HalfInt, tables: tuple, form) -> np.ndarray:
             block, pref = [column[at] for column in columns], prefactors[at]
             rows = zip(*(column.tolist() for column in block[:4]), pref.tolist())
             series = _pairs(form[1](l2, rows, commons)).reshape(2, len(pref), len(commons))
-            factors = _factors(form, powers, kinds, images, block)
+            factors = _factors(form, powers, images, block)
             values = _chain(pref[:, None], factors, block[4][:, None] if form[5] else None, series)
             for part, value in zip((out.real, out.imag), values):
                 for image_places, image in zip(places[:, at], value):
@@ -755,9 +739,9 @@ def _element_entry(l: HalfInt, m: HalfInt, n: HalfInt, A: Mat2C, form) -> comple
     which, i, j = _fold(l2, _index(l, m), _index(l, n))
     row = _quadrant_row(l2, i, j, factorial)
     pref = _overflowing(_PREFACTORS[form[2]], l2, i, j, factorial, partial(comb, l2))
-    powers, kinds, commons = _quadrant_tables(l2, [A], form)
+    powers, commons = _quadrant_tables(l2, [A], form)
     (series,) = form[1](l2, [(*row[:4], pref)], commons)
-    factors = _factors(form, powers[..., 0], kinds[:, 0], (*_IMAGES[which][1], 4), row)
+    factors = _factors(form, powers[..., 0], (*_IMAGES[which][1], 4), row)
     with np.errstate(over="ignore", invalid="ignore"):
         re, im = _chain(pref, factors, row[4] if form[5] else None, (series.real, series.imag))
     return _finite(complex(re, im))
@@ -899,7 +883,10 @@ def _chart(theta: float) -> tuple:
     # (sin theta, cos theta, cos 2 theta as an integer ratio), read by every
     # zero-phase form.  Each collapses to a power of 1 -+ cos 2 theta near an end
     # of [0, pi/2], so that factor is exact: 1 - 2 sin^2 of the rounded sine up
-    # to pi/4 and 2 cos^2 - 1 of the rounded cosine above.
+    # to pi/4 and 2 cos^2 - 1 of the rounded cosine above.  A theta that is
+    # not finite is refused.
+    if not math.isfinite(theta):
+        raise ValueError(f"theta={theta} is not finite")
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     side = 1 if theta <= math.pi / 4 else -1
     num, den = (sin_t if side == 1 else cos_t).as_integer_ratio()
@@ -995,9 +982,10 @@ def dmatrix_euler(l: HalfInt, angles: EulerAngles) -> WignerMatrix:
 
 
 def _rodrigues_chart(theta: float) -> tuple:
+    chart = _chart(theta)
     if not 0 < theta < math.pi / 2:
         raise RouteUnavailableError("derivative route needs theta strictly inside (0, pi/2)")
-    return _chart(theta)
+    return chart
 
 
 def _rodrigues_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:

@@ -6,6 +6,11 @@ must be the form's matrix at its element alone, bit for bit, signed zeros
 included: every value is compared by the .hex() of both its parts.  Each
 per-entry tmn_* must be its stack's entry, and a stack that holds an element
 the route refuses must raise.
+
+Every product in those forms follows one rule, wigner._chain: Python's own
+complex arithmetic with every operand taken as a complex.  It is checked on
+its own, on scalars and on arrays, against complex(first, 0.0) * f1 * ... /
+complex(divisor) * last.
 """
 import math
 
@@ -19,6 +24,7 @@ from wignerkit.group import EulerAngles, Mat2C, from_euler, sample_haar
 from wignerkit.verify import sample_gl2
 from wignerkit.wigner import (
     RouteUnavailableError,
+    _chain,
     hyp_matrices,
     hyp_matrix,
     hyp_symmetric_matrices,
@@ -67,9 +73,51 @@ HAAR = st.builds(
     st.floats(0.0, 2 * math.pi, exclude_max=True),
     st.floats(0.0, 2 * math.pi, exclude_max=True),
 )
-# Entries that are ints or floats of either sign, signed zeros among them, which CPython promotes to (x, 0.0).
+# Entries that are ints or floats of either sign, signed zeros among them, each taken as the complex (x, 0.0).
 REAL = st.builds(Mat2C, *(st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0), st.just(-0.0)) for _ in range(4)))
 ELEMENTS = st.lists(st.one_of(HAAR, GL2, REAL), min_size=1, max_size=4)
+
+
+@st.composite
+def chains(draw):
+    # Lanes of one shape of _chain's arguments: (first, factor pairs, divisor or
+    # None, last pair or None), the divisor an (m+n)! as a float.
+    count, lanes = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    pair, divisor = st.tuples(PART, PART), st.integers(0, 170).map(lambda k: float(math.factorial(k)))
+    lane = st.tuples(
+        PART,
+        st.lists(pair, min_size=count, max_size=count),
+        divisor if draw(st.booleans()) else st.none(),
+        pair if draw(st.booleans()) else st.none(),
+    )
+    return draw(st.lists(lane, min_size=lanes, max_size=lanes))
+
+
+def by_python(first, factors, divisor, last):
+    out = complex(first, 0.0)
+    for factor in factors:
+        out = out * complex(*factor)
+    if divisor is not None:
+        out = out / complex(divisor)
+    return out if last is None else out * complex(*last)
+
+
+@given(lanes=chains())
+@settings(deadline=None, max_examples=300)
+def test_the_chain_is_python_complex_arithmetic(lanes):
+    want = [by_python(*lane) for lane in lanes]
+    for lane, value in zip(lanes, want):  # each lane alone, on Python floats
+        assert hexes([complex(*_chain(*lane))]) == hexes([value])
+    # All lanes at once, on (N,) arrays: each part of each argument is a column.
+    first, factors, divisor, last = zip(*lanes)
+    columns = [
+        np.array(first),
+        [tuple(np.array(part) for part in zip(*pairs)) for pairs in zip(*factors)],
+        None if divisor[0] is None else np.array(divisor),
+        None if last[0] is None else tuple(np.array(part) for part in zip(*last)),
+    ]
+    re, im = np.broadcast_arrays(*_chain(*columns))
+    assert [(r.hex(), i.hex()) for r, i in zip(re.tolist(), im.tolist())] == hexes(want)
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))

@@ -294,14 +294,16 @@ print(hashlib.sha256(jacobi_rows(params, np.array({nodes})).tobytes()).hexdigest
 
 
 # The four element stacks at l_x2 0-6 over the routes suite's samples at seed
-# 0.  Their complex products are written as real products and sums, so their
-# bytes hold below X86_V3, where numpy stops fusing complex ufuncs with FMA.
+# 0 and four int- and float-typed elements with signed zeros, which every form
+# accepts.  Their complex products are written as real products and sums, so
+# their bytes hold below X86_V3, where numpy stops fusing complex ufuncs with FMA.
 ELEMENT_BLOCK = """
 from wignerkit.exactcomb import HalfInt
-from wignerkit.group import sample_haar
+from wignerkit.group import Mat2C, sample_haar
 from wignerkit.verify import sample_gl2
 from wignerkit.wigner import hyp_matrices, hyp_symmetric_matrices, jacobi_matrices, sum_matrices
-samples = sample_haar(0, 20) + sample_gl2(1, 10)
+reals = [Mat2C(-0.0, 2, -3, 1.5), Mat2C(1, -2, 0.5, -0.0), Mat2C(3, 1, -1, 0), Mat2C(0.0, -1.25, 2, -0.0)]
+samples = sample_haar(0, 20) + sample_gl2(1, 10) + reals
 builders = (sum_matrices, hyp_matrices, hyp_symmetric_matrices, jacobi_matrices)
 stacks = [build(HalfInt(l2), samples) for build in builders for l2 in range(7)]
 print(hashlib.sha256(b"".join(stack.tobytes() for stack in stacks)).hexdigest())

@@ -36,6 +36,8 @@ from wignerkit.wigner import (
     rodrigues_stack_by_spin,
     sum_matrices,
     sum_matrices_by_spin,
+    tmn_krawtchouk,
+    tmn_rodrigues,
 )
 
 # Overflowing elements make numpy warn in the oracle's running products; that is expected.
@@ -174,6 +176,31 @@ def test_the_edge_thetas_are_refused_where_they_should_be():
     assert refused_at(krawtchouk_stack, math.pi / 2) == list(range(13))
     # sin^-(m+n) of a tiny theta overflows only where m + n is large enough
     assert refused_at(rodrigues_stack, 1e-200)[:1] == [2] and refused_at(rodrigues_stack, 1e-200)[-1] == 12
+
+
+NOT_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
+@pytest.mark.parametrize("theta", sorted(NOT_FINITE))
+@pytest.mark.parametrize("form", sorted(CHART_FORMS))
+def test_a_chart_form_refuses_a_theta_that_is_not_finite(form, theta):
+    # A ValueError that names the theta, not a route's refusal, from the
+    # one-spin and the by-spin build, wherever the theta sits among finite ones.
+    by_spin, one_spin = CHART_FORMS[form]
+    for thetas in ([NOT_FINITE[theta]], [*THETAS[:3], NOT_FINITE[theta], *THETAS[17:]]):
+        for build, spins in ((one_spin, HalfInt(2)), (by_spin, [HalfInt(3), HalfInt(0)])):
+            with pytest.raises(ValueError) as info:
+                build(spins, thetas)
+            assert type(info.value) is ValueError and str(info.value) == f"theta={theta} is not finite"
+
+
+@pytest.mark.parametrize("theta", sorted(NOT_FINITE))
+@pytest.mark.parametrize("per_entry", [tmn_rodrigues, tmn_krawtchouk])
+def test_the_per_entry_chart_forms_refuse_a_theta_that_is_not_finite(per_entry, theta):
+    for m2, n2 in ((2, 0), (-2, 2), (0, 0)):
+        with pytest.raises(ValueError) as info:
+            per_entry(HalfInt(2), HalfInt(m2), HalfInt(n2), NOT_FINITE[theta])
+        assert type(info.value) is ValueError and str(info.value) == f"theta={theta} is not finite"
 
 
 def test_a_build_over_no_spins_is_empty_and_a_negative_spin_is_refused():
