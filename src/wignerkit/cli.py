@@ -31,7 +31,8 @@ own, such as an in-process caller's buffer, gets the BrokenPipeError.
 Each command's handler returns its text as pieces and its exit code, and
 main writes the pieces in order, then a newline.  A dmat matrix is its
 record's head, one piece per chunk of the matrix text and the record's
-tail, so no string holds the whole matrix.  A handler computes whatever can
+tail, so no string holds the whole matrix; the digit kernel behind those
+pieces runs once per block of two of them.  A handler computes whatever can
 raise (the route, the finite check, the rendered head) before it returns,
 so a domain error prints only its error record.
 
@@ -56,7 +57,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .exactcomb import HalfInt
-from .floatrepr import write_reprs
+from .floatrepr import _rows_text, _word_rows
 from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
@@ -85,9 +86,12 @@ EXIT_BROKEN_PIPE = 141
 MAX_VERIFY_L_X2 = 12
 # dmat prints about 84 bytes per entry: 13.6 MB at this spin, 55 MB at 800.
 MAX_DMAT_L_X2 = 400
-# dmat's matrix writer (_render_dmat) takes this many float parts at a time,
-# in whole rows, which bounds the memory of a large matrix's text.
+# dmat's matrix writer (_render_dmat) yields its text in pieces of this many
+# float parts, in whole rows, which bounds the memory of a large matrix's
+# text.  Its digit kernel takes _BLOCK_PIECES pieces at a time, so that its
+# fixed cost is paid once per block.
 _CHUNK_VALUES = 4096
+_BLOCK_PIECES = 2
 
 
 def _render_dmat(record: dict, M: WignerMatrix) -> Iterator[str]:
@@ -103,17 +107,20 @@ def _render_dmat(record: dict, M: WignerMatrix) -> Iterator[str]:
     WignerMatrix holds only finite entries.  The record is rendered before
     this returns, so whatever can raise has raised before the first piece.
 
-    floatrepr.write_reprs writes _CHUNK_VALUES parts at a time, in whole
-    rows, with the digits of float.__repr__ and no Python call per value
-    (the few values its kernel cannot decide with a wide margin take
-    float.__repr__).  Each part is a row of four 8-byte words, each taken
-    from a small table: a prefix (sign, lead digit, point), two words of
-    digits, and a suffix (the exponent and a separator byte: after a real
-    part, after an imaginary part, or after a row); one bytes.translate
-    deletes the padding between them.  bytes.replace turns the separators of
-    a chunk into the list punctuation and indentation, and the chunk is
-    decoded at once into a piece of its own.  Nothing is spliced or joined:
-    no piece holds more than one chunk, and no string the whole matrix.
+    The matrix text is cut into pieces of _CHUNK_VALUES parts at most, in
+    whole rows.  floatrepr's digit kernel (floatrepr._word_rows) lays out
+    _BLOCK_PIECES pieces at a time, with the digits of float.__repr__ and no
+    Python call per value (the few values it cannot decide with a wide
+    margin take float.__repr__).  Each part is a row of four 8-byte words,
+    each taken from a small table: a prefix (sign, lead digit, point), two
+    words of digits, and a suffix (the exponent and a separator byte: after
+    a real part, after an imaginary part, or after a row).  A piece's text
+    is read from its own slice of the block's word rows, with one
+    bytes.translate that deletes the padding between them
+    (floatrepr._rows_text); bytes.replace turns its separators into the list
+    punctuation and indentation, and the chunk is decoded at once into a
+    piece of its own.  Nothing is spliced or joined: no piece holds more than
+    one chunk, and no string the whole matrix.
     """
     i0, i1, i2, i3 = ("\n" + " " * k for k in (4, 6, 8, 10))
     dim = M.entries.shape[0]
@@ -126,15 +133,19 @@ def _render_dmat(record: dict, M: WignerMatrix) -> Iterator[str]:
         (b"\1", (i2 + "]," + i2 + "[" + i3).encode()),
         (b"\2", (i2 + "]" + i1 + "]," + i1 + "[" + i2 + "[" + i3).encode()),
     )
-    rows = max(1, _CHUNK_VALUES // (2 * dim))
-    seps = np.tile(np.array([0, 1], dtype=np.uint8), rows * dim)
+    rows = max(1, _CHUNK_VALUES // (2 * dim))  # per piece
+    block_rows = _BLOCK_PIECES * rows
+    seps = np.tile(np.array([0, 1], dtype=np.uint8), block_rows * dim)
     seps[2 * dim - 1 :: 2 * dim] = 2
 
     def pieces() -> Iterator[str]:
         yield head + "[" + i1 + "[" + i2 + "[" + i3
         for start in range(0, dim, rows):
-            block = values[start : start + rows].ravel()
-            chunk = write_reprs(block, seps[: block.size])
+            if start % block_rows == 0:
+                block = values[start : start + block_rows].ravel()
+                words = _word_rows(block, seps[: block.size])
+            at = start % block_rows * 2 * dim
+            chunk = _rows_text(words[at : at + rows * 2 * dim])
             if start + rows >= dim:
                 chunk = chunk[:-1]  # the last row closes the matrix instead
             for sep, text in punctuation:

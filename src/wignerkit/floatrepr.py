@@ -3,7 +3,11 @@
 `write_reprs(values, seps)` returns the ASCII of ``repr(float(v)) + sep`` for
 every value, concatenated.  It is the matrix writer behind ``wignerkit dmat``,
 where ``float.__repr__`` through a %-template took about three quarters of a
-200-spin call.
+200-spin call.  It is two steps: the kernel, `_word_rows`, which lays out
+every value as a row of words, and `_rows_text`, which reads the text of any
+run of those rows.  The dmat writer takes them apart, so that it pays the
+kernel's fixed numpy cost (about 0.2 ms a call) once per block of rows and
+still cuts the text into smaller pieces.
 
 repr prints the shortest decimal digits that read back as the same double
 and, among those, the nearest.  The kernel finds them for a whole array at
@@ -232,10 +236,11 @@ def _repr_digits(v: float) -> tuple[int, int, int]:
     return int(digits) * 10 ** (17 - len(digits)), e, len(digits)
 
 
-def write_reprs(values: np.ndarray, seps: np.ndarray) -> bytes:
-    """b"".join(repr(v).encode() + bytes([s]) for v, s in zip(values, seps))
-    for a 1-d float64 array of finite values and a uint8 array of separator
-    bytes, any but 0x7F."""
+def _word_rows(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The kernel of write_reprs: one row of four uint64 words per value,
+    whose little-endian bytes, less the filler 0x7F, are repr(v) and then its
+    separator.  The text of rows i..j-1 is that of values i..j-1 alone, so a
+    caller can run the kernel once and cut the text at any row."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     seps = np.asarray(seps)
     if x.ndim != 1 or seps.shape != x.shape:
@@ -262,4 +267,17 @@ def write_reprs(values: np.ndarray, seps: np.ndarray) -> bytes:
         words[integral, 1:3] = text & keep | move << _B8 | _DOT[e[integral]]
         words[integral, 2] |= move[:, 0] >> _B56
         words[integral, 3] = words[integral, 3] >> _B8 << _B8 | text[:, 1] >> _B56
+    return words
+
+
+def write_reprs(values: np.ndarray, seps: np.ndarray) -> bytes:
+    """b"".join(repr(v).encode() + bytes([s]) for v, s in zip(values, seps))
+    for a 1-d float64 array of finite values and a uint8 array of separator
+    bytes, any but 0x7F: the text of its word rows."""
+    return _rows_text(_word_rows(values, seps))
+
+
+def _rows_text(words: np.ndarray) -> bytes:
+    """The text of word rows from _word_rows, or of any run of them: their
+    bytes with the filler deleted."""
     return words.astype("<u8", copy=False).tobytes().translate(None, b"\x7f")

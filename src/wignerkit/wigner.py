@@ -937,6 +937,12 @@ def _jacobi_entries(l2: int, j: int, rows, charts: list) -> list[list[float]]:
     return out
 
 
+def _windows(v: np.ndarray, rows: int, width: int) -> np.ndarray:
+    # The view W[n, i, j] = v[n, i + j], i < rows, j < width, of a C-contiguous
+    # 2-d array v (a sliding window view, without its per-call checks).
+    return np.ndarray((len(v), rows, width), v.dtype, v, 0, (v.strides[0], v.itemsize, v.itemsize))
+
+
 def chart_phases(l: HalfInt, angles) -> np.ndarray:
     """e^{-i(m(phi - psi) + n(phi + psi))} at each entry (m, n) for each of the
     EulerAngles, shape (len(angles), 2l+1, 2l+1).
@@ -944,10 +950,33 @@ def chart_phases(l: HalfInt, angles) -> np.ndarray:
     A chart element is P1 R(theta) P2 with P1, P2 diagonal, so its matrix is
     this array times the real d(theta) = t(R(theta)).  Each phase is one
     exponential, not a product, so its bits do not depend on numpy's SIMD level.
+    The argument of entry (-m, -n) is that of (m, n) negated exactly, or both
+    are 0, so one exponential serves the pair: the first ceil(dim**2 / 2)
+    entries in row-major order take np.exp(1j * argument), and each of the
+    rest the conjugate of its mirror's phase.  That is the same bits as its
+    own exponential wherever the complex exponential's sine is odd bit for
+    bit, which the tests check against one exponential per entry.  Where the
+    argument is 0 the entry takes its mirror's phase, 1 + 0j as
+    np.exp(1j * 0) gives it, and not the conjugate 1 - 0j.
     """
-    i, j = np.indices((_dim(l), _dim(l)))
-    psi, phi = (np.reshape([getattr(a, name) for a in angles], (-1, 1, 1)) for name in ("psi", "phi"))
-    return np.exp(1j * ((i - j) * psi - (i + j - l.twice) * phi))
+    l2, dim = l.twice, _dim(l)
+    size = dim * dim
+    half = (size + 1) // 2
+    psi, phi = (np.reshape([getattr(a, name) for a in angles], (-1, 1)) for name in ("psi", "phi"))
+    # The arguments (i - j) psi - (i + j - l2) phi of the rows that hold the
+    # first half, read from the multiples k psi and k phi, |k| <= l2: window i
+    # of k psi, reversed, is (i - j) psi, and window i of k phi is (i + j - l2) phi.
+    k, rows = np.arange(-l2, l2 + 1), (dim + 1) // 2
+    arg = _windows(k * psi, rows, dim)[..., ::-1] - _windows(k * phi, rows, dim)
+    first = arg.reshape(len(psi), rows * dim)[:, :half]
+    out = np.empty((len(psi), size), dtype=complex)
+    head = out[:, :half]
+    np.multiply(1j, first, out=head)
+    np.exp(head, out=head)
+    mirror = out[:, : size - half][:, ::-1]
+    np.conjugate(mirror, out=out[:, half:])
+    np.copyto(out[:, half:], mirror, where=first[:, : size - half][:, ::-1] == 0)
+    return out.reshape(-1, dim, dim)
 
 
 def _chart_form(stack, l: HalfInt, angles) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerkit import cli
+from wignerkit import cli, floatrepr
 from wignerkit.cli import MAX_DMAT_L_X2, _render_dmat, main
 from wignerkit.exactcomb import HalfInt
 from wignerkit.group import EulerAngles, from_euler
@@ -467,6 +467,49 @@ class TestStreamedOutput:
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+def _pieces_per_matrix(dim):
+    # (rows per piece, pieces) of the dmat writer for a dim x dim matrix
+    rows = max(1, cli._CHUNK_VALUES // (2 * dim))
+    return rows, -(-dim // rows)
+
+
+class TestKernelBlocks:
+    """The digit kernel runs once per block of cli._BLOCK_PIECES pieces, and
+    each piece is cut from the block's word rows."""
+
+    # dim 41 and 42: one block of one piece; 60: one block of two pieces; 81
+    # and 102: a short last piece ending a full block; 128 and 200: full
+    # blocks only; 146, 201, 202 and 401: a last block of one short piece.
+    @pytest.mark.parametrize("l_x2", [40, 41, 59, 80, 101, 127, 145, 199, 200, 201, 400])
+    def test_same_text_as_json_dumps_with_one_kernel_call_per_block(self, monkeypatch, l_x2):
+        calls = []
+
+        def counted(values, seps):
+            calls.append(values.size)
+            return floatrepr._word_rows(values, seps)
+
+        monkeypatch.setattr(cli, "_word_rows", counted)
+        M = _auto_matrix(l_x2)
+        assert_renders_as_json_dumps(DMAT_RECORDS[0], M)
+        rows, pieces = _pieces_per_matrix(l_x2 + 1)
+        assert len(calls) == -(-pieces // cli._BLOCK_PIECES)
+        assert sum(calls) == 2 * (l_x2 + 1) ** 2 and max(calls) <= cli._BLOCK_PIECES * cli._CHUNK_VALUES
+
+    @pytest.mark.parametrize("dim", [41, 42, 81, 146, 201, 401])
+    def test_fallback_parts_at_the_ends_of_every_piece_and_block(self, dim):
+        # float.__repr__ writes the parts the kernel leaves undecided: a power
+        # of two or a value below the kernel's table.  Put them on the first
+        # and the last part of every piece, so on the ends of every block too.
+        entries = np.random.default_rng(dim).normal(size=(dim, dim, 2))
+        rows, _ = _pieces_per_matrix(dim)
+        for k, start in enumerate(range(0, dim, rows)):
+            entries[start, 0, 0] = (-1) ** k * 2.0 ** (k - 40)
+            entries[min(start + rows, dim) - 1, -1, 1] = (-1) ** k * 1e-300 if k % 2 else 2.0**60
+        fallbacks = entries[::rows, 0, 0].tolist() + entries[rows - 1 :: rows, -1, 1].tolist() + [entries[-1, -1, 1]]
+        assert floatrepr._shortest(np.array(fallbacks))[3].all()
+        assert_renders_as_json_dumps(DMAT_RECORDS[0], WignerMatrix(HalfInt(dim - 1), entries.view(complex)[..., 0]))
 
 
 class TestPoly:

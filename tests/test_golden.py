@@ -27,6 +27,8 @@ from wignerkit.haar import gauss_legendre
 from wignerkit.specfun import JacobiParams, jacobi_eval
 from wignerkit.wigner import ROTATION_ROUTES
 
+from test_route_tables import PHASE_SPINS, direct_phases, phase_angles
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -223,7 +225,7 @@ def test_stdout_is_the_same_on_other_blas_kernels(kernel):
 # must print the bytes pinned above.  Below X86_V3 numpy does not fuse complex
 # products with FMA, so the oracle's last bits change there (ROADMAP item 8).
 # The chart forms multiply a real d(theta) by chart_phases, one exponential
-# per entry, so their bytes hold below X86_V3 too.  numpy reads
+# per mirrored pair of entries, so their bytes hold below X86_V3 too.  numpy reads
 # NPY_DISABLE_CPU_FEATURES when it loads, so each run gets a fresh
 # interpreter.  A feature that this CPU or this numpy build lacks is left out
 # of the variable, because numpy warns about it; with none left, the run is at
@@ -310,6 +312,31 @@ print(hashlib.sha256(b"".join(stack.tobytes() for stack in stacks)).hexdigest())
 """
 
 
+# chart_phases at the spins and angles of tests/test_route_tables.py, in one
+# call per spin: its mirrored half is the conjugate of its first, which is
+# one exponential per entry only where the complex exponential's sine is odd
+# bit for bit.  The angles enter the script as literals.
+PHASES_BLOCK = """
+from wignerkit.exactcomb import HalfInt
+from wignerkit.group import EulerAngles
+from wignerkit.wigner import chart_phases
+angles = [EulerAngles(*t) for t in {angles}]
+digest = hashlib.sha256()
+for l_x2 in {spins}:
+    digest.update(chart_phases(HalfInt(l_x2), angles).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def direct_phases_hash():
+    # What PHASES_BLOCK prints, from one exponential per entry in this interpreter.
+    digest = hashlib.sha256()
+    for l_x2 in PHASE_SPINS:
+        for angles in phase_angles():
+            digest.update(direct_phases(l_x2, [angles]).tobytes())
+    return digest.hexdigest()
+
+
 def element_hash():
     # What ELEMENT_BLOCK prints, run in this interpreter at numpy's default feature level.
     out = io.StringIO()
@@ -332,8 +359,11 @@ def test_chart_route_stdout_is_the_same_without_avx2():
     rules = [gauss_legendre((2 * 8 + al + be) // 2 + 1)[0] for al, be in blocks]
     nodes = np.repeat([x[np.minimum(np.arange(13), len(x) - 1)] for x in rules], 9, axis=0).tolist()
     weighted = exact_hash([JacobiParams(al, be, n) for al, be in blocks for n in range(9)], nodes)
-    script = RUN_AND_HASH + REFLECTION_BLOCK + WEIGHTED_BLOCK.format(nodes=nodes) + ELEMENT_BLOCK
-    assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS, script, [reflection, weighted, element_hash()])
+    angles = [(a.theta, a.phi, a.psi) for a in phase_angles()]
+    phases = PHASES_BLOCK.format(angles=angles, spins=PHASE_SPINS)
+    script = RUN_AND_HASH + REFLECTION_BLOCK + WEIGHTED_BLOCK.format(nodes=nodes) + ELEMENT_BLOCK + phases
+    extra = [reflection, weighted, element_hash(), direct_phases_hash()]
+    assert_pins_hold_without(("X86_V3", *AVX512_LEVELS), CHART_PINS, script, extra)
 
 
 # The Haar angles are drawn with math.acos, one sample at a time, so every

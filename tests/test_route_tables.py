@@ -150,6 +150,39 @@ def test_the_jacobi_chart_form_is_unitary_at_l_x2_200():
         assert np.max(np.abs(T @ T.conj().T - np.eye(201))) < 1e-13
 
 
+# chart_phases takes one exponential per mirrored pair of entries; these are
+# the spins and angles it is held to the exponential of every entry at.
+PHASE_SPINS = [*range(42), 145, 200, 201, 400]
+
+
+def phase_angles() -> list:
+    # phi = psi = 0 (every argument 0), phi = psi, a phase of pi on either
+    # side and on both, and the 20 Euler triples of the routes suite at seed 0.
+    rng = np.random.default_rng(2)  # suite_routes draws its triples from seed + 2
+    triples = zip(rng.uniform(0, math.pi / 2, 20), rng.uniform(0, 2 * math.pi, 20), rng.uniform(0, 2 * math.pi, 20))
+    fixed = [(0.7, 0.0, 0.0), (0.7, 1.2, 1.2), (0.7, math.pi, 0.3), (0.7, 0.3, math.pi), (0.7, math.pi, math.pi)]
+    return [EulerAngles(*angles) for angles in (*fixed, *triples)]
+
+
+def direct_phases(l_x2: int, angles) -> np.ndarray:
+    # The reference: one exponential per entry, no mirror.
+    i, j = np.indices((l_x2 + 1, l_x2 + 1))
+    psi, phi = (np.reshape([getattr(a, name) for a in angles], (-1, 1, 1)) for name in ("psi", "phi"))
+    return np.exp(1j * ((i - j) * psi - (i + j - l_x2) * phi))
+
+
+def test_chart_phases_equal_one_exponential_per_entry_bit_for_bit():
+    # The mirrored half reads conj(exp(1j * x)) for exp(1j * -x), which holds
+    # where the complex exponential's sine is odd bit for bit; a platform
+    # where it is not fails here.
+    angles = phase_angles()
+    for l_x2 in PHASE_SPINS:
+        got = chart_phases(HalfInt(l_x2), angles)
+        assert got.shape == (len(angles), l_x2 + 1, l_x2 + 1)
+        for k, angle in enumerate(angles):  # one angle at a time, to keep the memory small
+            assert got[k].tobytes() == direct_phases(l_x2, [angle]).tobytes(), (l_x2, angle)
+
+
 @pytest.mark.parametrize("route", [r for r in cli.ROUTES if r not in ("oracle", "auto")])
 def test_every_closed_route_has_a_check_in_the_routes_report(route):
     # one check per route table that holds the route

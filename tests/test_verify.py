@@ -1,8 +1,10 @@
 """Suite composition in run_suite, and the one reducer every check goes
 through."""
 import copy
+import hashlib
 import json
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -290,3 +292,22 @@ def test_sample_gl2_refuses_a_determinant_bound_no_draw_meets():
         with pytest.raises(ValueError, match="never met"):
             verify.sample_gl2(0, 1, min_det=min_det)
     assert len(verify.sample_gl2(0, 3, min_det=1.0)) == 3
+
+
+def test_sample_gl2_gives_up_on_a_determinant_bound_too_rare_to_meet():
+    # Near 2 a met draw takes seconds to minutes to find; the call gives up
+    # after verify._MAX_REJECTED rejected draws in a row instead.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"min_det=1\.95 is too rare to sample"):
+        verify.sample_gl2(0, 1, min_det=1.95)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sample_gl2_draws_the_same_samples_under_the_rejection_cap():
+    # The cap leaves the bounds that the suites ask for (1e-2, and 0.3 for
+    # sample_unimodular) far from it: these samples are the ones drawn before it.
+    digest = hashlib.sha256()
+    for min_det in (1e-2, 0.3):
+        for seed in range(10):
+            digest.update(np.array([[A.a, A.b, A.c, A.d] for A in verify.sample_gl2(seed, 50, min_det)]).tobytes())
+    assert digest.hexdigest() == "2ee4c7d8a50b1da47059d939e463964fc8a2578cdb7fce0572b9ef86c8f17a41"
