@@ -32,9 +32,12 @@ Each command's handler returns its text as pieces and its exit code, and
 main writes the pieces in order, then a newline.  A dmat matrix is its
 record's head, one piece per chunk of the matrix text and the record's
 tail, so no string holds the whole matrix; the digit kernel behind those
-pieces runs once per block of two of them.  A handler computes whatever can
-raise (the route, the finite check, the rendered head) before it returns,
-so a domain error prints only its error record.
+pieces runs at most once per block of two of them.  For an Euler source it
+runs on the first half of the matrix only: entry (-m, -n) is then (m, n)'s
+up to signs, so a later part takes its mirror's digits, and a part whose
+magnitude differs from its mirror's goes to the kernel too.  A handler
+computes whatever can raise (the route, the finite check, the rendered
+head) before it returns, so a domain error prints only its error record.
 
 There is one argument parser per process (PARSER), built from build_parser()
 when this module is imported, and main parses with it.  A usage error that
@@ -57,7 +60,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .exactcomb import HalfInt
-from .floatrepr import _rows_text, _word_rows
+from .floatrepr import _mirrored_rows, _rows_text, _word_rows
 from .group import EulerAngles, Mat2C, from_euler
 from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
@@ -92,6 +95,10 @@ MAX_DMAT_L_X2 = 400
 # fixed cost is paid once per block.
 _CHUNK_VALUES = 4096
 _BLOCK_PIECES = 2
+# The writer takes a matrix's later parts from their mirrors only from this
+# dim on: below it the kernel time that saves (about 90 ns a part) is less
+# than the mirroring's fixed numpy cost (about 20-30 us a call).
+_MIRROR_MIN_DIM = 31
 
 
 def _render_dmat(record: dict, M: WignerMatrix) -> Iterator[str]:
@@ -114,9 +121,27 @@ def _render_dmat(record: dict, M: WignerMatrix) -> Iterator[str]:
     margin take float.__repr__).  Each part is a row of four 8-byte words,
     each taken from a small table: a prefix (sign, lead digit, point), two
     words of digits, and a suffix (the exponent and a separator byte: after
-    a real part, after an imaginary part, or after a row).  A piece's text
-    is read from its own slice of the block's word rows, with one
-    bytes.translate that deletes the padding between them
+    a real part, after an imaginary part, or after a row).
+
+    Entry q (row-major) mirrors entry dim^2 - 1 - q, (l_x2 - i, l_x2 - j)
+    for (i, j): every source dmat builds from Euler angles gives the two the
+    same parts up to sign.  The kernel lays out every part of the first
+    ceil(dim^2 / 2) entries, whose rows are kept, and each later part whose
+    |x| differs bit for bit from that of the same part of its mirror; every
+    other later part takes its mirror's kept row with its own sign and
+    separator (floatrepr._mirrored_rows), since the digit words and the
+    exponent depend only on |x|.  That holds in a block where at least half
+    the later parts match; any other block takes one kernel call over its
+    whole slice, as does every block of a matrix whose last row does not
+    mostly match its first, such as the oracle matrix of a --matrix source
+    (under 4% of an SU(2) element's parts match, and none of a general
+    matrix's), and every matrix of dim below _MIRROR_MIN_DIM.  At l_x2 200
+    the kernel takes 40,402 of an Euler source's 80,802 parts in 6 calls,
+    against 11 calls over all of them for a matrix source; the kept rows
+    hold 34 bytes a part, 1.4 MB there.
+
+    A piece's text is read from its own slice of the block's word rows, with
+    one bytes.translate that deletes the padding between them
     (floatrepr._rows_text); bytes.replace turns its separators into the list
     punctuation and indentation, and the chunk is decoded at once into a
     piece of its own.  Nothing is spliced or joined: no piece holds more than
@@ -137,13 +162,62 @@ def _render_dmat(record: dict, M: WignerMatrix) -> Iterator[str]:
     block_rows = _BLOCK_PIECES * rows
     seps = np.tile(np.array([0, 1], dtype=np.uint8), block_rows * dim)
     seps[2 * dim - 1 :: 2 * dim] = 2
+    # Entry q's mirror is entry size - 1 - q.  A part of the second half
+    # whose |x| is its mirror's bit for bit takes its mirror's word row, in a
+    # block where at least half the later parts do: at the few matches of an
+    # SU(2) element's oracle matrix, gathering the rest for the kernel and
+    # scattering their rows back took 11-18% more render time than one call
+    # over the block.  From _MIRROR_MIN_DIM on, the first half's rows are
+    # kept where the last row passes that test against the first.
+    entries, size = values.reshape(-1, 2), dim * dim
+    half = (size + 1) // 2
+
+    def matches(a: int, b: int) -> np.ndarray:
+        # Whether each part of entries a..b-1, all past the first half, has its mirror's |x|.
+        return np.abs(entries[a:b]) == np.abs(_reversed(entries[size - b : size - a]))
+
+    def mostly(matched: np.ndarray) -> bool:
+        return 0 < matched.size <= 2 * np.count_nonzero(matched)
+
+    if keep := dim >= _MIRROR_MIN_DIM and mostly(matches(max(half, size - dim), size)):
+        kept, kept_prefix = np.empty((half, 2, 4), dtype=np.uint64), np.empty((half, 2), dtype=np.uint16)
+
+    def store(a: int, split: int, words: np.ndarray, prefix: np.ndarray) -> None:
+        # Keep the rows of entries a..a+split-1, the first of the kernel's.
+        kept[a : a + split] = words[: 2 * split].reshape(-1, 2, 4)
+        kept_prefix[a : a + split] = prefix[: 2 * split].reshape(-1, 2)
+
+    def block_words(a: int, b: int) -> np.ndarray:
+        # The word rows of entries a..b-1: the kernel's over the block, or the
+        # kernel's over its parts of the first half and its unmatched parts
+        # and the mirrors' for the rest.
+        split = min(max(half - a, 0), b - a)  # entries of the first half
+        if not (keep and mostly(mirrored := matches(a + split, b))):
+            words, prefix = _word_rows(entries[a:b].ravel(), seps[: 2 * (b - a)])
+            if keep:
+                store(a, split, words, prefix)
+            return words
+        own, own_seps = entries[a + split : b], seps[2 * split : 2 * (b - a)].reshape(-1, 2)
+        redo = ~mirrored
+        todo, todo_seps = entries[a : a + split].ravel(), seps[: 2 * split]
+        if some := redo.any():
+            todo, todo_seps = np.concatenate([todo, own[redo]]), np.concatenate([todo_seps, own_seps[redo]])
+        if todo.size:
+            words, prefix = _word_rows(todo, todo_seps)
+            store(a, split, words, prefix)
+        out = np.empty((b - a, 2, 4), dtype=np.uint64)
+        out[:split] = kept[a : a + split]
+        mirror = slice(size - b, size - a - split)
+        _mirrored_rows(kept[mirror][::-1], _reversed(kept_prefix[mirror]), own, own_seps, out[split:])
+        if some:
+            out[split:][redo] = words[2 * split :]
+        return out.reshape(-1, 4)
 
     def pieces() -> Iterator[str]:
         yield head + "[" + i1 + "[" + i2 + "[" + i3
         for start in range(0, dim, rows):
             if start % block_rows == 0:
-                block = values[start : start + block_rows].ravel()
-                words = _word_rows(block, seps[: block.size])
+                words = block_words(start * dim, min(start + block_rows, dim) * dim)
             at = start % block_rows * 2 * dim
             chunk = _rows_text(words[at : at + rows * 2 * dim])
             if start + rows >= dim:
@@ -154,6 +228,15 @@ def _render_dmat(record: dict, M: WignerMatrix) -> Iterator[str]:
         yield i2 + "]" + i1 + "]" + i0 + "]" + tail
 
     return pieces()
+
+
+def _reversed(a: np.ndarray) -> np.ndarray:
+    # a[::-1], copied as one item per row of a: numpy copies a reversed
+    # (4096, 2) array four to seven times slower than a reversed 1-d array
+    # of its rows.
+    row = math.prod(a.shape[1:])
+    items = a.reshape(len(a), row).view(np.dtype((np.void, row * a.itemsize)))
+    return items[::-1].copy().view(a.dtype).reshape(a.shape)
 
 
 def _matrix_csv(M: WignerMatrix) -> Iterator[str]:

@@ -7,7 +7,13 @@ where ``float.__repr__`` through a %-template took about three quarters of a
 every value as a row of words, and `_rows_text`, which reads the text of any
 run of those rows.  The dmat writer takes them apart, so that it pays the
 kernel's fixed numpy cost (about 0.2 ms a call) once per block of rows and
-still cuts the text into smaller pieces.
+still cuts the text into smaller pieces.  A third step, `_mirrored_rows`,
+writes the rows of values from the kept rows of values of the same
+magnitudes, bit for bit, without the kernel: the digit words and the
+exponent carry over, and the prefix takes each value's sign (from the
+kernel's prefix row of |x|) and the suffix each value's separator.  The dmat
+writer runs the kernel on the first half of an Euler source's matrix and
+mirrors the rest.
 
 repr prints the shortest decimal digits that read back as the same double
 and, among those, the nearest.  The kernel finds them for a whole array at
@@ -111,6 +117,8 @@ _MASK = _words((1 - np.tri(17, 16, -1)) * _FILLER)  # row n: filler over bytes n
 _KEEP = _words(np.tri(16, k=-1) * 0xFF)  # row p: every bit of bytes 0..p-1
 _DOT = _words(np.eye(16) * ord("."))  # row p: '.' in byte p
 _SEP = np.arange(256, dtype=np.uint64) << _B40
+# The separator's byte in a row of native words: byte 5 of the fourth word.
+_SEP_BYTE = 3 * 8 + (5 if np.little_endian else 2)
 
 # Prefix row ((form * 2 + negative) * 2 + point) * 10 + d, for lead digit d and a point if more digits
 # follow; forms: scientific, fixed at exponent 0, at -1..-4 and at 1..15 (point in the digit words).
@@ -236,11 +244,12 @@ def _repr_digits(v: float) -> tuple[int, int, int]:
     return int(digits) * 10 ** (17 - len(digits)), e, len(digits)
 
 
-def _word_rows(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
+def _word_rows(values: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The kernel of write_reprs: one row of four uint64 words per value,
     whose little-endian bytes, less the filler 0x7F, are repr(v) and then its
-    separator.  The text of rows i..j-1 is that of values i..j-1 alone, so a
-    caller can run the kernel once and cut the text at any row."""
+    separator, and each value's prefix row less its sign, for _mirrored_rows.
+    The text of rows i..j-1 is that of values i..j-1 alone, so a caller can
+    run the kernel once and cut the text at any row."""
     x = np.ascontiguousarray(values, dtype=np.float64)
     seps = np.asarray(seps)
     if x.ndim != 1 or seps.shape != x.shape:
@@ -255,8 +264,9 @@ def _word_rows(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
     kept = count - 1  # digits written after the lead
     integral = np.flatnonzero((e > 0) & (e < 16))  # fixed notation with two or more integer digits
     kept[integral] = np.maximum(kept[integral], e[integral] + 1)
+    prefix = _FORM_AT.take(at) + (count > 1) * 10 + lead  # the prefix row of |x|
     words = np.empty((len(x), 4), dtype=np.uint64)
-    words[:, 0] = _PREFIX.take(_FORM_AT.take(at) + np.signbit(x) * 20 + (count > 1) * 10 + lead)
+    words[:, 0] = _PREFIX.take(prefix + np.signbit(x) * 20)
     for word, half in ((1, high), (2, low)):
         quad = half // 10**4
         words[:, word] = _QUAD[0].take(quad) | _QUAD[1].take(half - quad * 10**4) | _MASK[:, word - 1].take(kept)
@@ -267,14 +277,27 @@ def _word_rows(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
         words[integral, 1:3] = text & keep | move << _B8 | _DOT[e[integral]]
         words[integral, 2] |= move[:, 0] >> _B56
         words[integral, 3] = words[integral, 3] >> _B8 << _B8 | text[:, 1] >> _B56
-    return words
+    return words, prefix
+
+
+def _mirrored_rows(rows: np.ndarray, prefix: np.ndarray, values: np.ndarray, seps: np.ndarray, out: np.ndarray) -> None:
+    """Write into out the word rows of values whose magnitudes are, bit for
+    bit, those of the values that _word_rows gave rows and prefix (or views
+    of them, reversed ones too).  The digit words and the exponent depend
+    only on |x|, so they carry over; the prefix takes each value's own sign,
+    and byte 5 of the fourth word its own separator.  rows and out have a
+    last axis of four words, out's contiguous, and prefix, values and seps
+    the shape of the rest."""
+    out[...] = rows
+    out[..., 0] = _PREFIX.take(prefix + np.signbit(values) * 20)
+    out.view(np.uint8)[..., _SEP_BYTE] = seps
 
 
 def write_reprs(values: np.ndarray, seps: np.ndarray) -> bytes:
     """b"".join(repr(v).encode() + bytes([s]) for v, s in zip(values, seps))
     for a 1-d float64 array of finite values and a uint8 array of separator
     bytes, any but 0x7F: the text of its word rows."""
-    return _rows_text(_word_rows(values, seps))
+    return _rows_text(_word_rows(values, seps)[0])
 
 
 def _rows_text(words: np.ndarray) -> bytes:

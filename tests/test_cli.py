@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from wignerkit import cli, floatrepr
 from wignerkit.cli import MAX_DMAT_L_X2, _render_dmat, main
 from wignerkit.exactcomb import HalfInt
-from wignerkit.group import EulerAngles, from_euler
+from wignerkit.group import EulerAngles, Mat2C, from_euler
 from wignerkit.verify import SUITE_NAMES
 from wignerkit.wigner import WignerMatrix
 
@@ -355,6 +355,16 @@ def assert_renders_as_json_dumps(record, M):
         pytest.fail(f"texts differ at offset {at}: {got[max(at - 40, 0):at + 40]!r} != {want[max(at - 40, 0):at + 40]!r}")
 
 
+def mirrored(entries):
+    # The matrix whose entries from ceil(dim^2 / 2) on (row-major) are their
+    # mirrors' (-1)^(i - j) conj(entry), as an Euler source's are; the centre
+    # entry of an odd dim keeps its own.
+    dim = len(entries)
+    i, j = np.indices((dim, dim))
+    later = i * dim + j >= (dim * dim + 1) // 2
+    return np.where(later, np.conj(entries[::-1, ::-1]) * (-1.0) ** (i - j), entries)
+
+
 class TestMatrixJson:
     """The dmat matrix writer against the json.dumps payload it replaced."""
 
@@ -364,14 +374,23 @@ class TestMatrixJson:
         st.lists(FINITE, min_size=1, max_size=24),
         st.integers(0, 2**32 - 1),
         st.sampled_from(DMAT_RECORDS),
+        st.one_of(st.none(), st.floats(0, 1)),
     )
     @settings(deadline=None, max_examples=150)
-    def test_same_text_as_json_dumps(self, dim, pool, seed, record):
+    def test_same_text_as_json_dumps(self, dim, pool, seed, record, redrawn):
         # Every real and imaginary part is drawn from the pool, so large
-        # matrices cost no more to generate than small ones.
-        values = np.random.default_rng(seed).choice(np.array(pool), size=(dim, dim, 2))
-        M = WignerMatrix(HalfInt(dim - 1), values.view(complex)[..., 0])
-        assert_renders_as_json_dumps(record, M)
+        # matrices cost no more to generate than small ones.  With a share
+        # `redrawn`, the matrix is mirrored as an Euler source's is, and that
+        # share of its later parts is drawn from the pool again.
+        rng = np.random.default_rng(seed)
+        entries = rng.choice(np.array(pool), size=(dim, dim, 2)).view(complex)[..., 0]
+        if redrawn is not None:
+            entries = mirrored(entries)
+            later = np.arange(dim * dim).reshape(dim, dim) >= (dim * dim + 1) // 2
+            redraw = later[..., None] & (rng.random((dim, dim, 2)) < redrawn)
+            parts = entries.view(float).reshape(dim, dim, 2)
+            parts[redraw] = rng.choice(np.array(pool), size=np.count_nonzero(redraw))
+        assert_renders_as_json_dumps(record, WignerMatrix(HalfInt(dim - 1), entries))
 
     def test_non_contiguous_entries(self):
         entries = (np.arange(9.0) + 1j * np.arange(9.0)[::-1]).reshape(3, 3).T
@@ -475,27 +494,53 @@ def _pieces_per_matrix(dim):
     return rows, -(-dim // rows)
 
 
+def kernel_calls_per_piece(monkeypatch, M):
+    # The sizes of the digit kernel's calls while M renders, by the matrix
+    # piece whose rendering made them; M's text is json.dumps's.
+    assert_renders_as_json_dumps(DMAT_RECORDS[0], M)
+    calls = []
+
+    def counted(values, seps):
+        calls.append(values.size)
+        return floatrepr._word_rows(values, seps)
+
+    monkeypatch.setattr(cli, "_word_rows", counted)
+    per_piece = []
+    for _ in _render_dmat(DMAT_RECORDS[0], M):
+        per_piece.append(calls[:])
+        calls.clear()
+    return per_piece[1:-1]
+
+
 class TestKernelBlocks:
-    """The digit kernel runs once per block of cli._BLOCK_PIECES pieces, and
-    each piece is cut from the block's word rows."""
+    """The digit kernel runs at most once per block of cli._BLOCK_PIECES
+    pieces, on the first half of an Euler source's matrix and the parts
+    whose magnitudes differ from their mirrors', and each piece is cut from
+    the block's word rows."""
 
     # dim 41 and 42: one block of one piece; 60: one block of two pieces; 81
     # and 102: a short last piece ending a full block; 128 and 200: full
     # blocks only; 146, 201, 202 and 401: a last block of one short piece.
-    @pytest.mark.parametrize("l_x2", [40, 41, 59, 80, 101, 127, 145, 199, 200, 201, 400])
-    def test_same_text_as_json_dumps_with_one_kernel_call_per_block(self, monkeypatch, l_x2):
-        calls = []
+    SPINS = [40, 41, 59, 80, 101, 127, 145, 199, 200, 201, 400]
 
-        def counted(values, seps):
-            calls.append(values.size)
-            return floatrepr._word_rows(values, seps)
-
-        monkeypatch.setattr(cli, "_word_rows", counted)
-        M = _auto_matrix(l_x2)
-        assert_renders_as_json_dumps(DMAT_RECORDS[0], M)
+    @pytest.mark.parametrize("l_x2", SPINS)
+    def test_same_text_as_json_dumps_with_the_kernel_on_the_first_half(self, monkeypatch, l_x2):
+        per_piece = kernel_calls_per_piece(monkeypatch, _auto_matrix(l_x2))
         rows, pieces = _pieces_per_matrix(l_x2 + 1)
-        assert len(calls) == -(-pieces // cli._BLOCK_PIECES)
-        assert sum(calls) == 2 * (l_x2 + 1) ** 2 and max(calls) <= cli._BLOCK_PIECES * cli._CHUNK_VALUES
+        assert len(per_piece) == pieces
+        # A block's calls come with its first piece, at most one of them.
+        assert all(len(calls) <= (k % cli._BLOCK_PIECES == 0) for k, calls in enumerate(per_piece))
+        calls = sum(per_piece, [])
+        assert sum(calls) == 2 * -(-((l_x2 + 1) ** 2) // 2) and max(calls) <= cli._BLOCK_PIECES * cli._CHUNK_VALUES
+
+    # A random matrix has no mirrored part, at these spins and the smallest.
+    @pytest.mark.parametrize("l_x2", [0, 1, 2, *SPINS])
+    def test_a_matrix_with_no_mirrored_part_takes_one_call_per_block_over_every_part(self, monkeypatch, l_x2):
+        dim = l_x2 + 1
+        entries = np.random.default_rng(l_x2).normal(size=(dim, dim, 2)).view(complex)[..., 0]
+        per_piece = kernel_calls_per_piece(monkeypatch, WignerMatrix(HalfInt(l_x2), entries))
+        assert [len(calls) for calls in per_piece] == [k % cli._BLOCK_PIECES == 0 for k in range(len(per_piece))]
+        assert sum(sum(per_piece, [])) == 2 * dim * dim
 
     @pytest.mark.parametrize("dim", [41, 42, 81, 146, 201, 401])
     def test_fallback_parts_at_the_ends_of_every_piece_and_block(self, dim):
@@ -510,6 +555,94 @@ class TestKernelBlocks:
         fallbacks = entries[::rows, 0, 0].tolist() + entries[rows - 1 :: rows, -1, 1].tolist() + [entries[-1, -1, 1]]
         assert floatrepr._shortest(np.array(fallbacks))[3].all()
         assert_renders_as_json_dumps(DMAT_RECORDS[0], WignerMatrix(HalfInt(dim - 1), entries.view(complex)[..., 0]))
+
+
+def _euler_matrix(l_x2, theta, phi, psi):
+    angles = EulerAngles(theta, phi, psi)
+    return cli._dmat_by_route(HalfInt(l_x2), from_euler(angles), angles, "auto")[1]
+
+
+def _broken(entries, case):
+    # entries with some parts set, each part given by (row, column, part);
+    # -1 counts from the end, so (-1, -1, p) is the mirror of (0, 0, p) and
+    # (-1, -2, p) that of (0, 1, p).  Returns the matrix and how many later
+    # parts no longer match their mirrors.
+    parts = np.array(entries).view(float).reshape(*entries.shape, 2)
+    if case == "one ulp off":
+        parts[-1, -1, 0] = np.nextafter(parts[-1, -1, 0], np.inf)
+        broken = 1
+    elif case == "signed zeros":
+        parts[0, 0, 0], parts[-1, -1, 0], parts[0, 1, 1], parts[-1, -2, 1] = 0.0, -0.0, -0.0, 0.0
+        broken = 0
+    elif case == "fallbacks on both sides":
+        parts[0, 0, 1], parts[-1, -1, 1], parts[0, 1, 0], parts[-1, -2, 0] = 2.0**-40, -(2.0**-40), 1e-300, 1e-300
+        broken = 0
+    elif case == "fallbacks on one side":
+        parts[0, 0, 1], parts[-1, -2, 0] = 2.0**-40, -1e-300
+        broken = 2
+    else:  # "ten and more": fixed notation with the point in the digit words
+        parts *= 12345.678
+        broken = 0
+    return WignerMatrix(HalfInt(len(entries) - 1), parts.view(complex)[..., 0]), broken
+
+
+# Odd and even dims, below cli._MIRROR_MIN_DIM (1-3) and from it on.  The
+# half of the entries ends inside a piece at each, but on a piece boundary
+# inside a block at 168 and on a block boundary at 200.
+MIRROR_DIMS = [1, 2, 3, 41, 42, 60, 168, 200, 201, 202, 401]
+
+
+def kernel_parts(dim, broken=0):
+    # The parts the kernel takes of a mirrored matrix whose `broken` later
+    # parts differ from their mirrors: the first half and those from
+    # cli._MIRROR_MIN_DIM on, every part below it.
+    return 2 * ((dim * dim + 1) // 2) + broken if dim >= cli._MIRROR_MIN_DIM else 2 * dim * dim
+
+
+class TestMirroredRows:
+    """A later part whose |x| is its mirror's bit for bit takes its mirror's
+    word row with its own sign and separator; every other part takes the
+    kernel's.  Either way the text is json.dumps's."""
+
+    # Each theta with both phases at every dim but 401, where json.dumps
+    # takes about a second.
+    @pytest.mark.parametrize(
+        "dim, theta, phase",
+        [(d, t, p) for d in MIRROR_DIMS[:-1] for t in (0.0, math.pi / 2, 1e-3) for p in (0.0, math.pi)]
+        + [(401, 1e-3, 0.0), (401, math.pi / 2, math.pi)],
+    )
+    def test_euler_sources_run_the_kernel_on_the_first_half(self, monkeypatch, dim, theta, phase):
+        per_piece = kernel_calls_per_piece(monkeypatch, _euler_matrix(dim - 1, theta, phase, phase))
+        assert sum(sum(per_piece, [])) == kernel_parts(dim)
+
+    @pytest.mark.parametrize(
+        "case", ["one ulp off", "signed zeros", "fallbacks on both sides", "fallbacks on one side", "ten and more"]
+    )
+    @pytest.mark.parametrize("dim", MIRROR_DIMS[1:-1])
+    def test_a_part_takes_the_kernel_where_its_mirror_differs(self, monkeypatch, dim, case):
+        M, broken = _broken(_euler_matrix(dim - 1, 0.7, 1.2, 0.3).entries, case)
+        per_piece = kernel_calls_per_piece(monkeypatch, M)
+        assert sum(sum(per_piece, [])) == kernel_parts(dim, broken)
+
+    def test_a_block_where_fewer_than_half_match_takes_the_kernel_over_all_its_parts(self, monkeypatch):
+        # In one block of the l_x2 200 matrix, the later parts of three
+        # columns in four are one ulp off, so that block takes one call over
+        # all its parts; the rest mirror.
+        rows = cli._BLOCK_PIECES * _pieces_per_matrix(201)[0]
+        start = 7 * rows  # a block past the half
+        parts = np.array(_euler_matrix(200, 0.7, 1.2, 0.3).entries).view(float).reshape(201, 201, 2)
+        off = (slice(start, start + rows), np.arange(201) % 4 != 0)
+        parts[off] = np.nextafter(parts[off], np.inf)
+        per_piece = kernel_calls_per_piece(monkeypatch, WignerMatrix(HalfInt(200), parts.view(complex)[..., 0]))
+        # Five blocks of the first half, the first-half parts of the sixth,
+        # and the broken block.
+        block = 2 * rows * 201
+        assert sum(per_piece, []) == [block] * 5 + [kernel_parts(201) - 5 * block, block]
+
+    def test_the_oracle_matrix_source_at_l_x2_60_has_no_mirrored_part(self, monkeypatch):
+        A = Mat2C(*map(complex, [30, 2, 0.3, 0.1], [1, 0.5, -1, 0.04]))
+        M = cli._dmat_by_route(HalfInt(60), A, None, "auto")[1]
+        assert kernel_calls_per_piece(monkeypatch, M) == [[2 * 61 * 61], []]
 
 
 class TestPoly:

@@ -76,6 +76,27 @@ def test_fallback_classes_reach_float_repr(v):
     assert kernel_reprs([v]) == [repr(v)]
 
 
+# Magnitudes that repr writes in fixed notation with 2 to 16 integer digits
+# (decimal exponents 1..15), where the point shifts into the digit words.
+FIXED_INTEGRAL = st.builds(lambda m, e: m * 10.0**e, st.floats(1, 10, exclude_max=True), st.integers(1, 15))
+SEP = st.sampled_from([0, 1, 2, ord("\n")])
+
+
+@given(st.lists(st.tuples(st.one_of(VALUE, FALLBACK, FIXED_INTEGRAL), SIGN, SIGN, SEP, SEP), min_size=1, max_size=40))
+@settings(deadline=None, max_examples=300)
+def test_a_mirrored_row_is_the_kernel_row_of_its_own_value(parts):
+    # The dmat writer keeps the rows of one half of a matrix and hands the
+    # other half their reversed views; each mirrored row must be the row the
+    # kernel writes for the part's own value and separator.
+    magnitude, kept_sign, sign, kept_sep, sep = (np.array(column) for column in zip(*parts))
+    magnitude = np.abs(magnitude)
+    rows, prefix = floatrepr._word_rows(kept_sign * magnitude, kept_sep.astype(np.uint8))
+    values, seps = (sign * magnitude)[::-1], sep.astype(np.uint8)[::-1]
+    out = np.empty_like(rows)
+    floatrepr._mirrored_rows(rows[::-1], prefix[::-1], values, seps, out)
+    assert out.tolist() == floatrepr._word_rows(values, seps)[0].tolist()
+
+
 def test_ordinary_values_stay_in_the_kernel():
     # dmat entries are ordinary doubles; the fallback should be rare.
     x = np.random.default_rng(0).standard_normal(10_000) * 10.0 ** np.arange(-8, 8).repeat(625)
