@@ -1,12 +1,14 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "13"; strict JSON (a non-finite deviation is
+Output contract: schema_version "14"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
-across runs, and no command makes a BLAS product.  Since version 13 the
-Schur integrals are read from the phase spectra of the grid stacks (an
+across runs, and no command makes a BLAS product.  Since version 14 the
+verify suites draw their samples from random.Random (group.seeded_random),
+the same under every numpy version; since version 13 the Schur integrals
+are read from the phase spectra of the grid stacks (an
 on-bin theta sum, or a Cauchy-Schwarz bound below a rounding floor), and a
 dmat error record after a refused route carries that route's warning; since
 version 12 dmat's auto route is the Jacobi recurrence in the spin
@@ -66,7 +68,7 @@ from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
 from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
 
-SCHEMA_VERSION = "13"
+SCHEMA_VERSION = "14"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
 # is the recurrence for an Euler source and the oracle for a matrix source; an
 # unavailable route falls back to auto.  An Euler source takes a route's chart

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "multiply",
     "diag_element",
     "sample_haar",
+    "seeded_random",
 ]
 
 SU2_TOL = 1e-12
@@ -105,21 +107,33 @@ def diag_element(phi: float) -> Mat2C:
     return Mat2C(e, 0j, 0j, 1 / e)
 
 
+def seeded_random(seed: int):
+    """random.Random at a seed: the one source of every sample drawn here.
+
+    The seed is an int of at least 0.  random.Random alone would take -5 as 5
+    and hash a float or a str, so those are refused rather than aliased.
+    """
+    import random  # here, so that importing the package loads no sampler
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return random.Random(seed)
+
+
 def sample_haar(rng_seed: int, count: int) -> list[Mat2C]:
     """Draw `count` SU(2) elements from the normalized invariant measure.
 
     cos(2*theta) is uniform on [-1, 1] (this realizes the sin*cos density in
-    theta) and the two phases are uniform on [0, 2*pi).  The sequence is a
-    pure function of the seed.
+    theta) and the two phases are uniform on [0, 2*pi): all `count` values
+    of cos(2*theta), then all of phi, then all of psi, from seeded_random.
+    The sequence is a pure function of the seed, on every platform.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    rng = np.random.default_rng(rng_seed)
-    x = rng.uniform(-1.0, 1.0, count)
-    phi = rng.uniform(0.0, 2 * math.pi, count)
-    psi = rng.uniform(0.0, 2 * math.pi, count)
+    rng = seeded_random(rng_seed)
+    x = [rng.uniform(-1.0, 1.0) for _ in range(count)]
+    phi = [rng.uniform(0.0, 2 * math.pi) for _ in range(count)]
+    psi = [rng.uniform(0.0, 2 * math.pi) for _ in range(count)]
     thetas = [0.5 * math.acos(v) for v in x]  # per sample: np.arccos's bits depend on the SIMD level
-    return [
-        from_euler(EulerAngles(t, float(p), float(q)))
-        for t, p, q in zip(thetas, phi, psi)
-    ]
+    return [from_euler(EulerAngles(t, p, q)) for t, p, q in zip(thetas, phi, psi)]

@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .exactcomb import HalfInt, pochhammer_pair, spins_up_to
-from .group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
+from .group import EulerAngles, Mat2C, from_euler, multiply, sample_haar, seeded_random
 from .haar import (
     HaarGrid,
     build_grid,
@@ -87,6 +87,8 @@ _MAX_REJECTED = 10_000
 def sample_gl2(seed: int, count: int, min_det: float = 1e-2) -> list[Mat2C]:
     """Random invertible GL(2, C) elements with entries in the unit disc.
 
+    Each candidate entry draws re, then im, from seeded_random(seed).
+
     Near-singular draws and draws with a near-zero off-diagonal entry are
     rejected so every closed-form route is comfortably inside its domain.
     |ad - bc| <= |a| |d| + |b| |c| <= 2 for such entries, so a min_det of 2
@@ -96,7 +98,7 @@ def sample_gl2(seed: int, count: int, min_det: float = 1e-2) -> list[Mat2C]:
     """
     if min_det >= 2:
         raise ValueError(f"min_det={min_det} is never met: |det| <= 2 for entries in the unit disc")
-    rng = np.random.default_rng(seed)
+    rng = seeded_random(seed)
     out: list[Mat2C] = []
     rejected = 0
     while len(out) < count:
@@ -104,7 +106,7 @@ def sample_gl2(seed: int, count: int, min_det: float = 1e-2) -> list[Mat2C]:
             raise ValueError(f"min_det={min_det} is too rare to sample: {rejected} draws in a row were rejected")
         entries = []
         while len(entries) < 4:
-            re, im = rng.uniform(-1, 1, 2)
+            re, im = rng.uniform(-1, 1), rng.uniform(-1, 1)
             if re * re + im * im <= 1:
                 entries.append(complex(re, im))
         A = Mat2C(*entries)
@@ -150,21 +152,33 @@ def _relative(lhs, rhs) -> np.ndarray:
     return magnitudes(lhs - np.asarray(rhs)) / np.maximum(1.0, magnitudes(lhs))
 
 
+def routes_triples(seed: int) -> list[EulerAngles]:
+    """The routes suite's 20 Euler triples at its seed: 20 values of theta,
+    then 20 of phi, then 20 of psi, from seeded_random(seed + 2)."""
+    rng = seeded_random(seed + 2)
+    thetas = [rng.uniform(0, math.pi / 2) for _ in range(20)]
+    phis = [rng.uniform(0, 2 * math.pi) for _ in range(20)]
+    psis = [rng.uniform(0, 2 * math.pi) for _ in range(20)]
+    return [EulerAngles(t, p, q) for t, p, q in zip(thetas, phis, psis)]
+
+
+def legendre_angles(seed: int) -> list[tuple[float, float, float]]:
+    """The legendre suite's 10 (theta1, theta2, phi) at its seed, drawn in
+    that order triple by triple from seeded_random(seed + 1)."""
+    rng = seeded_random(seed + 1)
+    return [
+        (rng.uniform(0.05, math.pi - 0.05), rng.uniform(0.05, math.pi - 0.05), rng.uniform(0, 2 * math.pi))
+        for _ in range(10)
+    ]
+
+
 def suite_routes(max_l: HalfInt, seed: int) -> dict:
     """Closed-form routes against the polynomial-expansion oracle: each whole
     element matrix at the samples, which lie inside every element form's
     domain, and each chart form at Euler triples.  An entry's deviation is
     its distance from the oracle's over the max-norm of the oracle matrix."""
     samples = sample_haar(seed, 20) + sample_gl2(seed + 1, 10)
-    rng = np.random.default_rng(seed + 2)
-    triples = [
-        EulerAngles(t, p, q)
-        for t, p, q in zip(
-            rng.uniform(0, math.pi / 2, 20),
-            rng.uniform(0, 2 * math.pi, 20),
-            rng.uniform(0, 2 * math.pi, 20),
-        )
-    ]
+    triples = routes_triples(seed)
     spins = spins_up_to(max_l)
 
     def references(elements):
@@ -295,8 +309,7 @@ def suite_legendre(seed: int) -> dict:
         [jacobi_complex(JacobiParams(0, 0, l), 2 * A.a * A.d - 1) for l in range(7) for A in matrices],
         np.concatenate([S[:, l, l] for l, S in enumerate(_stacks([HalfInt(2 * l) for l in range(7)], matrices))]),
     )
-    rng = np.random.default_rng(seed + 1)
-    angles = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
+    angles = legendre_angles(seed)
     # The addition and product formulas at every degree and triple: one oracle_stack
     # call per degree over the 10 triples, and every Legendre value in one jacobi_rows call.
     addition, products = legendre_checks(range(7), angles)

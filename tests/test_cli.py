@@ -40,7 +40,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "13"
+        assert rec["schema_version"] == "14"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -971,3 +971,31 @@ def test_importing_the_cli_leaves_numpy_fft_unloaded():
     assert with_cli == bare
     if int(np.__version__.split(".")[0]) >= 2:
         assert with_cli == []
+
+
+# What no command loads: numpy.random and the secrets and hashlib modules that
+# it imports (about 6 MB and 17 ms).  The samplers draw from random.Random.
+SAMPLER_MODULES = ("numpy.random", "secrets", "hashlib")
+
+
+def test_no_command_loads_numpy_random():
+    # numpy 1.x imports numpy.random with numpy itself, so the test compares
+    # against a bare `import numpy`.
+    script = (
+        "import contextlib, io, json, sys, numpy\n"
+        f"def loaded(): return [m for m in {SAMPLER_MODULES!r} if m in sys.modules]\n"
+        "bare = loaded()\n"
+        "from wignerkit.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(json.dumps([bare, loaded()]))\n"
+    )
+    argvs = [["verify", "--suite", "all", "--max-l-x2", "0", "--seed", "0"], ["dmat", "--l-x2", "8", "--theta", "0.7"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, env=env, check=True)
+    bare, after = json.loads(done.stdout)
+    assert after == bare
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert after == []

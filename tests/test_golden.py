@@ -68,33 +68,33 @@ HASHED = {
     # auto on an Euler source: the recurrence in the spin
     "dmat_auto_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "8c5777dfab3aa3ea40736cca2bdc60fc79fc2898843d7724938756db1a0b58d3",
+        "32477b185237f0b7562ce56e0ecb5e09b595ad64a7897720bf4e24b00aef1004",
     ),
     "dmat_auto_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "c4ad16314d537b733f58fe07745c609fddf089a458554ffd38c217debc6d8c29",
+        "110d2251558c4e730d8bac7792b3022f9dc6d28042c20303b9ad2adb0a4d93eb",
     ),
     "dmat_auto_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "4a97741949fa6011dc392f8ea29aff112b60d8d686d8f409f56b83bb5446ceb4",
+        "375b76ab126e5f6c57c12f681730ec1a6e6237e146bf672dc63a6f5e9c2b1cba",
     ),
     # The oracle where it is far from unitary (residual 4.4e25), kept on
     # purpose: its matrix is the one auto printed at this spin up to schema 8.
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "oracle"],
-        "2ef96d265ff269b07124bfc66400b0936c7ea6f83495fa32dfccbdb52e0e0986",
+        "b58f6fbb04dc84137f566532d7a073dae46f181be5e75e8ad01c15665e0ae4cb",
     ),
     "dmat_recurrence_euler_201": (
         ["dmat", "--l-x2", "201", *EULER_ANGLES, "--route", "recurrence"],
-        "d5e4b897af778aecdeecfc95ee26f3c3d74b0fdc14d1178ebe94925167cb9717",
+        "27e80653a3b03e6249f742990bdb1baa7ae584cdbd50734c3b0185ffd1daf31b",
     ),
     "dmat_recurrence_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES, "--route", "recurrence"],
-        "d00070ab8724c1a2bcdb4a96670fb639ebb909eef1362d2ddec11c9ca882371c",
+        "a5f69eaa937958cca4ca14afab53ceec234b1a912cf7395c5c9fc747309ab967",
     ),
     "dmat_oracle_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "4bd37c283a4b73305fd5b019ce925547b33394f95db217c32d584e862ae79183",
+        "ede45f74657935e17ac05fc022ec18dc7e7bc6a29cab066f44b8ff973b0ccfae",
     ),
     "dmat_auto_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
@@ -107,7 +107,7 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "ec784a457f654eab9f40a24243da79401a62e8ee84c1dc4d151bb4e2e54f9e4f",
+        "e14f2773d7d189b52d85cc1b45ce5b48e560f682f398ff9eef0bef4ed2f3ab61",
     ),
     "dmat_auto_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
@@ -117,15 +117,15 @@ HASHED = {
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "2c3e5f2ca57fc92d30721e32dbbdf6b0ee982db0f676454f757543a982795733",
+        "1d4955544ed1b24e8e468944076c140a24a037a07da9b892a3a4e5bd0bc62b9f",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "1899d6de226728b446f9fb9586b37bedbd164871e623835300f07f39e38a0a6c",
+        "8d9f4f9f9771e2e12126fd424d389a5035957202d9484273de6e1d429c85c9a7",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "52c530dbae4a550041a636aa1e40201946e3cef812cf0bceb990743e9093959a",
+        "bd77eaffd17b03d4721a2db65319ec3d4fa9a8507588fe48ce2e3075e1211829",
     ),
 }
 
@@ -151,15 +151,15 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # the sha256 of its stdout, and schur by SCHUR_HASHED.  None makes a BLAS
 # product, so the bytes do not depend on the BLAS kernel or thread count.
 VERIFY_HASHED = {
-    "routes": "6ad041d525937f1324a0b8b077f41ea249ea016bf289303f91e4d81438c2b3e3",
-    "unitarity": "b9a372ca7e810cc2734ee579139800b5dac086e35ddde81c9bcea61d74ff70dd",
-    "homomorphism": "d0af862e8cbb603ac5b80cc5984899a4122871af109f767e09c27f014fad6c15",
-    "jacobi-orth": "58e6b23c593ae00910737758975dfaf0aaf70b66b1019df8df9bd00cd5108e2a",
-    "legendre": "db591b62b30fbcc350c68e037d3951526b1642a3db597605a2a6cc907f4223eb",
-    "krawtchouk-sym": "628e4b5d20c47acfce1115b493b05b8c4d4c787f37fbcb5a05864e9ab75a283d",
-    "character": "fcbcfac6aa53addfb3f4e08e9c1ebeec5b51f31060e9ca000ba70ffd694ac60e",
+    "routes": "be91601af4c6e85b76aa2adff3213fb1c1d3bf895ed41b85e26691a29d33921c",
+    "unitarity": "04d1bfd2e975a49e27fe5cbf6d4244de307fcc10b2f8fe4026baa249f94a8236",
+    "homomorphism": "0cc86b63325571ffe880c44fb698346eb5e64f0cb2ddddeaafcf7041c653991b",
+    "jacobi-orth": "325099bca972de14be26b8d210f61754d39e6045e60759a10b4dd96462441d79",
+    "legendre": "ca7b3041d075bdcc810583a0f4468bbb0b6bdfffa2568924d6f5635f6f79daf4",
+    "krawtchouk-sym": "5bcff1e5fcc8348f9a63ee5f5a632cd8b55fdf8d67909071a7fba57b48fefcd0",
+    "character": "dfb27b8d5a376c1c724f931292cd7c96783cd676c1a9fbde95aa56e60999ad08",
 }
-SCHUR_HASHED = "1e3c1d90ab2e73c9fd7b4ff7c87d093090a2b42607e9dc32556bdee998b5ca73"
+SCHUR_HASHED = "f17911810a72f7a4150f0fa036cdbf8fcd820b6a36340e1c0f52fcce0cd6faaa"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))

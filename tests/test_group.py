@@ -1,5 +1,6 @@
 """Group elements, the angle chart, and the uniform sampler."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wignerkit.group import (
     multiply,
     sample_haar,
 )
+from wignerkit.verify import sample_gl2, sample_unimodular
 
 I2 = Mat2C(1, 0, 0, 1)
 
@@ -99,11 +101,37 @@ class TestSampleHaar:
         with pytest.raises(ValueError):
             sample_haar(0, 0)
 
+    def test_draws_every_x_then_every_phi_then_every_psi(self):
+        # x = cos(2 theta), from the standard library's Mersenne Twister at the seed.
+        rng = random.Random(5)
+        x = [rng.uniform(-1, 1) for _ in range(4)]
+        phi = [rng.uniform(0, 2 * math.pi) for _ in range(4)]
+        psi = [rng.uniform(0, 2 * math.pi) for _ in range(4)]
+        want = [from_euler(EulerAngles(0.5 * math.acos(v), p, q)) for v, p, q in zip(x, phi, psi)]
+        assert sample_haar(5, 4) == want
+
     def test_entry_mean_vanishes(self):
         # invariant-measure mean of any matrix entry is 0; 3 sigma ~ 0.0067
         samples = sample_haar(2024, 100_000)
         mean = np.mean([g.a for g in samples])
         assert abs(mean) < 0.02
+
+
+class TestSeedContract:
+    # The seed is a non-negative int, as numpy's default_rng took it:
+    # random.Random alone would take -1 as 1 and hash 1.5 and "3".
+    @pytest.mark.parametrize("sampler", [sample_haar, sample_gl2, sample_unimodular])
+    def test_refuses_a_negative_or_non_int_seed(self, sampler):
+        with pytest.raises(ValueError, match="non-negative"):
+            sampler(-1, 1)
+        for seed in (1.5, "3"):
+            with pytest.raises(TypeError):
+                sampler(seed, 1)
+
+    @pytest.mark.parametrize("sampler", [sample_haar, sample_gl2, sample_unimodular])
+    def test_takes_a_bool_and_a_wide_int(self, sampler):
+        assert sampler(True, 2) == sampler(1, 2)
+        assert len(sampler(2**70, 2)) == 2 and sampler(2**70, 2) != sampler(0, 2)
 
 
 class TestMat2C:

@@ -19,6 +19,7 @@ from wignerkit.haar import (
     theta_rule,
 )
 from wignerkit.specfun import legendre
+from wignerkit.verify import legendre_angles
 from wignerkit.wigner import jacobi_stack, oracle_stack, tmn_sum
 
 HALF = HalfInt(1)
@@ -476,8 +477,7 @@ class TestBatchedLegendreChecks:
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_ten_triples_at_degrees_0_to_6_are_the_per_triple_checks(self, seed):
         # The legendre suite's draw: every deviation of the batch, bit for bit.
-        rng = np.random.default_rng(seed + 1)
-        angles = [(*rng.uniform(0.05, math.pi - 0.05, 2), rng.uniform(0, 2 * math.pi)) for _ in range(10)]
+        angles = legendre_angles(seed)
         addition, product = legendre_checks(range(7), angles)
         assert addition.shape == product.shape == (10, 7)
         for t, (t1, t2, phi) in enumerate(angles):

@@ -158,10 +158,8 @@ PHASE_SPINS = [*range(42), 145, 200, 201, 400]
 def phase_angles() -> list:
     # phi = psi = 0 (every argument 0), phi = psi, a phase of pi on either
     # side and on both, and the 20 Euler triples of the routes suite at seed 0.
-    rng = np.random.default_rng(2)  # suite_routes draws its triples from seed + 2
-    triples = zip(rng.uniform(0, math.pi / 2, 20), rng.uniform(0, 2 * math.pi, 20), rng.uniform(0, 2 * math.pi, 20))
     fixed = [(0.7, 0.0, 0.0), (0.7, 1.2, 1.2), (0.7, math.pi, 0.3), (0.7, 0.3, math.pi), (0.7, math.pi, math.pi)]
-    return [EulerAngles(*angles) for angles in (*fixed, *triples)]
+    return [*(EulerAngles(*angles) for angles in fixed), *verify.routes_triples(0)]
 
 
 def direct_phases(l_x2: int, angles) -> np.ndarray:

@@ -8,12 +8,11 @@ the first such spin in the list, with the same type and message.
 """
 import math
 
-import numpy as np
 import pytest
 
 from wignerkit.exactcomb import HalfInt
-from wignerkit.group import EulerAngles, Mat2C, from_euler, sample_haar
-from wignerkit.verify import sample_gl2
+from wignerkit.group import Mat2C, from_euler, sample_haar
+from wignerkit.verify import routes_triples, sample_gl2
 from wignerkit.wigner import (
     ROTATION_ROUTES,
     ROTATION_STACKS,
@@ -68,11 +67,7 @@ CHART_FORMS = {
 
 # The routes suite's samples and Euler triples at seed 0.
 SAMPLES = sample_haar(0, 20) + sample_gl2(1, 10)
-_rng = np.random.default_rng(2)
-TRIPLES = [
-    EulerAngles(*angles)
-    for angles in zip(*(_rng.uniform(0, top, 20) for top in (math.pi / 2, 2 * math.pi, 2 * math.pi)))
-]
+TRIPLES = routes_triples(0)
 THETAS = [angles.theta for angles in TRIPLES]
 
 # Edge elements, each refused by some form at some spins or at all of them.

@@ -100,10 +100,7 @@ def old_rotations():
 def old_routes(max_l, seed):
     # Every routes check, one deviation per entry: abs(complex) over the oracle's max-norm.
     samples = sample_haar(seed, 20) + sample_gl2(seed + 1, 10)
-    rng = np.random.default_rng(seed + 2)
-    triples = [EulerAngles(*angles) for angles in zip(
-        rng.uniform(0, math.pi / 2, 20), rng.uniform(0, 2 * math.pi, 20), rng.uniform(0, 2 * math.pi, 20)
-    )]
+    triples = verify.routes_triples(seed)
     elements = [from_euler(angles) for angles in triples]
     spins = spins_up_to(max_l)
 
