@@ -1,14 +1,17 @@
 """Command-line interface: matrix computation, polynomial evaluation and the
 verification suites, with machine-readable JSON (or CSV for matrices) output.
 
-Output contract: schema_version "14"; strict JSON (a non-finite deviation is
+Output contract: schema_version "15"; strict JSON (a non-finite deviation is
 null); complex numbers as [re, im] pairs; matrices row-major in the fixed
 index convention (row i is m = -l + i); spins as twice-values under keys
 suffixed "_x2".  For fixed inputs and seed the output is byte-identical
-across runs, and no command makes a BLAS product.  Since version 14 the
-verify suites draw their samples from random.Random (group.seeded_random),
-the same under every numpy version; since version 13 the Schur integrals
-are read from the phase spectra of the grid stacks (an
+across runs, and no command makes a BLAS product.  Since version 15 dmat's
+auto route is the Jacobi recurrence in the degree (route_used "recurrence")
+for every source, Euler angles and matrices alike, every refused route falls
+back to it, and the oracle's overflowing power is such a refusal; since
+version 14 the verify suites draw their samples from random.Random
+(group.seeded_random), the same under every numpy version; since version 13
+the Schur integrals are read from the phase spectra of the grid stacks (an
 on-bin theta sum, or a Cauchy-Schwarz bound below a rounding floor), and a
 dmat error record after a refused route carries that route's warning; since
 version 12 dmat's auto route is the Jacobi recurrence in the spin
@@ -68,11 +71,10 @@ from .specfun import JacobiParams, jacobi_eval, krawtchouk, legendre
 from .verify import SUITE_NAMES, run_suite
 from .wigner import ELEMENT_ROUTES, ROTATION_ROUTES, RouteUnavailableError, WignerMatrix
 
-SCHEMA_VERSION = "14"
+SCHEMA_VERSION = "15"
 # dmat's routes are the names of wigner's two route tables plus "auto", which
-# is the recurrence for an Euler source and the oracle for a matrix source; an
-# unavailable route falls back to auto.  An Euler source takes a route's chart
-# form where it has one.
+# is the recurrence for every source; an unavailable route falls back to it.
+# An Euler source takes a route's chart form where it has one.
 ROUTES = (*{**ELEMENT_ROUTES, **ROTATION_ROUTES}, "auto")
 # poly's families: the flags each needs and the only ones it takes, in the
 # order they are checked, its evaluator on those flags and its route_used.
@@ -287,15 +289,10 @@ def _eight_reals(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"the 8 reals must be finite, got {text}") from None
 
 
-def _auto_route(angles: EulerAngles | None) -> str:
-    # auto's route: the oracle for a matrix source, the recurrence for an Euler source.
-    return "oracle" if angles is None else "recurrence"
-
-
 def _dmat_by_route(l: HalfInt, A: Mat2C, angles: EulerAngles | None, route: str) -> tuple[str, WignerMatrix]:
     # (the route that serves a route name of ROUTES, its matrix of the source).
     if route == "auto":
-        route = _auto_route(angles)
+        route = "recurrence"
     if angles is not None and route in ROTATION_ROUTES:
         return route, WignerMatrix(l, ROTATION_ROUTES[route](l, [angles])[0])
     return route, ELEMENT_ROUTES[route](l, A)
@@ -322,10 +319,11 @@ def cmd_dmat(args, parser) -> tuple[Iterable[str], int]:
     try:
         route_used, M = _dmat_by_route(l, A, angles, args.route)
     except RouteUnavailableError as exc:
-        fallback = _auto_route(angles)
-        warnings.append(f"route {args.route} unavailable ({exc}); fell back to {fallback}")
+        if args.route in ("auto", "recurrence"):
+            raise
+        warnings.append(f"route {args.route} unavailable ({exc}); fell back to recurrence")
         try:
-            route_used, M = _dmat_by_route(l, A, angles, fallback)
+            route_used, M = _dmat_by_route(l, A, angles, "auto")
         except (ValueError, ArithmeticError) as fallback_exc:
             return [_error_record("dmat", fallback_exc, warnings)], 3
     record = {

@@ -5,9 +5,12 @@ The canonical route expands the image of each basis monomial as an explicit
 homogeneous polynomial (exact binomials, products summed by shifted adds);
 it works for every group element and every spin and serves as the oracle
 for everything else.  Its float expansion cancels as the spin grows (at
-(0.7, 1.2, 0.3) a unitarity residual of 1.1e-11 at l_x2 40 and 4.4e25 at 200);
-the Jacobi recurrence in the spin (recurrence_stack) builds the rotations of
-the angle chart to within about 1e-14 of the norm at every spin.
+(0.7, 1.2, 0.3) a unitarity residual of 1.1e-11 at l_x2 40 and 4.4e25 at 200).
+The Jacobi recurrence in the degree builds t(A) of every element
+(recurrence_matrix) and d(theta) of the angle chart (recurrence_stack) by
+one kernel, to within about 1e-14 of the norm s1^(2l), at the ends of the
+chart as inside it, up to l_x2 of about 1,480, where its prefactors leave
+the float range and it refuses.
 The closed-form routes (finite sum, terminating 2F1, Jacobi, Rodrigues-type
 derivative, Krawtchouk) are faster on their domains but each has a singular
 parameter set, on which they raise RouteUnavailableError instead of guessing
@@ -42,6 +45,7 @@ import operator
 from array import array
 from dataclasses import astuple, dataclass
 from functools import lru_cache, partial, reduce
+from itertools import accumulate
 from math import comb, factorial
 
 import numpy as np
@@ -91,6 +95,7 @@ __all__ = [
     "tmn_krawtchouk",
     "krawtchouk_stack",
     "krawtchouk_stack_by_spin",
+    "recurrence_matrix",
     "recurrence_stack",
     "recurrence_stack_by_spin",
     "ELEMENT_ROUTES",
@@ -223,9 +228,7 @@ def _oracle_expand(l: HalfInt, powers: np.ndarray) -> np.ndarray:
     pass over the N elements; the stack is transposed once at the end.
     """
     dim = _dim(l)
-    powers = powers[:, :dim]
-    if not np.isfinite(powers).all() and np.isfinite(powers[:, 1:2]).all():  # the entries (none at spin 0)
-        raise OverflowError("a power of a matrix entry overflows")
+    powers = _refusing_overflow(f"oracle {_POWERS}", _finite_powers, powers[:, :dim])
     (s_coef, s_xi, s_xe, s_yi, s_ye), (l_coef, l_xi, l_xe, l_yi, l_ye), norm = _expansion_plan(l.twice)
     short = s_coef[..., None] * powers[s_xi, s_xe] * powers[s_yi, s_ye]  # (term k, column j, N)
     long = l_coef[..., None] * powers[l_xi, l_xe] * powers[l_yi, l_ye]
@@ -235,6 +238,14 @@ def _oracle_expand(l: HalfInt, powers: np.ndarray) -> np.ndarray:
     out *= norm[:, None]
     out /= norm[:, None, None]
     return _finite(np.ascontiguousarray(out.transpose(2, 0, 1)))
+
+
+def _finite_powers(powers: np.ndarray) -> np.ndarray:
+    # A power table of _oracle_powers, or OverflowError where a power of a
+    # finite entry is not finite (at spin 0 the table holds no entry).
+    if not np.isfinite(powers).all() and np.isfinite(powers[:, 1:2]).all():
+        raise OverflowError
+    return powers
 
 
 def oracle_stack_by_spin(spins, a, b, c, d) -> list:
@@ -251,8 +262,8 @@ def oracle_stack(l: HalfInt, a, b, c, d) -> np.ndarray:
     (b z1 + d z2)^(l+n) of basis monomial n, the products of the two factors
     summed by shifted adds, one step per term of the shorter factor.  This is
     the reference every closed-form route is tested against; it has no
-    singular parameter set.  Raises OverflowError where a power of a finite
-    entry overflows.
+    singular parameter set.  Raises RouteUnavailableError where a power of
+    a finite entry overflows.
 
     It is a power table (_oracle_powers), then the expansion (_oracle_expand),
     both with the element axis last.  Every element's value takes the same
@@ -1109,30 +1120,205 @@ def krawtchouk_stack_by_spin(spins, thetas) -> list:
     return _chart_stacks(spins, thetas, _krawtchouk_chart, partial(_chart_stack, entries=_krawtchouk_entries))
 
 
+# The Jacobi recurrence in the degree, which every source takes.  In the
+# quadrant m + n >= 0, m - n >= 0 the Jacobi form is pref c^(m-n) d^(m+n)
+# (bc - ad)^k P_k^(m+n, m-n)(x), k = l - m, x = (bc + ad)/(bc - ad).  With
+# z = (1 - x)/2 = ad/det A and w = (1 + x)/2 = -bc/det A, P_k(x) = P_k(1)
+# q_k(z).  Times det A^k, lane (m, n) runs in Reinsch's difference form (J.
+# Stoer and R. Bulirsch, "Introduction to Numerical Analysis", section 2.3)
+# from Q = 1 and E = 0 at J = m, one step a spin:
+#     E_J = C D E_(J-1) - A Z Q_(J-1),   Q_J = D Q_(J-1) + E_J,
+#     A = 2J (2J - 1)/((J + m)(J + n)),
+#     C = J (J - m - 1)(J - n - 1)/((J - 1)(J + m)(J + n)),
+# so that Q_J = D^k q_k(Z/D) and E_J = D^k (q_k - q_(k-1)), with Z = ad and
+# D = det A.  It never divides by D, so rank 1, a = 0, b = 0 and c = 0 are
+# ordinary inputs; off [-1, 1] P_k is the dominant solution, so the forward
+# direction is stable (W. Gautschi, SIAM Review 9 (1967) 24-82); and near z
+# = 0 it adds small differences to Q instead of cancelling large terms.
+# Where |w| < |z|, P_k^(a, b)(x) = (-1)^k P_k^(b, a)(-x) makes entry (m, n)
+# lane (m, -n) at Z = W = -bc, without the sign (-1)^k, so the argument is
+# never the larger of the two.  The entry is pref P_k(1) c^(m-n) d^(m+n)
+# Q_l, and pref P_k(1) = sqrt(C(l+m, l-n) C(l+n, l-m)), or that of (m, -n).
+
+# Where a float on the way overflows, the route refuses with one of these reasons.
+_RECURRENCE_NORM = "recurrence route's norm s1^(2l) (s1 the largest singular value of A)"
+_RECURRENCE_WEIGHTS = "recurrence route's prefactor sqrt(C(l+m, l-n) C(l+n, l-m))"
+
+
+def _lanes(l2: int) -> tuple:
+    # The quadrant lanes of spin l2/2, sorted by m and each m's lanes by n, so
+    # that the lanes with m below a bound are a prefix: per lane 2m, its entry
+    # (i, j) = (l + m, l + n), m + n and m - n.
+    m2 = np.arange(l2 % 2, l2 + 1, 2)
+    twice_m = m2.repeat(m2 + 1)
+    plus = np.arange(len(twice_m)) - twice_m * twice_m // 4  # (2m)^2 // 4 lanes come before m's
+    i = (l2 + twice_m) // 2
+    return twice_m, i, i - twice_m + plus, plus, twice_m - plus
+
+
+def _scale(x: np.ndarray, s) -> None:
+    # x *= s in place: x real, shape (lanes, N), and s a float or shape (N,);
+    # or x a (real, imaginary) pair, shape (2, lanes, 1), and s a pair,
+    # multiplied as _times does.
+    if x.ndim == 2:
+        x *= s
+    else:
+        x[0], x[1] = _times(x, s)
+
+
+def _degree_lanes(l2: int, twice_m: np.ndarray, a: np.ndarray, Q: np.ndarray, z, det=None) -> np.ndarray:
+    """The lanes of _lanes (2m per lane in twice_m, and a = m + n, or m - n
+    for the lanes (m, -n)) run in place from their values Q at J = m to J =
+    l, and Q returned.  On charts Q has shape (lanes, N), z is a float or
+    has shape (N,), and det is None, which is 1; for a matrix Q is a (real,
+    imaginary) pair of shape (2, lanes, 1), and z and det are pairs.
+
+    Step J updates the lanes with m <= J - 1, a prefix.  P = (J + m)(J + n)
+    rises by 2J + 1 + m + n to the next step, exactly in floats, so a step
+    costs one division per lane: h = J (2J - 1)/(2 (J - 1) P), with A =
+    4 (J - 1) h and C = J/(J - 1) - 2 (m + n + 1) h.  The lane (0, 0) takes
+    its first step, to J = 1, alone: there A = 2 and C = 0.
+    """
+    E, T, (h, C) = np.zeros_like(Q), np.empty_like(Q), np.empty((2, len(a), 1))
+    a1, m1 = (a + 1.0)[:, None], (twice_m + 1.0)[:, None]
+    P, rise, a2 = a1 * m1, a1 + m1 + 1, 2 * a1  # P and its rise at each lane's first step, J = m + 1
+    start = l2 % 2 + 2
+    if start == 2 and l2:
+        q, e = Q[..., :1, :], E[..., :1, :]
+        np.multiply(q, -2.0, out=e)
+        _scale(e, z)
+        if det is not None:
+            _scale(q, det)
+        q += e
+        start = 4
+    for j2 in range(start, l2 + 1, 2):  # j2 = 2J
+        k, before = j2 * j2 // 4, (j2 - 2) ** 2 // 4  # the lanes with m <= J - 1, and with m <= J - 2
+        P[:before] += rise[:before]
+        rise[:before] += 2
+        c0 = j2 / (j2 - 2)
+        hk = np.divide(c0 * (j2 - 1) / 2, P[:k], out=h[:k])
+        ck = np.multiply(a2[:k], hk, out=C[:k])
+        np.subtract(c0, ck, out=ck)
+        q, e = Q[..., :k, :], E[..., :k, :]
+        e *= ck
+        t = np.multiply(q, hk, out=T[..., :k, :])
+        _scale(t, 2 * (j2 - 2) * z)
+        if det is not None:
+            _scale(e, det)
+            _scale(q, det)
+        e -= t
+        q += e
+    return Q
+
+
+def _lane_weights(l2: int, lanes: tuple, mirrored: bool) -> np.ndarray:
+    """Each lane's pref P_k(1), its value at J = m before the powers:
+    (-1)^(l-m) sqrt(C(l+m, l-n) C(l+n, l-m)) for the lane (m, n), or,
+    mirrored, that of (m, -n) without the sign.
+
+    With s_t = t!/2^(p t), each rounded from the 64 leading bits of the
+    exact t!, and g_t = sqrt(s_t / s_(l2-t)), it is g_i / g_(l2-j) / s_(m+n),
+    or g_i / g_j / s_(m-n): the powers of 2 cancel, and p keeps every s_t,
+    g_t and weight inside the float range up to l2 of about 1,480.  Past it
+    an s_t or a weight leaves that range, and the call raises OverflowError.
+    Where m + n (or m - n) is 0 the weight is g_i / g_i, exactly 1, as
+    C(l+m, l+m) C(l-m, l-m) is.
+    """
+    _, i, j, plus, minus = lanes
+    p, s = max(0, l2.bit_length() - 2), []
+    for t, f in enumerate(accumulate(range(1, l2 + 1), operator.mul, initial=1)):
+        shift = max(f.bit_length() - 64, 0)
+        s.append(math.ldexp(float(f >> shift), shift - p * t))
+    s = np.array(s)
+    with np.errstate(all="ignore"):
+        g = np.sqrt(s / s[::-1])
+        if mirrored:
+            weights = g[i] / g[j] / s[minus]
+        else:
+            top = g.copy()
+            top[(l2 + 1) % 2 :: 2] *= -1.0  # the sign (-1)^(l2 - i)
+            weights = top[i] / g[::-1][j] / s[plus]
+    if not (s.min() and np.isfinite(weights).all()):
+        raise OverflowError
+    return weights
+
+
+def _recurrence_charts(l: HalfInt, charts: list) -> np.ndarray:
+    # d(theta) at the charts (_chart) of recurrence_stack_by_spin: the lanes
+    # from their weights times sin^(m+n) cos^(m-n), at z = sin^2 theta, or
+    # mirrored at w = cos^2 theta for the thetas where it is smaller, unfolded.
+    l2 = l.twice
+    lanes = _lanes(l2)
+    twice_m, i, j, plus, minus = lanes
+    runs = {}
+    for k, (sin_t, cos_t, _) in enumerate(charts):
+        runs.setdefault(cos_t * cos_t < sin_t * sin_t, []).append(k)
+    values = np.empty((len(twice_m), len(charts)))
+    for mirrored, at in runs.items():
+        sin_cos = np.array([charts[k][:2] for k in at]).T
+        powers = np.ones((2, l2 + 1, len(at)))
+        powers[:, 1:] = sin_cos[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        weights = _refusing_overflow(_RECURRENCE_WEIGHTS, _lane_weights, l2, lanes, mirrored)
+        z = sin_cos[int(mirrored)] ** 2  # sin^2 theta, or cos^2 theta mirrored
+        Q = powers[0][plus] * powers[1][minus] * weights[:, None]
+        z = z if len(at) > 1 else float(z[0])  # one theta: a scalar, which each step multiplies in without an array
+        values[:, at] = _degree_lanes(l2, twice_m, minus if mirrored else plus, Q, z)
+    return _unfold(l2, i, j, values)
+
+
+def recurrence_matrix(l: HalfInt, A: Mat2C) -> WignerMatrix:
+    """The matrix of t(A) for any element A by the Jacobi recurrence in the
+    degree, its complex products on (real, imaginary) pairs as _times takes
+    them.  Raises RouteUnavailableError where s1^(2l) overflows a float, s1
+    the largest singular value of A: every entry is at most s1^(2l); and past
+    l_x2 of about 1,480, where a prefactor does.
+
+    The lanes run at ad, -bc and det of A over 2^e, the power of two nearest
+    s1, which is exact; each image of _IMAGES multiplies them by its power
+    pair, (c, d), (b, d), (c, a) or (b, a), and 2^(e l2) is put back at the
+    end.
+    """
+    l2, dim = l.twice, _dim(l)
+    entries = _finite(np.array(astuple(A), dtype=complex))
+    e0 = math.frexp(np.abs(entries.view(float)).max())[1]
+    a, b, c, d = scaled = [complex(math.ldexp(x.real, -e0), math.ldexp(x.imag, -e0)) for x in entries]
+    frobenius, det_abs = sum(abs(x) ** 2 for x in scaled), abs(a * d - b * c)
+    s1 = math.sqrt((frobenius + math.sqrt(max(frobenius * frobenius - 4 * det_abs * det_abs, 0.0))) / 2)
+    _refusing_overflow(_RECURRENCE_NORM, lambda: math.ldexp(s1, e0) ** l2)
+    e = e0 + (round(math.log2(s1)) if s1 else 0)
+    a, b, c, d = scaled = [complex(math.ldexp(x.real, e0 - e), math.ldexp(x.imag, e0 - e)) for x in scaled]
+    za, zb = a * d, -(b * c)
+    mirrored = abs(zb) < abs(za)
+    lanes = _lanes(l2)
+    twice_m, i, j, plus, minus = lanes
+    Q = np.zeros((2, len(twice_m), 1))
+    Q[0, :, 0] = _refusing_overflow(_RECURRENCE_WEIGHTS, _lane_weights, l2, lanes, mirrored)
+    z, det = _pairs([[za, zb][mirrored], za + zb]).T
+    Q = _degree_lanes(l2, twice_m, minus if mirrored else plus, Q, z, det)[..., 0]
+    powers = _pairs([list(accumulate([x] * l2, operator.mul, initial=1 + 0j)) for x in scaled])
+    out = np.empty((2, dim * dim))
+    for index_map, order, _ in _IMAGES.values():
+        rows, cols = index_map(l2, i, j)
+        out[:, rows * dim + cols] = _times(_times(Q, powers[:, order[2], minus]), powers[:, order[3], plus])
+    matrix = np.empty((dim, dim), dtype=complex)
+    matrix.real, matrix.imag = np.ldexp(out, e * l2).reshape(2, dim, dim)
+    return WignerMatrix(l, matrix)
+
+
 def recurrence_stack(l: HalfInt, thetas) -> np.ndarray:
-    """d(theta) at each of the thetas by the Jacobi recurrence in the spin,
-    shape (len(thetas), 2l+1, 2l+1).
+    """d(theta) at each of the thetas by the Jacobi recurrence in the degree,
+    shape (len(thetas), 2l+1, 2l+1): recurrence_matrix's lanes at the chart
+    element, in real arithmetic.
 
-    With beta = 2 theta - pi, entry (i, j) is d^l_{M,M'}(beta) for M = i - l
-    and M' = j - l.  At fixed (M, M') the three-term recurrence of the Jacobi
-    polynomials in their degree is one in the spin J, which is stable run
-    forward (Kostelec and Rockmore, J. Fourier Anal. Appl. 14 (2008)):
-        d^{J+1} = (J+1)/s_J [(2J+1)(cos beta - M M'/(J(J+1))) d^J - s_{J-1}/J d^{J-1}],
-        s_J = sqrt(((J+1)^2 - M^2)((J+1)^2 - M'^2)),
-    from d^M_{M,M'} = sqrt(C(2M, M-M')) sin^(M+M') theta cos^(M-M') theta.
-    It runs on every lane (M, M') of the wedge M >= |M'| at once, as
-    (lanes, N) arrays sorted by M, so the lanes with M <= J are a prefix.
-
-    Each lane runs scaled, as e^J = d^J prod_{K=M}^{J-1} s_K/((2K+1)(2K+2))
-    / sqrt(C(2M, M-M')).  That starts at sin^(M+M') cos^(M-M') (running
-    products of the sine and the cosine) and steps by
-        e^{J+1} = (cos beta - M M'/(J(J+1)))/2 e^J - (J^2 - M^2)(J^2 - M'^2)/(4J^2 (4J^2 - 1)) e^{J-1},
-    with no root or division per step; at the end d^l = sqrt(C(2l, l-M)
-    C(2l, l-M')) e^l.  The wedge is the quadrant, and _unfold fills every other
-    entry by d_{M'M} = (-1)^(M-M') d_{MM'} = d_{-M,-M'}.  Each step is +, -, and
-    x on real arrays, elementwise in theta, so a stack's matrices are the
-    single-theta results bit for bit at every numpy SIMD level.  It is
-    recurrence_stack_by_spin at the one spin l.
+    There ad = sin^2 theta and -bc = cos^2 theta, with their sum taken as 1,
+    and the powers are sin^(m+n) cos^(m-n) as running products.  Each lane's
+    q_k starts at 1 and adds differences to it, so at theta 0 (or pi/2)
+    every lane of the anti-diagonal (or the diagonal) is exactly +-1.  Each
+    step is +, - and x on real arrays, elementwise in theta, and one
+    division per lane, so a stack's matrices are the single-theta results
+    bit for bit at every numpy SIMD level.  It is recurrence_stack_by_spin
+    at the one spin l.
     """
     return recurrence_stack_by_spin([l], thetas)[0]
 
@@ -1140,43 +1326,7 @@ def recurrence_stack(l: HalfInt, thetas) -> np.ndarray:
 def recurrence_stack_by_spin(spins, thetas) -> list:
     """recurrence_stack at each of the spins, from one chart per theta; each
     spin runs its own recurrence."""
-    return _chart_stacks(spins, thetas, _chart, _recurrence)
-
-
-def _recurrence(l: HalfInt, charts: list) -> np.ndarray:
-    # recurrence_stack at the charts (_chart) of its thetas.
-    dim, l2 = _dim(l), l.twice
-    n = len(charts)
-    half_cos_beta = np.array([-0.5 * (num / den) for _, _, (num, den) in charts])
-    groups = np.arange(l2 % 2, dim, 2)  # 2M of each lane group, M <= l of l's parity
-    m2 = np.repeat(groups, groups + 1)
-    n2 = 2 * (np.arange(len(m2)) - m2 * m2 // 4) - m2  # 2M' = -2M, -2M + 2, .., 2M in each group
-    msq, nsq, mn = (m2 * m2).astype(float), (n2 * n2).astype(float), (m2 * n2).astype(float)
-    powers = np.ones((2, dim, n))
-    powers[:, 1:] = np.reshape([[chart[0] for chart in charts], [chart[1] for chart in charts]], (2, 1, n))
-    np.cumprod(powers, axis=1, out=powers)
-    # Both buffers hold every lane's start value, so a lane's e^M is in place
-    # when the prefix reaches it; its e^{M-1} term has coefficient 0.
-    cur = powers[0, (m2 + n2) // 2] * powers[1, (m2 - n2) // 2]
-    prev, term = cur.copy(), np.empty_like(cur)
-    w1, w2 = np.empty(len(m2)), np.empty(len(m2))
-    for j2 in range(l2 % 2, l2, 2):
-        k, u = (j2 + 2) ** 2 // 4, j2 * j2  # the lanes with M <= J, and (2J)^2
-        cur_coef = 0.5 / (j2 * (j2 + 2)) if j2 else 0.0
-        prev_coef = 1 / (16 * u * (u - 1)) if j2 > 1 else 0.0  # below, every lane has M = J
-        t = np.subtract(half_cos_beta, np.multiply(mn[:k], cur_coef, out=w1[:k])[:, None], out=term[:k])
-        t *= cur[:k]
-        c = np.subtract(u, msq[:k], out=w1[:k])
-        c *= np.subtract(u, nsq[:k], out=w2[:k])
-        c *= prev_coef
-        p = prev[:k]
-        p *= c[:, None]
-        np.subtract(t, p, out=p)
-        prev, cur = cur, prev
-    # Lane (M, M') is entry (i, j) = (l + M, l + M') of the quadrant.
-    i, j = (l2 + m2) // 2, (l2 + n2) // 2
-    roots = np.sqrt(np.array(_binom_power_coeffs(+1, l2), dtype=float))  # sqrt(C(2l, i)) from exact binomials
-    return _unfold(l2, i, j, cur * (roots[i] * roots[j])[:, None])
+    return _chart_stacks(spins, thetas, _chart, _recurrence_charts)
 
 
 # The routes that build a whole matrix of any element, called as (l, A); the
@@ -1186,6 +1336,7 @@ ELEMENT_ROUTES = {
     "oracle": lambda l, A: oracle_matrix(l, A),
     "sum": lambda l, A: sum_matrix(l, A),
     "jacobi": lambda l, A: jacobi_matrix(l, A),
+    "recurrence": lambda l, A: recurrence_matrix(l, A),
 }
 # The chart forms, called as (l, angles) with a list of EulerAngles: each
 # returns the matrices of those chart elements, shape (len(angles), 2l+1, 2l+1).

@@ -40,7 +40,7 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "1", "--theta", repr(math.pi / 2), "--route", "oracle"
         )
         assert code == 0
-        assert rec["schema_version"] == "14"
+        assert rec["schema_version"] == "15"
         assert rec["result"]["dim"] == 2
         matrix = rec["result"]["matrix"]
         assert matrix[0][0] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -74,18 +74,18 @@ class TestDmat:
             capsys, "dmat", "--l-x2", "2", "--matrix", "1,0,2,0,2,0,4,0", "--route", "jacobi"
         )
         assert code == 0
-        assert rec["result"]["route_used"] == "oracle"
+        assert rec["result"]["route_used"] == "recurrence"
         assert any("jacobi" in w for w in rec["warnings"])
 
-    def test_fallback_prints_the_oracle_matrix_and_its_reason(self, capsys):
-        # bc = ad = 1: the Jacobi route refuses, and dmat prints the oracle's matrix
+    def test_fallback_prints_the_recurrence_matrix_and_its_reason(self, capsys):
+        # bc = ad = 1: the Jacobi route refuses, and dmat prints the recurrence's matrix
         source = ["dmat", "--l-x2", "3", "--matrix", "1,0,1,0,1,0,1,0"]
         code, rec = run_json(capsys, *source, "--route", "jacobi")
-        _, oracle = run_json(capsys, *source, "--route", "oracle")
+        _, recurrence = run_json(capsys, *source, "--route", "recurrence")
         assert code == 0
-        assert rec["warnings"] == ["route jacobi unavailable (Jacobi route needs bc != ad); fell back to oracle"]
-        assert rec["result"] == oracle["result"]
-        assert rec["result"]["route_used"] == "oracle"
+        assert rec["warnings"] == ["route jacobi unavailable (Jacobi route needs bc != ad); fell back to recurrence"]
+        assert rec["result"] == recurrence["result"]
+        assert rec["result"]["route_used"] == "recurrence"
 
     def test_rodrigues_route_euler_source(self, capsys):
         code, rec = run_json(
@@ -112,12 +112,14 @@ class TestDmat:
             main(["dmat", "--l-x2", "2", "--matrix", "1,0,2,0,3,0,4,0", "--route", "rodrigues"])
         assert err.value.code == 2
 
-    def test_recurrence_needs_euler_source(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["dmat", "--l-x2", "2", "--matrix", "1,0,2,0,3,0,4,0", "--route", "recurrence"])
-        assert err.value.code == 2
+    def test_recurrence_takes_a_matrix_source(self, capsys):
+        # It needed an Euler source up to schema 14; it is now an element route too.
+        code, rec = run_json(capsys, "dmat", "--l-x2", "2", "--matrix", "1,0,2,0,3,0,4,0", "--route", "recurrence")
+        _, oracle = run_json(capsys, "dmat", "--l-x2", "2", "--matrix", "1,0,2,0,3,0,4,0", "--route", "oracle")
+        assert code == 0 and rec["result"]["route_used"] == "recurrence" and "warnings" not in rec
+        assert np.max(np.abs(np.array(rec["result"]["matrix"]) - np.array(oracle["result"]["matrix"]))) <= 1e-12
 
-    def test_auto_is_the_recurrence_for_euler_and_the_oracle_for_matrix_sources(self, capsys):
+    def test_auto_is_the_recurrence_for_euler_and_matrix_sources(self, capsys):
         angles = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
         for l_x2 in (0, 40, 41, 200):
             code, rec = run_json(capsys, "dmat", "--l-x2", str(l_x2), *angles)
@@ -131,7 +133,20 @@ class TestDmat:
             source = ["dmat", "--l-x2", str(l_x2), "--matrix", "1,0,0,0,0,0,1,0"]
             code, rec = run_json(capsys, *source)
             _, oracle = run_json(capsys, *source, "--route", "oracle")
-            assert code == 0 and rec["result"] == oracle["result"] and rec["result"]["route_used"] == "oracle"
+            assert code == 0 and rec["result"]["route_used"] == "recurrence" and "warnings" not in rec
+            # t(I) is I: the recurrence prints it exactly (the oracle is 1 ulp off at l_x2 41)
+            pairs = np.array(rec["result"]["matrix"])
+            assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], np.eye(l_x2 + 1))
+            assert np.max(np.abs(pairs - np.array(oracle["result"]["matrix"]))) <= 1e-15
+            _, rec_route = run_json(capsys, *source, "--route", "recurrence")
+            assert rec_route["result"] == rec["result"]
+        # an SU(2) matrix source, where the oracle's residual is 6.3e25
+        source = ["dmat", "--l-x2", "200", "--matrix", "0.5,0.5,-0.5,0.5,0.5,0.5,0.5,-0.5"]
+        code, rec = run_json(capsys, *source)
+        assert code == 0 and rec["result"]["route_used"] == "recurrence" and "warnings" not in rec
+        pairs = np.array(rec["result"]["matrix"])
+        T = pairs[..., 0] + 1j * pairs[..., 1]
+        assert np.max(np.abs(T @ T.conj().T - np.eye(201))) < 1e-13
 
     @pytest.mark.parametrize("angles", [(0.7, 1.2, 0.3), (0.05, 4.0, 2.5), (1.5, 0.2, 5.9)])
     def test_auto_prints_the_recurrence_at_every_spin_up_to_40(self, capsys, angles):
@@ -149,19 +164,43 @@ class TestDmat:
         T = pairs[..., 0] + 1j * pairs[..., 1]
         assert np.max(np.abs(T @ T.conj().T - np.eye(41))) < 1e-13
 
-    def test_an_overflowing_power_of_the_jacobi_route_falls_back_to_the_oracle(self, capsys):
+    @pytest.mark.parametrize("l_x2", [*range(41), 201, 400])
+    def test_the_ones_of_d_at_0_and_pi_over_2_print_exactly(self, capsys, l_x2):
+        # d(0) is a signed anti-diagonal and d(pi/2) nearly the identity: each
+        # lane there starts at +-1 and adds differences of 0 (or of cos^2 of
+        # the rounded pi/2, 3.7e-33).  The spin recurrence printed 2 of the 13
+        # ones at l_x2 12 exactly.
+        for theta in (0.0, math.pi / 2):
+            _, rec = run_json(capsys, "dmat", "--l-x2", str(l_x2), "--theta", repr(theta))
+            pairs = np.array(rec["result"]["matrix"])
+            ones = np.abs(pairs[..., 0]) > 0.5
+            assert ones.sum() == l_x2 + 1 and np.all(ones.any(axis=0)), theta
+            assert set(np.abs(pairs[..., 0][ones]).tolist()) == {1.0} and not pairs[..., 1][ones].any(), theta
+
+    def test_an_overflowing_power_falls_back_to_the_recurrence_which_refuses_its_norm(self, capsys):
         # The Jacobi route refuses 31^400 with its reason (it used to raise a
-        # bare "complex exponentiation"), so dmat falls back to the oracle,
-        # which meets the same power and exits 3 as --route oracle does.  The
-        # error record keeps the Jacobi route's refusal as its warning.
+        # bare "complex exponentiation"), and so does the oracle (it used to
+        # raise a bare OverflowError); dmat falls back to the recurrence, whose
+        # norm s1^(2l) overflows too, and exits 3 as auto does.  The error
+        # record keeps the refused route's reason as its warning.
         source = ["dmat", "--l-x2", "400", "--matrix", "30,0,1,0,2,0,31,0"]
+        refusal = {
+            "type": "RouteUnavailableError",
+            "message": "recurrence route's norm s1^(2l) (s1 the largest singular value of A) overflows",
+        }
         code, rec = run_json(capsys, *source, "--route", "jacobi")
         assert code == 3
-        assert rec["error"] == {"type": "OverflowError", "message": "a power of a matrix entry overflows"}
+        assert rec["error"] == refusal
         assert rec.pop("warnings") == [
-            "route jacobi unavailable (Jacobi route's power of a, b, c, d or bc - ad overflows); fell back to oracle"
+            "route jacobi unavailable (Jacobi route's power of a, b, c, d or bc - ad overflows); fell back to recurrence"
         ]
-        assert run_json(capsys, *source, "--route", "oracle") == (code, rec)
+        code, oracle = run_json(capsys, *source, "--route", "oracle")
+        assert code == 3 and oracle.pop("warnings") == [
+            "route oracle unavailable (oracle route's power of a, b, c or d overflows); fell back to recurrence"
+        ]
+        assert oracle == rec
+        for route in ("auto", "recurrence"):
+            assert run_json(capsys, *source, "--route", route) == (3, rec)
 
     @pytest.mark.parametrize("route", ["rodrigues", "krawtchouk", "recurrence"])
     def test_rotation_routes_take_any_phases(self, capsys, route):
@@ -271,9 +310,9 @@ class TestDmat:
         ],
     )
     def test_fallback_warning_names_the_first_failing_entry(self, capsys, argv, reason):
-        # the fallback is auto's route for the source
+        # the fallback is auto's route, the recurrence, for either kind of source
         code, rec = run_json(capsys, "dmat", *argv)
-        route, fallback = argv[-1], "oracle" if "--matrix" in argv else "recurrence"
+        route, fallback = argv[-1], "recurrence"
         assert code == 0
         assert rec["result"]["route_used"] == fallback
         assert rec["warnings"] == [f"route {route} unavailable ({reason}); fell back to {fallback}"]
@@ -300,7 +339,8 @@ class TestDmat:
     def test_overflowing_matrix_is_domain_error(self, capsys):
         code, rec = run_json(capsys, "dmat", "--l-x2", "3", "--matrix", "1e300,0,1e300,0,1e300,0,1e300,0")
         assert code == 3
-        assert rec["error"]["type"] == "OverflowError"
+        assert rec["error"]["type"] == "RouteUnavailableError"
+        assert "s1^(2l)" in rec["error"]["message"] and "warnings" not in rec
 
     def test_domain_error_exit_code(self, capsys):
         code, out = run_main(capsys, "dmat", "--l-x2", "2", "--theta", "3.0")

@@ -7,7 +7,7 @@ BLAS product: the Schur reduction reads FFT phase spectra and sums in a
 fixed order, so the pins hold under every OpenBLAS kernel, at one BLAS
 thread and at the default thread count.  numpy's CPU feature level is the
 one source left: the oracle's dmat bytes hold down to numpy's AVX2 level, not
-below it.
+below it, and every auto pin holds below it too.
 """
 import contextlib
 import hashlib
@@ -47,7 +47,7 @@ COMMANDS = {
         "dmat", "--l-x2", "3", "--matrix", "0.9,0.1,-0.2,0.3,0.5,-0.1,0.8,0.2", "--route", "sum", "--format", "csv",
     ],
     "dmat_auto_euler_20": ["dmat", "--l-x2", "20", "--theta", "0.7", "--phi", "1.2", "--psi", "0.3"],
-    "dmat_oracle_matrix_20": ["dmat", "--l-x2", "20", "--matrix", "0.9,0.1,-0.2,0.3,0.5,-0.1,0.8,0.2"],
+    "dmat_auto_matrix_20": ["dmat", "--l-x2", "20", "--matrix", "0.9,0.1,-0.2,0.3,0.5,-0.1,0.8,0.2"],
     "verify_routes_3": ["verify", "--suite", "routes", "--max-l-x2", "3", "--seed", "1"],
     "verify_routes_12": ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "42"],
     "verify_all_2": ["verify", "--suite", "all", "--max-l-x2", "2", "--seed", "3"],
@@ -65,40 +65,46 @@ COMMANDS = {
 # "-0+0j" at theta = 0.
 EULER_ANGLES = ["--theta", "0.7", "--phi", "1.2", "--psi", "0.3"]
 HASHED = {
-    # auto on an Euler source: the recurrence in the spin
+    # auto on an Euler source: the recurrence in the degree on the chart
     "dmat_auto_euler_45": (
         ["dmat", "--l-x2", "45", *EULER_ANGLES],
-        "32477b185237f0b7562ce56e0ecb5e09b595ad64a7897720bf4e24b00aef1004",
+        "68036edc2e46c823eed47685b6aa6c344d279eb7867800ca02c65e835ffe1610",
     ),
     "dmat_auto_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES],
-        "110d2251558c4e730d8bac7792b3022f9dc6d28042c20303b9ad2adb0a4d93eb",
+        "c81381c85f4b0cbb517f7e80f2fb1ff770eb781844e828481026b9c8390406e6",
     ),
     "dmat_auto_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES],
-        "375b76ab126e5f6c57c12f681730ec1a6e6237e146bf672dc63a6f5e9c2b1cba",
+        "a49974b433c992859ba7cfa55c65a82fea8ec63f8b3bdee20ef5b2525b64ee77",
     ),
     # The oracle where it is far from unitary (residual 4.4e25), kept on
     # purpose: its matrix is the one auto printed at this spin up to schema 8.
     "dmat_oracle_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "oracle"],
-        "b58f6fbb04dc84137f566532d7a073dae46f181be5e75e8ad01c15665e0ae4cb",
+        "d444bf34849fa7fe2c3d7ba0b2a304fcff82ea2d26c2ef186bdae4a38c76e522",
     ),
     "dmat_recurrence_euler_201": (
         ["dmat", "--l-x2", "201", *EULER_ANGLES, "--route", "recurrence"],
-        "27e80653a3b03e6249f742990bdb1baa7ae584cdbd50734c3b0185ffd1daf31b",
+        "f768aa089aa5349aef0949ed2fcc6390849f317a058460ed7df279e24165162a",
     ),
     "dmat_recurrence_euler_400": (
         ["dmat", "--l-x2", "400", *EULER_ANGLES, "--route", "recurrence"],
-        "a5f69eaa937958cca4ca14afab53ceec234b1a912cf7395c5c9fc747309ab967",
+        "d495fc51907a2c6e0d7e39ce38f7585745ba97f6009867d91f783a5656d0fef3",
     ),
-    "dmat_oracle_matrix_60": (
+    # auto on a matrix source: the recurrence's element form
+    "dmat_auto_matrix_60": (
         ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04"],
-        "ede45f74657935e17ac05fc022ec18dc7e7bc6a29cab066f44b8ff973b0ccfae",
+        "5fd8e2dc6271eb84955ce4d8767388fb9ee08912a6a994bae7ec3b9d35aceb79",
+    ),
+    # The oracle's bytes on that source, which auto printed up to schema 14.
+    "dmat_oracle_matrix_60": (
+        ["dmat", "--l-x2", "60", "--matrix", "30,1,2,0.5,0.3,-1,0.1,0.04", "--route", "oracle"],
+        "830b0f0cf1dfcb9a5d79f685fe1be3b41816a23bfb0ff78f08b51d5a72870ee1",
     ),
     "dmat_auto_euler_40_csv": (
         ["dmat", "--l-x2", "40", *EULER_ANGLES, "--format", "csv"],
-        "5ba8d07ef15bbb3eb768fef4fb6b3448a58d66eec2c03d996fba25a03ee25687",
+        "15335b5104040dafb8b4807c4121e137bfee31db7a399c277edd214814228bc3",
     ),
     "dmat_krawtchouk_40_csv": (
         ["dmat", "--l-x2", "40", "--theta", "0.7", "--route", "krawtchouk", "--format", "csv"],
@@ -107,25 +113,25 @@ HASHED = {
     # The Jacobi chart form at a spin where the oracle is far from unitary.
     "dmat_jacobi_euler_200": (
         ["dmat", "--l-x2", "200", *EULER_ANGLES, "--route", "jacobi"],
-        "e14f2773d7d189b52d85cc1b45ce5b48e560f682f398ff9eef0bef4ed2f3ab61",
+        "f79bd17a37b5c5f431ffbc483317d145ccb34a24d4449f07945251bfcaacf6ca",
     ),
     "dmat_auto_theta0_12_csv": (
         ["dmat", "--l-x2", "12", "--theta", "0.0", "--format", "csv"],
-        "03b611f5bc5957b449f00b959f2a8ed0f7d3bde4876c7e6b0d902fca4c5b8799",
+        "f31dffb6a8806ffdac1c00eedf69ac86f5b0aa1f5d82274661162f737bb6b4c2",
     ),
     # The suites that build oracle stacks, at the CLI cap, where the stacks
     # are largest (VERIFY_HASHED below pins them at 6).
     "verify_unitarity_12": (
         ["verify", "--suite", "unitarity", "--max-l-x2", "12", "--seed", "0"],
-        "1d4955544ed1b24e8e468944076c140a24a037a07da9b892a3a4e5bd0bc62b9f",
+        "e3f93442c9a54a6ddeb60f3d262bc98ae10131ab0fe66ee631f4acb96437cd03",
     ),
     "verify_homomorphism_12": (
         ["verify", "--suite", "homomorphism", "--max-l-x2", "12", "--seed", "0"],
-        "8d9f4f9f9771e2e12126fd424d389a5035957202d9484273de6e1d429c85c9a7",
+        "1b7ed17f92b9f264fbf5add7ec456460c994b644f17db82588dc4e73e8779699",
     ),
     "verify_routes_12_seed_0": (
         ["verify", "--suite", "routes", "--max-l-x2", "12", "--seed", "0"],
-        "bd77eaffd17b03d4721a2db65319ec3d4fa9a8507588fe48ce2e3075e1211829",
+        "9160797f919d54b4b093ecc8aaf1d9e116ae4dd05a3a566c8c4178bc3fc9ae42",
     ),
 }
 
@@ -151,15 +157,15 @@ def test_large_stdout_is_byte_identical(name, capsys):
 # the sha256 of its stdout, and schur by SCHUR_HASHED.  None makes a BLAS
 # product, so the bytes do not depend on the BLAS kernel or thread count.
 VERIFY_HASHED = {
-    "routes": "be91601af4c6e85b76aa2adff3213fb1c1d3bf895ed41b85e26691a29d33921c",
-    "unitarity": "04d1bfd2e975a49e27fe5cbf6d4244de307fcc10b2f8fe4026baa249f94a8236",
-    "homomorphism": "0cc86b63325571ffe880c44fb698346eb5e64f0cb2ddddeaafcf7041c653991b",
-    "jacobi-orth": "325099bca972de14be26b8d210f61754d39e6045e60759a10b4dd96462441d79",
-    "legendre": "ca7b3041d075bdcc810583a0f4468bbb0b6bdfffa2568924d6f5635f6f79daf4",
-    "krawtchouk-sym": "5bcff1e5fcc8348f9a63ee5f5a632cd8b55fdf8d67909071a7fba57b48fefcd0",
-    "character": "dfb27b8d5a376c1c724f931292cd7c96783cd676c1a9fbde95aa56e60999ad08",
+    "routes": "ff192b1d3b29fb0b72d9242ec8815644c6e66dd2b61b321cde65979060c8328c",
+    "unitarity": "7451d2f78123e7fcbccbdc11b7f4f91a78e349a89a7f04077b281cc13132c933",
+    "homomorphism": "247e6cf61100e0c59162620880717b62f13165c98609c5ca1ca82374c508e233",
+    "jacobi-orth": "a0cab6259685c048ecdb9b457f0ae3b5d7a5000e3449aba0f72e7c8c2c5317fb",
+    "legendre": "71e9656c3ac9c862ce34f577506b9e834e04e382798dbcb6e3e6300d455cd896",
+    "krawtchouk-sym": "037402f58618851da6cc560d4c1dfc3694c83859637662ecc4b80db303e12e43",
+    "character": "6ab089c65a32f520927983aa356f2fc376b928128cfecf2eab6eeb4860f4f7c2",
 }
-SCHUR_HASHED = "f17911810a72f7a4150f0fa036cdbf8fcd820b6a36340e1c0f52fcce0cd6faaa"
+SCHUR_HASHED = "139d686f9d7f230b689930e7a5d42ce18061ef4472c218da3215dd06ae7c8c74"
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY_HASHED))
@@ -225,7 +231,9 @@ def test_stdout_is_the_same_on_other_blas_kernels(kernel):
 # must print the bytes pinned above.  Below X86_V3 numpy does not fuse complex
 # products with FMA, so the oracle's last bits change there (ROADMAP item 8).
 # The chart forms multiply a real d(theta) by chart_phases, one exponential
-# per mirrored pair of entries, so their bytes hold below X86_V3 too.  numpy reads
+# per mirrored pair of entries, and the recurrence's element form writes its
+# complex products as real products and sums, so every auto pin holds below
+# X86_V3 too; the --route oracle pins hold at X86_V3 and up.  numpy reads
 # NPY_DISABLE_CPU_FEATURES when it loads, so each run gets a fresh
 # interpreter.  A feature that this CPU or this numpy build lacks is left out
 # of the variable, because numpy warns about it; with none left, the run is at
@@ -242,16 +250,18 @@ DMAT_PINS = [
 
 
 def route_of(argv):
-    # The route that prints the pin: auto takes the recurrence for an Euler
-    # source and the oracle for a matrix source.
-    route = argv[argv.index("--route") + 1] if "--route" in argv else "auto"
-    if route != "auto":
-        return route
-    return "recurrence" if "--theta" in argv else "oracle"
+    # The route that prints the pin: auto takes the recurrence for every source.
+    return argv[argv.index("--route") + 1] if "--route" in argv else "recurrence"
 
 
-# The dmat pins of an Euler source on a route with a chart form.
-CHART_PINS = [pin for pin in DMAT_PINS if "--theta" in pin[0] and route_of(pin[0]) in ROTATION_ROUTES]
+# The dmat pins of an Euler source on a route with a chart form, and those of
+# the recurrence's element form, whose complex products are real products and
+# sums; every auto pin is among them.
+CHART_PINS = [
+    pin
+    for pin in DMAT_PINS
+    if route_of(pin[0]) in ROTATION_ROUTES and ("--theta" in pin[0] or route_of(pin[0]) == "recurrence")
+]
 
 
 def assert_pins_hold_without(levels, pins, script=RUN_AND_HASH, extra=()):
@@ -352,7 +362,8 @@ def exact_hash(params, nodes):
 
 
 def test_chart_route_stdout_is_the_same_without_avx2():
-    assert len(CHART_PINS) == 14 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
+    assert len(CHART_PINS) == 16 and {route_of(argv) for argv, _ in CHART_PINS} == set(ROTATION_ROUTES)
+    assert all(argv in (argv for argv, _ in CHART_PINS) for argv, _ in DMAT_PINS if "--route" not in argv)
     params = [JacobiParams(*t) for t in product(range(7), range(7), range(11))]
     reflection = exact_hash(params, [(np.arange(-10, 11) / 10).tolist()] * len(params))
     blocks = list(product(range(5), repeat=2))

@@ -5,7 +5,9 @@ old_oracle_matrix expanded one column at a time with np.convolve and took
 every power as x**e; the builder that replaced it takes the powers as a
 running product, so its values differ from the copy's in their last bits.
 They are held to the copy's outcome type (the same exception type where it
-raised) and, entrywise, to the rounding bound of the expansion.
+raised, but for the copy's OverflowError, which the builder refuses as a
+RouteUnavailableError since schema 15) and, entrywise, to the rounding bound
+of the expansion.
 old_oracle_stack is the batched builder as it was, one shifted add per term
 and column; the builder must return its bytes, at one element and on a Haar
 grid.  The elements come from every source the package uses, plus elements
@@ -28,7 +30,7 @@ from wignerkit.exactcomb import HalfInt, binomial, check_spin_pair, spin_range
 from wignerkit.group import EulerAngles, Mat2C, from_euler, sample_haar
 from wignerkit.haar import build_grid
 from wignerkit.verify import sample_gl2
-from wignerkit.wigner import WignerMatrix, oracle_matrix, oracle_stack
+from wignerkit.wigner import RouteUnavailableError, WignerMatrix, oracle_matrix, oracle_stack
 
 # The overflowing elements make numpy warn on both sides; that is expected.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -126,7 +128,7 @@ def test_oracle_matrix_bit_identical(name):
         new, old = outcome(oracle_matrix, l, A), outcome(old_oracle_matrix, l, A)
         assert isinstance(new, type) == isinstance(old, type), l_x2
         if isinstance(old, type):
-            assert new is old, l_x2
+            assert new is {OverflowError: RouteUnavailableError}.get(old, old), l_x2
             continue
         scale = old_oracle_matrix(l, moduli).entries.real
         assert np.all(np.abs(new - old) <= 8 * (l_x2 + 1) * EPS * scale), l_x2
@@ -135,13 +137,13 @@ def test_oracle_matrix_bit_identical(name):
 @pytest.mark.parametrize("name", sorted(ELEMENTS))
 def test_oracle_stack_bit_identical_at_one_element(name):
     # The copy gives a non-finite stack where a power overflows; the builder
-    # raises there too, as an OverflowError.
+    # raises there too, as the oracle route's refusal.
     A = ELEMENTS[name]
     for l_x2 in SPINS:
         l = HalfInt(l_x2)
         new, old = outcome(at_one_element, oracle_stack, l, A), outcome(at_one_element, old_oracle_stack, l, A)
         if isinstance(old, type):
-            assert new in (old, OverflowError), l_x2
+            assert new in (old, RouteUnavailableError), l_x2
         else:
             assert not isinstance(new, type), l_x2
             assert new.tobytes() == old.tobytes(), l_x2
@@ -223,5 +225,7 @@ def test_oracle_stack_of_no_elements(l_x2):
 
 
 def test_overflow_elements_raise():
-    assert outcome(oracle_matrix, HalfInt(3), ELEMENTS["power_overflow"]) is OverflowError
+    assert outcome(oracle_matrix, HalfInt(3), ELEMENTS["power_overflow"]) is RouteUnavailableError
+    with pytest.raises(RouteUnavailableError, match=r"^oracle route's power of a, b, c or d overflows$"):
+        oracle_matrix(HalfInt(3), ELEMENTS["power_overflow"])
     assert outcome(oracle_matrix, HalfInt(2), ELEMENTS["product_overflow"]) is ValueError

@@ -18,7 +18,7 @@ OPS = [
     (["dmat", "--l-x2", "4", "--theta", "0.7", "--route", "rodrigues"], ["wigner.rodrigues_stack"]),
     (["dmat", "--l-x2", "4", "--theta", "0.7", "--route", "krawtchouk"], ["wigner.krawtchouk_stack"]),
     (["dmat", "--l-x2", "4", "--theta", "0.7", "--phi", "1.2", "--route", "oracle"], ["wigner.oracle_matrix"]),
-    (["dmat", "--l-x2", "4", "--matrix", "1,0,1,0,1,0,1,0", "--route", "jacobi"], ["wigner.oracle_matrix"]),
+    (["dmat", "--l-x2", "4", "--matrix", "1,0,1,0,1,0,1,0", "--route", "jacobi"], ["wigner.recurrence_matrix"]),
     (
         ["verify", "--suite", "routes", "--max-l-x2", "1"],
         [

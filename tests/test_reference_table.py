@@ -8,7 +8,7 @@ entry is within 1e-10 of the table, relative to the norm.  Each route is held
 only up to the spin where it is accurate today, or as far as its cost allows
 in a test: the oracle drifts above l_x2 40, and dmatrix_euler costs seconds
 above 120.  The Rodrigues and Krawtchouk chart forms cost about l^4; they
-are held to 40 and 80.  The recurrence in the spin is held at every spin of
+are held to 40 and 80.  The recurrence in the degree is held at every spin of
 the table, up to 400.  The element forms sum their series exactly and fold
 the quadrant onto every cell: the Jacobi form is held to 120 (its worst at
 400 was 1.2e-14), the 2F1 form to 80 (from 99 it refuses its factorial

@@ -29,6 +29,7 @@ from wignerkit.wigner import (
     jacobi_stack,
     krawtchouk_stack,
     oracle_matrix,
+    recurrence_matrix,
     recurrence_stack,
     rodrigues_stack,
     sum_matrix,
@@ -90,9 +91,9 @@ DIRECT = {
     "jacobi": lambda l, A, angles: jacobi_matrix(l, A) if angles is None else dmatrix_euler(l, angles),
     "rodrigues": on_chart(rodrigues_stack),
     "krawtchouk": on_chart(krawtchouk_stack),
-    "recurrence": on_chart(recurrence_stack),
-    # the recurrence for an Euler source, the oracle for a matrix source
-    "auto": lambda l, A, angles: oracle_matrix(l, A) if angles is None else on_chart(recurrence_stack)(l, A, angles),
+    "recurrence": lambda l, A, angles: recurrence_matrix(l, A) if angles is None else on_chart(recurrence_stack)(l, A, angles),
+    # the recurrence for every source
+    "auto": lambda l, A, angles: DIRECT["recurrence"](l, A, angles),
 }
 
 
@@ -104,7 +105,7 @@ def choices(command: str, option: str) -> tuple:
 
 def test_choices_are_the_table_keys_in_order():
     assert choices("dmat", "--route") == cli.ROUTES == (*{**ELEMENT_ROUTES, **ROTATION_ROUTES}, "auto")
-    assert cli.ROUTES == ("oracle", "sum", "jacobi", "rodrigues", "krawtchouk", "recurrence", "auto")
+    assert cli.ROUTES == ("oracle", "sum", "jacobi", "recurrence", "rodrigues", "krawtchouk", "auto")
     assert choices("poly", "--family") == tuple(cli._FAMILIES) == ("jacobi", "krawtchouk", "legendre")
 
 
@@ -114,11 +115,11 @@ def test_dmat_by_route_is_the_route_function(route):
     cases += [(EulerAngles(*angles), None) for angles in EULER]
     if route in (*ELEMENT_ROUTES, "auto"):
         cases += [(None, A) for A in ELEMENTS.values()]
-    # auto takes one route per kind of source at every spin
+    # auto takes the recurrence for either kind of source at every spin
     for l_x2 in [*range(7), *([40, 41] if route == "auto" else [])]:
         l = HalfInt(l_x2)
         for angles, A in cases:
-            name = {"auto": "oracle" if angles is None else "recurrence"}.get(route, route)
+            name = {"auto": "recurrence"}.get(route, route)
             A = from_euler(angles) if A is None else A
 
             def by_route(*args):
@@ -183,9 +184,11 @@ def test_chart_phases_equal_one_exponential_per_entry_bit_for_bit():
 
 @pytest.mark.parametrize("route", [r for r in cli.ROUTES if r not in ("oracle", "auto")])
 def test_every_closed_route_has_a_check_in_the_routes_report(route):
-    # one check per route table that holds the route
+    # one check per route table that holds the route; the recurrence's
+    # element form runs the lanes of its chart form, which its chart check
+    # holds (tests/test_recurrence.py holds the element form to exact sums)
     checks = [chk for chk in suite_routes(HalfInt(1), 0)["checks"] if route in chk["check"]]
-    assert len(checks) == (route in ELEMENT_ROUTES) + (route in ROTATION_ROUTES)
+    assert len(checks) == (route in ELEMENT_ROUTES and route != "recurrence") + (route in ROTATION_ROUTES)
     assert all(chk["check"].endswith("-vs-oracle") and chk["count"] > 0 for chk in checks)
 
 
