@@ -28,6 +28,7 @@ from .specfun import (
     hyp2f1,
     hyp2f1_complex,
     hyp2f1_series_coeffs,
+    integer_jacobi_norm,
     jacobi_complex,
     jacobi_eval,
     jacobi_norm,

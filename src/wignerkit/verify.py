@@ -9,10 +9,10 @@ Each set of oracle references is one oracle_stack_by_spin call over every
 spin, each route of the routes suite one by-spin call, and every check hands
 its deviations to _check as one float64 array: the routes suite compares each
 route's stack with the oracle's in one array expression per spin, and the
-weighted Jacobi integrals of one (alpha, beta) are one pairwise sum over a
-(nodes, pairs) stack.  The weighted family and the Legendre addition and
-product formulas each take all their real Jacobi values in one
-specfun.jacobi_rows call, every row at its own nodes.  The magnitude of a
+weighted Jacobi integrals of every (alpha, beta) on one Gauss rule are one
+pairwise sum over a (nodes, blocks, pairs) stack.  The weighted family and the
+Legendre addition and product formulas each take all their real Jacobi values
+in one specfun.jacobi_rows call, every row at its own nodes.  The magnitude of a
 complex deviation is libm's hypot of its parts (haar.magnitudes), the
 function Python's abs(complex) calls, so the worst deviations are the
 floats a per-entry loop gives; so is every entry's magnitude in the
@@ -41,7 +41,7 @@ from .haar import (
     schur_checks,
     theta_rule,
 )
-from .specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_norm, jacobi_rows, jacobi_values, krawtchouk
+from .specfun import JacobiParams, hyp2f1, integer_jacobi_norm, jacobi_complex, jacobi_rows, jacobi_values, krawtchouk
 from .wigner import (
     ROTATION_STACKS,
     SYMMETRIES,
@@ -259,46 +259,63 @@ def suite_jacobi_orth(max_l: HalfInt) -> dict:
     # Same-column integrals of d(theta) = jacobi_stack against delta_{l,l'}/(2l+1)
     # on the Haar grid's theta rule, exact as d^l_{m,n} d^l'_{m,n} has degree
     # l + l' <= 2 max_l in x = cos 2 theta: per ordered pair of spins of one parity,
-    # one pairwise sum over the rows and columns of each stack that hold the
-    # weights m, n of the smaller spin, taken on its quadrant m + n >= 0, m - n >= 0.
+    # the rows and columns of each stack that hold the weights m, n of the smaller
+    # spin, taken on its quadrant m + n >= 0, m - n >= 0.  The pairs whose smaller
+    # spin has dimension n are one (nodes, pairs, n, n) stack, reduced by one pairwise sum.
     thetas, weights = theta_rule(max_l)
     stacks = jacobi_stack_by_spin(spins_up_to(max_l), thetas)
-    same_column = []
+    by_dim = {}
     for S, S_prime in product(stacks, stacks):
         dim, dim_prime = len(S[0]), len(S_prime[0])
         if (dim - dim_prime) % 2:
             continue  # integer and half-integer spins share no weight pairs
         n = min(dim, dim_prime)
         a, b = (dim - n) // 2, (dim_prime - n) // 2
-        integrals = pairwise_sum(weights[:, None, None] * S[:, a : a + n, a : a + n] * S_prime[:, b : b + n, b : b + n])
+        pair = (S[:, a : a + n, a : a + n], S_prime[:, b : b + n, b : b + n], (dim == dim_prime) / n)
+        by_dim.setdefault(n, []).append(pair)
+    same_column = []
+    for n, group in by_dim.items():
+        left, right, expected = zip(*group)
+        integrals = pairwise_sum(weights[:, None, None, None] * np.stack(left, axis=1) * np.stack(right, axis=1))
         i, j = np.indices((n, n))
-        same_column.append(np.abs(integrals - (dim == dim_prime) / n)[(i + j >= n - 1) & (i >= j)])
+        deviations = np.abs(integrals - np.array(expected)[:, None, None])
+        same_column.append(deviations[:, (i + j >= n - 1) & (i >= j)].ravel())
 
     # The 45 degree pairs n1 <= n2 up to 8 of each (al, be), on the Gauss rule of
     # (2 * 8 + al + be) // 2 + 1 <= 13 nodes, exact for the degree 16 + al + be.
     # All 225 polynomials are one jacobi_rows call, each row at its own rule
-    # padded to 13 nodes by repeating the last; per (al, be), one (nodes, 45)
-    # stack of the products w P_n1 P_n2 (1-x)^al (1+x)^be, reduced by one pairwise sum.
+    # padded to 13 nodes by repeating the last.  The blocks that share a rule are
+    # one (nodes, blocks, 45) stack of the products w P_n1 P_n2 (1-x)^al (1+x)^be,
+    # reduced by one pairwise sum, which sums each column by the tree it has alone.
     pairs = [(n1, n2) for n1 in range(9) for n2 in range(n1, 9)]
     first, second = np.array(pairs).T
-    blocks = list(product(range(5), repeat=2))
-    rules = [gauss_legendre((2 * 8 + al + be) // 2 + 1) for al, be in blocks]
+    blocks = np.array(list(product(range(5), repeat=2)))
+    rule_of = blocks.sum(axis=1) // 2  # the index of each block's rule in rules
+    rules = [gauss_legendre(size) for size in range(9, 14)]
     nodes = np.array([x[np.minimum(np.arange(13), len(x) - 1)] for x, _ in rules])
-    params = [JacobiParams(al, be, n) for al, be in blocks for n in range(9)]
-    rows = jacobi_rows(params, np.repeat(nodes, 9, axis=0)).reshape(len(blocks), 9, 13)
-    weighted = []
-    for (al, be), (x, w), block in zip(blocks, rules, rows):
-        weight = (1 - x) ** al * (1 + x) ** be
-        values = block[:, : len(x)].T
-        integrals = pairwise_sum(w[:, None] * values[:, first] * values[:, second] * weight[:, None])
-        norms = [jacobi_norm(JacobiParams(al, be, n1)) if n1 == n2 else 0.0 for n1, n2 in pairs]
-        weighted.append(np.abs(integrals - norms))
+    params = [JacobiParams(al, be, n) for al, be in blocks.tolist() for n in range(9)]
+    rows = jacobi_rows(params, nodes[np.repeat(rule_of, 9)]).reshape(len(blocks), 9, 13)
+    # (1-x)^al (1+x)^be of each block at its rule's nodes, from the powers 0-4
+    # of both factors at every rule's nodes: ** by an int gives each element the
+    # float it gives alone, so each weight is the block's own product.
+    lower, upper = (np.stack([base**k for k in range(5)]) for base in (1 - nodes, 1 + nodes))
+    weights_at = lower[blocks[:, 0], rule_of] * upper[blocks[:, 1], rule_of]
+    integrals = np.empty((len(blocks), len(pairs)))
+    for r, (x, w) in enumerate(rules):
+        members = np.flatnonzero(rule_of == r)
+        values = rows[members, :, : len(x)].transpose(2, 0, 1)
+        weight = weights_at[members, : len(x)].T
+        products = w[:, None, None] * values[:, :, first] * values[:, :, second] * weight[:, :, None]
+        integrals[members] = pairwise_sum(products)
+    norms = np.zeros_like(integrals)
+    norms[:, first == second] = [[integer_jacobi_norm(al, be, n) for n in range(9)] for al, be in blocks.tolist()]
+    weighted = np.abs(integrals - norms).ravel()
 
     return {
         "suite": "jacobi-orth",
         "checks": [
             _check("same-column integrals vs 1/(2l+1)", np.concatenate(same_column), 1e-10),
-            _check("weighted jacobi integrals vs closed-form norm", np.concatenate(weighted), 1e-10),
+            _check("weighted jacobi integrals vs closed-form norm", weighted, 1e-10),
         ],
     }
 

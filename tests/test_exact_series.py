@@ -9,6 +9,7 @@ complex-argument series are held the same way, to one Fraction sum per part.
 """
 import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,79 @@ class TestRoutesMatchFractionLoops:
                     for theta in thetas:
                         got = outcome(tmn_rodrigues, l, m, n, theta)
                         assert got == outcome(old_folded_tmn_rodrigues, l, m, n, theta), (l2, m, n, theta)
+
+
+def explicit_sum_jacobi_row(alpha, beta, n):
+    # The explicit sum that builds every row whose parameters are not both
+    # integers >= 0: C(n, k) (s)_k (alpha+k+1)_(n-k) / n! over one
+    # denominator, reduced by the gcd of the denominator and every numerator.
+    a, da = _as_ratio(alpha)
+    b, db = _as_ratio(beta)
+    s_num, ds = (n + 1) * da * db + a * db + b * da, da * db
+    prefix, suffix = [1], [1]
+    for i in range(n):
+        prefix.append(prefix[-1] * da * (s_num + i * ds))
+        suffix.append(suffix[-1] * ds * (a + (n - i) * da))
+    nums = [math.comb(n, k) * prefix[k] * suffix[n - k] for k in range(n + 1)]
+    den = factorial(n) * (ds * da) ** n
+    g = math.gcd(den, *nums)
+    return tuple(c // g for c in nums), den // g
+
+
+def quadrant_rows(l_x2):
+    # (m+n, m-n, l-m) of every quadrant entry m + n >= 0, m - n >= 0 of spin
+    # l_x2 / 2: the parameters of the entry's Jacobi row.
+    l = HalfInt(l_x2)
+    return [
+        ((m + n).as_int(), (m - n).as_int(), (l - m).as_int())
+        for m in spin_range(l)
+        for n in spin_range(l)
+        if (m + n).twice >= 0 and (m - n).twice >= 0
+    ]
+
+
+class TestClosedFormRows:
+    # At integers alpha, beta >= 0 the row is the closed form
+    # C(n+alpha+beta+k, k) C(n+alpha, n-k) over 1; every other row is the
+    # explicit sum.  Both give the one reduced tuple of the same rationals.
+    def test_every_quadrant_row_at_small_spins(self):
+        for l_x2 in range(0, 41):
+            for a, b, n in quadrant_rows(l_x2):
+                row = _jacobi_coeffs_cached.__wrapped__(a, b, n)
+                assert row[1] == 1 and row == old_jacobi_coeffs_cached(a, b, n), (l_x2, a, b, n)
+
+    @pytest.mark.parametrize("l_x2", [126, 127, 200, 400])
+    def test_a_sample_of_quadrant_rows_at_high_spin(self, l_x2):
+        rows = quadrant_rows(l_x2)
+        sample = random.Random(l_x2).sample(range(len(rows)), 150)
+        # and two corners: the least (alpha, beta), which has the largest degree, and alpha = l_x2 at degree 0
+        for a, b, n in [rows[k] for k in sample] + [min(rows), max(rows)]:
+            row = _jacobi_coeffs_cached.__wrapped__(a, b, n)
+            assert row == old_jacobi_coeffs_cached(a, b, n) == explicit_sum_jacobi_row(a, b, n), (l_x2, a, b, n)
+
+    def test_integer_valued_floats_and_fractions_take_the_closed_form(self):
+        for alpha, beta in [(2.0, 3), (Fraction(4), 0), (0, Fraction(4)), (0.0, 0.0), (True, 2.0), (4, Fraction(6, 3))]:
+            for n in range(15):
+                row = _jacobi_coeffs_cached.__wrapped__(alpha, beta, n)
+                ints = (int(alpha), int(beta), n)
+                assert row[1] == 1 and row == _jacobi_coeffs_cached.__wrapped__(*ints) == old_jacobi_coeffs_cached(*ints)
+                assert row == explicit_sum_jacobi_row(alpha, beta, n)
+
+    def test_every_other_parameter_keeps_the_explicit_sum(self):
+        params = [(-2, 0.5), (3, -1), (-1, 0), (0, -1), (-2, -3), (0.5, 0.5), (-0.5, 2), (2.5, 0), (0.3, 4)]
+        params += [(Fraction(1, 3), 2), (2, Fraction(-7, 2)), (1e-3, 1)]
+        for alpha, beta in params:
+            for n in range(15):
+                row = _jacobi_coeffs_cached.__wrapped__(alpha, beta, n)
+                assert row == explicit_sum_jacobi_row(alpha, beta, n) == old_jacobi_coeffs_cached(alpha, beta, n)
+
+    def test_the_cache_holds_one_row_for_equal_parameters(self):
+        # lru_cache keys 2, 2.0 and Fraction(2) alike, so each returns the row the first built.
+        _jacobi_coeffs_cached.cache_clear()
+        first = _jacobi_coeffs_cached(2, 3, 7)
+        assert _jacobi_coeffs_cached(2.0, Fraction(3), 7) is first
+        # c_0 = C(9, 7) = P_7^(2,3)(1) and c_7 = C(19, 7)
+        assert first == ((36, 1092, 11466, 57330, 152880, 222768, 167076, 50388), 1)
 
 
 def fraction_complex_sum(coeffs, re, im):

@@ -10,9 +10,11 @@ magnitude in a copy, each max-norm included, is Python's abs.  Each suite
 must report the same deviations, in the same order, as the copy.  The
 same-column Jacobi integrals are the exception: they are now sums of
 jacobi_stack products on another rule, so they are held to the copy's count
-and to their exact values within 1e-15.
+and to their exact values within 1e-15.  The jacobi-orth suite's batched
+reductions are also held to their per-block and per-pair loops, bit for bit.
 """
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -21,8 +23,17 @@ import pytest
 from wignerkit import verify
 from wignerkit.exactcomb import HalfInt, factorial, is_valid_spin_pair, pochhammer, spin_range, spins_up_to
 from wignerkit.group import EulerAngles, Mat2C, from_euler, multiply, sample_haar
-from wignerkit.haar import gauss_legendre, pairwise_sum
-from wignerkit.specfun import JacobiParams, hyp2f1, jacobi_complex, jacobi_eval, jacobi_norm, krawtchouk
+from wignerkit.haar import gauss_legendre, pairwise_sum, theta_rule
+from wignerkit.specfun import (
+    JacobiParams,
+    hyp2f1,
+    integer_jacobi_norm,
+    jacobi_complex,
+    jacobi_eval,
+    jacobi_norm,
+    jacobi_values,
+    krawtchouk,
+)
 from wignerkit.verify import sample_gl2, sample_unimodular
 from wignerkit.wigner import (
     ROTATION_ROUTES,
@@ -30,6 +41,7 @@ from wignerkit.wigner import (
     hyp_matrix,
     hyp_symmetric_matrix,
     jacobi_matrix,
+    jacobi_stack_by_spin,
     oracle_matrix,
     sum_matrix,
 )
@@ -289,6 +301,60 @@ def test_jacobi_orth_and_krawtchouk_deviations_are_the_per_value_ones(deviations
     assert weighted == hexes(old_weighted())
     (krawtchouk_sym,) = deviations(verify.suite_krawtchouk_sym).values()
     assert krawtchouk_sym == hexes(old_krawtchouk_sym())
+
+
+def per_block_weighted():
+    # The weighted family as one pairwise sum per (al, be) over its (nodes, 45)
+    # stack, against jacobi_norm's h_n: the reduction before the blocks of one
+    # Gauss rule were summed together and the norms taken from integer_jacobi_norm.
+    pairs = [(n1, n2) for n1 in range(9) for n2 in range(n1, 9)]
+    first, second = np.array(pairs).T
+    for al, be in product(range(5), repeat=2):
+        x, w = gauss_legendre((2 * 8 + al + be) // 2 + 1)
+        weight = (1 - x) ** al * (1 + x) ** be
+        values = jacobi_values([JacobiParams(al, be, n) for n in range(9)], x).T
+        integrals = pairwise_sum(w[:, None] * values[:, first] * values[:, second] * weight[:, None])
+        norms = [jacobi_norm(JacobiParams(al, be, n1)) if n1 == n2 else 0.0 for n1, n2 in pairs]
+        yield from np.abs(integrals - norms)
+
+
+def per_pair_same_column(max_l):
+    # The same-column integrals as one pairwise sum per pair of spins.
+    thetas, weights = theta_rule(max_l)
+    stacks = jacobi_stack_by_spin(spins_up_to(max_l), thetas)
+    for S, S_prime in product(stacks, stacks):
+        dim, dim_prime = len(S[0]), len(S_prime[0])
+        if (dim - dim_prime) % 2:
+            continue
+        n = min(dim, dim_prime)
+        a, b = (dim - n) // 2, (dim_prime - n) // 2
+        integrals = pairwise_sum(weights[:, None, None] * S[:, a : a + n, a : a + n] * S_prime[:, b : b + n, b : b + n])
+        i, j = np.indices((n, n))
+        yield from np.abs(integrals - (dim == dim_prime) / n)[(i + j >= n - 1) & (i >= j)]
+
+
+@pytest.mark.parametrize("l_x2", [0, 1, 6, 12])
+def test_jacobi_orth_reductions_are_the_per_block_ones(deviations, l_x2):
+    # Bit for bit and in order for the weighted family; the same-column
+    # integrals are grouped by the smaller spin's dimension, so as a multiset.
+    got = deviations(verify.suite_jacobi_orth, HalfInt(l_x2))
+    assert got["weighted jacobi integrals vs closed-form norm"] == hexes(per_block_weighted())
+    assert sorted(got["same-column integrals vs 1/(2l+1)"]) == sorted(hexes(per_pair_same_column(HalfInt(l_x2))))
+
+
+def test_integer_norms_are_jacobi_norm_and_the_factorial_quotient():
+    # One int / int division of h_n's exact rational, whatever the integers
+    # it is written with: the quotient jacobi_norm took before, with (n+a+b+1)_n
+    # as a permutation count and (2n+a+b+1)! below.
+    for a, b, n in product(range(9), range(9), range(30)):
+        before = (2 ** (a + b + 1) * math.perm(2 * n + a + b, n) * factorial(n + a) * factorial(n + b)) / (
+            factorial(n) * factorial(2 * n + a + b + 1)
+        )
+        assert integer_jacobi_norm(a, b, n).hex() == jacobi_norm(JacobiParams(a, b, n)).hex() == before.hex(), (a, b, n)
+    assert jacobi_norm(JacobiParams(2.0, Fraction(3), 4)).hex() == integer_jacobi_norm(2, 3, 4).hex()
+    for a, b, n in [(-1, 0, 2), (0, -1, 2), (1, 1, -1)]:
+        with pytest.raises(ValueError, match="a, b, n >= 0"):
+            integer_jacobi_norm(a, b, n)
 
 
 @pytest.mark.parametrize("l_x2", [0, 1, 2, 6, 12])
